@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/parse error, 2 mathematical obstruction
-(failed twist coprimality, sigma-zero obstruction).  Output is
-deterministic: fixed flags give byte-identical bytes.
+(failed twist coprimality, sigma-zero obstruction), 3 ``verify`` found a
+residual above the noise threshold.  Output is deterministic: fixed flags
+give byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .skewpoly import ConjSeriesRing, SkewPoly, puiseux_ring
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_OBSTRUCTION = 2
+EXIT_VERIFY_FAILED = 3
 
 
 def _add_common(sp, alpha_required=True, base_choice=False):
@@ -56,7 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="skewpuiseux",
         description="Skew polynomial arithmetic over Puiseux series: "
-                    "factorization, sigma-zeros, Hensel lifting.")
+                    "factorization, sigma-zeros, Hensel lifting.",
+        epilog=f"exit codes: {EXIT_OK} success, {EXIT_USAGE} usage or parse "
+               f"error, {EXIT_OBSTRUCTION} mathematical obstruction, "
+               f"{EXIT_VERIFY_FAILED} verify found a residual above the noise "
+               "threshold")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("factor", help="factor a monic polynomial into linear factors")
@@ -88,7 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("h")
     _add_common(sp, base_choice=True)
 
-    sp = sub.add_parser("verify", help="check a factorization f = (t-z1)...(t-zd)")
+    sp = sub.add_parser(
+        "verify", help="check a factorization f = (t-z1)...(t-zd)",
+        description="Check a factorization f = unit*(t-z1)...(t-zd) to the "
+                    "target order.  It is ok when the residual is at most the "
+                    "noise threshold (2^(-bits/2), or 2^(-N) with --zero-bits "
+                    "N) times max(1, |f|).  Exit code 0 when ok, "
+                    f"{EXIT_VERIFY_FAILED} when not.")
     sp.add_argument("poly")
     sp.add_argument("zeros", nargs="+")
     sp.add_argument("--unit", default=None, help="left unit series")
@@ -274,15 +286,17 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         unit = parse_series(args.unit) if args.unit else None
         fac = Factorization(zeros=zeros, unit=unit, residual=None,
                             achieved_order=None, ramification=max(z.L for z in zeros))
-        report = verify_factorization(f, fac, order=cfg.target_order)
+        tol = scalar.zero_eps() * max(1, f.max_abs())
+        report = verify_factorization(f, fac, tol=tol, order=cfg.target_order)
         payload = {
             "residual": mp.nstr(mp.mpf(report["residual"]), 8),
             "eval_ord": _ord_str(report["eval_ord"]),
             "ok": bool(report["ok"]),
         }
         _emit(args, payload, [f"residual: {payload['residual']}",
-                              f"eval_ord: {payload['eval_ord']}"])
-        return EXIT_OK
+                              f"eval_ord: {payload['eval_ord']}",
+                              f"ok: {str(payload['ok']).lower()}"])
+        return EXIT_OK if payload["ok"] else EXIT_VERIFY_FAILED
 
     raise UsageError(f"unknown command {cmd!r}")
 

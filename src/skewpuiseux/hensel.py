@@ -14,8 +14,16 @@ ord(f - g_n h_n) >= n+1 after each step:
   q_n              = constant-term part of a f_n + q h^(phi^n)
 
 Corrections are lifted residue polynomials, which is exactly what the
-order-increase argument consumes; the defect is updated incrementally with
-exact ring products.
+order-increase argument consumes.  The defect is updated incrementally:
+with P = p_n x^n and Q = q_n x^n,
+
+  f - (g + P)(h + Q) = defect - (sum_i P_i t^i (h + Q) + sum_j g_j t^j Q),
+
+where the rows t^i h (i < deg g) are kept in a table and each step adds
+t^i Q to them, so t^i h is never re-derived through sigma and delta.  The
+coefficients of t^j Q are few-term series (order >= n), which keeps every
+product short.  The defect and the table are truncated at the target
+order: a step at order n reads only the x^n slice, and n < target.
 """
 
 from __future__ import annotations
@@ -46,16 +54,37 @@ def _lift(ring, rp: residue_mod.ResiduePoly) -> SkewPoly:
     return SkewPoly(ring, [ring.from_scalar(c) for c in rp.coeffs])
 
 
-def _defect_slice(defect: SkewPoly, n: int) -> residue_mod.ResiduePoly:
+def _defect_slice(defect, n: int) -> residue_mod.ResiduePoly:
     """Residue polynomial made of each coefficient's x^n term."""
     return residue_mod.ResiduePoly(
-        [scalar.to_mpc(c.terms.get(n, 0)) for c in defect.coeffs])
+        [scalar.to_mpc(c.terms.get(n, 0)) for c in defect])
 
 
-def _scrub(defect: SkewPoly, n: int, tol) -> SkewPoly:
-    """Clear cancellation dust at exponents <= n after the step-n correction."""
-    return SkewPoly(defect.ring,
-                    [c.drop_small_upto(n, tol) for c in defect.coeffs])
+def _truncate(coeffs, target_k: int) -> list:
+    return [c.truncate(target_k) for c in coeffs]
+
+
+def _ord(ring, coeffs):
+    """Least coefficient order; a zero coefficient known only to O(x^k)
+    reports k, so the minimum is INF only for an exactly zero list."""
+    return min((ring.ord_k(c) for c in coeffs), default=INF)
+
+
+def _add_rows(ring, row, other) -> list:
+    return [ring.add(c, other[k]) if k < len(other) else c
+            for k, c in enumerate(row)]
+
+
+def _add_scaled(ring, acc, c, row, target_k: int):
+    """acc += c * row (c a base element, row a coefficient list), keeping
+    only what lies below x^target_k."""
+    oc = ring.ord_k(c)
+    for k, r in enumerate(row):
+        orr = ring.ord_k(r)
+        if oc + orr >= target_k:
+            continue
+        acc[k] = ring.add(acc[k], ring.mul(c.truncate(target_k - orr),
+                                           r.truncate(target_k - oc)))
 
 
 def twist_precheck(g: SkewPoly, h: SkewPoly, tol=None):
@@ -72,8 +101,11 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
                 on_state=None):
     """Lift res(f) = res(g) res(h) to f = g_hat h_hat + O(x^target_k).
 
-    Returns (g_hat, h_hat, achieved_order_k).  ``on_state`` receives a
-    HenselState after every correction step.
+    Returns (g_hat, h_hat, achieved_order_k), where achieved_order_k is
+    the least order of the final defect f - g_hat h_hat, a coefficient
+    known only to O(x^k) counting as k; it is INF only for an exactly zero
+    defect.  ``on_state`` receives a HenselState after every correction
+    step.
     """
     ring = f.ring.unify(g.ring).unify(h.ring)
     f = f.in_ring(ring)
@@ -100,18 +132,21 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
 
     twist_precheck(g, h)
 
+    # sigma and delta keep x-adic orders, so nothing at or above target_k
+    # ever reaches a slice below it
+    gh = g * h
+    defect = _truncate([ring.sub(f.coeffs[i], gh.coeffs[i]) for i in range(d)],
+                       target_k)
+    th = [_truncate(h.coeffs, target_k)]  # th[i] = t^i h_cur
+    for _ in range(1, m):
+        th.append(_truncate(SkewPoly._t_mul_in(ring, th[-1]), target_k))
     g_cur, h_cur = g, h
-    defect = f - g_cur * h_cur
     # corrections can grow with n (the true factors may have geometrically
     # growing coefficients); cancellation dust is judged against this scale
     scale = max(mp.mpf(1), f.max_abs())
     floor = mp.mpf(2) ** -(mp.prec - 24)
-    while True:
-        if defect.is_zero:
-            break
-        o = defect.ord_k()
-        if o >= target_k:
-            break
+    o = _ord(ring, defect)
+    while o < target_k:
         n = int(o)
         if n < 1:
             raise SkewError("hensel invariant violated: defect has order 0")
@@ -132,21 +167,29 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         xn = SkewPoly.constant(ring, ring.uniformizer_pow(n))
         p_corr = _lift(ring, p_res) * xn
         q_corr = _lift(ring, qn_res) * xn
-        g_new = g_cur + p_corr
-        h_new = h_cur + q_corr
-        defect = defect - (p_corr * h_cur + g_cur * q_corr + p_corr * q_corr)
-        g_cur, h_cur = g_new, h_new
+        tq = [_truncate(q_corr.coeffs, target_k)]  # tq[j] = t^j q_corr
+        for _ in range(m):
+            tq.append(_truncate(SkewPoly._t_mul_in(ring, tq[-1]), target_k))
+        th = [_add_rows(ring, row, tq[i]) for i, row in enumerate(th)]
+        # p_corr h_new + g_cur q_corr = p h + g q + p q
+        update = [ring.zero()] * d
+        for i, c in enumerate(p_corr.coeffs):
+            _add_scaled(ring, update, c, th[i], target_k)
+        for j, c in enumerate(g_cur.coeffs):
+            _add_scaled(ring, update, c, tq[j], target_k)
+        g_cur, h_cur = g_cur + p_corr, h_cur + q_corr
         scale = max(scale, fn_res.max_abs(), p_res.max_abs(), qn_res.max_abs(),
                     b_res.max_abs())
-        defect = _scrub(defect, n, scale * floor)
-        if not defect.is_zero and defect.ord_k() <= n:
+        # clear cancellation dust at exponents <= n
+        defect = [ring.sub(c, u).drop_small_upto(n, scale * floor)
+                  for c, u in zip(defect, update)]
+        o = _ord(ring, defect)
+        if o <= n:
             raise SkewError(f"hensel step did not raise the defect order at n={n}")
         if on_state is not None:
-            on_state(HenselState(n, g_cur, h_cur, defect))
+            on_state(HenselState(n, g_cur, h_cur, SkewPoly(ring, defect)))
 
-    achieved = defect.ord_k() if not defect.is_zero else INF
-    return (_truncate_monic(g_cur, target_k), _truncate_monic(h_cur, target_k),
-            achieved)
+    return (_truncate_monic(g_cur, target_k), _truncate_monic(h_cur, target_k), o)
 
 
 def _truncate_monic(p: SkewPoly, target_k: int) -> SkewPoly:

@@ -27,6 +27,38 @@ def gcd_tol():
     return mp.mpf(2) ** -(mp.prec // 2)
 
 
+def _trim_dust(coeffs):
+    """Degree honesty: pop leading coefficients with |c| < zero_eps * M,
+    M = max |c_i| over the given (nonzero-led) list.
+
+    With T the largest binary exponent of the parts (scalar.mag_exp), the
+    rounded M lies in [2^(T-1), 2^(T+1)), so the threshold lies between the
+    powers of two lo = zero_eps * 2^(T-1) and hi = zero_eps * 2^(T+1).  The
+    exponent zero test against them settles every coefficient outside that
+    band; M itself is computed only for one inside it.
+    """
+    tops = [scalar.mag_exp(c) for c in coeffs]
+    if None in tops:  # inf or nan
+        eps = scalar.zero_eps() * max(abs(c) for c in coeffs)
+        while coeffs and abs(coeffs[-1]) < eps:
+            coeffs.pop()
+        return
+    z = scalar.pow2_exp(scalar.zero_eps()) + max(tops)
+    lo, hi = mp.ldexp(1, z - 1), mp.ldexp(1, z + 1)
+    body = tuple(coeffs)
+    eps = None
+    while coeffs:
+        c = coeffs[-1]
+        if not scalar.is_negligible(c, hi):
+            break
+        if not scalar.is_negligible(c, lo):
+            if eps is None:
+                eps = scalar.zero_eps() * max(abs(x) for x in body)
+            if not abs(c) < eps:
+                break
+        coeffs.pop()
+
+
 class ResiduePoly:
     """Dense polynomial over big complex scalars; index i = coefficient of t^i."""
 
@@ -38,10 +70,7 @@ class ResiduePoly:
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             if coeffs:
-                # degree honesty: drop leading dust relative to the body
-                eps = scalar.zero_eps() * max(abs(c) for c in coeffs)
-                while coeffs and abs(coeffs[-1]) < eps:
-                    coeffs.pop()
+                _trim_dust(coeffs)
         self.coeffs = coeffs
 
     @classmethod

@@ -10,6 +10,7 @@ tests only and never mix with numeric ones inside a single series.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -40,11 +41,16 @@ def set_zero_eps_bits(bits_: int | None):
     _ZERO_EPS_BITS = bits_
 
 
+@lru_cache(maxsize=64)
+def _pow2(k: int):
+    return mp.mpf(2) ** k  # exact at any precision
+
+
 def zero_eps():
     """Magnitude below which a numeric coefficient counts as noise."""
     if _ZERO_EPS_BITS is not None:
-        return mp.mpf(2) ** -_ZERO_EPS_BITS
-    return mp.mpf(2) ** -(mp.prec // 2)
+        return _pow2(-_ZERO_EPS_BITS)
+    return _pow2(-(mp.prec // 2))
 
 
 def to_mpf(x):
@@ -63,18 +69,59 @@ def to_mpc(x):
     return mp.mpc(x)
 
 
-def is_exact(c) -> bool:
-    return isinstance(c, (int, Fraction, GaussianRational))
+def mag_exp(c):
+    """Binary exponent e with 2^(e-1) <= max(|Re c|, |Im c|) < 2^e for a
+    finite nonzero mpmath number, -inf for zero, and None for inf, nan and
+    values that are not mpmath numbers."""
+    parts = getattr(c, "_mpc_", None)
+    if parts is None:
+        part = getattr(c, "_mpf_", None)
+        if part is None:
+            return None
+        parts = (part,)
+    top = -INF
+    for _, man, exp, bc in parts:
+        if man:
+            if exp + bc > top:
+                top = exp + bc
+        elif exp:  # inf and nan have a zero mantissa and a special exponent
+            return None
+    return top
+
+
+def pow2_exp(eps):
+    """log2(eps) when eps is an mpf power of two, else None."""
+    part = getattr(eps, "_mpf_", None)
+    if part is None:
+        return None
+    sign, man, exp, _ = part
+    return exp if man == 1 and not sign else None
 
 
 def is_negligible(c, eps=None) -> bool:
-    """Zero test: exact scalars exactly, numeric ones against a threshold."""
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    if isinstance(c, GaussianRational):
-        return c.re == 0 and c.im == 0
+    """Zero test: exact scalars exactly, numeric ones by |c| < eps.
+
+    For a power-of-two eps = 2^e the binary exponents decide: a part with
+    exp+bc > e has modulus >= eps, and parts all below e give
+    |c| < sqrt(2)*2^(e-1) < eps.  Only in the band between (the largest
+    part in [2^(e-1), 2^e)), or for inf and nan, is abs(c) computed, so
+    every decision is the one abs(c) < eps gives.
+    """
+    top = mag_exp(c)
+    if top is None:
+        if isinstance(c, (int, Fraction)):
+            return c == 0
+        if isinstance(c, GaussianRational):
+            return c.re == 0 and c.im == 0
     if eps is None:
         eps = zero_eps()
+    if top is not None:
+        e = pow2_exp(eps)
+        if e is not None:
+            if top > e:
+                return False
+            if top < e:
+                return True
     return abs(c) < eps
 
 

@@ -302,6 +302,14 @@ class ConjSeries:
         return ConjSeries({k: conj_scalar(c) for k, c in self.terms.items()},
                           self.trunc, normalize=False)
 
+    def truncate(self, T_k):
+        """Restrict knowledge to exponents < T_k."""
+        if T_k == INF:
+            return self
+        t = int(T_k) if self.trunc is None else min(self.trunc, int(T_k))
+        return ConjSeries({k: c for k, c in self.terms.items() if k < t}, t,
+                          normalize=False)
+
     def drop_small_upto(self, k_max: int, tol):
         terms = {k: c for k, c in self.terms.items()
                  if k > k_max or abs(to_mpc(c)) > tol}
@@ -551,9 +559,6 @@ class SkewPoly:
         if o == INF:
             return INF
         return Fraction(int(o), getattr(self.ring, "L", 1))
-
-    def map_coeffs(self, fn) -> "SkewPoly":
-        return SkewPoly(self.ring, [fn(c) for c in self.coeffs])
 
     def in_ring(self, ring: BaseRing) -> "SkewPoly":
         return SkewPoly(ring, [ring.coerce(c) for c in self.coeffs], trim=False)

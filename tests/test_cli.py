@@ -128,6 +128,20 @@ def test_verify_command(capsys):
     assert float(payload["residual"]) == 0.0
 
 
+def test_verify_command_reports_failure(capsys):
+    # (t-5)(t-7) is not t^2 - 2t + 1: the residual is far above the noise
+    code, out, _ = run_cli(capsys, "verify", "--alpha", "2", "--json",
+                           "t^2 - 2*t + 1", "5", "7")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert float(payload["residual"]) == 34.0
+    code, out, _ = run_cli(capsys, "verify", "--alpha", "2",
+                           "t^2 - 2*t + 1", "5", "7")
+    assert code == 3
+    assert out.splitlines()[-1] == "ok: false"
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("t^2 - 2*t + 1"))
     code, out, _ = run_cli(capsys, "factor", "--alpha", "2", "--json", "-")

@@ -4,7 +4,8 @@ import pytest
 from mpmath import mp
 
 from skewpuiseux import (ConjSeriesRing, PuiseuxSeries, ResiduePoly, SkewPoly,
-                         hensel_lift, parse_poly, puiseux_ring, twist_precheck)
+                         hensel_lift, parse_poly, puiseux_ring, shift_iso,
+                         twist_precheck)
 from skewpuiseux.errors import (PrecisionExhausted, TwistCoprimeFailure,
                                 UsageError)
 from skewpuiseux.scalar import INF
@@ -125,3 +126,58 @@ def test_correction_degrees_bounded():
     for st in states:
         assert st.g_cur.degree == m and st.g_cur.is_monic
         assert st.h_cur.degree == k and st.h_cur.is_monic
+
+
+def test_achieved_order_is_the_truncation_bound():
+    # f is known only to O(x^10); its defect against (t-1)(t-3) is that
+    # unknown tail, so the lift reaches the target and no further
+    R = puiseux_ring(2)
+    f = parse_poly("t^2 - (4+O(x^10))*t + (3+O(x^10))", R)
+    _, _, achieved = hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 3", R), 8)
+    assert achieved == 8
+    rnd = rng(5)
+    for _ in range(6):
+        f, g, h = random_liftable(rnd, Fraction(2), rnd.randint(2, 4))
+        _, _, achieved = hensel_lift(f, g, h, 12)
+        assert achieved == 12
+
+
+def _assert_lifted(f, gh, hh, target):
+    assert gh.is_monic and hh.is_monic
+    assert (f - gh * hh).ord_k() >= target
+
+
+def test_lift_with_multi_term_derivation():
+    # the factorizer lifts in the delta_(a-b) ring that shift_iso lands in,
+    # where a - b has several terms
+    R = puiseux_ring(Fraction(3, 2))
+    zeros = [PS(1, {0: mp.mpc(1, 1), 1: 2, 3: mp.mpc(0, -1)}),
+             PS(1, {0: mp.mpc(-2, 1), 2: mp.mpc(1, 3)}),
+             PS(1, {0: mp.mpc(0.5, -1), 1: -1, 2: 1})]
+    f = SkewPoly.one(R)
+    for z in zeros:
+        f = f * SkewPoly.t_minus(R, z)
+    b = PS(1, {0: mp.mpc(0.25, 0.5), 1: 3, 2: mp.mpc(-1, 2)})
+    F = shift_iso(f, b)
+    assert len(F.ring.a.terms) == 3
+    res = F.reduce_residue()
+    shifted = [mp.mpc(z.terms[0]) + b.terms[0] for z in zeros]
+    for m in (1, 2):
+        gres = ResiduePoly.from_roots([(c, 1) for c in shifted[:m]])
+        hres = ResiduePoly.from_roots([(c, 1) for c in shifted[m:]])
+        assert (res - gres * hres).max_abs() < mp.mpf(2) ** -100
+        g = SkewPoly(F.ring, [F.ring.from_scalar(c) for c in gres.coeffs])
+        h = SkewPoly(F.ring, [F.ring.from_scalar(c) for c in hres.coeffs])
+        gh, hh, achieved = hensel_lift(F, g, h, 12)
+        assert achieved == 12
+        _assert_lifted(F, gh, hh, 12)
+
+
+def test_conj_series_lift_succeeds():
+    CR = ConjSeriesRing()
+    f = parse_poly("t^2 - (3+x+2*x^2)*t + (2+i*x)", CR)
+    gh, hh, achieved = hensel_lift(f, parse_poly("t - 1", CR),
+                                   parse_poly("t - 2", CR), 8)
+    assert achieved == 8
+    _assert_lifted(f, gh, hh, 8)
+    assert gh.coeff(0).trunc == 8 and len(gh.coeff(0).terms) == 8

@@ -9,6 +9,7 @@ from skewpuiseux import (Alpha, ConjSeriesRing, ResiduePoly, TMap,
                          twist_coprime_periodic, twist_residue)
 from skewpuiseux.errors import UsageError
 from skewpuiseux.residue import gamma_elements
+from skewpuiseux.scalar import zero_eps
 
 from conftest import rand_coeff, rng
 
@@ -195,3 +196,34 @@ def test_zero_sum_on_balanced_roots():
         up, _ = delta_set_member(c, 1, mp.mpf(2), 2, depth=10)
         down, _ = delta_set_member(-c, 1, mp.mpf(2), 2, depth=10)
         assert not (up == "member" and down == "member")
+
+
+def _dust_degree(coeffs):
+    """Degree after the leading-dust trim, computed from the moduli."""
+    coeffs = [mp.mpc(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if coeffs:
+        eps = zero_eps() * max(abs(c) for c in coeffs)
+        while coeffs and abs(coeffs[-1]) < eps:
+            coeffs.pop()
+    return len(coeffs) - 1
+
+
+def test_leading_dust_trim_matches_moduli():
+    rnd = rng(46)
+    ulp = mp.ldexp(1, -mp.prec)
+    for _ in range(400):
+        body = [rand_coeff(rnd, rnd.choice([1e-3, 1, 1e5])) for _ in range(rnd.randint(1, 3))]
+        M = max(abs(c) for c in body)
+        eps = zero_eps() * M
+        phase = mp.expjpi(mp.mpf(rnd.uniform(-1, 1)))
+        lead = [eps * phase * (1 + k * ulp) for k in (-2, -1, 0, 1, 2)]
+        lead += [eps * phase * rnd.uniform(0.25, 4), eps, -eps, mp.mpc(0, eps),
+                 mp.mpc(eps * (1 - ulp), 0)]
+        for c in lead:
+            coeffs = body + [c]
+            assert ResiduePoly(coeffs).degree == _dust_degree(coeffs)
+            coeffs = body + [c, c * rnd.uniform(0.5, 2)]
+            assert ResiduePoly(coeffs).degree == _dust_degree(coeffs)
+    assert ResiduePoly([1, 0, mp.inf]).degree == _dust_degree([1, 0, mp.inf])
