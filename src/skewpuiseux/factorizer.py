@@ -122,7 +122,10 @@ class _Engine:
         coprimality margins decay and the Bezout cofactors blow up.  So
         roots nearest the fixed point are tried as orbit base first,
         keeping them on the lifted-together side.  The Delta-set
-        certificate (nonreal or wrong-signed c/a0) breaks ties.
+        certificate (nonreal or wrong-signed c/a0) breaks ties.  An
+        identity T has no fixed point to approach; there the distance key
+        is left out, as for branch pairs +-v its last bit alone would
+        decide the order.
         """
         tol = self._orbit_tol()
         a0 = tmap.a0
@@ -143,7 +146,8 @@ class _Engine:
                     certified = abs(c) > tol
             scored.append((abs(c + a0), 0 if certified else 1,
                            mp.re(c), mp.im(c), (c, mult)))
-        scored.sort(key=lambda s: s[:4])
+        first = 1 if tmap.is_identity else 0
+        scored.sort(key=lambda s: s[first:4])
         return [s[4] for s in scored]
 
     # -- splitting ------------------------------------------------------------

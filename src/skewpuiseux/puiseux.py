@@ -6,16 +6,25 @@ same 1/L units) records up to which exponent the series is known.  A trunc
 of None means the value is exact (all absent coefficients are true zeros).
 Operations compute the tightest provable truncation and never pad with
 fabricated zeros.
+
+Rounding contract of the product: when the coefficients are mpmath numbers
+and ints, each product coefficient is rounded once.  The operands are read
+exactly as Gaussian-integer mantissas at a shared binary exponent
+(``scalar.fixed_point``), the convolution sum is formed exactly, and it is
+rounded to nearest at the working precision; the result is the correctly
+rounded exact sum.  Exact coefficients (ints alone, Fraction,
+GaussianRational) and inf/nan are multiplied term by term as before.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
-from .scalar import INF, Alpha, fmt_exponent, fmt_scalar, is_negligible, to_mpc
+from .scalar import EXACT_TYPES, INF, Alpha, fmt_exponent, fmt_scalar, is_negligible, to_mpc
 
 
 def _lcm(a: int, b: int) -> int:
@@ -182,13 +191,15 @@ class PuiseuxSeries:
         ta = INF if a.trunc is None else a.trunc
         tb = INF if b.trunc is None else b.trunc
         t = min(ta + b.ord_k(), tb + a.ord_k())
-        terms: dict = {}
-        for i, ci in a.terms.items():
-            for j, cj in b.terms.items():
-                k = i + j
-                if k >= t:
-                    continue
-                terms[k] = terms.get(k, 0) + ci * cj
+        terms = _mul_fixed_point(a.terms, b.terms, t)
+        if terms is None:
+            terms = {}
+            for i, ci in a.terms.items():
+                for j, cj in b.terms.items():
+                    k = i + j
+                    if k >= t:
+                        continue
+                    terms[k] = terms.get(k, 0) + ci * cj
         return PuiseuxSeries(a.L, terms, None if t == INF else int(t))
 
     def __rmul__(self, other):
@@ -234,13 +245,18 @@ class PuiseuxSeries:
     # -- twist action -------------------------------------------------------
 
     def sigma_pow(self, q, alpha: Alpha) -> "PuiseuxSeries":
-        """Apply sigma^q: each term c*x^(k/L) picks up the factor alpha^(q*k/L)."""
+        """Apply sigma^q: each term c*x^(k/L) picks up the factor alpha^(q*k/L),
+        taken for numeric coefficients from the memo of ``alpha.numeric_pow``."""
         q = Fraction(q)
         if q == 0 or alpha.is_one:
             return self
+        num, den = q.numerator, q.denominator * self.L
         terms = {}
         for k, c in self.terms.items():
-            terms[k] = c * alpha.pow(q * Fraction(k, self.L))
+            if isinstance(c, EXACT_TYPES):
+                terms[k] = c * alpha.pow(Fraction(num * k, den))
+            else:
+                terms[k] = c * alpha.numeric_pow(num * k, den)
         return PuiseuxSeries(self.L, terms, self.trunc)
 
     def conjugate(self) -> "PuiseuxSeries":
@@ -289,6 +305,73 @@ class PuiseuxSeries:
 
     def __repr__(self):
         return f"<PuiseuxSeries {self}>"
+
+
+def _mul_fixed_point(x: dict, y: dict, t):
+    """Product coefficients k < t of the term maps x and y as an exact
+    Gaussian-integer convolution, each rounded once (see the module
+    docstring).  None when the loop in ``__mul__`` must run instead: an
+    operand holds an exact rational, inf or nan, or both hold only ints.
+    The keys are those the loop would produce, zero sums included."""
+    if not x or not y:
+        return None
+    x0, y0 = min(x), min(y)
+    # terms that meet no partner below t do not enter the product
+    xn = min(max(x), t - 1 - y0) - x0 + 1
+    yn = min(max(y), t - 1 - x0) - y0 + 1
+    if xn <= 0 or yn <= 0:
+        return {}
+    xs, x_full = _dense(x, x0, xn)
+    ys, y_full = _dense(y, y0, yn)
+    fx = scalar.fixed_point(xs)
+    fy = scalar.fixed_point(ys)
+    if fx is None or fy is None or not (fx[3] or fy[3]):
+        return None
+    xr, xi, ex, x_kind = fx
+    yr, yi, ey, y_kind = fy
+    n = min(xn + yn - 1, t - x0 - y0)
+    re, im = _convolve(xr, xi, yr, yi, n)
+    if x_full and y_full:
+        support = range(n)
+    else:
+        support = sorted({i + j - x0 - y0 for i in x for j in y if i + j < t})
+    e = ex + ey
+    to_num = scalar.from_fixed_point
+    if x_kind < 2 and y_kind < 2:  # real operands give mpf coefficients
+        return {x0 + y0 + s: to_num(re[s], None, e) for s in support}
+    return {x0 + y0 + s: to_num(re[s], im[s], e) for s in support}
+
+
+def _dense(terms: dict, k0: int, n: int):
+    """Coefficients at k0 .. k0+n-1 as a list, 0 where absent, and whether
+    every one of them is present."""
+    out = [0] * n
+    hits = 0
+    for k, c in terms.items():
+        if k - k0 < n:
+            out[k - k0] = c
+            hits += 1
+    return out, hits == n
+
+
+def _convolve(xr: list, xi: list, yr: list, yi: list, n: int):
+    """The first n coefficients of the product of the Gaussian-integer
+    sequences xr + i*xi and yr + i*yi, exactly, as (re, im) lists.  Three
+    dot products per coefficient: re = p1 - p2, im = p3 - p1 - p2."""
+    nx, ny = len(xr), len(yr)
+    xs = [a + b for a, b in zip(xr, xi)]
+    yr, yi = yr[::-1], yi[::-1]  # reversed: each dot product reads both slices forward
+    ys = [a + b for a, b in zip(yr, yi)]
+    re, im = [], []
+    for s in range(n):
+        lo = s - ny + 1 if s >= ny else 0
+        hi = s + 1 if s < nx else nx
+        j = ny - 1 - s
+        p1 = sum(map(mul, xr[lo:hi], yr[j + lo:j + hi]))
+        p2 = sum(map(mul, xi[lo:hi], yi[j + lo:j + hi]))
+        re.append(p1 - p2)
+        im.append(sum(map(mul, xs[lo:hi], ys[j + lo:j + hi])) - p1 - p2)
+    return re, im
 
 
 def _min_trunc(a, b):

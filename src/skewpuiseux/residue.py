@@ -65,7 +65,8 @@ class ResiduePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, *, trim: bool = True):
-        coeffs = [to_mpc(c) for c in coeffs]
+        mpc = mp.mpc
+        coeffs = [c if type(c) is mpc else to_mpc(c) for c in coeffs]
         if trim:
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()

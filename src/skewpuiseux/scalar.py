@@ -5,6 +5,12 @@ Numeric coefficients are mpmath values computed at the ambient working
 precision; enter a computation through ``with bits(P):`` to fix it.  Exact
 coefficients (Fraction / GaussianRational) are used by the ring-law unit
 tests only and never mix with numeric ones inside a single series.
+
+Series products convert their numeric coefficients exactly to fixed-point
+Gaussian-integer mantissas (``fixed_point``) and round each product
+coefficient once, to nearest at the working precision
+(``from_fixed_point``), so every product coefficient is the correctly
+rounded exact sum of its terms.
 """
 
 from __future__ import annotations
@@ -67,6 +73,54 @@ def to_mpc(x):
     if isinstance(x, GaussianRational):
         return mp.mpc(to_mpf(x.re), to_mpf(x.im))
     return mp.mpc(x)
+
+
+_FZERO = mpmath.libmp.fzero
+
+
+def fixed_point(values):
+    """Exact fixed-point form of a list of numeric coefficients.
+
+    Returns (re, im, e, kind) with values[i] == (re[i] + im[i]*1j) * 2^e
+    exactly: re and im are lists of signed Python ints and e is the least
+    binary exponent of the nonzero parts, so nothing is rounded.  ``kind``
+    is 0 when every value is an int, 1 when the values are ints and mpf,
+    2 when some value is an mpc.  Returns None when a value is exact
+    rational (Fraction, GaussianRational), inf or nan.
+    """
+    kind = 0
+    parts = []
+    for c in values:
+        z = getattr(c, "_mpc_", None)
+        if z is None:
+            f = getattr(c, "_mpf_", None)
+            if f is None:
+                if not isinstance(c, int):
+                    return None
+                parts.append((c, 0, 0, 0))
+                continue
+            z = (f, _FZERO)
+            kind = kind or 1
+        else:
+            kind = 2
+        (rs, rm, rx, _), (js, jm, jx, _) = z
+        if (not rm and rx) or (not jm and jx):  # inf and nan
+            return None
+        parts.append((-rm if rs else rm, rx, -jm if js else jm, jx))
+    e = min([rx for rm, rx, _, _ in parts if rm] + [jx for _, _, jm, jx in parts if jm],
+            default=0)
+    return ([rm << (rx - e) if rm else 0 for rm, rx, _, _ in parts],
+            [jm << (jx - e) if jm else 0 for _, _, jm, jx in parts], e, kind)
+
+
+def from_fixed_point(re: int, im, e: int):
+    """The value (re + im*1j) * 2^e rounded once, to nearest at the working
+    precision: an mpf when im is None, else an mpc."""
+    prec = mp.prec
+    r = mpmath.libmp.from_man_exp(re, e, prec, mpmath.libmp.round_nearest)
+    if im is None:
+        return mp.make_mpf(r)
+    return mp.make_mpc((r, mpmath.libmp.from_man_exp(im, e, prec, mpmath.libmp.round_nearest)))
 
 
 def mag_exp(c):
@@ -214,6 +268,10 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+# coefficient types that arithmetic keeps exact
+EXACT_TYPES = (int, Fraction, GaussianRational)
+
+
 class Alpha:
     """The positive real multiplier of the twist x -> alpha*x.
 
@@ -224,15 +282,17 @@ class Alpha:
     guarantees do not apply there).
     """
 
-    __slots__ = ("exact", "numeric", "allow_complex")
+    __slots__ = ("exact", "numeric", "allow_complex", "_factors")
 
     def __init__(self, value, allow_complex: bool = False):
         self.allow_complex = allow_complex
         self.exact = None
         self.numeric = None
+        self._factors = {}
         if isinstance(value, Alpha):
             self.exact = value.exact
             self.numeric = value.numeric
+            self._factors = value._factors
             self.allow_complex = allow_complex or value.allow_complex
             value = None
         elif isinstance(value, (int, Fraction)):
@@ -288,6 +348,19 @@ class Alpha:
         r, theta = mpmath.polar(self.numeric)
         qf = to_mpf(q)
         return mp.power(r, qf) * mp.mpc(mp.cos(theta * qf), mp.sin(theta * qf))
+
+    def numeric_pow(self, num: int, den: int):
+        """alpha**(num/den) as an mpmath number, memoized per (num, den,
+        working precision); the keys are the unreduced exponents sigma_pow
+        meets.  An exact Fraction power goes through mpmath's own operand
+        conversion (which rounds toward zero, not to nearest), so
+        c * numeric_pow(num, den) equals c * pow(num/den) bit for bit."""
+        key = (num, den, mp.prec)
+        v = self._factors.get(key)
+        if v is None:
+            v = mp.convert(self.pow(Fraction(num, den)))
+            self._factors[key] = v
+        return v
 
     def __eq__(self, other):
         if not isinstance(other, Alpha):

@@ -495,8 +495,7 @@ class SkewPoly:
         self.ring = ring
         coeffs = [ring.coerce(c) for c in coeffs]
         if trim:
-            while coeffs and ring.is_zero(coeffs[-1]):
-                coeffs.pop()
+            _trim_exact_zeros(ring, coeffs)
         self.coeffs = coeffs
 
     # -- constructors --------------------------------------------------------
@@ -634,8 +633,7 @@ class SkewPoly:
             for j, s in enumerate(sub.coeffs):
                 r[j] = ring.sub(r[j], s)
             r.pop()
-            while r and ring.is_zero(r[-1]):
-                r.pop()
+            _trim_exact_zeros(ring, r)
         return SkewPoly(ring, q), SkewPoly(ring, r)
 
     def evaluate(self, a):
@@ -719,6 +717,13 @@ class SkewPoly:
             return f"<SkewPoly {self}>"
         except Exception:
             return f"<SkewPoly deg={self.degree}>"
+
+
+def _trim_exact_zeros(ring, coeffs: list):
+    """Pop trailing coefficients known to be zero (order INF).  A zero known
+    only to O(x^k) stays: it still bounds the polynomial's order."""
+    while coeffs and ring.ord_k(coeffs[-1]) == INF:
+        coeffs.pop()
 
 
 def puiseux_ring(alpha, L: int = 1, a: PuiseuxSeries | None = None) -> PuiseuxRing:

@@ -7,7 +7,11 @@ from skewpuiseux import (Alpha, FactorConfig, Factorization, PuiseuxSeries,
                          SkewPoly, factor_step, newton_puiseux_factor,
                          parse_poly, puiseux_ring, sigma_zero,
                          sigma_zero_quadratic, verify_factorization)
+from mpmath.libmp import from_man_exp
+
 from skewpuiseux.errors import Obstruction, UsageError
+from skewpuiseux.factorizer import _Engine
+from skewpuiseux.residue import TMap
 from skewpuiseux.scalar import INF
 
 from conftest import rand_series, rng
@@ -114,6 +118,29 @@ def test_factor_step_orbit_split_shapes():
     assert kind == "split"
     assert {uh.degree, vh.degree} == {1, 2}
     assert (f - uh * vh).truncate(14).max_abs() < mp.mpf(2) ** -90
+
+
+def _nudge(x, ulps):
+    """x moved by the given number of units in its last place."""
+    sign, man, exp, _ = x._mpf_
+    return mp.make_mpf(from_man_exp((-man if sign else man) + ulps, exp))
+
+
+def test_candidate_order_ignores_last_bit_for_identity_twist():
+    # alpha = 1: T is the identity and the branch pair +-v must come out
+    # in the same order whatever the last bits of the computed roots
+    engine = _Engine(Alpha(1), FactorConfig())
+    tmap = TMap(Alpha(1), 2, 0)
+    v = mp.mpc(1, 2) / 3
+    orders = set()
+    for dr in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            plus = mp.mpc(_nudge(v.real, dr), _nudge(v.imag, di))
+            minus = mp.mpc(_nudge(-v.real, -di), _nudge(-v.imag, dr))
+            for rts in ([(plus, 1), (minus, 1)], [(minus, 1), (plus, 1)]):
+                order = engine._candidates(rts, tmap)
+                orders.add(tuple(mp.sign(c.real) for c, _ in order))
+    assert orders == {(-1, 1)}
 
 
 def test_factor_step_requires_shifted_input():

@@ -3,9 +3,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import Alpha, PuiseuxSeries, SkewContext, sigma_apply, trace_apply
+from mpmath.libmp import to_rational
+
+from skewpuiseux import (Alpha, GaussianRational, PuiseuxSeries, SkewContext,
+                         bits, sigma_apply, trace_apply)
 from skewpuiseux.errors import PrecisionExhausted, UsageError, ZeroInversion
-from skewpuiseux.scalar import INF
+from skewpuiseux.scalar import INF, is_negligible, to_mpf
 
 from conftest import rand_series, rng
 from props import check_leibniz
@@ -141,3 +144,78 @@ def test_zero_threshold_drops_noise():
     tiny = mp.mpf(2) ** -100
     f = PS(1, {0: 1, 1: tiny})
     assert f.terms == {0: 1}
+
+
+def _exact(c):
+    """A numeric coefficient as the GaussianRational it equals."""
+    if isinstance(c, int):
+        return GaussianRational(c)
+    z = mp.mpc(c)
+    return GaussianRational(Fraction(*to_rational(z.real._mpf_)),
+                            Fraction(*to_rational(z.imag._mpf_)))
+
+
+def _mixed_coeff(rnd):
+    kind = rnd.choice(["int", "mpf", "mpc"])
+    if kind == "int":
+        return rnd.randint(-10 ** 6, 10 ** 6)
+    scale = mp.mpf(2) ** rnd.randint(-70, 60)
+    if kind == "mpf":
+        return mp.mpf(rnd.uniform(-1, 1)) * scale
+    return mp.mpc(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) * scale
+
+
+def test_product_is_exact_convolution_rounded_once():
+    rnd = rng(31)
+    for prec in (128, 256):
+        with bits(prec):
+            for _ in range(150):
+                L = rnd.choice([1, 2, 3])
+                ops = []
+                for _ in range(2):
+                    ks = rnd.sample(range(-3, 14), rnd.randint(1, 8))
+                    trunc = rnd.choice([None, 9, 14, 20])
+                    ops.append(PS(L, {k: _mixed_coeff(rnd) for k in ks}, trunc,
+                                  normalize=False))
+                a, b = ops
+                # the same operands with exact coefficients take the generic loop
+                ref = (PS(L, {k: _exact(c) for k, c in a.terms.items()}, a.trunc)
+                       * PS(L, {k: _exact(c) for k, c in b.terms.items()}, b.trunc))
+                prod = a * b
+                assert prod.trunc == ref.trunc
+                want = {}
+                for k, g in ref.terms.items():
+                    re, im = to_mpf(g.re), to_mpf(g.im)
+                    if not is_negligible(mp.mpc(re, im)):
+                        want[k] = (re._mpf_, im._mpf_)
+                assert set(prod.terms) == set(want)
+                for k, c in prod.terms.items():
+                    c = mp.mpc(c)
+                    assert (c.real._mpf_, c.imag._mpf_) == want[k]
+
+
+def test_integer_products_stay_exact():
+    f = PS(1, {0: 3, 2: -5}) * PS(1, {1: 7})
+    assert f.terms == {1: 21, 3: -35}
+    assert all(type(c) is int for c in f.terms.values())
+
+
+def test_sigma_pow_factors_match_alpha_pow_bit_for_bit():
+    rnd = rng(32)
+    alphas = [Alpha(2), Alpha(Fraction(3, 2)),
+              Alpha(mp.mpc("1.5", "0.5"), allow_complex=True)]
+    for prec in (128, 256, 128):
+        with bits(prec):
+            for alpha in alphas:
+                for L in (1, 2, 3):
+                    terms = {k: rnd.choice([mp.mpc(rnd.random(), rnd.random()),
+                                            mp.mpf(rnd.random())])
+                             for k in range(-12, 25)}
+                    f = PS(L, terms, normalize=False)
+                    for q in (1, -1, Fraction(5, 3), 7):
+                        out = f.sigma_pow(q, alpha)
+                        for k, c in out.terms.items():
+                            ref = terms[k] * alpha.pow(Fraction(q) * Fraction(k, L))
+                            assert type(c) is type(ref)
+                            assert getattr(c, "_mpc_", None) == getattr(ref, "_mpc_", None)
+                            assert getattr(c, "_mpf_", None) == getattr(ref, "_mpf_", None)

@@ -95,6 +95,18 @@ def test_evaluate_examples():
         assert f.evaluate(PS.one()).max_abs() == 0
 
 
+def test_truncated_zero_difference_keeps_its_order():
+    R = puiseux_ring(2)
+    f = parse_poly("t^2 - (4+O(x^10))*t + (3+O(x^10))", R)
+    g = parse_poly("t^2 - 4*t + 3", R)
+    d = f - g
+    assert not d.is_zero
+    assert d.ord_k() == 10 and d.ord() == 10
+    rem = f.evaluate(PS.one())  # 1 - 4 + 3 = 0, known to O(x^10)
+    assert rem.is_zero and rem.trunc == 10
+    assert (g - g).is_zero and (g - g).ord() == INF
+
+
 def test_rho_zero_on_unit_circle():
     K = ComplexConjRing()
     f = SkewPoly(K, [mp.mpc(-1), mp.mpc(0), mp.mpc(1)])  # t^2 - 1 in C[t, rho]
