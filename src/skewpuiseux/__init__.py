@@ -19,8 +19,8 @@ from .parsing import parse_poly, parse_scalar, parse_series, poly_to_str, series
 from .puiseux import PuiseuxSeries, SkewContext, delta_apply, sigma_apply, trace_apply
 from .residue import (OrbitPartition, ResiduePoly, TMap, delta_set_member,
                       ext_gcd, orbit_partition, refine_factor_pair, roots,
-                      twist_coprime_affine, twist_coprime_check,
-                      twist_coprime_periodic, twist_residue)
+                      twist_coprime_affine, twist_coprime_periodic,
+                      twist_residue)
 from .scalar import Alpha, GaussianRational, Rational, alpha_pow, bits
 from .skewpoly import (ComplexConjRing, ConjSeries, ConjSeriesRing,
                        PuiseuxRing, SkewPoly, puiseux_ring)
@@ -45,7 +45,6 @@ __all__ = [
     "refine_factor_pair", "roots", "scale_back_monic", "scale_iso",
     "scaled_power_unit", "scaling_exponent", "series_to_str", "shift_iso",
     "sigma_apply", "sigma_zero", "sigma_zero_quadratic", "trace_apply",
-    "trace_solve", "twist_coprime_affine", "twist_coprime_check",
-    "twist_coprime_periodic", "twist_precheck", "twist_residue",
-    "verify_factorization",
+    "trace_solve", "twist_coprime_affine", "twist_coprime_periodic",
+    "twist_precheck", "twist_residue", "verify_factorization",
 ]

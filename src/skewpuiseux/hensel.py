@@ -145,6 +145,10 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     # growing coefficients); cancellation dust is judged against this scale
     scale = max(mp.mpf(1), f.max_abs())
     floor = mp.mpf(2) ** -(mp.prec - 24)
+    # the Bezout pair depends on n only through the twisted res(h): one pair
+    # serves every step when the twist is the identity (alpha = 1), two
+    # when it has period 2 (C[[x, rho]])
+    bezout = {}
     o = _ord(ring, defect)
     while o < target_k:
         n = int(o)
@@ -152,7 +156,10 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
             raise SkewError("hensel invariant violated: defect has order 0")
         fn_res = ring.fn_residue(_defect_slice(defect, n), n)
         hres_tw = ring.residue_twist(hres, n)
-        one, a_res, b_res, _ = residue_mod.ext_gcd(gres, hres_tw)
+        key = tuple(hres_tw.coeffs)
+        if key not in bezout:
+            bezout[key] = residue_mod.ext_gcd(gres, hres_tw)
+        one, a_res, b_res, _ = bezout[key]
         if one.degree != 0:
             raise TwistCoprimeFailure(n, one)
         q_res, p_res = (b_res * fn_res).divmod(gres, tol=floor)

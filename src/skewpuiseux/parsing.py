@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ParseError, UsageError
 from .puiseux import PuiseuxSeries
-from .scalar import GaussianRational, fmt_exponent, fmt_scalar, to_mpc
+from .scalar import INF, GaussianRational, fmt_exponent, fmt_scalar, to_mpc
 
 _OPS = set("+-*/^()")
 
@@ -383,7 +383,8 @@ def poly_to_str(p) -> str:
     parts = []
     for i in range(p.degree, -1, -1):
         c = p.coeff(i)
-        if p.ring.is_zero(c) and not (i == 0 and not parts):
+        # a zero known only to O(x^k) is printed: it bounds the order
+        if p.ring.ord_k(c) == INF and not (i == 0 and not parts):
             continue
         cs = _coeff_to_str(c)
         neg = cs.startswith("-") and not any(ch in cs[1:] for ch in "+-")

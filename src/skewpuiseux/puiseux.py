@@ -179,7 +179,12 @@ class PuiseuxSeries:
     def __sub__(self, other):
         if not isinstance(other, PuiseuxSeries):
             other = PuiseuxSeries.constant(other)
-        return self.__add__(-other)
+        a, b = self.unify(other)
+        t = _min_trunc(a.trunc, b.trunc)
+        terms = dict(a.terms)
+        for k, c in b.terms.items():
+            terms[k] = terms.get(k, 0) - c
+        return PuiseuxSeries(a.L, terms, t)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -434,9 +439,16 @@ class SkewContext:
         return f.sigma_pow(1, self.alpha)
 
     def delta(self, f: PuiseuxSeries) -> PuiseuxSeries:
-        if self.a.is_zero and self.a.trunc is None:
+        if self.a.is_zero:
             return PuiseuxSeries.zero(f.L, None)
         return self.a * (self.sigma(f) - f)
+
+    def sigma_delta(self, f: PuiseuxSeries):
+        """(sigma(f), delta(f)), taking sigma(f) once for both."""
+        s = self.sigma(f)
+        if self.a.is_zero:
+            return s, PuiseuxSeries.zero(f.L, None)
+        return s, self.a * (s - f)
 
     def at_ram(self, L: int) -> "SkewContext":
         if L == self.L:

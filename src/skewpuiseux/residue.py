@@ -486,21 +486,6 @@ def twist_coprime_periodic(gres: ResiduePoly, hres: ResiduePoly, twist_fn,
     return None
 
 
-def twist_coprime_check(gres: ResiduePoly, hres: ResiduePoly, *, tmap=None,
-                        twist_fn=None, period=None, tol=None):
-    """Decide coprimality of gres against every n >= 1 twist of hres.
-
-    With ``tmap`` the affine closed-form criterion decides all n at once;
-    with ``twist_fn``/``period`` the twists are enumerated over one period.
-    Returns None when coprime for all n, else (n, witness_factor).
-    """
-    if tmap is not None:
-        return twist_coprime_affine(gres, hres, tmap, tol=tol)
-    if twist_fn is not None and period is not None:
-        return twist_coprime_periodic(gres, hres, twist_fn, period, tol=tol)
-    raise UsageError("twist_coprime_check needs either tmap or twist_fn+period")
-
-
 def refine_factor_pair(p: ResiduePoly, u: ResiduePoly, v: ResiduePoly,
                        iters: int = 2, tol=None):
     """Sharpen a coprime monic factorization p ~ u*v by Newton steps on the

@@ -62,6 +62,11 @@ class BaseRing:
     def delta(self, a):
         raise NotImplementedError
 
+    def sigma_delta(self, a):
+        """(sigma(a), delta(a)); a ring whose delta is built from sigma
+        overrides this to take sigma(a) once for both."""
+        return self.sigma(a), self.delta(a)
+
     def ord_k(self, a):
         raise NotImplementedError
 
@@ -161,6 +166,9 @@ class PuiseuxRing(BaseRing):
 
     def delta(self, a):
         return self.ctx.delta(a)
+
+    def sigma_delta(self, a):
+        return self.ctx.sigma_delta(a)
 
     def ord_k(self, a):
         return a.at_ram(self.L).ord_k()
@@ -585,24 +593,21 @@ class SkewPoly:
         ring, a, b = self._common(other)
         if a.is_zero or b.is_zero:
             return SkewPoly.zero(ring)
-        acc = [ring.zero()] * (a.degree + b.degree + 1)
-        tb = list(b.coeffs)  # t^i * b, built up iteratively
-        for i, ci in enumerate(a.coeffs):
-            if not ring.is_zero(ci):
-                for j, gj in enumerate(tb):
-                    acc[j] = ring.add(acc[j], ring.mul(ci, gj))
-            if i < a.degree:
-                tb = a._t_mul_in(ring, tb)
-        return SkewPoly(ring, acc)
+        return SkewPoly(ring, _TRows(ring, b.coeffs).lmul(a.coeffs))
 
     @staticmethod
     def _t_mul_in(ring, coeffs):
+        """t * sum c_i t^i = sum sigma(c_i) t^(i+1) + delta(c_i) t^i as a
+        coefficient list: one t-shift, one ``sigma_delta`` per coefficient."""
         if not coeffs:
             return []
-        out = [ring.delta(coeffs[0])]
-        for i in range(1, len(coeffs)):
-            out.append(ring.add(ring.sigma(coeffs[i - 1]), ring.delta(coeffs[i])))
-        out.append(ring.sigma(coeffs[-1]))
+        out = []
+        s_prev = None
+        for c in coeffs:
+            s, d = ring.sigma_delta(c)
+            out.append(d if s_prev is None else ring.add(s_prev, d))
+            s_prev = s
+        out.append(s_prev)
         return out
 
     def lmul_base(self, c) -> "SkewPoly":
@@ -617,28 +622,42 @@ class SkewPoly:
         return SkewPoly(ring, [ring.x_shift(c, j) for c in self.coeffs], trim=False)
 
     def left_divmod(self, p: "SkewPoly"):
-        """f = q*p + r with deg r < deg p; requires p monic."""
+        """f = q*p + r with deg r < deg p; requires p monic.
+
+        The step for q_k (k from deg f - deg p down to 0) subtracts
+        c * (t^k p) from the remainder, c its leading coefficient.  The rows
+        t^k p come from one table (``_TRows``), each derived from the row
+        below by one t-shift, so a division of degree n by degree m takes
+        n - m shifts (a fresh product c t^k * p per step took
+        (n-m)(n-m+1)/2).  The leading coefficient of c * (t^k p) is c, as p
+        is monic: it cancels exactly and is not formed.  A zero c known
+        only to O(x^k) subtracts nothing.  The table lives for this call.
+        """
         ring, f, p = self._common(p)
         if not p.is_monic:
             raise NotMonicError("left division requires a monic divisor")
         dp = p.degree
+        rows = _TRows(ring, p.coeffs)
         r = list(f.coeffs)
         q = [ring.zero()] * max(0, len(r) - dp)
-        while len(r) - 1 >= dp and r:
+        while len(r) > dp:
             k = len(r) - 1 - dp
-            c = r[-1]
-            q[k] = ring.add(q[k], c)
-            # subtract (c t^k) * p; leading terms cancel exactly since p is monic
-            sub = SkewPoly(ring, [ring.zero()] * k + [c], trim=False) * p
-            for j, s in enumerate(sub.coeffs):
-                r[j] = ring.sub(r[j], s)
-            r.pop()
+            c = r.pop()
+            q[k] = c
+            if not ring.is_zero(c):
+                row = rows.row(k)
+                for j in range(len(r)):
+                    r[j] = ring.sub(r[j], ring.mul(c, row[j]))
             _trim_exact_zeros(ring, r)
         return SkewPoly(ring, q), SkewPoly(ring, r)
 
     def evaluate(self, a):
         """(sigma, delta)-substitution of a: the remainder of left division
-        by t - a.  f(a) = 0 iff t - a divides f on the right."""
+        by t - a.  f(a) = 0 iff t - a divides f on the right.
+
+        The division reads the rows t^k (t - a), k < deg f, from one table:
+        deg f - 1 shifts of t - a.
+        """
         if self.is_zero:
             return self.ring.zero()
         ring = self.ring.accommodate(a)
@@ -678,11 +697,8 @@ class SkewPoly:
         if self.is_zero or n == 0:
             return self
         c1, c0 = ring.phi_t(n)
-        lin = SkewPoly(ring, [c0, c1], trim=False)
-        acc = SkewPoly.constant(ring, ring.phi_coeff(self.coeffs[-1], n))
-        for i in range(self.degree - 1, -1, -1):
-            acc = acc * lin + SkewPoly.constant(ring, ring.phi_coeff(self.coeffs[i], n))
-        return acc
+        return _horner_image(ring, [ring.phi_coeff(c, n) for c in self.coeffs],
+                             SkewPoly(ring, [c0, c1], trim=False))
 
     def truncate(self, T_k) -> "SkewPoly":
         return SkewPoly(self.ring, [c.truncate(T_k) for c in self.coeffs])
@@ -717,6 +733,63 @@ class SkewPoly:
             return f"<SkewPoly {self}>"
         except Exception:
             return f"<SkewPoly deg={self.degree}>"
+
+
+class _TRows:
+    """The rows t^i * b (i = 0, 1, ...) of a right operand b, as coefficient
+    lists.  Row i is derived from row i - 1 by one t-shift (``_t_mul_in``)
+    the first time it is asked for, so a call that reads rows 0..K pays K
+    shifts however often it reads them.  A table lives for one call: kept
+    on a polynomial it would hold every row of every operand alive."""
+
+    __slots__ = ("ring", "rows")
+
+    def __init__(self, ring, b):
+        self.ring = ring
+        self.rows = [list(b)]
+
+    def row(self, i: int) -> list:
+        rows = self.rows
+        while len(rows) <= i:
+            rows.append(SkewPoly._t_mul_in(self.ring, rows[-1]))
+        return rows[i]
+
+    def lmul(self, cs) -> list:
+        """sum_i cs[i] * (t^i b) as a coefficient list.  A zero cs[i] adds
+        nothing; each output coefficient starts from its first product, and
+        one that no product reaches is ring.zero()."""
+        ring = self.ring
+        out = [None] * (len(self.rows[0]) + len(cs) - 1)
+        for i, c in enumerate(cs):
+            if ring.is_zero(c):
+                continue
+            for j, s in enumerate(self.row(i)):
+                prod = ring.mul(c, s)
+                out[j] = prod if out[j] is None else ring.add(out[j], prod)
+        return [ring.zero() if v is None else v for v in out]
+
+
+def _horner_image(ring, coeffs, t_image: SkewPoly) -> SkewPoly:
+    """sum coeffs[i] * t_image^i in ``ring`` by Horner's rule,
+    acc <- acc * t_image + coeffs[i], each step trimmed of exact zeros.
+
+    Every product acc * t_image reads the rows t^j t_image from one table
+    (``_TRows``): the last step reads j < d for d = len(coeffs) - 1, so the
+    image takes d - 1 shifts of t_image, where a fresh product per step took
+    d(d-1)/2.  The table lives for this call.
+    """
+    rows = _TRows(ring, t_image.coeffs)
+    acc = []
+    for c in reversed(coeffs):
+        if acc:
+            acc = rows.lmul(acc)
+            _trim_exact_zeros(ring, acc)
+        if acc:
+            acc[0] = ring.add(acc[0], c)
+        else:
+            acc = [c]
+        _trim_exact_zeros(ring, acc)
+    return SkewPoly(ring, acc)
 
 
 def _trim_exact_zeros(ring, coeffs: list):

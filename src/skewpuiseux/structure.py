@@ -19,7 +19,7 @@ from . import scalar
 from .errors import Obstruction, PrecisionExhausted, UsageError
 from .puiseux import PuiseuxSeries, SkewContext
 from .scalar import INF, Alpha, to_mpc
-from .skewpoly import PuiseuxRing, SkewPoly
+from .skewpoly import PuiseuxRing, SkewPoly, _horner_image
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,6 @@ class IsoRecord:
         return f"{self.kind}({inner})"
 
 
-def _horner_image(f: SkewPoly, target_ring, t_image: SkewPoly) -> SkewPoly:
-    """sum f_i * t_image^i computed in the target ring."""
-    if f.is_zero:
-        return SkewPoly.zero(target_ring)
-    coeffs = [target_ring.coerce(c) for c in f.coeffs]
-    acc = SkewPoly.constant(target_ring, coeffs[-1])
-    for i in range(len(coeffs) - 2, -1, -1):
-        acc = acc * t_image + SkewPoly.constant(target_ring, coeffs[i])
-    return acc
-
-
 def shift_iso(f: SkewPoly, b: PuiseuxSeries) -> SkewPoly:
     """Map sum g_i t^i to sum g_i (t-b)^i, landing in the delta_(a-b) ring."""
     ring = f.ring
@@ -53,7 +42,7 @@ def shift_iso(f: SkewPoly, b: PuiseuxSeries) -> SkewPoly:
     b = ring.coerce(b)
     target = ring.with_a(ring.a - b)
     t_image = SkewPoly(target, [target.neg(target.coerce(b)), target.one()], trim=False)
-    return _horner_image(f, target, t_image)
+    return _horner_image(target, [target.coerce(c) for c in f.coeffs], t_image)
 
 
 def scale_iso(f: SkewPoly, r) -> SkewPoly:
@@ -73,7 +62,7 @@ def scale_iso(f: SkewPoly, r) -> SkewPoly:
     target = PuiseuxRing(SkewContext(ring.alpha, L, new_a))
     x_neg_r = PuiseuxSeries.x_pow(-r).at_ram(L)
     t_image = SkewPoly(target, [target.zero(), x_neg_r], trim=False)
-    return _horner_image(f, target, t_image)
+    return _horner_image(target, [target.coerce(c) for c in f.coeffs], t_image)
 
 
 def scaled_power_unit(alpha: Alpha, r, i: int):

@@ -46,3 +46,22 @@ def max_dev(a, b):
 
 def tol_bits(k: int):
     return mp.mpf(2) ** -k
+
+
+def same_coeffs(a, b) -> bool:
+    """Bit-for-bit equality of two lists of series (L, trunc and terms)."""
+    return len(a) == len(b) and all(
+        x.L == y.L and x.trunc == y.trunc and x.terms == y.terms for x, y in zip(a, b))
+
+
+def count_shifts(monkeypatch) -> list:
+    """Record every SkewPoly._t_mul_in call (one t-shift) in the returned list."""
+    calls = []
+    t_mul_in = SkewPoly._t_mul_in
+
+    def counting(ring, coeffs):
+        calls.append(len(coeffs))
+        return t_mul_in(ring, coeffs)
+
+    monkeypatch.setattr(SkewPoly, "_t_mul_in", staticmethod(counting))
+    return calls

@@ -87,6 +87,17 @@ def test_random_round_trip():
         assert parse_series(series_to_str(s)) == s
 
 
+def test_round_trip_keeps_truncated_zeros():
+    R = puiseux_ring(2)
+    d = parse_poly("t^2 - (4+O(x^10))*t + (3+O(x^10))", R) - parse_poly("t^2 - 4*t + 3", R)
+    for f in (d, parse_poly("t^3 + (O(x^2))*t^2 + (1 + O(x^4))", R)):
+        back = parse_poly(poly_to_str(f), R)
+        assert back.degree == f.degree
+        assert [c.trunc for c in back.coeffs] == [c.trunc for c in f.coeffs]
+        assert back == f
+    assert poly_to_str(d) == "(O(x^10))*t + (O(x^10))"
+
+
 def test_conj_series_ring_parsing():
     CR = ConjSeriesRing()
     f = parse_poly("t^2 + (1+x)", CR)

@@ -4,12 +4,12 @@ import pytest
 from mpmath import mp
 
 from skewpuiseux import (Alpha, ComplexConjRing, ConjSeries, ConjSeriesRing,
-                         GaussianRational, PuiseuxSeries, SkewPoly, parse_poly,
-                         puiseux_ring)
+                         GaussianRational, PuiseuxSeries, SkewPoly, bits,
+                         parse_poly, puiseux_ring)
 from skewpuiseux.errors import ContextMismatch, NotMonicError, UsageError
 from skewpuiseux.scalar import INF
 
-from conftest import rand_poly, rand_series, rng
+from conftest import count_shifts, rand_coeff, rand_poly, rand_series, rng, same_coeffs
 from props import (check_division_identity, check_evaluate_paths,
                    check_phi_identities, check_ring_laws, rand_conj_poly)
 
@@ -204,3 +204,132 @@ def test_conj_series_product_rule():
     a = ConjSeries({0: mp.mpc(0, 1)})
     prod = u * a
     assert prod.terms[1] == mp.mpc(0, -1)
+
+
+# -- the row table: references and shift counts -----------------------------------
+
+DERIVED_RINGS = [(alpha, L) for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2))
+                 for L in (1, 2)]
+
+
+def ref_t_mul(ring, coeffs):
+    """t * sum c_i t^i by its definition sum sigma(c_i) t^(i+1) + delta(c_i) t^i."""
+    out = [ring.delta(coeffs[0])]
+    for i in range(1, len(coeffs)):
+        out.append(ring.add(ring.sigma(coeffs[i - 1]), ring.delta(coeffs[i])))
+    out.append(ring.sigma(coeffs[-1]))
+    return out
+
+
+def ref_mul(a, b):
+    """a * b with every output coefficient started from ring.zero()."""
+    ring = a.ring
+    acc = [ring.zero()] * (a.degree + b.degree + 1)
+    tb = list(b.coeffs)
+    for i, ci in enumerate(a.coeffs):
+        if not ring.is_zero(ci):
+            for j, gj in enumerate(tb):
+                acc[j] = ring.add(acc[j], ring.mul(ci, gj))
+        if i < a.degree:
+            tb = ref_t_mul(ring, tb)
+    return SkewPoly(ring, acc)
+
+
+def ref_left_divmod(f, p):
+    """Left division through a fresh product (c t^k) * p at every step."""
+    ring = f.ring
+    dp = p.degree
+    r = list(f.coeffs)
+    q = [ring.zero()] * max(0, len(r) - dp)
+    while len(r) - 1 >= dp and r:
+        k = len(r) - 1 - dp
+        c = r[-1]
+        q[k] = ring.add(q[k], c)
+        sub = SkewPoly(ring, [ring.zero()] * k + [c], trim=False) * p
+        for j, s in enumerate(sub.coeffs):
+            r[j] = ring.sub(r[j], s)
+        r.pop()
+        while r and ring.ord_k(r[-1]) == INF:
+            r.pop()
+    return SkewPoly(ring, q), SkewPoly(ring, r)
+
+
+def rand_derived_case(rnd, alpha, L):
+    """A derived ring (a != 0) and dense mpc operands, one coefficient of f
+    truncated and one a zero known only to O(x^3)."""
+    R = puiseux_ring(alpha, L, rand_series(rnd, L, 0, 2, 4))
+    f = [rand_series(rnd, L, 0, 3, 5) for _ in range(5)]
+    f[1] = f[1].truncate(2 * L + 1)
+    f[2] = PS.zero(L, 3 * L)
+    f = SkewPoly(R, f)
+    g = SkewPoly(R, [rand_series(rnd, L, 0, 3, 5) for _ in range(2)] + [R.one()])
+    return R, f, g, rand_series(rnd, L, 0, 3, 4)
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_table_arithmetic_matches_references_bit_for_bit(prec):
+    rnd = rng(91 + prec)
+    with bits(prec):
+        for alpha, L in DERIVED_RINGS:
+            R, f, g, v = rand_derived_case(rnd, alpha, L)
+            assert not R.a.is_zero
+            fg = f * g
+            assert same_coeffs(fg.coeffs, ref_mul(f, g).coeffs)
+            assert same_coeffs((g * f).coeffs, ref_mul(g, f).coeffs)
+            top_unknown = SkewPoly(R, list(f.coeffs) + [PS.zero(L, 4 * L)])
+            for num in (fg, f, top_unknown):
+                q, r = num.left_divmod(g)
+                q_ref, r_ref = ref_left_divmod(num, g)
+                assert same_coeffs(q.coeffs, q_ref.coeffs)
+                assert same_coeffs(r.coeffs, r_ref.coeffs)
+            _, rem = ref_left_divmod(f, SkewPoly.t_minus(R, v))
+            assert same_coeffs([f.evaluate(v)], [rem.coeff(0)])
+
+
+def test_division_takes_one_shift_per_quotient_degree(monkeypatch):
+    rnd = rng(95)
+    R = puiseux_ring(Fraction(3, 2), 1, rand_series(rnd, 1, 0, 2, 2))
+    calls = count_shifts(monkeypatch)
+    for n in range(1, 7):
+        f = rand_poly(R, rnd, n)
+        for m in range(1, n + 1):
+            del calls[:]
+            f.left_divmod(rand_poly(R, rnd, m))
+            assert len(calls) == n - m
+        del calls[:]
+        f.evaluate(rand_series(rnd, 1, 0, 2, 2))
+        assert len(calls) == n - 1
+        del calls[:]
+        f * rand_poly(R, rnd, 2)
+        assert len(calls) == n
+
+
+def test_conj_by_x_takes_d_minus_one_shifts(monkeypatch):
+    rnd = rng(96)
+    R = puiseux_ring(2, 1, rand_series(rnd, 1, 0, 2, 2))
+    calls = count_shifts(monkeypatch)
+    for d in range(1, 7):
+        f = rand_poly(R, rnd, d)
+        del calls[:]
+        f.conj_by_x(2)
+        assert len(calls) == d - 1
+
+
+def test_t_shift_matches_its_definition():
+    rnd = rng(97)
+    x1 = PS.x_pow(1)
+    rings = [puiseux_ring(Fraction(3, 2), 2), puiseux_ring(2, 2, rand_series(rnd, 2, 0, 1, 2)),
+             puiseux_ring(Fraction(1, 2), 1, x1)]
+    for R in rings:
+        for n in (1, 2, 4):
+            coeffs = [rand_series(rnd, R.L, 0, 3, 4) for _ in range(n)]
+            coeffs[0] = coeffs[0].truncate(3 * R.L)
+            assert same_coeffs(SkewPoly._t_mul_in(R, coeffs), ref_t_mul(R, coeffs))
+    CR = ConjSeriesRing()
+    for n in (1, 3):
+        coeffs = [ConjSeries({k: rand_coeff(rnd) for k in range(3)}, 5) for _ in range(n)]
+        assert SkewPoly._t_mul_in(CR, coeffs) == ref_t_mul(CR, coeffs)
+    K = ComplexConjRing()
+    for n in (1, 3):
+        coeffs = [rand_coeff(rnd) for _ in range(n)]
+        assert SkewPoly._t_mul_in(K, coeffs) == ref_t_mul(K, coeffs)

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (Alpha, PuiseuxSeries, SkewPoly, parse_poly,
+from skewpuiseux import (Alpha, PuiseuxSeries, SkewPoly, bits, parse_poly,
                          pull_unit_through_linear, puiseux_ring,
                          normalize_scaled, scale_iso, scaling_exponent,
                          shift_iso, trace_apply, trace_solve)
 from skewpuiseux.errors import Obstruction, PrecisionExhausted
 
-from conftest import rand_series, rng
+from conftest import count_shifts, rand_poly, rand_series, rng, same_coeffs
 from props import (check_beta_law, check_dif_identity, check_iso_homomorphisms,
                    check_normalize_post, check_trace_roundtrip)
 
@@ -180,3 +180,47 @@ def rand_coeff_nonzero(rnd):
         v = mp.mpc(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
         if abs(v) > mp.mpf("0.25"):
             return v
+
+
+def ref_horner(f, target, t_image):
+    """sum f_i * t_image^i through a fresh product acc * t_image per step."""
+    acc = SkewPoly.constant(target, target.coerce(f.coeffs[-1]))
+    for c in reversed(f.coeffs[:-1]):
+        acc = acc * t_image + SkewPoly.constant(target, target.coerce(c))
+    return acc
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_horner_images_match_reference_bit_for_bit(prec):
+    rnd = rng(81 + prec)
+    with bits(prec):
+        for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2)):
+            for L in (1, 2):
+                R = puiseux_ring(alpha, L, rand_series(rnd, L, 0, 2, 3))
+                f = rand_poly(R, rnd, 4, nterms=4)
+                b = rand_series(rnd, L, 0, 2, 3)
+                out = shift_iso(f, b)
+                tgt = out.ring
+                t_image = SkewPoly(tgt, [tgt.neg(tgt.coerce(b)), tgt.one()], trim=False)
+                assert not tgt.a.is_zero
+                assert same_coeffs(out.coeffs, ref_horner(f, tgt, t_image).coeffs)
+                for r in (Fraction(1, 2), Fraction(-2, 3), Fraction(1)):
+                    out = scale_iso(f, r)
+                    tgt = out.ring
+                    x_neg_r = PuiseuxSeries.x_pow(-r).at_ram(tgt.L)
+                    t_image = SkewPoly(tgt, [tgt.zero(), x_neg_r], trim=False)
+                    assert same_coeffs(out.coeffs, ref_horner(f, tgt, t_image).coeffs)
+
+
+def test_horner_image_takes_d_minus_one_shifts(monkeypatch):
+    rnd = rng(85)
+    calls = count_shifts(monkeypatch)
+    R = puiseux_ring(Fraction(3, 2), 1, rand_series(rnd, 1, 0, 2, 2))
+    for d in range(1, 7):
+        f = rand_poly(R, rnd, d)
+        del calls[:]
+        shift_iso(f, rand_series(rnd, 1, 0, 2, 2))
+        assert len(calls) == d - 1
+        del calls[:]
+        scale_iso(f, Fraction(1, 2))
+        assert len(calls) == d - 1
