@@ -9,9 +9,21 @@ ord(f - g_n h_n) >= n+1 after each step:
   defect           = f - g h                    (order >= n)
   f_n              with defect = f_n x^n;  its residue is the n-twist of
                     the coefficient-of-x^n slice of the defect
-  Bezout           a res(g) + b twist_n(res(h)) = 1 in K[t]
-  left division    b f_n = q g + p_n, deg p_n < deg g   (residue level)
-  q_n              = constant-term part of a f_n + q h^(phi^n)
+  step equation    p_n k_n + res(g) q_n = f_n,  k_n = twist_n(res(h)),
+                    deg p_n < m = deg g,  deg q_n < d - m
+
+The step equation is solved in the quotient algebra C[t]/(res g), of
+dimension m (von zur Gathen & Gerhard, Modern Computer Algebra, 15.4):
+
+  reduce           k_n mod res(g), with the tolerance-aware remainder of
+                    ext_gcd, so a near-common root collapses it and raises
+                    TwistCoprimeFailure(n, gcd)
+  inverse          b_n = k_n^(-1) mod res(g) by ext_gcd of res(g) and the
+                    reduced k_n; memoized per lift by k_n
+  p_n              = b_n f_n mod res(g)
+  q_n              = (f_n - p_n k_n) / res(g), an exact division whose
+                    remainder is cancellation dust (SkewError above
+                    2^(-P/4) of the running scale)
 
 Corrections are lifted residue polynomials, which is exactly what the
 order-increase argument consumes.  The defect is updated incrementally:
@@ -87,6 +99,47 @@ def _add_scaled(ring, acc, c, row, target_k: int):
                                            r.truncate(target_k - oc)))
 
 
+def _solve_step(n: int, gres, kn, fn, inverses: dict, floor, dust_bound):
+    """Solve p kn + gres q = fn with deg p < deg gres, in C[t]/(gres).
+
+    kn = phi^n(res h) is reduced mod gres (tolerance-aware remainder, so a
+    near-common root collapses it), and b = kn^(-1) mod gres comes from
+    ext_gcd(gres, kn mod gres), memoized in ``inverses`` by kn's
+    coefficients; a non-constant gcd raises TwistCoprimeFailure(n, gcd).
+    Then p = b fn mod gres and q = (fn - p kn) / gres by exact division of
+    coefficient lists (gres is monic), so deg q < d - deg gres whenever
+    deg fn < d = deg gres + deg kn.  The division's remainder is
+    cancellation dust; above ``dust_bound`` it raises SkewError.  Returns
+    (p, q, b) as ResiduePolys.
+    """
+    key = tuple(kn.coeffs)
+    inv = inverses.get(key)
+    if inv is None:
+        _, kn_mod = kn.divmod(gres, tol=residue_mod.gcd_tol())
+        one, _, b, _ = residue_mod.ext_gcd(gres, kn_mod)
+        inv = inverses[key] = (one, b)
+    one, b = inv
+    if one.degree != 0:
+        raise TwistCoprimeFailure(n, one)
+    _, p = (b * fn).divmod(gres, tol=floor)
+    g = gres.coeffs
+    m = len(g) - 1
+    r = list(fn.coeffs)
+    r += [mp.mpc(0)] * (len(p.coeffs) + len(kn.coeffs) - 1 - len(r))
+    for i, a in enumerate(p.coeffs):
+        for j, c in enumerate(kn.coeffs):
+            r[i + j] -= a * c
+    q = [None] * max(0, len(r) - m)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + m]
+        for j in range(m):
+            r[k + j] -= c * g[j]
+    dust = max((abs(c) for c in r[:m]), default=0)
+    if dust > dust_bound:
+        raise SkewError(f"hensel correction degree overflow ({dust})")
+    return p, residue_mod.ResiduePoly(q, trim=False), b
+
+
 def twist_precheck(g: SkewPoly, h: SkewPoly, tol=None):
     """Raise TwistCoprimeFailure if res(g) is not coprime to the n-twisted
     res(h) for some n >= 1."""
@@ -145,32 +198,21 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     # growing coefficients); cancellation dust is judged against this scale
     scale = max(mp.mpf(1), f.max_abs())
     floor = mp.mpf(2) ** -(mp.prec - 24)
-    # the Bezout pair depends on n only through the twisted res(h): one pair
-    # serves every step when the twist is the identity (alpha = 1), two
-    # when it has period 2 (C[[x, rho]])
-    bezout = {}
+    dust_tol = mp.mpf(2) ** -(mp.prec // 4)
+    # b_n depends on n only through k_n: one inverse serves every step when
+    # the twist is the identity (alpha = 1), two when it has period 2
+    # (C[[x, rho]])
+    inverses = {}
     o = _ord(ring, defect)
     while o < target_k:
         n = int(o)
         if n < 1:
             raise SkewError("hensel invariant violated: defect has order 0")
         fn_res = ring.fn_residue(_defect_slice(defect, n), n)
-        hres_tw = ring.residue_twist(hres, n)
-        key = tuple(hres_tw.coeffs)
-        if key not in bezout:
-            bezout[key] = residue_mod.ext_gcd(gres, hres_tw)
-        one, a_res, b_res, _ = bezout[key]
-        if one.degree != 0:
-            raise TwistCoprimeFailure(n, one)
-        q_res, p_res = (b_res * fn_res).divmod(gres, tol=floor)
-        qn_res = a_res * fn_res + q_res * hres_tw
-        # deg q_n < d - m is automatic (deg f_n < d); trim numeric dust
-        if qn_res.degree >= d - m:
-            scale_n = max(scale, fn_res.max_abs())
-            dust = max(abs(c) for c in qn_res.coeffs[d - m:])
-            if dust > scale_n * mp.mpf(2) ** -(mp.prec // 4):
-                raise SkewError(f"hensel correction degree overflow ({dust})")
-            qn_res = residue_mod.ResiduePoly(qn_res.coeffs[:d - m], trim=False)
+        fn_max = fn_res.max_abs()
+        p_res, qn_res, b_res = _solve_step(
+            n, gres, ring.residue_twist(hres, n), fn_res, inverses, floor,
+            max(scale, fn_max) * dust_tol)
         xn = SkewPoly.constant(ring, ring.uniformizer_pow(n))
         p_corr = _lift(ring, p_res) * xn
         q_corr = _lift(ring, qn_res) * xn
@@ -185,8 +227,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         for j, c in enumerate(g_cur.coeffs):
             _add_scaled(ring, update, c, tq[j], target_k)
         g_cur, h_cur = g_cur + p_corr, h_cur + q_corr
-        scale = max(scale, fn_res.max_abs(), p_res.max_abs(), qn_res.max_abs(),
-                    b_res.max_abs())
+        scale = max(scale, fn_max, p_res.max_abs(), qn_res.max_abs(), b_res.max_abs())
         # clear cancellation dust at exponents <= n
         defect = [ring.sub(c, u).drop_small_upto(n, scale * floor)
                   for c, u in zip(defect, update)]

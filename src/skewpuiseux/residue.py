@@ -16,7 +16,7 @@ from mpmath import mp
 
 from . import scalar
 from .errors import RootFindingError, UsageError
-from .scalar import Alpha, conj_scalar, to_mpc
+from .scalar import INF, Alpha, conj_scalar, to_mpc
 
 
 def cluster_tol():
@@ -59,6 +59,80 @@ def _trim_dust(coeffs):
         coeffs.pop()
 
 
+def _trim(coeffs):
+    """Pop exact zeros, then leading dust, off a coefficient list."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if coeffs:
+        _trim_dust(coeffs)
+    return coeffs
+
+
+def _max_abs(coeffs):
+    return max((abs(c) for c in coeffs), default=mp.mpf(0))
+
+
+def _mul(a, b):
+    """Product of coefficient lists (ResiduePoly.__mul__), trimmed."""
+    if not a or not b:
+        return []
+    out = [mp.mpc(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _sub(a, b):
+    """a - b on coefficient lists, trimmed as ResiduePoly.__sub__ trims."""
+    n = len(b)
+    out = [x - b[i] if i < n else x for i, x in enumerate(a)]
+    out += [-y for y in b[len(a):]]
+    return _trim(out)
+
+
+def _divmod(a, b, tol):
+    """Long division of coefficient lists (ResiduePoly.divmod).
+
+    After each step the remainder's top coefficient c is collapsed while
+    |c| < tol * S, S = max(1, max |a_i|, max |b_j|).  For tol = 2^t the
+    decision comes from binary exponents, as in _trim_dust: with T the
+    largest scalar.mag_exp over a and b, S lies in [2^lo, 2^hi] for
+    lo = max(T - 1, 0), hi = max(T + 1, 0), so a c with mag_exp above
+    t + hi stays and one below t + lo goes.  S itself, and abs(c), are
+    computed only for a c inside that band (or inf and nan), so every
+    decision is the one abs(c) < tol * S gives.
+    """
+    t = scalar.pow2_exp(tol)
+    tops = [scalar.mag_exp(c) for c in a] + [scalar.mag_exp(c) for c in b]
+    if t is None or None in tops:  # tol not a power of two; inf or nan
+        z_lo, z_hi = -INF, INF
+    else:
+        z_lo, z_hi = t + max(max(tops) - 1, 0), t + max(max(tops) + 1, 0)
+    thr = None
+    r = list(a)
+    db = len(b) - 1
+    q = [mp.mpc(0)] * max(0, len(r) - db)
+    inv = 1 / b[-1]
+    while len(r) - 1 >= db and r:
+        # the top term cancels against c * lc(b) and is popped, not formed
+        k = len(r) - 1 - db
+        c = q[k] = r.pop() * inv
+        for j in range(db):
+            r[k + j] -= c * b[j]
+        while r:
+            top = scalar.mag_exp(r[-1])
+            if top is not None and top > z_hi:
+                break
+            if top is None or top >= z_lo:
+                if thr is None:
+                    thr = tol * max(_max_abs(a), _max_abs(b), mp.mpf(1))
+                if not abs(r[-1]) < thr:
+                    break
+            r.pop()
+    return q, r
+
+
 class ResiduePoly:
     """Dense polynomial over big complex scalars; index i = coefficient of t^i."""
 
@@ -68,10 +142,7 @@ class ResiduePoly:
         mpc = mp.mpc
         coeffs = [c if type(c) is mpc else to_mpc(c) for c in coeffs]
         if trim:
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            if coeffs:
-                _trim_dust(coeffs)
+            _trim(coeffs)
         self.coeffs = coeffs
 
     @classmethod
@@ -130,45 +201,26 @@ class ResiduePoly:
     def __mul__(self, other):
         if not isinstance(other, ResiduePoly):
             return ResiduePoly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return ResiduePoly([])
-        out = [mp.mpc(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ResiduePoly(out)
+        return ResiduePoly(_mul(self.coeffs, other.coeffs), trim=False)
 
     __rmul__ = __mul__
 
     def divmod(self, other, tol=None):
         """Long division; trailing coefficients of the remainder below
-        tol-scale are collapsed so degrees drop honestly."""
+        tol * max(1, |self|, |other|) are collapsed so degrees drop
+        honestly (decided from binary exponents, see _divmod)."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if tol is None:
             tol = gcd_tol()
-        scale_bound = max(self.max_abs(), other.max_abs(), mp.mpf(1))
-        r = list(self.coeffs)
-        q = [mp.mpc(0)] * max(0, len(r) - other.degree)
-        inv = 1 / other.lc
-        while len(r) - 1 >= other.degree and r:
-            k = len(r) - 1 - other.degree
-            c = r[-1] * inv
-            q[k] += c
-            for j, b in enumerate(other.coeffs):
-                r[k + j] -= c * b
-            r.pop()
-            while r and abs(r[-1]) < tol * scale_bound:
-                r.pop()
+        q, r = _divmod(self.coeffs, other.coeffs, tol)
         return ResiduePoly(q, trim=False), ResiduePoly(r, trim=False)
 
     def conj_coeffs(self) -> "ResiduePoly":
         return ResiduePoly([conj_scalar(c) for c in self.coeffs], trim=False)
 
     def max_abs(self):
-        if self.is_zero:
-            return mp.mpf(0)
-        return max(abs(c) for c in self.coeffs)
+        return _max_abs(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, ResiduePoly):
@@ -298,29 +350,34 @@ def ext_gcd(p: ResiduePoly, q: ResiduePoly, tol=None):
     """Extended Euclid: returns (g, a, b, kappa) with a*p + b*q = g.
 
     If p, q are coprime, g is normalized to the constant 1; kappa is a
-    rough growth estimate for conditioning the Bezout identity.
+    rough growth estimate for conditioning the Bezout identity.  The loop
+    runs on coefficient lists, with the trims of ResiduePoly arithmetic,
+    and stops before the cofactor update of the step whose remainder is
+    zero, which would be discarded.
     """
     if tol is None:
         tol = gcd_tol()
-    one = ResiduePoly([1], trim=False)
-    zero = ResiduePoly([])
-    r0, r1 = p, q
-    s0, s1 = one, zero
-    t0, t1 = zero, one
+    r0, r1 = p.coeffs, q.coeffs
+    s0, s1 = [mp.mpc(1)], []
+    t0, t1 = [], [mp.mpc(1)]
     kappa = mp.mpf(1)
-    while not r1.is_zero:
-        quo, rem = r0.divmod(r1, tol=tol)
-        kappa *= max(mp.mpf(1), quo.max_abs())
+    while r1:
+        quo, rem = _divmod(r0, r1, tol)
+        kappa *= max(mp.mpf(1), _max_abs(quo))
+        if not rem:
+            r0, s0, t0 = r1, s1, t1
+            break
         r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quo * s1
-        t0, t1 = t1, t0 - quo * t1
+        s0, s1 = s1, _sub(s0, _mul(quo, s1))
+        t0, t1 = t1, _sub(t0, _mul(quo, t1))
+    r0 = ResiduePoly(r0, trim=False)
+    s0, t0 = ResiduePoly(s0, trim=False), ResiduePoly(t0, trim=False)
     if r0.is_zero:
         return r0, s0, t0, kappa
+    inv = 1 / r0.lc
     if r0.degree == 0:
-        c = r0.coeff(0)
-        return one, s0 * (1 / c), t0 * (1 / c), kappa
-    c = r0.lc
-    return r0.monic(), s0 * (1 / c), t0 * (1 / c), kappa
+        return ResiduePoly([1], trim=False), s0 * inv, t0 * inv, kappa
+    return r0.monic(), s0 * inv, t0 * inv, kappa
 
 
 class TMap:
@@ -360,16 +417,22 @@ class TMap:
 def twist_residue(p: ResiduePoly, n: int, tmap: TMap) -> ResiduePoly:
     """Residue image of phi^n: substitute t -> alpha_eff^(-n) t + a0(alpha_eff^(-n)-1).
 
-    A value c is a root of the result iff T^n(c) is a root of p.
+    A value c is a root of the result iff T^n(c) is a root of p.  The
+    result keeps the degree of p: its leading coefficient is lc(p) * s^deg
+    with s = alpha_eff^(-n) != 0, however small, so nothing is trimmed.
+    Horner's rule, acc <- acc * (s t + c0) + p_i, forms each coefficient
+    as acc_(k-1) s + acc_k c0 (plus p_i in degree 0).
     """
     if n == 0 or tmap.is_identity or p.is_zero:
         return p
     s = to_mpc(tmap.mult(n))
-    lin = ResiduePoly([tmap.a0 * (s - 1), s], trim=False)
-    acc = ResiduePoly([p.coeffs[-1]], trim=False)
-    for i in range(p.degree - 1, -1, -1):
-        acc = acc * lin + ResiduePoly([p.coeffs[i]], trim=False)
-    return acc
+    c0 = tmap.a0 * (s - 1)
+    acc = [p.coeffs[-1]]
+    for c in reversed(p.coeffs[:-1]):
+        acc = ([acc[0] * c0 + c]
+               + [acc[k - 1] * s + acc[k] * c0 for k in range(1, len(acc))]
+               + [acc[-1] * s])
+    return ResiduePoly(acc, trim=False)
 
 
 def orbit_exponent(tmap: TMap, c1, c, tol=None):

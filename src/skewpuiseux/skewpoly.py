@@ -630,8 +630,9 @@ class SkewPoly:
         below by one t-shift, so a division of degree n by degree m takes
         n - m shifts (a fresh product c t^k * p per step took
         (n-m)(n-m+1)/2).  The leading coefficient of c * (t^k p) is c, as p
-        is monic: it cancels exactly and is not formed.  A zero c known
-        only to O(x^k) subtracts nothing.  The table lives for this call.
+        is monic: it cancels exactly and is not formed.  An exact zero c
+        subtracts nothing; a zero known only to O(x^k) subtracts its O(x^k)
+        multiple of the row.  The table lives for this call.
         """
         ring, f, p = self._common(p)
         if not p.is_monic:
@@ -644,7 +645,7 @@ class SkewPoly:
             k = len(r) - 1 - dp
             c = r.pop()
             q[k] = c
-            if not ring.is_zero(c):
+            if not _exact_zero(ring, c):
                 row = rows.row(k)
                 for j in range(len(r)):
                     r[j] = ring.sub(r[j], ring.mul(c, row[j]))
@@ -755,13 +756,14 @@ class _TRows:
         return rows[i]
 
     def lmul(self, cs) -> list:
-        """sum_i cs[i] * (t^i b) as a coefficient list.  A zero cs[i] adds
-        nothing; each output coefficient starts from its first product, and
-        one that no product reaches is ring.zero()."""
+        """sum_i cs[i] * (t^i b) as a coefficient list.  An exact zero
+        cs[i] adds nothing (a zero known only to O(x^k) adds its truncated
+        products); each output coefficient starts from its first product,
+        and one that no product reaches is ring.zero()."""
         ring = self.ring
         out = [None] * (len(self.rows[0]) + len(cs) - 1)
         for i, c in enumerate(cs):
-            if ring.is_zero(c):
+            if _exact_zero(ring, c):
                 continue
             for j, s in enumerate(self.row(i)):
                 prod = ring.mul(c, s)
@@ -790,6 +792,11 @@ def _horner_image(ring, coeffs, t_image: SkewPoly) -> SkewPoly:
             acc = [c]
         _trim_exact_zeros(ring, acc)
     return SkewPoly(ring, acc)
+
+
+def _exact_zero(ring, c) -> bool:
+    """c is zero to every order (order INF), not just known to O(x^k)."""
+    return ring.is_zero(c) and ring.ord_k(c) == INF
 
 
 def _trim_exact_zeros(ring, coeffs: list):

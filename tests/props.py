@@ -314,26 +314,37 @@ def check_hensel_invariant(instances: int = 25, seed: int = 111, target: int = 1
     return done
 
 
+def end_to_end_input(rnd) -> SkewPoly:
+    """One input of check_end_to_end: the product of three random linear
+    factors, alpha 2 or 3/2, zeros with ramification L in {1, 2, 3}."""
+    alpha = rnd.choice([Fraction(2), Fraction(3, 2)])
+    ring = puiseux_ring(alpha)
+    L = rnd.choice([1, 2, 3])
+    zeros = [rand_series(rnd, L, -1, 2, 3) for _ in range(3)]
+    f = SkewPoly.one(ring)
+    for z in zeros:
+        f = f * SkewPoly.t_minus(f.ring.accommodate(z), z)
+    return f
+
+
+def check_factors_to_order(f: SkewPoly, order: int, label=None):
+    """f re-factors with residual below 2^-80, and its rightmost zero
+    annihilates f to the target order."""
+    from skewpuiseux import FactorConfig, newton_puiseux_factor
+    fac = newton_puiseux_factor(f, FactorConfig(target_order=order))
+    assert fac.residual < mp.mpf(2) ** -80, (label, fac.residual)
+    ev = f.evaluate(fac.zeros[-1])
+    ev_ord = ev.ord()
+    if ev.trunc is not None:
+        ev_ord = min(ev_ord, Fraction(ev.trunc, ev.L))
+    assert ev_ord >= order, (label, ev_ord)
+
+
 def check_end_to_end(cases: int = 50, seed: int = 1212, order: int = 15) -> int:
     """Random 3-linear-factor products re-factor with tiny residual."""
-    from skewpuiseux import FactorConfig, newton_puiseux_factor
     rnd = rng(seed)
-    bound = mp.mpf(2) ** -80
     done = 0
     while done < cases:
-        alpha = rnd.choice([Fraction(2), Fraction(3, 2)])
-        ring = puiseux_ring(alpha)
-        L = rnd.choice([1, 2, 3])
-        zeros = [rand_series(rnd, L, -1, 2, 3) for _ in range(3)]
-        f = SkewPoly.one(ring)
-        for z in zeros:
-            f = f * SkewPoly.t_minus(f.ring.accommodate(z), z)
-        fac = newton_puiseux_factor(f, FactorConfig(target_order=order))
-        assert fac.residual < bound, (done, fac.residual)
-        ev = f.evaluate(fac.zeros[-1])
-        ev_ord = ev.ord()
-        if ev.trunc is not None:
-            ev_ord = min(ev_ord, Fraction(ev.trunc, ev.L))
-        assert ev_ord >= order, (done, ev_ord)
+        check_factors_to_order(end_to_end_input(rnd), order, done)
         done += 1
     return done

@@ -120,6 +120,21 @@ def test_mul_and_divmod(capsys):
     assert payload["remainder"] == "1"
 
 
+def test_mul_and_divmod_keep_truncated_zeros(capsys):
+    # a coefficient that is zero known only to O(x^3) carries its
+    # truncation into the product and into the remainder
+    code, out, _ = run_cli(capsys, "mul", "--alpha", "2", "--json",
+                           "(O(x^3))*t + 1", "t + 1")
+    assert code == 0
+    assert json.loads(out)["product"] == "(O(x^3))*t^2 + (1 + O(x^3))*t + 1"
+    code, out, _ = run_cli(capsys, "divmod", "--alpha", "2", "--json",
+                           "(O(x^3))*t^2 + t + 1", "t + 1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["quotient"] == "(O(x^3))*t + (1 + O(x^3))"
+    assert payload["remainder"] == "(O(x^3))"
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--alpha", "2", "--json",
                            "t^2 - 2*t + 1", "1", "1")

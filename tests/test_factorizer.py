@@ -15,7 +15,7 @@ from skewpuiseux.residue import TMap
 from skewpuiseux.scalar import INF
 
 from conftest import rand_series, rng
-from props import check_end_to_end
+from props import check_end_to_end, check_factors_to_order, end_to_end_input
 
 PS = PuiseuxSeries
 
@@ -202,3 +202,15 @@ def test_budget_guard_emits_partial():
 
 def test_end_to_end_small():
     assert check_end_to_end(6, seed=4321, order=12) == 6
+
+
+@pytest.mark.parametrize("order", [25, 30])
+def test_end_to_end_case_3_lifts_at_high_order(order):
+    # seed 1212, case #3 (alpha 2, L 1): phi^30 scales the t^2 coefficient
+    # of a twisted residue by 2^-60, which the leading-dust trim of the
+    # twist used to drop, so the step at n = 30 did not raise the order
+    rnd = rng(1212)
+    for _ in range(4):
+        f = end_to_end_input(rnd)
+    assert f.ring.alpha.exact == 2 and f.ring.L == 1
+    check_factors_to_order(f, order)

@@ -4,13 +4,15 @@ import pytest
 from mpmath import mp
 
 from skewpuiseux import (ConjSeriesRing, PuiseuxSeries, ResiduePoly, SkewPoly,
-                         hensel_lift, parse_poly, puiseux_ring, shift_iso,
-                         twist_precheck)
+                         TMap, bits, ext_gcd, hensel_lift, parse_poly,
+                         puiseux_ring, shift_iso, twist_precheck, twist_residue)
+from skewpuiseux import hensel as hensel_mod
 from skewpuiseux.errors import (PrecisionExhausted, TwistCoprimeFailure,
                                 UsageError)
+from skewpuiseux.hensel import _solve_step
 from skewpuiseux.scalar import INF
 
-from conftest import rng
+from conftest import rand_coeff, rng
 from props import check_hensel_invariant, random_liftable
 
 PS = PuiseuxSeries
@@ -181,3 +183,98 @@ def test_conj_series_lift_succeeds():
     assert achieved == 8
     _assert_lifted(f, gh, hh, 8)
     assert gh.coeff(0).trunc == 8 and len(gh.coeff(0).terms) == 8
+
+
+# -- the step in C[t]/(res g) -------------------------------------------------------
+
+
+def bezout_step(gres, kn, fn, d):
+    """The step as it was solved before: a full Bezout pair a res(g) + b kn
+    = 1, then b fn = q res(g) + p and q_n = a fn + q kn, cut below degree
+    d - deg res(g)."""
+    floor = mp.mpf(2) ** -(mp.prec - 24)
+    one, a, b, _ = ext_gcd(gres, kn)
+    assert one.degree == 0
+    q, p = (b * fn).divmod(gres, tol=floor)
+    qn = a * fn + q * kn
+    return p, ResiduePoly(qn.coeffs[:d - gres.degree], trim=False)
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_step_in_quotient_algebra_matches_bezout_route(prec):
+    """p kn + res(g) q = fn to 2^-(P-16), and p, q as the Bezout route gives
+    them, for m = deg g in {1, 2, 3} and n <= 40.  kn = phi^n(res h) spreads
+    its coefficients over alpha^(n deg h); past P/8 bits of spread both
+    routes lose accuracy in the Euclid on a tiny-led kn, so n stops there."""
+    rnd = rng(prec + 11)
+    with bits(prec):
+        floor = mp.mpf(2) ** -(prec - 24)
+        tol = mp.mpf(2) ** -(prec - 16)
+        largest_n = 0
+        for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2)):
+            for m in (1, 2, 3):
+                for dh in (1, 2):
+                    tm = TMap(alpha, 1, rand_coeff(rnd))
+                    assert tm.a0 != 0
+                    gres = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(m)])
+                    hres = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(dh)])
+                    inverses = {}
+                    steps = 0
+                    for n in range(1, 41):
+                        if n * dh * abs(mp.log(alpha.numerator / alpha.denominator, 2)) > prec / 8:
+                            break
+                        largest_n = max(largest_n, n)
+                        steps += 1
+                        kn = twist_residue(hres, n, tm)
+                        fn = ResiduePoly([rand_coeff(rnd) for _ in range(m + dh)])
+                        p, q, b = _solve_step(n, gres, kn, fn, inverses, floor, mp.inf)
+                        assert p.degree < m and q.degree < dh
+                        assert (b * kn).divmod(gres)[1].degree == 0
+                        scale = max(1, fn.max_abs(), p.max_abs() * kn.max_abs(),
+                                    q.max_abs() * gres.max_abs())
+                        assert (p * kn + gres * q - fn).max_abs() <= tol * scale
+                        p_ref, q_ref = bezout_step(gres, kn, fn, m + dh)
+                        assert (p - p_ref).max_abs() <= tol * max(1, p.max_abs())
+                        assert (q - q_ref).max_abs() <= tol * max(1, q.max_abs())
+                    assert len(inverses) == steps  # one inverse per distinct kn
+        assert largest_n == {128: 27, 256: 40}[prec]  # alpha 3/2, deg h 1
+
+
+def test_step_raises_on_a_shared_twisted_root():
+    # res(h) has the root T^3(c) for a root c of res(g), so phi^3(res h)
+    # vanishes at c: the reduced kn collapses and the gcd is the witness
+    tm = TMap(2, 1, mp.mpc("0.25", "0.5"))
+    c = mp.mpc("0.75", "-1.25")
+    for others in ([], [(mp.mpc(-1, 1), 1)]):
+        gres = ResiduePoly.from_roots([(c, 1)] + others)
+        hres = ResiduePoly.from_roots([(tm.apply(c, 3), 1), (mp.mpc(2, 3), 1)])
+        kn = twist_residue(hres, 3, tm)
+        fn = ResiduePoly([1, 2, 3][:gres.degree + 2])
+        with pytest.raises(TwistCoprimeFailure) as exc:
+            _solve_step(3, gres, kn, fn, {}, mp.mpf(2) ** -(mp.prec - 24), mp.inf)
+        assert exc.value.n == 3
+        w = exc.value.witness
+        assert w.degree == 1 and abs(w.coeff(0) + c) < mp.mpf(2) ** -(mp.prec // 3)
+        # the twist at n = 2 shares no root: the same pair solves there
+        _solve_step(2, gres, twist_residue(hres, 2, tm), fn, {},
+                    mp.mpf(2) ** -(mp.prec - 24), mp.inf)
+
+
+def test_one_inverse_per_distinct_twist(monkeypatch):
+    calls = []
+    real = hensel_mod.residue_mod.ext_gcd
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(hensel_mod.residue_mod, "ext_gcd", counting)
+    for alpha, per_lift in ((1, 1), (2, None)):
+        R = puiseux_ring(alpha)
+        f = parse_poly("t^2 - (4+x+x^3)*t + (3+2*x)", R)
+        states = []
+        del calls[:]
+        hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 3", R), 12,
+                    on_state=states.append)
+        assert len(states) > 1
+        assert len(calls) == (per_lift or len(states))

@@ -227,3 +227,129 @@ def test_leading_dust_trim_matches_moduli():
             coeffs = body + [c, c * rnd.uniform(0.5, 2)]
             assert ResiduePoly(coeffs).degree == _dust_degree(coeffs)
     assert ResiduePoly([1, 0, mp.inf]).degree == _dust_degree([1, 0, mp.inf])
+
+
+# -- divmod and ext_gcd against the code they replaced ----------------------------
+
+
+def ref_divmod(a, b, tol):
+    """ResiduePoly.divmod as it was: the collapse decided by abs(c)."""
+    scale_bound = max(a.max_abs(), b.max_abs(), mp.mpf(1))
+    r = list(a.coeffs)
+    q = [mp.mpc(0)] * max(0, len(r) - b.degree)
+    inv = 1 / b.lc
+    while len(r) - 1 >= b.degree and r:
+        k = len(r) - 1 - b.degree
+        c = r[-1] * inv
+        q[k] += c
+        for j, y in enumerate(b.coeffs):
+            r[k + j] -= c * y
+        r.pop()
+        while r and abs(r[-1]) < tol * scale_bound:
+            r.pop()
+    return ResiduePoly(q, trim=False), ResiduePoly(r, trim=False)
+
+
+def ref_mul(a, b):
+    """ResiduePoly.__mul__ as it was."""
+    if a.is_zero or b.is_zero:
+        return ResiduePoly([])
+    out = [mp.mpc(0)] * (a.degree + b.degree + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return ResiduePoly(out)
+
+
+def ref_ext_gcd(p, q, tol):
+    """ext_gcd as it was: ResiduePoly arithmetic, every cofactor updated."""
+    one = ResiduePoly([1], trim=False)
+    zero = ResiduePoly([])
+    r0, r1 = p, q
+    s0, s1 = one, zero
+    t0, t1 = zero, one
+    kappa = mp.mpf(1)
+    while not r1.is_zero:
+        quo, rem = ref_divmod(r0, r1, tol)
+        kappa *= max(mp.mpf(1), quo.max_abs())
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - ref_mul(quo, s1)
+        t0, t1 = t1, t0 - ref_mul(quo, t1)
+    if r0.is_zero:
+        return r0, s0, t0, kappa
+    if r0.degree == 0:
+        c = r0.coeff(0)
+        return one, s0 * (1 / c), t0 * (1 / c), kappa
+    c = r0.lc
+    return r0.monic(), s0 * (1 / c), t0 * (1 / c), kappa
+
+
+def _bits_of(p):
+    return [c._mpc_ for c in p.coeffs]
+
+
+def _near_threshold_division(rnd, tol, ulp):
+    """(a, b) with a = q b + r, q and b of small Gaussian integers (so q b
+    is exact and its largest modulus may exceed 2^T, T its largest binary
+    exponent) and r's top coefficient on or near the collapse threshold
+    tol * max(1, |a|, |b|)."""
+    def gauss():
+        return mp.mpc(rnd.randint(-3, 3), rnd.randint(-3, 3))
+    b = ResiduePoly([gauss() for _ in range(rnd.randint(1, 2))] + [1])
+    q = ResiduePoly([gauss() for _ in range(rnd.randint(1, 2))] + [1])
+    qb = q * b
+    scale = max(qb.max_abs(), b.max_abs(), mp.mpf(1))
+    thr = tol * scale
+    phase = mp.expjpi(mp.mpf(rnd.uniform(-1, 1)))
+    top = thr * rnd.choice([phase * (1 + k * ulp) for k in (-2, -1, 0, 1, 2)]
+                           + [phase * rnd.uniform(0.25, 4), mp.mpc(1), mp.mpc(0, 1),
+                              mp.mpc(1 - ulp)])
+    r = [rand_coeff(rnd) * thr * 2 ** rnd.randint(-8, 8) for _ in range(b.degree - 1)] + [top]
+    a = ResiduePoly([c + (r[i] if i < len(r) else 0) for i, c in enumerate(qb.coeffs)],
+                    trim=False)
+    return a, b
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_divmod_and_ext_gcd_match_old_code_bit_for_bit(prec):
+    rnd = rng(prec + 3)
+    with mp.workprec(prec):
+        ulp = mp.ldexp(1, -prec + 4)
+        tols = [mp.ldexp(1, -(prec // 2)), mp.ldexp(1, -(prec - 24)), mp.mpf("1e-20")]
+        pairs = []
+        for _ in range(60):
+            tol = rnd.choice(tols[:2])
+            pairs.append((*_near_threshold_division(rnd, tol, ulp), tol))
+        for _ in range(60):
+            # random pairs, pairs with a common factor and with a near-common root
+            u = [(rand_coeff(rnd), 1) for _ in range(rnd.randint(0, 3))]
+            v = [(rand_coeff(rnd), 1) for _ in range(rnd.randint(0, 3))]
+            w = [(rand_coeff(rnd), 1) for _ in range(rnd.randint(1, 2))]
+            near = [(c + rand_coeff(rnd) * mp.ldexp(1, -(prec // 2) + rnd.randint(-4, 4)), m)
+                    for c, m in w]
+            p = ResiduePoly.from_roots(u + w) * rand_coeff(rnd)
+            q = ResiduePoly.from_roots(v + rnd.choice([w, near, []]))
+            pairs.append((p, q, rnd.choice(tols)))
+        collapsed = 0
+        for a, b, tol in pairs:
+            q, r = a.divmod(b, tol=tol)
+            q_ref, r_ref = ref_divmod(a, b, tol)
+            assert _bits_of(q) == _bits_of(q_ref) and _bits_of(r) == _bits_of(r_ref)
+            collapsed += r.degree < b.degree - 1
+            got, ref = ext_gcd(a, b, tol), ref_ext_gcd(a, b, tol)
+            assert [_bits_of(x) for x in got[:3]] == [_bits_of(x) for x in ref[:3]]
+            assert got[3] == ref[3]
+        assert collapsed > 10
+
+
+def test_twist_keeps_its_degree():
+    # phi^40 with alpha 2 scales t^3 by 2^-120: below the dust threshold
+    # 2^-64 max|c| at 128 bits, yet the leading coefficient is lc * s^3 != 0
+    tm = TMap(2, 1, mp.mpc("0.3", "-0.2"))
+    p = ResiduePoly.from_roots([(1, 1), (mp.mpc(0, 2), 1), (-3, 1)]) * mp.mpc(2, 1)
+    q = twist_residue(p, 40, tm)
+    assert q.degree == 3
+    assert q.lc == p.lc * mp.ldexp(1, -120)
+    assert twist_residue(q, -40, tm).degree == 3
+    dev = (twist_residue(q, -40, tm) - p).max_abs()
+    assert dev < mp.mpf(2) ** -(mp.prec - 16) * p.max_abs()

@@ -222,12 +222,13 @@ def ref_t_mul(ring, coeffs):
 
 
 def ref_mul(a, b):
-    """a * b with every output coefficient started from ring.zero()."""
+    """a * b with every output coefficient started from ring.zero(); only
+    an exact zero coefficient (order INF) is skipped."""
     ring = a.ring
     acc = [ring.zero()] * (a.degree + b.degree + 1)
     tb = list(b.coeffs)
     for i, ci in enumerate(a.coeffs):
-        if not ring.is_zero(ci):
+        if ring.ord_k(ci) != INF:
             for j, gj in enumerate(tb):
                 acc[j] = ring.add(acc[j], ring.mul(ci, gj))
         if i < a.degree:
