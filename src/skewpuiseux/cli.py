@@ -17,7 +17,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import scalar
-from .errors import MathObstruction, SkewError, UsageError
+from .errors import (MathObstruction, Obstruction, SkewError, TwistCoprimeFailure,
+                     UsageError)
 from .factorizer import (FactorConfig, Factorization, newton_puiseux_factor,
                          sigma_zero_quadratic, verify_factorization)
 from .hensel import hensel_lift
@@ -46,8 +47,6 @@ def _add_common(sp, alpha_required=True, base_choice=False):
     sp.add_argument("--tol-orbit", default=None, help="orbit matching tolerance (bits)")
     sp.add_argument("--zero-bits", type=int, default=None,
                     help="noise threshold 2^(-N) for series normalization")
-    sp.add_argument("--seedless", action="store_true",
-                    help="deterministic mode (always on; reserved)")
     if base_choice:
         sp.add_argument("--base", choices=["puiseux", "conj-series"],
                         default="puiseux",
@@ -310,11 +309,8 @@ def main(argv=None) -> int:
     try:
         return run(args)
     except MathObstruction as e:
-        payload = {"error": _obstruction_tag(e)}
-        payload.update(_obstruction_fields(e))
-        if getattr(args, "json", False):
-            print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
-        else:
+        _emit(args, _obstruction_payload(e), [])
+        if not args.json:
             print(f"obstruction: {e}", file=sys.stderr)
         return EXIT_OBSTRUCTION
     except (UsageError, SkewError) as e:
@@ -322,53 +318,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def _obstruction_tag(e) -> str:
-    from .errors import Obstruction, TwistCoprimeFailure
+def _obstruction_payload(e) -> dict:
     if isinstance(e, TwistCoprimeFailure):
-        return "twist_coprime_failed"
-    if isinstance(e, Obstruction):
-        return "obstruction"
-    return "obstruction"
-
-
-def _obstruction_fields(e) -> dict:
-    from .errors import Obstruction, TwistCoprimeFailure
-    if isinstance(e, TwistCoprimeFailure):
-        out = {"n": e.n}
+        out = {"error": "twist_coprime_failed", "n": e.n}
         if e.witness is not None:
-            out["witness"] = _witness_str(e.witness)
+            out["witness"] = str(e.witness)
         return out
     if isinstance(e, Obstruction):
-        return {"q": str(e.q)}
-    return {}
-
-
-def _witness_str(w) -> str:
-    from .residue import ResiduePoly
-    from .scalar import fmt_scalar
-    if not isinstance(w, ResiduePoly):
-        return str(w)
-    out = ""
-    for i in range(w.degree, -1, -1):
-        c = w.coeff(i)
-        if c == 0 and out:
-            continue
-        cs = fmt_scalar(c)
-        neg = cs.startswith("-") and not any(ch in cs[1:] for ch in "+-")
-        if neg:
-            cs = cs[1:]
-        if any(ch in cs[1:] for ch in "+-"):
-            cs = f"({cs})"
-        if i == 0:
-            body = cs
-        else:
-            tp = "t" if i == 1 else f"t^{i}"
-            body = tp if cs == "1" else f"{cs}*{tp}"
-        if not out:
-            out = f"-{body}" if neg else body
-        else:
-            out += f" - {body}" if neg else f" + {body}"
-    return out or "0"
+        return {"error": "obstruction", "q": str(e.q)}
+    return {"error": "obstruction"}
 
 
 if __name__ == "__main__":

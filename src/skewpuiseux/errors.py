@@ -62,14 +62,6 @@ class NoSplittingRoot(SkewError):
     theory guarantees one exists)."""
 
 
-class BudgetExceeded(SkewError):
-    """Ramification or iteration budget exhausted; carries partial data."""
-
-    def __init__(self, msg, partial=None):
-        self.partial = partial
-        super().__init__(msg)
-
-
 class ParseError(UsageError):
     """Syntax error with a position annotation."""
 

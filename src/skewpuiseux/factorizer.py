@@ -31,8 +31,8 @@ from mpmath import mp
 
 from . import residue as residue_mod
 from . import scalar
-from .errors import (BudgetExceeded, MathObstruction, NoSplittingRoot,
-                     Obstruction, PrecisionExhausted, UsageError)
+from .errors import (NoSplittingRoot, Obstruction, PrecisionExhausted,
+                     UsageError)
 from .hensel import hensel_lift
 from .puiseux import PuiseuxSeries
 from .residue import ResiduePoly
@@ -165,12 +165,14 @@ class _Engine:
             part = residue_mod.orbit_partition(rts.pairs, c1, tmap, tol)
             j = part.j
             if 1 <= j < d:
-                ubar = ResiduePoly.from_roots([(c, m) for c, _, m in part.members])
+                members = [(c, m) for c, _, m in part.members]
+                ubar = ResiduePoly.from_roots(members)
                 vbar = ResiduePoly.from_roots(part.outsiders)
                 ubar, vbar = residue_mod.refine_factor_pair(res, ubar, vbar)
                 u = SkewPoly(ring, [ring.from_scalar(c) for c in ubar.coeffs])
                 v = SkewPoly(ring, [ring.from_scalar(c) for c in vbar.coeffs])
-                uh, vh, _ = hensel_lift(F, u, v, target_k)
+                uh, vh, _ = hensel_lift(F, u, v, target_k,
+                                        roots=(members, part.outsiders))
                 return uh, vh
         raise NoSplittingRoot(
             f"no residue root splits the orbit partition of {res!r}")
@@ -182,7 +184,8 @@ class _Engine:
         d = F.degree
         g = SkewPoly.t_pow(ring, d - 1)
         h = SkewPoly.t_pow(ring, 1)
-        uh, vh, _ = hensel_lift(F, g, h, target_k)
+        groots = [(0, d - 1)] if d > 1 else []
+        uh, vh, _ = hensel_lift(F, g, h, target_k, roots=(groots, [(0, 1)]))
         return uh, vh
 
     def factor_step(self, F: SkewPoly, target_k: int):

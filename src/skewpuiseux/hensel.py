@@ -36,6 +36,11 @@ t^i Q to them, so t^i h is never re-derived through sigma and delta.  The
 coefficients of t^j Q are few-term series (order >= n), which keeps every
 product short.  The defect and the table are truncated at the target
 order: a step at order n reads only the x^n slice, and n < target.
+
+Before the loop, twist_precheck decides coprimality with every twist at
+once, over Puiseux series from the T-orbits of residue roots.  A caller
+that holds those roots (the orbit split; the t-split's g = t^(d-1), h = t)
+passes them as ``roots=`` so they are not searched for again.
 """
 
 from __future__ import annotations
@@ -140,25 +145,27 @@ def _solve_step(n: int, gres, kn, fn, inverses: dict, floor, dust_bound):
     return p, residue_mod.ResiduePoly(q, trim=False), b
 
 
-def twist_precheck(g: SkewPoly, h: SkewPoly, tol=None):
+def twist_precheck(g: SkewPoly, h: SkewPoly, tol=None, *, roots=None):
     """Raise TwistCoprimeFailure if res(g) is not coprime to the n-twisted
-    res(h) for some n >= 1."""
-    ring = g.ring
-    fail = ring.twist_coprime(g.reduce_residue(), h.reduce_residue(), tol)
+    res(h) for some n >= 1.  ``roots``, the (root, multiplicity) lists of
+    res g and res h, spares the base ring its own root search."""
+    fail = g.ring.twist_coprime(g.reduce_residue(), h.reduce_residue(), tol,
+                                roots=roots)
     if fail is not None:
         n, witness = fail
         raise TwistCoprimeFailure(n, witness)
 
 
 def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
-                on_state=None):
+                on_state=None, *, roots=None):
     """Lift res(f) = res(g) res(h) to f = g_hat h_hat + O(x^target_k).
 
     Returns (g_hat, h_hat, achieved_order_k), where achieved_order_k is
     the least order of the final defect f - g_hat h_hat, a coefficient
     known only to O(x^k) counting as k; it is INF only for an exactly zero
     defect.  ``on_state`` receives a HenselState after every correction
-    step.
+    step.  ``roots``, the (root, multiplicity) lists of res g and res h if
+    the caller holds them, goes to twist_precheck.
     """
     ring = f.ring.unify(g.ring).unify(h.ring)
     f = f.in_ring(ring)
@@ -183,7 +190,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     if mismatch > mp.mpf(2) ** -(mp.prec // 4):
         raise UsageError(f"res(f) != res(g)res(h) (deviation {mismatch})")
 
-    twist_precheck(g, h)
+    twist_precheck(g, h, roots=roots)
 
     # sigma and delta keep x-adic orders, so nothing at or above target_k
     # ever reaches a slice below it

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ParseError, UsageError
 from .puiseux import PuiseuxSeries
-from .scalar import INF, GaussianRational, fmt_exponent, fmt_scalar, to_mpc
+from .scalar import INF, GaussianRational, fmt_scalar, fmt_term, to_mpc
 
 _OPS = set("+-*/^()")
 
@@ -386,23 +386,6 @@ def poly_to_str(p) -> str:
         # a zero known only to O(x^k) is printed: it bounds the order
         if p.ring.ord_k(c) == INF and not (i == 0 and not parts):
             continue
-        cs = _coeff_to_str(c)
-        neg = cs.startswith("-") and not any(ch in cs[1:] for ch in "+-")
-        if neg:
-            cs = cs[1:]
-        if any(ch in cs[1:] for ch in "+-") and not cs.startswith("("):
-            cs = f"({cs})"
-        if i == 0:
-            body = cs
-        else:
-            tpart = "t" if i == 1 else f"t^{i}"
-            body = tpart if cs == "1" else f"{cs}*{tpart}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
+        var = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+        parts.append(fmt_term(_coeff_to_str(c), var, first=not parts))
     return " ".join(parts)
-
-
-def exponent_str(q) -> str:
-    return fmt_exponent(q)

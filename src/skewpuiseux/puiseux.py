@@ -24,7 +24,8 @@ from operator import mul
 
 from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
-from .scalar import EXACT_TYPES, INF, Alpha, fmt_exponent, fmt_scalar, is_negligible, to_mpc
+from .scalar import (EXACT_TYPES, INF, Alpha, fmt_exponent, fmt_scalar, fmt_term,
+                     is_negligible, to_mpc)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -298,9 +299,9 @@ class PuiseuxSeries:
     def __str__(self):
         parts = []
         for k in sorted(self.terms):
-            c = self.terms[k]
             q = Fraction(k, self.L)
-            parts.append(_term_str(c, q, first=not parts))
+            x = "" if q == 0 else "x" if q == 1 else f"x^{fmt_exponent(q)}"
+            parts.append(fmt_term(fmt_scalar(self.terms[k]), x, first=not parts))
         body = " ".join(parts) if parts else "0"
         if self.trunc is not None:
             tq = Fraction(self.trunc, self.L)
@@ -387,27 +388,6 @@ def _min_trunc(a, b):
     return min(a, b)
 
 
-def _scalar_needs_parens(s: str) -> bool:
-    return any(ch in s[1:] for ch in "+-")
-
-
-def _term_str(c, q: Fraction, first: bool) -> str:
-    cs = fmt_scalar(c)
-    neg = cs.startswith("-") and not _scalar_needs_parens(cs)
-    if neg:
-        cs = cs[1:]
-    if _scalar_needs_parens(cs):
-        cs = f"({cs})"
-    if q == 0:
-        body = cs
-    else:
-        x = "x" if q == 1 else f"x^{fmt_exponent(q)}"
-        body = x if cs == "1" else f"{cs}*{x}"
-    if first:
-        return f"-{body}" if neg else body
-    return f"- {body}" if neg else f"+ {body}"
-
-
 class SkewContext:
     """The data (alpha, L, a) of the working ring F[t, sigma, delta_a].
 
@@ -455,9 +435,6 @@ class SkewContext:
             return self
         return SkewContext(self.alpha, L, self.a.at_ram(L))
 
-    def with_a(self, a: PuiseuxSeries) -> "SkewContext":
-        return SkewContext(self.alpha, self.L, a)
-
     def __eq__(self, other):
         if not isinstance(other, SkewContext):
             return NotImplemented
@@ -476,10 +453,6 @@ def sigma_apply(f: PuiseuxSeries, q, alpha) -> PuiseuxSeries:
     if not isinstance(alpha, Alpha):
         alpha = Alpha(alpha)
     return f.sigma_pow(q, alpha)
-
-
-def delta_apply(ctx: SkewContext, f: PuiseuxSeries) -> PuiseuxSeries:
-    return ctx.delta(f)
 
 
 def trace_apply(b: PuiseuxSeries, d: int, alpha) -> PuiseuxSeries:

@@ -229,9 +229,18 @@ class ResiduePoly:
 
     __hash__ = None
 
+    def __str__(self):
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeffs[i]
+            if c == 0 and parts:
+                continue
+            var = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+            parts.append(scalar.fmt_term(scalar.fmt_scalar(c), var, first=not parts))
+        return " ".join(parts) or "0"
+
     def __repr__(self):
-        body = " + ".join(f"({scalar.fmt_scalar(c)})*t^{i}" for i, c in enumerate(self.coeffs))
-        return f"<ResiduePoly {body or '0'}>"
+        return f"<ResiduePoly {self}>"
 
 
 @dataclass(frozen=True)
@@ -435,29 +444,27 @@ def twist_residue(p: ResiduePoly, n: int, tmap: TMap) -> ResiduePoly:
     return ResiduePoly(acc, trim=False)
 
 
-def orbit_exponent(tmap: TMap, c1, c, tol=None):
-    """The n >= 0 with T^n(c1) = c, or None.  Decided in closed form:
-    membership means (c + a0) = alpha_eff^(-n) (c1 + a0)."""
+def orbit_exponent(tmap: TMap, c1, c, tol=None, least: int = 0):
+    """The n >= least with T^n(c1) = c, or None.  Decided in closed form:
+    membership means (c + a0) = alpha_eff^(-n) (c1 + a0).  When T fixes c1
+    (T is the identity, or c1 is its fixed point -a0) the orbit is {c1}
+    and every n qualifies, so the answer is ``least``."""
     if tol is None:
         tol = cluster_tol()
     c1 = to_mpc(c1)
     c = to_mpc(c)
     scale_bound = 1 + abs(c1) + abs(c)
-    if tmap.is_identity:
-        return 0 if abs(c - c1) <= tol * scale_bound else None
     z1 = c1 + tmap.a0
-    z = c + tmap.a0
-    if abs(z1) <= tol:
-        # c1 is the fixed point of T; its orbit is {c1}
-        return 0 if abs(c - c1) <= tol * scale_bound else None
-    ratio = z / z1
+    if tmap.is_identity or abs(z1) <= tol:
+        return least if abs(c - c1) <= tol * scale_bound else None
+    ratio = (c + tmap.a0) / z1
     # the ratio must be (tiny-or-not) real positive: relative imaginary test
     if abs(ratio) == 0 or mp.re(ratio) <= 0 or abs(mp.im(ratio)) > 16 * tol * abs(ratio):
         return None
     ln_alpha_eff = mp.log(to_mpc(tmap.alpha_eff()).real)
     nf = -mp.log(mp.re(ratio)) / ln_alpha_eff
     n = int(mp.nint(nf))
-    if n < 0 or abs(nf - n) > mp.mpf("0.25") or n > 10 ** 6:
+    if n < least or abs(nf - n) > mp.mpf("0.25") or n > 10 ** 6:
         return None
     if abs(tmap.apply(c1, n) - c) <= 16 * tol * scale_bound:
         return n
@@ -489,46 +496,21 @@ def orbit_partition(root_pairs, c1, tmap: TMap, tol=None) -> OrbitPartition:
     return OrbitPartition(to_mpc(c1), members, outsiders)
 
 
-def _twist_hit(tmap: TMap, c, cprime, tol):
-    """Smallest n >= 1 with T^n(c) = cprime, or None."""
-    c = to_mpc(c)
-    cprime = to_mpc(cprime)
-    scale_bound = 1 + abs(c) + abs(cprime)
-    if tmap.is_identity:
-        return 1 if abs(c - cprime) <= tol * scale_bound else None
-    z = c + tmap.a0
-    zp = cprime + tmap.a0
-    if abs(z) <= tol:
-        return 1 if abs(zp) <= tol else None
-    ratio = zp / z
-    if abs(ratio) == 0 or mp.re(ratio) <= 0 or abs(mp.im(ratio)) > 16 * tol * abs(ratio):
-        return None
-    nf = -mp.log(mp.re(ratio)) / mp.log(to_mpc(tmap.alpha_eff()).real)
-    n = int(mp.nint(nf))
-    if n < 1 or abs(nf - n) > mp.mpf("0.25") or n > 10 ** 6:
-        return None
-    if abs(tmap.apply(c, n) - cprime) <= 16 * tol * scale_bound:
-        return n
-    return None
+def twist_coprime_affine(groots, hroots, tmap: TMap, tol=None):
+    """Decide for all n >= 1 at once whether res g, with the (root,
+    multiplicity) pairs ``groots``, is coprime to the n-twisted res h,
+    with the pairs ``hroots``.  Fails iff some root c of res g and root c'
+    of res h have T^n(c) = c' for an integer n >= 1 (orbit_exponent with
+    least=1: at most one candidate n per pair unless T fixes c).
 
-
-def twist_coprime_affine(gres: ResiduePoly, hres: ResiduePoly, tmap: TMap, tol=None):
-    """Decide for all n >= 1 at once whether gres is coprime to the
-    n-twisted hres.  Fails iff some root c of gres and root c' of hres have
-    T^n(c) = c' for an integer n >= 1 (at most one candidate n per pair).
-
-    Returns None when coprime for all n, else (n, witness_factor).
+    Returns None when coprime for all n, else (n, t - c) for the least n.
     """
     if tol is None:
         tol = cluster_tol()
-    if gres.degree < 1 or hres.degree < 1:
-        return None
-    groots = roots(gres, tol)
-    hroots = roots(hres, tol)
     best = None
     for c, _ in groots:
         for cp, _ in hroots:
-            n = _twist_hit(tmap, c, cp, tol)
+            n = orbit_exponent(tmap, c, cp, tol, least=1)
             if n is not None and (best is None or n < best[0]):
                 best = (n, ResiduePoly([-c, 1], trim=False))
     return best

@@ -33,10 +33,6 @@ def bits(prec: int):
     return mp.workprec(prec)
 
 
-def working_bits() -> int:
-    return mp.prec
-
-
 _ZERO_EPS_BITS = None  # None: derive from ambient precision
 
 
@@ -367,7 +363,7 @@ class Alpha:
             return NotImplemented
         if self.exact is not None and other.exact is not None:
             return self.exact == other.exact
-        return self.real_value() == other.real_value() if self.numeric is not None else False
+        return self.real_value() == other.real_value()
 
     def __repr__(self):
         if self.exact is not None:
@@ -418,6 +414,24 @@ def fmt_scalar(c) -> str:
         return f"{_fmt_mpf(im)}i"
     sign = "+" if im >= 0 else "-"
     return f"{_fmt_mpf(re)}{sign}{_fmt_mpf(abs(im))}i"
+
+
+def fmt_term(cs: str, var: str, first: bool) -> str:
+    """One term of a printed sum: the coefficient text ``cs`` times ``var``
+    ("" for a constant term), signed for its place in the sum.  A leading
+    minus becomes the term's sign unless ``cs`` has another sign inside;
+    such a coefficient is parenthesized, and a coefficient of 1 before
+    ``var`` is dropped."""
+    inner = any(ch in cs[1:] for ch in "+-")
+    neg = cs.startswith("-") and not inner
+    if neg:
+        cs = cs[1:]
+    elif inner and not cs.startswith("("):
+        cs = f"({cs})"
+    body = cs if not var else var if cs == "1" else f"{cs}*{var}"
+    if first:
+        return f"-{body}" if neg else body
+    return f"- {body}" if neg else f"+ {body}"
 
 
 def fmt_exponent(q: Fraction) -> str:

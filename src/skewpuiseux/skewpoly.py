@@ -96,9 +96,11 @@ class BaseRing:
         coefficient-of-x^n slice of the defect."""
         raise NotImplementedError
 
-    def twist_coprime(self, gres, hres, tol=None):
+    def twist_coprime(self, gres, hres, tol=None, *, roots=None):
         """Decide coprimality of gres against the n-twisted hres for all
-        n >= 1; returns None if coprime, else (n, witness)."""
+        n >= 1; returns None if coprime, else (n, witness).  ``roots`` may
+        hold the (root, multiplicity) lists of gres and hres; a ring that
+        decides from residue roots then need not find them again."""
         raise NotImplementedError
 
     def coerce(self, a):
@@ -203,8 +205,12 @@ class PuiseuxRing(BaseRing):
         # left-shift by y^(-n) is plain here; phi^n then twists the slice
         return residue_mod.twist_residue(slice_n, n, self.tmap())
 
-    def twist_coprime(self, gres, hres, tol=None):
-        return residue_mod.twist_coprime_affine(gres, hres, self.tmap(), tol=tol)
+    def twist_coprime(self, gres, hres, tol=None, *, roots=None):
+        if roots is None:
+            if gres.degree < 1 or hres.degree < 1:
+                return None
+            roots = (residue_mod.roots(gres, tol), residue_mod.roots(hres, tol))
+        return residue_mod.twist_coprime_affine(*roots, self.tmap(), tol)
 
     def coerce(self, a):
         if not isinstance(a, PuiseuxSeries):
@@ -414,9 +420,9 @@ class ConjSeriesRing(BaseRing):
         # t is central: right division by x^n is a plain exponent shift
         return slice_n
 
-    def twist_coprime(self, gres, hres, tol=None):
-        return residue_mod.twist_coprime_periodic(
-            gres, hres, lambda p, n: self.residue_twist(p, n), 2, tol=tol)
+    def twist_coprime(self, gres, hres, tol=None, *, roots=None):
+        # phi has period 2 on residues: the ext_gcd check needs no roots
+        return residue_mod.twist_coprime_periodic(gres, hres, self.residue_twist, 2, tol)
 
     def coerce(self, a):
         if isinstance(a, ConjSeries):

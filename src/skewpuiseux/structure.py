@@ -26,7 +26,7 @@ from .skewpoly import PuiseuxRing, SkewPoly, _horner_image
 class IsoRecord:
     """Provenance entry for one applied isomorphism (for factor pullback)."""
 
-    kind: str      # "shift" | "scale" | "unit_normalize" | "unit_extract" | "reembed"
+    kind: str      # "shift" | "scale" | "unit_normalize" | "unit_extract"
     params: tuple
 
     def __str__(self):

@@ -20,6 +20,31 @@ from props import check_end_to_end, check_factors_to_order, end_to_end_input
 PS = PuiseuxSeries
 
 
+def test_roots_run_once_per_prop_split_lift(monkeypatch):
+    # the orbit split hands its residue roots to the lift's twist check,
+    # and the t-split knows its roots (all 0), so neither searches again
+    from skewpuiseux import residue
+    calls = {"roots": 0, "prop": 0, "t": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(residue, "roots", counting("roots", residue.roots))
+    monkeypatch.setattr(_Engine, "prop_split", counting("prop", _Engine.prop_split))
+    monkeypatch.setattr(_Engine, "t_split", counting("t", _Engine.t_split))
+    cfg = FactorConfig(target_order=6)
+    f = parse_poly("t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)", puiseux_ring(2))
+    newton_puiseux_factor(f, cfg)
+    assert calls == {"roots": 2, "prop": 2, "t": 0}
+    calls.update(roots=0, prop=0)
+    f = parse_poly("t^3 - 3*t^2 + (3+x)*t - (1+x^2)", puiseux_ring(Fraction(3, 2)))
+    newton_puiseux_factor(f, cfg)
+    assert calls["t"] > 0 and calls["prop"] == calls["roots"] == 0
+
+
 def test_remark_final_factorization():
     R = puiseux_ring(2)
     f = parse_poly("t^2 - 2*t + 1", R)

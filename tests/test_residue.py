@@ -9,7 +9,7 @@ from skewpuiseux import (Alpha, ConjSeriesRing, ResiduePoly, TMap,
                          twist_coprime_periodic, twist_residue)
 from skewpuiseux.errors import UsageError
 from skewpuiseux.residue import gamma_elements
-from skewpuiseux.scalar import zero_eps
+from skewpuiseux.scalar import to_mpc, zero_eps
 
 from conftest import rand_coeff, rng
 
@@ -141,9 +141,52 @@ def test_orbit_closed_form_vs_bruteforce():
 
 def test_twist_coprime_affine_examples():
     p = ResiduePoly([-1, 1])
-    assert twist_coprime_affine(p, p, TMap(Alpha(2), 1, 0)) is None
-    fail = twist_coprime_affine(p, p, TMap(Alpha(1), 1, 0))
+    assert twist_coprime_affine(roots(p), roots(p), TMap(Alpha(2), 1, 0)) is None
+    fail = twist_coprime_affine(roots(p), roots(p), TMap(Alpha(1), 1, 0))
     assert fail is not None and fail[0] == 1
+
+
+def _twist_hit(tmap: TMap, c, cprime, tol):
+    """Smallest n >= 1 with T^n(c) = cprime, or None."""
+    c = to_mpc(c)
+    cprime = to_mpc(cprime)
+    scale_bound = 1 + abs(c) + abs(cprime)
+    if tmap.is_identity:
+        return 1 if abs(c - cprime) <= tol * scale_bound else None
+    z = c + tmap.a0
+    zp = cprime + tmap.a0
+    if abs(z) <= tol:
+        return 1 if abs(zp) <= tol else None
+    ratio = zp / z
+    if abs(ratio) == 0 or mp.re(ratio) <= 0 or abs(mp.im(ratio)) > 16 * tol * abs(ratio):
+        return None
+    nf = -mp.log(mp.re(ratio)) / mp.log(to_mpc(tmap.alpha_eff()).real)
+    n = int(mp.nint(nf))
+    if n < 1 or abs(nf - n) > mp.mpf("0.25") or n > 10 ** 6:
+        return None
+    if abs(tmap.apply(c, n) - cprime) <= 16 * tol * scale_bound:
+        return n
+    return None
+
+
+def test_twist_coprime_affine_matches_reference():
+    # _twist_hit above is the twist check's former closed form, kept as a
+    # reference; the pairs stay well away from the tolerance boundary
+    rnd = rng(2311)
+    tol = mp.mpf(2) ** -(mp.prec // 3)
+    for alpha in (1, 2, Fraction(3, 2), Fraction(1, 2)):
+        for a0 in (0, 1, mp.mpc(1, 1)):
+            tm = TMap(Alpha(alpha), 1, a0)
+            pairs = [(-tm.a0, -tm.a0), (-tm.a0, rand_coeff(rnd))]
+            for n in range(1, 41):
+                c = rand_coeff(rnd)
+                pairs += [(c, tm.apply(c, n)), (c, c), (c, rand_coeff(rnd))]
+            for c, cp in pairs:
+                got = twist_coprime_affine([(c, 1)], [(cp, 2)], tm)
+                want = _twist_hit(tm, c, cp, tol)
+                assert (got and got[0]) == want, (alpha, a0, c, cp)
+                if want is not None:
+                    assert got[1] == ResiduePoly([-c, 1])
 
 
 def test_twist_coprime_periodic_example():

@@ -26,6 +26,16 @@ def test_alpha_complex_polar_convention():
     assert abs(1 + v) < mp.mpf(2) ** -120
 
 
+def test_alpha_equality_is_symmetric():
+    from skewpuiseux import parse_poly, puiseux_ring
+    exact, numeric = Alpha(2), Alpha(mp.mpf(2))
+    assert exact == numeric and numeric == exact
+    assert exact != Alpha(mp.mpf(3)) and Alpha(mp.mpf(3)) != exact
+    t1 = parse_poly("t", puiseux_ring(exact))
+    t2 = parse_poly("t", puiseux_ring(numeric))
+    assert str(t1 * t2) == str(t2 * t1) == "t^2"
+
+
 def test_alpha_zero_rejected():
     with pytest.raises(UsageError):
         Alpha(0)
