@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 usage/parse error, 2 mathematical obstruction
 (failed twist coprimality, sigma-zero obstruction), 3 ``verify`` found a
-residual above the noise threshold.  Output is deterministic: fixed flags
-give byte-identical bytes.
+residual above the noise threshold, 4 internal numerical failure (any
+other library error, such as a Hensel step that did not raise the defect
+order or a root iteration that did not settle).  Output is deterministic:
+fixed flags give byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_OBSTRUCTION = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_NUMERICAL = 4
 
 
 def _add_common(sp, alpha_required=True, base_choice=False):
@@ -43,10 +46,6 @@ def _add_common(sp, alpha_required=True, base_choice=False):
     sp.add_argument("--ramification-cap", type=int, default=256)
     sp.add_argument("--max-classical-iterations", type=int, default=64)
     sp.add_argument("--json", action="store_true", help="JSON output")
-    sp.add_argument("--tol-root", default=None, help="root clustering tolerance (bits)")
-    sp.add_argument("--tol-orbit", default=None, help="orbit matching tolerance (bits)")
-    sp.add_argument("--zero-bits", type=int, default=None,
-                    help="noise threshold 2^(-N) for series normalization")
     if base_choice:
         sp.add_argument("--base", choices=["puiseux", "conj-series"],
                         default="puiseux",
@@ -61,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"exit codes: {EXIT_OK} success, {EXIT_USAGE} usage or parse "
                f"error, {EXIT_OBSTRUCTION} mathematical obstruction, "
                f"{EXIT_VERIFY_FAILED} verify found a residual above the noise "
-               "threshold")
+               f"threshold, {EXIT_NUMERICAL} internal numerical failure")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("factor", help="factor a monic polynomial into linear factors")
@@ -97,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="check a factorization f = (t-z1)...(t-zd)",
         description="Check a factorization f = unit*(t-z1)...(t-zd) to the "
                     "target order.  It is ok when the residual is at most the "
-                    "noise threshold (2^(-bits/2), or 2^(-N) with --zero-bits "
-                    "N) times max(1, |f|).  Exit code 0 when ok, "
+                    "noise threshold 2^(-bits/2) times max(1, |f|).  Exit "
+                    "code 0 when ok, "
                     f"{EXIT_VERIFY_FAILED} when not.")
     sp.add_argument("poly")
     sp.add_argument("zeros", nargs="+")
@@ -128,17 +127,12 @@ def _config(args) -> FactorConfig:
     bits_ = args.bits
     if bits_ is None:
         bits_ = int(os.environ.get("SKEWPUISEUX_BITS", "128"))
-    cfg = FactorConfig(
+    return FactorConfig(
         target_order=Fraction(args.prec),
         bits=bits_,
         max_ramification=args.ramification_cap,
         max_classical_iterations=args.max_classical_iterations,
     )
-    if args.tol_root is not None:
-        cfg.root_tol = mp.mpf(2) ** -int(args.tol_root)
-    if args.tol_orbit is not None:
-        cfg.orbit_tol = mp.mpf(2) ** -int(args.tol_orbit)
-    return cfg
 
 
 def _ring_for(args, alpha=None):
@@ -181,13 +175,8 @@ def _factor_payload(fac: Factorization) -> dict:
 
 def run(args) -> int:
     cfg = _config(args)
-    if args.zero_bits is not None:
-        scalar.set_zero_eps_bits(args.zero_bits)
-    try:
-        with scalar.bits(cfg.bits):
-            return _dispatch(args, cfg)
-    finally:
-        scalar.set_zero_eps_bits(None)
+    with scalar.bits(cfg.bits):
+        return _dispatch(args, cfg)
 
 
 def _dispatch(args, cfg: FactorConfig) -> int:
@@ -285,8 +274,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         unit = parse_series(args.unit) if args.unit else None
         fac = Factorization(zeros=zeros, unit=unit, residual=None,
                             achieved_order=None, ramification=max(z.L for z in zeros))
-        tol = scalar.zero_eps() * max(1, f.max_abs())
-        report = verify_factorization(f, fac, tol=tol, order=cfg.target_order)
+        report = verify_factorization(f, fac, order=cfg.target_order)
         payload = {
             "residual": mp.nstr(mp.mpf(report["residual"]), 8),
             "eval_ord": _ord_str(report["eval_ord"]),
@@ -313,9 +301,15 @@ def main(argv=None) -> int:
         if not args.json:
             print(f"obstruction: {e}", file=sys.stderr)
         return EXIT_OBSTRUCTION
-    except (UsageError, SkewError) as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except SkewError as e:
+        _emit(args, {"error": "numerical", "kind": type(e).__name__,
+                     "message": str(e)}, [])
+        if not args.json:
+            print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def _obstruction_payload(e) -> dict:

@@ -41,6 +41,8 @@ from .skewpoly import PuiseuxRing, SkewPoly, puiseux_ring
 from .structure import (IsoRecord, normalize_scaled, scale_back_monic,
                         scaling_exponent, shift_iso, trace_solve)
 
+ORDER_MARGIN = 4  # extra x-orders lifted beyond the target
+
 
 @dataclass
 class FactorConfig:
@@ -48,9 +50,6 @@ class FactorConfig:
     bits: int = 128
     max_ramification: int = 256
     max_classical_iterations: int = 64
-    order_margin: int = 4
-    root_tol: object = None    # None: 2^(-P/3)
-    orbit_tol: object = None   # None: 2^(-P/3)
 
     def __post_init__(self):
         self.target_order = Fraction(self.target_order)
@@ -87,11 +86,8 @@ class _Engine:
 
     # -- helpers -------------------------------------------------------------
 
-    def _orbit_tol(self):
-        return self.cfg.orbit_tol if self.cfg.orbit_tol is not None else residue_mod.cluster_tol()
-
     def _level_target_k(self, L: int, r: Fraction, d: int, avail) -> int:
-        margin = Fraction(math.ceil(abs(r) * d) + self.cfg.order_margin)
+        margin = Fraction(math.ceil(abs(r) * d) + ORDER_MARGIN)
         n = int(math.ceil((self.cfg.target_order + margin) * L))
         if avail != INF:
             n = min(n, int(avail))
@@ -127,7 +123,7 @@ class _Engine:
         is left out, as for branch pairs +-v its last bit alone would
         decide the order.
         """
-        tol = self._orbit_tol()
+        tol = scalar.cluster_tol()
         a0 = tmap.a0
         aeff = to_mpc(tmap.alpha_eff()).real
         scored = []
@@ -157,12 +153,11 @@ class _Engine:
         of a base root; the orbit part lifts as the left factor."""
         ring = F.ring
         d = F.degree
-        tol = self._orbit_tol()
         res = F.reduce_residue()
-        rts = residue_mod.roots(res, self.cfg.root_tol)
+        rts = residue_mod.roots(res)
         tmap = ring.tmap()
         for c1, _ in self._candidates(rts.pairs, tmap):
-            part = residue_mod.orbit_partition(rts.pairs, c1, tmap, tol)
+            part = residue_mod.orbit_partition(rts.pairs, c1, tmap)
             j = part.j
             if 1 <= j < d:
                 members = [(c, m) for c, _, m in part.members]
@@ -276,7 +271,7 @@ class _Engine:
         vt = scale_back_monic(vh, r)
         quo, rem = f.left_divmod(vt)
         remdev = rem.max_abs()
-        if remdev > mp.mpf(2) ** -(mp.prec // 4):
+        if remdev > scalar.dust_tol():
             self.warnings.append(f"factor pullback residual {remdev}")
         left = self.factor_monic(quo, depth)
         right = self.factor_monic(vt, depth)
@@ -372,7 +367,7 @@ def _factor_once(f: SkewPoly, cfg: FactorConfig) -> Factorization:
 
 
 def _unit_target_k(lead: PuiseuxSeries, cfg: FactorConfig) -> int:
-    base = int(math.ceil((cfg.target_order + cfg.order_margin) * lead.L))
+    base = int(math.ceil((cfg.target_order + ORDER_MARGIN) * lead.L))
     avail = INF if lead.trunc is None else lead.trunc - 2 * lead.ord_k()
     return int(min(base, avail)) if avail != INF else base
 
@@ -431,11 +426,11 @@ def sigma_zero_quadratic(f: SkewPoly, cfg: FactorConfig | None = None) -> Puiseu
         return z.truncate(K)
 
 
-def verify_factorization(f: SkewPoly, fac: Factorization, tol=None,
-                         order=None) -> dict:
+def verify_factorization(f: SkewPoly, fac: Factorization, order=None) -> dict:
     """Re-multiply the factors in F[t, sigma] and measure the deviation up
     to ``order`` (x-units; defaults to the shared truncation), plus the
-    order of f at the rightmost zero."""
+    order of f at the rightmost zero.  ``ok`` holds when the deviation is
+    at most scalar.zero_eps() * max(1, |f|)."""
     ring = _require_plain_ring(f)
     L = ring.L
     for c in fac.zeros:
@@ -463,10 +458,9 @@ def verify_factorization(f: SkewPoly, fac: Factorization, tol=None,
         if ev.trunc is not None:
             eval_ord = min(eval_ord, Fraction(ev.trunc, ev.L))
         achieved = min(achieved, eval_ord) if eval_ord != INF else achieved
-    ok = tol is None or residual <= tol
     return {
         "residual": residual,
         "achieved_order": achieved,
         "eval_ord": eval_ord,
-        "ok": ok,
+        "ok": residual <= scalar.zero_eps() * max(1, f.max_abs()),
     }

@@ -23,7 +23,7 @@ dimension m (von zur Gathen & Gerhard, Modern Computer Algebra, 15.4):
   p_n              = b_n f_n mod res(g)
   q_n              = (f_n - p_n k_n) / res(g), an exact division whose
                     remainder is cancellation dust (SkewError above
-                    2^(-P/4) of the running scale)
+                    scalar.dust_tol() of the running scale)
 
 Corrections are lifted residue polynomials, which is exactly what the
 order-increase argument consumes.  The defect is updated incrementally:
@@ -120,7 +120,7 @@ def _solve_step(n: int, gres, kn, fn, inverses: dict, floor, dust_bound):
     key = tuple(kn.coeffs)
     inv = inverses.get(key)
     if inv is None:
-        _, kn_mod = kn.divmod(gres, tol=residue_mod.gcd_tol())
+        _, kn_mod = kn.divmod(gres)
         one, _, b, _ = residue_mod.ext_gcd(gres, kn_mod)
         inv = inverses[key] = (one, b)
     one, b = inv
@@ -145,12 +145,11 @@ def _solve_step(n: int, gres, kn, fn, inverses: dict, floor, dust_bound):
     return p, residue_mod.ResiduePoly(q, trim=False), b
 
 
-def twist_precheck(g: SkewPoly, h: SkewPoly, tol=None, *, roots=None):
+def twist_precheck(g: SkewPoly, h: SkewPoly, *, roots=None):
     """Raise TwistCoprimeFailure if res(g) is not coprime to the n-twisted
     res(h) for some n >= 1.  ``roots``, the (root, multiplicity) lists of
     res g and res h, spares the base ring its own root search."""
-    fail = g.ring.twist_coprime(g.reduce_residue(), h.reduce_residue(), tol,
-                                roots=roots)
+    fail = g.ring.twist_coprime(g.reduce_residue(), h.reduce_residue(), roots=roots)
     if fail is not None:
         n, witness = fail
         raise TwistCoprimeFailure(n, witness)
@@ -187,7 +186,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     hres = h.reduce_residue()
     fres = f.reduce_residue()
     mismatch = (fres - gres * hres).max_abs()
-    if mismatch > mp.mpf(2) ** -(mp.prec // 4):
+    if mismatch > scalar.dust_tol():
         raise UsageError(f"res(f) != res(g)res(h) (deviation {mismatch})")
 
     twist_precheck(g, h, roots=roots)
@@ -204,8 +203,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     # corrections can grow with n (the true factors may have geometrically
     # growing coefficients); cancellation dust is judged against this scale
     scale = max(mp.mpf(1), f.max_abs())
-    floor = mp.mpf(2) ** -(mp.prec - 24)
-    dust_tol = mp.mpf(2) ** -(mp.prec // 4)
+    floor = scalar.floor_tol(24)
     # b_n depends on n only through k_n: one inverse serves every step when
     # the twist is the identity (alpha = 1), two when it has period 2
     # (C[[x, rho]])
@@ -219,7 +217,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         fn_max = fn_res.max_abs()
         p_res, qn_res, b_res = _solve_step(
             n, gres, ring.residue_twist(hres, n), fn_res, inverses, floor,
-            max(scale, fn_max) * dust_tol)
+            max(scale, fn_max) * scalar.dust_tol())
         xn = SkewPoly.constant(ring, ring.uniformizer_pow(n))
         p_corr = _lift(ring, p_res) * xn
         q_corr = _lift(ring, qn_res) * xn

@@ -19,14 +19,6 @@ from .errors import RootFindingError, UsageError
 from .scalar import INF, Alpha, conj_scalar, to_mpc
 
 
-def cluster_tol():
-    return mp.mpf(2) ** -(mp.prec // 3)
-
-
-def gcd_tol():
-    return mp.mpf(2) ** -(mp.prec // 2)
-
-
 def _trim_dust(coeffs):
     """Degree honesty: pop leading coefficients with |c| < zero_eps * M,
     M = max |c_i| over the given (nonzero-led) list.
@@ -212,7 +204,7 @@ class ResiduePoly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if tol is None:
-            tol = gcd_tol()
+            tol = scalar.zero_eps()
         q, r = _divmod(self.coeffs, other.coeffs, tol)
         return ResiduePoly(q, trim=False), ResiduePoly(r, trim=False)
 
@@ -255,17 +247,15 @@ class RootsReport:
         return len(self.pairs)
 
 
-def roots(p: ResiduePoly, tol=None, max_iter: int = 512) -> RootsReport:
+def roots(p: ResiduePoly) -> RootsReport:
     """All complex roots with multiplicities.
 
     Durand-Kerner from the deterministic start points (0.4+0.9i)^k, then
-    single-linkage clustering at ``tol`` (default 2^(-P/3)), then a few
+    single-linkage clustering at scalar.cluster_tol(), then a few
     multiplicity-aware Newton steps to sharpen each cluster center.
     """
     if p.degree < 1:
         raise UsageError("root finding needs degree >= 1")
-    if tol is None:
-        tol = cluster_tol()
     q = p.monic()
     d = q.degree
     if d == 1:
@@ -274,11 +264,11 @@ def roots(p: ResiduePoly, tol=None, max_iter: int = 512) -> RootsReport:
 
     base = mp.mpc("0.4", "0.9")
     zs = [base ** (k + 1) for k in range(d)]
-    hard = mp.mpf(2) ** -(mp.prec - 12)
-    soft = mp.mpf(2) ** -(mp.prec // 3)
+    hard = scalar.floor_tol(12)
+    soft = scalar.cluster_tol()
     prev = mp.inf
     settled = False
-    for _ in range(max_iter):
+    for _ in range(512):
         maxstep = mp.mpf(0)
         for k in range(d):
             denom = mp.mpc(1)
@@ -301,7 +291,7 @@ def roots(p: ResiduePoly, tol=None, max_iter: int = 512) -> RootsReport:
             break
         prev = maxstep
     if not settled:
-        raise RootFindingError(f"root iteration did not settle in {max_iter} steps",
+        raise RootFindingError("root iteration did not settle in 512 steps",
                                best=zs)
 
     # iterates around an m-fold root stall at radius ~eps^(1/m), so the
@@ -310,9 +300,9 @@ def roots(p: ResiduePoly, tol=None, max_iter: int = 512) -> RootsReport:
     order = sorted(range(d), key=lambda k: (mp.re(zs[k]), mp.im(zs[k])))
     zs = [zs[k] for k in order]
     dq = q.derivative()
-    good = mp.mpf(2) ** -(mp.prec // 2) * max(mp.mpf(1), q.max_abs())
+    good = scalar.zero_eps() * max(mp.mpf(1), q.max_abs())
     best = None
-    radius = tol
+    radius = soft
     for _ in range(max(2, mp.prec // 8)):
         pairs = _cluster_polish(q, dq, zs, radius, hard)
         dev = (ResiduePoly.from_roots(pairs) - q).max_abs()
@@ -365,7 +355,7 @@ def ext_gcd(p: ResiduePoly, q: ResiduePoly, tol=None):
     zero, which would be discarded.
     """
     if tol is None:
-        tol = gcd_tol()
+        tol = scalar.zero_eps()
     r0, r1 = p.coeffs, q.coeffs
     s0, s1 = [mp.mpc(1)], []
     t0, t1 = [], [mp.mpc(1)]
@@ -395,12 +385,13 @@ class TMap:
     on the working uniformizer.  T^n uses alpha_eff^(-n) in the same shape.
     """
 
-    __slots__ = ("alpha", "L", "a0")
+    __slots__ = ("alpha", "L", "a0", "_mults")
 
     def __init__(self, alpha, L: int = 1, a0=0):
         self.alpha = alpha if isinstance(alpha, Alpha) else Alpha(alpha)
         self.L = L
         self.a0 = to_mpc(a0)
+        self._mults = {}
 
     @property
     def is_identity(self) -> bool:
@@ -409,6 +400,14 @@ class TMap:
     def mult(self, n: int):
         """alpha_eff^(-n)."""
         return self.alpha.pow(Fraction(-n, self.L))
+
+    def mult_mpc(self, n: int):
+        """alpha_eff^(-n) as an mpc, memoized per (n, working precision)."""
+        key = (n, mp.prec)
+        s = self._mults.get(key)
+        if s is None:
+            s = self._mults[key] = to_mpc(self.mult(n))
+        return s
 
     def alpha_eff(self):
         return self.alpha.pow(Fraction(1, self.L))
@@ -434,7 +433,7 @@ def twist_residue(p: ResiduePoly, n: int, tmap: TMap) -> ResiduePoly:
     """
     if n == 0 or tmap.is_identity or p.is_zero:
         return p
-    s = to_mpc(tmap.mult(n))
+    s = tmap.mult_mpc(n)
     c0 = tmap.a0 * (s - 1)
     acc = [p.coeffs[-1]]
     for c in reversed(p.coeffs[:-1]):
@@ -444,13 +443,13 @@ def twist_residue(p: ResiduePoly, n: int, tmap: TMap) -> ResiduePoly:
     return ResiduePoly(acc, trim=False)
 
 
-def orbit_exponent(tmap: TMap, c1, c, tol=None, least: int = 0):
+def orbit_exponent(tmap: TMap, c1, c, least: int = 0):
     """The n >= least with T^n(c1) = c, or None.  Decided in closed form:
     membership means (c + a0) = alpha_eff^(-n) (c1 + a0).  When T fixes c1
     (T is the identity, or c1 is its fixed point -a0) the orbit is {c1}
-    and every n qualifies, so the answer is ``least``."""
-    if tol is None:
-        tol = cluster_tol()
+    and every n qualifies, so the answer is ``least``.  Roots match within
+    scalar.cluster_tol()."""
+    tol = scalar.cluster_tol()
     c1 = to_mpc(c1)
     c = to_mpc(c)
     scale_bound = 1 + abs(c1) + abs(c)
@@ -484,11 +483,11 @@ class OrbitPartition:
         return sum(m for _, _, m in self.members)
 
 
-def orbit_partition(root_pairs, c1, tmap: TMap, tol=None) -> OrbitPartition:
+def orbit_partition(root_pairs, c1, tmap: TMap) -> OrbitPartition:
     members = []
     outsiders = []
     for root, mult in root_pairs:
-        n = orbit_exponent(tmap, c1, root, tol)
+        n = orbit_exponent(tmap, c1, root)
         if n is None:
             outsiders.append((root, mult))
         else:
@@ -496,7 +495,7 @@ def orbit_partition(root_pairs, c1, tmap: TMap, tol=None) -> OrbitPartition:
     return OrbitPartition(to_mpc(c1), members, outsiders)
 
 
-def twist_coprime_affine(groots, hroots, tmap: TMap, tol=None):
+def twist_coprime_affine(groots, hroots, tmap: TMap):
     """Decide for all n >= 1 at once whether res g, with the (root,
     multiplicity) pairs ``groots``, is coprime to the n-twisted res h,
     with the pairs ``hroots``.  Fails iff some root c of res g and root c'
@@ -505,48 +504,41 @@ def twist_coprime_affine(groots, hroots, tmap: TMap, tol=None):
 
     Returns None when coprime for all n, else (n, t - c) for the least n.
     """
-    if tol is None:
-        tol = cluster_tol()
     best = None
     for c, _ in groots:
         for cp, _ in hroots:
-            n = orbit_exponent(tmap, c, cp, tol, least=1)
+            n = orbit_exponent(tmap, c, cp, least=1)
             if n is not None and (best is None or n < best[0]):
                 best = (n, ResiduePoly([-c, 1], trim=False))
     return best
 
 
 def twist_coprime_periodic(gres: ResiduePoly, hres: ResiduePoly, twist_fn,
-                           period: int, tol=None):
+                           period: int):
     """Twisted coprimality when phi acts on residues with a finite period:
     check n = 1..period explicitly via the extended gcd."""
-    if tol is None:
-        tol = gcd_tol()
     if gres.degree < 1 or hres.degree < 1:
         return None
     for n in range(1, period + 1):
-        g, _, _, _ = ext_gcd(gres, twist_fn(hres, n), tol)
+        g, _, _, _ = ext_gcd(gres, twist_fn(hres, n))
         if g.degree > 0:
             return (n, g)
     return None
 
 
-def refine_factor_pair(p: ResiduePoly, u: ResiduePoly, v: ResiduePoly,
-                       iters: int = 2, tol=None):
-    """Sharpen a coprime monic factorization p ~ u*v by Newton steps on the
-    coefficients: solve u*dv + du*v = p - uv through the Bezout identity.
+def refine_factor_pair(p: ResiduePoly, u: ResiduePoly, v: ResiduePoly):
+    """Sharpen a coprime monic factorization p ~ u*v by two Newton steps on
+    the coefficients: solve u*dv + du*v = p - uv through the Bezout identity.
 
     Root-based factor reconstruction is limited by the sqrt-of-epsilon
     accuracy floor at multiple roots; this correction converges
     quadratically to the full working precision instead.
     """
-    if tol is None:
-        tol = gcd_tol()
-    g, a, b = ext_gcd(u, v, tol)[:3]
+    g, a, b = ext_gcd(u, v)[:3]
     if g.degree != 0:
         return u, v
-    floor = mp.mpf(2) ** -(mp.prec - 8)
-    for _ in range(iters):
+    floor = scalar.floor_tol(8)
+    for _ in range(2):
         e = p - u * v
         if e.is_zero or e.max_abs() < floor:
             break
@@ -581,16 +573,16 @@ def gamma_elements(alpha_eff, d: int, depth: int):
     return out
 
 
-def delta_set_member(c, a0, alpha_eff, d: int, depth: int = 24, tol=None):
+def delta_set_member(c, a0, alpha_eff, d: int, depth: int = 24):
     """Diagnostic decision whether c lies in the set
     {a0 (d/(alpha_eff^(-n_1)+...+alpha_eff^(-n_d)) - 1)}.
 
     Returns ("member", (n_1..n_d)), ("nonmember", None) or ("unknown", None)
     when the search depth is exhausted without a decision.  Not on the
     factorization critical path: the driver certifies splits directly.
+    Values match within scalar.cluster_tol().
     """
-    if tol is None:
-        tol = cluster_tol()
+    tol = scalar.cluster_tol()
     c = to_mpc(c)
     a0 = to_mpc(a0)
     a = to_mpc(alpha_eff).real

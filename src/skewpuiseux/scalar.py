@@ -11,6 +11,18 @@ Gaussian-integer mantissas (``fixed_point``) and round each product
 coefficient once, to nearest at the working precision
 (``from_fixed_point``), so every product coefficient is the correctly
 rounded exact sum of its terms.
+
+Tolerance policy: only this module turns the working precision P into a
+threshold; every other module reads these levels by name.
+  zero_eps()     2^-(P/2)  zero tests and degree collapse (series, residue
+                           division, ext_gcd), root re-expansion, monicity
+                           and trace pins, verify_factorization's ``ok``
+  cluster_tol()  2^-(P/3)  root clustering and stall test, orbit matching,
+                           the Delta-set test, the factorizer's root order
+  dust_tol()     2^-(P/4)  res f mismatch and dust bound of hensel_lift, the
+                           factorizer's pullback-remainder warning
+  floor_tol(j)   2^-(P-j)  cancellation floors: hensel_lift (j = 24), roots
+                           (j = 12), refine_factor_pair (j = 8)
 """
 
 from __future__ import annotations
@@ -33,16 +45,6 @@ def bits(prec: int):
     return mp.workprec(prec)
 
 
-_ZERO_EPS_BITS = None  # None: derive from ambient precision
-
-
-def set_zero_eps_bits(bits_: int | None):
-    """Override the noise threshold to 2^(-bits_); None restores the
-    default 2^(-P/2)."""
-    global _ZERO_EPS_BITS
-    _ZERO_EPS_BITS = bits_
-
-
 @lru_cache(maxsize=64)
 def _pow2(k: int):
     return mp.mpf(2) ** k  # exact at any precision
@@ -50,9 +52,22 @@ def _pow2(k: int):
 
 def zero_eps():
     """Magnitude below which a numeric coefficient counts as noise."""
-    if _ZERO_EPS_BITS is not None:
-        return _pow2(-_ZERO_EPS_BITS)
     return _pow2(-(mp.prec // 2))
+
+
+def cluster_tol():
+    """Distance within which residue roots count as one."""
+    return _pow2(-(mp.prec // 3))
+
+
+def dust_tol():
+    """Relative size of cancellation dust a result may carry."""
+    return _pow2(-(mp.prec // 4))
+
+
+def floor_tol(j: int):
+    """Rounding floor j bits above the unit roundoff."""
+    return _pow2(-(mp.prec - j))
 
 
 def to_mpf(x):

@@ -96,7 +96,7 @@ class BaseRing:
         coefficient-of-x^n slice of the defect."""
         raise NotImplementedError
 
-    def twist_coprime(self, gres, hres, tol=None, *, roots=None):
+    def twist_coprime(self, gres, hres, *, roots=None):
         """Decide coprimality of gres against the n-twisted hres for all
         n >= 1; returns None if coprime, else (n, witness).  ``roots`` may
         hold the (root, multiplicity) lists of gres and hres; a ring that
@@ -119,10 +119,11 @@ class BaseRing:
 class PuiseuxRing(BaseRing):
     """Puiseux-series coefficients with sigma(x) = alpha*x and delta = delta_a."""
 
-    __slots__ = ("ctx",)
+    __slots__ = ("ctx", "_tmaps")
 
     def __init__(self, ctx: SkewContext):
         self.ctx = ctx
+        self._tmaps = {}  # working precision -> TMap
 
     @property
     def L(self) -> int:
@@ -195,22 +196,25 @@ class PuiseuxRing(BaseRing):
         return c1, c0
 
     def tmap(self) -> residue_mod.TMap:
-        a0 = to_mpc(self.a.residue()) if not self.a.is_zero else scalar.mp.mpc(0)
-        return residue_mod.TMap(self.alpha, self.L, a0)
+        """The residue map T of this ring, built once per working precision."""
+        tm = self._tmaps.get(scalar.mp.prec)
+        if tm is None:
+            a0 = to_mpc(self.a.residue()) if not self.a.is_zero else scalar.mp.mpc(0)
+            tm = self._tmaps[scalar.mp.prec] = residue_mod.TMap(self.alpha, self.L, a0)
+        return tm
 
     def residue_twist(self, p, n: int):
         return residue_mod.twist_residue(p, n, self.tmap())
 
-    def fn_residue(self, slice_n, n: int):
-        # left-shift by y^(-n) is plain here; phi^n then twists the slice
-        return residue_mod.twist_residue(slice_n, n, self.tmap())
+    # left-shift by y^(-n) is plain here; phi^n then twists the slice
+    fn_residue = residue_twist
 
-    def twist_coprime(self, gres, hres, tol=None, *, roots=None):
+    def twist_coprime(self, gres, hres, *, roots=None):
         if roots is None:
             if gres.degree < 1 or hres.degree < 1:
                 return None
-            roots = (residue_mod.roots(gres, tol), residue_mod.roots(hres, tol))
-        return residue_mod.twist_coprime_affine(*roots, self.tmap(), tol)
+            roots = (residue_mod.roots(gres), residue_mod.roots(hres))
+        return residue_mod.twist_coprime_affine(*roots, self.tmap())
 
     def coerce(self, a):
         if not isinstance(a, PuiseuxSeries):
@@ -420,9 +424,9 @@ class ConjSeriesRing(BaseRing):
         # t is central: right division by x^n is a plain exponent shift
         return slice_n
 
-    def twist_coprime(self, gres, hres, tol=None, *, roots=None):
+    def twist_coprime(self, gres, hres, *, roots=None):
         # phi has period 2 on residues: the ext_gcd check needs no roots
-        return residue_mod.twist_coprime_periodic(gres, hres, self.residue_twist, 2, tol)
+        return residue_mod.twist_coprime_periodic(gres, hres, self.residue_twist, 2)
 
     def coerce(self, a):
         if isinstance(a, ConjSeries):

@@ -155,7 +155,7 @@ def normalize_scaled(f: SkewPoly, r):
     # the leading coefficient is 1 by construction; pin it exactly
     lead = out.coeffs[-1]
     dev = (lead - 1).max_abs()
-    if dev > scalar.mp.mpf(2) ** -(scalar.mp.prec // 2):
+    if dev > scalar.zero_eps():
         raise PrecisionExhausted(f"scaled normalization lost monicity (dev={dev})")
     coeffs = list(out.coeffs)
     coeffs[-1] = target.one()

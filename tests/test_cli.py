@@ -181,3 +181,11 @@ def test_usage_error_without_alpha(capsys):
     code, _, err = run_cli(capsys, "factor", "t^2 - 1")
     assert code == 1
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol-root", "--tol-orbit", "--zero-bits"])
+def test_removed_tolerance_flags_are_rejected(capsys, flag):
+    code, out, err = run_cli(capsys, "factor", "--alpha", "2", flag, "40", "t^2 - 1")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err

@@ -10,6 +10,8 @@ import pytest
 from skewpuiseux.cli import main
 
 Q2 = "t^2 - (2+x)*t + (1+2*x)"
+# at 128 bits the lift of this cubic runs out of precision at n = 13
+CUBIC = "t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)"
 
 # (argv, exit code, stdout, stderr)
 GOLDEN = [
@@ -96,6 +98,12 @@ GOLDEN = [
      'obstruction: residues not coprime against the twist at n=1 (common factor t + 1i)\n'),
     (["hensel", "--base", "conj-series", "--prec", "6", "t^2 + (1+x)", "t + i", "t - i", "--json"],
      2, '{"error": "twist_coprime_failed", "n": 1, "witness": "t + 1i"}\n',
+     ''),
+    (["factor", "--alpha", "2", "--prec", "15", CUBIC],
+     4, '',
+     'error: hensel step did not raise the defect order at n=13\n'),
+    (["factor", "--alpha", "2", "--prec", "15", CUBIC, "--json"],
+     4, '{"error": "numerical", "kind": "SkewError", "message": "hensel step did not raise the defect order at n=13"}\n',
      ''),
 ]
 

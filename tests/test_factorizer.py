@@ -185,6 +185,7 @@ def test_verify_detects_wrong_order():
     bad = verify_factorization(f, Factorization([z2, z1], None, None, None, 1))
     assert good["residual"] < mp.mpf(2) ** -100
     assert bad["residual"] > mp.mpf("0.1")
+    assert good["ok"] and not bad["ok"]
 
 
 def test_non_monic_unit_extraction():

@@ -41,6 +41,24 @@ def test_example1_lift_to_order_20():
         assert st.defect.is_zero or st.defect.ord_k() >= st.n + 1
 
 
+def test_lift_builds_one_tmap(monkeypatch):
+    # the ring keeps its residue map T instead of building it for every
+    # twist, twice per step
+    f, g = _example1(2)
+    built = []
+    init = TMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TMap, "__init__", counting_init)
+    states = []
+    hensel_lift(f, g, g, 12, on_state=states.append)
+    assert len(states) > 1
+    assert len(built) <= 1
+
+
 def test_example1_alpha_one_fails_at_1():
     f, g = _example1(1)
     with pytest.raises(TwistCoprimeFailure) as exc:

@@ -5,7 +5,8 @@ from mpmath import mp
 
 from skewpuiseux import Alpha, GaussianRational, alpha_pow, bits
 from skewpuiseux.errors import UsageError
-from skewpuiseux.scalar import is_negligible, set_zero_eps_bits, zero_eps
+from skewpuiseux.scalar import (cluster_tol, dust_tol, floor_tol, is_negligible,
+                                zero_eps)
 
 from conftest import rng
 
@@ -131,19 +132,18 @@ def test_zero_test_matches_modulus_threshold():
     assert not is_negligible(GaussianRational(0, Fraction(1, 10**40)))
 
 
-def test_zero_eps_follows_precision_and_override():
-    try:
-        for prec in (64, 128, 161, 256, 128):
-            with bits(prec):
-                assert zero_eps() == mp.ldexp(1, -(prec // 2))
-                assert is_negligible(mp.ldexp(1, -(prec // 2) - 1))
-                assert not is_negligible(mp.ldexp(1, -(prec // 2)))
-        set_zero_eps_bits(40)
-        with bits(256):
-            assert zero_eps() == mp.ldexp(1, -40)
-            assert not is_negligible(mp.ldexp(1, -40))
-        set_zero_eps_bits(None)
-        with bits(256):
-            assert zero_eps() == mp.ldexp(1, -128)
-    finally:
-        set_zero_eps_bits(None)
+# binary exponents of zero_eps, cluster_tol and dust_tol at each precision
+TOLERANCE_LEVELS = {64: (-32, -21, -16), 128: (-64, -42, -32),
+                    161: (-80, -53, -40), 256: (-128, -85, -64)}
+
+
+def test_tolerance_levels_follow_precision():
+    for prec, (ez, ec, ed) in TOLERANCE_LEVELS.items():
+        with bits(prec):
+            assert zero_eps() == mp.ldexp(1, ez)
+            assert cluster_tol() == mp.ldexp(1, ec)
+            assert dust_tol() == mp.ldexp(1, ed)
+            for j in (8, 12, 24):
+                assert floor_tol(j) == mp.ldexp(1, j - prec)
+            assert is_negligible(mp.ldexp(1, ez - 1))
+            assert not is_negligible(mp.ldexp(1, ez))
