@@ -22,7 +22,7 @@ from . import scalar
 from .errors import (MathObstruction, Obstruction, SkewError, TwistCoprimeFailure,
                      UsageError)
 from .factorizer import (FactorConfig, Factorization, newton_puiseux_factor,
-                         sigma_zero_quadratic, verify_factorization)
+                         sigma_zero, sigma_zero_quadratic, verify_factorization)
 from .hensel import hensel_lift
 from .parsing import (parse_poly, parse_scalar, parse_series, poly_to_str,
                       series_to_str)
@@ -42,7 +42,8 @@ def _add_common(sp, alpha_required=True, base_choice=False):
     sp.add_argument("--prec", default="16",
                     help="target series order (rational, default 16)")
     sp.add_argument("--bits", type=int, default=None,
-                    help="scalar precision in bits (default 128 or $SKEWPUISEUX_BITS)")
+                    help=f"scalar precision in bits, at least {scalar.MIN_BITS} "
+                         "(default 128 or $SKEWPUISEUX_BITS)")
     sp.add_argument("--ramification-cap", type=int, default=256)
     sp.add_argument("--max-classical-iterations", type=int, default=64)
     sp.add_argument("--json", action="store_true", help="JSON output")
@@ -126,7 +127,11 @@ def _alpha_from(args, allow_complex_cmds=("sigma-zero", "eval")) -> Alpha:
 def _config(args) -> FactorConfig:
     bits_ = args.bits
     if bits_ is None:
-        bits_ = int(os.environ.get("SKEWPUISEUX_BITS", "128"))
+        env = os.environ.get("SKEWPUISEUX_BITS", "128")
+        try:
+            bits_ = int(env)
+        except ValueError:
+            raise UsageError(f"SKEWPUISEUX_BITS must be an integer, not {env!r}") from None
     return FactorConfig(
         target_order=Fraction(args.prec),
         bits=bits_,
@@ -204,8 +209,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         if alpha.allow_complex or (f.degree == 2 and not alpha.is_real_positive):
             z = sigma_zero_quadratic(f, cfg)
         else:
-            fac = newton_puiseux_factor(f, cfg)
-            z = fac.zeros[-1]
+            z = sigma_zero(f, cfg)
         ev = f.evaluate(z)
         check = ev.ord()
         if ev.trunc is not None:
@@ -218,13 +222,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
     if cmd == "eval":
         ring = _ring_for(args)
         f = parse_poly(_read_arg(args.poly), ring)
-        val = parse_series(_read_arg(args.value))
-        if isinstance(ring, ConjSeriesRing):
-            from .parsing import series_to_conj
-            a = series_to_conj(val)
-        else:
-            a = val
-        out = f.evaluate(a)
+        out = f.evaluate(parse_series(_read_arg(args.value)))
         payload = {"value": series_to_str(out)}
         _emit(args, payload, [payload["value"]])
         return EXIT_OK

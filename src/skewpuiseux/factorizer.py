@@ -53,6 +53,8 @@ class FactorConfig:
 
     def __post_init__(self):
         self.target_order = Fraction(self.target_order)
+        if self.bits < scalar.MIN_BITS:
+            raise UsageError(f"bits must be at least {scalar.MIN_BITS}, not {self.bits}")
 
 
 @dataclass
@@ -128,18 +130,7 @@ class _Engine:
         aeff = to_mpc(tmap.alpha_eff()).real
         scored = []
         for c, mult in rts:
-            if abs(a0) <= tol:
-                certified = abs(c) > tol
-            else:
-                ratio = c / a0
-                if abs(mp.im(ratio)) > tol * (1 + abs(ratio)):
-                    certified = True
-                elif aeff > 1:
-                    certified = mp.re(ratio) < -tol
-                elif aeff < 1:
-                    certified = mp.re(ratio) > tol
-                else:
-                    certified = abs(c) > tol
+            certified = residue_mod.delta_pretest(c, a0, aeff, tol) is False
             scored.append((abs(c + a0), 0 if certified else 1,
                            mp.re(c), mp.im(c), (c, mult)))
         first = 1 if tmap.is_identity else 0

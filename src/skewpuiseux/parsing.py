@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError, UsageError
+from .errors import ParseError
 from .puiseux import PuiseuxSeries
 from .scalar import INF, GaussianRational, fmt_scalar, fmt_term, to_mpc
 
@@ -86,24 +86,15 @@ class _Tokens:
         raise ParseError(self.text, self.peek()[2], msg)
 
 
-def _num_fraction(tok_value: str) -> Fraction:
-    return Fraction(tok_value)
-
-
 def _parse_satom(ts: _Tokens) -> GaussianRational:
     t = ts.peek()
     if t[0] == "num":
         ts.next()
-        v = _num_fraction(t[1])
-        if ts.peek() == ("name", "i", ts.peek()[2]) or (ts.peek()[0] == "name" and ts.peek()[1] == "i"):
-            ts.next()
-            return GaussianRational(0, v)
-        return GaussianRational(v, 0)
-    if t[0] == "name" and t[1] == "i":
-        ts.next()
+        v = Fraction(t[1])
+        return GaussianRational(0, v) if ts.accept("name", "i") else GaussianRational(v, 0)
+    if ts.accept("name", "i"):
         return GaussianRational(0, 1)
-    if t == ("op", "(", t[2]) or (t[0] == "op" and t[1] == "("):
-        ts.next()
+    if ts.accept("op", "("):
         v = _parse_sexpr(ts)
         ts.expect("op", ")")
         return v
@@ -264,6 +255,11 @@ def _parse_pcoeff(ts: _Tokens):
     return PuiseuxSeries.constant(to_mpc(v))
 
 
+def _parse_tpow(ts: _Tokens) -> int:
+    """The degree of 't' ['^' INT], its 't' already read."""
+    return int(ts.expect("num")[1]) if ts.accept("op", "^") else 1
+
+
 def parse_poly(text: str, ring):
     """Parse the polynomial grammar into a SkewPoly over the given ring."""
     from .skewpoly import SkewPoly
@@ -280,30 +276,17 @@ def parse_poly(text: str, ring):
         elif not first:
             break
         first = False
-        t = ts.peek()
-        if t[0] == "name" and t[1] == "t":
-            ts.next()
-            deg = 1
-            if ts.accept("op", "^"):
-                num = ts.expect("num")
-                deg = int(num[1])
+        if ts.accept("name", "t"):
+            deg = _parse_tpow(ts)
             coeff = PuiseuxSeries.constant(sign)
         else:
             coeff = _parse_pcoeff(ts)
             if sign < 0:
                 coeff = -coeff
             deg = 0
-            if ts.peek()[0] == "op" and ts.peek()[1] == "*":
-                save = ts.k
-                ts.next()
-                if ts.peek()[0] == "name" and ts.peek()[1] == "t":
-                    ts.next()
-                    deg = 1
-                    if ts.accept("op", "^"):
-                        num = ts.expect("num")
-                        deg = int(num[1])
-                else:
-                    ts.k = save
+            if ts.peek()[:2] == ("op", "*") and ts.peek(1)[:2] == ("name", "t"):
+                ts.k += 2
+                deg = _parse_tpow(ts)
         if deg in coeffs:
             coeffs[deg] = coeffs[deg] + coeff
         else:
@@ -317,39 +300,9 @@ def parse_poly(text: str, ring):
         ts.error("trailing input after polynomial")
     d = max(coeffs) if coeffs else 0
     lst = [coeffs.get(i, PuiseuxSeries.zero()) for i in range(d + 1)]
-    from .skewpoly import PuiseuxRing
-
-    if isinstance(ring, PuiseuxRing):
-        for c in lst:
-            ring = ring.accommodate(c)
-    return SkewPoly(ring, [_to_ring_coeff(ring, c) for c in lst])
-
-
-def _to_ring_coeff(ring, series: PuiseuxSeries):
-    from .skewpoly import ConjSeriesRing, PuiseuxRing
-
-    if isinstance(ring, PuiseuxRing):
-        return series
-    if isinstance(ring, ConjSeriesRing):
-        return series_to_conj(series)
-    raise UsageError(f"cannot parse coefficients for ring {ring!r}")
-
-
-def series_to_conj(series: PuiseuxSeries):
-    """Reinterpret an integral-exponent series as an element of C[[x, rho]]."""
-    from .skewpoly import ConjSeries
-
-    if series.L != 1:
-        if any(k % series.L for k in series.terms):
-            raise UsageError("C[[x,rho]] coefficients need integer exponents")
-        series = PuiseuxSeries(1, {k // series.L: c for k, c in series.terms.items()},
-                               None if series.trunc is None else series.trunc // series.L,
-                               normalize=False)
-    return ConjSeries(dict(series.terms), series.trunc)
-
-
-def conj_to_series(u) -> PuiseuxSeries:
-    return PuiseuxSeries(1, dict(u.terms), u.trunc, normalize=False)
+    for c in lst:
+        ring = ring.accommodate(c)
+    return SkewPoly(ring, lst)
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +310,11 @@ def conj_to_series(u) -> PuiseuxSeries:
 
 
 def series_to_str(s) -> str:
-    from .skewpoly import ConjSeries
-
-    if isinstance(s, ConjSeries):
-        s = conj_to_series(s)
     return str(s)
 
 
 def _coeff_to_str(c) -> str:
     """Render a polynomial coefficient; (series) unless a bare scalar."""
-    from .skewpoly import ConjSeries
-
-    if isinstance(c, ConjSeries):
-        c = conj_to_series(c)
     if isinstance(c, PuiseuxSeries):
         if c.trunc is None and set(c.terms) <= {0}:
             return fmt_scalar(c.terms.get(0, 0))

@@ -447,19 +447,3 @@ class SkewContext:
     def __repr__(self):
         return f"SkewContext(alpha={self.alpha!r}, L={self.L}, a={self.a})"
 
-
-def sigma_apply(f: PuiseuxSeries, q, alpha) -> PuiseuxSeries:
-    """sigma^q applied to f (free-function form)."""
-    if not isinstance(alpha, Alpha):
-        alpha = Alpha(alpha)
-    return f.sigma_pow(q, alpha)
-
-
-def trace_apply(b: PuiseuxSeries, d: int, alpha) -> PuiseuxSeries:
-    """b + sigma(b) + ... + sigma^(d-1)(b)."""
-    if not isinstance(alpha, Alpha):
-        alpha = Alpha(alpha)
-    acc = b
-    for j in range(1, d):
-        acc = acc + b.sigma_pow(j, alpha)
-    return acc

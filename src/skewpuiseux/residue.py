@@ -573,6 +573,24 @@ def gamma_elements(alpha_eff, d: int, depth: int):
     return out
 
 
+def delta_pretest(c, a0, aeff, tol):
+    """The quick tests of Delta-set membership, for mpc c and a0 and real
+    aeff = alpha_eff.  False when c is certainly outside the set (c/a0
+    nonreal, or Re(c/a0) of the sign that no alpha_eff^(-n) sum reaches);
+    True or False when the set is {0} (a0 = 0 or alpha_eff = 1), as c is 0
+    or not; None when only the search over n can tell."""
+    if abs(a0) <= tol:
+        return abs(c) <= tol
+    ratio = c / a0
+    if abs(mp.im(ratio)) > tol * (1 + abs(ratio)):
+        return False
+    if (aeff > 1 and mp.re(ratio) < -tol) or (aeff < 1 and mp.re(ratio) > tol):
+        return False
+    if aeff == 1:
+        return abs(c) <= tol
+    return None
+
+
 def delta_set_member(c, a0, alpha_eff, d: int, depth: int = 24):
     """Diagnostic decision whether c lies in the set
     {a0 (d/(alpha_eff^(-n_1)+...+alpha_eff^(-n_d)) - 1)}.
@@ -586,18 +604,10 @@ def delta_set_member(c, a0, alpha_eff, d: int, depth: int = 24):
     c = to_mpc(c)
     a0 = to_mpc(a0)
     a = to_mpc(alpha_eff).real
-    if a == 1:
-        return ("member", tuple([0] * d)) if abs(c) <= tol else ("nonmember", None)
-    if abs(a0) <= tol:
-        return ("member", tuple([0] * d)) if abs(c) <= tol else ("nonmember", None)
-    ratio = c / a0
-    if abs(mp.im(ratio)) > tol * (1 + abs(ratio)):
-        return ("nonmember", None)
-    x = mp.re(ratio)
-    if a > 1 and x < -tol:
-        return ("nonmember", None)
-    if a < 1 and x > tol:
-        return ("nonmember", None)
+    quick = delta_pretest(c, a0, a, tol)
+    if quick is not None:
+        return ("member", tuple([0] * d)) if quick else ("nonmember", None)
+    x = mp.re(c / a0)
     if x <= -1 + tol:
         return ("nonmember", None)
     target = d / (1 + x)  # required sum of alpha_eff^(-n_k)

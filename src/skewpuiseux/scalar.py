@@ -23,6 +23,8 @@ threshold; every other module reads these levels by name.
                            factorizer's pullback-remainder warning
   floor_tol(j)   2^-(P-j)  cancellation floors: hensel_lift (j = 24), roots
                            (j = 12), refine_factor_pair (j = 8)
+The levels keep this order, floor_tol(24) < zero_eps() < cluster_tol() <
+dust_tol(), from P = MIN_BITS on.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .errors import UsageError
 Rational = Fraction
 
 INF = float("inf")
+
+# the least working precision: floor_tol(24) < zero_eps() needs P - 24 > P // 2
+MIN_BITS = 2 * 24 + 1
 
 
 def bits(prec: int):

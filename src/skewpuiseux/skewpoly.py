@@ -7,6 +7,12 @@ ring C[[x, rho]] (rho = complex conjugation) with a central t.  A thin
 complex-field instance C[t, rho] (no uniformizer) supports substitution
 examples.  Everything a polynomial needs from its coefficients goes through
 the ring object, so the lifting and factoring engines stay generic.
+
+The coefficients are plain values and the twist lives in the ring: an
+element of C[[x, rho]] is a ``PuiseuxSeries`` with L = 1, as an element of
+C[t, rho] is an mpc.  Their own ``*`` is the commutative product; the
+twisted product x*u = rho(u)*x is ``ConjSeriesRing.mul``, which is what
+``SkewPoly`` multiplies through.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ class BaseRing:
 
     The maximal ideal is generated by a uniformizer; orders (``ord_k``) are
     measured in integer units of it.  ``phi`` is conjugation by the
-    uniformizer: phi(p) * x = x * p.
+    uniformizer: phi(p) * x = x * p.  The defaults for the arithmetic and
+    the zero and one tests are those of series-valued elements; a ring
+    overrides what differs.
     """
 
     def zero(self):
@@ -39,22 +47,22 @@ class BaseRing:
         raise NotImplementedError
 
     def is_zero(self, a) -> bool:
-        raise NotImplementedError
+        return a.is_zero
 
     def is_one_value(self, a) -> bool:
-        raise NotImplementedError
+        return set(a.terms) == {0} and to_mpc(a.terms[0]) == 1
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return a - b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def sigma(self, a):
         raise NotImplementedError
@@ -145,24 +153,6 @@ class PuiseuxRing(BaseRing):
 
     def from_scalar(self, c):
         return PuiseuxSeries.constant(c, self.L)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
-    def is_one_value(self, a) -> bool:
-        return set(a.terms) == {0} and to_mpc(a.terms[0]) == 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def sigma(self, a):
         return self.ctx.sigma(a)
@@ -255,141 +245,37 @@ class PuiseuxRing(BaseRing):
         return f"PuiseuxRing(alpha={self.alpha!r}, L={self.L}, a={self.a})"
 
 
-class ConjSeries:
-    """Element of the skew power series ring C[[x, rho]]: a sparse map
-    k -> u_k with x*u = conj(u)*x, so (sum u_i x^i)(sum v_j x^j) collects
-    u_i * rho^i(v_j) at x^(i+j)."""
+class ConjSeriesRing(BaseRing):
+    """C[[x, rho]] as coefficient ring of R = A[t] with central t
+    (sigma = id, delta = 0 at the polynomial level).
 
-    __slots__ = ("terms", "trunc")
+    An element is a ``PuiseuxSeries`` with L = 1 and no negative powers
+    (``coerce`` admits nothing else).  Its own ``*`` is the commutative
+    product; the twisted product x*u = rho(u)*x is ``mul``."""
 
-    def __init__(self, terms: dict, trunc=None, *, normalize: bool = True):
-        self.trunc = trunc
-        if normalize:
-            eps = scalar.zero_eps()
-            self.terms = {k: c for k, c in terms.items()
-                          if (trunc is None or k < trunc) and not is_negligible(c, eps)}
-        else:
-            self.terms = dict(terms)
-        if any(k < 0 for k in self.terms):
-            raise UsageError("C[[x,rho]] has no negative powers")
+    def zero(self):
+        return PuiseuxSeries.zero()
 
-    @classmethod
-    def constant(cls, c):
-        return cls({0: c})
+    def one(self):
+        return PuiseuxSeries.one()
 
-    @property
-    def is_zero(self):
-        return not self.terms
+    def from_scalar(self, c):
+        return PuiseuxSeries.constant(c)
 
-    def ord_k(self):
-        if self.terms:
-            return min(self.terms)
-        return INF if self.trunc is None else self.trunc
-
-    def __add__(self, other):
-        t = self.trunc if other.trunc is None else (
-            other.trunc if self.trunc is None else min(self.trunc, other.trunc))
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return ConjSeries(terms, t)
-
-    def __neg__(self):
-        return ConjSeries({k: -c for k, c in self.terms.items()}, self.trunc,
-                          normalize=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        ta = INF if self.trunc is None else self.trunc
-        tb = INF if other.trunc is None else other.trunc
-        t = min(ta + other.ord_k(), tb + self.ord_k())
+    def mul(self, a, b):
+        """(sum u_i x^i)(sum v_j x^j) collects u_i * rho^i(v_j) at x^(i+j)."""
+        ta = INF if a.trunc is None else a.trunc
+        tb = INF if b.trunc is None else b.trunc
+        t = min(ta + b.ord_k(), tb + a.ord_k())
         terms: dict = {}
-        for i, u in self.terms.items():
-            for j, v in other.terms.items():
+        for i, u in a.terms.items():
+            for j, v in b.terms.items():
                 k = i + j
                 if k >= t:
                     continue
                 w = v if i % 2 == 0 else conj_scalar(v)
                 terms[k] = terms.get(k, 0) + u * w
-        return ConjSeries(terms, None if t == INF else int(t))
-
-    def conj_map(self):
-        """phi on C[[x,rho]]: conjugate every coefficient, exponents fixed."""
-        return ConjSeries({k: conj_scalar(c) for k, c in self.terms.items()},
-                          self.trunc, normalize=False)
-
-    def truncate(self, T_k):
-        """Restrict knowledge to exponents < T_k."""
-        if T_k == INF:
-            return self
-        t = int(T_k) if self.trunc is None else min(self.trunc, int(T_k))
-        return ConjSeries({k: c for k, c in self.terms.items() if k < t}, t,
-                          normalize=False)
-
-    def drop_small_upto(self, k_max: int, tol):
-        terms = {k: c for k, c in self.terms.items()
-                 if k > k_max or abs(to_mpc(c)) > tol}
-        return ConjSeries(terms, self.trunc, normalize=False)
-
-    def x_shift(self, j: int):
-        """Left-multiply by x^j: x^j * u_k x^k = rho^j(u_k) x^(j+k)."""
-        terms = {}
-        for k, c in self.terms.items():
-            if k + j < 0:
-                raise UsageError("shift below x^0 in C[[x,rho]]")
-            terms[k + j] = c if j % 2 == 0 else conj_scalar(c)
-        t = None if self.trunc is None else self.trunc + j
-        return ConjSeries(terms, t, normalize=False)
-
-    def max_abs(self):
-        if not self.terms:
-            return scalar.mp.mpf(0)
-        return max(abs(to_mpc(c)) for c in self.terms.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, ConjSeries):
-            return NotImplemented
-        return self.terms == other.terms and self.trunc == other.trunc
-
-    __hash__ = None
-
-    def __repr__(self):
-        body = " + ".join(f"{scalar.fmt_scalar(c)}*x^{k}" for k, c in sorted(self.terms.items()))
-        return f"<ConjSeries {body or '0'}>"
-
-
-class ConjSeriesRing(BaseRing):
-    """C[[x, rho]] as coefficient ring of R = A[t] with central t
-    (sigma = id, delta = 0 at the polynomial level)."""
-
-    def zero(self):
-        return ConjSeries({}, None, normalize=False)
-
-    def one(self):
-        return ConjSeries({0: 1}, None, normalize=False)
-
-    def from_scalar(self, c):
-        return ConjSeries.constant(c)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
-    def is_one_value(self, a) -> bool:
-        return set(a.terms) == {0} and to_mpc(a.terms[0]) == 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+        return PuiseuxSeries(1, terms, None if t == INF else int(t))
 
     def sigma(self, a):
         return a
@@ -404,15 +290,18 @@ class ConjSeriesRing(BaseRing):
         return to_mpc(a.terms.get(0, 0))
 
     def x_shift(self, a, j: int):
-        return a.x_shift(j)
+        """x^j * u_k x^k = rho^j(u_k) x^(j+k)."""
+        if a.terms and min(a.terms) + j < 0:
+            raise UsageError("shift below x^0 in C[[x,rho]]")
+        return self.phi_coeff(a, j).x_shift(j)
 
     def uniformizer_pow(self, j: int):
         if j < 0:
             raise UsageError("C[[x,rho]] has no negative powers")
-        return ConjSeries({j: 1}, None, normalize=False)
+        return PuiseuxSeries(1, {j: 1}, None, normalize=False)
 
     def phi_coeff(self, a, n: int = 1):
-        return a if n % 2 == 0 else a.conj_map()
+        return a if n % 2 == 0 else a.conjugate()
 
     def phi_t(self, n: int = 1):
         return self.one(), self.zero()
@@ -429,9 +318,16 @@ class ConjSeriesRing(BaseRing):
         return residue_mod.twist_coprime_periodic(gres, hres, self.residue_twist, 2)
 
     def coerce(self, a):
-        if isinstance(a, ConjSeries):
-            return a
-        return ConjSeries.constant(a)
+        if not isinstance(a, PuiseuxSeries):
+            return PuiseuxSeries.constant(a)
+        if a.L != 1:
+            if any(k % a.L for k in a.terms):
+                raise UsageError("C[[x,rho]] coefficients need integer exponents")
+            a = PuiseuxSeries(1, {k // a.L: c for k, c in a.terms.items()},
+                              None if a.trunc is None else a.trunc // a.L)
+        if a.terms and min(a.terms) < 0:
+            raise UsageError("C[[x,rho]] has no negative powers")
+        return a
 
     def unify(self, other):
         if isinstance(other, ConjSeriesRing):
@@ -466,18 +362,6 @@ class ComplexConjRing(BaseRing):
     def is_one_value(self, a) -> bool:
         return to_mpc(a) == 1
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def sigma(self, a):
         return conj_scalar(a)
 
@@ -488,6 +372,8 @@ class ComplexConjRing(BaseRing):
         return INF if self.is_zero(a) else 0
 
     def coerce(self, a):
+        if isinstance(a, PuiseuxSeries):
+            raise UsageError("C[t,rho] coefficients are complex numbers, not series")
         return to_mpc(a)
 
     def unify(self, other):
@@ -669,9 +555,10 @@ class SkewPoly:
         The division reads the rows t^k (t - a), k < deg f, from one table:
         deg f - 1 shifts of t - a.
         """
-        if self.is_zero:
-            return self.ring.zero()
         ring = self.ring.accommodate(a)
+        a = ring.coerce(a)
+        if self.is_zero:
+            return ring.zero()
         _, rem = self.left_divmod(SkewPoly.t_minus(ring, a))
         return rem.coeff(0)
 

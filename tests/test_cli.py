@@ -45,6 +45,14 @@ def test_sigma_zero_command(capsys):
         assert abs(z.coeff(2) + 1) < mp.mpf(2) ** -96
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_sigma_zero_of_a_constant_is_a_usage_error(capsys, json_flag):
+    code, out, err = run_cli(capsys, "sigma-zero", "--alpha", "2", "5", *json_flag)
+    assert code == 1
+    assert out == ""
+    assert err == "error: sigma_zero needs degree >= 1\n"
+
+
 def test_hensel_twist_failure_exit_code(capsys):
     code, out, _ = run_cli(capsys, "hensel", "--alpha", "1", "--prec", "8",
                            "--json", "t^2 - (2+x)*t + (1+2*x)", "t - 1", "t - 1")
@@ -169,6 +177,37 @@ def test_env_var_bits(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "sigma-zero", "--alpha", "2", "--prec", "6",
                            "--json", "t^2 - (2+x)*t + (1+2*x)")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-5", "48"])
+def test_bits_below_the_least_precision_are_rejected(capsys, value):
+    code, out, err = run_cli(capsys, "factor", "--alpha", "2", "--bits", value,
+                             "t^2 - 3*t + 2")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: bits must be at least 49, not {value}\n"
+
+
+def test_least_precision_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "factor", "--alpha", "2", "--bits", "49",
+                           "--prec", "5", "--json", "t^2 - 3*t + 2")
+    assert code == 0
+    assert json.loads(out)["factors"] == ["t + (-1 + O(x^9))", "t + (-2 + O(x^9))"]
+
+
+@pytest.mark.parametrize("value", ["abc", "12.5", "0"])
+def test_bad_env_var_bits_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SKEWPUISEUX_BITS", value)
+    code, out, err = run_cli(capsys, "factor", "--alpha", "2", "t - 1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_bits_help_states_the_least_precision(capsys):
+    code, out, _ = run_cli(capsys, "factor", "--help")
+    assert code == 0
+    assert "at least 49" in " ".join(out.split())
 
 
 def test_parse_error_exit_code(capsys):

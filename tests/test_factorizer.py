@@ -20,6 +20,12 @@ from props import check_end_to_end, check_factors_to_order, end_to_end_input
 PS = PuiseuxSeries
 
 
+@pytest.mark.parametrize("bits_", [0, 1, -5, 48])
+def test_factor_config_rejects_bits_below_the_least_precision(bits_):
+    with pytest.raises(UsageError, match="at least 49"):
+        FactorConfig(bits=bits_)
+
+
 def test_roots_run_once_per_prop_split_lift(monkeypatch):
     # the orbit split hands its residue roots to the lift's twist check,
     # and the t-split knows its roots (all 0), so neither searches again

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (ConjSeriesRing, GaussianRational, parse_poly,
+from skewpuiseux import (ComplexConjRing, ConjSeriesRing, GaussianRational, parse_poly,
                          parse_scalar, parse_series, poly_to_str, puiseux_ring,
                          series_to_str)
-from skewpuiseux.errors import ParseError
+from skewpuiseux.errors import ParseError, UsageError
 
 from conftest import rand_poly, rand_series, rng
 
@@ -104,6 +104,15 @@ def test_conj_series_ring_parsing():
     assert f.degree == 2
     assert f.coeffs[0].terms[0] == mp.mpc(1)
     assert f.coeffs[0].terms[1] == mp.mpc(1)
+    # C[[x, rho]] elements are L = 1 series: integral exponents re-index
+    g = parse_poly("t + (x + O(x^(5/2)))", CR)
+    assert (g.coeffs[0].L, g.coeffs[0].terms, g.coeffs[0].trunc) == (1, {1: 1}, 2)
+    with pytest.raises(UsageError, match="integer exponents"):
+        parse_poly("t + x^(1/2)", CR)
+    with pytest.raises(UsageError, match="no negative powers"):
+        parse_poly("t + x^-1", CR)
+    with pytest.raises(UsageError, match="complex numbers"):
+        parse_poly("t + 1", ComplexConjRing())
 
 
 def test_position_annotated_errors():

@@ -5,13 +5,12 @@ from mpmath import mp
 
 from mpmath.libmp import to_rational
 
-from skewpuiseux import (Alpha, GaussianRational, PuiseuxSeries, SkewContext,
-                         bits, sigma_apply, trace_apply)
+from skewpuiseux import Alpha, GaussianRational, PuiseuxSeries, SkewContext, bits
 from skewpuiseux.errors import PrecisionExhausted, UsageError, ZeroInversion
 from skewpuiseux.scalar import INF, is_negligible, to_mpf
 
 from conftest import rand_series, rng
-from props import check_leibniz
+from props import check_leibniz, trace_apply
 
 PS = PuiseuxSeries
 
@@ -26,18 +25,18 @@ def test_ord_examples():
 
 def test_sigma_defining_action():
     x = PS.x_pow(1)
-    assert sigma_apply(x, 1, Alpha(2)) == PS.from_terms([(1, 2)])
+    assert x.sigma_pow(1, Alpha(2)) == PS.from_terms([(1, 2)])
 
 
 def test_sigma_on_ramified_uniformizer():
     h = PS.x_pow(Fraction(1, 2))
-    out = sigma_apply(h, 1, Alpha(4))
+    out = h.sigma_pow(1, Alpha(4))
     assert (out - PS.from_terms([(Fraction(1, 2), 2)])).max_abs() == 0
 
 
 def test_sigma_fixes_constants():
     c = PS.constant(5)
-    assert sigma_apply(c, Fraction(7, 3), Alpha(3)) == c
+    assert c.sigma_pow(Fraction(7, 3), Alpha(3)) == c
 
 
 def test_delta_examples():
@@ -93,8 +92,8 @@ def test_sigma_composition():
         f = rand_series(rnd, rnd.choice([1, 2]), -2, 4)
         q1 = Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
         q2 = Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
-        lhs = sigma_apply(f, q1 + q2, alpha)
-        rhs = sigma_apply(sigma_apply(f, q2, alpha), q1, alpha)
+        lhs = f.sigma_pow(q1 + q2, alpha)
+        rhs = f.sigma_pow(q2, alpha).sigma_pow(q1, alpha)
         assert (lhs - rhs).max_abs() <= tol * max(1, f.max_abs()) * 8
 
 

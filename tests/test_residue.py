@@ -8,7 +8,7 @@ from skewpuiseux import (Alpha, ConjSeriesRing, ResiduePoly, TMap,
                          refine_factor_pair, roots, twist_coprime_affine,
                          twist_coprime_periodic, twist_residue)
 from skewpuiseux.errors import UsageError
-from skewpuiseux.residue import gamma_elements
+from skewpuiseux.residue import delta_pretest, gamma_elements
 from skewpuiseux.scalar import to_mpc, zero_eps
 
 from conftest import rand_coeff, rng
@@ -223,6 +223,23 @@ def test_delta_set_examples():
     # a genuine member: d=2, n = (0, 1): a0 (2/(1 + 1/2) - 1) = a0/3
     verdict, ns = delta_set_member(mp.mpf(1) / 3, 1, mp.mpf(2), 2, depth=8)
     assert verdict == "member" and tuple(sorted(ns)) == (0, 1)
+
+
+def test_delta_pretest_decides_the_quick_cases():
+    tol = mp.mpf(2) ** -40
+    one, i = mp.mpc(1), mp.mpc(0, 1)
+    # a0 = 0 or alpha_eff = 1: the set is {0}
+    assert delta_pretest(mp.mpc(0), mp.mpc(0), mp.mpf(2), tol) is True
+    assert delta_pretest(one, mp.mpc(0), mp.mpf(2), tol) is False
+    assert delta_pretest(mp.mpc(0), one, mp.mpf(1), tol) is True
+    assert delta_pretest(one, one, mp.mpf(1), tol) is False
+    # c/a0 nonreal, or of the sign no alpha_eff^(-n) sum reaches
+    assert delta_pretest(i, one, mp.mpf(2), tol) is False
+    assert delta_pretest(-one / 2, one, mp.mpf(2), tol) is False
+    assert delta_pretest(one / 2, one, mp.mpf(1) / 2, tol) is False
+    # otherwise only the search can tell
+    assert delta_pretest(one / 2, one, mp.mpf(2), tol) is None
+    assert delta_pretest(-one / 2, one, mp.mpf(1) / 2, tol) is None
 
 
 def test_gamma_sign_structure():

@@ -5,8 +5,8 @@ from mpmath import mp
 
 from skewpuiseux import Alpha, GaussianRational, alpha_pow, bits
 from skewpuiseux.errors import UsageError
-from skewpuiseux.scalar import (cluster_tol, dust_tol, floor_tol, is_negligible,
-                                zero_eps)
+from skewpuiseux.scalar import (MIN_BITS, cluster_tol, dust_tol, floor_tol,
+                                is_negligible, zero_eps)
 
 from conftest import rng
 
@@ -147,3 +147,11 @@ def test_tolerance_levels_follow_precision():
                 assert floor_tol(j) == mp.ldexp(1, j - prec)
             assert is_negligible(mp.ldexp(1, ez - 1))
             assert not is_negligible(mp.ldexp(1, ez))
+
+
+def test_least_precision_keeps_the_level_order():
+    for prec in (MIN_BITS, MIN_BITS + 1):
+        with bits(prec):
+            assert floor_tol(24) < zero_eps() < cluster_tol() < dust_tol()
+    with bits(MIN_BITS - 1):
+        assert not floor_tol(24) < zero_eps()

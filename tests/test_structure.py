@@ -6,12 +6,13 @@ from mpmath import mp
 from skewpuiseux import (Alpha, PuiseuxSeries, SkewPoly, bits, parse_poly,
                          pull_unit_through_linear, puiseux_ring,
                          normalize_scaled, scale_iso, scaling_exponent,
-                         shift_iso, trace_apply, trace_solve)
+                         shift_iso, trace_solve)
 from skewpuiseux.errors import Obstruction, PrecisionExhausted
 
 from conftest import count_shifts, rand_poly, rand_series, rng, same_coeffs
 from props import (check_beta_law, check_dif_identity, check_iso_homomorphisms,
-                   check_normalize_post, check_trace_roundtrip)
+                   check_normalize_post, check_trace_roundtrip,
+                   trace_apply)
 
 PS = PuiseuxSeries
 
