@@ -256,8 +256,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         payload = {
             "g_hat": poly_to_str(gh),
             "h_hat": poly_to_str(hh),
-            "achieved_order": _ord_str(achieved if achieved == INF
-                                       else Fraction(int(achieved), L)),
+            "achieved_order": _ord_str(Fraction(achieved, L)),
         }
         _emit(args, payload, [f"g_hat: {payload['g_hat']}",
                               f"h_hat: {payload['h_hat']}",

@@ -12,9 +12,9 @@ F[t, sigma] and runs the reduction pipeline:
   4. split: orbit-partition splitting when some lower coefficient has
      order 0, the (t^(d-1), t) lift when everything else vanishes mod x
      and sigma is nontrivial, or one classical Newton-Puiseux round when
-     alpha = 1;
-  5. pull the right factor back to F[t, sigma], re-monicize, divide it out
-     and recurse on both parts.
+     alpha = 1; a split lifts the unshifted polynomial of step 2;
+  5. scale the right factor back, re-monicize, divide it out and recurse
+     on both parts.
 
 Splitting candidates are certified directly: a residue root is accepted as
 orbit base as soon as its orbit captures some but not all roots, which is
@@ -139,9 +139,23 @@ class _Engine:
 
     # -- splitting ------------------------------------------------------------
 
-    def prop_split(self, F: SkewPoly, target_k: int):
+    def _lift_split(self, F: SkewPoly, ubar, vbar, roots, target_k: int, shift):
+        """Lift res F = ubar vbar (``roots``: their root lists).  Given
+        ``shift`` = (F1, b) with F = shift_iso(F1, b), it lifts the unshifted
+        F1 in F[t, sigma], from p(t + b0) and roots c - b0 (b0 = res b)."""
+        if shift is not None:
+            F, b = shift
+            b0 = to_mpc(b.residue())
+            ubar, vbar = (residue_mod.substitute(p, 1, b0) for p in (ubar, vbar))
+            roots = tuple([(c - b0, m) for c, m in rs] for rs in roots)
+        ring = F.ring
+        u, v = (SkewPoly(ring, [ring.from_scalar(c) for c in p.coeffs]) for p in (ubar, vbar))
+        return hensel_lift(F, u, v, target_k, roots=roots)[:2]
+
+    def prop_split(self, F: SkewPoly, target_k: int, shift=None):
         """Orbit-partition split: residue roots are grouped by the T-orbit
-        of a base root; the orbit part lifts as the left factor."""
+        of a base root; the orbit part lifts as the left factor, in the
+        unshifted ring when ``shift`` is given (_lift_split)."""
         ring = F.ring
         d = F.degree
         res = F.reduce_residue()
@@ -155,44 +169,41 @@ class _Engine:
                 ubar = ResiduePoly.from_roots(members)
                 vbar = ResiduePoly.from_roots(part.outsiders)
                 ubar, vbar = residue_mod.refine_factor_pair(res, ubar, vbar)
-                u = SkewPoly(ring, [ring.from_scalar(c) for c in ubar.coeffs])
-                v = SkewPoly(ring, [ring.from_scalar(c) for c in vbar.coeffs])
-                uh, vh, _ = hensel_lift(F, u, v, target_k,
-                                        roots=(members, part.outsiders))
-                return uh, vh
+                return self._lift_split(F, ubar, vbar, (members, part.outsiders),
+                                        target_k, shift)
         raise NoSplittingRoot(
             f"no residue root splits the orbit partition of {res!r}")
 
-    def t_split(self, F: SkewPoly, target_k: int):
+    def t_split(self, F: SkewPoly, target_k: int, shift=None):
         """Terminal branch: all lower coefficients vanish mod x, so
-        g = t^(d-1), h = t lifts to a monic linear right factor."""
-        ring = F.ring
-        d = F.degree
-        g = SkewPoly.t_pow(ring, d - 1)
-        h = SkewPoly.t_pow(ring, 1)
-        groots = [(0, d - 1)] if d > 1 else []
-        uh, vh, _ = hensel_lift(F, g, h, target_k, roots=(groots, [(0, 1)]))
-        return uh, vh
+        g = t^(d-1), h = t lifts to a monic linear right factor (``shift``
+        as in prop_split)."""
+        groots = [(0, F.degree - 1)] if F.degree > 1 else []
+        return self._lift_split(F, ResiduePoly.from_roots(groots), ResiduePoly([0, 1]),
+                                (groots, [(0, 1)]), target_k, shift)
 
-    def factor_step(self, F: SkewPoly, target_k: int):
+    def factor_step(self, F: SkewPoly, target_k: int, shift=None):
         """Dispatch on a normalized integral polynomial (min coefficient
         order 0 unless everything vanishes mod x; t^(d-1) coefficient of
-        positive order).  Returns ("split", u, v) or ("classical", None)."""
+        positive order).  Returns ("split", u, v) or ("classical", None);
+        with ``shift`` (see _lift_split) u, v are factors of F1."""
         d = F.degree
         ring = F.ring
         sub = F.coeffs[:d]
         if any(ring.ord_k(c) == 0 for c in sub[: d - 1]) or ring.ord_k(F.coeffs[d - 1]) == 0:
             if ring.ord_k(F.coeffs[d - 1]) == 0:
                 raise UsageError("factor_step needs ord(f_(d-1)) > 0; shift first")
-            return ("split", *self.prop_split(F, target_k))
+            return ("split", *self.prop_split(F, target_k, shift))
         if self.alpha.is_one:
             return ("classical", None, None)
-        return ("split", *self.t_split(F, target_k))
+        return ("split", *self.t_split(F, target_k, shift))
 
     # -- main recursion ---------------------------------------------------------
 
     def factor_monic(self, f: SkewPoly, depth: int):
-        """Zeros c_1..c_d with f = (t - c_1) ... (t - c_d) in F[t, sigma]."""
+        """Zeros c_1..c_d with f = (t - c_1) ... (t - c_d) in F[t, sigma].
+        A split lifts the unshifted F1 in F[t, sigma], so its factors need
+        no shift back."""
         ring = f.ring
         d = f.degree
         if d <= 0:
@@ -231,15 +242,12 @@ class _Engine:
             F2 = SkewPoly(F2.ring, coeffs, trim=False)
 
         if _is_t_power(F2):
-            uh = SkewPoly.t_pow(F2.ring, d - 1)
-            vh = SkewPoly.t_pow(F2.ring, 1)
+            # the right factor t + O(x^zt) of F2, t + b + O(x^zt) of F1
             t = _sub_lead_trunc(F2)
-            if t is not None:
-                zt = max(0, -(-int(t) // d))
-                vh = SkewPoly(F2.ring, [PuiseuxSeries.zero(F2.ring.L, zt), F2.ring.one()],
-                              trim=False)
+            c0 = PuiseuxSeries.zero(ring1.L, None if t is None else max(0, -(-int(t) // d)))
+            vh = SkewPoly(ring1, [c0 if b is None else b + c0, ring1.one()], trim=False)
         else:
-            kind, uh, vh = self.factor_step(F2, target_k)
+            kind, _, vh = self.factor_step(F2, target_k, None if b is None else (F1, b))
             if kind == "classical":
                 # alpha = 1: every delta_a vanishes, so re-read the shifted
                 # polynomial in the underived ring and iterate the round
@@ -256,9 +264,6 @@ class _Engine:
                     out.append(z)
                 return out
 
-        if b is not None:
-            uh = shift_iso(uh, -b)
-            vh = shift_iso(vh, -b)
         vt = scale_back_monic(vh, r)
         quo, rem = f.left_divmod(vt)
         remdev = rem.max_abs()

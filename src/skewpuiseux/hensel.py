@@ -1,65 +1,53 @@
 """Skew Hensel lifting, generic over the base-ring contract.
 
-Given monic f and a residue-level factorization res(f) = res(g)*res(h)
-whose left factor is coprime to every uniformizer-twist of the right one,
-the loop constructs corrections p_n, q_n of bounded degree so that
-g_n = g + sum p_k x^k and h_n = h + sum q_k x^k satisfy
-ord(f - g_n h_n) >= n+1 after each step:
+Given monic f and a residue factorization res(f) = res(g) res(h) whose left
+factor is coprime to every uniformizer-twist of the right one (checked at
+once by twist_precheck), step n adds corrections p_n x^n to g and q_n x^n
+to h (x the uniformizer) so that ord(f - g h) > n.  With f_n x^n the x^n
+part of the defect, p_n k_n + res(g) q_n = f_n, k_n = phi^n(res h), is
+solved in C[t]/(res g) (_solve_step).
 
-  defect           = f - g h                    (order >= n)
-  f_n              with defect = f_n x^n;  its residue is the n-twist of
-                    the coefficient-of-x^n slice of the defect
-  step equation    p_n k_n + res(g) q_n = f_n,  k_n = twist_n(res(h)),
-                    deg p_n < m = deg g,  deg q_n < d - m
+Slices.  f, g, h are held as x-slices: row k lists the x^k coefficients
+over t-degree (k < target_k), each left of its t^i.  Step n forms only
+slice n of the defect, D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van
+der Hoeven, "Relax, but don't be too lazy", JSC 2002).  The t^(i+j) entry
+of G_a * H_b is g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and
+g_(i,a) rho^a(h_(j,b)) in C[[x, rho]]; the ring supplies only this
+monomial twist (slice_twist), which also moves x^n right for f_n and k_n,
+so both rings run one loop.  Slices are exact scalar.fixed_point
+mantissas at their own binary exponents: D_n is one exact sum, rounded once.
 
-The step equation is solved in the quotient algebra C[t]/(res g), of
-dimension m (von zur Gathen & Gerhard, Modern Computer Algebra, 15.4):
+Step rule.  A slice whose entries all pass is_negligible at zero_eps() is
+skipped (at n = 0 any other slice breaks the order-0 invariant).  After a
+step D_n is formed again from the same exact sum: an entry above
+max(zero_eps(), scale floor_tol(24)) means the step did not raise the
+defect order.
 
-  reduce           k_n mod res(g), with the tolerance-aware remainder of
-                    ext_gcd, so a near-common root collapses it and raises
-                    TwistCoprimeFailure(n, gcd)
-  inverse          b_n = k_n^(-1) mod res(g) by ext_gcd of res(g) and the
-                    reduced k_n; memoized per lift by k_n
-  p_n              = b_n f_n mod res(g)
-  q_n              = (f_n - p_n k_n) / res(g), an exact division whose
-                    remainder is cancellation dust (SkewError above
-                    scalar.dust_tol() of the running scale)
-
-Corrections are lifted residue polynomials, which is exactly what the
-order-increase argument consumes.  The defect is updated incrementally:
-with P = p_n x^n and Q = q_n x^n,
-
-  f - (g + P)(h + Q) = defect - (sum_i P_i t^i (h + Q) + sum_j g_j t^j Q),
-
-where the rows t^i h (i < deg g) are kept in a table and each step adds
-t^i Q to them, so t^i h is never re-derived through sigma and delta.  The
-coefficients of t^j Q are few-term series (order >= n), which keeps every
-product short.  The defect and the table are truncated at the target
-order: a step at order n reads only the x^n slice, and n < target.
-
-Before the loop, twist_precheck decides coprimality with every twist at
-once, over Puiseux series from the T-orbits of residue roots.  A caller
-that holds those roots (the orbit split; the t-split's g = t^(d-1), h = t)
-passes them as ``roots=`` so they are not searched for again.
+Derived rings.  delta_a = a(sigma - id) is inner, so s = t + a obeys
+s u = sigma(u) s: shift_iso(., a) carries f, g, h to F[t, sigma], where the
+lift runs, and shift_iso(., -a) carries the factors back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from mpmath import mp
 
 from . import residue as residue_mod
 from . import scalar
-from .errors import (PrecisionExhausted, SkewError, TwistCoprimeFailure,
-                     UsageError)
-from .scalar import INF
-from .skewpoly import SkewPoly
+from .errors import PrecisionExhausted, SkewError, TwistCoprimeFailure, UsageError
+from .puiseux import PuiseuxSeries
+from .residue import ResiduePoly
+from .scalar import INF, is_negligible
+from .skewpoly import PuiseuxRing, SkewPoly
+from .structure import shift_iso
 
 
 @dataclass
 class HenselState:
-    """Snapshot after one correction step (for invariant checks)."""
+    """A step's snapshot, built only for ``on_state``, in the caller's ring."""
 
     n: int
     g_cur: SkewPoly
@@ -67,55 +55,14 @@ class HenselState:
     defect: SkewPoly
 
 
-def _lift(ring, rp: residue_mod.ResiduePoly) -> SkewPoly:
-    return SkewPoly(ring, [ring.from_scalar(c) for c in rp.coeffs])
-
-
-def _defect_slice(defect, n: int) -> residue_mod.ResiduePoly:
-    """Residue polynomial made of each coefficient's x^n term."""
-    return residue_mod.ResiduePoly(
-        [scalar.to_mpc(c.terms.get(n, 0)) for c in defect])
-
-
-def _truncate(coeffs, target_k: int) -> list:
-    return [c.truncate(target_k) for c in coeffs]
-
-
-def _ord(ring, coeffs):
-    """Least coefficient order; a zero coefficient known only to O(x^k)
-    reports k, so the minimum is INF only for an exactly zero list."""
-    return min((ring.ord_k(c) for c in coeffs), default=INF)
-
-
-def _add_rows(ring, row, other) -> list:
-    return [ring.add(c, other[k]) if k < len(other) else c
-            for k, c in enumerate(row)]
-
-
-def _add_scaled(ring, acc, c, row, target_k: int):
-    """acc += c * row (c a base element, row a coefficient list), keeping
-    only what lies below x^target_k."""
-    oc = ring.ord_k(c)
-    for k, r in enumerate(row):
-        orr = ring.ord_k(r)
-        if oc + orr >= target_k:
-            continue
-        acc[k] = ring.add(acc[k], ring.mul(c.truncate(target_k - orr),
-                                           r.truncate(target_k - oc)))
-
-
 def _solve_step(n: int, gres, kn, fn, inverses: dict, floor, dust_bound):
-    """Solve p kn + gres q = fn with deg p < deg gres, in C[t]/(gres).
+    """Solve p kn + gres q = fn with deg p < deg gres, in C[t]/(gres)
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 15.4).
 
-    kn = phi^n(res h) is reduced mod gres (tolerance-aware remainder, so a
-    near-common root collapses it), and b = kn^(-1) mod gres comes from
-    ext_gcd(gres, kn mod gres), memoized in ``inverses`` by kn's
-    coefficients; a non-constant gcd raises TwistCoprimeFailure(n, gcd).
-    Then p = b fn mod gres and q = (fn - p kn) / gres by exact division of
-    coefficient lists (gres is monic), so deg q < d - deg gres whenever
-    deg fn < d = deg gres + deg kn.  The division's remainder is
-    cancellation dust; above ``dust_bound`` it raises SkewError.  Returns
-    (p, q, b) as ResiduePolys.
+    b = kn^(-1) mod gres by ext_gcd(gres, kn mod gres), memoized in
+    ``inverses``: kn collapses at a near-common root, and a non-constant gcd
+    raises TwistCoprimeFailure.  p = b fn mod gres and q = (fn - p kn) /
+    gres exactly; the remainder is dust, a SkewError above ``dust_bound``.
     """
     key = tuple(kn.coeffs)
     inv = inverses.get(key)
@@ -142,7 +89,7 @@ def _solve_step(n: int, gres, kn, fn, inverses: dict, floor, dust_bound):
     dust = max((abs(c) for c in r[:m]), default=0)
     if dust > dust_bound:
         raise SkewError(f"hensel correction degree overflow ({dust})")
-    return p, residue_mod.ResiduePoly(q, trim=False), b
+    return p, ResiduePoly(q, trim=False), b
 
 
 def twist_precheck(g: SkewPoly, h: SkewPoly, *, roots=None):
@@ -151,25 +98,21 @@ def twist_precheck(g: SkewPoly, h: SkewPoly, *, roots=None):
     res g and res h, spares the base ring its own root search."""
     fail = g.ring.twist_coprime(g.reduce_residue(), h.reduce_residue(), roots=roots)
     if fail is not None:
-        n, witness = fail
-        raise TwistCoprimeFailure(n, witness)
+        raise TwistCoprimeFailure(*fail)
 
 
 def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
                 on_state=None, *, roots=None):
     """Lift res(f) = res(g) res(h) to f = g_hat h_hat + O(x^target_k).
 
-    Returns (g_hat, h_hat, achieved_order_k), where achieved_order_k is
-    the least order of the final defect f - g_hat h_hat, a coefficient
-    known only to O(x^k) counting as k; it is INF only for an exactly zero
-    defect.  ``on_state`` receives a HenselState after every correction
-    step.  ``roots``, the (root, multiplicity) lists of res g and res h if
-    the caller holds them, goes to twist_precheck.
+    Returns (g_hat, h_hat, achieved_order_k): the factors, known to
+    O(x^target_k) but for their exact leading 1, and target_k, the order
+    to which f - g_hat h_hat is known to vanish.  ``on_state`` receives a
+    HenselState after every correction step.  ``roots``, the (root,
+    multiplicity) lists of res g and res h, goes to twist_precheck.
     """
     ring = f.ring.unify(g.ring).unify(h.ring)
-    f = f.in_ring(ring)
-    g = g.in_ring(ring)
-    h = h.in_ring(ring)
+    f, g, h = (p.in_ring(ring) for p in (f, g, h))
     if not (f.is_monic and g.is_monic and h.is_monic):
         raise UsageError("hensel_lift needs monic f, g, h")
     d, m = f.degree, g.degree
@@ -177,75 +120,132 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         raise UsageError("degree mismatch: deg f != deg g + deg h")
     if f.ord_k() < 0 or g.ord_k() < 0 or h.ord_k() < 0:
         raise UsageError("hensel_lift needs integral coefficients")
-    avail = min((INF if c.trunc is None else c.trunc for c in f.coeffs), default=INF)
+    avail = min([c.trunc for p in (f, g, h) for c in p.coeffs if c.trunc is not None] + [INF])
     if avail < target_k:
-        raise PrecisionExhausted(
-            f"f is only known to order {avail} < requested {target_k}")
+        raise PrecisionExhausted(f"f, g, h are only known to order {avail} < requested {target_k}")
+    # delta_a is inner: lift in s = t + a, in F[t, sigma] (module docstring)
+    shift = ring.a if isinstance(ring, PuiseuxRing) and not ring.a.is_zero else None
 
-    gres = g.reduce_residue()
-    hres = h.reduce_residue()
-    fres = f.reduce_residue()
-    mismatch = (fres - gres * hres).max_abs()
+    def back(p):
+        return p if shift is None else shift_iso(p, -shift)
+
+    if shift is not None:
+        a0 = scalar.to_mpc(shift.residue())
+        roots = roots and tuple([(c + a0, k) for c, k in rs] for rs in roots)
+        f, g, h = (shift_iso(p, shift) for p in (f, g, h))
+        ring = f.ring
+    gres, hres = g.reduce_residue(), h.reduce_residue()
+    mismatch = (f.reduce_residue() - gres * hres).max_abs()
     if mismatch > scalar.dust_tol():
         raise UsageError(f"res(f) != res(g)res(h) (deviation {mismatch})")
-
     twist_precheck(g, h, roots=roots)
 
-    # sigma and delta keep x-adic orders, so nothing at or above target_k
-    # ever reaches a slice below it
-    gh = g * h
-    defect = _truncate([ring.sub(f.coeffs[i], gh.coeffs[i]) for i in range(d)],
-                       target_k)
-    th = [_truncate(h.coeffs, target_k)]  # th[i] = t^i h_cur
-    for _ in range(1, m):
-        th.append(_truncate(SkewPoly._t_mul_in(ring, th[-1]), target_k))
-    g_cur, h_cur = g, h
-    # corrections can grow with n (the true factors may have geometrically
-    # growing coefficients); cancellation dust is judged against this scale
+    F, G, H = (_slices(p.coeffs[:n], target_k) for p, n in ((f, d), (g, m + 1), (h, d - m + 1)))
+    twists = [ring.slice_twist(k, d + 1) for k in range(target_k)]
+    wfix = [w and _fixed(w) for w, _ in twists]
+
+    def minus(acc, pairs):
+        """acc - sum of G_a * H_b over the (a, b) in pairs, exactly."""
+        for a, b in pairs:
+            if G[a] and H[b]:
+                acc = _add(acc, _minus_product(G[a], H[b], wfix[b], twists[a][1], d))
+        return acc
+
+    def factors():
+        return (back(_poly(ring, G, m, target_k, g.coeffs[-1])),
+                back(_poly(ring, H, d - m, target_k, h.coeffs[-1])))
+
+    zero, floor = scalar.zero_eps(), scalar.floor_tol(24)
+    # corrections can grow with n (the true factors may grow geometrically);
+    # cancellation dust is judged against this scale
     scale = max(mp.mpf(1), f.max_abs())
-    floor = scalar.floor_tol(24)
-    # b_n depends on n only through k_n: one inverse serves every step when
-    # the twist is the identity (alpha = 1), two when it has period 2
-    # (C[[x, rho]])
-    inverses = {}
-    o = _ord(ring, defect)
-    while o < target_k:
-        n = int(o)
-        if n < 1:
+    inverses = {}  # one per distinct k_n: per lift at alpha = 1
+    for n in range(target_k):
+        inner = minus(F[n], [(a, n - a) for a in range(1, n)])
+        dn = _rounded(minus(inner, {(n, 0), (0, n)}), d)
+        if all(is_negligible(c, zero) for c in dn):
+            continue
+        if n == 0:
             raise SkewError("hensel invariant violated: defect has order 0")
-        fn_res = ring.fn_residue(_defect_slice(defect, n), n)
-        fn_max = fn_res.max_abs()
-        p_res, qn_res, b_res = _solve_step(
-            n, gres, ring.residue_twist(hres, n), fn_res, inverses, floor,
-            max(scale, fn_max) * scalar.dust_tol())
-        xn = SkewPoly.constant(ring, ring.uniformizer_pow(n))
-        p_corr = _lift(ring, p_res) * xn
-        q_corr = _lift(ring, qn_res) * xn
-        tq = [_truncate(q_corr.coeffs, target_k)]  # tq[j] = t^j q_corr
-        for _ in range(m):
-            tq.append(_truncate(SkewPoly._t_mul_in(ring, tq[-1]), target_k))
-        th = [_add_rows(ring, row, tq[i]) for i, row in enumerate(th)]
-        # p_corr h_new + g_cur q_corr = p h + g q + p q
-        update = [ring.zero()] * d
-        for i, c in enumerate(p_corr.coeffs):
-            _add_scaled(ring, update, c, th[i], target_k)
-        for j, c in enumerate(g_cur.coeffs):
-            _add_scaled(ring, update, c, tq[j], target_k)
-        g_cur, h_cur = g_cur + p_corr, h_cur + q_corr
-        scale = max(scale, fn_max, p_res.max_abs(), qn_res.max_abs(), b_res.max_abs())
-        # clear cancellation dust at exponents <= n
-        defect = [ring.sub(c, u).drop_small_upto(n, scale * floor)
-                  for c, u in zip(defect, update)]
-        o = _ord(ring, defect)
-        if o <= n:
+        # move x^n right of the slice: f_n, and k_n = phi^n(res h)
+        w, conj = twists[n]
+        fn = ResiduePoly(dn).coeffs
+        kn = [scalar.conj_scalar(c) if conj else c for c in hres.coeffs]
+        if w:
+            fn, kn = ([c / w[i] for i, c in enumerate(cs)] for cs in (fn, kn))
+        fn, kn = ResiduePoly(fn, trim=False), ResiduePoly(kn, trim=False)
+        fn_max = fn.max_abs()
+        p, q, b = _solve_step(n, gres, kn, fn, inverses, floor,
+                              max(scale, fn_max) * scalar.dust_tol())
+        # the corrections p x^n, q x^n in left form: t^i x^n = w_i x^n t^i
+        for S, corr in ((G, p), (H, q)):
+            S[n] = _add(S[n], _fixed([c * w[i] if w else c for i, c in enumerate(corr.coeffs)]))
+        scale = max(scale, fn_max, p.max_abs(), q.max_abs(), b.max_abs())
+        post = _rounded(minus(inner, {(n, 0), (0, n)}), d)
+        if not all(is_negligible(c, max(zero, scale * floor)) for c in post):
             raise SkewError(f"hensel step did not raise the defect order at n={n}")
         if on_state is not None:
-            on_state(HenselState(n, g_cur, h_cur, SkewPoly(ring, defect)))
+            rest = [None] * (n + 1) + [minus(F[k], [(a, k - a) for a in range(k + 1)])
+                                       for k in range(n + 1, target_k)]
+            on_state(HenselState(n, *factors(), back(_poly(ring, rest, d, target_k))))
+    return (*factors(), target_k)
 
-    return (_truncate_monic(g_cur, target_k), _truncate_monic(h_cur, target_k), o)
+
+def _slices(coeffs, target_k: int) -> list:
+    """Row k < target_k: the x^k coefficients over t-degree, as _fixed."""
+    rows = [[0] * len(coeffs) for _ in range(target_k)]
+    for i, c in enumerate(coeffs):
+        for k, v in c.terms.items():
+            if k < target_k:
+                rows[k][i] = v
+    return [_fixed(row) for row in rows]
 
 
-def _truncate_monic(p: SkewPoly, target_k: int) -> SkewPoly:
-    """Truncate all coefficients but keep the (exact) leading 1 untouched."""
-    coeffs = [c.truncate(target_k) for c in p.coeffs[:-1]] + [p.coeffs[-1]]
-    return SkewPoly(p.ring, coeffs, trim=False)
+def _fixed(row):
+    """A row of scalars as exact mantissas (re, im, e), None when zero."""
+    fx = scalar.fixed_point(row) or scalar.fixed_point([scalar.to_mpc(c) for c in row])
+    if fx is None:  # inf or nan
+        raise UsageError("hensel_lift needs finite coefficients")
+    return fx[:3] if any(fx[0]) or any(fx[1]) else None
+
+
+def _minus_product(x, y, w, conj: bool, d: int):
+    """-(x * y) for exact slice rows x = G_a and y = H_b, its entries below
+    t^d: w, an exact row or None, twists x's entries (alpha^(ib/L)), and
+    conj conjugates y."""
+    (xr, xi, ex), (yr, yi, ey) = x, y
+    if w:
+        xr, xi, ex = ([u * c - v * s for u, v, c, s in zip(xr, xi, w[0], w[1])],
+                      [u * s + v * c for u, v, c, s in zip(xr, xi, w[0], w[1])], ex + w[2])
+    yi = [-v for v in yi] if conj else yi
+    re, im = [0] * d, [0] * d
+    for i, (u, v) in enumerate(zip(xr, xi)):
+        for j in range(min(len(yr), d - i)) if u or v else ():
+            re[i + j] -= u * yr[j] - v * yi[j]
+            im[i + j] -= u * yi[j] + v * yr[j]
+    return re, im, ex + ey
+
+
+def _add(x, y):
+    """x + y for exact rows (re, im, e), at the lesser exponent."""
+    if not (x and y):
+        return x or y
+    x, y = (x, y) if x[2] <= y[2] else (y, x)
+    s = y[2] - x[2]
+    return tuple([u + (v << s) for u, v in zip_longest(x[i], y[i], fillvalue=0)]
+                 for i in (0, 1)) + (x[2],)
+
+
+def _rounded(x, d: int) -> list:
+    """The d entries of an exact row, each rounded once (from_fixed_point)."""
+    re, im, e = x or ([], [], 0)
+    return [scalar.from_fixed_point(re[k], im[k], e) if k < len(re) else mp.mpc(0)
+            for k in range(d)]
+
+
+def _poly(ring, rows, n: int, target_k: int, lead=None) -> SkewPoly:
+    """sum_(i<n) c_i t^i (+ lead t^n), c_i + O(x^target_k) with slices rows."""
+    L = getattr(ring, "L", 1)
+    rows = [(k, _rounded(r, n)) for k, r in enumerate(rows) if r is not None]
+    coeffs = [PuiseuxSeries(L, {k: r[i] for k, r in rows}, target_k) for i in range(n)]
+    return SkewPoly(ring, coeffs + ([] if lead is None else [lead]), trim=False)

@@ -152,12 +152,6 @@ class PuiseuxSeries:
         return PuiseuxSeries(self.L, {k + j: c for k, c in self.terms.items()},
                              t, normalize=False)
 
-    def drop_small_upto(self, k_max: int, tol) -> "PuiseuxSeries":
-        """Remove coefficients at exponents <= k_max with modulus <= tol."""
-        terms = {k: c for k, c in self.terms.items()
-                 if k > k_max or abs(to_mpc(c)) > tol}
-        return PuiseuxSeries(self.L, terms, self.trunc, normalize=False)
-
     # -- field operations ---------------------------------------------------
 
     def __neg__(self):

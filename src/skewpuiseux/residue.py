@@ -250,17 +250,31 @@ class RootsReport:
 def roots(p: ResiduePoly) -> RootsReport:
     """All complex roots with multiplicities.
 
-    Durand-Kerner from the deterministic start points (0.4+0.9i)^k, then
-    single-linkage clustering at scalar.cluster_tol(), then a few
-    multiplicity-aware Newton steps to sharpen each cluster center.
+    k exactly-zero low coefficients give the root 0 with multiplicity k;
+    the others come from Durand-Kerner from the deterministic start points
+    (0.4+0.9i)^k, single-linkage clustering at scalar.cluster_tol(), and a
+    few multiplicity-aware Newton steps on each cluster center.  A root's
+    component below its rounding unit floor_tol(0) |root| is dust: 0.
     """
     if p.degree < 1:
         raise UsageError("root finding needs degree >= 1")
     q = p.monic()
+    k = next(i for i, c in enumerate(q.coeffs) if c != 0)
+    pairs = [(mp.mpc(0), k)] if k else []
+    if q.degree > k:
+        pairs += _nonzero_roots(ResiduePoly(q.coeffs[k:], trim=False))
+    unit = scalar.floor_tol(0)
+    pairs = [(mp.mpc(*[0 if abs(x) < unit * abs(c) else x for x in (c.real, c.imag)]), m)
+             for c, m in pairs]
+    pairs.sort(key=lambda rm: (mp.re(rm[0]), mp.im(rm[0])))
+    return RootsReport(pairs, max(abs(p.eval(r)) for r, _ in pairs))
+
+
+def _nonzero_roots(q: ResiduePoly) -> list:
+    """The (root, multiplicity) pairs of a monic q with q(0) != 0."""
     d = q.degree
     if d == 1:
-        r = -q.coeff(0)
-        return RootsReport([(r, 1)], abs(p.eval(r)))
+        return [(-q.coeff(0), 1)]
 
     base = mp.mpc("0.4", "0.9")
     zs = [base ** (k + 1) for k in range(d)]
@@ -311,9 +325,7 @@ def roots(p: ResiduePoly) -> RootsReport:
         if dev <= good:
             break
         radius *= 4
-    pairs = best[1]
-    residual = max(abs(p.eval(r)) for r, _ in pairs)
-    return RootsReport(pairs, residual)
+    return best[1]
 
 
 def _cluster_polish(q, dq, zs, radius, hard):
@@ -385,13 +397,12 @@ class TMap:
     on the working uniformizer.  T^n uses alpha_eff^(-n) in the same shape.
     """
 
-    __slots__ = ("alpha", "L", "a0", "_mults")
+    __slots__ = ("alpha", "L", "a0")
 
     def __init__(self, alpha, L: int = 1, a0=0):
         self.alpha = alpha if isinstance(alpha, Alpha) else Alpha(alpha)
         self.L = L
         self.a0 = to_mpc(a0)
-        self._mults = {}
 
     @property
     def is_identity(self) -> bool:
@@ -400,14 +411,6 @@ class TMap:
     def mult(self, n: int):
         """alpha_eff^(-n)."""
         return self.alpha.pow(Fraction(-n, self.L))
-
-    def mult_mpc(self, n: int):
-        """alpha_eff^(-n) as an mpc, memoized per (n, working precision)."""
-        key = (n, mp.prec)
-        s = self._mults.get(key)
-        if s is None:
-            s = self._mults[key] = to_mpc(self.mult(n))
-        return s
 
     def alpha_eff(self):
         return self.alpha.pow(Fraction(1, self.L))
@@ -428,13 +431,19 @@ def twist_residue(p: ResiduePoly, n: int, tmap: TMap) -> ResiduePoly:
     A value c is a root of the result iff T^n(c) is a root of p.  The
     result keeps the degree of p: its leading coefficient is lc(p) * s^deg
     with s = alpha_eff^(-n) != 0, however small, so nothing is trimmed.
-    Horner's rule, acc <- acc * (s t + c0) + p_i, forms each coefficient
-    as acc_(k-1) s + acc_k c0 (plus p_i in degree 0).
     """
-    if n == 0 or tmap.is_identity or p.is_zero:
+    if n == 0 or tmap.is_identity:
         return p
-    s = tmap.mult_mpc(n)
-    c0 = tmap.a0 * (s - 1)
+    s = to_mpc(tmap.mult(n))
+    return substitute(p, s, tmap.a0 * (s - 1))
+
+
+def substitute(p: ResiduePoly, s, c0) -> ResiduePoly:
+    """p(s t + c0) by Horner's rule, acc <- acc * (s t + c0) + p_i, which
+    forms each coefficient as acc_(k-1) s + acc_k c0 (plus p_i in degree
+    0); the degree of p is kept."""
+    if p.is_zero:
+        return p
     acc = [p.coeffs[-1]]
     for c in reversed(p.coeffs[:-1]):
         acc = ([acc[0] * c0 + c]

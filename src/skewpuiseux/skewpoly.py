@@ -95,13 +95,10 @@ class BaseRing:
         """phi^n(t) as a pair (c1, c0) meaning c1*t + c0."""
         raise NotImplementedError
 
-    def residue_twist(self, p, n: int):
-        """Residue image of phi^n applied to a polynomial with residue p."""
-        raise NotImplementedError
-
-    def fn_residue(self, slice_n, n: int):
-        """Residue of f_n where (f - g h) = f_n x^n, given the plain
-        coefficient-of-x^n slice of the defect."""
+    def slice_twist(self, k: int, count: int):
+        """The monomial twist of hensel_lift's slice product: (w, conj) with
+        t^i u^k = w[i] u^k t^i for i < count (w None when all are 1) and
+        u^k c = c' u^k, c' = conj(c) if conj else c, u the uniformizer."""
         raise NotImplementedError
 
     def twist_coprime(self, gres, hres, *, roots=None):
@@ -127,11 +124,10 @@ class BaseRing:
 class PuiseuxRing(BaseRing):
     """Puiseux-series coefficients with sigma(x) = alpha*x and delta = delta_a."""
 
-    __slots__ = ("ctx", "_tmaps")
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: SkewContext):
         self.ctx = ctx
-        self._tmaps = {}  # working precision -> TMap
 
     @property
     def L(self) -> int:
@@ -186,18 +182,14 @@ class PuiseuxRing(BaseRing):
         return c1, c0
 
     def tmap(self) -> residue_mod.TMap:
-        """The residue map T of this ring, built once per working precision."""
-        tm = self._tmaps.get(scalar.mp.prec)
-        if tm is None:
-            a0 = to_mpc(self.a.residue()) if not self.a.is_zero else scalar.mp.mpc(0)
-            tm = self._tmaps[scalar.mp.prec] = residue_mod.TMap(self.alpha, self.L, a0)
-        return tm
+        """The residue map T of this ring."""
+        return residue_mod.TMap(self.alpha, self.L, self.a.residue())
 
-    def residue_twist(self, p, n: int):
-        return residue_mod.twist_residue(p, n, self.tmap())
-
-    # left-shift by y^(-n) is plain here; phi^n then twists the slice
-    fn_residue = residue_twist
+    def slice_twist(self, k: int, count: int):
+        # t^i y^k = alpha_eff^(ik) y^k t^i; scalars commute with y
+        if k == 0 or self.alpha.is_one:
+            return None, False
+        return [self.alpha.numeric_pow(i * k, self.L) for i in range(count)], False
 
     def twist_coprime(self, gres, hres, *, roots=None):
         if roots is None:
@@ -309,9 +301,9 @@ class ConjSeriesRing(BaseRing):
     def residue_twist(self, p, n: int):
         return p if n % 2 == 0 else p.conj_coeffs()
 
-    def fn_residue(self, slice_n, n: int):
-        # t is central: right division by x^n is a plain exponent shift
-        return slice_n
+    def slice_twist(self, k: int, count: int):
+        # t is central; x^k c = rho^k(c) x^k
+        return None, k % 2 == 1
 
     def twist_coprime(self, gres, hres, *, roots=None):
         # phi has period 2 on residues: the ext_gcd check needs no roots

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -228,3 +229,15 @@ def test_removed_tolerance_flags_are_rejected(capsys, flag):
     assert code == 1
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+def test_zeros_of_a_real_cubic_print_no_imaginary_dust(capsys):
+    # Newton polishing left imaginary parts of ~1e-216 on the real residue
+    # roots, and every zero printed them as (-1.5+1.47e-216i)*x + ...
+    args = ("factor", "--alpha", "3/2", "--prec", "6", "t^3 - x*t + x^2")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and out.count("\nfactor: ") == 3
+    assert re.search(r"\di", out) is None, out
+    code, out, _ = run_cli(capsys, *args, "--json")
+    assert code == 0 and len(json.loads(out)["factors"]) == 3
+    assert re.search(r"\di", out) is None, out

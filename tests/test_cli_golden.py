@@ -10,7 +10,8 @@ import pytest
 from skewpuiseux.cli import main
 
 Q2 = "t^2 - (2+x)*t + (1+2*x)"
-# at 128 bits the lift of this cubic runs out of precision at n = 13
+# at 128 bits the first split of this cubic lifts to its target, and the
+# next level's trace shift runs out of precision
 CUBIC = "t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)"
 
 # (argv, exit code, stdout, stderr)
@@ -101,9 +102,9 @@ GOLDEN = [
      ''),
     (["factor", "--alpha", "2", "--prec", "15", CUBIC],
      4, '',
-     'error: hensel step did not raise the defect order at n=13\n'),
+     'error: shift failed to cancel the t^(d-1) coefficient\n'),
     (["factor", "--alpha", "2", "--prec", "15", CUBIC, "--json"],
-     4, '{"error": "numerical", "kind": "SkewError", "message": "hensel step did not raise the defect order at n=13"}\n',
+     4, '{"error": "numerical", "kind": "PrecisionExhausted", "message": "shift failed to cancel the t^(d-1) coefficient"}\n',
      ''),
 ]
 

@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from skewpuiseux import (Alpha, FactorConfig, Factorization, PuiseuxSeries,
                          sigma_zero_quadratic, verify_factorization)
 from mpmath.libmp import from_man_exp
 
-from skewpuiseux.errors import Obstruction, UsageError
+from skewpuiseux.errors import Obstruction, PrecisionExhausted, UsageError
 from skewpuiseux.factorizer import _Engine
 from skewpuiseux.residue import TMap
 from skewpuiseux.scalar import INF
@@ -246,3 +247,25 @@ def test_end_to_end_case_3_lifts_at_high_order(order):
         f = end_to_end_input(rnd)
     assert f.ring.alpha.exact == 2 and f.ring.L == 1
     check_factors_to_order(f, order)
+
+
+@pytest.mark.parametrize("alpha, prec", [(Fraction(2), 128), (Fraction(2), 160),
+                                         (Fraction(2), 192), (Fraction(3, 2), 128)])
+def test_first_split_of_the_cubic_lifts_to_its_target(monkeypatch, alpha, prec):
+    # residues 1, 2, 3 share an orbit; the lift of the first split used to
+    # stall ("did not raise the defect order") at n = 13, 16, 18 and 17
+    from skewpuiseux import factorizer
+    real = factorizer.hensel_lift
+    lifts = []
+
+    def recording(f, g, h, target_k, **kwargs):
+        out = real(f, g, h, target_k, **kwargs)
+        lifts.append((out[2], target_k))
+        return out
+
+    monkeypatch.setattr(factorizer, "hensel_lift", recording)
+    f = parse_poly("t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)", puiseux_ring(alpha))
+    # the next level still runs out of precision (its trace shift)
+    with contextlib.suppress(PrecisionExhausted):
+        newton_puiseux_factor(f, FactorConfig(target_order=15, bits=prec))
+    assert lifts and lifts[0][0] == lifts[0][1] >= 19

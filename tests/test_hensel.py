@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (ConjSeriesRing, PuiseuxSeries, ResiduePoly, SkewPoly,
+from skewpuiseux import (Alpha, ConjSeriesRing, PuiseuxSeries, ResiduePoly, SkewPoly,
                          TMap, bits, ext_gcd, hensel_lift, parse_poly,
                          puiseux_ring, shift_iso, twist_precheck, twist_residue)
 from skewpuiseux import hensel as hensel_mod
@@ -296,3 +296,73 @@ def test_one_inverse_per_distinct_twist(monkeypatch):
                     on_state=states.append)
         assert len(states) > 1
         assert len(calls) == (per_lift or len(states))
+
+
+def test_truncated_factor_input_is_precision_exhausted():
+    # a factor known only to O(x^5) cannot be lifted to O(x^10)
+    R = puiseux_ring(2)
+    f = parse_poly("t^2 - (2+x)*t + (1+2*x)", R)
+    g = SkewPoly(R, [PS(1, {0: -1}, 5), PS.one()])
+    with pytest.raises(PrecisionExhausted):
+        hensel_lift(f, g, parse_poly("t - 1", R), 10)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(3, 2), Fraction(1, 2)])
+@pytest.mark.parametrize("L", [1, 2])
+def test_derived_lift_is_the_shifted_plain_lift(alpha, L):
+    """A lift in the delta_a ring equals shift_iso of the lift of the
+    unshifted polynomial in F[t, sigma], to 2^-(P-16) relative: the derived
+    lift starts from residue factors, which its change of coordinates
+    s = t + a turns into factors with higher x-slices."""
+    rnd = rng(L * 10 + alpha.numerator)
+    K = 10 * L
+    tol = mp.mpf(2) ** -(mp.prec - 16)
+    R = puiseux_ring(alpha, L)
+    zeros = [PS(L, {0: c, 1: rand_coeff(rnd), L + 1: rand_coeff(rnd)})
+             for c in (mp.mpc(1, 1), mp.mpc(-2, 1), mp.mpc("0.5", -1))]
+    f = SkewPoly.one(R)
+    for z in zeros:
+        f = f * SkewPoly.t_minus(R, z)
+    a = PS(L, {0: mp.mpc("0.25", "0.5"), 1: 3, 2 * L: mp.mpc(-1, 2)})
+    F = shift_iso(f, -a)
+    assert F.ring.a == a
+    for m in (1, 2):
+        plain, derived = [], []
+        for ring, shift, out in ((R, 0, plain), (F.ring, a.terms[0], derived)):
+            res = [(z.terms[0] - shift, 1) for z in zeros]
+            out.extend(SkewPoly(ring, [ring.from_scalar(c) for c in ResiduePoly.from_roots(rs).coeffs])
+                       for rs in (res[:m], res[m:]))
+        gp, hp, _ = hensel_lift(f, *plain, K)
+        gd, hd, achieved = hensel_lift(F, *derived, K)
+        assert achieved == K
+        _assert_lifted(F, gd, hd, K)
+        for want, got in ((shift_iso(gp, -a), gd), (shift_iso(hp, -a), hd)):
+            scale = max(1, want.max_abs())
+            assert (want - got).max_abs() <= tol * scale
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_conj_series_cubic_lift(m):
+    # C[[x, rho]]: x c = conj(c) x, so the slice product conjugates H_b
+    # for odd a
+    CR = ConjSeriesRing()
+    zeros = ["1 + i*x - x^2", "2 - x + 3*i*x^3", "3*i + 2*x^2"]
+    f = SkewPoly.one(CR)
+    for z in zeros:
+        f = f * parse_poly(f"t - ({z})", CR)
+    res = [(mp.mpc(1), 1), (mp.mpc(2), 1), (mp.mpc(0, 3), 1)]
+    g, h = (SkewPoly(CR, [CR.from_scalar(c) for c in ResiduePoly.from_roots(rs).coeffs])
+            for rs in (res[:m], res[m:]))
+    gh, hh, achieved = hensel_lift(f, g, h, 10)
+    assert achieved == 10
+    _assert_lifted(f, gh, hh, 10)
+    assert (f - gh * hh).truncate(10).max_abs() < mp.mpf(2) ** -100
+
+
+def test_lift_with_complex_alpha():
+    # diagnostic mode: the slice twist factors alpha^(ib) are complex
+    R = puiseux_ring(Alpha(mp.mpc(0, 1), allow_complex=True))
+    f = parse_poly("t^2 - (3+x)*t + (2+x^2)", R)
+    gh, hh, achieved = hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 2", R), 8)
+    assert achieved == 8
+    assert (f - gh * hh).truncate(8).max_abs() < mp.mpf(2) ** -100

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (Alpha, ConjSeriesRing, ResiduePoly, TMap,
+from skewpuiseux import (Alpha, ConjSeriesRing, ResiduePoly, TMap, bits,
                          delta_set_member, ext_gcd, orbit_partition,
                          refine_factor_pair, roots, twist_coprime_affine,
                          twist_coprime_periodic, twist_residue)
@@ -413,3 +413,26 @@ def test_twist_keeps_its_degree():
     assert twist_residue(q, -40, tm).degree == 3
     dev = (twist_residue(q, -40, tm) - p).max_abs()
     assert dev < mp.mpf(2) ** -(mp.prec - 16) * p.max_abs()
+
+
+@pytest.mark.parametrize("prec", [128, 160, 256])
+def test_roots_multiple_root_at_zero(prec):
+    # exactly-zero low coefficients are the root 0 with its multiplicity;
+    # Durand-Kerner alone gave four simple roots of modulus 2^-(P/3) or so
+    with bits(prec):
+        assert roots(ResiduePoly([0, 0, 0, 0, 1])).pairs == [(0, 4)]
+        pairs = roots(ResiduePoly.from_roots([(0, 4), (1, 1)])).pairs
+        assert [m for _, m in pairs] == [4, 1]
+        assert pairs[0][0] == 0
+        assert abs(pairs[1][0] - 1) < mp.mpf(2) ** -(prec - 8)
+
+
+def test_real_roots_carry_no_imaginary_dust():
+    # Newton polishing left imaginary parts of ~1e-220 on these real roots;
+    # a component below the root's rounding unit is set to 0
+    for c in (mp.sqrt(2), mp.mpf(3)):
+        for p in (ResiduePoly([0, -c, 0, 1]), ResiduePoly([c * c, 0, -(1 + c * c), 0, 1])):
+            rr = roots(p)
+            assert len(rr.pairs) == p.degree
+            assert all(r.imag == 0 for r, _ in rr.pairs)
+            assert rr.residual < mp.mpf(2) ** -100
