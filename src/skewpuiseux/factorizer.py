@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 
 from mpmath import mp
 
@@ -120,10 +121,11 @@ class _Engine:
         coprimality margins decay and the Bezout cofactors blow up.  So
         roots nearest the fixed point are tried as orbit base first,
         keeping them on the lifted-together side.  The Delta-set
-        certificate (nonreal or wrong-signed c/a0) breaks ties.  An
-        identity T has no fixed point to approach; there the distance key
-        is left out, as for branch pairs +-v its last bit alone would
-        decide the order.
+        certificate (nonreal or wrong-signed c/a0) breaks ties, then the
+        real and imaginary parts.  Keys within cluster_tol() (relative)
+        tie, so rounding in the root search never decides the order, as it
+        would for branch pairs +-v.  An identity T has no fixed point to
+        approach; there the distance key is left out.
         """
         tol = scalar.cluster_tol()
         a0 = tmap.a0
@@ -134,7 +136,12 @@ class _Engine:
             scored.append((abs(c + a0), 0 if certified else 1,
                            mp.re(c), mp.im(c), (c, mult)))
         first = 1 if tmap.is_identity else 0
-        scored.sort(key=lambda s: s[first:4])
+        def order(s, u):
+            for a, b in zip(s[first:4], u[first:4]):
+                if abs(a - b) > tol * max(1, abs(a), abs(b)):
+                    return -1 if a < b else 1
+            return 0
+        scored.sort(key=cmp_to_key(order))
         return [s[4] for s in scored]
 
     # -- splitting ------------------------------------------------------------

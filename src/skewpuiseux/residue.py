@@ -4,13 +4,19 @@ This is the residue level of the local theory: polynomial arithmetic,
 a deterministic Durand-Kerner root finder with clustering, extended gcd
 with tolerance-aware degree collapse, the affine map T governing how
 conjugation by the uniformizer acts on residue roots, orbit partitions
-under T, and the all-n twisted-coprimality decision.
+under T, and the all-n twisted-coprimality decision.  Root search runs
+one sweep routine in double, then at working precision from those seeds
+(D. A. Bini, G. Fiorentino, Numer. Algorithms 23, 2000); settling,
+clustering and the Newton polish stay at working precision.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import prod
 
 from mpmath import mp
 
@@ -251,10 +257,10 @@ def roots(p: ResiduePoly) -> RootsReport:
     """All complex roots with multiplicities.
 
     k exactly-zero low coefficients give the root 0 with multiplicity k;
-    the others come from Durand-Kerner from the deterministic start points
-    (0.4+0.9i)^k, single-linkage clustering at scalar.cluster_tol(), and a
-    few multiplicity-aware Newton steps on each cluster center.  A root's
-    component below its rounding unit floor_tol(0) |root| is dust: 0.
+    the others come from Durand-Kerner, in double from (0.4+0.9i)^k and
+    then at working precision, which alone decides settling, clustering at
+    scalar.cluster_tol() and up and the Newton steps on each cluster
+    center.  A root's component below its rounding unit is dust (_drop_dust).
     """
     if p.degree < 1:
         raise UsageError("root finding needs degree >= 1")
@@ -263,11 +269,46 @@ def roots(p: ResiduePoly) -> RootsReport:
     pairs = [(mp.mpc(0), k)] if k else []
     if q.degree > k:
         pairs += _nonzero_roots(ResiduePoly(q.coeffs[k:], trim=False))
-    unit = scalar.floor_tol(0)
-    pairs = [(mp.mpc(*[0 if abs(x) < unit * abs(c) else x for x in (c.real, c.imag)]), m)
-             for c, m in pairs]
+    pairs = [(_drop_dust(c), m) for c, m in pairs]
     pairs.sort(key=lambda rm: (mp.re(rm[0]), mp.im(rm[0])))
     return RootsReport(pairs, max(abs(p.eval(r)) for r, _ in pairs))
+
+
+def _drop_dust(c):
+    """c with a component below its rounding unit floor_tol(0) |c| set to 0."""
+    unit = scalar.floor_tol(0) * abs(c)
+    return mp.mpc(*[0 if abs(x) < unit else x for x in (c.real, c.imag)])
+
+
+def _sweep(ev, zs, tiny):
+    """One Durand-Kerner sweep over zs (mpc or complex) in place; returns the
+    largest step.  A zero denominator becomes tiny (tiny = 0 raises)."""
+    maxstep = 0
+    for k, z in enumerate(zs):
+        denom = prod(z - w for j, w in enumerate(zs) if j != k)
+        step = ev(z) / (denom if denom != 0 else tiny)
+        zs[k] = z - step
+        maxstep = max(maxstep, abs(step))
+    return maxstep
+
+
+def _double_seeds(coeffs):
+    """Durand-Kerner in double from (0.4+0.9i)^k, to a step below 2^-40, a
+    stall below 2^-17 or 64 sweeps; None when a coefficient, an iterate or
+    a step leaves the double range or a denominator is 0."""
+    cs = [complex(c) for c in reversed(coeffs)]
+    if not all(cmath.isfinite(x) and (x or c == 0) for x, c in zip(cs, reversed(coeffs))):
+        return None
+    zs, prev = [complex(0.4, 0.9) ** (k + 1) for k in range(len(cs) - 1)], INF
+    try:
+        for _ in range(64):
+            step = _sweep(lambda w: reduce(lambda acc, c: acc * w + c, cs), zs, 0)
+            if step < 2.0 ** -40 or prev / 2 < step < 2.0 ** -17:
+                break
+            prev = step
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return zs if all(cmath.isfinite(z) for z in zs) else None
 
 
 def _nonzero_roots(q: ResiduePoly) -> list:
@@ -277,25 +318,13 @@ def _nonzero_roots(q: ResiduePoly) -> list:
         return [(-q.coeff(0), 1)]
 
     base = mp.mpc("0.4", "0.9")
-    zs = [base ** (k + 1) for k in range(d)]
+    zs = [mp.mpc(z) for z in _double_seeds(q.coeffs) or (base ** (k + 1) for k in range(d))]
     hard = scalar.floor_tol(12)
     soft = scalar.cluster_tol()
     prev = mp.inf
     settled = False
     for _ in range(512):
-        maxstep = mp.mpf(0)
-        for k in range(d):
-            denom = mp.mpc(1)
-            for j in range(d):
-                if j != k:
-                    denom *= zs[k] - zs[j]
-            if denom == 0:
-                denom = mp.mpc(hard)
-            step = q.eval(zs[k]) / denom
-            zs[k] = zs[k] - step
-            a = abs(step)
-            if a > maxstep:
-                maxstep = a
+        maxstep = _sweep(q.eval, zs, mp.mpc(hard))
         if maxstep < hard:
             settled = True
             break
@@ -329,8 +358,8 @@ def _nonzero_roots(q: ResiduePoly) -> list:
 
 
 def _cluster_polish(q, dq, zs, radius, hard):
-    """Single-linkage clustering at the given radius, then multiplicity-aware
-    Newton steps on each cluster center."""
+    """Single-linkage clustering at the given radius, then up to three
+    multiplicity-aware Newton steps per center, to a step <= hard max(1, |center|)."""
     d = len(zs)
     labels = list(range(d))
     for i in range(d):
@@ -351,7 +380,10 @@ def _cluster_polish(q, dq, zs, radius, hard):
             pd = dq.eval(center)
             if abs(pd) < hard:
                 break
-            center = center - mult * q.eval(center) / pd
+            step = mult * q.eval(center) / pd
+            center -= step
+            if abs(step) <= hard * max(1, abs(center)):
+                break
         pairs.append((center, mult))
     pairs.sort(key=lambda rm: (mp.re(rm[0]), mp.im(rm[0])))
     return pairs
@@ -541,7 +573,8 @@ def refine_factor_pair(p: ResiduePoly, u: ResiduePoly, v: ResiduePoly):
 
     Root-based factor reconstruction is limited by the sqrt-of-epsilon
     accuracy floor at multiple roots; this correction converges
-    quadratically to the full working precision instead.
+    quadratically to the full working precision instead.  It leaves
+    components below the rounding unit: they are dust (_drop_dust).
     """
     g, a, b = ext_gcd(u, v)[:3]
     if g.degree != 0:
@@ -559,7 +592,7 @@ def refine_factor_pair(p: ResiduePoly, u: ResiduePoly, v: ResiduePoly):
             dv = ResiduePoly(dv.coeffs[:v.degree], trim=False)
         u = u + du
         v = v + dv
-    return u, v
+    return tuple(ResiduePoly([_drop_dust(c) for c in w.coeffs]) for w in (u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -241,3 +241,15 @@ def test_zeros_of_a_real_cubic_print_no_imaginary_dust(capsys):
     code, out, _ = run_cli(capsys, *args, "--json")
     assert code == 0 and len(json.loads(out)["factors"]) == 3
     assert re.search(r"\di", out) is None, out
+
+
+@pytest.mark.parametrize("args, count", [
+    (("--alpha", "1", "--prec", "6", "t^4 - (2+x)*t^2 + 1"), 4),
+    (("--alpha", "3", "--prec", "8", "t^3 - 2*t^2 + (1+x)*t - x^2"), 3),
+])
+def test_refined_factor_pairs_print_no_imaginary_dust(capsys, args, count):
+    # the Newton correction of refine_factor_pair left imaginary parts of
+    # ~1e-41 and ~1e-58 on these zeros of real polynomials
+    code, out, _ = run_cli(capsys, "factor", *args)
+    assert code == 0 and out.count("\nfactor: ") == count
+    assert re.search(r"\di", out) is None, out

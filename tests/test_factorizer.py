@@ -175,6 +175,25 @@ def test_candidate_order_ignores_last_bit_for_identity_twist():
     assert orders == {(-1, 1)}
 
 
+@pytest.mark.parametrize("alpha, a0", [(2, 0), (2, mp.mpf(1) / 2), (Fraction(3, 2), 0)],
+                         ids=["2-0", "2-half", "3/2-0"])
+def test_candidate_order_ignores_last_bit_for_a_twist(alpha, a0):
+    # a pair -a0 +- v is equally far from the fixed point -a0 of T: the
+    # distance key ties, and the last bits of the roots must not decide
+    engine = _Engine(Alpha(alpha), FactorConfig())
+    tmap = TMap(Alpha(alpha), 1, a0)
+    v = mp.mpc(1, 2) / 3
+    orders = set()
+    for dr in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            plus = mp.mpc(_nudge(v.real - a0, dr), _nudge(v.imag, di))
+            minus = mp.mpc(_nudge(-v.real - a0, -di), _nudge(-v.imag, dr))
+            for rts in ([(plus, 1), (minus, 1)], [(minus, 1), (plus, 1)]):
+                order = engine._candidates(rts, tmap)
+                orders.add(tuple(mp.sign(c.imag) for c, _ in order))
+    assert len(orders) == 1
+
+
 def test_factor_step_requires_shifted_input():
     R = puiseux_ring(2)
     f = parse_poly("t^2 - 2*t + 1", R)

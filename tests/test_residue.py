@@ -7,7 +7,8 @@ from skewpuiseux import (Alpha, ConjSeriesRing, ResiduePoly, TMap, bits,
                          delta_set_member, ext_gcd, orbit_partition,
                          refine_factor_pair, roots, twist_coprime_affine,
                          twist_coprime_periodic, twist_residue)
-from skewpuiseux.errors import UsageError
+from skewpuiseux import residue as residue_mod
+from skewpuiseux.errors import RootFindingError, UsageError
 from skewpuiseux.residue import delta_pretest, gamma_elements
 from skewpuiseux.scalar import to_mpc, zero_eps
 
@@ -436,3 +437,199 @@ def test_real_roots_carry_no_imaginary_dust():
             assert len(rr.pairs) == p.degree
             assert all(r.imag == 0 for r, _ in rr.pairs)
             assert rr.residual < mp.mpf(2) ** -100
+
+
+def ref_nonzero_roots(q):
+    """The root search with every Durand-Kerner sweep and three Newton
+    steps per cluster at working precision, kept as a reference."""
+    d = q.degree
+    if d == 1:
+        return [(-q.coeff(0), 1)]
+    base = mp.mpc("0.4", "0.9")
+    zs = [base ** (k + 1) for k in range(d)]
+    hard = mp.ldexp(1, -(mp.prec - 12))
+    soft = mp.ldexp(1, -(mp.prec // 3))
+    prev = mp.inf
+    for _ in range(512):
+        maxstep = mp.mpf(0)
+        for k in range(d):
+            denom = mp.mpc(1)
+            for j in range(d):
+                if j != k:
+                    denom *= zs[k] - zs[j]
+            if denom == 0:
+                denom = mp.mpc(hard)
+            step = q.eval(zs[k]) / denom
+            zs[k] = zs[k] - step
+            maxstep = max(maxstep, abs(step))
+        if maxstep < hard or (maxstep < soft and maxstep > prev / 2):
+            break
+        prev = maxstep
+    else:
+        raise RootFindingError("root iteration did not settle in 512 steps")
+    zs = sorted(zs, key=lambda z: (mp.re(z), mp.im(z)))
+    dq = q.derivative()
+    good = zero_eps() * max(mp.mpf(1), q.max_abs())
+    best = None
+    radius = soft
+    for _ in range(max(2, mp.prec // 8)):
+        labels = list(range(d))
+        for i in range(d):
+            for j in range(i + 1, d):
+                if abs(zs[i] - zs[j]) <= radius:
+                    old = labels[j]
+                    labels = [labels[i] if x == old else x for x in labels]
+        clusters = {}
+        for k in range(d):
+            clusters.setdefault(labels[k], []).append(zs[k])
+        pairs = []
+        for members in clusters.values():
+            mult = len(members)
+            center = sum(members) / mult
+            for _ in range(3):
+                pd = dq.eval(center)
+                if abs(pd) < hard:
+                    break
+                center = center - mult * q.eval(center) / pd
+            pairs.append((center, mult))
+        pairs.sort(key=lambda rm: (mp.re(rm[0]), mp.im(rm[0])))
+        dev = (ResiduePoly.from_roots(pairs) - q).max_abs()
+        if best is None or dev < best[0]:
+            best = (dev, pairs)
+        if dev <= good:
+            break
+        radius *= 4
+    return best[1]
+
+
+def _ref_roots(monkeypatch, p):
+    """_outcome(p) with the reference search."""
+    with monkeypatch.context() as m:
+        m.setattr(residue_mod, "_nonzero_roots", ref_nonzero_roots)
+        return _outcome(p)
+
+
+def _outcome(p):
+    """roots(p).pairs, or RootFindingError when the search raises it."""
+    try:
+        return roots(p).pairs
+    except RootFindingError:
+        return RootFindingError
+
+
+def _poly(rts):
+    """The monic polynomial with the given roots, untrimmed."""
+    c = [mp.mpc(1)]
+    for r in rts:
+        c = [mp.mpc(0)] + c
+        for i in range(len(c) - 1):
+            c[i] -= r * c[i + 1]
+    return ResiduePoly(c, trim=False)
+
+
+def _draw(rnd, d):
+    return [rand_coeff(rnd) for _ in range(d)]
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_two_phase_roots_match_the_single_phase_search(monkeypatch, prec):
+    """Random simple roots of degree 2-6: the double-precision seeds change
+    the path, not the answer, to 2^-(P-16)."""
+    rnd = rng(prec + 29)
+    with bits(prec):
+        tol = mp.ldexp(1, -(prec - 16))
+        for _ in range(30):
+            p = _poly(_draw(rnd, rnd.randint(2, 6)))
+            got, ref = roots(p).pairs, _ref_roots(monkeypatch, p)
+            assert [m for _, m in got] == [m for _, m in ref]
+            for (a, _), (b, _) in zip(got, ref):
+                assert abs(a - b) <= tol * max(1, abs(b))
+
+
+def _near(pairs, c, radius):
+    """The (root, multiplicity) pairs within radius of c."""
+    return [(a, m) for a, m in pairs if abs(a - c) <= radius]
+
+
+@pytest.mark.parametrize("prec", [128, 160, 256])
+def test_two_phase_roots_on_double_and_close_roots(monkeypatch, prec):
+    """Double roots and pairs 2^-30, 2^-40 and 2^-50 apart keep the
+    single-phase multiplicities; the 2^-50 pair is one double root at 128
+    bits only.  A double root of the rounded input is known to about
+    2^-(P-24)/2, a root of a resolved pair to 2^-(P-24)/gap; a pair within
+    12 bits of the clustering radius 2^-(P/3) may stop before it is
+    resolved and be polished only to about 2^-(P/2), in either search.
+
+    Triple roots are left out: their iterates stall about 2^-(P/3) apart, at
+    the clustering radius itself, and both searches raise or return a far
+    cluster on some of them, on different inputs."""
+    rnd = rng(prec + 31)
+    with bits(prec):
+        for c in _draw(rnd, 6):
+            p = _poly([c, c] + _draw(rnd, rnd.randint(0, 4)))
+            got, ref = roots(p).pairs, _ref_roots(monkeypatch, p)
+            assert [k for _, k in got] == [k for _, k in ref]
+            radius = mp.ldexp(1, -(prec - 24) // 2) * max(1, abs(c))
+            assert sum(k for _, k in _near(got, c, radius)) == 2
+        for gap in (30, 40, 50):
+            for c in _draw(rnd, 4):
+                w = rand_coeff(rnd)
+                c2 = c + w / abs(w) * mp.ldexp(1, -gap)
+                p = _poly([c, c2] + _draw(rnd, rnd.randint(0, 3)))
+                got, ref = roots(p).pairs, _ref_roots(monkeypatch, p)
+                assert [k for _, k in got] == [k for _, k in ref]
+                assert (max(k for _, k in got) == 2) == (gap == 50 and prec == 128)
+                if gap <= prec // 3 - 12:
+                    tol = mp.ldexp(1, gap - (prec - 24))
+                    for (a, _), (b, _) in zip(got, ref):
+                        assert abs(a - b) <= tol * max(1, abs(b))
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_two_phase_roots_out_of_double_range(monkeypatch, prec):
+    """Roots scaled by 2^1100 or 2^-1100 give coefficients that over- or
+    underflow double, and coefficients near DBL_MAX a first step whose
+    modulus overflows it: the search starts from the single-phase points and
+    keeps its answer, a RootFindingError included."""
+    rnd = rng(prec + 37)
+    with bits(prec):
+        tol = mp.ldexp(1, -(prec - 16))
+        polys = []
+        for e in (1100, -1100):
+            for d in (2, 3, 4):
+                rts = _draw(rnd, d)
+                for scaled in ([c * mp.ldexp(1, e) for c in rts], [rts[0] * mp.ldexp(1, e)] + rts[1:]):
+                    polys.append(_poly(scaled))
+        for big in (mp.mpc(1.5e308, 1.5e308), mp.mpc(-1.7e308, 1e308)):
+            polys += [ResiduePoly([big, 0, 1], trim=False),
+                      ResiduePoly([big, mp.mpc(1e308), 1], trim=False)]
+        for p in polys:
+            assert residue_mod._double_seeds(p.coeffs) is None
+            got, ref = _outcome(p), _ref_roots(monkeypatch, p)
+            if ref is RootFindingError:
+                assert got is RootFindingError
+                continue
+            assert [m for _, m in got] == [m for _, m in ref]
+            for (a, _), (b, _) in zip(got, ref):
+                assert abs(a - b) <= tol * max(1, abs(b))
+
+
+def test_quartic_roots_take_few_working_precision_evaluations(monkeypatch):
+    # the double-precision phase leaves about three working-precision sweeps
+    # of four evaluations, one Newton step (two) per root, and the residual
+    # (one per root); every sweep at 160 bits took about 66
+    calls = []
+    real = ResiduePoly.eval
+
+    def counting(self, w):
+        calls.append(1)
+        return real(self, w)
+
+    monkeypatch.setattr(ResiduePoly, "eval", counting)
+    rnd = rng(41)
+    with bits(160):
+        for _ in range(5):
+            p = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(4)])
+            del calls[:]
+            assert len(roots(p)) == 4
+            assert len(calls) <= 24
