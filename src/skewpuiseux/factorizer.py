@@ -6,15 +6,20 @@ F[t, sigma] and runs the reduction pipeline:
 
   1. t^d short-circuit;
   2. scale by x^(-r) and normalize monic, making all coefficient orders
-     >= 0 with equality somewhere;
+     >= 0 with equality somewhere (closed form, normalize_scaled);
   3. if the t^(d-1) coefficient has order 0, kill it: solve the trace
-     equation for b and shift t -> t - b (landing in the delta_(-b) ring);
-  4. split: orbit-partition splitting when some lower coefficient has
-     order 0, the (t^(d-1), t) lift when everything else vanishes mod x
+     equation for b and shift t -> t - b (landing in the delta_(-b)
+     ring).  The shift is taken on residues, res F1(t - b0) with
+     b0 = res b, and on the t^(d-1) coefficient, to check that it
+     cancels; the shifted series are formed only for step 4's t-power
+     test and classical round;
+  4. split: orbit-partition splitting when some lower residue coefficient
+     is nonzero, the (t^(d-1), t) lift when everything else vanishes mod x
      and sigma is nontrivial, or one classical Newton-Puiseux round when
-     alpha = 1; a split lifts the unshifted polynomial of step 2;
-  5. scale the right factor back, re-monicize, divide it out and recurse
-     on both parts.
+     alpha = 1; a split lifts the unshifted polynomial F1 = u v of step 2;
+  5. scale the right factor v back to a monic vt, read the left factor off
+     u (scale_back_left; a t-power right factor is divided out instead),
+     and recurse on both parts.
 
 Splitting candidates are certified directly: a residue root is accepted as
 orbit base as soon as its orbit captures some but not all roots, which is
@@ -37,10 +42,11 @@ from .errors import (NoSplittingRoot, Obstruction, PrecisionExhausted,
 from .hensel import hensel_lift
 from .puiseux import PuiseuxSeries
 from .residue import ResiduePoly
-from .scalar import INF, to_mpc
+from .scalar import INF, is_negligible, to_mpc
 from .skewpoly import PuiseuxRing, SkewPoly, puiseux_ring
-from .structure import (IsoRecord, normalize_scaled, scale_back_monic,
-                        scaling_exponent, shift_iso, trace_solve)
+from .structure import (IsoRecord, normalize_scaled, scale_back_left,
+                        scale_back_monic, scaling_exponent, shift_iso,
+                        trace_solve)
 
 ORDER_MARGIN = 4  # extra x-orders lifted beyond the target
 
@@ -146,28 +152,24 @@ class _Engine:
 
     # -- splitting ------------------------------------------------------------
 
-    def _lift_split(self, F: SkewPoly, ubar, vbar, roots, target_k: int, shift):
-        """Lift res F = ubar vbar (``roots``: their root lists).  Given
-        ``shift`` = (F1, b) with F = shift_iso(F1, b), it lifts the unshifted
-        F1 in F[t, sigma], from p(t + b0) and roots c - b0 (b0 = res b)."""
-        if shift is not None:
-            F, b = shift
-            b0 = to_mpc(b.residue())
+    def _lift_split(self, F: SkewPoly, ubar, vbar, roots, target_k: int, b0):
+        """Lift a factorization ubar vbar of res shift_iso(F, b) (``roots``:
+        their root lists; b0 = res b, 0 when there is no shift).  It lifts F
+        itself, from p(t + b0) and roots c - b0."""
+        if b0:
             ubar, vbar = (residue_mod.substitute(p, 1, b0) for p in (ubar, vbar))
             roots = tuple([(c - b0, m) for c, m in rs] for rs in roots)
         ring = F.ring
         u, v = (SkewPoly(ring, [ring.from_scalar(c) for c in p.coeffs]) for p in (ubar, vbar))
         return hensel_lift(F, u, v, target_k, roots=roots)[:2]
 
-    def prop_split(self, F: SkewPoly, target_k: int, shift=None):
-        """Orbit-partition split: residue roots are grouped by the T-orbit
-        of a base root; the orbit part lifts as the left factor, in the
-        unshifted ring when ``shift`` is given (_lift_split)."""
-        ring = F.ring
+    def prop_split(self, F: SkewPoly, res, tmap, b0, target_k: int):
+        """Orbit-partition split: the roots of ``res``, the residue of the
+        shifted polynomial with residue map ``tmap``, are grouped by the
+        T-orbit of a base root; the orbit part lifts as the left factor of
+        F (_lift_split)."""
         d = F.degree
-        res = F.reduce_residue()
         rts = residue_mod.roots(res)
-        tmap = ring.tmap()
         for c1, _ in self._candidates(rts.pairs, tmap):
             part = residue_mod.orbit_partition(rts.pairs, c1, tmap)
             j = part.j
@@ -177,40 +179,31 @@ class _Engine:
                 vbar = ResiduePoly.from_roots(part.outsiders)
                 ubar, vbar = residue_mod.refine_factor_pair(res, ubar, vbar)
                 return self._lift_split(F, ubar, vbar, (members, part.outsiders),
-                                        target_k, shift)
+                                        target_k, b0)
         raise NoSplittingRoot(
             f"no residue root splits the orbit partition of {res!r}")
 
-    def t_split(self, F: SkewPoly, target_k: int, shift=None):
-        """Terminal branch: all lower coefficients vanish mod x, so
-        g = t^(d-1), h = t lifts to a monic linear right factor (``shift``
-        as in prop_split)."""
+    def t_split(self, F: SkewPoly, b0, target_k: int):
+        """Terminal branch: all lower coefficients of the shifted polynomial
+        vanish mod x, so g = t^(d-1), h = t lifts to a monic linear right
+        factor (of F, ``b0`` as in _lift_split)."""
         groots = [(0, F.degree - 1)] if F.degree > 1 else []
         return self._lift_split(F, ResiduePoly.from_roots(groots), ResiduePoly([0, 1]),
-                                (groots, [(0, 1)]), target_k, shift)
-
-    def factor_step(self, F: SkewPoly, target_k: int, shift=None):
-        """Dispatch on a normalized integral polynomial (min coefficient
-        order 0 unless everything vanishes mod x; t^(d-1) coefficient of
-        positive order).  Returns ("split", u, v) or ("classical", None);
-        with ``shift`` (see _lift_split) u, v are factors of F1."""
-        d = F.degree
-        ring = F.ring
-        sub = F.coeffs[:d]
-        if any(ring.ord_k(c) == 0 for c in sub[: d - 1]) or ring.ord_k(F.coeffs[d - 1]) == 0:
-            if ring.ord_k(F.coeffs[d - 1]) == 0:
-                raise UsageError("factor_step needs ord(f_(d-1)) > 0; shift first")
-            return ("split", *self.prop_split(F, target_k, shift))
-        if self.alpha.is_one:
-            return ("classical", None, None)
-        return ("split", *self.t_split(F, target_k, shift))
+                                (groots, [(0, 1)]), target_k, b0)
 
     # -- main recursion ---------------------------------------------------------
 
     def factor_monic(self, f: SkewPoly, depth: int):
         """Zeros c_1..c_d with f = (t - c_1) ... (t - c_d) in F[t, sigma].
-        A split lifts the unshifted F1 in F[t, sigma], so its factors need
-        no shift back."""
+
+        The shift t -> t - b is decided on residues: res shift_iso(F1, b) is
+        res F1(t - b0), b0 = res b, and its map T has a0 = -b0.  A split
+        lifts the unshifted F1 = u v in F[t, sigma]; the right factor is
+        scaled back to vt and the left one read off u (scale_back_left),
+        so f = quo * vt needs no division.  shift_iso forms the shifted
+        polynomial only where its series are read: the t-power test and
+        the classical round.
+        """
         ring = f.ring
         d = f.degree
         if d <= 0:
@@ -233,29 +226,35 @@ class _Engine:
         avail = min((INF if c.trunc is None else c.trunc for c in F1.coeffs), default=INF)
         target_k = self._level_target_k(ring1.L, r, d, avail)
 
-        b = None
-        F2 = F1
-        if ring1.ord_k(F1.coeffs[d - 1]) == 0:
-            b = trace_solve(F1.coeffs[d - 1], d, self.alpha)
-            F2 = shift_iso(F1, b)
+        b, b0 = None, 0
+        res, tmap = F1.reduce_residue(), ring1.tmap()
+        cdm1 = F1.coeffs[d - 1]
+        if ring1.ord_k(cdm1) == 0:
+            b = trace_solve(cdm1, d, self.alpha)
             self.trail.append(IsoRecord("shift", (str(b),)))
-            # the trace cancellation is exact coefficient-wise; pin it
-            cdm1 = F2.coeffs[d - 1]
-            if not cdm1.is_zero:
-                if cdm1.max_abs() > scalar.zero_eps() * max(1, F2.max_abs()):
-                    raise PrecisionExhausted("shift failed to cancel the t^(d-1) coefficient")
-            coeffs = list(F2.coeffs)
-            coeffs[d - 1] = PuiseuxSeries.zero(F2.ring.L, cdm1.trunc)
-            F2 = SkewPoly(F2.ring, coeffs, trim=False)
+            # the t^(d-1) coefficient of shift_iso(F1, b) is
+            # c_(d-1) - sum_(i<d) sigma^i(b); the trace solve cancels it
+            # termwise unless it dropped a term below the zero test
+            rest = cdm1
+            for i in range(d):
+                rest = rest - b.sigma_pow(i, self.alpha)
+            if not rest.is_zero and rest.max_abs() > scalar.zero_eps() * max(1, F1.max_abs()):
+                raise PrecisionExhausted("shift failed to cancel the t^(d-1) coefficient")
+            b0 = to_mpc(b.residue())
+            res = _shifted_residue(res, b0)
+            tmap = residue_mod.TMap(self.alpha, ring1.L, -b0)
 
-        if _is_t_power(F2):
-            # the right factor t + O(x^zt) of F2, t + b + O(x^zt) of F1
-            t = _sub_lead_trunc(F2)
-            c0 = PuiseuxSeries.zero(ring1.L, None if t is None else max(0, -(-int(t) // d)))
-            vh = SkewPoly(ring1, [c0 if b is None else b + c0, ring1.one()], trim=False)
+        if _orbit_case(res):
+            u, vh = self.prop_split(F1, res, tmap, b0, target_k)
         else:
-            kind, _, vh = self.factor_step(F2, target_k, None if b is None else (F1, b))
-            if kind == "classical":
+            F2 = F1 if b is None else _pinned_shift(F1, b)
+            if _is_t_power(F2):
+                # the right factor t + O(x^zt) of F2, t + b + O(x^zt) of F1
+                t = _sub_lead_trunc(F2)
+                c0 = PuiseuxSeries.zero(ring1.L, None if t is None else max(0, -(-int(t) // d)))
+                u = None
+                vh = SkewPoly(ring1, [c0 if b is None else b + c0, ring1.one()], trim=False)
+            elif self.alpha.is_one:
                 # alpha = 1: every delta_a vanishes, so re-read the shifted
                 # polynomial in the underived ring and iterate the round
                 flat_ring = puiseux_ring(self.alpha, F2.ring.L)
@@ -270,33 +269,73 @@ class _Engine:
                         z = xr * z
                     out.append(z)
                 return out
+            else:
+                u, vh = self.t_split(F1, b0, target_k)
 
         vt = scale_back_monic(vh, r)
-        quo, rem = f.left_divmod(vt)
-        remdev = rem.max_abs()
-        if remdev > scalar.dust_tol():
-            self.warnings.append(f"factor pullback residual {remdev}")
+        if u is None:
+            quo, rem = f.left_divmod(vt)
+            remdev = rem.max_abs()
+            if remdev > scalar.dust_tol():
+                self.warnings.append(f"factor pullback residual {remdev}")
+        else:
+            quo = scale_back_left(u, r, vh.degree)
         left = self.factor_monic(quo, depth)
         right = self.factor_monic(vt, depth)
         return left + right
+
+
+def _orbit_case(res: ResiduePoly) -> bool:
+    """Some coefficient of the monic res below t^(d-1) is nonzero: the
+    orbit split."""
+    return any(not is_negligible(c) for c in res.coeffs[:-2])
+
+
+def _shifted_residue(res: ResiduePoly, b0) -> ResiduePoly:
+    """res(t - b0), the residue of the shift by b (b0 = res b), with the
+    zero test of series coefficients and the cancelled t^(d-1) coefficient
+    pinned to 0, as the series of shift_iso would give it."""
+    zero = mp.mpc(0)
+    coeffs = [zero if is_negligible(c) else c
+              for c in residue_mod.substitute(res, 1, -b0).coeffs]
+    coeffs[-2] = zero
+    return ResiduePoly(coeffs, trim=False)
+
+
+def _pinned_shift(F1: SkewPoly, b: PuiseuxSeries) -> SkewPoly:
+    """shift_iso(F1, b) with its t^(d-1) coefficient, which the trace solve
+    cancels, pinned to a zero of the same truncation."""
+    F2 = shift_iso(F1, b)
+    coeffs = list(F2.coeffs)
+    coeffs[-2] = PuiseuxSeries.zero(F2.ring.L, coeffs[-2].trunc)
+    return SkewPoly(F2.ring, coeffs, trim=False)
 
 
 def factor_step(f: SkewPoly, cfg: FactorConfig | None = None, target_k=None):
     """One splitting step on a normalized integral monic polynomial.
 
     Expects the pipeline's post-shift shape (t^(d-1) coefficient of
-    positive order).  Returns ("split", u_hat, v_hat) with f = u_hat v_hat
-    to the working order, or ("classical", None, None) when alpha = 1 and
-    only a rescaling round can make progress.
+    positive order, min coefficient order 0 unless everything vanishes mod
+    x).  Returns ("split", u_hat, v_hat) with f = u_hat v_hat to the
+    working order, or ("classical", None, None) when alpha = 1 and only a
+    rescaling round can make progress.
     """
     cfg = cfg or FactorConfig()
     ring = f.ring
     if not isinstance(ring, PuiseuxRing):
         raise UsageError("factor_step works over Puiseux coefficients")
     engine = _Engine(ring.alpha, cfg)
+    d = f.degree
     if target_k is None:
-        target_k = engine._level_target_k(ring.L, Fraction(0), f.degree, INF)
-    return engine.factor_step(f, target_k)
+        target_k = engine._level_target_k(ring.L, Fraction(0), d, INF)
+    if ring.ord_k(f.coeffs[d - 1]) == 0:
+        raise UsageError("factor_step needs ord(f_(d-1)) > 0; shift first")
+    res = f.reduce_residue()
+    if _orbit_case(res):
+        return ("split", *engine.prop_split(f, res, ring.tmap(), 0, target_k))
+    if engine.alpha.is_one:
+        return ("classical", None, None)
+    return ("split", *engine.t_split(f, 0, target_k))
 
 
 def _require_plain_ring(f: SkewPoly) -> PuiseuxRing:
@@ -318,7 +357,10 @@ def newton_puiseux_factor(f: SkewPoly, cfg: FactorConfig | None = None) -> Facto
     coefficients (skew factor pairs are often divergent series); when the
     recovered zeros show such growth, the computation is repeated once at
     a precision large enough that the re-multiplication dust stays below
-    the nominal 2^(-bits) scale.
+    the nominal 2^(-bits) scale.  A residual still above the ``ok`` bound
+    of verify_factorization at the requested precision, zero_eps() *
+    max(1, |f|) at cfg.bits, raises PrecisionExhausted; the retry's own
+    precision does not tighten the bound.
     """
     cfg = cfg or FactorConfig()
     bits_eff = cfg.bits
@@ -330,7 +372,12 @@ def newton_puiseux_factor(f: SkewPoly, cfg: FactorConfig | None = None) -> Facto
         if attempt == 0 and growth_bits > cfg.bits // 8:
             bits_eff = cfg.bits + growth_bits + 16
             continue
-        return fac
+        break
+    with scalar.bits(cfg.bits):
+        bound = scalar.zero_eps() * max(1, f.max_abs())
+    if not fac.residual <= bound:
+        raise PrecisionExhausted(
+            f"factorization residual {mp.nstr(fac.residual, 5)} above {mp.nstr(bound, 5)}")
     return fac
 
 

@@ -25,7 +25,7 @@ from operator import mul
 from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
 from .scalar import (EXACT_TYPES, INF, Alpha, fmt_exponent, fmt_scalar, fmt_term,
-                     is_negligible, to_mpc)
+                     is_negligible)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -272,9 +272,7 @@ class PuiseuxSeries:
     # -- measurement and comparison ----------------------------------------
 
     def max_abs(self):
-        if not self.terms:
-            return scalar.mp.mpf(0)
-        return max(abs(to_mpc(c)) for c in self.terms.values())
+        return scalar.max_abs(self.terms.values())
 
     def deviation(self, other) -> object:
         """Max coefficient modulus of self - other up to shared truncation."""

@@ -66,10 +66,6 @@ def _trim(coeffs):
     return coeffs
 
 
-def _max_abs(coeffs):
-    return max((abs(c) for c in coeffs), default=mp.mpf(0))
-
-
 def _mul(a, b):
     """Product of coefficient lists (ResiduePoly.__mul__), trimmed."""
     if not a or not b:
@@ -124,7 +120,7 @@ def _divmod(a, b, tol):
                 break
             if top is None or top >= z_lo:
                 if thr is None:
-                    thr = tol * max(_max_abs(a), _max_abs(b), mp.mpf(1))
+                    thr = tol * max(scalar.max_abs(a), scalar.max_abs(b), mp.mpf(1))
                 if not abs(r[-1]) < thr:
                     break
             r.pop()
@@ -218,7 +214,7 @@ class ResiduePoly:
         return ResiduePoly([conj_scalar(c) for c in self.coeffs], trim=False)
 
     def max_abs(self):
-        return _max_abs(self.coeffs)
+        return scalar.max_abs(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, ResiduePoly):
@@ -406,7 +402,7 @@ def ext_gcd(p: ResiduePoly, q: ResiduePoly, tol=None):
     kappa = mp.mpf(1)
     while r1:
         quo, rem = _divmod(r0, r1, tol)
-        kappa *= max(mp.mpf(1), _max_abs(quo))
+        kappa *= max(mp.mpf(1), scalar.max_abs(quo))
         if not rem:
             r0, s0, t0 = r1, s1, t1
             break

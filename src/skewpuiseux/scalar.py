@@ -159,6 +159,26 @@ def mag_exp(c):
     return top
 
 
+def max_abs(values):
+    """max(abs(to_mpc(c)) for c in values), mpf 0 for none, with the
+    modulus taken only where it can be the largest.
+
+    An entry two or more binary orders below the top (mag_exp) has modulus
+    below sqrt(2) 2^(top-2) < 2^(top-1), the least a top entry can have,
+    and rounding keeps that order, so dropping it leaves the result bit for
+    bit as the plain max, ties included.  A value that is not an mpmath
+    number, or is inf or nan, sends the whole list to the plain max.
+    """
+    values = list(values)
+    tops = [mag_exp(c) for c in values]
+    if None in tops:
+        return max((abs(to_mpc(c)) for c in values), default=mp.mpf(0))
+    if not tops:
+        return mp.mpf(0)
+    cut = max(tops) - 1
+    return max(abs(to_mpc(c)) for c, e in zip(values, tops) if e >= cut)
+
+
 def pow2_exp(eps):
     """log2(eps) when eps is an mpf power of two, else None."""
     part = getattr(eps, "_mpf_", None)

@@ -1,12 +1,20 @@
 """Ring isomorphisms used by the reduction pipeline.
 
-Each map is realized by substitute-and-expand (Horner over the image of t)
-in the target ring, matching the universal-property construction, and is
-validated by homomorphism invariants in the test suite:
+The shift and the scaling are realized by substitute-and-expand (Horner
+over the image of t) in the target ring, matching the universal-property
+construction, and are validated by homomorphism invariants in the test
+suite:
 
   shift:  F[t,s,delta_a] -> F[t,s,delta_(a-b)],   t |-> t - b
   scale:  F[t,s,delta_a] -> F[t,s,delta_(a*x^r)], t |-> x^(-r) t
   trace preimage: solves b + b^s + ... + b^(s^(d-1)) = g termwise
+
+The factorizer's scalings live in the underived ring F[t, sigma], where
+(x^(-r) t)^i = beta_i x^(-ri) t^i with beta_i = alpha^(-r i(i-1)/2) (the
+beta law, scaled_power_unit).  There a scaling followed by a monomial unit
+maps each coefficient to a monomial multiple of itself, so
+normalize_scaled, scale_back_monic and scale_back_left work coefficient-wise
+in closed form (_rescaled); scale_iso stays general and is their reference.
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import scalar
-from .errors import Obstruction, PrecisionExhausted, UsageError
+from .errors import NotMonicError, Obstruction, PrecisionExhausted, UsageError
 from .puiseux import PuiseuxSeries, SkewContext
-from .scalar import INF, Alpha, to_mpc
-from .skewpoly import PuiseuxRing, SkewPoly, _horner_image
+from .scalar import EXACT_TYPES, INF, Alpha, to_mpc
+from .skewpoly import PuiseuxRing, SkewPoly, _horner_image, puiseux_ring
 
 
 @dataclass(frozen=True)
@@ -134,47 +142,73 @@ def scaling_exponent(f: SkewPoly):
 
 
 def normalize_scaled(f: SkewPoly, r):
-    """Replace f by beta_d^(-1) x^(rd) psi(f): monic, all coefficient orders
-    >= 0 and at least one equal to 0 (for r chosen by scaling_exponent).
+    """Replace f by beta_d^(-1) x^(rd) psi(f), psi the scaling by r: monic,
+    all coefficient orders >= 0 and at least one equal to 0 (for r chosen
+    by scaling_exponent).  In closed form (_rescaled), coefficient i is
+    f_i alpha^(-r(i(i-1) - d(d-1))/2) x^(r(d-i)).
 
     Returns (polynomial, records).
     """
-    ring = f.ring
-    d = f.degree
     r = Fraction(r)
     if r == 0:
         return f, []
-    records = [IsoRecord("scale", (r,))]
-    fs = scale_iso(f, r)
-    target = fs.ring
-    beta_d = scaled_power_unit(ring.alpha, r, d)
-    inv_beta = 1 / beta_d
-    unit = PuiseuxSeries.x_pow(r * d, 1).at_ram(target.L).scale(inv_beta)
-    out = fs.lmul_base(unit)
-    records.append(IsoRecord("unit_normalize", (inv_beta, r * d)))
-    # the leading coefficient is 1 by construction; pin it exactly
-    lead = out.coeffs[-1]
-    dev = (lead - 1).max_abs()
-    if dev > scalar.zero_eps():
-        raise PrecisionExhausted(f"scaled normalization lost monicity (dev={dev})")
-    coeffs = list(out.coeffs)
-    coeffs[-1] = target.one()
-    return SkewPoly(target, coeffs, trim=False), records
+    inv_beta = 1 / scaled_power_unit(f.ring.alpha, r, f.degree)
+    records = [IsoRecord("scale", (r,)), IsoRecord("unit_normalize", (inv_beta, r * f.degree))]
+    return _rescaled(f, r), records
 
 
 def scale_back_monic(v: SkewPoly, r):
     """Inverse-scale a monic factor and re-extract the leading unit so the
-    result is monic again: psi^(-1)(v) = lead * result with lead a monomial."""
+    result is monic again: psi^(-1)(v) = lead * result with lead a monomial.
+    In closed form, coefficient i is v_i alpha^(r(i(i-1) - m(m-1))/2)
+    x^(-r(m-i)), m = deg v."""
     r = Fraction(r)
     if r == 0:
         return v
-    w = scale_iso(v, -r)
-    lead = w.coeffs[-1]
-    inv = lead.inverse()
-    out = w.lmul_base(inv)
-    coeffs = list(out.coeffs)
-    coeffs[-1] = w.ring.one()
-    return SkewPoly(w.ring, coeffs, trim=False)
+    return _rescaled(v, -r)
+
+
+def scale_back_left(u: SkewPoly, r, k: int):
+    """The left factor that goes with scale_back_monic(v, r), k = deg v:
+    when u v lifts normalize_scaled(f, r), f = quo * scale_back_monic(v, r).
+
+    With m = deg u and d = m + k, coefficient i of quo is
+    u_i alpha^(e_i) x^(-r(m-i)), e_i = r(i(i-1)/2 + k(k-1)/2 + k i - d(d-1)/2),
+    so that e_m = 0: the unit x^(rd)/beta_d and the lead of psi^(-1)(v) are
+    moved through psi^(-1)(u).
+    """
+    r = Fraction(r)
+    if r == 0:
+        return u
+    return _rescaled(u, -r, r * k)
+
+
+def _rescaled(p: SkewPoly, s: Fraction, twist=0) -> SkewPoly:
+    """Coefficient i of p times alpha^(-s(i(i-1) - m(m-1))/2 - twist(m-i))
+    x^(s(m-i)), m = deg p, in the underived ring at the ramification that
+    holds s.  p is monic, and the lead stays an exact 1."""
+    ring = p.ring
+    if not isinstance(ring, PuiseuxRing) or not ring.a.is_zero:
+        raise UsageError("closed-form scalings need the underived ring F[t, sigma]")
+    if not p.is_monic:
+        raise NotMonicError("closed-form scalings need a monic polynomial")
+    alpha = ring.alpha
+    L = ring.L * (s.denominator // gcd(ring.L, s.denominator))
+    target = puiseux_ring(alpha, L)
+    m = p.degree
+    coeffs = []
+    for i, c in enumerate(p.coeffs[:m]):
+        c = c.at_ram(L)
+        w = alpha.pow(-s * Fraction(i * (i - 1) - m * (m - 1), 2) - twist * (m - i))
+        wn = scalar.to_mpf(w) if isinstance(w, Fraction) else w
+        j = int(s * (m - i) * L)
+        if w == 1:
+            terms = {k + j: v for k, v in c.terms.items()}
+        else:
+            terms = {k + j: v * w if isinstance(v, EXACT_TYPES) else v * wn
+                     for k, v in c.terms.items()}
+        coeffs.append(PuiseuxSeries(L, terms, None if c.trunc is None else c.trunc + j))
+    return SkewPoly(target, coeffs + [target.one()], trim=False)
 
 
 def pull_unit_through_linear(u: PuiseuxSeries, c: PuiseuxSeries, ring: PuiseuxRing):

@@ -5,9 +5,10 @@ import pytest
 from mpmath import mp
 
 from skewpuiseux import (Alpha, FactorConfig, Factorization, PuiseuxSeries,
-                         SkewPoly, factor_step, newton_puiseux_factor,
-                         parse_poly, puiseux_ring, sigma_zero,
+                         SkewPoly, bits, factor_step, newton_puiseux_factor,
+                         parse_poly, poly_to_str, puiseux_ring, sigma_zero,
                          sigma_zero_quadratic, verify_factorization)
+from skewpuiseux.cli import main as cli_main
 from mpmath.libmp import from_man_exp
 
 from skewpuiseux.errors import Obstruction, PrecisionExhausted, UsageError
@@ -288,3 +289,51 @@ def test_first_split_of_the_cubic_lifts_to_its_target(monkeypatch, alpha, prec):
     with contextlib.suppress(PrecisionExhausted):
         newton_puiseux_factor(f, FactorConfig(target_order=15, bits=prec))
     assert lifts and lifts[0][0] == lifts[0][1] >= 19
+
+
+# the outcome at each precision: at alpha 2 and 3/2 the next level's trace
+# shift runs out of precision below 256 and 160 bits (ROADMAP, Baseline)
+CUBIC_SWEEP = {Fraction(2): (128, 160, 192), Fraction(3, 2): (128,), Fraction(1, 2): ()}
+
+
+@pytest.mark.parametrize("prec", [128, 160, 192, 256])
+@pytest.mark.parametrize("alpha", sorted(CUBIC_SWEEP))
+def test_baseline_cubic_meets_its_order_or_raises_a_typed_error(alpha, prec):
+    f = parse_poly("t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)", puiseux_ring(alpha))
+    cfg = FactorConfig(target_order=15, bits=prec)
+    if prec in CUBIC_SWEEP[alpha]:
+        with pytest.raises(PrecisionExhausted, match="shift failed to cancel"):
+            newton_puiseux_factor(f, cfg)
+        return
+    fac = newton_puiseux_factor(f, cfg)
+    assert fac.achieved_order == 15
+    with bits(prec):
+        report = verify_factorization(f, fac, order=15)
+    assert report["ok"] and report["achieved_order"] == 15
+
+
+def _close_branch_quartic():
+    """(t^2 - 2u_1 t + u_1^2 - v_1^2 x)(t^2 - 2u_2 t + u_2^2 - v_2^2 x) at
+    alpha = 1, whose branch residues +-v_1, +-v_2 lie 0.016 apart."""
+    c0 = mp.mpc("-1.162", "-1.138")
+    us = [PS(1, {0: c0, 1: mp.mpc("1.93", "1.49"), 2: mp.mpc("-0.843", "1.846"),
+                 3: mp.mpc("0.157", "0.711")}),
+          PS(1, {0: c0, 1: mp.mpc("-1.181", "1.764"), 2: mp.mpc("0.763", "1.866"),
+                 3: mp.mpc("1.575", "-0.805")})]
+    vs = [mp.mpc("-0.78386", "-0.73492"), mp.mpc("-0.79938", "-0.73560")]
+    R = puiseux_ring(1)
+    f = SkewPoly.one(R)
+    for u, v in zip(us, vs):
+        f = f * SkewPoly(R, [u * u - PS(1, {1: v * v}), u.scale(-2), R.one()])
+    return f
+
+
+def test_a_residual_above_the_ok_bound_raises():
+    # this factorization used to come back with a residual of 1e219 at
+    # order 3 and no error
+    with bits(160):
+        f = _close_branch_quartic()
+        text = poly_to_str(f)
+    with pytest.raises(PrecisionExhausted, match="residual"):
+        newton_puiseux_factor(f, FactorConfig(target_order=15, bits=160))
+    assert cli_main(["factor", "--alpha", "1", "--prec", "15", "--bits", "160", text]) == 4

@@ -5,8 +5,9 @@ from mpmath import mp
 
 from skewpuiseux import Alpha, GaussianRational, alpha_pow, bits
 from skewpuiseux.errors import UsageError
+from skewpuiseux import scalar as scalar_mod
 from skewpuiseux.scalar import (MIN_BITS, cluster_tol, dust_tol, floor_tol,
-                                is_negligible, zero_eps)
+                                is_negligible, max_abs, to_mpc, zero_eps)
 
 from conftest import rng
 
@@ -155,3 +156,55 @@ def test_least_precision_keeps_the_level_order():
             assert floor_tol(24) < zero_eps() < cluster_tol() < dust_tol()
     with bits(MIN_BITS - 1):
         assert not floor_tol(24) < zero_eps()
+
+
+def _outcome(fn, values):
+    """What fn(values) gives, bit for bit: the result's type and value (an
+    mpf as its raw tuple, so nan matches nan), or the error."""
+    try:
+        v = fn(values)
+    except TypeError as e:
+        return type(e)
+    return type(v), getattr(v, "_mpf_", v)
+
+
+def _plain_max(values):
+    return max((abs(to_mpc(c)) for c in values), default=mp.mpf(0))
+
+
+def test_max_abs_is_the_plain_max_bit_for_bit():
+    rnd = rng(131)
+    c = mp.mpc("0.75", "-1.25")
+    lists = [
+        [], [mp.mpc(0)], [mp.mpc(0), mp.mpf(0)], [0, mp.mpc(0)],
+        [c, -c, c.conjugate(), mp.mpc(c.imag, c.real)],       # ties of the modulus
+        [mp.mpf(3), mp.mpc(3), mp.mpc(0, -3)],                 # exact ties of the value
+        [mp.mpf("0.5"), mp.mpf(-1), mp.mpc("0.75", "0.75")],   # the max one order down
+        [3, mp.mpf(2)], [Fraction(7, 2), mp.mpc(1, 1)], [GaussianRational(1, 2), mp.mpc(2)],
+        [mp.mpf("inf"), mp.mpc(1)], [mp.mpc(1), mp.mpf("nan"), mp.mpc(5)],
+        [mp.mpc(0, "-inf"), mp.mpf("nan")], [mp.mpf(2) ** -200, mp.mpf(2) ** 200],
+    ]
+    for _ in range(300):
+        lists.append([mp.mpc(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) * mp.mpf(2) ** rnd.randint(-4, 4)
+                      if rnd.random() < 0.8 else mp.mpf(rnd.uniform(-3, 3))
+                      for _ in range(rnd.randint(1, 6))])
+    for values in lists:
+        assert _outcome(max_abs, values) == _outcome(_plain_max, values), values
+    # the residue layer's own form, abs(c) of mpc coefficients
+    for values in lists[-300:]:
+        mpcs = [mp.mpc(v) for v in values]
+        assert _outcome(max_abs, mpcs) == _outcome(lambda vs: max(abs(v) for v in vs), mpcs)
+
+
+def test_max_abs_sizes_only_the_top_orders(monkeypatch):
+    sized = []
+    real = scalar_mod.to_mpc
+
+    def counting(x):
+        sized.append(x)
+        return real(x)
+
+    monkeypatch.setattr(scalar_mod, "to_mpc", counting)
+    values = [mp.mpc(1, 1) / 8, mp.mpf(3), mp.mpc(0, "-0.75"), mp.mpf(2) ** -60, mp.mpc(-2, 1)]
+    assert max_abs(values) == 3
+    assert sized == [mp.mpf(3), mp.mpc(-2, 1)]

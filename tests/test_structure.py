@@ -3,11 +3,15 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (Alpha, PuiseuxSeries, SkewPoly, bits, parse_poly,
-                         pull_unit_through_linear, puiseux_ring,
-                         normalize_scaled, scale_iso, scaling_exponent,
-                         shift_iso, trace_solve)
-from skewpuiseux.errors import Obstruction, PrecisionExhausted
+from skewpuiseux import (Alpha, FactorConfig, PuiseuxSeries, SkewPoly, bits,
+                         parse_poly, pull_unit_through_linear, puiseux_ring,
+                         normalize_scaled, scale_back_monic, scale_iso,
+                         scaled_power_unit, scaling_exponent, shift_iso,
+                         trace_solve)
+from skewpuiseux.errors import Obstruction, PrecisionExhausted, UsageError
+from skewpuiseux.factorizer import _Engine
+from skewpuiseux.scalar import to_mpc
+from skewpuiseux.structure import scale_back_left
 
 from conftest import count_shifts, rand_poly, rand_series, rng, same_coeffs
 from props import (check_beta_law, check_dif_identity, check_iso_homomorphisms,
@@ -225,3 +229,102 @@ def test_horner_image_takes_d_minus_one_shifts(monkeypatch):
         del calls[:]
         scale_iso(f, Fraction(1, 2))
         assert len(calls) == d - 1
+
+
+def ref_normalize_scaled(f, r):
+    """The substitute-and-expand route: scale_iso, then the unit
+    x^(rd)/beta_d on the left, the lead pinned to 1."""
+    fs = scale_iso(f, r)
+    d = f.degree
+    unit = PS.x_pow(r * d).at_ram(fs.ring.L).scale(1 / scaled_power_unit(f.ring.alpha, r, d))
+    return _pin_lead(fs.lmul_base(unit))
+
+
+def ref_scale_back_monic(v, r):
+    """scale_iso by -r, then the inverse of the monomial lead on the left."""
+    w = scale_iso(v, -r)
+    return _pin_lead(w.lmul_base(w.coeffs[-1].inverse()))
+
+
+def _pin_lead(p):
+    return SkewPoly(p.ring, p.coeffs[:-1] + [p.ring.one()], trim=False)
+
+
+def _close_same_support(got, want, tol):
+    """Same ring, L, truncations and supports; every term within tol relative."""
+    assert got.ring == want.ring and got.is_monic
+    for a, b in zip(got.coeffs, want.coeffs, strict=True):
+        assert (a.L, a.trunc, set(a.terms)) == (b.L, b.trunc, set(b.terms))
+        for k, c in b.terms.items():
+            assert abs(a.terms[k] - c) <= tol * abs(c), (k, a.terms[k], c)
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_closed_form_scalings_match_the_horner_route(prec):
+    rnd = rng(91 + prec)
+    with bits(prec):
+        tol = mp.mpf(2) ** -(prec - 8)
+        for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2)):
+            for L in (1, 2):
+                R = puiseux_ring(alpha, L)
+                for r in (Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1), Fraction(2)):
+                    f = rand_poly(R, rnd, rnd.randint(2, 4), lo=-2, hi=3, nterms=4)
+                    coeffs = list(f.coeffs)
+                    coeffs[0] = coeffs[0].truncate(5 * L)  # a truncated coefficient
+                    f = SkewPoly(R, coeffs)
+                    _close_same_support(normalize_scaled(f, r)[0], ref_normalize_scaled(f, r), tol)
+                    _close_same_support(scale_back_monic(f, r), ref_scale_back_monic(f, r), tol)
+
+
+def test_closed_form_scalings_need_the_underived_ring():
+    R = puiseux_ring(2, 1, PS.one())
+    f = parse_poly("t^2 + x*t + 1", R)
+    for call in (lambda: normalize_scaled(f, 1), lambda: scale_back_monic(f, 1),
+                 lambda: scale_back_left(f, 1, 1)):
+        with pytest.raises(UsageError):
+            call()
+
+
+def _term_dev(a, b, below=None):
+    """max |a_k - b_k| over the terms of two series (below ``below``), read
+    without the zero test that a series difference would apply."""
+    ks = [k for k in set(a.terms) | set(b.terms) if below is None or k < below]
+    return max([abs(to_mpc(a.terms.get(k, 0)) - to_mpc(b.terms.get(k, 0))) for k in ks] + [0])
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_left_factor_from_the_lift_matches_the_division(prec):
+    # a split u v of normalize_scaled(f, r) gives f = quo * vt with
+    # vt = scale_back_monic(v, r) and quo = scale_back_left(u, r, deg v)
+    rnd = rng(97 + prec)
+    shapes = set()
+    with bits(prec):
+        tol = mp.mpf(2) ** -(prec - 24)
+        for case in range(18):
+            alpha = (Fraction(2), Fraction(3, 2), Fraction(1, 2))[case % 3]
+            L, lo = ((1, -1), (1, -2), (2, -1))[case // 3 % 3]
+            R = puiseux_ring(alpha, L)
+            f = SkewPoly.one(R)
+            for _ in range(3):
+                z = PS(L, {k: rand_coeff_nonzero(rnd) for k in rnd.sample(range(lo, 3), 3)})
+                f = f * SkewPoly.t_minus(R, z)
+            r = scaling_exponent(f)
+            F1, _ = normalize_scaled(f, r)
+            target_k = 12 * F1.ring.L
+            res = F1.reduce_residue()
+            u, v = _Engine(R.alpha, FactorConfig()).prop_split(F1, res, F1.ring.tmap(), 0, target_k)
+            shapes.add((r, u.degree))
+            vt = scale_back_monic(v, r)
+            quo = scale_back_left(u, r, v.degree)
+            assert quo.is_monic and quo.degree == u.degree
+            prod = quo * vt
+            scale = max(1, quo.max_abs()) * max(1, vt.max_abs())
+            for c, p in zip(f.coeffs, prod.coeffs, strict=True):
+                # known to the lifted order, mapped back through the scaling
+                assert p.trunc is None or Fraction(p.trunc, p.L) >= 12 - 3 * abs(r)
+                assert _term_dev(c.at_ram(p.L), p, p.trunc) <= tol * scale
+            want, _ = f.left_divmod(vt)
+            for a, b in zip(quo.coeffs, want.coeffs, strict=True):
+                assert a.trunc == b.trunc
+                assert _term_dev(a, b) <= tol * max(1, b.max_abs())
+    assert len(shapes) >= 4
