@@ -2,24 +2,23 @@
 
 The ring F[t, sigma, delta_a] over the Puiseux field F (twist
 sigma(x) = alpha*x, inner derivation delta_a) with left division,
-substitution, residue reduction, conjugation by the uniformizer, a skew
-Hensel lifting engine, and a factorization driver that splits any monic
-polynomial into linear factors and extracts sigma-zeros.  The skew power
-series ring C[[x, rho]] is a second coefficient ring for the same
-polynomial and lifting code; its elements are L = 1 Puiseux series.
+substitution, residue reduction, a skew Hensel lifting engine, and a
+factorization driver that splits any monic polynomial into linear factors
+and extracts sigma-zeros.  The skew power series ring C[[x, rho]] is a
+second coefficient ring for the same polynomial and lifting code; its
+elements are L = 1 Puiseux series.
 
 Public API (exactly the names in ``__all__``):
 
-  scalars:      Alpha, GaussianRational, Rational, alpha_pow, bits
-  series:       PuiseuxSeries, SkewContext
+  scalars:      Alpha, GaussianRational, Rational, bits
+  series:       PuiseuxSeries
   rings:        ComplexConjRing, ConjSeriesRing, PuiseuxRing, puiseux_ring
   polynomials:  SkewPoly
   residues:     OrbitPartition, ResiduePoly, TMap, delta_set_member, ext_gcd,
                 orbit_partition, refine_factor_pair, roots,
                 twist_coprime_affine, twist_coprime_periodic, twist_residue
-  structure:    IsoRecord, normalize_scaled, pull_unit_through_linear,
-                scale_back_monic, scale_iso, scaled_power_unit,
-                scaling_exponent, shift_iso, trace_solve
+  structure:    IsoRecord, normalize_scaled, scale_back_monic, scale_iso,
+                scaled_power_unit, scaling_exponent, shift_iso, trace_solve
   lifting:      HenselState, hensel_lift, twist_precheck
   factoring:    FactorConfig, Factorization, factor_step,
                 newton_puiseux_factor, sigma_zero, sigma_zero_quadratic,
@@ -41,16 +40,15 @@ from .factorizer import (FactorConfig, Factorization, factor_step,
                          sigma_zero_quadratic, verify_factorization)
 from .hensel import HenselState, hensel_lift, twist_precheck
 from .parsing import parse_poly, parse_scalar, parse_series, poly_to_str, series_to_str
-from .puiseux import PuiseuxSeries, SkewContext
+from .puiseux import PuiseuxSeries
 from .residue import (OrbitPartition, ResiduePoly, TMap, delta_set_member,
                       ext_gcd, orbit_partition, refine_factor_pair, roots,
                       twist_coprime_affine, twist_coprime_periodic,
                       twist_residue)
-from .scalar import Alpha, GaussianRational, Rational, alpha_pow, bits
+from .scalar import Alpha, GaussianRational, Rational, bits
 from .skewpoly import ComplexConjRing, ConjSeriesRing, PuiseuxRing, SkewPoly, puiseux_ring
-from .structure import (IsoRecord, normalize_scaled, pull_unit_through_linear,
-                        scale_back_monic, scale_iso, scaled_power_unit,
-                        scaling_exponent, shift_iso, trace_solve)
+from .structure import (IsoRecord, normalize_scaled, scale_back_monic, scale_iso,
+                        scaled_power_unit, scaling_exponent, shift_iso, trace_solve)
 
 __version__ = "0.1.0"
 
@@ -60,12 +58,11 @@ __all__ = [
     "IsoRecord", "MathObstruction", "NoSplittingRoot", "NotMonicError",
     "Obstruction", "OrbitPartition", "ParseError", "PrecisionExhausted",
     "PuiseuxRing", "PuiseuxSeries", "Rational", "ResiduePoly",
-    "RootFindingError", "SkewContext", "SkewError", "SkewPoly", "TMap",
-    "TwistCoprimeFailure", "UsageError", "ZeroInversion", "alpha_pow", "bits",
-    "delta_set_member", "ext_gcd", "factor_step", "hensel_lift",
-    "newton_puiseux_factor", "normalize_scaled", "orbit_partition",
-    "parse_poly", "parse_scalar", "parse_series", "poly_to_str",
-    "puiseux_ring", "pull_unit_through_linear", "refine_factor_pair", "roots",
+    "RootFindingError", "SkewError", "SkewPoly", "TMap", "TwistCoprimeFailure",
+    "UsageError", "ZeroInversion", "bits", "delta_set_member", "ext_gcd",
+    "factor_step", "hensel_lift", "newton_puiseux_factor", "normalize_scaled",
+    "orbit_partition", "parse_poly", "parse_scalar", "parse_series",
+    "poly_to_str", "puiseux_ring", "refine_factor_pair", "roots",
     "scale_back_monic", "scale_iso", "scaled_power_unit", "scaling_exponent",
     "series_to_str", "shift_iso", "sigma_zero", "sigma_zero_quadratic",
     "trace_solve", "twist_coprime_affine", "twist_coprime_periodic",

@@ -44,8 +44,6 @@ def _add_common(sp, alpha_required=True, base_choice=False):
     sp.add_argument("--bits", type=int, default=None,
                     help=f"scalar precision in bits, at least {scalar.MIN_BITS} "
                          "(default 128 or $SKEWPUISEUX_BITS)")
-    sp.add_argument("--ramification-cap", type=int, default=256)
-    sp.add_argument("--max-classical-iterations", type=int, default=64)
     sp.add_argument("--json", action="store_true", help="JSON output")
     if base_choice:
         sp.add_argument("--base", choices=["puiseux", "conj-series"],
@@ -132,12 +130,11 @@ def _config(args) -> FactorConfig:
             bits_ = int(env)
         except ValueError:
             raise UsageError(f"SKEWPUISEUX_BITS must be an integer, not {env!r}") from None
-    return FactorConfig(
-        target_order=Fraction(args.prec),
-        bits=bits_,
-        max_ramification=args.ramification_cap,
-        max_classical_iterations=args.max_classical_iterations,
-    )
+    try:
+        prec = Fraction(args.prec)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--prec must be a rational number, not {args.prec!r}") from None
+    return FactorConfig(target_order=prec, bits=bits_)
 
 
 def _ring_for(args, alpha=None):
@@ -251,7 +248,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         g = parse_poly(_read_arg(args.g), ring)
         h = parse_poly(_read_arg(args.h), ring)
         L = getattr(f.ring, "L", 1)
-        target_k = int(Fraction(args.prec) * L)
+        target_k = int(cfg.target_order * L)
         gh, hh, achieved = hensel_lift(f, g, h, target_k)
         payload = {
             "g_hat": poly_to_str(gh),

@@ -49,14 +49,14 @@ from .structure import (IsoRecord, normalize_scaled, scale_back_left,
                         trace_solve)
 
 ORDER_MARGIN = 4  # extra x-orders lifted beyond the target
+MAX_RAMIFICATION = 256  # largest ramification a recursion level may reach
+MAX_CLASSICAL_ITERATIONS = 64  # nested classical rounds before the budget trips
 
 
 @dataclass
 class FactorConfig:
     target_order: Fraction = Fraction(16)
     bits: int = 128
-    max_ramification: int = 256
-    max_classical_iterations: int = 64
 
     def __post_init__(self):
         self.target_order = Fraction(self.target_order)
@@ -214,12 +214,12 @@ class _Engine:
             t = _sub_lead_trunc(f)
             zt = None if t is None else max(0, -(-int(t) // d))
             return [PuiseuxSeries.zero(ring.L, zt) for _ in range(d)]
-        if depth > self.cfg.max_classical_iterations:
-            return self._budget_zeros(f, f"classical iteration budget {self.cfg.max_classical_iterations} exhausted")
+        if depth > MAX_CLASSICAL_ITERATIONS:
+            return self._budget_zeros(f, f"classical iteration budget {MAX_CLASSICAL_ITERATIONS} exhausted")
 
         r = scaling_exponent(f)
-        if r.denominator * ring.L > self.cfg.max_ramification:
-            return self._budget_zeros(f, f"ramification budget {self.cfg.max_ramification} exhausted")
+        if r.denominator * ring.L > MAX_RAMIFICATION:
+            return self._budget_zeros(f, f"ramification budget {MAX_RAMIFICATION} exhausted")
         F1, records = normalize_scaled(f, r)
         self.trail.extend(records)
         ring1 = F1.ring

@@ -86,7 +86,7 @@ def _solve_step(n: int, gres, kn, fn, inverses: dict, floor, dust_bound):
         c = q[k] = r[k + m]
         for j in range(m):
             r[k + j] -= c * g[j]
-    dust = max((abs(c) for c in r[:m]), default=0)
+    dust = scalar.max_abs(r[:m])
     if dust > dust_bound:
         raise SkewError(f"hensel correction degree overflow ({dust})")
     return p, ResiduePoly(q, trim=False), b

@@ -120,7 +120,11 @@ def _parse_sprod(ts: _Tokens) -> GaussianRational:
             v = v * _parse_satom(ts)
         elif t[0] == "op" and t[1] == "/":
             ts.next()
-            v = v / _parse_satom(ts)
+            pos = ts.peek()[2]
+            w = _parse_satom(ts)
+            if w == 0:
+                raise ParseError(ts.text, pos, "division by zero")
+            v = v / w
         else:
             return v
 
@@ -160,7 +164,10 @@ def _parse_exponent(ts: _Tokens) -> Fraction:
         p = int(num[1])
         q = 1
         if ts.accept("op", "/"):
-            q = int(ts.expect("num")[1])
+            den = ts.expect("num")
+            q = int(den[1])
+            if q == 0:
+                raise ParseError(ts.text, den[2], "division by zero")
         ts.expect("op", ")")
         val = Fraction(p, q)
         return -val if neg else val

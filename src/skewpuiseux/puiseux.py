@@ -5,7 +5,8 @@ a sparse map k -> coefficient meaning c * x^(k/L), and ``trunc`` (in the
 same 1/L units) records up to which exponent the series is known.  A trunc
 of None means the value is exact (all absent coefficients are true zeros).
 Operations compute the tightest provable truncation and never pad with
-fabricated zeros.
+fabricated zeros.  This module holds only series: the ring data
+(alpha, L, a) of F[t, sigma, delta_a] belongs to ``skewpoly.PuiseuxRing``.
 
 Rounding contract of the product: when the coefficients are mpmath numbers
 and ints, each product coefficient is rounded once.  The operands are read
@@ -378,64 +379,4 @@ def _min_trunc(a, b):
     if b is None:
         return a
     return min(a, b)
-
-
-class SkewContext:
-    """The data (alpha, L, a) of the working ring F[t, sigma, delta_a].
-
-    ``a`` is the parameter of the inner derivation delta_a(b) = a*(sigma(b)-b);
-    a = 0 gives the plain twisted ring F[t, sigma].  Values are immutable.
-    """
-
-    __slots__ = ("alpha", "L", "a")
-
-    def __init__(self, alpha, L: int = 1, a: PuiseuxSeries | None = None):
-        self.alpha = alpha if isinstance(alpha, Alpha) else Alpha(alpha)
-        if a is None:
-            a = PuiseuxSeries.zero(L)
-        else:
-            L = _lcm(L, a.L)
-            a = a.at_ram(L)
-        if a.is_zero and a.trunc is not None:
-            # the derivation parameter is a ring datum, not a measured
-            # quantity; a value that cancelled to zero is the zero map
-            a = PuiseuxSeries.zero(L)
-        self.L = L
-        self.a = a
-
-    def alpha_eff(self):
-        """Multiplier of sigma on the uniformizer y = x^(1/L)."""
-        return self.alpha.pow(Fraction(1, self.L))
-
-    def sigma(self, f: PuiseuxSeries) -> PuiseuxSeries:
-        return f.sigma_pow(1, self.alpha)
-
-    def delta(self, f: PuiseuxSeries) -> PuiseuxSeries:
-        if self.a.is_zero:
-            return PuiseuxSeries.zero(f.L, None)
-        return self.a * (self.sigma(f) - f)
-
-    def sigma_delta(self, f: PuiseuxSeries):
-        """(sigma(f), delta(f)), taking sigma(f) once for both."""
-        s = self.sigma(f)
-        if self.a.is_zero:
-            return s, PuiseuxSeries.zero(f.L, None)
-        return s, self.a * (s - f)
-
-    def at_ram(self, L: int) -> "SkewContext":
-        if L == self.L:
-            return self
-        return SkewContext(self.alpha, L, self.a.at_ram(L))
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewContext):
-            return NotImplemented
-        L = _lcm(self.L, other.L)
-        return (self.alpha == other.alpha
-                and self.a.at_ram(L) == other.a.at_ram(L))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SkewContext(alpha={self.alpha!r}, L={self.L}, a={self.a})"
 

@@ -411,13 +411,6 @@ class Alpha:
         return f"Alpha({self.numeric})"
 
 
-def alpha_pow(alpha, q):
-    """Power alpha**q of the twist multiplier, as exact value or big float."""
-    if not isinstance(alpha, Alpha):
-        alpha = Alpha(alpha)
-    return alpha.pow(q)
-
-
 # ---------------------------------------------------------------------------
 # deterministic formatting
 

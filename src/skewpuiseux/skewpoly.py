@@ -1,9 +1,10 @@
 """Skew polynomial rings A[t, sigma, delta] over a base-ring contract.
 
 Multiplication follows the rule t*a = sigma(a)*t + delta(a).  Two local
-instances are shipped: Puiseux-series coefficients with the twist
-sigma(x) = alpha*x and inner derivation delta_a, and the skew power series
-ring C[[x, rho]] (rho = complex conjugation) with a central t.  A thin
+instances are shipped: ``PuiseuxRing``, the Puiseux-series coefficients of
+F[t, sigma, delta_a] (twist sigma(x) = alpha*x, inner derivation delta_a),
+which holds the ring data (alpha, L, a), and the skew power series ring
+C[[x, rho]] (rho = complex conjugation) with a central t.  A thin
 complex-field instance C[t, rho] (no uniformizer) supports substitution
 examples.  Everything a polynomial needs from its coefficients goes through
 the ring object, so the lifting and factoring engines stay generic.
@@ -23,16 +24,15 @@ from math import gcd
 from . import residue as residue_mod
 from . import scalar
 from .errors import ContextMismatch, NotMonicError, UsageError
-from .puiseux import PuiseuxSeries, SkewContext
-from .scalar import INF, conj_scalar, is_negligible, to_mpc
+from .puiseux import PuiseuxSeries
+from .scalar import INF, Alpha, conj_scalar, is_negligible, to_mpc
 
 
 class BaseRing:
     """Capability set a coefficient domain must provide.
 
     The maximal ideal is generated by a uniformizer; orders (``ord_k``) are
-    measured in integer units of it.  ``phi`` is conjugation by the
-    uniformizer: phi(p) * x = x * p.  The defaults for the arithmetic and
+    measured in integer units of it.  The defaults for the arithmetic and
     the zero and one tests are those of series-valued elements; a ring
     overrides what differs.
     """
@@ -81,20 +81,6 @@ class BaseRing:
     def residue(self, a):
         raise NotImplementedError
 
-    def x_shift(self, a, j: int):
-        """Left-multiply a by uniformizer^j (exact exponent bookkeeping)."""
-        raise NotImplementedError
-
-    def uniformizer_pow(self, j: int):
-        raise NotImplementedError
-
-    def phi_coeff(self, a, n: int = 1):
-        raise NotImplementedError
-
-    def phi_t(self, n: int = 1):
-        """phi^n(t) as a pair (c1, c0) meaning c1*t + c0."""
-        raise NotImplementedError
-
     def slice_twist(self, k: int, count: int):
         """The monomial twist of hensel_lift's slice product: (w, conj) with
         t^i u^k = w[i] u^k t^i for i < count (w None when all are 1) and
@@ -122,24 +108,28 @@ class BaseRing:
 
 
 class PuiseuxRing(BaseRing):
-    """Puiseux-series coefficients with sigma(x) = alpha*x and delta = delta_a."""
+    """The coefficients of F[t, sigma, delta_a]: Puiseux series with
+    sigma(x) = alpha*x and the inner derivation delta_a(b) = a*(sigma(b) - b).
 
-    __slots__ = ("ctx",)
+    a = 0 gives the plain twisted ring F[t, sigma].  The ramification L is
+    raised to that of a.  Values are immutable.
+    """
 
-    def __init__(self, ctx: SkewContext):
-        self.ctx = ctx
+    __slots__ = ("alpha", "L", "a")
 
-    @property
-    def L(self) -> int:
-        return self.ctx.L
-
-    @property
-    def alpha(self):
-        return self.ctx.alpha
-
-    @property
-    def a(self) -> PuiseuxSeries:
-        return self.ctx.a
+    def __init__(self, alpha, L: int = 1, a: PuiseuxSeries | None = None):
+        self.alpha = alpha if isinstance(alpha, Alpha) else Alpha(alpha)
+        if a is None:
+            a = PuiseuxSeries.zero(L)
+        else:
+            L = L * (a.L // gcd(L, a.L))
+            a = a.at_ram(L)
+        if a.is_zero and a.trunc is not None:
+            # the derivation parameter is a ring datum, not a measured
+            # quantity; a value that cancelled to zero is the zero map
+            a = PuiseuxSeries.zero(L)
+        self.L = L
+        self.a = a
 
     def zero(self):
         return PuiseuxSeries.zero(self.L)
@@ -150,36 +140,23 @@ class PuiseuxRing(BaseRing):
     def from_scalar(self, c):
         return PuiseuxSeries.constant(c, self.L)
 
-    def sigma(self, a):
-        return self.ctx.sigma(a)
+    def sigma(self, f):
+        return f.sigma_pow(1, self.alpha)
 
-    def delta(self, a):
-        return self.ctx.delta(a)
+    def delta(self, f):
+        return self.sigma_delta(f)[1]
 
-    def sigma_delta(self, a):
-        return self.ctx.sigma_delta(a)
+    def sigma_delta(self, f):
+        s = f.sigma_pow(1, self.alpha)
+        if self.a.is_zero:
+            return s, PuiseuxSeries.zero(f.L)
+        return s, self.a * (s - f)
 
     def ord_k(self, a):
         return a.at_ram(self.L).ord_k()
 
     def residue(self, a):
         return to_mpc(a.residue())
-
-    def x_shift(self, a, j: int):
-        return a.at_ram(self.L).x_shift(j)
-
-    def uniformizer_pow(self, j: int):
-        return PuiseuxSeries(self.L, {j: 1}, None, normalize=False)
-
-    def phi_coeff(self, a, n: int = 1):
-        return a
-
-    def phi_t(self, n: int = 1):
-        # phi^n(t) = alpha_eff^(-n) * t + a*(alpha_eff^(-n) - 1)
-        s = self.alpha.pow(Fraction(-n, self.L))
-        c1 = self.from_scalar(s)
-        c0 = self.a.scale(s) - self.a if not self.a.is_zero else self.zero()
-        return c1, c0
 
     def tmap(self) -> residue_mod.TMap:
         """The residue map T of this ring."""
@@ -209,11 +186,12 @@ class PuiseuxRing(BaseRing):
         return self
 
     def at_ram(self, L: int) -> "PuiseuxRing":
-        return PuiseuxRing(self.ctx.at_ram(L))
+        if L == self.L:
+            return self
+        return PuiseuxRing(self.alpha, L, self.a.at_ram(L))
 
     def with_a(self, a: PuiseuxSeries) -> "PuiseuxRing":
-        L = self.L * (a.L // gcd(self.L, a.L))
-        return PuiseuxRing(SkewContext(self.alpha, L, a.at_ram(L)))
+        return PuiseuxRing(self.alpha, self.L, a)
 
     def unify(self, other: "BaseRing") -> "BaseRing":
         if self is other:
@@ -228,8 +206,10 @@ class PuiseuxRing(BaseRing):
         return self.at_ram(L)
 
     def __eq__(self, other):
-        return (isinstance(other, PuiseuxRing) and self.alpha == other.alpha
-                and self.ctx == other.ctx)
+        if not isinstance(other, PuiseuxRing):
+            return False
+        L = self.L * (other.L // gcd(self.L, other.L))
+        return self.alpha == other.alpha and self.a.at_ram(L) == other.a.at_ram(L)
 
     __hash__ = None
 
@@ -280,23 +260,6 @@ class ConjSeriesRing(BaseRing):
 
     def residue(self, a):
         return to_mpc(a.terms.get(0, 0))
-
-    def x_shift(self, a, j: int):
-        """x^j * u_k x^k = rho^j(u_k) x^(j+k)."""
-        if a.terms and min(a.terms) + j < 0:
-            raise UsageError("shift below x^0 in C[[x,rho]]")
-        return self.phi_coeff(a, j).x_shift(j)
-
-    def uniformizer_pow(self, j: int):
-        if j < 0:
-            raise UsageError("C[[x,rho]] has no negative powers")
-        return PuiseuxSeries(1, {j: 1}, None, normalize=False)
-
-    def phi_coeff(self, a, n: int = 1):
-        return a if n % 2 == 0 else a.conjugate()
-
-    def phi_t(self, n: int = 1):
-        return self.one(), self.zero()
 
     def residue_twist(self, p, n: int):
         return p if n % 2 == 0 else p.conj_coeffs()
@@ -504,11 +467,6 @@ class SkewPoly:
         c = ring.coerce(c)
         return SkewPoly(ring, [ring.mul(c, ci) for ci in self.coeffs])
 
-    def x_shift(self, j: int) -> "SkewPoly":
-        """Left multiplication by uniformizer^j (coefficient-wise, exact)."""
-        ring = self.ring
-        return SkewPoly(ring, [ring.x_shift(c, j) for c in self.coeffs], trim=False)
-
     def left_divmod(self, p: "SkewPoly"):
         """f = q*p + r with deg r < deg p; requires p monic.
 
@@ -554,22 +512,6 @@ class SkewPoly:
         _, rem = self.left_divmod(SkewPoly.t_minus(ring, a))
         return rem.coeff(0)
 
-    def evaluate_closed(self, a):
-        """Closed-form substitution for delta = 0:
-        f(a) = f_0 + f_1 a + f_2 a^sigma a + f_3 a^(sigma^2) a^sigma a + ..."""
-        ring = self.ring.accommodate(a)
-        a = ring.coerce(a)
-        if self.is_zero:
-            return ring.zero()
-        val = self.coeffs[0]
-        chain = ring.one()
-        spow = a  # sigma^(i-1)(a) at iteration i
-        for i in range(1, len(self.coeffs)):
-            chain = ring.mul(spow, chain)
-            val = ring.add(val, ring.mul(self.coeffs[i], chain))
-            spow = ring.sigma(spow)
-        return val
-
     def reduce_residue(self):
         """Coefficient-wise residue; requires all coefficient orders >= 0."""
         ring = self.ring
@@ -580,15 +522,6 @@ class SkewPoly:
                 raise UsageError("reduction requires nonnegative coefficient orders")
             out.append(ring.residue(c))
         return residue_mod.ResiduePoly(out)
-
-    def conj_by_x(self, n: int = 1) -> "SkewPoly":
-        """phi^n with phi the conjugation by the uniformizer: phi(f)*x = x*f."""
-        ring = self.ring
-        if self.is_zero or n == 0:
-            return self
-        c1, c0 = ring.phi_t(n)
-        return _horner_image(ring, [ring.phi_coeff(c, n) for c in self.coeffs],
-                             SkewPoly(ring, [c0, c1], trim=False))
 
     def truncate(self, T_k) -> "SkewPoly":
         return SkewPoly(self.ring, [c.truncate(T_k) for c in self.coeffs])
@@ -697,4 +630,4 @@ def _trim_exact_zeros(ring, coeffs: list):
 
 def puiseux_ring(alpha, L: int = 1, a: PuiseuxSeries | None = None) -> PuiseuxRing:
     """Convenience constructor for the main coefficient ring."""
-    return PuiseuxRing(SkewContext(alpha, L, a))
+    return PuiseuxRing(alpha, L, a)

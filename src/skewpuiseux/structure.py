@@ -25,7 +25,7 @@ from math import gcd
 
 from . import scalar
 from .errors import NotMonicError, Obstruction, PrecisionExhausted, UsageError
-from .puiseux import PuiseuxSeries, SkewContext
+from .puiseux import PuiseuxSeries
 from .scalar import EXACT_TYPES, INF, Alpha, to_mpc
 from .skewpoly import PuiseuxRing, SkewPoly, _horner_image, puiseux_ring
 
@@ -67,7 +67,7 @@ def scale_iso(f: SkewPoly, r) -> SkewPoly:
     L = ring.L * (r.denominator // gcd(ring.L, r.denominator))
     xr = PuiseuxSeries.x_pow(r).at_ram(L)
     new_a = ring.a.at_ram(L) * xr if not ring.a.is_zero else PuiseuxSeries.zero(L)
-    target = PuiseuxRing(SkewContext(ring.alpha, L, new_a))
+    target = PuiseuxRing(ring.alpha, L, new_a)
     x_neg_r = PuiseuxSeries.x_pow(-r).at_ram(L)
     t_image = SkewPoly(target, [target.zero(), x_neg_r], trim=False)
     return _horner_image(target, [target.coerce(c) for c in f.coeffs], t_image)
@@ -210,23 +210,3 @@ def _rescaled(p: SkewPoly, s: Fraction, twist=0) -> SkewPoly:
         coeffs.append(PuiseuxSeries(L, terms, None if c.trunc is None else c.trunc + j))
     return SkewPoly(target, coeffs + [target.one()], trim=False)
 
-
-def pull_unit_through_linear(u: PuiseuxSeries, c: PuiseuxSeries, ring: PuiseuxRing):
-    """Rewrite u*(t-c) as (t-c')*u' in the same ring:
-    u' = sigma^(-1)(u), c' = (u*c + delta(sigma^(-1)(u))) * sigma^(-1)(u)^(-1)."""
-    u = ring.coerce(u)
-    c = ring.coerce(c)
-    u_prime = u.sigma_pow(-1, ring.alpha)
-    u_prime_inv = u_prime.inverse() if (len(u_prime.terms) == 1 and u_prime.trunc is None) \
-        else u_prime.inverse(_invert_target(u_prime, c))
-    c_prime = (u * c + ring.delta(u_prime)) * u_prime_inv
-    return c_prime, u_prime
-
-
-def _invert_target(u: PuiseuxSeries, c: PuiseuxSeries) -> int:
-    tu = INF if u.trunc is None else u.trunc
-    tc = INF if c.trunc is None else c.trunc
-    t = min(tu - 2 * u.ord_k(), tc - u.ord_k())
-    if t == INF:
-        t = u.L * 64  # both exact; any generous bound works
-    return int(t)

@@ -223,7 +223,24 @@ def test_usage_error_without_alpha(capsys):
     assert "alpha" in err
 
 
-@pytest.mark.parametrize("flag", ["--tol-root", "--tol-orbit", "--zero-bits"])
+@pytest.mark.parametrize("argv, message", [
+    (("factor", "--alpha", "2", "--prec", "abc", "t^2-1"),
+     "error: --prec must be a rational number, not 'abc'\n"),
+    (("factor", "--alpha", "2", "--prec", "1/0", "t^2-1"),
+     "error: --prec must be a rational number, not '1/0'\n"),
+    (("eval", "--alpha", "2", "t^2", "1/0"), "error: division by zero at position 2\n"),
+    (("factor", "--alpha", "2", "t^2 - x^(1/0)"), "error: division by zero at position 11\n"),
+], ids=["prec-word", "prec-zero-denominator", "scalar-zero-divisor", "exponent-zero-denominator"])
+def test_malformed_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--tol-root", "--tol-orbit", "--zero-bits",
+                                  "--ramification-cap", "--max-classical-iterations"])
 def test_removed_tolerance_flags_are_rejected(capsys, flag):
     code, out, err = run_cli(capsys, "factor", "--alpha", "2", flag, "40", "t^2 - 1")
     assert code == 1

@@ -11,6 +11,7 @@ from skewpuiseux import (Alpha, FactorConfig, Factorization, PuiseuxSeries,
 from skewpuiseux.cli import main as cli_main
 from mpmath.libmp import from_man_exp
 
+from skewpuiseux import factorizer
 from skewpuiseux.errors import Obstruction, PrecisionExhausted, UsageError
 from skewpuiseux.factorizer import _Engine
 from skewpuiseux.residue import TMap
@@ -235,14 +236,15 @@ def test_complex_alpha_rejected_by_factorizer():
         newton_puiseux_factor(f, FactorConfig(target_order=8))
 
 
-def test_budget_guard_emits_partial():
+def test_budget_guard_emits_partial(monkeypatch):
     # two zeros with the same constant term but different tails: one
     # classical round pins the shared prefix before the budget trips
+    monkeypatch.setattr(factorizer, "MAX_CLASSICAL_ITERATIONS", 0)
     R = puiseux_ring(1)
     z1 = PS.from_terms([(0, 1), (1, 1)])
     z2 = PS.from_terms([(0, 1), (1, 2)])
     f = SkewPoly.t_minus(R, z1) * SkewPoly.t_minus(R, z2)
-    cfg = FactorConfig(target_order=10, max_classical_iterations=0)
+    cfg = FactorConfig(target_order=10)
     fac = newton_puiseux_factor(f, cfg)
     assert fac.warnings
     for zz in fac.zeros:

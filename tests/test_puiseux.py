@@ -5,7 +5,7 @@ from mpmath import mp
 
 from mpmath.libmp import to_rational
 
-from skewpuiseux import Alpha, GaussianRational, PuiseuxSeries, SkewContext, bits
+from skewpuiseux import Alpha, GaussianRational, PuiseuxSeries, bits, puiseux_ring
 from skewpuiseux.errors import PrecisionExhausted, UsageError, ZeroInversion
 from skewpuiseux.scalar import INF, is_negligible, to_mpf
 
@@ -41,12 +41,23 @@ def test_sigma_fixes_constants():
 
 def test_delta_examples():
     x = PS.x_pow(1)
-    ctx0 = SkewContext(2, 1, None)
+    ctx0 = puiseux_ring(2, 1, None)
     assert ctx0.delta(x).is_zero
-    ctx1 = SkewContext(2, 1, PS.one())
+    ctx1 = puiseux_ring(2, 1, PS.one())
     # delta_1(x) = 1*(2x - x) = x
     assert (ctx1.delta(x) - x).max_abs() == 0
     assert ctx1.delta(PS.constant(7)).is_zero
+    # a value of a that cancelled to zero, known to O(x^5), is the zero map
+    ctx2 = puiseux_ring(2, 1, PS.zero(1, 5))
+    assert ctx2 == puiseux_ring(2)
+    assert ctx2.a.trunc is None
+    d = ctx2.delta(x)
+    assert d.is_zero and d.trunc is None
+    # the ramification is raised to that of a
+    ctx3 = puiseux_ring(2, 1, PS.x_pow(Fraction(1, 2)))
+    assert ctx3.L == 2 and ctx3.a.L == 2
+    a = PS.from_terms([(0, 1), (1, 3)], trunc=6)
+    assert puiseux_ring(2).with_a(a).with_a(a - a) == puiseux_ring(2)
 
 
 def test_series_inverse_identity():

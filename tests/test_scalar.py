@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import Alpha, GaussianRational, alpha_pow, bits
+from skewpuiseux import Alpha, GaussianRational, bits
 from skewpuiseux.errors import UsageError
 from skewpuiseux import scalar as scalar_mod
 from skewpuiseux.scalar import (MIN_BITS, cluster_tol, dust_tol, floor_tol,
@@ -13,11 +13,11 @@ from conftest import rng
 
 
 def test_alpha_one_power_exact():
-    assert alpha_pow(Alpha(1), Fraction(7, 3)) == Fraction(1)
+    assert Alpha(1).pow(Fraction(7, 3)) == Fraction(1)
 
 
 def test_alpha_principal_square_root():
-    v = alpha_pow(Alpha(4), Fraction(1, 2))
+    v = Alpha(4).pow(Fraction(1, 2))
     assert v == 2
 
 

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp
 
 from skewpuiseux import (Alpha, FactorConfig, PuiseuxSeries, SkewPoly, bits,
-                         parse_poly, pull_unit_through_linear, puiseux_ring,
+                         parse_poly, puiseux_ring,
                          normalize_scaled, scale_back_monic, scale_iso,
                          scaled_power_unit, scaling_exponent, shift_iso,
                          trace_solve)
@@ -148,36 +148,6 @@ def test_scaling_exponent_hidden_raises():
 
 def test_normalize_post_random():
     assert check_normalize_post(60) == 60
-
-
-def test_pull_unit_trivial():
-    R = puiseux_ring(2)
-    c = PS.x_pow(1)
-    c2, u2 = pull_unit_through_linear(PS.one(), c, R)
-    assert (c2 - c).max_abs() == 0
-    assert (u2 - PS.one()).max_abs() == 0
-
-
-def test_pull_unit_constant_delta_zero():
-    R = puiseux_ring(2)
-    u = PS.constant(mp.mpc("1.5", "0.25"))
-    c = PS.from_terms([(0, 1), (1, -2)])
-    c2, _ = pull_unit_through_linear(u, c, R)
-    assert (c2 - c).max_abs() < mp.mpf(2) ** -110  # constants are sigma-fixed
-
-
-def test_pull_unit_remultiplication():
-    rnd = rng(65)
-    tol = mp.mpf(2) ** -100
-    for _ in range(60):
-        R = puiseux_ring(rnd.choice([Fraction(2), Fraction(3, 2)]), 1,
-                         rand_series(rnd, 1, 0, 2, 2) if rnd.random() < 0.5 else None)
-        u = PS(1, {0: rand_coeff_nonzero(rnd), 1: rand_coeff_nonzero(rnd)}).truncate(10)
-        c = rand_series(rnd, 1, 0, 3, 3)
-        c2, u2 = pull_unit_through_linear(u, c, R)
-        lhs = SkewPoly.constant(R, u) * SkewPoly.t_minus(R, c)
-        rhs = SkewPoly.t_minus(R, c2) * SkewPoly.constant(R, u2)
-        assert lhs.deviation(rhs) <= tol * max(1, u.max_abs() * (1 + c.max_abs()))
 
 
 def rand_coeff_nonzero(rnd):
