@@ -7,16 +7,17 @@ F[t, sigma] and runs the reduction pipeline:
   1. t^d short-circuit;
   2. scale by x^(-r) and normalize monic, making all coefficient orders
      >= 0 with equality somewhere (closed form, normalize_scaled);
-  3. if the t^(d-1) coefficient has order 0, kill it: solve the trace
-     equation for b and shift t -> t - b (landing in the delta_(-b)
-     ring).  The shift is taken on residues, res F1(t - b0) with
-     b0 = res b, and on the t^(d-1) coefficient, to check that it
-     cancels; the shifted series are formed only for step 4's t-power
-     test and classical round;
-  4. split: orbit-partition splitting when some lower residue coefficient
-     is nonzero, the (t^(d-1), t) lift when everything else vanishes mod x
-     and sigma is nontrivial, or one classical Newton-Puiseux round when
-     alpha = 1; a split lifts the unshifted polynomial F1 = u v of step 2;
+  3. read b0 = res(c_(d-1))/d off the t^(d-1) coefficient (0 when its
+     order is positive): the residue of the trace solve b that the shift
+     t -> t - b would use to kill that coefficient;
+  4. split, on residue data only: when res F1 is not (t + b0)^d, group
+     its roots by the orbits of the residue map T of F1's ring and lift
+     the orbit split (prop_split).  Otherwise only one residue root -b0
+     exists: form b and the shifted polynomial F2 (landing in the
+     delta_(-b) ring), and take the t-power right factor when F2's lower
+     coefficients all vanish, one classical Newton-Puiseux round when
+     alpha = 1, or else lift the ((t + b0)^(d-1), t + b0) split of F1
+     (t_split).  Every lift runs on F1 itself;
   5. scale the right factor v back to a monic vt, read the left factor off
      u (scale_back_left; a t-power right factor is divided out instead),
      and recurse on both parts.
@@ -60,6 +61,8 @@ class FactorConfig:
 
     def __post_init__(self):
         self.target_order = Fraction(self.target_order)
+        if self.target_order <= 0:
+            raise UsageError(f"the target order must be positive, not {self.target_order}")
         if self.bits < scalar.MIN_BITS:
             raise UsageError(f"bits must be at least {scalar.MIN_BITS}, not {self.bits}")
 
@@ -81,9 +84,11 @@ def _is_t_power(f: SkewPoly) -> bool:
     return all(c.is_zero for c in f.coeffs[:-1])
 
 
-def _sub_lead_trunc(f: SkewPoly):
+def _t_power_zero(f: SkewPoly) -> PuiseuxSeries:
+    """The zero O(x^zt) of every linear factor of a t-power f of degree d,
+    zt = ceil(T/d) for the least truncation T of its lower coefficients."""
     ts = [c.trunc for c in f.coeffs[:-1] if c.trunc is not None]
-    return min(ts) if ts else None
+    return PuiseuxSeries.zero(f.ring.L, max(0, -(-int(min(ts)) // f.degree)) if ts else None)
 
 
 class _Engine:
@@ -119,11 +124,13 @@ class _Engine:
             pass
         return [PuiseuxSeries.zero(L, t) for _ in range(f.degree)]
 
-    def _candidates(self, rts, tmap):
-        """Residue roots in trial order.
+    def _candidates(self, rts, tmap, b0=0):
+        """Residue roots in trial order, scored in the coordinates of the
+        shift by b0: a root c as c + b0, the fixed point of T as
+        -(tmap.a0 - b0).
 
-        Every orbit of the affine map T accumulates at its fixed point
-        -a0; an outsider root close to the fixed point makes the twisted
+        Every orbit of the affine map T accumulates at its fixed point; an
+        outsider root close to the fixed point makes the twisted
         coprimality margins decay and the Bezout cofactors blow up.  So
         roots nearest the fixed point are tried as orbit base first,
         keeping them on the lifted-together side.  The Delta-set
@@ -134,13 +141,14 @@ class _Engine:
         approach; there the distance key is left out.
         """
         tol = scalar.cluster_tol()
-        a0 = tmap.a0
+        a0 = tmap.a0 - b0
         aeff = to_mpc(tmap.alpha_eff()).real
         scored = []
         for c, mult in rts:
-            certified = residue_mod.delta_pretest(c, a0, aeff, tol) is False
-            scored.append((abs(c + a0), 0 if certified else 1,
-                           mp.re(c), mp.im(c), (c, mult)))
+            cs = c + b0
+            certified = residue_mod.delta_pretest(cs, a0, aeff, tol) is False
+            scored.append((abs(cs + a0), 0 if certified else 1,
+                           mp.re(cs), mp.im(cs), (c, mult)))
         first = 1 if tmap.is_identity else 0
         def order(s, u):
             for a, b in zip(s[first:4], u[first:4]):
@@ -152,25 +160,22 @@ class _Engine:
 
     # -- splitting ------------------------------------------------------------
 
-    def _lift_split(self, F: SkewPoly, ubar, vbar, roots, target_k: int, b0):
-        """Lift a factorization ubar vbar of res shift_iso(F, b) (``roots``:
-        their root lists; b0 = res b, 0 when there is no shift).  It lifts F
-        itself, from p(t + b0) and roots c - b0."""
-        if b0:
-            ubar, vbar = (residue_mod.substitute(p, 1, b0) for p in (ubar, vbar))
-            roots = tuple([(c - b0, m) for c, m in rs] for rs in roots)
+    def _lift_split(self, F: SkewPoly, ubar, vbar, roots, target_k: int):
+        """Lift the factorization ubar vbar of res F (``roots``: their root
+        lists) to F = u v."""
         ring = F.ring
         u, v = (SkewPoly(ring, [ring.from_scalar(c) for c in p.coeffs]) for p in (ubar, vbar))
         return hensel_lift(F, u, v, target_k, roots=roots)[:2]
 
-    def prop_split(self, F: SkewPoly, res, tmap, b0, target_k: int):
-        """Orbit-partition split: the roots of ``res``, the residue of the
-        shifted polynomial with residue map ``tmap``, are grouped by the
-        T-orbit of a base root; the orbit part lifts as the left factor of
-        F (_lift_split)."""
+    def prop_split(self, F: SkewPoly, res, b0, target_k: int):
+        """Orbit-partition split: the roots of ``res`` = res F are grouped
+        by the orbit of a base root under the residue map T of F's ring;
+        the orbit part lifts as the left factor of F.  ``b0`` only orders
+        the candidate bases (_candidates)."""
         d = F.degree
+        tmap = F.ring.tmap()
         rts = residue_mod.roots(res)
-        for c1, _ in self._candidates(rts.pairs, tmap):
+        for c1, _ in self._candidates(rts.pairs, tmap, b0):
             part = residue_mod.orbit_partition(rts.pairs, c1, tmap)
             j = part.j
             if 1 <= j < d:
@@ -178,31 +183,33 @@ class _Engine:
                 ubar = ResiduePoly.from_roots(members)
                 vbar = ResiduePoly.from_roots(part.outsiders)
                 ubar, vbar = residue_mod.refine_factor_pair(res, ubar, vbar)
-                return self._lift_split(F, ubar, vbar, (members, part.outsiders),
-                                        target_k, b0)
+                return self._lift_split(F, ubar, vbar, (members, part.outsiders), target_k)
         raise NoSplittingRoot(
             f"no residue root splits the orbit partition of {res!r}")
 
     def t_split(self, F: SkewPoly, b0, target_k: int):
-        """Terminal branch: all lower coefficients of the shifted polynomial
-        vanish mod x, so g = t^(d-1), h = t lifts to a monic linear right
-        factor (of F, ``b0`` as in _lift_split)."""
-        groots = [(0, F.degree - 1)] if F.degree > 1 else []
-        return self._lift_split(F, ResiduePoly.from_roots(groots), ResiduePoly([0, 1]),
-                                (groots, [(0, 1)]), target_k, b0)
+        """Terminal branch: res F = (t + b0)^d, and sigma is nontrivial, so
+        g = (t + b0)^(d-1), h = t + b0 lifts to a monic linear right factor
+        of F."""
+        groots = [(-b0, F.degree - 1)] if F.degree > 1 else []
+        hroots = [(-b0, 1)]
+        return self._lift_split(F, ResiduePoly.from_roots(groots), ResiduePoly.from_roots(hroots),
+                                (groots, hroots), target_k)
 
     # -- main recursion ---------------------------------------------------------
 
     def factor_monic(self, f: SkewPoly, depth: int):
         """Zeros c_1..c_d with f = (t - c_1) ... (t - c_d) in F[t, sigma].
 
-        The shift t -> t - b is decided on residues: res shift_iso(F1, b) is
-        res F1(t - b0), b0 = res b, and its map T has a0 = -b0.  A split
-        lifts the unshifted F1 = u v in F[t, sigma]; the right factor is
-        scaled back to vt and the left one read off u (scale_back_left),
-        so f = quo * vt needs no division.  shift_iso forms the shifted
-        polynomial only where its series are read: the t-power test and
-        the classical round.
+        Each level splits F1 in its own coordinates.  The branch is read
+        off res F1: with b0 = res(c_(d-1))/d, the residue of the trace solve
+        b of c_(d-1), res F1 = (t + b0)^d or not.  If not, its roots split
+        by orbits (prop_split).  A split lifts F1 = u v in F[t, sigma]; the
+        right factor is scaled back to vt and the left one read off u
+        (scale_back_left), so f = quo * vt needs no division.  The series b
+        and the shifted polynomial are formed only in the single-root
+        branch, where they are read: the t-power test and the classical
+        round.
         """
         ring = f.ring
         d = f.degree
@@ -211,9 +218,7 @@ class _Engine:
         if d == 1:
             return [-f.coeffs[0]]
         if _is_t_power(f):
-            t = _sub_lead_trunc(f)
-            zt = None if t is None else max(0, -(-int(t) // d))
-            return [PuiseuxSeries.zero(ring.L, zt) for _ in range(d)]
+            return [_t_power_zero(f) for _ in range(d)]
         if depth > MAX_CLASSICAL_ITERATIONS:
             return self._budget_zeros(f, f"classical iteration budget {MAX_CLASSICAL_ITERATIONS} exhausted")
 
@@ -226,32 +231,24 @@ class _Engine:
         avail = min((INF if c.trunc is None else c.trunc for c in F1.coeffs), default=INF)
         target_k = self._level_target_k(ring1.L, r, d, avail)
 
-        b, b0 = None, 0
-        res, tmap = F1.reduce_residue(), ring1.tmap()
+        res = F1.reduce_residue()
         cdm1 = F1.coeffs[d - 1]
-        if ring1.ord_k(cdm1) == 0:
-            b = trace_solve(cdm1, d, self.alpha)
-            self.trail.append(IsoRecord("shift", (str(b),)))
-            # the t^(d-1) coefficient of shift_iso(F1, b) is
-            # c_(d-1) - sum_(i<d) sigma^i(b); the trace solve cancels it
-            # termwise unless it dropped a term below the zero test
-            rest = cdm1
-            for i in range(d):
-                rest = rest - b.sigma_pow(i, self.alpha)
-            if not rest.is_zero and rest.max_abs() > scalar.zero_eps() * max(1, F1.max_abs()):
-                raise PrecisionExhausted("shift failed to cancel the t^(d-1) coefficient")
-            b0 = to_mpc(b.residue())
-            res = _shifted_residue(res, b0)
-            tmap = residue_mod.TMap(self.alpha, ring1.L, -b0)
-
-        if _orbit_case(res):
-            u, vh = self.prop_split(F1, res, tmap, b0, target_k)
+        shifted = ring1.ord_k(cdm1) == 0
+        # b0 = res b for the trace solve b of c_(d-1): its x^0 denominator is d
+        b0 = to_mpc(cdm1.residue() / d) if shifted else 0
+        if _orbit_case(residue_mod.substitute(res, 1, -b0)):
+            u, vh = self.prop_split(F1, res, b0, target_k)
         else:
-            F2 = F1 if b is None else _pinned_shift(F1, b)
+            # res F1 = (t + b0)^d: only the t-power test and the classical
+            # round read the shifted series
+            b, F2 = None, F1
+            if shifted:
+                b = trace_solve(cdm1, d, self.alpha)
+                self.trail.append(IsoRecord("shift", (str(b),)))
+                F2 = _pinned_shift(F1, b)
             if _is_t_power(F2):
                 # the right factor t + O(x^zt) of F2, t + b + O(x^zt) of F1
-                t = _sub_lead_trunc(F2)
-                c0 = PuiseuxSeries.zero(ring1.L, None if t is None else max(0, -(-int(t) // d)))
+                c0 = _t_power_zero(F2)
                 u = None
                 vh = SkewPoly(ring1, [c0 if b is None else b + c0, ring1.one()], trim=False)
             elif self.alpha.is_one:
@@ -291,20 +288,18 @@ def _orbit_case(res: ResiduePoly) -> bool:
     return any(not is_negligible(c) for c in res.coeffs[:-2])
 
 
-def _shifted_residue(res: ResiduePoly, b0) -> ResiduePoly:
-    """res(t - b0), the residue of the shift by b (b0 = res b), with the
-    zero test of series coefficients and the cancelled t^(d-1) coefficient
-    pinned to 0, as the series of shift_iso would give it."""
-    zero = mp.mpc(0)
-    coeffs = [zero if is_negligible(c) else c
-              for c in residue_mod.substitute(res, 1, -b0).coeffs]
-    coeffs[-2] = zero
-    return ResiduePoly(coeffs, trim=False)
-
-
 def _pinned_shift(F1: SkewPoly, b: PuiseuxSeries) -> SkewPoly:
     """shift_iso(F1, b) with its t^(d-1) coefficient, which the trace solve
-    cancels, pinned to a zero of the same truncation."""
+    b of c_(d-1) cancels, pinned to a zero of the same truncation.
+
+    That coefficient is c_(d-1) - sum_(i<d) sigma^i(b); it cancels termwise
+    unless the trace solve dropped a term below the zero test."""
+    d = F1.degree
+    rest = F1.coeffs[d - 1]
+    for i in range(d):
+        rest = rest - b.sigma_pow(i, F1.ring.alpha)
+    if not rest.is_zero and rest.max_abs() > scalar.zero_eps() * max(1, F1.max_abs()):
+        raise PrecisionExhausted("shift failed to cancel the t^(d-1) coefficient")
     F2 = shift_iso(F1, b)
     coeffs = list(F2.coeffs)
     coeffs[-2] = PuiseuxSeries.zero(F2.ring.L, coeffs[-2].trunc)
@@ -332,7 +327,7 @@ def factor_step(f: SkewPoly, cfg: FactorConfig | None = None, target_k=None):
         raise UsageError("factor_step needs ord(f_(d-1)) > 0; shift first")
     res = f.reduce_residue()
     if _orbit_case(res):
-        return ("split", *engine.prop_split(f, res, ring.tmap(), 0, target_k))
+        return ("split", *engine.prop_split(f, res, 0, target_k))
     if engine.alpha.is_one:
         return ("classical", None, None)
     return ("split", *engine.t_split(f, 0, target_k))
@@ -376,8 +371,9 @@ def newton_puiseux_factor(f: SkewPoly, cfg: FactorConfig | None = None) -> Facto
     with scalar.bits(cfg.bits):
         bound = scalar.zero_eps() * max(1, f.max_abs())
     if not fac.residual <= bound:
-        raise PrecisionExhausted(
-            f"factorization residual {mp.nstr(fac.residual, 5)} above {mp.nstr(bound, 5)}")
+        why = "; ".join([f"factorization residual {mp.nstr(fac.residual, 5)} above "
+                         f"{mp.nstr(bound, 5)}"] + fac.warnings)
+        raise PrecisionExhausted(why)
     return fac
 
 

@@ -230,7 +230,14 @@ def test_usage_error_without_alpha(capsys):
      "error: --prec must be a rational number, not '1/0'\n"),
     (("eval", "--alpha", "2", "t^2", "1/0"), "error: division by zero at position 2\n"),
     (("factor", "--alpha", "2", "t^2 - x^(1/0)"), "error: division by zero at position 11\n"),
-], ids=["prec-word", "prec-zero-denominator", "scalar-zero-divisor", "exponent-zero-denominator"])
+    (("factor", "--alpha", "2", "--prec", "-3", "t^2-3*t+2"),
+     "error: the target order must be positive, not -3\n"),
+    (("factor", "--alpha", "2", "--prec", "0", "t^2-3*t+2"),
+     "error: the target order must be positive, not 0\n"),
+    (("hensel", "--alpha", "2", "--prec", "-2", "t^2-3*t+2", "t-1", "t-2"),
+     "error: the target order must be positive, not -2\n"),
+], ids=["prec-word", "prec-zero-denominator", "scalar-zero-divisor", "exponent-zero-denominator",
+        "prec-negative", "prec-zero", "hensel-prec-negative"])
 def test_malformed_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1

@@ -31,9 +31,10 @@ def test_factor_config_rejects_bits_below_the_least_precision(bits_):
 
 def test_roots_run_once_per_prop_split_lift(monkeypatch):
     # the orbit split hands its residue roots to the lift's twist check,
-    # and the t-split knows its roots (all 0), so neither searches again
-    from skewpuiseux import residue
-    calls = {"roots": 0, "prop": 0, "t": 0}
+    # and the t-split knows its roots (all -b0), so neither searches again;
+    # an orbit split reads residues only, so it forms no series shift
+    from skewpuiseux import hensel, residue
+    calls = {"roots": 0, "prop": 0, "t": 0, "trace": 0, "shift": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -44,14 +45,18 @@ def test_roots_run_once_per_prop_split_lift(monkeypatch):
     monkeypatch.setattr(residue, "roots", counting("roots", residue.roots))
     monkeypatch.setattr(_Engine, "prop_split", counting("prop", _Engine.prop_split))
     monkeypatch.setattr(_Engine, "t_split", counting("t", _Engine.t_split))
+    monkeypatch.setattr(factorizer, "trace_solve", counting("trace", factorizer.trace_solve))
+    for mod in (factorizer, hensel):
+        monkeypatch.setattr(mod, "shift_iso", counting("shift", mod.shift_iso))
     cfg = FactorConfig(target_order=6)
     f = parse_poly("t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)", puiseux_ring(2))
     newton_puiseux_factor(f, cfg)
-    assert calls == {"roots": 2, "prop": 2, "t": 0}
+    assert calls == {"roots": 2, "prop": 2, "t": 0, "trace": 0, "shift": 0}
     calls.update(roots=0, prop=0)
     f = parse_poly("t^3 - 3*t^2 + (3+x)*t - (1+x^2)", puiseux_ring(Fraction(3, 2)))
     newton_puiseux_factor(f, cfg)
     assert calls["t"] > 0 and calls["prop"] == calls["roots"] == 0
+    assert calls["trace"] > 0
 
 
 def test_remark_final_factorization():
@@ -287,15 +292,17 @@ def test_first_split_of_the_cubic_lifts_to_its_target(monkeypatch, alpha, prec):
 
     monkeypatch.setattr(factorizer, "hensel_lift", recording)
     f = parse_poly("t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)", puiseux_ring(alpha))
-    # the next level still runs out of precision (its trace shift)
+    # at alpha 2 and 160 bits or less the whole factorization still
+    # misses its residual bound
     with contextlib.suppress(PrecisionExhausted):
         newton_puiseux_factor(f, FactorConfig(target_order=15, bits=prec))
     assert lifts and lifts[0][0] == lifts[0][1] >= 19
 
 
-# the outcome at each precision: at alpha 2 and 3/2 the next level's trace
-# shift runs out of precision below 256 and 160 bits (ROADMAP, Baseline)
-CUBIC_SWEEP = {Fraction(2): (128, 160, 192), Fraction(3, 2): (128,), Fraction(1, 2): ()}
+# the precisions at which each alpha misses the residual bound (ROADMAP,
+# Baseline); every level of this cubic at alpha 2 is an orbit split, which
+# forms no series shift
+CUBIC_SWEEP = {Fraction(2): (128, 160), Fraction(3, 2): (), Fraction(1, 2): ()}
 
 
 @pytest.mark.parametrize("prec", [128, 160, 192, 256])
@@ -304,7 +311,7 @@ def test_baseline_cubic_meets_its_order_or_raises_a_typed_error(alpha, prec):
     f = parse_poly("t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)", puiseux_ring(alpha))
     cfg = FactorConfig(target_order=15, bits=prec)
     if prec in CUBIC_SWEEP[alpha]:
-        with pytest.raises(PrecisionExhausted, match="shift failed to cancel"):
+        with pytest.raises(PrecisionExhausted, match="residual"):
             newton_puiseux_factor(f, cfg)
         return
     fac = newton_puiseux_factor(f, cfg)
@@ -328,6 +335,15 @@ def _close_branch_quartic():
     for u, v in zip(us, vs):
         f = f * SkewPoly(R, [u * u - PS(1, {1: v * v}), u.scale(-2), R.one()])
     return f
+
+
+def test_a_tripped_budget_is_named_in_the_residual_error(monkeypatch):
+    # t^2 - x needs ramification 2; with a budget of 1 the zeros come back
+    # as O(x^T) only, and the residual error used to say nothing of why
+    monkeypatch.setattr(factorizer, "MAX_RAMIFICATION", 1)
+    f = parse_poly("t^2 - x", puiseux_ring(2))
+    with pytest.raises(PrecisionExhausted, match="residual .*ramification budget 1 exhausted"):
+        newton_puiseux_factor(f, FactorConfig(target_order=6))
 
 
 def test_a_residual_above_the_ok_bound_raises():

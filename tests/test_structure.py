@@ -282,7 +282,7 @@ def test_left_factor_from_the_lift_matches_the_division(prec):
             F1, _ = normalize_scaled(f, r)
             target_k = 12 * F1.ring.L
             res = F1.reduce_residue()
-            u, v = _Engine(R.alpha, FactorConfig()).prop_split(F1, res, F1.ring.tmap(), 0, target_k)
+            u, v = _Engine(R.alpha, FactorConfig()).prop_split(F1, res, 0, target_k)
             shapes.add((r, u.degree))
             vt = scale_back_monic(v, r)
             quo = scale_back_left(u, r, v.degree)
