@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -248,7 +249,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         g = parse_poly(_read_arg(args.g), ring)
         h = parse_poly(_read_arg(args.h), ring)
         L = getattr(f.ring, "L", 1)
-        target_k = int(cfg.target_order * L)
+        target_k = math.ceil(cfg.target_order * L)
         gh, hh, achieved = hensel_lift(f, g, h, target_k)
         payload = {
             "g_hat": poly_to_str(gh),

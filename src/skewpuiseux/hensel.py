@@ -7,21 +7,26 @@ to h (x the uniformizer) so that ord(f - g h) > n.  With f_n x^n the x^n
 part of the defect, p_n k_n + res(g) q_n = f_n, k_n = phi^n(res h), is
 solved in C[t]/(res g) (_solve_step).
 
-Slices.  f, g, h are held as x-slices: row k lists the x^k coefficients
-over t-degree (k < target_k), each left of its t^i.  Step n forms only
-slice n of the defect, D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van
-der Hoeven, "Relax, but don't be too lazy", JSC 2002).  The t^(i+j) entry
-of G_a * H_b is g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and
-g_(i,a) rho^a(h_(j,b)) in C[[x, rho]]; the ring supplies only this
-monomial twist (slice_twist), which also moves x^n right for f_n and k_n,
-so both rings run one loop.  Slices are exact scalar.fixed_point
-mantissas at their own binary exponents: D_n is one exact sum, rounded once.
+Slices.  f, g, h are held as x-slices: row k (k < target_k) lists the x^k
+coefficients over t-degree, each left of its t^i, as exact mantissas
+(re, im, e) (scalar.fixed_point).  Step n forms only slice n of the
+defect, D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van der Hoeven,
+"Relax, but don't be too lazy", JSC 2002).  The t^(i+j) entry of G_a * H_b
+is g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and g_(i,a) rho^a(h_(j,b))
+in C[[x, rho]]; the ring supplies only this twist w (slice_twist).
 
-Step rule.  A slice whose entries all pass is_negligible at zero_eps() is
-skipped (at n = 0 any other slice breaks the order-0 invariant).  After a
-step D_n is formed again from the same exact sum: an entry above
-max(zero_eps(), scale floor_tol(24)) means the step did not raise the
-defect order.
+Rounding and step rule.  D_n is exact, and so are f_n and k_n, its and res
+h's products with the inverse twist 1/w, and, res g being monic, k_n and b
+f_n mod res g and q_n = (f_n - p_n k_n) / res g.  1/w, p_n and q_n are
+rounded once each, scalar.GUARD_BITS above the working precision: the lift
+carries a step's error into every later order, where it grows.  b = k_n^(-1)
+mod res g is ext_gcd on k_n mod res g, rounded and collapsed at zero_eps(),
+then one exact Newton step; it stays Euclid while the benchmark counts the
+lift's steps as its ext_gcd calls.  p_n collapses at floor_tol(24) as divmod
+does.  Sizes are read off bit lengths: a D_n below zero_eps() is skipped (at
+n = 0 it breaks the order-0 invariant); with 2^scale <= max(1, |c|) over the
+c met so far, D_n formed again must lie below max(zero_eps(), 2^scale
+floor_tol(24)), and q_n's remainder is dust below 2^scale dust_tol().
 
 Derived rings.  delta_a = a(sigma - id) is inner, so s = t + a obeys
 s u = sigma(u) s: shift_iso(., a) carries f, g, h to F[t, sigma], where the
@@ -40,7 +45,7 @@ from . import scalar
 from .errors import PrecisionExhausted, SkewError, TwistCoprimeFailure, UsageError
 from .puiseux import PuiseuxSeries
 from .residue import ResiduePoly
-from .scalar import INF, is_negligible
+from .scalar import INF
 from .skewpoly import PuiseuxRing, SkewPoly
 from .structure import shift_iso
 
@@ -55,41 +60,27 @@ class HenselState:
     defect: SkewPoly
 
 
-def _solve_step(n: int, gres, kn, fn, inverses: dict, floor, dust_bound):
-    """Solve p kn + gres q = fn with deg p < deg gres, in C[t]/(gres)
-    (von zur Gathen & Gerhard, Modern Computer Algebra, 15.4).
-
-    b = kn^(-1) mod gres by ext_gcd(gres, kn mod gres), memoized in
-    ``inverses``: kn collapses at a near-common root, and a non-constant gcd
-    raises TwistCoprimeFailure.  p = b fn mod gres and q = (fn - p kn) /
-    gres exactly; the remainder is dust, a SkewError above ``dust_bound``.
-    """
-    key = tuple(kn.coeffs)
+def _solve_step(n: int, gres, g, kn, fn, inverses: dict, scale):
+    """Solve p kn + gres q = fn, deg p < deg gres, in C[t]/(gres) (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 15.4) on exact rows, g being
+    gres's lower coefficients; b is memoized per kn (module docstring)."""
+    key, m = (tuple(kn[0]), tuple(kn[1]), kn[2]), gres.degree
     inv = inverses.get(key)
     if inv is None:
-        _, kn_mod = kn.divmod(gres)
-        one, _, b, _ = residue_mod.ext_gcd(gres, kn_mod)
+        _, r = _divmod_monic(kn, g, scalar.zero_eps())
+        one, _, b, _ = residue_mod.ext_gcd(gres, ResiduePoly(_rounded(r, len(r[0])), trim=False))
+        b = _fixed(b.coeffs)
+        if b and one.degree == 0:  # one Newton step: b (2 - b kn) mod gres
+            b = _to_prec(_mulmod(b, _add(([2], [0], 0), _minus_product(b, kn)), g))
         inv = inverses[key] = (one, b)
     one, b = inv
     if one.degree != 0:
         raise TwistCoprimeFailure(n, one)
-    _, p = (b * fn).divmod(gres, tol=floor)
-    g = gres.coeffs
-    m = len(g) - 1
-    r = list(fn.coeffs)
-    r += [mp.mpc(0)] * (len(p.coeffs) + len(kn.coeffs) - 1 - len(r))
-    for i, a in enumerate(p.coeffs):
-        for j, c in enumerate(kn.coeffs):
-            r[i + j] -= a * c
-    q = [None] * max(0, len(r) - m)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + m]
-        for j in range(m):
-            r[k + j] -= c * g[j]
-    dust = scalar.max_abs(r[:m])
-    if dust > dust_bound:
-        raise SkewError(f"hensel correction degree overflow ({dust})")
-    return p, ResiduePoly(q, trim=False), b
+    p = _to_prec(_mulmod(b, fn, g, scalar.floor_tol(24)))
+    q, r = _divmod_monic(_add(fn, p and _minus_product(p, kn)), g)
+    if not _small(r, max(scale, _top(fn) - 1) + scalar.pow2_exp(scalar.dust_tol())):
+        raise SkewError(f"hensel correction degree overflow ({scalar.max_abs(_rounded(r, m))})")
+    return p, _to_prec(q), b
 
 
 def twist_precheck(g: SkewPoly, h: SkewPoly, *, roots=None):
@@ -143,6 +134,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     F, G, H = (_slices(p.coeffs[:n], target_k) for p, n in ((f, d), (g, m + 1), (h, d - m + 1)))
     twists = [ring.slice_twist(k, d + 1) for k in range(target_k)]
     wfix = [w and _fixed(w) for w, _ in twists]
+    gfix = _fixed(gres.coeffs[:m]) or ([0] * m, [0] * m, 0)
 
     def minus(acc, pairs):
         """acc - sum of G_a * H_b over the (a, b) in pairs, exactly."""
@@ -155,34 +147,29 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         return (back(_poly(ring, G, m, target_k, g.coeffs[-1])),
                 back(_poly(ring, H, d - m, target_k, h.coeffs[-1])))
 
-    zero, floor = scalar.zero_eps(), scalar.floor_tol(24)
+    zero, floor = scalar.pow2_exp(scalar.zero_eps()), scalar.pow2_exp(scalar.floor_tol(24))
     # corrections can grow with n (the true factors may grow geometrically);
-    # cancellation dust is judged against this scale
-    scale = max(mp.mpf(1), f.max_abs())
+    # cancellation dust is judged against 2^scale <= max(1, |c|)
+    scale = max([0] + [_top(r) - 1 for r in F])
     inverses = {}  # one per distinct k_n: per lift at alpha = 1
     for n in range(target_k):
         inner = minus(F[n], [(a, n - a) for a in range(1, n)])
-        dn = _rounded(minus(inner, {(n, 0), (0, n)}), d)
-        if all(is_negligible(c, zero) for c in dn):
+        dn = minus(inner, {(n, 0), (0, n)})
+        if _small(dn, zero):
             continue
         if n == 0:
             raise SkewError("hensel invariant violated: defect has order 0")
         # move x^n right of the slice: f_n, and k_n = phi^n(res h)
         w, conj = twists[n]
-        fn = ResiduePoly(dn).coeffs
-        kn = [scalar.conj_scalar(c) if conj else c for c in hres.coeffs]
-        if w:
-            fn, kn = ([c / w[i] for i, c in enumerate(cs)] for cs in (fn, kn))
-        fn, kn = ResiduePoly(fn, trim=False), ResiduePoly(kn, trim=False)
-        fn_max = fn.max_abs()
-        p, q, b = _solve_step(n, gres, kn, fn, inverses, floor,
-                              max(scale, fn_max) * scalar.dust_tol())
+        with mp.workprec(mp.prec + scalar.GUARD_BITS):
+            winv = w and _fixed([1 / c for c in w])
+        fn = _twisted(dn, winv)
+        kn = _twisted(_fixed((hres.conj_coeffs() if conj else hres).coeffs), winv)
+        p, q, b = _solve_step(n, gres, gfix, kn, fn, inverses, scale)
         # the corrections p x^n, q x^n in left form: t^i x^n = w_i x^n t^i
-        for S, corr in ((G, p), (H, q)):
-            S[n] = _add(S[n], _fixed([c * w[i] if w else c for i, c in enumerate(corr.coeffs)]))
-        scale = max(scale, fn_max, p.max_abs(), q.max_abs(), b.max_abs())
-        post = _rounded(minus(inner, {(n, 0), (0, n)}), d)
-        if not all(is_negligible(c, max(zero, scale * floor)) for c in post):
+        G[n], H[n] = _add(G[n], _twisted(p, wfix[n])), _add(H[n], _twisted(q, wfix[n]))
+        scale = max(scale, *(_top(x) - 1 for x in (fn, p, q, b)))
+        if not _small(minus(inner, {(n, 0), (0, n)}), max(zero, scale + floor)):
             raise SkewError(f"hensel step did not raise the defect order at n={n}")
         if on_state is not None:
             rest = [None] * (n + 1) + [minus(F[k], [(a, k - a) for a in range(k + 1)])
@@ -192,13 +179,13 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
 
 
 def _slices(coeffs, target_k: int) -> list:
-    """Row k < target_k: the x^k coefficients over t-degree, as _fixed."""
-    rows = [[0] * len(coeffs) for _ in range(target_k)]
+    """Row k < target_k: the x^k coefficients over t-degree, as exact rows."""
+    rows = [None] * target_k
     for i, c in enumerate(coeffs):
         for k, v in c.terms.items():
             if k < target_k:
-                rows[k][i] = v
-    return [_fixed(row) for row in rows]
+                rows[k] = _add(rows[k], _fixed([0] * i + [v]))
+    return rows
 
 
 def _fixed(row):
@@ -209,15 +196,21 @@ def _fixed(row):
     return fx[:3] if any(fx[0]) or any(fx[1]) else None
 
 
-def _minus_product(x, y, w, conj: bool, d: int):
-    """-(x * y) for exact slice rows x = G_a and y = H_b, its entries below
-    t^d: w, an exact row or None, twists x's entries (alpha^(ib/L)), and
-    conj conjugates y."""
-    (xr, xi, ex), (yr, yi, ey) = x, y
-    if w:
-        xr, xi, ex = ([u * c - v * s for u, v, c, s in zip(xr, xi, w[0], w[1])],
-                      [u * s + v * c for u, v, c, s in zip(xr, xi, w[0], w[1])], ex + w[2])
+def _twisted(x, w):
+    """Entry i of the exact row x times entry i of w (None: all ones)."""
+    if not (x and w):
+        return x
+    (xr, xi, ex), (wr, wi, ew) = x, w
+    return ([u * c - v * s for u, v, c, s in zip(xr, xi, wr, wi)],
+            [u * s + v * c for u, v, c, s in zip(xr, xi, wr, wi)], ex + ew)
+
+
+def _minus_product(x, y, w=None, conj=False, d=INF):
+    """-(x * y) for exact rows x and y, its entries below t^d: w, an exact
+    row or None, twists x's entries (alpha^(ib/L)), and conj conjugates y."""
+    (xr, xi, ex), (yr, yi, ey) = _twisted(x, w), y
     yi = [-v for v in yi] if conj else yi
+    d = min(d, len(xr) + len(yr) - 1)
     re, im = [0] * d, [0] * d
     for i, (u, v) in enumerate(zip(xr, xi)):
         for j in range(min(len(yr), d - i)) if u or v else ():
@@ -234,6 +227,60 @@ def _add(x, y):
     s = y[2] - x[2]
     return tuple([u + (v << s) for u, v in zip_longest(x[i], y[i], fillvalue=0)]
                  for i in (0, 1)) + (x[2],)
+
+
+def _top(x):
+    """The least T with |Re c|, |Im c| < 2^T over an exact row's entries c."""
+    b = max(map(abs, x[0] + x[1]), default=0).bit_length() if x else 0
+    return b + x[2] if b else -INF
+
+
+def _small(x, t) -> bool:
+    """|c| < 2^t for every entry c of an exact row, exact squares in the band."""
+    top = _top(x)
+    return top < t or top == t and all(u * u + v * v < 1 << 2 * (t - x[2])
+                                       for u, v in zip(x[0], x[1]))
+
+
+def _divmod_monic(a, g, tol=None):
+    """(quo, rem), exact rows with a = quo (t^m + g) + rem, deg rem < m, for
+    exact rows a and g: each step lowers the exponent by g's, so nothing
+    rounds.  With tol, if a step ran, the top coefficients c of rem collapse
+    while |c| < tol max(1, |a|, |g|), as in residue._divmod, but exactly."""
+    (rr, ri, e), (gr, gi, eg) = (list(a[0]), list(a[1]), a[2]), g
+    m, s = len(gr), max(0, -eg)
+    gr, gi = [v << (eg + s) for v in gr], [v << (eg + s) for v in gi]
+    qr, qi = [], []  # the quotient from the top down
+    while len(rr) > m:
+        cr, ci = rr.pop(), ri.pop()
+        rr, ri, qr, qi = ([v << s for v in x] for x in (rr, ri, qr + [cr], qi + [ci]))
+        e -= s
+        k = len(rr) - m
+        for j in range(m):
+            rr[k + j] -= cr * gr[j] - ci * gi[j]
+            ri[k + j] -= cr * gi[j] + ci * gr[j]
+    if tol is not None and len(a[0]) > m:
+        # in squares, c = (u + iv) 2^e: u^2 + v^2 < max ceil(|x|^2 tol^2 4^-e)
+        k = scalar.pow2_exp(tol) - e
+        sq = [(max((u * u + v * v for u, v in zip(*x[:2])), default=0), k + x[2])
+              for x in (([1], [0], 0), a, g)]
+        top = max(n << 2 * j if j >= 0 else -(-n >> -2 * j) for n, j in sq)
+        while rr and rr[-1] ** 2 + ri[-1] ** 2 < top:
+            rr.pop(), ri.pop()
+    return (qr[::-1], qi[::-1], e), (rr, ri, e)
+
+
+def _mulmod(x, y, g, tol=None):
+    """x y mod (t^m + g) for exact rows, None when zero (tol: _divmod_monic)."""
+    if x and y:
+        r = _divmod_monic(_minus_product(x, y), g, tol)[1]
+        return [-v for v in r[0]], [-v for v in r[1]], r[2]
+
+
+def _to_prec(x):
+    """The exact row x with each entry rounded once, at GUARD_BITS more."""
+    with mp.workprec(mp.prec + scalar.GUARD_BITS):
+        return x and _fixed(_rounded(x, len(x[0])))
 
 
 def _rounded(x, d: int) -> list:

@@ -6,11 +6,12 @@ precision; enter a computation through ``with bits(P):`` to fix it.  Exact
 coefficients (Fraction / GaussianRational) are used by the ring-law unit
 tests only and never mix with numeric ones inside a single series.
 
-Series products convert their numeric coefficients exactly to fixed-point
-Gaussian-integer mantissas (``fixed_point``) and round each product
-coefficient once, to nearest at the working precision
-(``from_fixed_point``), so every product coefficient is the correctly
-rounded exact sum of its terms.
+The exact kernel: ``fixed_point`` reads numeric coefficients exactly as
+fixed-point Gaussian-integer mantissas, and ``from_fixed_point`` rounds
+once, to nearest.  A series product coefficient is the correctly rounded
+exact sum of its terms.  hensel_lift keeps its slices and its reductions
+modulo the monic res g exact and rounds its intermediates once each,
+GUARD_BITS above the working precision.
 
 Tolerance policy: only this module turns the working precision P into a
 threshold; every other module reads these levels by name.
@@ -43,6 +44,7 @@ INF = float("inf")
 
 # the least working precision: floor_tol(24) < zero_eps() needs P - 24 > P // 2
 MIN_BITS = 2 * 24 + 1
+GUARD_BITS = 32
 
 
 def bits(prec: int):

@@ -277,3 +277,15 @@ def test_refined_factor_pairs_print_no_imaginary_dust(capsys, args, count):
     code, out, _ = run_cli(capsys, "factor", *args)
     assert code == 0 and out.count("\nfactor: ") == count
     assert re.search(r"\di", out) is None, out
+
+
+@pytest.mark.parametrize("prec, out", [
+    ("5/2", "g_hat: t + (-1 + O(x^3))\nh_hat: t + (-2 + O(x^3))\nachieved_order: 3\n"),
+    ("1/2", "g_hat: t + (-1 + O(x))\nh_hat: t + (-2 + O(x))\nachieved_order: 1\n"),
+])
+def test_hensel_lifts_to_at_least_a_fractional_prec(capsys, prec, out):
+    # the target order is rounded up: a floor would stop short of --prec,
+    # and at 1/2 would drop the exact constant terms of the inputs
+    code, got, err = run_cli(capsys, "hensel", "--alpha", "2", "--prec", prec,
+                             "t^2-(3+x^3)*t+2", "t-1", "t-2")
+    assert (code, got, err) == (0, out, "")

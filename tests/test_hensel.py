@@ -9,7 +9,7 @@ from skewpuiseux import (Alpha, ConjSeriesRing, PuiseuxSeries, ResiduePoly, Skew
 from skewpuiseux import hensel as hensel_mod
 from skewpuiseux.errors import (PrecisionExhausted, TwistCoprimeFailure,
                                 UsageError)
-from skewpuiseux.hensel import _solve_step
+from skewpuiseux.hensel import _divmod_monic, _fixed, _rounded, _solve_step
 from skewpuiseux.scalar import INF
 
 from conftest import rand_coeff, rng
@@ -218,6 +218,14 @@ def bezout_step(gres, kn, fn, d):
     return p, ResiduePoly(qn.coeffs[:d - gres.degree], trim=False)
 
 
+def step(n, gres, kn, fn, inverses):
+    """_solve_step on the exact rows of ResiduePolys, with no dust bound (an
+    infinite scale); returns p, q and b as ResiduePolys."""
+    g = _fixed(gres.coeffs[:-1]) or ([0] * gres.degree, [0] * gres.degree, 0)
+    out = _solve_step(n, gres, g, _fixed(kn.coeffs), _fixed(fn.coeffs), inverses, INF)
+    return [ResiduePoly(_rounded(x, len(x[0])) if x else [], trim=False) for x in out]
+
+
 @pytest.mark.parametrize("prec", [128, 256])
 def test_step_in_quotient_algebra_matches_bezout_route(prec):
     """p kn + res(g) q = fn to 2^-(P-16), and p, q as the Bezout route gives
@@ -226,7 +234,6 @@ def test_step_in_quotient_algebra_matches_bezout_route(prec):
     routes lose accuracy in the Euclid on a tiny-led kn, so n stops there."""
     rnd = rng(prec + 11)
     with bits(prec):
-        floor = mp.mpf(2) ** -(prec - 24)
         tol = mp.mpf(2) ** -(prec - 16)
         largest_n = 0
         for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2)):
@@ -245,7 +252,7 @@ def test_step_in_quotient_algebra_matches_bezout_route(prec):
                         steps += 1
                         kn = twist_residue(hres, n, tm)
                         fn = ResiduePoly([rand_coeff(rnd) for _ in range(m + dh)])
-                        p, q, b = _solve_step(n, gres, kn, fn, inverses, floor, mp.inf)
+                        p, q, b = step(n, gres, kn, fn, inverses)
                         assert p.degree < m and q.degree < dh
                         assert (b * kn).divmod(gres)[1].degree == 0
                         scale = max(1, fn.max_abs(), p.max_abs() * kn.max_abs(),
@@ -269,13 +276,37 @@ def test_step_raises_on_a_shared_twisted_root():
         kn = twist_residue(hres, 3, tm)
         fn = ResiduePoly([1, 2, 3][:gres.degree + 2])
         with pytest.raises(TwistCoprimeFailure) as exc:
-            _solve_step(3, gres, kn, fn, {}, mp.mpf(2) ** -(mp.prec - 24), mp.inf)
+            step(3, gres, kn, fn, {})
         assert exc.value.n == 3
         w = exc.value.witness
         assert w.degree == 1 and abs(w.coeff(0) + c) < mp.mpf(2) ** -(mp.prec // 3)
         # the twist at n = 2 shares no root: the same pair solves there
-        _solve_step(2, gres, twist_residue(hres, 2, tm), fn, {},
-                    mp.mpf(2) ** -(mp.prec - 24), mp.inf)
+        step(2, gres, twist_residue(hres, 2, tm), fn, {})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_monic_division_is_exact(seed):
+    """quo (t^m + g) + rem == a in integers, deg rem < m, for monic divisors
+    of degree 1..3, real and complex, whose coefficients spread over 2^-90
+    .. 2^90, and a of degree <= 6."""
+    rnd = rng(seed + 70)
+
+    def scalar_(real):
+        x = mp.ldexp(mp.mpf(rnd.uniform(-1, 1)), rnd.randint(-90, 90))
+        return x if real else mp.mpc(x, mp.ldexp(rnd.uniform(-1, 1), rnd.randint(-90, 90)))
+
+    for _ in range(40):
+        m, real = rnd.randint(1, 3), rnd.random() < 0.5
+        g = _fixed([scalar_(real) for _ in range(m)])
+        a = _fixed([scalar_(rnd.random() < 0.5) for _ in range(rnd.randint(1, 7))])
+        quo, rem = _divmod_monic(a, g)
+        assert len(rem[0]) <= m and len(quo[0]) == max(0, len(a[0]) - m)
+        monic = (g[0] + [1 << -g[2]], g[1] + [0], g[2]) if g[2] < 0 else \
+            ([v << g[2] for v in g[0]] + [1], [v << g[2] for v in g[1]] + [0], 0)
+        prod = hensel_mod._minus_product(quo, monic, None, False, len(a[0])) if quo[0] else None
+        minus_rem = ([-v for v in rem[0]], [-v for v in rem[1]], rem[2])
+        back = hensel_mod._add(hensel_mod._add(a, prod), minus_rem)
+        assert not any(back[0]) and not any(back[1])
 
 
 def test_one_inverse_per_distinct_twist(monkeypatch):
