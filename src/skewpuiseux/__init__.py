@@ -10,19 +10,18 @@ elements are L = 1 Puiseux series.
 
 Public API (exactly the names in ``__all__``):
 
-  scalars:      Alpha, GaussianRational, Rational, bits
+  scalars:      Alpha, GaussianRational, bits
   series:       PuiseuxSeries
   rings:        ComplexConjRing, ConjSeriesRing, PuiseuxRing, puiseux_ring
   polynomials:  SkewPoly
   residues:     OrbitPartition, ResiduePoly, TMap, delta_set_member, ext_gcd,
                 orbit_partition, refine_factor_pair, roots,
                 twist_coprime_affine, twist_coprime_periodic, twist_residue
-  structure:    IsoRecord, normalize_scaled, scale_back_monic, scale_iso,
-                scaled_power_unit, scaling_exponent, shift_iso, trace_solve
+  structure:    normalize_scaled, scale_back_monic, scaling_exponent,
+                shift_iso, trace_solve
   lifting:      HenselState, hensel_lift, twist_precheck
-  factoring:    FactorConfig, Factorization, factor_step,
-                newton_puiseux_factor, sigma_zero, sigma_zero_quadratic,
-                verify_factorization
+  factoring:    FactorConfig, Factorization, newton_puiseux_factor,
+                sigma_zero, sigma_zero_quadratic, verify_factorization
   text:         parse_poly, parse_scalar, parse_series, poly_to_str,
                 series_to_str
   errors:       ContextMismatch, MathObstruction, NoSplittingRoot,
@@ -35,9 +34,8 @@ from .errors import (ContextMismatch, MathObstruction, NoSplittingRoot,
                      NotMonicError, Obstruction, ParseError, PrecisionExhausted,
                      RootFindingError, SkewError, TwistCoprimeFailure,
                      UsageError, ZeroInversion)
-from .factorizer import (FactorConfig, Factorization, factor_step,
-                         newton_puiseux_factor, sigma_zero,
-                         sigma_zero_quadratic, verify_factorization)
+from .factorizer import (FactorConfig, Factorization, newton_puiseux_factor,
+                         sigma_zero, sigma_zero_quadratic, verify_factorization)
 from .hensel import HenselState, hensel_lift, twist_precheck
 from .parsing import parse_poly, parse_scalar, parse_series, poly_to_str, series_to_str
 from .puiseux import PuiseuxSeries
@@ -45,26 +43,26 @@ from .residue import (OrbitPartition, ResiduePoly, TMap, delta_set_member,
                       ext_gcd, orbit_partition, refine_factor_pair, roots,
                       twist_coprime_affine, twist_coprime_periodic,
                       twist_residue)
-from .scalar import Alpha, GaussianRational, Rational, bits
+from .scalar import Alpha, GaussianRational, bits
 from .skewpoly import ComplexConjRing, ConjSeriesRing, PuiseuxRing, SkewPoly, puiseux_ring
-from .structure import (IsoRecord, normalize_scaled, scale_back_monic, scale_iso,
-                        scaled_power_unit, scaling_exponent, shift_iso, trace_solve)
+from .structure import (normalize_scaled, scale_back_monic, scaling_exponent,
+                        shift_iso, trace_solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alpha", "ComplexConjRing", "ConjSeriesRing", "ContextMismatch",
     "FactorConfig", "Factorization", "GaussianRational", "HenselState",
-    "IsoRecord", "MathObstruction", "NoSplittingRoot", "NotMonicError",
-    "Obstruction", "OrbitPartition", "ParseError", "PrecisionExhausted",
-    "PuiseuxRing", "PuiseuxSeries", "Rational", "ResiduePoly",
-    "RootFindingError", "SkewError", "SkewPoly", "TMap", "TwistCoprimeFailure",
-    "UsageError", "ZeroInversion", "bits", "delta_set_member", "ext_gcd",
-    "factor_step", "hensel_lift", "newton_puiseux_factor", "normalize_scaled",
-    "orbit_partition", "parse_poly", "parse_scalar", "parse_series",
-    "poly_to_str", "puiseux_ring", "refine_factor_pair", "roots",
-    "scale_back_monic", "scale_iso", "scaled_power_unit", "scaling_exponent",
-    "series_to_str", "shift_iso", "sigma_zero", "sigma_zero_quadratic",
-    "trace_solve", "twist_coprime_affine", "twist_coprime_periodic",
-    "twist_precheck", "twist_residue", "verify_factorization",
+    "MathObstruction", "NoSplittingRoot", "NotMonicError", "Obstruction",
+    "OrbitPartition", "ParseError", "PrecisionExhausted", "PuiseuxRing",
+    "PuiseuxSeries", "ResiduePoly", "RootFindingError", "SkewError",
+    "SkewPoly", "TMap", "TwistCoprimeFailure", "UsageError", "ZeroInversion",
+    "bits", "delta_set_member", "ext_gcd", "hensel_lift",
+    "newton_puiseux_factor", "normalize_scaled", "orbit_partition",
+    "parse_poly", "parse_scalar", "parse_series", "poly_to_str",
+    "puiseux_ring", "refine_factor_pair", "roots", "scale_back_monic",
+    "scaling_exponent", "series_to_str", "shift_iso", "sigma_zero",
+    "sigma_zero_quadratic", "trace_solve", "twist_coprime_affine",
+    "twist_coprime_periodic", "twist_precheck", "twist_residue",
+    "verify_factorization",
 ]

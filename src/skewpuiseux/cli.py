@@ -168,7 +168,6 @@ def _factor_payload(fac: Factorization) -> dict:
         "residual": mp.nstr(mp.mpf(fac.residual), 8),
         "order": _ord_str(fac.achieved_order),
         "ramification": fac.ramification,
-        "iso_trail": [str(r) for r in fac.iso_trail],
         "warnings": list(fac.warnings),
     }
     if fac.unit is not None:
@@ -267,9 +266,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         f = parse_poly(_read_arg(args.poly), ring)
         zeros = [parse_series(z) for z in args.zeros]
         unit = parse_series(args.unit) if args.unit else None
-        fac = Factorization(zeros=zeros, unit=unit, residual=None,
-                            achieved_order=None, ramification=max(z.L for z in zeros))
-        report = verify_factorization(f, fac, order=cfg.target_order)
+        report = verify_factorization(f, zeros, unit, order=cfg.target_order)
         payload = {
             "residual": mp.nstr(mp.mpf(report["residual"]), 8),
             "eval_ord": _ord_str(report["eval_ord"]),

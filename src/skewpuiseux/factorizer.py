@@ -19,7 +19,7 @@ F[t, sigma] and runs the reduction pipeline:
      alpha = 1, or else lift the ((t + b0)^(d-1), t + b0) split of F1
      (t_split).  Every lift runs on F1 itself;
   5. scale the right factor v back to a monic vt, read the left factor off
-     u (scale_back_left; a t-power right factor is divided out instead),
+     u (scale_back_left; for a t-power F2 = t^d, F1 = v^d and u = v^(d-1)),
      and recurse on both parts.
 
 Splitting candidates are certified directly: a residue root is accepted as
@@ -45,9 +45,8 @@ from .puiseux import PuiseuxSeries
 from .residue import ResiduePoly
 from .scalar import INF, is_negligible, to_mpc
 from .skewpoly import PuiseuxRing, SkewPoly, puiseux_ring
-from .structure import (IsoRecord, normalize_scaled, scale_back_left,
-                        scale_back_monic, scaling_exponent, shift_iso,
-                        trace_solve)
+from .structure import (normalize_scaled, scale_back_left, scale_back_monic,
+                        scaling_exponent, shift_iso, trace_solve)
 
 ORDER_MARGIN = 4  # extra x-orders lifted beyond the target
 MAX_RAMIFICATION = 256  # largest ramification a recursion level may reach
@@ -76,7 +75,6 @@ class Factorization:
     residual: object
     achieved_order: object
     ramification: int
-    iso_trail: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
 
@@ -95,7 +93,6 @@ class _Engine:
     def __init__(self, alpha, cfg: FactorConfig):
         self.alpha = alpha
         self.cfg = cfg
-        self.trail: list = []
         self.warnings: list = []
 
     # -- helpers -------------------------------------------------------------
@@ -204,9 +201,10 @@ class _Engine:
         Each level splits F1 in its own coordinates.  The branch is read
         off res F1: with b0 = res(c_(d-1))/d, the residue of the trace solve
         b of c_(d-1), res F1 = (t + b0)^d or not.  If not, its roots split
-        by orbits (prop_split).  A split lifts F1 = u v in F[t, sigma]; the
-        right factor is scaled back to vt and the left one read off u
-        (scale_back_left), so f = quo * vt needs no division.  The series b
+        by orbits (prop_split).  A split lifts F1 = u v in F[t, sigma], or
+        reads u = v^(d-1) off a t-power shifted polynomial; the right factor
+        is scaled back to vt and the left one read off u (scale_back_left),
+        so f = quo * vt needs no division.  The series b
         and the shifted polynomial are formed only in the single-root
         branch, where they are read: the t-power test and the classical
         round.
@@ -225,8 +223,7 @@ class _Engine:
         r = scaling_exponent(f)
         if r.denominator * ring.L > MAX_RAMIFICATION:
             return self._budget_zeros(f, f"ramification budget {MAX_RAMIFICATION} exhausted")
-        F1, records = normalize_scaled(f, r)
-        self.trail.extend(records)
+        F1 = normalize_scaled(f, r)
         ring1 = F1.ring
         avail = min((INF if c.trunc is None else c.trunc for c in F1.coeffs), default=INF)
         target_k = self._level_target_k(ring1.L, r, d, avail)
@@ -244,13 +241,15 @@ class _Engine:
             b, F2 = None, F1
             if shifted:
                 b = trace_solve(cdm1, d, self.alpha)
-                self.trail.append(IsoRecord("shift", (str(b),)))
                 F2 = _pinned_shift(F1, b)
             if _is_t_power(F2):
-                # the right factor t + O(x^zt) of F2, t + b + O(x^zt) of F1
+                # F2 = t^d, so F1 = vh^d for the right factor t + O(x^zt) of
+                # F2, t + b + O(x^zt) of F1, and the left factor is vh^(d-1)
                 c0 = _t_power_zero(F2)
-                u = None
                 vh = SkewPoly(ring1, [c0 if b is None else b + c0, ring1.one()], trim=False)
+                u = vh
+                for _ in range(d - 2):
+                    u = u * vh
             elif self.alpha.is_one:
                 # alpha = 1: every delta_a vanishes, so re-read the shifted
                 # polynomial in the underived ring and iterate the round
@@ -269,16 +268,8 @@ class _Engine:
             else:
                 u, vh = self.t_split(F1, b0, target_k)
 
-        vt = scale_back_monic(vh, r)
-        if u is None:
-            quo, rem = f.left_divmod(vt)
-            remdev = rem.max_abs()
-            if remdev > scalar.dust_tol():
-                self.warnings.append(f"factor pullback residual {remdev}")
-        else:
-            quo = scale_back_left(u, r, vh.degree)
-        left = self.factor_monic(quo, depth)
-        right = self.factor_monic(vt, depth)
+        left = self.factor_monic(scale_back_left(u, r, vh.degree), depth)
+        right = self.factor_monic(scale_back_monic(vh, r), depth)
         return left + right
 
 
@@ -304,33 +295,6 @@ def _pinned_shift(F1: SkewPoly, b: PuiseuxSeries) -> SkewPoly:
     coeffs = list(F2.coeffs)
     coeffs[-2] = PuiseuxSeries.zero(F2.ring.L, coeffs[-2].trunc)
     return SkewPoly(F2.ring, coeffs, trim=False)
-
-
-def factor_step(f: SkewPoly, cfg: FactorConfig | None = None, target_k=None):
-    """One splitting step on a normalized integral monic polynomial.
-
-    Expects the pipeline's post-shift shape (t^(d-1) coefficient of
-    positive order, min coefficient order 0 unless everything vanishes mod
-    x).  Returns ("split", u_hat, v_hat) with f = u_hat v_hat to the
-    working order, or ("classical", None, None) when alpha = 1 and only a
-    rescaling round can make progress.
-    """
-    cfg = cfg or FactorConfig()
-    ring = f.ring
-    if not isinstance(ring, PuiseuxRing):
-        raise UsageError("factor_step works over Puiseux coefficients")
-    engine = _Engine(ring.alpha, cfg)
-    d = f.degree
-    if target_k is None:
-        target_k = engine._level_target_k(ring.L, Fraction(0), d, INF)
-    if ring.ord_k(f.coeffs[d - 1]) == 0:
-        raise UsageError("factor_step needs ord(f_(d-1)) > 0; shift first")
-    res = f.reduce_residue()
-    if _orbit_case(res):
-        return ("split", *engine.prop_split(f, res, 0, target_k))
-    if engine.alpha.is_one:
-        return ("classical", None, None)
-    return ("split", *engine.t_split(f, 0, target_k))
 
 
 def _require_plain_ring(f: SkewPoly) -> PuiseuxRing:
@@ -395,7 +359,6 @@ def _factor_once(f: SkewPoly, cfg: FactorConfig) -> Factorization:
         coeffs[-1] = fm.ring.one()
         fm = SkewPoly(fm.ring, coeffs, trim=False)
         unit = lead
-        engine.trail.append(IsoRecord("unit_extract", (str(lead),)))
     zeros = engine.factor_monic(fm, 0)
     fac = Factorization(
         zeros=zeros,
@@ -403,10 +366,9 @@ def _factor_once(f: SkewPoly, cfg: FactorConfig) -> Factorization:
         residual=mp.mpf(0),
         achieved_order=cfg.target_order,
         ramification=max([z.L for z in zeros] + [ring.L]),
-        iso_trail=engine.trail,
         warnings=engine.warnings,
     )
-    report = verify_factorization(f, fac, order=cfg.target_order)
+    report = verify_factorization(f, zeros, unit, order=cfg.target_order)
     fac.residual = report["residual"]
     fac.achieved_order = report["achieved_order"]
     return fac
@@ -472,23 +434,24 @@ def sigma_zero_quadratic(f: SkewPoly, cfg: FactorConfig | None = None) -> Puiseu
         return z.truncate(K)
 
 
-def verify_factorization(f: SkewPoly, fac: Factorization, order=None) -> dict:
-    """Re-multiply the factors in F[t, sigma] and measure the deviation up
-    to ``order`` (x-units; defaults to the shared truncation), plus the
-    order of f at the rightmost zero.  ``ok`` holds when the deviation is
-    at most scalar.zero_eps() * max(1, |f|)."""
+def verify_factorization(f: SkewPoly, zeros, unit=None, order=None) -> dict:
+    """Re-multiply unit * (t - zeros[0]) * ... * (t - zeros[-1]) in
+    F[t, sigma] and measure its deviation from f up to ``order`` (x-units;
+    defaults to the shared truncation), plus the order of f at the
+    rightmost zero.  ``ok`` holds when the deviation is at most
+    scalar.zero_eps() * max(1, |f|)."""
     ring = _require_plain_ring(f)
     L = ring.L
-    for c in fac.zeros:
+    for c in zeros:
         L = L * (c.L // math.gcd(L, c.L))
-    if fac.unit is not None:
-        L = L * (fac.unit.L // math.gcd(L, fac.unit.L))
+    if unit is not None:
+        L = L * (unit.L // math.gcd(L, unit.L))
     work = puiseux_ring(ring.alpha, L)
     prod = SkewPoly.one(work)
-    for c in fac.zeros:
+    for c in zeros:
         prod = prod * SkewPoly.t_minus(work, c.at_ram(L))
-    if fac.unit is not None:
-        prod = prod.lmul_base(fac.unit)
+    if unit is not None:
+        prod = prod.lmul_base(unit)
     diff = f.in_ring(work) - prod
     if order is not None:
         diff = diff.truncate(int(math.ceil(Fraction(order) * L)))
@@ -498,8 +461,8 @@ def verify_factorization(f: SkewPoly, fac: Factorization, order=None) -> dict:
         if c.trunc is not None:
             achieved = min(achieved, Fraction(c.trunc, c.L))
     eval_ord = None
-    if fac.zeros:
-        ev = f.evaluate(fac.zeros[-1])
+    if zeros:
+        ev = f.evaluate(zeros[-1])
         eval_ord = ev.ord()
         if ev.trunc is not None:
             eval_ord = min(eval_ord, Fraction(ev.trunc, ev.L))

@@ -10,13 +10,16 @@ round-trip through the parser.
   EXP    := SINT | '(' SINT ['/' INT] ')'
   SPROD  := SATOM (('*'|'/') SATOM)*     (stops before '*' 'x')
   SATOM  := NUM ['i'] | 'i' | '(' SEXPR ')'
+  NUM    := (DIGITS ['.' [DIGITS]] | '.' DIGITS) ['e' ['+'|'-'] DIGITS]
+  INT    := DIGITS
 
-Scalar sub-expressions evaluate exactly over Gaussian rationals; decimals
-become exact fractions.
+Scalar sub-expressions evaluate exactly over Gaussian rationals; decimals,
+with or without an exponent suffix, become exact fractions.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -24,6 +27,7 @@ from .puiseux import PuiseuxSeries
 from .scalar import INF, GaussianRational, fmt_scalar, fmt_term, to_mpc
 
 _OPS = set("+-*/^()")
+_NUM = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?")
 
 
 class _Tokens:
@@ -40,15 +44,10 @@ class _Tokens:
                 self.toks.append(("op", ch, i))
                 i += 1
                 continue
-            if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-                j = i
-                seen_dot = False
-                while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                    if text[j] == ".":
-                        seen_dot = True
-                    j += 1
-                self.toks.append(("num", text[i:j], i))
-                i = j
+            m = _NUM.match(text, i)
+            if m:
+                self.toks.append(("num", m.group(), i))
+                i = m.end()
                 continue
             if ch.isalpha():
                 self.toks.append(("name", ch, i))
@@ -157,25 +156,29 @@ def parse_scalar(text: str) -> GaussianRational:
     return v
 
 
+def _parse_int(ts: _Tokens, what: str) -> int:
+    num = ts.expect("num")
+    if not num[1].isdigit():
+        raise ParseError(ts.text, num[2], what)
+    return int(num[1])
+
+
 def _parse_exponent(ts: _Tokens) -> Fraction:
+    what = "exponents must be integers or fractions"
     if ts.accept("op", "("):
         neg = ts.accept("op", "-")
-        num = ts.expect("num")
-        p = int(num[1])
+        p = _parse_int(ts, what)
         q = 1
         if ts.accept("op", "/"):
-            den = ts.expect("num")
-            q = int(den[1])
+            pos = ts.peek()[2]
+            q = _parse_int(ts, what)
             if q == 0:
-                raise ParseError(ts.text, den[2], "division by zero")
+                raise ParseError(ts.text, pos, "division by zero")
         ts.expect("op", ")")
         val = Fraction(p, q)
         return -val if neg else val
     neg = ts.accept("op", "-")
-    num = ts.expect("num")
-    if "." in num[1]:
-        raise ParseError(ts.text, num[2], "exponents must be integers or fractions")
-    val = Fraction(int(num[1]))
+    val = Fraction(_parse_int(ts, what))
     return -val if neg else val
 
 
@@ -264,7 +267,7 @@ def _parse_pcoeff(ts: _Tokens):
 
 def _parse_tpow(ts: _Tokens) -> int:
     """The degree of 't' ['^' INT], its 't' already read."""
-    return int(ts.expect("num")[1]) if ts.accept("op", "^") else 1
+    return _parse_int(ts, "t-degrees must be integers") if ts.accept("op", "^") else 1
 
 
 def parse_poly(text: str, ring):

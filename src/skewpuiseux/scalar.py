@@ -38,8 +38,6 @@ from mpmath import mp
 
 from .errors import UsageError
 
-Rational = Fraction
-
 INF = float("inf")
 
 # the least working precision: floor_tol(24) < zero_eps() needs P - 24 > P // 2

@@ -1,25 +1,24 @@
-"""Ring isomorphisms used by the reduction pipeline.
-
-The shift and the scaling are realized by substitute-and-expand (Horner
-over the image of t) in the target ring, matching the universal-property
-construction, and are validated by homomorphism invariants in the test
-suite:
+"""Ring isomorphisms used by the reduction pipeline:
 
   shift:  F[t,s,delta_a] -> F[t,s,delta_(a-b)],   t |-> t - b
   scale:  F[t,s,delta_a] -> F[t,s,delta_(a*x^r)], t |-> x^(-r) t
   trace preimage: solves b + b^s + ... + b^(s^(d-1)) = g termwise
 
+The shift is realized by substitute-and-expand (Horner over the image of t)
+in the target ring, matching the universal-property construction, and is
+validated by homomorphism invariants in the test suite.
+
 The factorizer's scalings live in the underived ring F[t, sigma], where
 (x^(-r) t)^i = beta_i x^(-ri) t^i with beta_i = alpha^(-r i(i-1)/2) (the
-beta law, scaled_power_unit).  There a scaling followed by a monomial unit
-maps each coefficient to a monomial multiple of itself, so
-normalize_scaled, scale_back_monic and scale_back_left work coefficient-wise
-in closed form (_rescaled); scale_iso stays general and is their reference.
+beta law).  There a scaling followed by a monomial unit maps each
+coefficient to a monomial multiple of itself, so normalize_scaled,
+scale_back_monic and scale_back_left work coefficient-wise in closed form
+(_rescaled).  The general Horner scaling and the beta law are test
+references (tests/props.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -28,18 +27,6 @@ from .errors import NotMonicError, Obstruction, PrecisionExhausted, UsageError
 from .puiseux import PuiseuxSeries
 from .scalar import EXACT_TYPES, INF, Alpha, to_mpc
 from .skewpoly import PuiseuxRing, SkewPoly, _horner_image, puiseux_ring
-
-
-@dataclass(frozen=True)
-class IsoRecord:
-    """Provenance entry for one applied isomorphism (for factor pullback)."""
-
-    kind: str      # "shift" | "scale" | "unit_normalize" | "unit_extract"
-    params: tuple
-
-    def __str__(self):
-        inner = ", ".join(str(p) for p in self.params)
-        return f"{self.kind}({inner})"
 
 
 def shift_iso(f: SkewPoly, b: PuiseuxSeries) -> SkewPoly:
@@ -51,35 +38,6 @@ def shift_iso(f: SkewPoly, b: PuiseuxSeries) -> SkewPoly:
     target = ring.with_a(ring.a - b)
     t_image = SkewPoly(target, [target.neg(target.coerce(b)), target.one()], trim=False)
     return _horner_image(target, [target.coerce(c) for c in f.coeffs], t_image)
-
-
-def scale_iso(f: SkewPoly, r) -> SkewPoly:
-    """Map sum g_i t^i to sum g_i (x^(-r) t)^i, landing in the delta_(a*x^r) ring.
-
-    The ramification refines to make r representable.
-    """
-    ring = f.ring
-    if not isinstance(ring, PuiseuxRing):
-        raise UsageError("scale_iso needs Puiseux coefficients")
-    r = Fraction(r)
-    if r == 0:
-        return f
-    L = ring.L * (r.denominator // gcd(ring.L, r.denominator))
-    xr = PuiseuxSeries.x_pow(r).at_ram(L)
-    new_a = ring.a.at_ram(L) * xr if not ring.a.is_zero else PuiseuxSeries.zero(L)
-    target = PuiseuxRing(ring.alpha, L, new_a)
-    x_neg_r = PuiseuxSeries.x_pow(-r).at_ram(L)
-    t_image = SkewPoly(target, [target.zero(), x_neg_r], trim=False)
-    return _horner_image(target, [target.coerce(c) for c in f.coeffs], t_image)
-
-
-def scaled_power_unit(alpha: Alpha, r, i: int):
-    """The unit beta_i with (x^(-r) t)^i = beta_i x^(-ri) t^i when delta = 0.
-
-    Certified by the expansion oracle in the tests: beta_i = alpha^(-r*i*(i-1)/2).
-    """
-    r = Fraction(r)
-    return alpha.pow(-r * Fraction(i * (i - 1), 2))
 
 
 def trace_solve(g: PuiseuxSeries, d: int, alpha) -> PuiseuxSeries:
@@ -146,15 +104,11 @@ def normalize_scaled(f: SkewPoly, r):
     all coefficient orders >= 0 and at least one equal to 0 (for r chosen
     by scaling_exponent).  In closed form (_rescaled), coefficient i is
     f_i alpha^(-r(i(i-1) - d(d-1))/2) x^(r(d-i)).
-
-    Returns (polynomial, records).
     """
     r = Fraction(r)
     if r == 0:
-        return f, []
-    inv_beta = 1 / scaled_power_unit(f.ring.alpha, r, f.degree)
-    records = [IsoRecord("scale", (r,)), IsoRecord("unit_normalize", (inv_beta, r * f.degree))]
-    return _rescaled(f, r), records
+        return f
+    return _rescaled(f, r)
 
 
 def scale_back_monic(v: SkewPoly, r):

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from skewpuiseux import bits, parse_poly, puiseux_ring, series_to_str
 from skewpuiseux.cli import main
 
 
@@ -166,6 +167,25 @@ def test_verify_command_reports_failure(capsys):
     assert out.splitlines()[-1] == "ok: false"
 
 
+def test_verify_reads_back_a_printed_zero_in_exponent_notation(capsys):
+    # the sigma-zero prints its x^14 coefficient as (3.14...e-13)*x^14;
+    # verify takes it with the left zero of the same factorization
+    args = ("--alpha", "3", "--prec", "12", "--bits", "128")
+    f = "t^2 - (1+x^2)"
+    code, out, _ = run_cli(capsys, "sigma-zero", *args, f)
+    assert code == 0
+    zero = out.splitlines()[0].removeprefix("zero: ")
+    assert "e-13)*x^14" in zero
+    code, out, _ = run_cli(capsys, "factor", *args, "--json", f)
+    assert code == 0
+    with bits(128):
+        left = parse_poly(json.loads(out)["factors"][0], puiseux_ring(3))
+        left_zero = series_to_str(-left.coeffs[0])
+    code, out, _ = run_cli(capsys, "verify", *args, f, left_zero, zero)
+    assert code == 0
+    assert out.splitlines()[-1] == "ok: true"
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("t^2 - 2*t + 1"))
     code, out, _ = run_cli(capsys, "factor", "--alpha", "2", "--json", "-")
@@ -236,8 +256,12 @@ def test_usage_error_without_alpha(capsys):
      "error: the target order must be positive, not 0\n"),
     (("hensel", "--alpha", "2", "--prec", "-2", "t^2-3*t+2", "t-1", "t-2"),
      "error: the target order must be positive, not -2\n"),
+    (("factor", "--alpha", "2", "t^2e1 - 1"), "error: t-degrees must be integers at position 2\n"),
+    (("factor", "--alpha", "2", "t^2 - x^(1e2)"),
+     "error: exponents must be integers or fractions at position 9\n"),
 ], ids=["prec-word", "prec-zero-denominator", "scalar-zero-divisor", "exponent-zero-denominator",
-        "prec-negative", "prec-zero", "hensel-prec-negative"])
+        "prec-negative", "prec-zero", "hensel-prec-negative", "t-degree-in-exponent-notation",
+        "x-exponent-in-exponent-notation"])
 def test_malformed_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (Alpha, FactorConfig, Factorization, PuiseuxSeries,
-                         SkewPoly, bits, factor_step, newton_puiseux_factor,
-                         parse_poly, poly_to_str, puiseux_ring, sigma_zero,
-                         sigma_zero_quadratic, verify_factorization)
+from skewpuiseux import (Alpha, FactorConfig, PuiseuxSeries, SkewPoly, bits,
+                         newton_puiseux_factor, parse_poly, poly_to_str,
+                         puiseux_ring, sigma_zero, sigma_zero_quadratic,
+                         verify_factorization)
 from skewpuiseux.cli import main as cli_main
 from mpmath.libmp import from_man_exp
 
@@ -144,7 +144,7 @@ def test_alpha_one_degenerates_to_classical():
     assert (vals[1] - PS.x_pow(Fraction(1, 2))).max_abs() < mp.mpf(2) ** -100
 
 
-def test_factor_step_orbit_split_shapes():
+def test_prop_split_orbit_split_shapes():
     # residue roots {1, 1/2, -3/2} sum to zero; at alpha = 2 the orbit of 1
     # captures 1/2 and leaves -3/2 outside: a 2 + 1 split
     R = puiseux_ring(2)
@@ -153,10 +153,44 @@ def test_factor_step_orbit_split_shapes():
         f = f * SkewPoly.t_minus(R, PS.constant(c))
     f = f + SkewPoly(R, [PS.x_pow(1)])  # keep it a nontrivial lift
     assert f.coeffs[2].is_zero  # shape (i): ord(f_(d-1)) > 0, min ord = 0
-    kind, uh, vh = factor_step(f, FactorConfig(target_order=10), target_k=14)
-    assert kind == "split"
+    engine = _Engine(R.alpha, FactorConfig(target_order=10))
+    uh, vh = engine.prop_split(f, f.reduce_residue(), 0, target_k=14)
     assert {uh.degree, vh.degree} == {1, 2}
     assert (f - uh * vh).truncate(14).max_abs() < mp.mpf(2) ** -90
+
+
+@pytest.mark.parametrize("trunc", [None, 9], ids=["exact", "truncated"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("alpha", [2, Fraction(3, 2), Fraction(1, 2), 1])
+def test_t_power_split_reads_the_left_factor_without_division(alpha, d, trunc, monkeypatch):
+    # (t - z)^d shifts to t^d: its right factor is t - z, and the left one
+    # (t - z)^(d-1) is formed from it, not divided out of f
+    R = puiseux_ring(alpha)
+    z = PS.from_terms([(0, 1), (1, 1)] if trunc is None else [(0, 1), (1, 1), (3, 2)], trunc)
+    f = SkewPoly.one(R)
+    for _ in range(d):
+        f = f * SkewPoly.t_minus(R, z)
+    cfg = FactorConfig(target_order=8)
+    divisions = []
+    left_divmod = SkewPoly.left_divmod
+
+    def counted(self, p):
+        divisions.append(p.degree)
+        return left_divmod(self, p)
+
+    monkeypatch.setattr(SkewPoly, "left_divmod", counted)
+    with bits(cfg.bits):
+        zeros = _Engine(R.alpha, cfg).factor_monic(f, 0)
+    assert divisions == []
+    monkeypatch.undo()
+    fac = newton_puiseux_factor(f, cfg)
+    assert [len(zs) for zs in (zeros, fac.zeros)] == [d, d]
+    with bits(cfg.bits):
+        tol = mp.mpf(2) ** -(cfg.bits - 24)
+        for c in zeros + fac.zeros:
+            assert (c - z).max_abs() <= tol
+            assert (c.trunc is None) == (trunc is None)
+        assert verify_factorization(f, fac.zeros, order=8)["ok"]
 
 
 def _nudge(x, ulps):
@@ -201,21 +235,14 @@ def test_candidate_order_ignores_last_bit_for_a_twist(alpha, a0):
     assert len(orders) == 1
 
 
-def test_factor_step_requires_shifted_input():
-    R = puiseux_ring(2)
-    f = parse_poly("t^2 - 2*t + 1", R)
-    with pytest.raises(UsageError):
-        factor_step(f, FactorConfig(), target_k=10)
-
-
 def test_verify_detects_wrong_order():
     # skew products are order-sensitive: swapped factors deviate
     R = puiseux_ring(2)
     z1 = PS.from_terms([(0, 1), (1, 1)])
     z2 = PS.from_terms([(0, 3), (1, -1)])
     f = SkewPoly.t_minus(R, z1) * SkewPoly.t_minus(R, z2)
-    good = verify_factorization(f, Factorization([z1, z2], None, None, None, 1))
-    bad = verify_factorization(f, Factorization([z2, z1], None, None, None, 1))
+    good = verify_factorization(f, [z1, z2])
+    bad = verify_factorization(f, [z2, z1])
     assert good["residual"] < mp.mpf(2) ** -100
     assert bad["residual"] > mp.mpf("0.1")
     assert good["ok"] and not bad["ok"]
@@ -231,7 +258,7 @@ def test_non_monic_unit_extraction():
     assert fac.unit is not None
     assert (fac.unit - unit).max_abs() == 0
     assert fac.residual < mp.mpf(2) ** -90
-    assert any(r.kind == "unit_extract" for r in fac.iso_trail)
+    assert verify_factorization(f, fac.zeros, fac.unit, order=10)["ok"]
 
 
 def test_complex_alpha_rejected_by_factorizer():
@@ -317,7 +344,7 @@ def test_baseline_cubic_meets_its_order_or_raises_a_typed_error(alpha, prec):
     fac = newton_puiseux_factor(f, cfg)
     assert fac.achieved_order == 15
     with bits(prec):
-        report = verify_factorization(f, fac, order=15)
+        report = verify_factorization(f, fac.zeros, fac.unit, order=15)
     assert report["ok"] and report["achieved_order"] == 15
 
 

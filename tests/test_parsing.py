@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (ComplexConjRing, ConjSeriesRing, GaussianRational, parse_poly,
-                         parse_scalar, parse_series, poly_to_str, puiseux_ring,
-                         series_to_str)
+from skewpuiseux import (ComplexConjRing, ConjSeriesRing, GaussianRational, bits,
+                         parse_poly, parse_scalar, parse_series, poly_to_str,
+                         puiseux_ring, series_to_str)
 from skewpuiseux.errors import ParseError, UsageError
+from skewpuiseux.scalar import fmt_scalar, to_mpc
 
 from conftest import rand_poly, rand_series, rng
 
@@ -128,3 +129,29 @@ def test_position_annotated_errors():
 def test_whitespace_insensitive():
     R = puiseux_ring(2)
     assert parse_poly("t^2-2*t+1", R) == parse_poly(" t^2  - 2*t +  1 ", R)
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_printed_scalars_parse_back_to_the_same_value(prec):
+    # values from 2^-200 to 2^200 print in exponent notation at both ends
+    rnd = rng(prec)
+
+    def rand_mpf(e):
+        man = rnd.getrandbits(prec) | 1 << (prec - 1)
+        return mp.ldexp(mp.mpf(rnd.choice([-1, 1]) * man), e - prec)
+
+    with bits(prec):
+        for e in range(-200, 201, 5):
+            for c in (rand_mpf(e), mp.mpc(rand_mpf(e), rand_mpf(rnd.randint(-200, 200)))):
+                text = fmt_scalar(c)
+                assert to_mpc(parse_scalar(text)) == c, text
+
+
+@pytest.mark.parametrize("text, pos", [("t^1e3", 2), ("t^2.5", 2), ("t + x^1e2", 6),
+                                       ("t + x^(1e2)", 7), ("t + x^(1/2e1)", 9)])
+def test_exponent_notation_is_no_integer(text, pos):
+    # a number with an exponent suffix is a scalar, never a degree or an
+    # x-exponent
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, puiseux_ring(2))
+    assert exc.value.pos == pos

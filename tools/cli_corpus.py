@@ -9,9 +9,12 @@ Both import the package from the ``src/`` of this checkout.
 The corpus is ``factor`` and ``sigma-zero`` of 17 polynomials (the inputs
 of the golden transcripts and examples from ROADMAP.md and CHANGES.md) at
 alpha 2, 3/2, 1, 1/2 and 3, ``--prec`` 6 and 12, and ``--bits`` 128 and
-192: 680 commands.  ``run`` writes one JSON line per command and exits 1
-if any command ends in an uncaught exception; exit codes 0-4 are the
-CLI's own.  ``diff`` lists every command whose record differs.  Where both
+192: 680 commands.  ``run`` writes one JSON line per command.  It also
+parses every printed ``factor:`` and ``zero:`` line back (parse_poly,
+parse_series) at the command's bits, and lists each line that does not
+parse.  It exits 1 if any command ends in an uncaught exception or any
+printed line does not parse back; exit codes 0-4 are the CLI's own.
+``diff`` lists every command whose record differs.  Where both
 runs printed the same lines but for the coefficient values of factors or
 zeros, it gives the largest change of a zero relative to that zero's
 largest coefficient, as a power of two, against the bound 2^-(P-24).
@@ -62,10 +65,30 @@ def commands():
                         yield [cmd, "--alpha", alpha, "--prec", prec, "--bits", bits, poly]
 
 
+def _unparsed(argv, stdout: str) -> list:
+    """The printed ``factor:`` and ``zero:`` lines of one command that do
+    not parse back at its bits.  Factors are parsed in the alpha-1 ring the
+    CLI prints them from."""
+    from skewpuiseux import bits, parse_poly, parse_series, puiseux_ring
+
+    bad = []
+    with bits(int(argv[argv.index("--bits") + 1])):
+        for line in stdout.splitlines():
+            head, _, text = line.partition(": ")
+            try:
+                if head == "factor":
+                    parse_poly(text, puiseux_ring(1))
+                elif head == "zero":
+                    parse_series(text)
+            except Exception as e:
+                bad.append(f"{line}\n    {type(e).__name__}: {str(e).splitlines()[0]}")
+    return bad
+
+
 def run(path: str) -> int:
     from skewpuiseux.cli import main
 
-    crashed = 0
+    crashed = unparsed = 0
     with open(path, "w") as out:
         for argv in commands():
             stdout, stderr = io.StringIO(), io.StringIO()
@@ -78,8 +101,12 @@ def run(path: str) -> int:
             crashed += code == "uncaught"
             out.write(json.dumps({"argv": argv, "code": code, "stdout": stdout.getvalue(),
                                   "stderr": stderr.getvalue()}) + "\n")
-    print(f"{sum(1 for _ in commands())} commands, {crashed} uncaught exceptions")
-    return 1 if crashed else 0
+            for line in _unparsed(argv, stdout.getvalue()):
+                unparsed += 1
+                print(f"does not parse back: {' '.join(argv)}\n  {line}")
+    print(f"{sum(1 for _ in commands())} commands, {crashed} uncaught exceptions, "
+          f"{unparsed} printed lines that do not parse back")
+    return 1 if crashed or unparsed else 0
 
 
 _TOKEN = re.compile(r"(\^\(?-?[0-9]+(?:/[0-9]+)?\)?)|([0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]+)?)")
