@@ -17,15 +17,17 @@ in C[[x, rho]]; the ring supplies only this twist w (slice_twist).
 
 Rounding and step rule.  D_n is exact, and so are f_n and k_n, its and res
 h's products with the inverse twist 1/w, and, res g being monic, k_n and b
-f_n mod res g and q_n = (f_n - p_n k_n) / res g.  1/w, p_n and q_n are
-rounded once each, scalar.GUARD_BITS above the working precision: the lift
-carries a step's error into every later order, where it grows.  b = k_n^(-1)
-mod res g is ext_gcd on k_n mod res g, rounded and collapsed at zero_eps(),
-then one exact Newton step; it stays Euclid while the benchmark counts the
-lift's steps as its ext_gcd calls.  p_n collapses at floor_tol(24) as divmod
-does.  Sizes are read off bit lengths: a D_n below zero_eps() is skipped (at
-n = 0 it breaks the order-0 invariant); with 2^scale <= max(1, |c|) over the
-c met so far, D_n formed again must lie below max(zero_eps(), 2^scale
+f_n mod res g and q_n = (f_n - p_n k_n) / res g.  1/w, b, p_n and q_n are
+rounded once each, scalar.GUARD_BITS above the working precision, all but
+1/w on their mantissas (scalar.round_fixed_point): the lift carries a step's
+error into every later order, where it grows.  b = k_n^(-1) mod res g is
+ext_gcd on k_n mod res g (a constant, inverted with no division, for a
+linear res g), rounded and collapsed at zero_eps(), then one exact Newton
+step; it stays Euclid while the benchmark counts the lift's steps as its
+ext_gcd calls.  p_n collapses at floor_tol(24) as divmod does.  Sizes
+are read off bit lengths: a D_n below zero_eps() is skipped (at n = 0 it
+breaks the order-0 invariant); with 2^scale <= max(1, |c|) over the c met
+so far, D_n formed again must lie below max(zero_eps(), 2^scale
 floor_tol(24)), and q_n's remainder is dust below 2^scale dust_tol().
 
 Derived rings.  delta_a = a(sigma - id) is inner, so s = t + a obeys
@@ -63,12 +65,13 @@ class HenselState:
 def _solve_step(n: int, gres, g, kn, fn, inverses: dict, scale):
     """Solve p kn + gres q = fn, deg p < deg gres, in C[t]/(gres) (von zur
     Gathen & Gerhard, Modern Computer Algebra, 15.4) on exact rows, g being
-    gres's lower coefficients; b is memoized per kn (module docstring)."""
+    gres's lower coefficients; b, memoized per kn, is the step's one
+    ext_gcd call, and b, p and q round on mantissas (module docstring)."""
     key, m = (tuple(kn[0]), tuple(kn[1]), kn[2]), gres.degree
     inv = inverses.get(key)
     if inv is None:
         _, r = _divmod_monic(kn, g, scalar.zero_eps())
-        one, _, b, _ = residue_mod.ext_gcd(gres, ResiduePoly(_rounded(r, len(r[0])), trim=False))
+        one, _, b = residue_mod.ext_gcd(gres, ResiduePoly(_rounded(r, len(r[0])), trim=False))
         b = _fixed(b.coeffs)
         if b and one.degree == 0:  # one Newton step: b (2 - b kn) mod gres
             b = _to_prec(_mulmod(b, _add(([2], [0], 0), _minus_product(b, kn)), g))
@@ -278,9 +281,9 @@ def _mulmod(x, y, g, tol=None):
 
 
 def _to_prec(x):
-    """The exact row x with each entry rounded once, at GUARD_BITS more."""
-    with mp.workprec(mp.prec + scalar.GUARD_BITS):
-        return x and _fixed(_rounded(x, len(x[0])))
+    """The exact row x with each entry rounded once, at GUARD_BITS more, on
+    its mantissas (scalar.round_fixed_point); None when x is None or 0."""
+    return x and scalar.round_fixed_point(*x, mp.prec + scalar.GUARD_BITS)
 
 
 def _rounded(x, d: int) -> list:

@@ -386,23 +386,21 @@ def _cluster_polish(q, dq, zs, radius, hard):
 
 
 def ext_gcd(p: ResiduePoly, q: ResiduePoly, tol=None):
-    """Extended Euclid: returns (g, a, b, kappa) with a*p + b*q = g.
+    """Extended Euclid: returns (g, a, b) with a*p + b*q = g.
 
-    If p, q are coprime, g is normalized to the constant 1; kappa is a
-    rough growth estimate for conditioning the Bezout identity.  The loop
-    runs on coefficient lists, with the trims of ResiduePoly arithmetic,
-    and stops before the cofactor update of the step whose remainder is
-    zero, which would be discarded.
+    If p, q are coprime, g is normalized to the constant 1.  The loop runs
+    on coefficient lists, with the trims of ResiduePoly arithmetic, and
+    stops before the cofactor update of the step whose remainder is zero,
+    which would be discarded; a nonzero constant divisor ends it with no
+    division (a nonzero q reduced modulo a linear p is one).
     """
     if tol is None:
         tol = scalar.zero_eps()
     r0, r1 = p.coeffs, q.coeffs
     s0, s1 = [mp.mpc(1)], []
     t0, t1 = [], [mp.mpc(1)]
-    kappa = mp.mpf(1)
     while r1:
-        quo, rem = _divmod(r0, r1, tol)
-        kappa *= max(mp.mpf(1), scalar.max_abs(quo))
+        quo, rem = _divmod(r0, r1, tol) if len(r1) > 1 else (None, [])
         if not rem:
             r0, s0, t0 = r1, s1, t1
             break
@@ -412,11 +410,11 @@ def ext_gcd(p: ResiduePoly, q: ResiduePoly, tol=None):
     r0 = ResiduePoly(r0, trim=False)
     s0, t0 = ResiduePoly(s0, trim=False), ResiduePoly(t0, trim=False)
     if r0.is_zero:
-        return r0, s0, t0, kappa
+        return r0, s0, t0
     inv = 1 / r0.lc
     if r0.degree == 0:
-        return ResiduePoly([1], trim=False), s0 * inv, t0 * inv, kappa
-    return r0.monic(), s0 * inv, t0 * inv, kappa
+        return ResiduePoly([1], trim=False), s0 * inv, t0 * inv
+    return r0.monic(), s0 * inv, t0 * inv
 
 
 class TMap:
@@ -557,7 +555,7 @@ def twist_coprime_periodic(gres: ResiduePoly, hres: ResiduePoly, twist_fn,
     if gres.degree < 1 or hres.degree < 1:
         return None
     for n in range(1, period + 1):
-        g, _, _, _ = ext_gcd(gres, twist_fn(hres, n))
+        g, _, _ = ext_gcd(gres, twist_fn(hres, n))
         if g.degree > 0:
             return (n, g)
     return None
@@ -572,7 +570,7 @@ def refine_factor_pair(p: ResiduePoly, u: ResiduePoly, v: ResiduePoly):
     quadratically to the full working precision instead.  It leaves
     components below the rounding unit: they are dust (_drop_dust).
     """
-    g, a, b = ext_gcd(u, v)[:3]
+    g, a, b = ext_gcd(u, v)
     if g.degree != 0:
         return u, v
     floor = scalar.floor_tol(8)

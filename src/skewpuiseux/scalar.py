@@ -11,7 +11,8 @@ fixed-point Gaussian-integer mantissas, and ``from_fixed_point`` rounds
 once, to nearest.  A series product coefficient is the correctly rounded
 exact sum of its terms.  hensel_lift keeps its slices and its reductions
 modulo the monic res g exact and rounds its intermediates once each,
-GUARD_BITS above the working precision.
+GUARD_BITS above the working precision, on the integers themselves
+(``round_fixed_point``, which rounds as ``from_fixed_point`` does).
 
 Tolerance policy: only this module turns the working precision P into a
 threshold; every other module reads these levels by name.
@@ -20,10 +21,11 @@ threshold; every other module reads these levels by name.
                            and trace pins, verify_factorization's ``ok``
   cluster_tol()  2^-(P/3)  root clustering and stall test, orbit matching,
                            the Delta-set test, the factorizer's root order
-  dust_tol()     2^-(P/4)  res f mismatch and dust bound of hensel_lift, the
-                           factorizer's pullback-remainder warning
+  dust_tol()     2^-(P/4)  res f mismatch and dust bound of hensel_lift
   floor_tol(j)   2^-(P-j)  cancellation floors: hensel_lift (j = 24), roots
-                           (j = 12), refine_factor_pair (j = 8)
+                           (j = 12), refine_factor_pair (j = 8); j = 0 is
+                           the dust rule of residue._drop_dust, which roots
+                           and refine_factor_pair share
 The levels keep this order, floor_tol(24) < zero_eps() < cluster_tol() <
 dust_tol(), from P = MIN_BITS on.
 """
@@ -137,6 +139,27 @@ def from_fixed_point(re: int, im, e: int):
     if im is None:
         return mp.make_mpf(r)
     return mp.make_mpc((r, mpmath.libmp.from_man_exp(im, e, prec, mpmath.libmp.round_nearest)))
+
+
+def round_fixed_point(re, im, e: int, prec: int):
+    """The exact row (re[k] + im[k]*1j) * 2^e, each part rounded once to
+    prec bits, to nearest and ties to even as from_fixed_point rounds, in
+    fixed_point's form (e the least exponent of a nonzero part); None when
+    every part is zero.  No mpmath number is formed."""
+    def nearest(m):
+        a, n = abs(m), abs(m).bit_length() - prec
+        if n <= 0:
+            return m
+        half = 1 << (n - 1)
+        a, low = a >> n, a & (2 * half - 1)
+        a = (a + (low > half or low == half and a & 1)) << n
+        return a if m > 0 else -a
+
+    parts = [nearest(m) for m in re + im]
+    z = min([(m & -m).bit_length() - 1 for m in parts if m], default=None)
+    if z is None:
+        return None
+    return [m >> z for m in parts[:len(re)]], [m >> z for m in parts[len(re):]], e + z
 
 
 def mag_exp(c):

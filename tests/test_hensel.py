@@ -7,9 +7,10 @@ from skewpuiseux import (Alpha, ConjSeriesRing, PuiseuxSeries, ResiduePoly, Skew
                          TMap, bits, ext_gcd, hensel_lift, parse_poly,
                          puiseux_ring, shift_iso, twist_precheck, twist_residue)
 from skewpuiseux import hensel as hensel_mod
+from skewpuiseux import scalar
 from skewpuiseux.errors import (PrecisionExhausted, TwistCoprimeFailure,
                                 UsageError)
-from skewpuiseux.hensel import _divmod_monic, _fixed, _rounded, _solve_step
+from skewpuiseux.hensel import _divmod_monic, _fixed, _rounded, _solve_step, _to_prec
 from skewpuiseux.scalar import INF
 
 from conftest import rand_coeff, rng
@@ -211,7 +212,7 @@ def bezout_step(gres, kn, fn, d):
     = 1, then b fn = q res(g) + p and q_n = a fn + q kn, cut below degree
     d - deg res(g)."""
     floor = mp.mpf(2) ** -(mp.prec - 24)
-    one, a, b, _ = ext_gcd(gres, kn)
+    one, a, b = ext_gcd(gres, kn)
     assert one.degree == 0
     q, p = (b * fn).divmod(gres, tol=floor)
     qn = a * fn + q * kn
@@ -307,6 +308,65 @@ def test_monic_division_is_exact(seed):
         minus_rem = ([-v for v in rem[0]], [-v for v in rem[1]], rem[2])
         back = hensel_mod._add(hensel_mod._add(a, prod), minus_rem)
         assert not any(back[0]) and not any(back[1])
+
+
+def ref_to_prec(x):
+    """_to_prec as it was: each entry rounded through an mpc and read back."""
+    with mp.workprec(mp.prec + scalar.GUARD_BITS):
+        return x and _fixed(_rounded(x, len(x[0])))
+
+
+@pytest.mark.parametrize("prec", [128, 160, 256])
+def test_rows_round_on_mantissas_bit_for_bit(prec):
+    """_to_prec gives the row the mpc route gives, over random parts, exact
+    ties rounding down (even) and up (odd), all-ones carries that lengthen
+    the mantissa, parts already short enough, zeros and negative parts."""
+    rnd = rng(prec + 19)
+    P = prec + scalar.GUARD_BITS
+
+    def tie(odd):  # P kept bits, then exactly one half
+        return ((rnd.getrandbits(P - 2) << 1 | 1 << (P - 1) | odd) << 1 | 1) << rnd.randint(0, 40)
+
+    kinds = {"random": lambda: rnd.randrange(1, 1 << rnd.randint(1, 3 * P)),
+             "tie down": lambda: tie(0), "tie up": lambda: tie(1),
+             "carry": lambda: (1 << rnd.randint(P + 1, 2 * P)) - 1,
+             "short": lambda: rnd.randrange(1, 1 << rnd.randint(1, P)), "zero": lambda: 0}
+    with mp.workprec(prec):
+        for kind, draw in kinds.items():
+            for _ in range(60):
+                # one part of this kind, alone or among parts of any kind
+                d = rnd.randint(1, 4)
+                parts = [rnd.choice(list(kinds.values()))() for _ in range(2 * d)]
+                parts[0] = m = draw()
+                if rnd.random() < 0.5:
+                    parts = parts[:1] + [0] * (2 * d - 1)
+                parts = [-v if rnd.random() < 0.5 else v for v in parts]
+                x = (parts[:d], parts[d:], rnd.randint(-300, 300))
+                got = _to_prec(x)
+                assert got == ref_to_prec(x)
+                if kind == "zero" and not any(parts):
+                    assert got is None
+                elif not any(parts[1:]):
+                    rounded = abs(got[0][0]) << (got[2] - x[2])
+                    assert {"tie down": rounded < m, "tie up": rounded > m,
+                            "carry": rounded == m + 1,
+                            "short": rounded == m}.get(kind, True)
+
+
+def test_to_prec_forms_no_mpmath_number(monkeypatch):
+    calls = []
+    real = scalar.from_fixed_point
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(scalar, "from_fixed_point", counting)
+    x = _fixed([mp.mpc(1, -3) / 7, mp.mpf(2) / 3, 0])
+    x = hensel_mod._minus_product(x, x)
+    got = _to_prec(x)
+    assert not calls
+    assert got == ref_to_prec(x) and calls  # the mpc route does call it
 
 
 def test_one_inverse_per_distinct_twist(monkeypatch):

@@ -61,7 +61,7 @@ def test_roots_rejects_constants():
 def test_ext_gcd_coprime_linear():
     p = ResiduePoly([-1, 1])  # t - 1
     q = ResiduePoly([-2, 1])  # t - 2
-    g, a, b, _ = ext_gcd(p, q)
+    g, a, b = ext_gcd(p, q)
     assert g.degree == 0 and abs(g.coeff(0) - 1) < mp.mpf(2) ** -100
     # (-1)(t-1) + (1)(t-2) = -1; normalizing the gcd to 1 flips the signs
     assert a.degree == 0 and abs(a.coeff(0) - 1) < mp.mpf(2) ** -100
@@ -72,7 +72,7 @@ def test_ext_gcd_coprime_linear():
 
 def test_ext_gcd_equal_inputs():
     p = ResiduePoly([mp.mpc(0, 1), 1])  # t + i
-    g, _, _, _ = ext_gcd(p, p)
+    g, _, _ = ext_gcd(p, p)
     assert g.degree == 1  # not coprime; gcd is p itself (monic)
     assert abs(g.coeff(0) - mp.mpc(0, 1)) < mp.mpf(2) ** -100
 
@@ -329,20 +329,18 @@ def ref_ext_gcd(p, q, tol):
     r0, r1 = p, q
     s0, s1 = one, zero
     t0, t1 = zero, one
-    kappa = mp.mpf(1)
     while not r1.is_zero:
         quo, rem = ref_divmod(r0, r1, tol)
-        kappa *= max(mp.mpf(1), quo.max_abs())
         r0, r1 = r1, rem
         s0, s1 = s1, s0 - ref_mul(quo, s1)
         t0, t1 = t1, t0 - ref_mul(quo, t1)
     if r0.is_zero:
-        return r0, s0, t0, kappa
+        return r0, s0, t0
     if r0.degree == 0:
         c = r0.coeff(0)
-        return one, s0 * (1 / c), t0 * (1 / c), kappa
+        return one, s0 * (1 / c), t0 * (1 / c)
     c = r0.lc
-    return r0.monic(), s0 * (1 / c), t0 * (1 / c), kappa
+    return r0.monic(), s0 * (1 / c), t0 * (1 / c)
 
 
 def _bits_of(p):
@@ -398,9 +396,37 @@ def test_divmod_and_ext_gcd_match_old_code_bit_for_bit(prec):
             assert _bits_of(q) == _bits_of(q_ref) and _bits_of(r) == _bits_of(r_ref)
             collapsed += r.degree < b.degree - 1
             got, ref = ext_gcd(a, b, tol), ref_ext_gcd(a, b, tol)
-            assert [_bits_of(x) for x in got[:3]] == [_bits_of(x) for x in ref[:3]]
-            assert got[3] == ref[3]
+            assert [_bits_of(x) for x in got] == [_bits_of(x) for x in ref]
         assert collapsed > 10
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_ext_gcd_stops_at_a_constant_divisor(prec, monkeypatch):
+    """A nonzero constant divisor ends Euclid with no division: a constant
+    q at once, a q whose remainders turn constant mid-way after one
+    division per nonconstant divisor; (g, a, b) as the reference Euclid."""
+    divisors = []
+    real = residue_mod._divmod
+
+    def counting(a, b, tol):
+        divisors.append(len(b) - 1)
+        return real(a, b, tol)
+
+    monkeypatch.setattr(residue_mod, "_divmod", counting)
+    rnd = rng(prec + 5)
+    with mp.workprec(prec):
+        tol = zero_eps()
+        for _ in range(30):
+            p = ResiduePoly([rand_coeff(rnd) for _ in range(rnd.randint(2, 4))])
+            for q, nonconstant in ((ResiduePoly([rand_coeff(rnd)]), 0),
+                                   (ResiduePoly([rand_coeff(rnd) for _ in range(p.degree)]),
+                                    p.degree - 1)):
+                del divisors[:]
+                got, ref = ext_gcd(p, q, tol), ref_ext_gcd(p, q, tol)
+                assert [_bits_of(x) for x in got] == [_bits_of(x) for x in ref]
+                assert got[0].degree == 0
+                # generic remainders drop one degree a step: deg q, ..., 1, then 0
+                assert divisors == list(range(p.degree - 1, 0, -1))[:nonconstant]
 
 
 def test_twist_keeps_its_degree():
