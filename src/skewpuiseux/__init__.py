@@ -17,8 +17,7 @@ Public API (exactly the names in ``__all__``):
   residues:     OrbitPartition, ResiduePoly, TMap, delta_set_member, ext_gcd,
                 orbit_partition, refine_factor_pair, roots,
                 twist_coprime_affine, twist_coprime_periodic, twist_residue
-  structure:    normalize_scaled, scale_back_monic, scaling_exponent,
-                shift_iso, trace_solve
+  structure:    normalize_scaled, scaling_exponent, shift_iso, trace_solve
   lifting:      HenselState, hensel_lift, twist_precheck
   factoring:    FactorConfig, Factorization, newton_puiseux_factor,
                 sigma_zero, sigma_zero_quadratic, verify_factorization
@@ -45,8 +44,7 @@ from .residue import (OrbitPartition, ResiduePoly, TMap, delta_set_member,
                       twist_residue)
 from .scalar import Alpha, GaussianRational, bits
 from .skewpoly import ComplexConjRing, ConjSeriesRing, PuiseuxRing, SkewPoly, puiseux_ring
-from .structure import (normalize_scaled, scale_back_monic, scaling_exponent,
-                        shift_iso, trace_solve)
+from .structure import normalize_scaled, scaling_exponent, shift_iso, trace_solve
 
 __version__ = "0.1.0"
 
@@ -60,9 +58,8 @@ __all__ = [
     "bits", "delta_set_member", "ext_gcd", "hensel_lift",
     "newton_puiseux_factor", "normalize_scaled", "orbit_partition",
     "parse_poly", "parse_scalar", "parse_series", "poly_to_str",
-    "puiseux_ring", "refine_factor_pair", "roots", "scale_back_monic",
-    "scaling_exponent", "series_to_str", "shift_iso", "sigma_zero",
-    "sigma_zero_quadratic", "trace_solve", "twist_coprime_affine",
-    "twist_coprime_periodic", "twist_precheck", "twist_residue",
-    "verify_factorization",
+    "puiseux_ring", "refine_factor_pair", "roots", "scaling_exponent",
+    "series_to_str", "shift_iso", "sigma_zero", "sigma_zero_quadratic",
+    "trace_solve", "twist_coprime_affine", "twist_coprime_periodic",
+    "twist_precheck", "twist_residue", "verify_factorization",
 ]

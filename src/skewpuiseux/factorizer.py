@@ -13,14 +13,18 @@ F[t, sigma] and runs the reduction pipeline:
   4. split, on residue data only: when res F1 is not (t + b0)^d, group
      its roots by the orbits of the residue map T of F1's ring and lift
      the orbit split (prop_split).  Otherwise only one residue root -b0
-     exists: form b and the shifted polynomial F2 (landing in the
-     delta_(-b) ring), and take the t-power right factor when F2's lower
-     coefficients all vanish, one classical Newton-Puiseux round when
-     alpha = 1, or else lift the ((t + b0)^(d-1), t + b0) split of F1
-     (t_split).  Every lift runs on F1 itself;
-  5. scale the right factor v back to a monic vt, read the left factor off
-     u (scale_back_left; for a t-power F2 = t^d, F1 = v^d and u = v^(d-1)),
-     and recurse on both parts.
+     exists.  When alpha != 1 and F1 is truncated, lift the
+     ((t + b0)^(d-1), t + b0) split of F1 (t_split).  When alpha = 1 or F1
+     is exact, form b and the shifted polynomial F2 (landing in the
+     delta_(-b) ring), and take d equal zeros when F2's lower coefficients
+     all vanish, one classical Newton-Puiseux round when alpha = 1, or
+     else t_split.  So trace_solve, _pinned_shift and its cancellation
+     guard serve only alpha = 1 and exact levels.  Every lift runs on F1
+     itself;
+  5. recurse on both lifted factors u and v as they are, in F1's
+     coordinates, handing each the root list of its residue, and map the
+     zeros w_1..w_d of F1 back to f's once: z_i = alpha^(-r(d-i)) x^(-r) w_i
+     (scale_back_zeros).
 
 Splitting candidates are certified directly: a residue root is accepted as
 orbit base as soon as its orbit captures some but not all roots, which is
@@ -45,8 +49,8 @@ from .puiseux import PuiseuxSeries
 from .residue import ResiduePoly
 from .scalar import INF, is_negligible, to_mpc
 from .skewpoly import PuiseuxRing, SkewPoly, puiseux_ring
-from .structure import (normalize_scaled, scale_back_left, scale_back_monic,
-                        scaling_exponent, shift_iso, trace_solve)
+from .structure import (normalize_scaled, scale_back_zeros, scaling_exponent,
+                        shift_iso, trace_solve)
 
 ORDER_MARGIN = 4  # extra x-orders lifted beyond the target
 MAX_RAMIFICATION = 256  # largest ramification a recursion level may reach
@@ -108,8 +112,9 @@ class _Engine:
 
     def _budget_zeros(self, f: SkewPoly, why: str):
         """Partial result: zeros known only as O(x^T), where T comes from
-        the Newton data (every zero order is >= -r); the shift/scale
-        pullbacks then reattach the expansion accumulated so far."""
+        the Newton data (every zero order is >= -r); the shift and
+        scale_back_zeros of the levels above then reattach the expansion
+        accumulated so far."""
         self.warnings.append(why)
         L = f.ring.L
         t = 0
@@ -159,21 +164,23 @@ class _Engine:
 
     def _lift_split(self, F: SkewPoly, ubar, vbar, roots, target_k: int):
         """Lift the factorization ubar vbar of res F (``roots``: their root
-        lists) to F = u v."""
+        lists) to F = u v; returns the pairs (u, its roots), (v, its roots)."""
         ring = F.ring
         u, v = (SkewPoly(ring, [ring.from_scalar(c) for c in p.coeffs]) for p in (ubar, vbar))
-        return hensel_lift(F, u, v, target_k, roots=roots)[:2]
+        return list(zip(hensel_lift(F, u, v, target_k, roots=roots)[:2], roots))
 
-    def prop_split(self, F: SkewPoly, res, b0, target_k: int):
-        """Orbit-partition split: the roots of ``res`` = res F are grouped
-        by the orbit of a base root under the residue map T of F's ring;
-        the orbit part lifts as the left factor of F.  ``b0`` only orders
-        the candidate bases (_candidates)."""
+    def prop_split(self, F: SkewPoly, res, b0, target_k: int, pairs=None):
+        """Orbit-partition split: the roots of ``res`` = res F (``pairs``,
+        searched when not given) are grouped by the orbit of a base root
+        under the residue map T of F's ring; the orbit part lifts as the
+        left factor of F.  ``b0`` only orders the candidate bases
+        (_candidates)."""
         d = F.degree
         tmap = F.ring.tmap()
-        rts = residue_mod.roots(res)
-        for c1, _ in self._candidates(rts.pairs, tmap, b0):
-            part = residue_mod.orbit_partition(rts.pairs, c1, tmap)
+        if pairs is None:
+            pairs = residue_mod.roots(res).pairs
+        for c1, _ in self._candidates(pairs, tmap, b0):
+            part = residue_mod.orbit_partition(pairs, c1, tmap)
             j = part.j
             if 1 <= j < d:
                 members = [(c, m) for c, _, m in part.members]
@@ -195,19 +202,23 @@ class _Engine:
 
     # -- main recursion ---------------------------------------------------------
 
-    def factor_monic(self, f: SkewPoly, depth: int):
+    def factor_monic(self, f: SkewPoly, depth: int, slope=Fraction(0), pairs=None):
         """Zeros c_1..c_d with f = (t - c_1) ... (t - c_d) in F[t, sigma].
 
-        Each level splits F1 in its own coordinates.  The branch is read
-        off res F1: with b0 = res(c_(d-1))/d, the residue of the trace solve
-        b of c_(d-1), res F1 = (t + b0)^d or not.  If not, its roots split
-        by orbits (prop_split).  A split lifts F1 = u v in F[t, sigma], or
-        reads u = v^(d-1) off a t-power shifted polynomial; the right factor
-        is scaled back to vt and the left one read off u (scale_back_left),
-        so f = quo * vt needs no division.  The series b
-        and the shifted polynomial are formed only in the single-root
-        branch, where they are read: the t-power test and the classical
-        round.
+        Each level splits F1 = normalize_scaled(f, r) in its own
+        coordinates.  The branch is read off res F1: with b0 = res(c_(d-1))/d,
+        the residue of the trace solve b of c_(d-1), res F1 = (t + b0)^d or
+        not.  If not, its roots split by orbits (prop_split).  A split
+        lifts F1 = u v in F[t, sigma], and u and v recurse as they are, with
+        the root lists of their residues (``pairs``, read while the child's
+        r is 0, where its residue is the parent's factor) and the slope
+        accumulated down to F1 (``slope``, which sizes the child's lift).
+        A t-power shifted polynomial gives d equal zeros, and the classical
+        round the zeros of the shifted polynomial.  The level then maps its
+        zeros back to f's once (scale_back_zeros).  The series b and the
+        shifted polynomial are formed only in the single-root branch of
+        alpha = 1 or of an exact level, where they are read: the t-power
+        test and the classical round.
         """
         ring = f.ring
         d = f.degree
@@ -221,56 +232,45 @@ class _Engine:
             return self._budget_zeros(f, f"classical iteration budget {MAX_CLASSICAL_ITERATIONS} exhausted")
 
         r = scaling_exponent(f)
-        if r.denominator * ring.L > MAX_RAMIFICATION:
+        total = slope + r
+        if total.denominator * ring.L > MAX_RAMIFICATION:
             return self._budget_zeros(f, f"ramification budget {MAX_RAMIFICATION} exhausted")
         F1 = normalize_scaled(f, r)
         ring1 = F1.ring
         avail = min((INF if c.trunc is None else c.trunc for c in F1.coeffs), default=INF)
-        target_k = self._level_target_k(ring1.L, r, d, avail)
+        target_k = self._level_target_k(ring1.L, total, d, avail)
 
         res = F1.reduce_residue()
         cdm1 = F1.coeffs[d - 1]
-        shifted = ring1.ord_k(cdm1) == 0
         # b0 = res b for the trace solve b of c_(d-1): its x^0 denominator is d
-        b0 = to_mpc(cdm1.residue() / d) if shifted else 0
+        b0 = to_mpc(cdm1.residue() / d) if ring1.ord_k(cdm1) == 0 else 0
         if _orbit_case(residue_mod.substitute(res, 1, -b0)):
-            u, vh = self.prop_split(F1, res, b0, target_k)
+            parts = self.prop_split(F1, res, b0, target_k, pairs if r == 0 else None)
         else:
-            # res F1 = (t + b0)^d: only the t-power test and the classical
-            # round read the shifted series
-            b, F2 = None, F1
-            if shifted:
+            # res F1 = (t + b0)^d, and b0 != 0 as some lower coefficient of
+            # F1 has order 0.  So -b0 is not the fixed point 0 of T, and a
+            # truncated skew level lifts the t-split to its truncation.  An
+            # exact level reads the shifted series first, whose t-power test
+            # finds exact zeros, and alpha = 1 runs the classical round on it
+            if self.alpha.is_one or avail == INF:
                 b = trace_solve(cdm1, d, self.alpha)
                 F2 = _pinned_shift(F1, b)
-            if _is_t_power(F2):
-                # F2 = t^d, so F1 = vh^d for the right factor t + O(x^zt) of
-                # F2, t + b + O(x^zt) of F1, and the left factor is vh^(d-1)
-                c0 = _t_power_zero(F2)
-                vh = SkewPoly(ring1, [c0 if b is None else b + c0, ring1.one()], trim=False)
-                u = vh
-                for _ in range(d - 2):
-                    u = u * vh
-            elif self.alpha.is_one:
-                # alpha = 1: every delta_a vanishes, so re-read the shifted
-                # polynomial in the underived ring and iterate the round
-                flat_ring = puiseux_ring(self.alpha, F2.ring.L)
-                flat = SkewPoly(flat_ring, list(F2.coeffs), trim=False)
-                zsub = self.factor_monic(flat, depth + 1)
-                xr = PuiseuxSeries.x_pow(-r) if r != 0 else None
-                out = []
-                for z in zsub:
-                    if b is not None:
-                        z = z - b
-                    if xr is not None:
-                        z = xr * z
-                    out.append(z)
-                return out
-            else:
-                u, vh = self.t_split(F1, b0, target_k)
+                if _is_t_power(F2):
+                    # F2 = t^d, so F1 = (t + b + O(x^zt))^d
+                    return scale_back_zeros([-(b + _t_power_zero(F2))] * d, r, self.alpha)
+                if self.alpha.is_one:
+                    # every delta_a vanishes, so re-read the shifted
+                    # polynomial in the underived ring and iterate the round
+                    flat_ring = puiseux_ring(self.alpha, F2.ring.L)
+                    flat = SkewPoly(flat_ring, list(F2.coeffs), trim=False)
+                    ws = [w - b for w in self.factor_monic(flat, depth + 1)]
+                    return scale_back_zeros(ws, r, self.alpha)
+            parts = self.t_split(F1, b0, target_k)
 
-        left = self.factor_monic(scale_back_left(u, r, vh.degree), depth)
-        right = self.factor_monic(scale_back_monic(vh, r), depth)
-        return left + right
+        ws = []
+        for p, rts in parts:
+            ws += self.factor_monic(p, depth, total, rts)
+        return scale_back_zeros(ws, r, self.alpha)
 
 
 def _orbit_case(res: ResiduePoly) -> bool:

@@ -11,20 +11,21 @@ validated by homomorphism invariants in the test suite.
 The factorizer's scalings live in the underived ring F[t, sigma], where
 (x^(-r) t)^i = beta_i x^(-ri) t^i with beta_i = alpha^(-r i(i-1)/2) (the
 beta law).  There a scaling followed by a monomial unit maps each
-coefficient to a monomial multiple of itself, so normalize_scaled,
-scale_back_monic and scale_back_left work coefficient-wise in closed form
-(_rescaled).  The general Horner scaling and the beta law are test
-references (tests/props.py).
+coefficient to a monomial multiple of itself, and the scaling fixes the
+coefficients, so it is a ring automorphism: a factorization of the scaled
+polynomial into linear factors maps back zero by zero.  normalize_scaled and
+scale_back_zeros therefore work in closed form, one monomial alpha^e x^q per
+coefficient or zero (_monomial_times).  The general Horner scaling and the
+beta law are test references (tests/props.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from . import scalar
 from .errors import NotMonicError, Obstruction, PrecisionExhausted, UsageError
-from .puiseux import PuiseuxSeries
+from .puiseux import PuiseuxSeries, _lcm
 from .scalar import EXACT_TYPES, INF, Alpha, to_mpc
 from .skewpoly import PuiseuxRing, SkewPoly, _horner_image, puiseux_ring
 
@@ -102,65 +103,55 @@ def scaling_exponent(f: SkewPoly):
 def normalize_scaled(f: SkewPoly, r):
     """Replace f by beta_d^(-1) x^(rd) psi(f), psi the scaling by r: monic,
     all coefficient orders >= 0 and at least one equal to 0 (for r chosen
-    by scaling_exponent).  In closed form (_rescaled), coefficient i is
-    f_i alpha^(-r(i(i-1) - d(d-1))/2) x^(r(d-i)).
+    by scaling_exponent).  In closed form, coefficient i is
+    f_i alpha^(-r(i(i-1) - d(d-1))/2) x^(r(d-i)), in the underived ring at
+    the ramification that holds r; the lead stays an exact 1.
     """
     r = Fraction(r)
     if r == 0:
         return f
-    return _rescaled(f, r)
+    ring = f.ring
+    if not isinstance(ring, PuiseuxRing) or not ring.a.is_zero:
+        raise UsageError("closed-form scalings need the underived ring F[t, sigma]")
+    if not f.is_monic:
+        raise NotMonicError("closed-form scalings need a monic polynomial")
+    target = puiseux_ring(ring.alpha, _lcm(ring.L, r.denominator))
+    d = f.degree
+    coeffs = [_monomial_times(c, ring.alpha, -r * Fraction(i * (i - 1) - d * (d - 1), 2),
+                              r * (d - i), target.L)
+              for i, c in enumerate(f.coeffs[:d])]
+    return SkewPoly(target, coeffs + [target.one()], trim=False)
 
 
-def scale_back_monic(v: SkewPoly, r):
-    """Inverse-scale a monic factor and re-extract the leading unit so the
-    result is monic again: psi^(-1)(v) = lead * result with lead a monomial.
-    In closed form, coefficient i is v_i alpha^(r(i(i-1) - m(m-1))/2)
-    x^(-r(m-i)), m = deg v."""
-    r = Fraction(r)
-    if r == 0:
-        return v
-    return _rescaled(v, -r)
+def scale_back_zeros(ws: list, r, alpha) -> list:
+    """The zeros of f from those of F1 = normalize_scaled(f, r): when
+    F1 = (t - w_1) ... (t - w_d), f = (t - z_1) ... (t - z_d) with
+    z_i = alpha^(-r(d-i)) x^(-r) w_i.
 
-
-def scale_back_left(u: SkewPoly, r, k: int):
-    """The left factor that goes with scale_back_monic(v, r), k = deg v:
-    when u v lifts normalize_scaled(f, r), f = quo * scale_back_monic(v, r).
-
-    With m = deg u and d = m + k, coefficient i of quo is
-    u_i alpha^(e_i) x^(-r(m-i)), e_i = r(i(i-1)/2 + k(k-1)/2 + k i - d(d-1)/2),
-    so that e_m = 0: the unit x^(rd)/beta_d and the lead of psi^(-1)(v) are
-    moved through psi^(-1)(u).
+    The scaling psi: t -> x^(-r) t fixes the coefficients, so it is a ring
+    automorphism of F[t, sigma], and psi^(-1)(t - w_i) = x^r (t - x^(-r) w_i);
+    moving each x^r left through the d - i factors to its right twists their
+    zeros by alpha^(-r) once each, and the units gathered in front are
+    beta_d^(-1) x^(rd), which normalize_scaled took off.
     """
     r = Fraction(r)
     if r == 0:
-        return u
-    return _rescaled(u, -r, r * k)
+        return list(ws)
+    d = len(ws)
+    return [_monomial_times(w, alpha, -r * (d - i), -r, _lcm(w.L, r.denominator))
+            for i, w in enumerate(ws, 1)]
 
 
-def _rescaled(p: SkewPoly, s: Fraction, twist=0) -> SkewPoly:
-    """Coefficient i of p times alpha^(-s(i(i-1) - m(m-1))/2 - twist(m-i))
-    x^(s(m-i)), m = deg p, in the underived ring at the ramification that
-    holds s.  p is monic, and the lead stays an exact 1."""
-    ring = p.ring
-    if not isinstance(ring, PuiseuxRing) or not ring.a.is_zero:
-        raise UsageError("closed-form scalings need the underived ring F[t, sigma]")
-    if not p.is_monic:
-        raise NotMonicError("closed-form scalings need a monic polynomial")
-    alpha = ring.alpha
-    L = ring.L * (s.denominator // gcd(ring.L, s.denominator))
-    target = puiseux_ring(alpha, L)
-    m = p.degree
-    coeffs = []
-    for i, c in enumerate(p.coeffs[:m]):
-        c = c.at_ram(L)
-        w = alpha.pow(-s * Fraction(i * (i - 1) - m * (m - 1), 2) - twist * (m - i))
+def _monomial_times(c: PuiseuxSeries, alpha: Alpha, e: Fraction, q: Fraction,
+                    L: int) -> PuiseuxSeries:
+    """alpha^e x^q c at ramification L, which holds q and c.L."""
+    c = c.at_ram(L)
+    w = alpha.pow(e)
+    j = int(q * L)
+    if w == 1:
+        terms = {k + j: v for k, v in c.terms.items()}
+    else:
         wn = scalar.to_mpf(w) if isinstance(w, Fraction) else w
-        j = int(s * (m - i) * L)
-        if w == 1:
-            terms = {k + j: v for k, v in c.terms.items()}
-        else:
-            terms = {k + j: v * w if isinstance(v, EXACT_TYPES) else v * wn
-                     for k, v in c.terms.items()}
-        coeffs.append(PuiseuxSeries(L, terms, None if c.trunc is None else c.trunc + j))
-    return SkewPoly(target, coeffs + [target.one()], trim=False)
-
+        terms = {k + j: v * w if isinstance(v, EXACT_TYPES) else v * wn
+                 for k, v in c.terms.items()}
+    return PuiseuxSeries(L, terms, None if c.trunc is None else c.trunc + j)

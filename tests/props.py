@@ -8,8 +8,8 @@ from mpmath import mp
 
 from skewpuiseux import (Alpha, ConjSeriesRing, PuiseuxRing, PuiseuxSeries,
                          SkewPoly, hensel_lift, normalize_scaled, puiseux_ring,
-                         scale_back_monic, scaling_exponent, shift_iso,
-                         trace_solve, twist_precheck)
+                         scaling_exponent, shift_iso, trace_solve,
+                         twist_precheck)
 from skewpuiseux.errors import TwistCoprimeFailure, UsageError
 from skewpuiseux.skewpoly import _horner_image
 

@@ -3,14 +3,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (Alpha, FactorConfig, PuiseuxSeries, SkewPoly, bits,
-                         parse_poly, puiseux_ring, normalize_scaled,
-                         scale_back_monic, scaling_exponent, shift_iso,
-                         trace_solve)
+from skewpuiseux import (Alpha, PuiseuxSeries, SkewPoly, bits, parse_poly,
+                         puiseux_ring, normalize_scaled, scaling_exponent,
+                         shift_iso, trace_solve)
 from skewpuiseux.errors import Obstruction, PrecisionExhausted, UsageError
-from skewpuiseux.factorizer import _Engine
 from skewpuiseux.scalar import to_mpc
-from skewpuiseux.structure import scale_back_left
+from skewpuiseux.structure import scale_back_zeros
 
 from conftest import count_shifts, rand_poly, rand_series, rng, same_coeffs
 from props import (check_beta_law, check_dif_identity, check_iso_homomorphisms,
@@ -207,12 +205,6 @@ def ref_normalize_scaled(f, r):
     return _pin_lead(fs.lmul_base(unit))
 
 
-def ref_scale_back_monic(v, r):
-    """scale_iso by -r, then the inverse of the monomial lead on the left."""
-    w = scale_iso(v, -r)
-    return _pin_lead(w.lmul_base(w.coeffs[-1].inverse()))
-
-
 def _pin_lead(p):
     return SkewPoly(p.ring, p.coeffs[:-1] + [p.ring.one()], trim=False)
 
@@ -240,16 +232,13 @@ def test_closed_form_scalings_match_the_horner_route(prec):
                     coeffs[0] = coeffs[0].truncate(5 * L)  # a truncated coefficient
                     f = SkewPoly(R, coeffs)
                     _close_same_support(normalize_scaled(f, r), ref_normalize_scaled(f, r), tol)
-                    _close_same_support(scale_back_monic(f, r), ref_scale_back_monic(f, r), tol)
 
 
 def test_closed_form_scalings_need_the_underived_ring():
     R = puiseux_ring(2, 1, PS.one())
     f = parse_poly("t^2 + x*t + 1", R)
-    for call in (lambda: normalize_scaled(f, 1), lambda: scale_back_monic(f, 1),
-                 lambda: scale_back_left(f, 1, 1)):
-        with pytest.raises(UsageError):
-            call()
+    with pytest.raises(UsageError):
+        normalize_scaled(f, 1)
 
 
 def _term_dev(a, b, below=None):
@@ -260,38 +249,40 @@ def _term_dev(a, b, below=None):
 
 
 @pytest.mark.parametrize("prec", [128, 256])
-def test_left_factor_from_the_lift_matches_the_division(prec):
-    # a split u v of normalize_scaled(f, r) gives f = quo * vt with
-    # vt = scale_back_monic(v, r) and quo = scale_back_left(u, r, deg v)
+def test_zeros_scale_back_through_the_normalization(prec):
+    # psi: t -> x^(-r) t is a ring automorphism of F[t, sigma], so
+    # normalize_scaled(prod (t - z_i), r) = prod (t - w_i) with
+    # w_i = alpha^(r(d-i)) x^r z_i, and scale_back_zeros maps the w_i back
     rnd = rng(97 + prec)
-    shapes = set()
     with bits(prec):
-        tol = mp.mpf(2) ** -(prec - 24)
-        for case in range(18):
-            alpha = (Fraction(2), Fraction(3, 2), Fraction(1, 2))[case % 3]
-            L, lo = ((1, -1), (1, -2), (2, -1))[case // 3 % 3]
-            R = puiseux_ring(alpha, L)
-            f = SkewPoly.one(R)
-            for _ in range(3):
-                z = PS(L, {k: rand_coeff_nonzero(rnd) for k in rnd.sample(range(lo, 3), 3)})
-                f = f * SkewPoly.t_minus(R, z)
-            r = scaling_exponent(f)
-            F1 = normalize_scaled(f, r)
-            target_k = 12 * F1.ring.L
-            res = F1.reduce_residue()
-            u, v = _Engine(R.alpha, FactorConfig()).prop_split(F1, res, 0, target_k)
-            shapes.add((r, u.degree))
-            vt = scale_back_monic(v, r)
-            quo = scale_back_left(u, r, v.degree)
-            assert quo.is_monic and quo.degree == u.degree
-            prod = quo * vt
-            scale = max(1, quo.max_abs()) * max(1, vt.max_abs())
-            for c, p in zip(f.coeffs, prod.coeffs, strict=True):
-                # known to the lifted order, mapped back through the scaling
-                assert p.trunc is None or Fraction(p.trunc, p.L) >= 12 - 3 * abs(r)
-                assert _term_dev(c.at_ram(p.L), p, p.trunc) <= tol * scale
-            want, _ = f.left_divmod(vt)
-            for a, b in zip(quo.coeffs, want.coeffs, strict=True):
-                assert a.trunc == b.trunc
-                assert _term_dev(a, b) <= tol * max(1, b.max_abs())
-    assert len(shapes) >= 4
+        tol = mp.mpf(2) ** -(prec - 8)
+        for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2)):
+            for L in (1, 2):
+                R = puiseux_ring(alpha, L)
+                for r in (Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1), Fraction(2)):
+                    d = rnd.randint(2, 4)
+                    zs = [PS(L, {k: rand_coeff_nonzero(rnd) for k in rnd.sample(range(-2, 3), 3)})
+                          for _ in range(d)]
+                    j = rnd.randrange(d)
+                    zs[j] = zs[j].truncate(3 * L)  # a truncated zero
+                    F1 = normalize_scaled(_product(R, zs), r)
+                    ws = [PS.x_pow(r, _alpha_pow(R.alpha, r * (d - i))) * z
+                          for i, z in enumerate(zs, 1)]
+                    _close_same_support(F1, _pin_lead(_product(F1.ring, ws)), tol)
+                    for got, z in zip(scale_back_zeros(ws, r, R.alpha), zs, strict=True):
+                        z = z.at_ram(got.L)
+                        assert (got.trunc, set(got.terms)) == (z.trunc, set(z.terms))
+                        assert _term_dev(got, z) <= tol * z.max_abs()
+
+
+def _alpha_pow(alpha, e):
+    """alpha^e as an mpf, by mpmath's power."""
+    return alpha.real_value() ** (mp.mpf(e.numerator) / e.denominator)
+
+
+def _product(R, zs):
+    """(t - zs[0]) ... (t - zs[-1]) in R."""
+    f = SkewPoly.one(R)
+    for z in zs:
+        f = f * SkewPoly.t_minus(R, z)
+    return f

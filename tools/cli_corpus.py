@@ -6,10 +6,10 @@ record each one's exit code, stdout and stderr, or compare two records.
 
 Both import the package from the ``src/`` of this checkout.
 
-The corpus is ``factor`` and ``sigma-zero`` of 17 polynomials (the inputs
+The corpus is ``factor`` and ``sigma-zero`` of 18 polynomials (the inputs
 of the golden transcripts and examples from ROADMAP.md and CHANGES.md) at
 alpha 2, 3/2, 1, 1/2 and 3, ``--prec`` 6 and 12, and ``--bits`` 128 and
-192: 680 commands.  ``run`` writes one JSON line per command.  It also
+192: 720 commands.  ``run`` writes one JSON line per command.  It also
 parses every printed ``factor:`` and ``zero:`` line back (parse_poly,
 parse_series) at the command's bits, and lists each line that does not
 parse.  It exits 1 if any command ends in an uncaught exception or any
@@ -50,6 +50,7 @@ POLYS = [
     "t^4 - (2+x)*t^2 + 1",
     "t^4 - 2*t^2 + x",
     "t^4 - 5*x*t^2 + 4*x^2",
+    "t^3 - (3+O(x^9))*t^2 + (3+O(x^9))*t - (1+O(x^9))",
 ]
 ALPHAS = ["2", "3/2", "1", "1/2", "3"]
 PRECS = ["6", "12"]
