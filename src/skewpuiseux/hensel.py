@@ -38,7 +38,6 @@ lift runs, and shift_iso(., -a) carries the factors back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from mpmath import mp
 
@@ -47,7 +46,7 @@ from . import scalar
 from .errors import PrecisionExhausted, SkewError, TwistCoprimeFailure, UsageError
 from .puiseux import PuiseuxSeries
 from .residue import ResiduePoly
-from .scalar import INF
+from .scalar import INF, _fixed_add, _fixed_twist
 from .skewpoly import PuiseuxRing, SkewPoly
 from .structure import shift_iso
 
@@ -74,13 +73,13 @@ def _solve_step(n: int, gres, g, kn, fn, inverses: dict, scale):
         one, _, b = residue_mod.ext_gcd(gres, ResiduePoly(_rounded(r, len(r[0])), trim=False))
         b = _fixed(b.coeffs)
         if b and one.degree == 0:  # one Newton step: b (2 - b kn) mod gres
-            b = _to_prec(_mulmod(b, _add(([2], [0], 0), _minus_product(b, kn)), g))
+            b = _to_prec(_mulmod(b, _fixed_add(([2], [0], 0), _minus_product(b, kn)), g))
         inv = inverses[key] = (one, b)
     one, b = inv
     if one.degree != 0:
         raise TwistCoprimeFailure(n, one)
     p = _to_prec(_mulmod(b, fn, g, scalar.floor_tol(24)))
-    q, r = _divmod_monic(_add(fn, p and _minus_product(p, kn)), g)
+    q, r = _divmod_monic(_fixed_add(fn, p and _minus_product(p, kn)), g)
     if not _small(r, max(scale, _top(fn) - 1) + scalar.pow2_exp(scalar.dust_tol())):
         raise SkewError(f"hensel correction degree overflow ({scalar.max_abs(_rounded(r, m))})")
     return p, _to_prec(q), b
@@ -143,7 +142,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         """acc - sum of G_a * H_b over the (a, b) in pairs, exactly."""
         for a, b in pairs:
             if G[a] and H[b]:
-                acc = _add(acc, _minus_product(G[a], H[b], wfix[b], twists[a][1], d))
+                acc = _fixed_add(acc, _minus_product(G[a], H[b], wfix[b], twists[a][1], d))
         return acc
 
     def factors():
@@ -166,11 +165,12 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         w, conj = twists[n]
         with mp.workprec(mp.prec + scalar.GUARD_BITS):
             winv = w and _fixed([1 / c for c in w])
-        fn = _twisted(dn, winv)
-        kn = _twisted(_fixed((hres.conj_coeffs() if conj else hres).coeffs), winv)
+        fn = _fixed_twist(dn, winv)
+        kn = _fixed_twist(_fixed((hres.conj_coeffs() if conj else hres).coeffs), winv)
         p, q, b = _solve_step(n, gres, gfix, kn, fn, inverses, scale)
         # the corrections p x^n, q x^n in left form: t^i x^n = w_i x^n t^i
-        G[n], H[n] = _add(G[n], _twisted(p, wfix[n])), _add(H[n], _twisted(q, wfix[n]))
+        G[n] = _fixed_add(G[n], _fixed_twist(p, wfix[n]))
+        H[n] = _fixed_add(H[n], _fixed_twist(q, wfix[n]))
         scale = max(scale, *(_top(x) - 1 for x in (fn, p, q, b)))
         if not _small(minus(inner, {(n, 0), (0, n)}), max(zero, scale + floor)):
             raise SkewError(f"hensel step did not raise the defect order at n={n}")
@@ -187,7 +187,7 @@ def _slices(coeffs, target_k: int) -> list:
     for i, c in enumerate(coeffs):
         for k, v in c.terms.items():
             if k < target_k:
-                rows[k] = _add(rows[k], _fixed([0] * i + [v]))
+                rows[k] = _fixed_add(rows[k], _fixed([0] * i + [v]))
     return rows
 
 
@@ -199,19 +199,10 @@ def _fixed(row):
     return fx[:3] if any(fx[0]) or any(fx[1]) else None
 
 
-def _twisted(x, w):
-    """Entry i of the exact row x times entry i of w (None: all ones)."""
-    if not (x and w):
-        return x
-    (xr, xi, ex), (wr, wi, ew) = x, w
-    return ([u * c - v * s for u, v, c, s in zip(xr, xi, wr, wi)],
-            [u * s + v * c for u, v, c, s in zip(xr, xi, wr, wi)], ex + ew)
-
-
 def _minus_product(x, y, w=None, conj=False, d=INF):
     """-(x * y) for exact rows x and y, its entries below t^d: w, an exact
     row or None, twists x's entries (alpha^(ib/L)), and conj conjugates y."""
-    (xr, xi, ex), (yr, yi, ey) = _twisted(x, w), y
+    (xr, xi, ex), (yr, yi, ey) = _fixed_twist(x, w), y
     yi = [-v for v in yi] if conj else yi
     d = min(d, len(xr) + len(yr) - 1)
     re, im = [0] * d, [0] * d
@@ -220,16 +211,6 @@ def _minus_product(x, y, w=None, conj=False, d=INF):
             re[i + j] -= u * yr[j] - v * yi[j]
             im[i + j] -= u * yi[j] + v * yr[j]
     return re, im, ex + ey
-
-
-def _add(x, y):
-    """x + y for exact rows (re, im, e), at the lesser exponent."""
-    if not (x and y):
-        return x or y
-    x, y = (x, y) if x[2] <= y[2] else (y, x)
-    s = y[2] - x[2]
-    return tuple([u + (v << s) for u, v in zip_longest(x[i], y[i], fillvalue=0)]
-                 for i in (0, 1)) + (x[2],)
 
 
 def _top(x):

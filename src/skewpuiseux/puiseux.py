@@ -14,7 +14,12 @@ exactly as Gaussian-integer mantissas at a shared binary exponent
 (``scalar.fixed_point``), the convolution sum is formed exactly, and it is
 rounded to nearest at the working precision; the result is the correctly
 rounded exact sum.  Exact coefficients (ints alone, Fraction,
-GaussianRational) and inf/nan are multiplied term by term as before.
+GaussianRational) and inf/nan are multiplied term by term as before.  The
+skew products, divisions and Horner images of ``skewpoly`` keep the same
+contract over whole polynomials: their rows t^i b are exact and rounded
+GUARD_BITS above the working precision after each shift, each output
+coefficient is rounded once and zero-tested once, and exact and int-only
+coefficients keep exact arithmetic (``skewpoly._Exact``).
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ once, to nearest.  A series product coefficient is the correctly rounded
 exact sum of its terms.  hensel_lift keeps its slices and its reductions
 modulo the monic res g exact and rounds its intermediates once each,
 GUARD_BITS above the working precision, on the integers themselves
-(``round_fixed_point``, which rounds as ``from_fixed_point`` does).
+(``round_fixed_point``, which rounds as ``from_fixed_point`` does).  The
+skew table arithmetic (``skewpoly._Exact``: products, left division and
+the Horner images of shift_iso) keeps its rows exact, rounds them the same
+way after each shift, and rounds each output coefficient once.
 
 Tolerance policy: only this module turns the working precision P into a
 threshold; every other module reads these levels by name.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 import mpmath
 from mpmath import mp
@@ -160,6 +164,26 @@ def round_fixed_point(re, im, e: int, prec: int):
     if z is None:
         return None
     return [m >> z for m in parts[:len(re)]], [m >> z for m in parts[len(re):]], e + z
+
+
+def _fixed_twist(x, w):
+    """Entry i of the exact row x times entry i of w (None: all ones), rows
+    in fixed_point's form (re, im, e)."""
+    if not (x and w):
+        return x
+    (xr, xi, ex), (wr, wi, ew) = x, w
+    return ([u * c - v * s for u, v, c, s in zip(xr, xi, wr, wi)],
+            [u * s + v * c for u, v, c, s in zip(xr, xi, wr, wi)], ex + ew)
+
+
+def _fixed_add(x, y):
+    """x + y for exact rows (re, im, e), at the lesser exponent."""
+    if not (x and y):
+        return x or y
+    x, y = (x, y) if x[2] <= y[2] else (y, x)
+    s = y[2] - x[2]
+    return tuple([u + (v << s) for u, v in zip_longest(x[i], y[i], fillvalue=0)]
+                 for i in (0, 1)) + (x[2],)
 
 
 def mag_exp(c):
@@ -411,14 +435,14 @@ class Alpha:
     def numeric_pow(self, num: int, den: int):
         """alpha**(num/den) as an mpmath number, memoized per (num, den,
         working precision); the keys are the unreduced exponents sigma_pow
-        meets.  An exact Fraction power goes through mpmath's own operand
-        conversion (which rounds toward zero, not to nearest), so
-        c * numeric_pow(num, den) equals c * pow(num/den) bit for bit."""
+        and the exact table kernel meet.  An exact Fraction power is rounded
+        to nearest (to_mpf), not by mpmath's own operand conversion, which
+        rounds toward zero."""
         key = (num, den, mp.prec)
         v = self._factors.get(key)
         if v is None:
-            v = mp.convert(self.pow(Fraction(num, den)))
-            self._factors[key] = v
+            v = self.pow(Fraction(num, den))
+            v = self._factors[key] = to_mpf(v) if isinstance(v, Fraction) else mp.convert(v)
         return v
 
     def __eq__(self, other):

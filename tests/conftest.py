@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp
 
 from skewpuiseux import PuiseuxSeries, SkewPoly, bits, puiseux_ring
+from skewpuiseux.scalar import to_mpc
 
 PREC = 128
 
@@ -52,6 +53,17 @@ def same_coeffs(a, b) -> bool:
     """Bit-for-bit equality of two lists of series (L, trunc and terms)."""
     return len(a) == len(b) and all(
         x.L == y.L and x.trunc == y.trunc and x.terms == y.terms for x, y in zip(a, b))
+
+
+def near_coeffs(a, b, prec: int, scale=1) -> bool:
+    """Two lists of series with the same L, truncations and supports, each
+    term of a within 2^-(prec-8) max(scale, |b's term|) of b's."""
+    tol = mp.mpf(2) ** -(prec - 8)
+    return len(a) == len(b) and all(
+        (x.L, x.trunc, set(x.terms)) == (y.L, y.trunc, set(y.terms))
+        and all(abs(to_mpc(x.terms[k]) - to_mpc(c)) <= tol * max(scale, abs(to_mpc(c)))
+                for k, c in y.terms.items())
+        for x, y in zip(a, b))
 
 
 def count_shifts(monkeypatch) -> list:

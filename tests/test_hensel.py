@@ -11,7 +11,7 @@ from skewpuiseux import scalar
 from skewpuiseux.errors import (PrecisionExhausted, TwistCoprimeFailure,
                                 UsageError)
 from skewpuiseux.hensel import _divmod_monic, _fixed, _rounded, _solve_step, _to_prec
-from skewpuiseux.scalar import INF
+from skewpuiseux.scalar import INF, _fixed_add
 
 from conftest import rand_coeff, rng
 from props import check_hensel_invariant, random_liftable
@@ -306,7 +306,7 @@ def test_monic_division_is_exact(seed):
             ([v << g[2] for v in g[0]] + [1], [v << g[2] for v in g[1]] + [0], 0)
         prod = hensel_mod._minus_product(quo, monic, None, False, len(a[0])) if quo[0] else None
         minus_rem = ([-v for v in rem[0]], [-v for v in rem[1]], rem[2])
-        back = hensel_mod._add(hensel_mod._add(a, prod), minus_rem)
+        back = _fixed_add(_fixed_add(a, prod), minus_rem)
         assert not any(back[0]) and not any(back[1])
 
 

@@ -10,7 +10,7 @@ from skewpuiseux.errors import Obstruction, PrecisionExhausted, UsageError
 from skewpuiseux.scalar import to_mpc
 from skewpuiseux.structure import scale_back_zeros
 
-from conftest import count_shifts, rand_poly, rand_series, rng, same_coeffs
+from conftest import count_shifts, near_coeffs, rand_poly, rand_series, rng
 from props import (check_beta_law, check_dif_identity, check_iso_homomorphisms,
                    check_normalize_post, check_trace_roundtrip, scale_iso,
                    scaled_power_unit, trace_apply)
@@ -161,7 +161,8 @@ def ref_horner(f, target, t_image):
 
 
 @pytest.mark.parametrize("prec", [128, 256])
-def test_horner_images_match_reference_bit_for_bit(prec):
+def test_horner_images_match_reference(prec):
+    # the reference runs 64 bits above the image
     rnd = rng(81 + prec)
     with bits(prec):
         for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2)):
@@ -173,13 +174,15 @@ def test_horner_images_match_reference_bit_for_bit(prec):
                 tgt = out.ring
                 t_image = SkewPoly(tgt, [tgt.neg(tgt.coerce(b)), tgt.one()], trim=False)
                 assert not tgt.a.is_zero
-                assert same_coeffs(out.coeffs, ref_horner(f, tgt, t_image).coeffs)
+                with bits(prec + 64):
+                    assert near_coeffs(out.coeffs, ref_horner(f, tgt, t_image).coeffs, prec)
                 for r in (Fraction(1, 2), Fraction(-2, 3), Fraction(1)):
                     out = scale_iso(f, r)
                     tgt = out.ring
                     x_neg_r = PuiseuxSeries.x_pow(-r).at_ram(tgt.L)
                     t_image = SkewPoly(tgt, [tgt.zero(), x_neg_r], trim=False)
-                    assert same_coeffs(out.coeffs, ref_horner(f, tgt, t_image).coeffs)
+                    with bits(prec + 64):
+                        assert near_coeffs(out.coeffs, ref_horner(f, tgt, t_image).coeffs, prec)
 
 
 def test_horner_image_takes_d_minus_one_shifts(monkeypatch):
