@@ -423,7 +423,7 @@ def sigma_zero_quadratic(f: SkewPoly, cfg: FactorConfig | None = None) -> Puiseu
         for k in range(1, K):
             resid = z.sigma_pow(1, alpha) * z + f1 * z + f0
             mu = to_mpc(resid.terms.get(k, 0))
-            lam = z0 * (alpha.pow(Fraction(k, L)) + 1) + c1
+            lam = z0 * scalar.mp_operand(alpha.pow(Fraction(k, L)) + 1) + c1
             if abs(to_mpc(lam)) <= eps:
                 if abs(mu) <= eps:
                     continue

@@ -19,7 +19,7 @@ Rounding and step rule.  D_n is exact, and so are f_n and k_n, its and res
 h's products with the inverse twist 1/w, and, res g being monic, k_n and b
 f_n mod res g and q_n = (f_n - p_n k_n) / res g.  1/w, b, p_n and q_n are
 rounded once each, scalar.GUARD_BITS above the working precision, all but
-1/w on their mantissas (scalar.round_fixed_point): the lift carries a step's
+1/w on their mantissas (scalar.carry_row): the lift carries a step's
 error into every later order, where it grows.  b = k_n^(-1) mod res g is
 ext_gcd on k_n mod res g (a constant, inverted with no division, for a
 linear res g), rounded and collapsed at zero_eps(), then one exact Newton
@@ -46,7 +46,7 @@ from . import scalar
 from .errors import PrecisionExhausted, SkewError, TwistCoprimeFailure, UsageError
 from .puiseux import PuiseuxSeries
 from .residue import ResiduePoly
-from .scalar import INF, _fixed_add, _fixed_twist
+from .scalar import INF, _fixed_add, _fixed_twist, carry_row
 from .skewpoly import PuiseuxRing, SkewPoly
 from .structure import shift_iso
 
@@ -73,16 +73,16 @@ def _solve_step(n: int, gres, g, kn, fn, inverses: dict, scale):
         one, _, b = residue_mod.ext_gcd(gres, ResiduePoly(_rounded(r, len(r[0])), trim=False))
         b = _fixed(b.coeffs)
         if b and one.degree == 0:  # one Newton step: b (2 - b kn) mod gres
-            b = _to_prec(_mulmod(b, _fixed_add(([2], [0], 0), _minus_product(b, kn)), g))
+            b = carry_row(_mulmod(b, _fixed_add(([2], [0], 0), _minus_product(b, kn)), g))
         inv = inverses[key] = (one, b)
     one, b = inv
     if one.degree != 0:
         raise TwistCoprimeFailure(n, one)
-    p = _to_prec(_mulmod(b, fn, g, scalar.floor_tol(24)))
+    p = carry_row(_mulmod(b, fn, g, scalar.floor_tol(24)))
     q, r = _divmod_monic(_fixed_add(fn, p and _minus_product(p, kn)), g)
     if not _small(r, max(scale, _top(fn) - 1) + scalar.pow2_exp(scalar.dust_tol())):
         raise SkewError(f"hensel correction degree overflow ({scalar.max_abs(_rounded(r, m))})")
-    return p, _to_prec(q), b
+    return p, carry_row(q), b
 
 
 def twist_precheck(g: SkewPoly, h: SkewPoly, *, roots=None):
@@ -220,10 +220,8 @@ def _top(x):
 
 
 def _small(x, t) -> bool:
-    """|c| < 2^t for every entry c of an exact row, exact squares in the band."""
-    top = _top(x)
-    return top < t or top == t and all(u * u + v * v < 1 << 2 * (t - x[2])
-                                       for u, v in zip(x[0], x[1]))
+    """|c| < 2^t for every entry c of an exact row (scalar.first_at_least)."""
+    return not x or scalar.first_at_least(*x, t) is None
 
 
 def _divmod_monic(a, g, tol=None):
@@ -259,12 +257,6 @@ def _mulmod(x, y, g, tol=None):
     if x and y:
         r = _divmod_monic(_minus_product(x, y), g, tol)[1]
         return [-v for v in r[0]], [-v for v in r[1]], r[2]
-
-
-def _to_prec(x):
-    """The exact row x with each entry rounded once, at GUARD_BITS more, on
-    its mantissas (scalar.round_fixed_point); None when x is None or 0."""
-    return x and scalar.round_fixed_point(*x, mp.prec + scalar.GUARD_BITS)
 
 
 def _rounded(x, d: int) -> list:

@@ -8,25 +8,15 @@ Operations compute the tightest provable truncation and never pad with
 fabricated zeros.  This module holds only series: the ring data
 (alpha, L, a) of F[t, sigma, delta_a] belongs to ``skewpoly.PuiseuxRing``.
 
-Rounding contract of the product: when the coefficients are mpmath numbers
-and ints, each product coefficient is rounded once.  The operands are read
-exactly as Gaussian-integer mantissas at a shared binary exponent
-(``scalar.fixed_point``), the convolution sum is formed exactly, and it is
-rounded to nearest at the working precision; the result is the correctly
-rounded exact sum.  Exact coefficients (ints alone, Fraction,
-GaussianRational) and inf/nan are multiplied term by term as before.  The
-skew products, divisions and Horner images of ``skewpoly`` keep the same
-contract over whole polynomials: their rows t^i b are exact and rounded
-GUARD_BITS above the working precision after each shift, each output
-coefficient is rounded once and zero-tested once, and exact and int-only
-coefficients keep exact arithmetic (``skewpoly._Exact``).
+Rounding contract: products of numeric series are exact and round each
+coefficient once (``_Fixed``, which the skew tables of ``skewpoly`` share).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
@@ -197,14 +187,21 @@ class PuiseuxSeries:
         ta = INF if a.trunc is None else a.trunc
         tb = INF if b.trunc is None else b.trunc
         t = min(ta + b.ord_k(), tb + a.ord_k())
-        terms = _mul_fixed_point(a.terms, b.terms, t)
-        if terms is None:
-            terms = {}
-            for i, ci in a.terms.items():
-                for j, cj in b.terms.items():
-                    k = i + j
-                    if k >= t:
-                        continue
+        if a.terms and b.terms:
+            # only the terms that meet a partner below t are read
+            ops, kinds = _Fixed(a.L), []
+            x = ops.read(a.truncate(t - min(b.terms)), kinds)
+            y = ops.read(b.truncate(t - min(a.terms)), kinds)
+            if x and y and max(kinds, default=0):
+                ops.real = max(kinds) < 2
+                n = max(0, min(len(x[1]) + len(y[1]) - 1, t - x[0] - y[0]))
+                re, im = _convolve(x[1], x[2], y[1], y[2], n)
+                return ops.out((x[0] + y[0], re, im, x[3] + y[3], t, None))
+        terms = {}
+        for i, ci in a.terms.items():
+            for j, cj in b.terms.items():
+                k = i + j
+                if k < t:
                     terms[k] = terms.get(k, 0) + ci * cj
         return PuiseuxSeries(a.L, terms, None if t == INF else int(t))
 
@@ -212,8 +209,11 @@ class PuiseuxSeries:
         return self.__mul__(other)
 
     def scale(self, c) -> "PuiseuxSeries":
-        """Multiply every coefficient by the scalar c."""
-        return PuiseuxSeries(self.L, {k: v * c for k, v in self.terms.items()}, self.trunc)
+        """Multiply every coefficient by the scalar c; an mpmath coefficient
+        meets a Fraction c rounded to nearest (``scalar.mp_operand``)."""
+        cn = scalar.mp_operand(c)
+        return PuiseuxSeries(self.L, {k: v * c if isinstance(v, EXACT_TYPES) else v * cn
+                                      for k, v in self.terms.items()}, self.trunc)
 
     def inverse(self, target_k=None) -> "PuiseuxSeries":
         """Multiplicative inverse by geometric-series iteration.
@@ -225,8 +225,9 @@ class PuiseuxSeries:
             raise ZeroInversion("inversion of a (numerically) zero series")
         m = min(self.terms)
         c = self.terms[m]
+        inv_c = Fraction(1, c) if isinstance(c, int) else 1 / c  # an int lead stays exact
         if len(self.terms) == 1 and self.trunc is None:
-            inv = PuiseuxSeries(self.L, {-m: 1 / c}, None, normalize=False)
+            inv = PuiseuxSeries(self.L, {-m: inv_c}, None, normalize=False)
             return inv if target_k is None else inv.truncate(target_k)
         avail = INF if self.trunc is None else self.trunc - 2 * m
         if target_k is None:
@@ -237,7 +238,7 @@ class PuiseuxSeries:
             raise PrecisionExhausted(
                 f"inverse requested to order {target_k} but only {avail} is available")
         rel = int(target_k) + m  # relative order needed for the unit part
-        unit = self.x_shift(-m).scale(1 / c)
+        unit = self.x_shift(-m).scale(inv_c)
         u = (unit - 1).truncate(rel)
         acc = PuiseuxSeries.one(self.L)
         pw = PuiseuxSeries.one(self.L)
@@ -246,7 +247,7 @@ class PuiseuxSeries:
             if pw.ord_k() >= rel:
                 break
             acc = acc + pw
-        return (acc.scale(1 / c)).x_shift(-m).truncate(int(target_k))
+        return (acc.scale(inv_c)).x_shift(-m).truncate(int(target_k))
 
     # -- twist action -------------------------------------------------------
 
@@ -311,53 +312,6 @@ class PuiseuxSeries:
         return f"<PuiseuxSeries {self}>"
 
 
-def _mul_fixed_point(x: dict, y: dict, t):
-    """Product coefficients k < t of the term maps x and y as an exact
-    Gaussian-integer convolution, each rounded once (see the module
-    docstring).  None when the loop in ``__mul__`` must run instead: an
-    operand holds an exact rational, inf or nan, or both hold only ints.
-    The keys are those the loop would produce, zero sums included."""
-    if not x or not y:
-        return None
-    x0, y0 = min(x), min(y)
-    # terms that meet no partner below t do not enter the product
-    xn = min(max(x), t - 1 - y0) - x0 + 1
-    yn = min(max(y), t - 1 - x0) - y0 + 1
-    if xn <= 0 or yn <= 0:
-        return {}
-    xs, x_full = _dense(x, x0, xn)
-    ys, y_full = _dense(y, y0, yn)
-    fx = scalar.fixed_point(xs)
-    fy = scalar.fixed_point(ys)
-    if fx is None or fy is None or not (fx[3] or fy[3]):
-        return None
-    xr, xi, ex, x_kind = fx
-    yr, yi, ey, y_kind = fy
-    n = min(xn + yn - 1, t - x0 - y0)
-    re, im = _convolve(xr, xi, yr, yi, n)
-    if x_full and y_full:
-        support = range(n)
-    else:
-        support = sorted({i + j - x0 - y0 for i in x for j in y if i + j < t})
-    e = ex + ey
-    to_num = scalar.from_fixed_point
-    if x_kind < 2 and y_kind < 2:  # real operands give mpf coefficients
-        return {x0 + y0 + s: to_num(re[s], None, e) for s in support}
-    return {x0 + y0 + s: to_num(re[s], im[s], e) for s in support}
-
-
-def _dense(terms: dict, k0: int, n: int):
-    """Coefficients at k0 .. k0+n-1 as a list, 0 where absent, and whether
-    every one of them is present."""
-    out = [0] * n
-    hits = 0
-    for k, c in terms.items():
-        if k - k0 < n:
-            out[k - k0] = c
-            hits += 1
-    return out, hits == n
-
-
 def _convolve(xr: list, xi: list, yr: list, yi: list, n: int):
     """The first n coefficients of the product of the Gaussian-integer
     sequences xr + i*xi and yr + i*yi, exactly, as (re, im) lists.  Three
@@ -376,6 +330,131 @@ def _convolve(xr: list, xi: list, yr: list, yi: list, n: int):
         re.append(p1 - p2)
         im.append(sum(map(mul, xs[lo:hi], ys[j + lo:j + hi])) - p1 - p2)
     return re, im
+
+
+class _Fixed:
+    """Exact arithmetic of numeric series, and the rounding contract of
+    every series product and skew-table operation.
+
+    A series in exact form is a tuple (k0, re, im, e, trunc, ord): the terms
+    (re[i] + im[i]*1j) * 2^e * x^((k0 + i)/L), Gaussian-integer mantissas
+    at a shared binary exponent as ``scalar.fixed_point`` reads them, known
+    to O(x^(trunc/L)) (trunc INF: exact), with ord its order read after the
+    zero test (the least key of a term of modulus >= zero_eps(), else
+    trunc).
+
+    The contract.  Operands are read exactly (``read``).  Products
+    (``_convolve``) and sums are exact, with the truncation rules of
+    ``PuiseuxSeries.__mul__`` and ``__add__``.  What a computation carries
+    on exactly, the rows t^i b of a skew table after each t-shift and the
+    multipliers of a division, is rounded GUARD_BITS above the working
+    precision (``carry``).  Each output coefficient is rounded once, to
+    nearest at the working precision, and zero-tested once, as a
+    ``PuiseuxSeries`` is normalized (``out``).  Exact rationals, inf, nan
+    and int-only operands keep exact term arithmetic: the term loop of
+    ``PuiseuxSeries.__mul__`` and the coefficient path of the skew tables
+    (``skewpoly._Coeffs``).  ``real`` makes ``out`` give mpf coefficients.
+    """
+
+    __slots__ = ("L", "eps", "real")
+
+    def __init__(self, L: int):
+        self.L = L
+        self.eps = scalar.pow2_exp(scalar.zero_eps())
+
+    def read(self, c: PuiseuxSeries, kinds: list):
+        """The series c in exact form; None when a value is exact rational,
+        inf or nan.  ``kinds`` collects fixed_point's kind of each reading."""
+        t = INF if c.trunc is None else c.trunc
+        if not c.terms:
+            return _zero(t)
+        k0 = min(c.terms)
+        values = [0] * (max(c.terms) - k0 + 1)
+        for k, v in c.terms.items():
+            values[k - k0] = v
+        fx = scalar.fixed_point(values)
+        if fx is None:
+            return None
+        kinds.append(fx[3])
+        return self._make(k0, fx[0], fx[1], fx[2], t)
+
+    def out(self, x) -> PuiseuxSeries:
+        k0, re, im, e, t, _ = x
+        num = scalar.from_fixed_point
+        if self.real:
+            terms = {k0 + i: num(u, None, e) for i, u in enumerate(re) if u}
+        else:
+            terms = {k0 + i: num(u, v, e) for i, (u, v) in enumerate(zip(re, im)) if u or v}
+        return PuiseuxSeries(self.L, terms, None if t == INF else t)
+
+    def ord_k(self, x):
+        return x[5]
+
+    def _make(self, k0, re, im, e, t):
+        """The tuple of the terms k0 + i, those below t, without leading or
+        trailing zero terms, and with its ord."""
+        n = len(re) if t == INF else min(len(re), t - k0)
+        lo = 0
+        while lo < n and not (re[lo] or im[lo]):
+            lo += 1
+        if lo >= n:
+            return _zero(t)
+        while not (re[n - 1] or im[n - 1]):
+            n -= 1
+        if lo or n < len(re):
+            re, im = re[lo:n], im[lo:n]
+        k0 += lo
+        i = scalar.first_at_least(re, im, e, self.eps)
+        return (k0, re, im, e, t, t if i is None else k0 + i)
+
+    def times(self, x, y):
+        kx, xr, xi, ex, tx, ox = x
+        ky, yr, yi, ey, ty, oy = y
+        t = min(tx + oy, ty + ox)
+        n = len(xr) + len(yr) - 1 if t == INF else min(len(xr) + len(yr) - 1, t - kx - ky)
+        if not (xr and yr) or n <= 0:
+            return _zero(t)
+        re, im = _convolve(xr, xi, yr, yi, n)
+        return self._make(kx + ky, re, im, ex + ey, t)
+
+    def sum(self, parts):
+        t = min([p[4] for p in parts], default=INF)
+        live = [p for p in parts if p[1]]
+        if not live:
+            return _zero(t)
+        if len(live) == 1 and live[0][4] == t:
+            return live[0]
+        e = min(p[3] for p in live)
+        k0 = min(p[0] for p in live)
+        n = max(p[0] + len(p[1]) for p in live) - k0
+        re, im = [0] * n, [0] * n
+        for k, pr, pi, pe, _, _ in live:
+            i, j, s = k - k0, k - k0 + len(pr), pe - e
+            if s:
+                pr, pi = [u << s for u in pr], [v << s for v in pi]
+            re[i:j] = map(add, re[i:j], pr)
+            im[i:j] = map(add, im[i:j], pi)
+        return self._make(k0, re, im, e, t)
+
+    def add(self, x, y):
+        return self.sum([x, y])
+
+    def sub(self, x, y):
+        k, re, im, e, t, o = y
+        return self.sum([x, (k, [-u for u in re], [-v for v in im], e, t, o)])
+
+    def carry(self, x):
+        """x with each part rounded once, GUARD_BITS above the working
+        precision (``scalar.carry_row``)."""
+        k0, re, im, e, t, o = x
+        if not re:
+            return x
+        return (k0, *scalar.carry_row((re, im, e)), t, o)
+
+
+def _zero(t):
+    """The exact series zero, known to O(x^(t/L)) (t INF: exact)."""
+    return (0, [], [], 0, t, t)
 
 
 def _min_trunc(a, b):

@@ -445,7 +445,7 @@ class TMap:
         if self.is_identity:
             return to_mpc(w)
         s = self.mult(n)
-        return s * w + self.a0 * (s - 1)
+        return scalar.mp_operand(s) * w + self.a0 * scalar.mp_operand(s - 1)
 
     def __repr__(self):
         return f"TMap(alpha={self.alpha!r}, L={self.L}, a0={self.a0})"

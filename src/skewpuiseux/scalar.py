@@ -7,15 +7,9 @@ coefficients (Fraction / GaussianRational) are used by the ring-law unit
 tests only and never mix with numeric ones inside a single series.
 
 The exact kernel: ``fixed_point`` reads numeric coefficients exactly as
-fixed-point Gaussian-integer mantissas, and ``from_fixed_point`` rounds
-once, to nearest.  A series product coefficient is the correctly rounded
-exact sum of its terms.  hensel_lift keeps its slices and its reductions
-modulo the monic res g exact and rounds its intermediates once each,
-GUARD_BITS above the working precision, on the integers themselves
-(``round_fixed_point``, which rounds as ``from_fixed_point`` does).  The
-skew table arithmetic (``skewpoly._Exact``: products, left division and
-the Horner images of shift_iso) keeps its rows exact, rounds them the same
-way after each shift, and rounds each output coefficient once.
+Gaussian-integer mantissas, ``from_fixed_point`` rounds once, ``carry_row``
+rounds a carried row and ``first_at_least`` is the zero test on mantissas;
+the rounding contract is stated once, at ``puiseux._Fixed``.
 
 Tolerance policy: only this module turns the working precision P into a
 threshold; every other module reads these levels by name.
@@ -89,6 +83,13 @@ def to_mpf(x):
     return mp.mpf(x)
 
 
+def mp_operand(x):
+    """x as an operand of mpmath arithmetic: a Fraction rounded to nearest
+    (to_mpf), which mpmath itself would round toward zero; any other value
+    as it is."""
+    return to_mpf(x) if isinstance(x, Fraction) else x
+
+
 def to_mpc(x):
     if isinstance(x, Fraction):
         return mp.mpc(to_mpf(x))
@@ -145,11 +146,16 @@ def from_fixed_point(re: int, im, e: int):
     return mp.make_mpc((r, mpmath.libmp.from_man_exp(im, e, prec, mpmath.libmp.round_nearest)))
 
 
-def round_fixed_point(re, im, e: int, prec: int):
-    """The exact row (re[k] + im[k]*1j) * 2^e, each part rounded once to
-    prec bits, to nearest and ties to even as from_fixed_point rounds, in
-    fixed_point's form (e the least exponent of a nonzero part); None when
-    every part is zero.  No mpmath number is formed."""
+def carry_row(x):
+    """The exact row x = (re, im, e) with each part rounded once, GUARD_BITS
+    above the working precision, to nearest and ties to even as
+    from_fixed_point rounds, in fixed_point's form (e the least exponent of
+    a nonzero part); None when x is None or zero.  No mpmath number is
+    formed."""
+    if not x:
+        return None
+    prec = mp.prec + GUARD_BITS
+
     def nearest(m):
         a, n = abs(m), abs(m).bit_length() - prec
         if n <= 0:
@@ -159,11 +165,23 @@ def round_fixed_point(re, im, e: int, prec: int):
         a = (a + (low > half or low == half and a & 1)) << n
         return a if m > 0 else -a
 
+    re, im, e = x
     parts = [nearest(m) for m in re + im]
     z = min([(m & -m).bit_length() - 1 for m in parts if m], default=None)
     if z is None:
         return None
     return [m >> z for m in parts[:len(re)]], [m >> z for m in parts[len(re):]], e + z
+
+
+def first_at_least(re, im, e: int, t: int):
+    """The zero test on mantissas: the index of the first entry of the exact
+    row (re + im*1j) * 2^e whose modulus is at least 2^t, None when every
+    one lies below.  Bit lengths decide, and exact squares in the band."""
+    for i, (u, v) in enumerate(zip(re, im)):
+        top = max(abs(u), abs(v)).bit_length() + e
+        if (top > t or top == t and u * u + v * v >= 1 << 2 * (t - e)) and (u or v):
+            return i
+    return None
 
 
 def _fixed_twist(x, w):

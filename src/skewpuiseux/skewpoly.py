@@ -15,27 +15,21 @@ C[t, rho] is an mpc.  Their own ``*`` is the commutative product; the
 twisted product x*u = rho(u)*x is ``ConjSeriesRing.mul``, which is what
 ``SkewPoly`` multiplies through.
 
-Rounding contract of the table arithmetic (products, left division and so
-evaluation, and the Horner images behind shift_iso): on a ``PuiseuxRing``
-with numeric coefficients it runs on exact mantissa rows (``_Exact``).  The
-rows t^i b are exact and are rounded GUARD_BITS above the working precision
-after each shift; products are summed exactly; each output coefficient is
-rounded once, to nearest at the working precision, and the zero test runs
-once per output coefficient.  Exact rationals and int-only operands keep
-exact arithmetic, and inf, nan, ``ConjSeriesRing`` and ``ComplexConjRing``
-keep the coefficient path, where every product and partial sum is rounded.
+On a ``PuiseuxRing`` with numeric coefficients the table arithmetic
+(products, left division and so evaluation, and the Horner images behind
+shift_iso) runs on series in exact form, under the rounding contract of
+``puiseux._Fixed``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add
 
 from . import residue as residue_mod
 from . import scalar
 from .errors import ContextMismatch, NotMonicError, UsageError
-from .puiseux import PuiseuxSeries, _convolve
+from .puiseux import PuiseuxSeries, _Fixed, _zero
 from .scalar import INF, Alpha, _fixed_add, _fixed_twist, conj_scalar, is_negligible, to_mpc
 
 
@@ -458,18 +452,6 @@ class SkewPoly:
         ops, (bs, cs) = _ops(ring, b.coeffs, a.coeffs)
         return SkewPoly(ring, [ops.out(c) for c in _TRows(ops, bs).lmul(cs)])
 
-    @staticmethod
-    def _t_mul_in(ring, coeffs):
-        """t * sum c_i t^i = sum sigma(c_i) t^(i+1) + delta(c_i) t^i as a
-        coefficient list: one t-shift.  A table row (``_Row``) is shifted by
-        its own arithmetic and comes back as a row; a list of coefficients
-        is read as a table would read it, and on the exact kernel each shifted
-        coefficient comes back rounded at the working precision."""
-        if isinstance(coeffs, _Row):
-            return coeffs.ops.shifted(coeffs)
-        ops, (row,) = _ops(ring, coeffs)
-        return [ops.out(c) for c in ops.shifted(row)]
-
     def lmul_base(self, c) -> "SkewPoly":
         """Left multiplication by a base element (coefficient-wise)."""
         ring = self.ring
@@ -487,15 +469,9 @@ class SkewPoly:
         (n-m)(n-m+1)/2).  The leading coefficient of c * (t^k p) is c, as p
         is monic: it cancels exactly and is not formed.  An exact zero c
         subtracts nothing; a zero known only to O(x^k) subtracts its O(x^k)
-        multiple of the row.  The table lives for this call.
-
-        On the exact kernel (``_Exact``) the remainder stays exact.  Each
-        q_k is rounded once at the working precision and zero-tested when
-        it leaves the remainder; the c that multiplies the rows is the same
-        exact value rounded GUARD_BITS above it, as the rows are, and its
-        products are subtracted exactly.  Each coefficient of r is rounded
-        and zero-tested once, at the end.  Exact and int-only coefficients
-        divide exactly, on the coefficient path.
+        multiple of the row.  The table lives for this call.  Each q_k is
+        an output when it leaves the remainder, and its carried value
+        multiplies the rows (``puiseux._Fixed``).
         """
         ring, f, p = self._common(p)
         if not p.is_monic:
@@ -520,9 +496,7 @@ class SkewPoly:
         by t - a.  f(a) = 0 iff t - a divides f on the right.
 
         The division reads the rows t^k (t - a), k < deg f, from one table:
-        deg f - 1 shifts of t - a.  On the exact kernel f(a) is the exact
-        remainder, rounded and zero-tested once (``left_divmod``); exact and
-        int-only coefficients give an exact f(a).
+        deg f - 1 shifts of t - a.
         """
         ring = self.ring.accommodate(a)
         a = ring.coerce(a)
@@ -580,13 +554,10 @@ class SkewPoly:
 class _TRows:
     """The rows t^i * b (i = 0, 1, ...) of a right operand b, as coefficient
     lists in the form of ``ops`` (``_ops``).  Row i is derived from row
-    i - 1 by one t-shift (``_t_mul_in``) the first time it is asked for, so
-    a call that reads rows 0..K pays K shifts however often it reads them.
-    On the exact kernel the rows are exact, rounded GUARD_BITS above the
-    working precision after each shift, and the callers round each output
-    coefficient once; exact and int-only rows stay exact.  A table lives
-    for one call: kept on a polynomial it would hold every row of every
-    operand alive."""
+    i - 1 by one t-shift (``ops.shifted``) the first time it is asked for, so
+    a call that reads rows 0..K pays K shifts however often it reads them
+    (rounding: ``puiseux._Fixed``).  A table lives for one call: kept on a
+    polynomial it would hold every row of every operand alive."""
 
     __slots__ = ("ops", "rows")
 
@@ -597,15 +568,15 @@ class _TRows:
     def row(self, i: int) -> list:
         rows = self.rows
         while len(rows) <= i:
-            rows.append(SkewPoly._t_mul_in(self.ops.ring, rows[-1]))
+            rows.append(self.ops.shifted(rows[-1]))
         return rows[i]
 
     def lmul(self, cs) -> list:
         """sum_i cs[i] * (t^i b) as a coefficient list, cs and the result in
         the table's form.  An exact zero cs[i] adds nothing (a zero known
         only to O(x^k) adds its truncated products); the products that
-        reach an output coefficient are summed in order of i, exactly on
-        the exact kernel, and one that no product reaches is zero."""
+        reach an output coefficient are summed in order of i, and one that
+        no product reaches is zero."""
         ops = self.ops
         out = [[] for _ in range(len(self.rows[0]) + len(cs) - 1)]
         for i, c in enumerate(cs):
@@ -623,10 +594,8 @@ def _horner_image(ring, coeffs, t_image: SkewPoly) -> SkewPoly:
     Every product acc * t_image reads the rows t^j t_image from one table
     (``_TRows``): the last step reads j < d for d = len(coeffs) - 1, so the
     image takes d - 1 shifts of t_image, where a fresh product per step took
-    d(d-1)/2.  The table lives for this call.  On the exact kernel acc
-    stays exact from step to step, and each image coefficient is rounded
-    and zero-tested once, at the end; exact and int-only coefficients give
-    an exact image.
+    d(d-1)/2.  The table lives for this call, and acc is carried from step
+    to step in its exact form.
     """
     ops, (ts, cs) = _ops(ring, t_image.coeffs, coeffs)
     rows = _TRows(ops, ts)
@@ -644,12 +613,9 @@ def _horner_image(ring, coeffs, t_image: SkewPoly) -> SkewPoly:
 
 
 def _ops(ring, *lists):
-    """The arithmetic of a table call and its operand coefficient lists in
-    that arithmetic's form: the exact kernel (``_Exact``) when ``ring`` is a
-    ``PuiseuxRing`` and every coefficient of the lists and of ring.a reads
-    as fixed point, at least one being an mpmath number (the rule of
-    ``PuiseuxSeries.__mul__``); else the ring's own coefficient arithmetic
-    (``_Coeffs``) on copies of the lists."""
+    """The arithmetic of a table call and copies of its operand coefficient
+    lists in that arithmetic's form: ``_Exact`` under the rule of
+    ``PuiseuxSeries.__mul__`` (``puiseux._Fixed``), else ``_Coeffs``."""
     if isinstance(ring, PuiseuxRing):
         ops = _Exact(ring)
         kinds = []
@@ -658,9 +624,9 @@ def _ops(ring, *lists):
         if a is not None and max(kinds, default=0) and all(None not in cs for cs in read):
             ops.a = a
             ops.real = max(kinds) < 2 and not isinstance(ring.alpha.numeric, scalar.mp.mpc)
-            return ops, [_Row(ops, read[0])] + read[1:]
+            return ops, read
     ops = _Coeffs(ring)
-    return ops, [_Row(ops, lists[0])] + [list(cs) for cs in lists[1:]]
+    return ops, [list(cs) for cs in lists]
 
 
 class _Coeffs:
@@ -707,136 +673,26 @@ class _Coeffs:
             s, d = ring.sigma_delta(c)
             out.append(d if s_prev is None else ring.add(s_prev, d))
             s_prev = s
-        return _Row(self, out + [s_prev] if row else [])
+        return out + [s_prev] if row else []
 
 
-class _Row(list):
-    """A row of a table, with the arithmetic (``_ops``) that shifts it."""
+class _Exact(_Fixed):
+    """The table arithmetic of a ``PuiseuxRing`` on series in exact form
+    (``puiseux._Fixed``): its ring data and the t-shift."""
 
-    __slots__ = ("ops",)
-
-    def __init__(self, ops, coeffs):
-        super().__init__(coeffs)
-        self.ops = ops
-
-
-class _Exact:
-    """Exact table arithmetic of a ``PuiseuxRing`` with numeric coefficients.
-
-    A coefficient is a tuple (k0, re, im, e, trunc, ord): the terms
-    (re[i] + im[i]*1j) * 2^e * x^((k0 + i)/L), Gaussian-integer mantissas
-    at a shared binary exponent as ``scalar.fixed_point`` reads them, known
-    to O(x^(trunc/L)) (trunc INF: exact), with ord its order read after the
-    zero test (the least key of a term of modulus >= zero_eps(), else
-    trunc).  Products (``puiseux._convolve``) and sums are exact and take
-    the truncation rule of ``PuiseuxSeries.__mul__`` and ``__add__``.  A
-    t-shift multiplies by the twist factors of ``Alpha.numeric_pow`` and
-    forms delta_a(u) = a (sigma(u) - u) by one exact convolution, and rounds
-    the new row once, GUARD_BITS above the working precision
-    (``scalar.round_fixed_point``).  ``out`` rounds a coefficient once, to
-    nearest at the working precision (``scalar.from_fixed_point``), and
-    zero-tests it once, as a ``PuiseuxSeries`` is normalized.
-    """
-
-    __slots__ = ("ring", "L", "alpha", "a", "real", "prec", "eps")
+    __slots__ = ("alpha", "a")
 
     def __init__(self, ring):
-        self.ring = ring
-        self.L = ring.L
+        super().__init__(ring.L)
         self.alpha = ring.alpha
-        self.prec = scalar.mp.prec
-        self.eps = scalar.pow2_exp(scalar.zero_eps())
-
-    def read(self, c, kinds: list):
-        """The series c in exact form; None when a value is exact rational,
-        inf or nan.  ``kinds`` collects fixed_point's kind of each reading."""
-        t = INF if c.trunc is None else c.trunc
-        if not c.terms:
-            return _zero(t)
-        k0 = min(c.terms)
-        values = [0] * (max(c.terms) - k0 + 1)
-        for k, v in c.terms.items():
-            values[k - k0] = v
-        fx = scalar.fixed_point(values)
-        if fx is None:
-            return None
-        kinds.append(fx[3])
-        return self._make(k0, fx[0], fx[1], fx[2], t)
-
-    def out(self, x):
-        k0, re, im, e, t, _ = x
-        num = scalar.from_fixed_point
-        if self.real:
-            terms = {k0 + i: num(u, None, e) for i, u in enumerate(re) if u}
-        else:
-            terms = {k0 + i: num(u, v, e) for i, (u, v) in enumerate(zip(re, im)) if u or v}
-        return PuiseuxSeries(self.L, terms, None if t == INF else t)
-
-    def ord_k(self, x):
-        return x[5]
-
-    def _make(self, k0, re, im, e, t):
-        """The tuple of the terms k0 + i, those below t, without leading or
-        trailing zero terms, and with its ord."""
-        n = len(re) if t == INF else min(len(re), t - k0)
-        lo = 0
-        while lo < n and not (re[lo] or im[lo]):
-            lo += 1
-        if lo >= n:
-            return _zero(t)
-        while not (re[n - 1] or im[n - 1]):
-            n -= 1
-        if lo or n < len(re):
-            re, im = re[lo:n], im[lo:n]
-        k0 += lo
-        ex = self.eps
-        for i, (u, v) in enumerate(zip(re, im)):
-            top = max(abs(u), abs(v)).bit_length() + e
-            if top > ex or top == ex and u * u + v * v >= 1 << 2 * (ex - e):
-                return (k0, re, im, e, t, k0 + i)
-        return (k0, re, im, e, t, t)
-
-    def times(self, x, y):
-        kx, xr, xi, ex, tx, ox = x
-        ky, yr, yi, ey, ty, oy = y
-        t = min(tx + oy, ty + ox)
-        n = len(xr) + len(yr) - 1 if t == INF else min(len(xr) + len(yr) - 1, t - kx - ky)
-        if not (xr and yr) or n <= 0:
-            return _zero(t)
-        re, im = _convolve(xr, xi, yr, yi, n)
-        return self._make(kx + ky, re, im, ex + ey, t)
-
-    def sum(self, parts):
-        t = min([p[4] for p in parts], default=INF)
-        live = [p for p in parts if p[1]]
-        if not live:
-            return _zero(t)
-        if len(live) == 1 and live[0][4] == t:
-            return live[0]
-        e = min(p[3] for p in live)
-        k0 = min(p[0] for p in live)
-        n = max(p[0] + len(p[1]) for p in live) - k0
-        re, im = [0] * n, [0] * n
-        for k, pr, pi, pe, _, _ in live:
-            i, j, s = k - k0, k - k0 + len(pr), pe - e
-            if s:
-                pr, pi = [u << s for u in pr], [v << s for v in pi]
-            re[i:j] = map(add, re[i:j], pr)
-            im[i:j] = map(add, im[i:j], pi)
-        return self._make(k0, re, im, e, t)
-
-    def add(self, x, y):
-        return self.sum([x, y])
-
-    def sub(self, x, y):
-        k, re, im, e, t, o = y
-        return self.sum([x, (k, [-u for u in re], [-v for v in im], e, t, o)])
 
     def shifted(self, row):
         """t * row exactly, each new coefficient sigma(c_(j-1)) + delta(c_j)
-        rounded once, GUARD_BITS above the working precision."""
+        carried: sigma multiplies by the twist factors of
+        ``Alpha.numeric_pow``, and delta_a(u) = a (sigma(u) - u) is one exact
+        product."""
         if not row:
-            return _Row(self, [])
+            return []
         live = [c for c in row if c[1]]
         twist = live and not self.alpha.is_one
         if twist:
@@ -862,21 +718,7 @@ class _Exact:
             out.append(d if s_prev is None else self.add(s_prev, d))
             s_prev = s
         out.append(s_prev)
-        return _Row(self, [self.carry(c) for c in out])
-
-    def carry(self, x):
-        """x rounded once, GUARD_BITS above the working precision, as the
-        rows and the multipliers of a division carry it."""
-        k0, re, im, e, t, o = x
-        if not re:
-            return x
-        re, im, e = scalar.round_fixed_point(re, im, e, self.prec + scalar.GUARD_BITS)
-        return (k0, re, im, e, t, o)
-
-
-def _zero(t):
-    """The exact coefficient zero, known to O(x^(t/L)) (t INF: exact)."""
-    return (0, [], [], 0, t, t)
+        return [self.carry(c) for c in out]
 
 
 def _trim_exact_zeros(ring, coeffs: list):

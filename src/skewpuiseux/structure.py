@@ -66,7 +66,7 @@ def trace_solve(g: PuiseuxSeries, d: int, alpha) -> PuiseuxSeries:
             den = den + acc
         if abs(to_mpc(den)) < eps:
             raise Obstruction(Fraction(k, g.L), "vanishing trace denominator")
-        terms[k] = c / den
+        terms[k] = c / den if isinstance(c, EXACT_TYPES) else c / scalar.mp_operand(den)
     return PuiseuxSeries(g.L, terms, g.trunc)
 
 
@@ -151,7 +151,7 @@ def _monomial_times(c: PuiseuxSeries, alpha: Alpha, e: Fraction, q: Fraction,
     if w == 1:
         terms = {k + j: v for k, v in c.terms.items()}
     else:
-        wn = scalar.to_mpf(w) if isinstance(w, Fraction) else w
+        wn = scalar.mp_operand(w)
         terms = {k + j: v * w if isinstance(v, EXACT_TYPES) else v * wn
                  for k, v in c.terms.items()}
     return PuiseuxSeries(L, terms, None if c.trunc is None else c.trunc + j)

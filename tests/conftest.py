@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import PuiseuxSeries, SkewPoly, bits, puiseux_ring
+from skewpuiseux import PuiseuxSeries, SkewPoly, bits, puiseux_ring, skewpoly
 from skewpuiseux.scalar import to_mpc
 
 PREC = 128
@@ -67,13 +67,13 @@ def near_coeffs(a, b, prec: int, scale=1) -> bool:
 
 
 def count_shifts(monkeypatch) -> list:
-    """Record every SkewPoly._t_mul_in call (one t-shift) in the returned list."""
+    """Record every t-shift of a table row (the ``shifted`` of either table
+    arithmetic) in the returned list."""
     calls = []
-    t_mul_in = SkewPoly._t_mul_in
+    for cls in (skewpoly._Exact, skewpoly._Coeffs):
+        def counting(self, row, shifted=cls.shifted):
+            calls.append(len(row))
+            return shifted(self, row)
 
-    def counting(ring, coeffs):
-        calls.append(len(coeffs))
-        return t_mul_in(ring, coeffs)
-
-    monkeypatch.setattr(SkewPoly, "_t_mul_in", staticmethod(counting))
+        monkeypatch.setattr(cls, "shifted", counting)
     return calls

@@ -265,6 +265,19 @@ def test_non_monic_unit_extraction():
     assert verify_factorization(f, fac.zeros, fac.unit, order=10)["ok"]
 
 
+@pytest.mark.parametrize("prec", [128, 256])
+def test_int_led_quadratics_factor(prec):
+    # 3t^2 - 1 and 3t^2 + x t + (2x - 1): the inverse of the int lead 3 stays
+    # exact, where a float 1/3 left a residual of 2^-54 at any precision
+    R = puiseux_ring(2)
+    for f in (SkewPoly(R, [PuiseuxSeries(1, {0: -1}), 0, PuiseuxSeries(1, {0: 3})]),
+              SkewPoly(R, [PuiseuxSeries(1, {0: -1, 1: 2}), PuiseuxSeries(1, {1: 1}),
+                           PuiseuxSeries(1, {0: 3})])):
+        fac = newton_puiseux_factor(f, FactorConfig(bits=prec))
+        assert len(fac.zeros) == 2
+        assert fac.residual < mp.mpf(2) ** -(prec - 16)
+
+
 def test_complex_alpha_rejected_by_factorizer():
     Ri = puiseux_ring(Alpha(mp.mpc(0, 1), allow_complex=True))
     f = parse_poly("t^2 - (1+x^2)", Ri)

@@ -10,8 +10,8 @@ from skewpuiseux import hensel as hensel_mod
 from skewpuiseux import scalar
 from skewpuiseux.errors import (PrecisionExhausted, TwistCoprimeFailure,
                                 UsageError)
-from skewpuiseux.hensel import _divmod_monic, _fixed, _rounded, _solve_step, _to_prec
-from skewpuiseux.scalar import INF, _fixed_add
+from skewpuiseux.hensel import _divmod_monic, _fixed, _rounded, _solve_step
+from skewpuiseux.scalar import INF, _fixed_add, carry_row as _to_prec
 
 from conftest import rand_coeff, rng
 from props import check_hensel_invariant, random_liftable

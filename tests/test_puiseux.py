@@ -232,3 +232,12 @@ def test_sigma_pow_factors_match_alpha_pow_bit_for_bit():
                             assert type(c) is type(ref)
                             assert getattr(c, "_mpc_", None) == getattr(ref, "_mpc_", None)
                             assert getattr(c, "_mpf_", None) == getattr(ref, "_mpf_", None)
+
+
+def test_inverse_of_an_int_lead_stays_exact():
+    # 1 / 3 would be a 53-bit Python float; the int lead inverts as a Fraction
+    assert PS(1, {0: 3}).inverse().terms == {0: Fraction(1, 3)}
+    inv = PS(1, {0: 3, 1: 1}, 6).inverse(4)
+    assert inv.trunc == 4
+    assert inv.terms == {k: Fraction((-1) ** k, 3 ** (k + 1)) for k in range(4)}
+    assert all(type(c) is Fraction for c in inv.terms.values())

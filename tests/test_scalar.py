@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import Alpha, GaussianRational, bits
+from skewpuiseux import (Alpha, FactorConfig, GaussianRational, PuiseuxSeries, SkewPoly, TMap,
+                         bits, puiseux_ring, sigma_zero_quadratic, trace_solve)
 from skewpuiseux.errors import UsageError
 from skewpuiseux import scalar as scalar_mod
 from skewpuiseux.scalar import (MIN_BITS, cluster_tol, dust_tol, floor_tol,
@@ -208,3 +209,50 @@ def test_max_abs_sizes_only_the_top_orders(monkeypatch):
     values = [mp.mpc(1, 1) / 8, mp.mpf(3), mp.mpc(0, "-0.75"), mp.mpf(2) ** -60, mp.mpc(-2, 1)]
     assert max_abs(values) == 3
     assert sized == [mp.mpf(3), mp.mpc(-2, 1)]
+
+
+def test_mantissa_zero_test_matches_the_modulus():
+    # first_at_least decides |(u + iv) 2^e| >= 2^t exactly, zeros included
+    rnd = rng(61)
+    for _ in range(2000):
+        e, t = rnd.randint(-80, 10), rnd.randint(-70, 0)
+        n = rnd.randint(1, 5)
+        re = [rnd.choice([0, rnd.randint(-2 ** 40, 2 ** 40)]) for _ in range(n)]
+        im = [rnd.choice([0, rnd.randint(-2 ** 40, 2 ** 40)]) for _ in range(n)]
+        with bits(256):
+            big = [abs(mp.mpc(u, v) * mp.mpf(2) ** e) >= mp.mpf(2) ** t for u, v in zip(re, im)]
+        want = big.index(True) if True in big else None
+        assert scalar_mod.first_at_least(re, im, e, t) == want
+    # the band: |3 + 4i| = 5 against 2^2 and 2^3, both with top bit length 3
+    assert scalar_mod.first_at_least([0, 3], [0, 4], 0, 3) is None
+    assert scalar_mod.first_at_least([0, 3], [0, 4], 0, 2) == 1
+    assert scalar_mod.first_at_least([0], [0], 5, 0) is None
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(2, 3)])
+def test_fraction_operands_reach_mpmath_rounded_to_nearest(alpha):
+    # mpmath rounds a Fraction operand toward zero: mpc(1) * Fraction(2, 3)
+    # is one ulp below nearest at 128 bits; each site rounds it with to_mpf
+    to_mpf = scalar_mod.to_mpf
+    w, a0 = mp.mpc("0.3", "-1.7"), mp.mpc("-0.6", "0.2")
+    with bits(128):
+        tm = TMap(alpha, 1, a0)
+        for n in range(1, 6):
+            s = alpha ** -n
+            assert tm.apply(w, n) == to_mpf(s) * w + a0 * to_mpf(s - 1)
+        f = PuiseuxSeries(1, {0: w, 1: mp.mpf("0.7"), 2: 5})
+        g = f.scale(alpha)
+        assert g.terms == {0: w * to_mpf(alpha), 1: mp.mpf("0.7") * to_mpf(alpha), 2: 5 * alpha}
+        assert type(g.terms[2]) is Fraction
+        f = PuiseuxSeries(1, {k: mp.mpc(k - 3, 0.5 * k + 0.25) for k in range(8)})
+        for d in (2, 3):
+            b = trace_solve(f, d, alpha)
+            for k, c in f.terms.items():
+                assert b.terms[k] == c / to_mpf(sum(alpha ** (k * j) for j in range(d)))
+        # the first forcing term at x^k meets the pivot z0 (alpha^k + 1) + c1
+        c1, c0, a = mp.mpc(-3, "0.5"), mp.mpc(2, "0.25"), mp.mpf("0.75")
+        for k in range(1, 7):
+            quad = SkewPoly(puiseux_ring(alpha), [PuiseuxSeries(1, {0: c0, k: a}),
+                                                  PuiseuxSeries(1, {0: c1}), 1])
+            z = sigma_zero_quadratic(quad, FactorConfig(target_order=k + 1, bits=128))
+            assert z.terms[k] == -mp.mpc(a) / (z.terms[0] * to_mpf(alpha ** k + 1) + c1)

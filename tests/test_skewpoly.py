@@ -9,6 +9,7 @@ from skewpuiseux import (Alpha, ComplexConjRing, ConjSeriesRing,
                          parse_poly, puiseux_ring)
 from skewpuiseux.errors import ContextMismatch, NotMonicError, UsageError
 from skewpuiseux.scalar import GUARD_BITS, INF, to_mpc, zero_eps
+from skewpuiseux.skewpoly import _ops
 from skewpuiseux.structure import shift_iso
 
 from conftest import (count_shifts, near_coeffs, rand_coeff, rand_poly, rand_series, rng,
@@ -216,6 +217,13 @@ DERIVED_RINGS = [(alpha, L) for alpha in (Fraction(2), Fraction(3, 2), Fraction(
                  for L in (1, 2)]
 
 
+def t_mul_in(ring, coeffs):
+    """t * sum c_i t^i as one t-shift of the table arithmetic, each shifted
+    coefficient rounded at the working precision."""
+    ops, (row,) = _ops(ring, coeffs)
+    return [ops.out(c) for c in ops.shifted(row)]
+
+
 def ref_t_mul(ring, coeffs):
     """t * sum c_i t^i by its definition sum sigma(c_i) t^(i+1) + delta(c_i) t^i."""
     out = [ring.delta(coeffs[0])]
@@ -328,17 +336,55 @@ def test_t_shift_matches_its_definition():
         for n in (1, 2, 4):
             coeffs = [rand_series(rnd, R.L, 0, 3, 4) for _ in range(n)]
             coeffs[0] = coeffs[0].truncate(3 * R.L)
-            got = SkewPoly._t_mul_in(R, coeffs)
+            got = t_mul_in(R, coeffs)
             with bits(prec + 64):
                 assert near_coeffs(got, ref_t_mul(R, coeffs), prec)
     CR = ConjSeriesRing()
     for n in (1, 3):
         coeffs = [PuiseuxSeries(1, {k: rand_coeff(rnd) for k in range(3)}, 5) for _ in range(n)]
-        assert SkewPoly._t_mul_in(CR, coeffs) == ref_t_mul(CR, coeffs)
+        assert t_mul_in(CR, coeffs) == ref_t_mul(CR, coeffs)
     K = ComplexConjRing()
     for n in (1, 3):
         coeffs = [rand_coeff(rnd) for _ in range(n)]
-        assert SkewPoly._t_mul_in(K, coeffs) == ref_t_mul(K, coeffs)
+        assert t_mul_in(K, coeffs) == ref_t_mul(K, coeffs)
+
+
+def _kernel_operand(rnd, L):
+    """A normalized series of 1 to 8 int, mpf or mpc terms over 2^-40..2^40,
+    real or complex, exact or truncated."""
+    kind = rnd.choice(["mpf", "mpc", "mixed"])
+    terms = {}
+    for k in rnd.sample(range(-2 * L, 6 * L), rnd.randint(1, 8)):
+        scale = mp.mpf(2) ** rnd.randint(-40, 40)
+        kk = rnd.choice(["int", "mpf", "mpc"]) if kind == "mixed" else kind
+        if kk == "int":
+            terms[k] = rnd.randint(-10 ** 6, 10 ** 6)
+        elif kk == "mpf":
+            terms[k] = mp.mpf(rnd.uniform(-1, 1)) * scale
+        else:
+            terms[k] = mp.mpc(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) * scale
+    return PS(L, terms, rnd.choice([None, 3 * L, 5 * L, 9 * L]))
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_series_and_table_products_share_one_kernel(prec):
+    # a * b and the table product of the constants a and b read, convolve,
+    # round and zero-test through one kernel; only the truncation rule
+    # differs, and on normalized operands both read the same orders
+    rnd = rng(131 + prec)
+    with bits(prec):
+        for _ in range(150):
+            L = rnd.randint(1, 3)
+            R = puiseux_ring(rnd.choice([2, Fraction(3, 2), Fraction(1, 2)]), L)
+            a, b = _kernel_operand(rnd, L), _kernel_operand(rnd, L)
+            got = (SkewPoly.constant(R, a) * SkewPoly.constant(R, b)).coeff(0)
+            want = a * b
+            assert (got.L, got.trunc, set(got.terms)) == (want.L, want.trunc, set(want.terms))
+            for k, c in want.terms.items():
+                # a term no product reaches may leave the table's value an
+                # mpc with imaginary part 0 where a * b gives an mpf
+                x, y = mp.mpc(got.terms[k]), mp.mpc(c)
+                assert (x.real._mpf_, x.imag._mpf_) == (y.real._mpf_, y.imag._mpf_)
 
 
 # -- the rounding contract of the exact kernel -------------------------------------
