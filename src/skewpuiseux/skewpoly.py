@@ -470,8 +470,8 @@ class SkewPoly:
         is monic: it cancels exactly and is not formed.  An exact zero c
         subtracts nothing; a zero known only to O(x^k) subtracts its O(x^k)
         multiple of the row.  The table lives for this call.  Each q_k is
-        an output when it leaves the remainder, and its carried value
-        multiplies the rows (``puiseux._Fixed``).
+        an output when it leaves the remainder, and its value rounded by
+        ``carry`` multiplies the rows (``puiseux._Fixed``).
         """
         ring, f, p = self._common(p)
         if not p.is_monic:
@@ -594,8 +594,8 @@ def _horner_image(ring, coeffs, t_image: SkewPoly) -> SkewPoly:
     Every product acc * t_image reads the rows t^j t_image from one table
     (``_TRows``): the last step reads j < d for d = len(coeffs) - 1, so the
     image takes d - 1 shifts of t_image, where a fresh product per step took
-    d(d-1)/2.  The table lives for this call, and acc is carried from step
-    to step in its exact form.
+    d(d-1)/2.  The table lives for this call, and acc stays exact from step
+    to step.
     """
     ops, (ts, cs) = _ops(ring, t_image.coeffs, coeffs)
     rows = _TRows(ops, ts)
