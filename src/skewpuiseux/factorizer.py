@@ -283,17 +283,15 @@ def _pinned_shift(F1: SkewPoly, b: PuiseuxSeries) -> SkewPoly:
     """shift_iso(F1, b) with its t^(d-1) coefficient, which the trace solve
     b of c_(d-1) cancels, pinned to a zero of the same truncation.
 
-    That coefficient is c_(d-1) - sum_(i<d) sigma^i(b); it cancels termwise
-    unless the trace solve dropped a term below the zero test."""
-    d = F1.degree
-    rest = F1.coeffs[d - 1]
-    for i in range(d):
-        rest = rest - b.sigma_pow(i, F1.ring.alpha)
-    if not rest.is_zero and rest.max_abs() > scalar.zero_eps() * max(1, F1.max_abs()):
-        raise PrecisionExhausted("shift failed to cancel the t^(d-1) coefficient")
+    That coefficient, as shift_iso forms it, is c_(d-1) - sum_(i<d)
+    sigma^i(b); it cancels termwise unless the trace solve dropped a term
+    below the zero test."""
     F2 = shift_iso(F1, b)
     coeffs = list(F2.coeffs)
-    coeffs[-2] = PuiseuxSeries.zero(F2.ring.L, coeffs[-2].trunc)
+    rest = coeffs[-2]
+    if not rest.is_zero and rest.max_abs() > scalar.zero_eps() * max(1, F1.max_abs()):
+        raise PrecisionExhausted("shift failed to cancel the t^(d-1) coefficient")
+    coeffs[-2] = PuiseuxSeries.zero(F2.ring.L, rest.trunc)
     return SkewPoly(F2.ring, coeffs, trim=False)
 
 

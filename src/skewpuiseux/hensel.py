@@ -9,11 +9,13 @@ solved in C[t]/(res g) (_solve_step).
 
 Slices.  f, g, h are held as x-slices: row k (k < target_k) lists the x^k
 coefficients over t-degree, each left of its t^i, as exact mantissas
-(re, im, e) (scalar.fixed_point).  Step n forms only slice n of the
-defect, D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van der Hoeven,
-"Relax, but don't be too lazy", JSC 2002).  The t^(i+j) entry of G_a * H_b
-is g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and g_(i,a) rho^a(h_(j,b))
-in C[[x, rho]]; the ring supplies only this twist w (slice_twist).
+(re, im, e) (scalar.fixed_point).  Each slice is read once, with one
+fixed_point call, and so are the residue rows res g, res h and conj(res h),
+once per lift.  Step n forms only slice n of the defect,
+D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van der Hoeven, "Relax, but
+don't be too lazy", JSC 2002).  The t^(i+j) entry of G_a * H_b is
+g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and g_(i,a) rho^a(h_(j,b)) in
+C[[x, rho]]; the ring supplies only this twist w (slice_twist).
 
 Rounding and step rule.  D_n is exact, and so are f_n and k_n, its and res
 h's products with the inverse twist 1/w, and, res g being monic, k_n and b
@@ -25,10 +27,13 @@ ext_gcd on k_n mod res g (a constant, inverted with no division, for a
 linear res g), rounded and collapsed at zero_eps(), then one exact Newton
 step; it stays Euclid while the benchmark counts the lift's steps as its
 ext_gcd calls.  p_n collapses at floor_tol(24) as divmod does.  Sizes
-are read off bit lengths: a D_n below zero_eps() is skipped (at n = 0 it
-breaks the order-0 invariant); with 2^scale <= max(1, |c|) over the c met
-so far, D_n formed again must lie below max(zero_eps(), 2^scale
-floor_tol(24)), and q_n's remainder is dust below 2^scale dust_tol().
+are read off bit lengths.  D_0 = res f - res g res h is the residue check,
+exact: from dust_tol() up the inputs are no residue factorization
+(UsageError), and from zero_eps() up they break the order-0 invariant
+(SkewError).  A D_n below zero_eps() is skipped; with 2^scale <= max(1, |c|)
+over the c met so far, D_n formed again must lie below max(zero_eps(),
+2^scale floor_tol(24)), and q_n's remainder is dust below 2^scale
+dust_tol().
 
 Derived rings.  delta_a = a(sigma - id) is inner, so s = t + a obeys
 s u = sigma(u) s: shift_iso(., a) carries f, g, h to F[t, sigma], where the
@@ -127,16 +132,10 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         roots = roots and tuple([(c + a0, k) for c, k in rs] for rs in roots)
         f, g, h = (shift_iso(p, shift) for p in (f, g, h))
         ring = f.ring
-    gres, hres = g.reduce_residue(), h.reduce_residue()
-    mismatch = (f.reduce_residue() - gres * hres).max_abs()
-    if mismatch > scalar.dust_tol():
-        raise UsageError(f"res(f) != res(g)res(h) (deviation {mismatch})")
-    twist_precheck(g, h, roots=roots)
-
-    F, G, H = (_slices(p.coeffs[:n], target_k) for p, n in ((f, d), (g, m + 1), (h, d - m + 1)))
-    twists = [ring.slice_twist(k, d + 1) for k in range(target_k)]
+    K = max(1, target_k)  # slice 0 holds the residues
+    F, G, H = (_slices(p.coeffs[:n], K) for p, n in ((f, d), (g, m + 1), (h, d - m + 1)))
+    twists = [ring.slice_twist(k, d + 1) for k in range(K)]
     wfix = [w and _fixed(w) for w, _ in twists]
-    gfix = _fixed(gres.coeffs[:m]) or ([0] * m, [0] * m, 0)
 
     def minus(acc, pairs):
         """acc - sum of G_a * H_b over the (a, b) in pairs, exactly."""
@@ -149,24 +148,34 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         return (back(_poly(ring, G, m, target_k, g.coeffs[-1])),
                 back(_poly(ring, H, d - m, target_k, h.coeffs[-1])))
 
+    # D_0 = res f - res g res h, exactly
     zero, floor = scalar.pow2_exp(scalar.zero_eps()), scalar.pow2_exp(scalar.floor_tol(24))
+    d0 = minus(F[0], [(0, 0)])
+    if not _small(d0, scalar.pow2_exp(scalar.dust_tol())):
+        raise UsageError(f"res(f) != res(g)res(h) (deviation {scalar.max_abs(_rounded(d0, d))})")
+    gres, hres = g.reduce_residue(), h.reduce_residue()
+    twist_precheck(g, h, roots=roots)
+    if not _small(d0, zero):
+        raise SkewError("hensel invariant violated: defect has order 0")
+    gfix = _fixed(gres.coeffs[:m]) or ([0] * m, [0] * m, 0)
+    hfix = _fixed(hres.coeffs)
+    hbar = (hfix[0], [-v for v in hfix[1]], hfix[2])  # conj(res h)
+
     # corrections can grow with n (the true factors may grow geometrically);
     # cancellation dust is judged against 2^scale <= max(1, |c|)
     scale = max([0] + [_top(r) - 1 for r in F])
     inverses = {}  # one per distinct k_n: per lift at alpha = 1
-    for n in range(target_k):
+    for n in range(1, target_k):
         inner = minus(F[n], [(a, n - a) for a in range(1, n)])
         dn = minus(inner, {(n, 0), (0, n)})
         if _small(dn, zero):
             continue
-        if n == 0:
-            raise SkewError("hensel invariant violated: defect has order 0")
         # move x^n right of the slice: f_n, and k_n = phi^n(res h)
         w, conj = twists[n]
         with mp.workprec(mp.prec + scalar.GUARD_BITS):
             winv = w and _fixed([1 / c for c in w])
         fn = _fixed_twist(dn, winv)
-        kn = _fixed_twist(_fixed((hres.conj_coeffs() if conj else hres).coeffs), winv)
+        kn = _fixed_twist(hbar if conj else hfix, winv)
         p, q, b = _solve_step(n, gres, gfix, kn, fn, inverses, scale)
         # the corrections p x^n, q x^n in left form: t^i x^n = w_i x^n t^i
         G[n] = _fixed_add(G[n], _fixed_twist(p, wfix[n]))
@@ -183,12 +192,12 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
 
 def _slices(coeffs, target_k: int) -> list:
     """Row k < target_k: the x^k coefficients over t-degree, as exact rows."""
-    rows = [None] * target_k
+    rows = [[] for _ in range(target_k)]
     for i, c in enumerate(coeffs):
         for k, v in c.terms.items():
             if k < target_k:
-                rows[k] = _fixed_add(rows[k], _fixed([0] * i + [v]))
-    return rows
+                rows[k] += [0] * (i - len(rows[k])) + [v]
+    return [_fixed(r) if r else None for r in rows]
 
 
 def _fixed(row):

@@ -8,8 +8,9 @@ Operations compute the tightest provable truncation and never pad with
 fabricated zeros.  This module holds only series: the ring data
 (alpha, L, a) of F[t, sigma, delta_a] belongs to ``skewpoly.PuiseuxRing``.
 
-Rounding contract: products of numeric series are exact and round each
-coefficient once (``_Fixed``, which the skew tables of ``skewpoly`` share).
+Rounding contract: negation is exact; sums, differences and products of
+numeric series round each coefficient once (products on ``_Fixed``, which
+the skew tables of ``skewpoly`` share).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
+
+from mpmath import mp
 
 from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
@@ -151,8 +154,10 @@ class PuiseuxSeries:
     # -- field operations ---------------------------------------------------
 
     def __neg__(self):
-        return PuiseuxSeries(self.L, {k: -c for k, c in self.terms.items()},
-                             self.trunc, normalize=False)
+        """-self; an mpmath coefficient is negated exactly, not rounded."""
+        terms = {k: -c if isinstance(c, EXACT_TYPES) else mp.fneg(c, exact=True)
+                 for k, c in self.terms.items()}
+        return PuiseuxSeries(self.L, terms, self.trunc, normalize=False)
 
     def __add__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -170,12 +175,7 @@ class PuiseuxSeries:
     def __sub__(self, other):
         if not isinstance(other, PuiseuxSeries):
             other = PuiseuxSeries.constant(other)
-        a, b = self.unify(other)
-        t = _min_trunc(a.trunc, b.trunc)
-        terms = dict(a.terms)
-        for k, c in b.terms.items():
-            terms[k] = terms.get(k, 0) - c
-        return PuiseuxSeries(a.L, terms, t)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -188,15 +188,12 @@ class PuiseuxSeries:
         tb = INF if b.trunc is None else b.trunc
         t = min(ta + b.ord_k(), tb + a.ord_k())
         if a.terms and b.terms:
-            # only the terms that meet a partner below t are read
-            ops, kinds = _Fixed(a.L), []
-            x = ops.read(a.truncate(t - min(b.terms)), kinds)
-            y = ops.read(b.truncate(t - min(a.terms)), kinds)
-            if x and y and max(kinds, default=0):
-                ops.real = max(kinds) < 2
-                n = max(0, min(len(x[1]) + len(y[1]) - 1, t - x[0] - y[0]))
-                re, im = _convolve(x[1], x[2], y[1], y[2], n)
-                return ops.out((x[0] + y[0], re, im, x[3] + y[3], t, None))
+            # only the terms that meet a partner below t are read; times
+            # reads orders after the zero test, so its truncation is >= t
+            ops = _Fixed(a.L)
+            xy = ops.reads([[a.truncate(t - min(b.terms)), b.truncate(t - min(a.terms))]])
+            if xy:
+                return ops.out(ops.times(*xy[0])).truncate(t)
         terms = {}
         for i, ci in a.terms.items():
             for j, cj in b.terms.items():
@@ -210,7 +207,10 @@ class PuiseuxSeries:
 
     def scale(self, c) -> "PuiseuxSeries":
         """Multiply every coefficient by the scalar c; an mpmath coefficient
-        meets a Fraction c rounded to nearest (``scalar.mp_operand``)."""
+        meets a Fraction c rounded to nearest (``scalar.mp_operand``), and
+        c = 1 leaves every coefficient as it is."""
+        if c == 1:
+            return PuiseuxSeries(self.L, self.terms, self.trunc)
         cn = scalar.mp_operand(c)
         return PuiseuxSeries(self.L, {k: v * c if isinstance(v, EXACT_TYPES) else v * cn
                                       for k, v in self.terms.items()}, self.trunc)
@@ -343,9 +343,13 @@ class _Fixed:
     zero test (the least key of a term of modulus >= zero_eps(), else
     trunc).
 
-    The contract.  Operands are read exactly (``read``).  Products
-    (``_convolve``) and sums are exact, with the truncation rules of
-    ``PuiseuxSeries.__mul__`` and ``__add__``.  What a computation carries
+    The contract.  Operands are read exactly, by one reader (``reads``) for
+    ``PuiseuxSeries.__mul__`` and the skew tables alike, which also decides
+    between this arithmetic and exact term arithmetic and sets ``real``.
+    Products (``_convolve``) and sums are exact, with the truncation rules
+    of ``PuiseuxSeries.__mul__`` and ``__add__`` on the orders after the
+    zero test (``__mul__`` cuts its product back to its own rule, on
+    ``ord_k``).  What a computation carries
     on exactly, the rows t^i b of a skew table after each t-shift and the
     multipliers of a division, is rounded GUARD_BITS above the working
     precision (``carry``).  Each output coefficient is rounded once, to
@@ -362,7 +366,20 @@ class _Fixed:
         self.L = L
         self.eps = scalar.pow2_exp(scalar.zero_eps())
 
-    def read(self, c: PuiseuxSeries, kinds: list):
+    def reads(self, lists, real: bool = True):
+        """The one reader of a call's operands, and its two decisions: the
+        lists of series ``lists`` in exact form, with ``real`` set when no
+        value is an mpc and ``real`` holds, or None when the call keeps
+        exact term arithmetic (a value is exact rational, inf or nan, or
+        every value is an int)."""
+        kinds = []
+        read = [[self._read(c, kinds) for c in cs] for cs in lists]
+        if not max(kinds, default=0) or any(None in cs for cs in read):
+            return None
+        self.real = real and max(kinds) < 2
+        return read
+
+    def _read(self, c: PuiseuxSeries, kinds: list):
         """The series c in exact form; None when a value is exact rational,
         inf or nan.  ``kinds`` collects fixed_point's kind of each reading."""
         t = INF if c.trunc is None else c.trunc

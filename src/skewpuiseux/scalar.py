@@ -497,21 +497,15 @@ def fmt_scalar(c) -> str:
     if isinstance(c, Fraction):
         return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
     if isinstance(c, GaussianRational):
-        re, im = c.re, c.im
-        if im == 0:
-            return fmt_scalar(re)
-        if re == 0:
-            return f"{fmt_scalar(im)}i"
-        sign = "+" if im > 0 else "-"
-        return f"{fmt_scalar(re)}{sign}{fmt_scalar(abs(im))}i"
-    z = mp.mpc(c)
-    re, im = z.real, z.imag
+        re, im, part = c.re, c.im, fmt_scalar
+    else:
+        z = mp.mpc(c)
+        re, im, part = z.real, z.imag, _fmt_mpf
     if im == 0:
-        return _fmt_mpf(re)
+        return part(re)
     if re == 0:
-        return f"{_fmt_mpf(im)}i"
-    sign = "+" if im >= 0 else "-"
-    return f"{_fmt_mpf(re)}{sign}{_fmt_mpf(abs(im))}i"
+        return f"{part(im)}i"
+    return f"{part(re)}{'+' if im > 0 else '-'}{part(abs(im))}i"
 
 
 def fmt_term(cs: str, var: str, first: bool) -> str:

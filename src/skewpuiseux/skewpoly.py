@@ -30,7 +30,7 @@ from . import residue as residue_mod
 from . import scalar
 from .errors import ContextMismatch, NotMonicError, UsageError
 from .puiseux import PuiseuxSeries, _Fixed, _zero
-from .scalar import INF, Alpha, _fixed_add, _fixed_twist, conj_scalar, is_negligible, to_mpc
+from .scalar import INF, Alpha, _fixed_twist, conj_scalar, is_negligible, to_mpc
 
 
 class BaseRing:
@@ -618,12 +618,10 @@ def _ops(ring, *lists):
     ``PuiseuxSeries.__mul__`` (``puiseux._Fixed``), else ``_Coeffs``."""
     if isinstance(ring, PuiseuxRing):
         ops = _Exact(ring)
-        kinds = []
-        a = ops.read(ring.a, kinds)
-        read = [[ops.read(c, kinds) for c in cs] for cs in lists]
-        if a is not None and max(kinds, default=0) and all(None not in cs for cs in read):
-            ops.a = a
-            ops.real = max(kinds) < 2 and not isinstance(ring.alpha.numeric, scalar.mp.mpc)
+        read = ops.reads([[ring.a], *lists],
+                         not isinstance(ring.alpha.numeric, scalar.mp.mpc))
+        if read:
+            (ops.a,), *read = read
             return ops, read
     ops = _Coeffs(ring)
     return ops, [list(cs) for cs in lists]
@@ -708,13 +706,8 @@ class _Exact(_Fixed):
             if twist and re:
                 i, j = k0 - k_lo, k0 - k_lo + len(re)
                 s = self._make(k0, *_fixed_twist((re, im, e), (wr[i:j], wi[i:j], ew)), t)
-            if not a[1]:
-                d = _zero(INF)  # a = 0: delta = 0
-            elif s is c:  # sigma(c) = c
-                d = self.times(a, _zero(t))
-            else:
-                diff = _fixed_add(s[1:4], ([-u for u in re], [-v for v in im], e))
-                d = self.times(a, self._make(k0, *diff, t))
+            # delta = 0 where a = 0, and a O(x^t) where sigma(c) = c
+            d = self.times(a, _zero(t) if s is c or not a[1] else self.sub(s, c))
             out.append(d if s_prev is None else self.add(s_prev, d))
             s_prev = s
         out.append(s_prev)

@@ -15,8 +15,8 @@ coefficient to a monomial multiple of itself, and the scaling fixes the
 coefficients, so it is a ring automorphism: a factorization of the scaled
 polynomial into linear factors maps back zero by zero.  normalize_scaled and
 scale_back_zeros therefore work in closed form, one monomial alpha^e x^q per
-coefficient or zero (_monomial_times).  The general Horner scaling and the
-beta law are test references (tests/props.py).
+coefficient or zero: a scale, then an x_shift.  The general Horner scaling
+and the beta law are test references (tests/props.py).
 """
 
 from __future__ import annotations
@@ -116,10 +116,9 @@ def normalize_scaled(f: SkewPoly, r):
     if not f.is_monic:
         raise NotMonicError("closed-form scalings need a monic polynomial")
     target = puiseux_ring(ring.alpha, _lcm(ring.L, r.denominator))
-    d = f.degree
-    coeffs = [_monomial_times(c, ring.alpha, -r * Fraction(i * (i - 1) - d * (d - 1), 2),
-                              r * (d - i), target.L)
-              for i, c in enumerate(f.coeffs[:d])]
+    d, L = f.degree, target.L
+    coeffs = [c.at_ram(L).scale(ring.alpha.pow(-r * Fraction(i * (i - 1) - d * (d - 1), 2)))
+              .x_shift(int(r * (d - i) * L)) for i, c in enumerate(f.coeffs[:d])]
     return SkewPoly(target, coeffs + [target.one()], trim=False)
 
 
@@ -138,20 +137,8 @@ def scale_back_zeros(ws: list, r, alpha) -> list:
     if r == 0:
         return list(ws)
     d = len(ws)
-    return [_monomial_times(w, alpha, -r * (d - i), -r, _lcm(w.L, r.denominator))
-            for i, w in enumerate(ws, 1)]
-
-
-def _monomial_times(c: PuiseuxSeries, alpha: Alpha, e: Fraction, q: Fraction,
-                    L: int) -> PuiseuxSeries:
-    """alpha^e x^q c at ramification L, which holds q and c.L."""
-    c = c.at_ram(L)
-    w = alpha.pow(e)
-    j = int(q * L)
-    if w == 1:
-        terms = {k + j: v for k, v in c.terms.items()}
-    else:
-        wn = scalar.mp_operand(w)
-        terms = {k + j: v * w if isinstance(v, EXACT_TYPES) else v * wn
-                 for k, v in c.terms.items()}
-    return PuiseuxSeries(L, terms, None if c.trunc is None else c.trunc + j)
+    out = []
+    for i, w in enumerate(ws, 1):
+        L = _lcm(w.L, r.denominator)
+        out.append(w.at_ram(L).scale(alpha.pow(-r * (d - i))).x_shift(int(-r * L)))
+    return out

@@ -313,3 +313,13 @@ def test_hensel_lifts_to_at_least_a_fractional_prec(capsys, prec, out):
     code, got, err = run_cli(capsys, "hensel", "--alpha", "2", "--prec", prec,
                              "t^2-(3+x^3)*t+2", "t-1", "t-2")
     assert (code, got, err) == (0, out, "")
+
+
+def test_sigma_zero_order_check_reads_the_zero_at_its_own_bits(capsys):
+    # the zero's coefficients grow to 9.7e21 at x^9 and hold 217-bit
+    # mantissas; t - z negates them exactly, so the check divides by z
+    # itself, not by its 128-bit rounding, and reaches order 10
+    code, out, _ = run_cli(capsys, "sigma-zero", "--alpha", "1/2", "--prec", "6",
+                           "--bits", "128", "t^4 - 2*t^2 + x")
+    assert code == 0
+    assert out.splitlines()[-1] == "check_ord: 10"

@@ -8,7 +8,7 @@ from skewpuiseux import (Alpha, ConjSeriesRing, PuiseuxSeries, ResiduePoly, Skew
                          puiseux_ring, shift_iso, twist_precheck, twist_residue)
 from skewpuiseux import hensel as hensel_mod
 from skewpuiseux import scalar
-from skewpuiseux.errors import (PrecisionExhausted, TwistCoprimeFailure,
+from skewpuiseux.errors import (PrecisionExhausted, SkewError, TwistCoprimeFailure,
                                 UsageError)
 from skewpuiseux.hensel import _divmod_monic, _fixed, _rounded, _solve_step
 from skewpuiseux.scalar import INF, _fixed_add, carry_row as _to_prec
@@ -457,3 +457,13 @@ def test_lift_with_complex_alpha():
     gh, hh, achieved = hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 2", R), 8)
     assert achieved == 8
     assert (f - gh * hh).truncate(8).max_abs() < mp.mpf(2) ** -100
+
+
+def test_residue_defect_between_the_zero_test_and_dust_is_a_skew_error():
+    # res f - res g res h = 2^-40 lies in [zero_eps(), dust_tol()) at 128
+    # bits: no usage error, but the order-0 invariant fails
+    assert scalar.zero_eps() <= mp.mpf(2) ** -40 < scalar.dust_tol()
+    R = puiseux_ring(2)
+    f = SkewPoly(R, [PS.constant(3 + mp.mpf(2) ** -40), PS.constant(-4), PS.one()])
+    with pytest.raises(SkewError, match="order 0"):
+        hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 3", R), 4)

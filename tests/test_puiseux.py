@@ -15,6 +15,21 @@ from props import check_leibniz, trace_apply
 PS = PuiseuxSeries
 
 
+def test_negation_is_exact():
+    # a coefficient formed at 217 bits keeps its mantissa under -s at 128
+    with bits(217):
+        c = mp.mpf(1) / 3
+        z = mp.mpc(c, -c)
+    assert c._mpf_[3] == 217
+    s = PS(1, {0: c, 1: z, 2: 3, 3: Fraction(-2, 3)}, 5)
+    neg = -s
+    _, man, exp, bc = c._mpf_
+    assert neg.terms[0]._mpf_ == (1, man, exp, bc)
+    assert neg.terms[1]._mpc_ == ((1, man, exp, bc), (0, man, exp, bc))
+    assert neg.terms[2] == -3 and neg.terms[3] == Fraction(2, 3) and neg.trunc == 5
+    assert (-neg).terms == s.terms
+
+
 def test_ord_examples():
     assert PS.zero().ord() == INF
     f = PS.from_terms([(Fraction(1, 2), 1), (1, 1)])
