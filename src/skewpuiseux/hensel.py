@@ -107,7 +107,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     O(x^target_k) but for their exact leading 1, and target_k, the order
     to which f - g_hat h_hat is known to vanish.  ``on_state`` receives a
     HenselState after every correction step.  ``roots``, the (root,
-    multiplicity) lists of res g and res h, goes to twist_precheck.
+    multiplicity) lists of res g and res h, goes to the ring's twist check.
     """
     ring = f.ring.unify(g.ring).unify(h.ring)
     f, g, h = (p.in_ring(ring) for p in (f, g, h))
@@ -154,7 +154,9 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     if not _small(d0, scalar.pow2_exp(scalar.dust_tol())):
         raise UsageError(f"res(f) != res(g)res(h) (deviation {scalar.max_abs(_rounded(d0, d))})")
     gres, hres = g.reduce_residue(), h.reduce_residue()
-    twist_precheck(g, h, roots=roots)
+    fail = ring.twist_coprime(gres, hres, roots=roots)  # twist_precheck on these residues
+    if fail is not None:
+        raise TwistCoprimeFailure(*fail)
     if not _small(d0, zero):
         raise SkewError("hensel invariant violated: defect has order 0")
     gfix = _fixed(gres.coeffs[:m]) or ([0] * m, [0] * m, 0)

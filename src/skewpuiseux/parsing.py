@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .puiseux import PuiseuxSeries
-from .scalar import INF, GaussianRational, fmt_scalar, fmt_term, to_mpc
+from .scalar import INF, GaussianRational, fmt_scalar, fmt_sum, fmt_tpow, to_mpc
 
 _OPS = set("+-*/^()")
 _NUM = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?")
@@ -189,6 +189,18 @@ def _parse_xpart(ts: _Tokens) -> Fraction:
     return Fraction(1)
 
 
+def _parse_monomial(ts: _Tokens):
+    """XPART | SPROD ['*' XPART] as (exponent, coefficient): a bare x-part
+    has coefficient 1, a bare scalar product exponent 0."""
+    if _starts_xpart(ts):
+        return _parse_xpart(ts), GaussianRational(1, 0)
+    v = _parse_sprod(ts)
+    if ts.peek()[:2] == ("op", "*") and _starts_xpart(ts, 1):
+        ts.next()
+        return _parse_xpart(ts), v
+    return Fraction(0), v
+
+
 def _parse_series_body(ts: _Tokens, stop_at_paren: bool = False):
     terms = []  # (exponent, GaussianRational)
     trunc = None
@@ -210,19 +222,8 @@ def _parse_series_body(ts: _Tokens, stop_at_paren: bool = False):
             ts.expect("op", ")")
             trunc = q if trunc is None else min(trunc, q)
             continue
-        if _starts_xpart(ts):
-            q = _parse_xpart(ts)
-            coeff = GaussianRational(sign, 0)
-        else:
-            coeff = _parse_sprod(ts)
-            if sign < 0:
-                coeff = -coeff
-            if ts.peek()[0] == "op" and ts.peek()[1] == "*" and _starts_xpart(ts, 1):
-                ts.next()
-                q = _parse_xpart(ts)
-            else:
-                q = Fraction(0)
-        terms.append((q, coeff))
+        q, coeff = _parse_monomial(ts)
+        terms.append((q, -coeff if sign < 0 else coeff))
         nxt = ts.peek()
         if nxt[0] == "end" or (stop_at_paren and nxt[0] == "op" and nxt[1] == ")"):
             break
@@ -254,15 +255,7 @@ def _parse_pcoeff(ts: _Tokens):
         terms, trunc = _parse_series_body(ts, stop_at_paren=True)
         ts.expect("op", ")")
         return _build_series(terms, trunc)
-    if _starts_xpart(ts):
-        q = _parse_xpart(ts)
-        return _build_series([(q, GaussianRational(1, 0))], None)
-    v = _parse_sprod(ts)
-    if ts.peek()[0] == "op" and ts.peek()[1] == "*" and _starts_xpart(ts, 1):
-        ts.next()
-        q = _parse_xpart(ts)
-        return _build_series([(q, v)], None)
-    return PuiseuxSeries.constant(to_mpc(v))
+    return _build_series([_parse_monomial(ts)], None)
 
 
 def _parse_tpow(ts: _Tokens) -> int:
@@ -333,14 +326,10 @@ def _coeff_to_str(c) -> str:
 
 
 def poly_to_str(p) -> str:
-    if p.is_zero:
-        return "0"
     parts = []
     for i in range(p.degree, -1, -1):
         c = p.coeff(i)
         # a zero known only to O(x^k) is printed: it bounds the order
-        if p.ring.ord_k(c) == INF and not (i == 0 and not parts):
-            continue
-        var = "" if i == 0 else "t" if i == 1 else f"t^{i}"
-        parts.append(fmt_term(_coeff_to_str(c), var, first=not parts))
-    return " ".join(parts)
+        if p.ring.ord_k(c) != INF or (i == 0 and not parts):
+            parts.append((_coeff_to_str(c), fmt_tpow(i)))
+    return fmt_sum(parts)

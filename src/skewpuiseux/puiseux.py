@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
+from operator import mul
 
 from mpmath import mp
 
 from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
-from .scalar import (EXACT_TYPES, INF, Alpha, fmt_exponent, fmt_scalar, fmt_term,
+from .scalar import (EXACT_TYPES, INF, Alpha, _fixed_add, fmt_exponent, fmt_scalar, fmt_sum,
                      is_negligible)
 
 
@@ -183,24 +183,7 @@ class PuiseuxSeries:
     def __mul__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return self.scale(other)
-        a, b = self.unify(other)
-        ta = INF if a.trunc is None else a.trunc
-        tb = INF if b.trunc is None else b.trunc
-        t = min(ta + b.ord_k(), tb + a.ord_k())
-        if a.terms and b.terms:
-            # only the terms that meet a partner below t are read; times
-            # reads orders after the zero test, so its truncation is >= t
-            ops = _Fixed(a.L)
-            xy = ops.reads([[a.truncate(t - min(b.terms)), b.truncate(t - min(a.terms))]])
-            if xy:
-                return ops.out(ops.times(*xy[0])).truncate(t)
-        terms = {}
-        for i, ci in a.terms.items():
-            for j, cj in b.terms.items():
-                k = i + j
-                if k < t:
-                    terms[k] = terms.get(k, 0) + ci * cj
-        return PuiseuxSeries(a.L, terms, None if t == INF else int(t))
+        return _times(*self.unify(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -300,8 +283,8 @@ class PuiseuxSeries:
         for k in sorted(self.terms):
             q = Fraction(k, self.L)
             x = "" if q == 0 else "x" if q == 1 else f"x^{fmt_exponent(q)}"
-            parts.append(fmt_term(fmt_scalar(self.terms[k]), x, first=not parts))
-        body = " ".join(parts) if parts else "0"
+            parts.append((fmt_scalar(self.terms[k]), x))
+        body = fmt_sum(parts)
         if self.trunc is not None:
             tq = Fraction(self.trunc, self.L)
             o = f"O(x^{fmt_exponent(tq)})" if tq != 1 else "O(x)"
@@ -310,6 +293,32 @@ class PuiseuxSeries:
 
     def __repr__(self):
         return f"<PuiseuxSeries {self}>"
+
+
+def _times(a: PuiseuxSeries, b: PuiseuxSeries, conj: bool = False) -> PuiseuxSeries:
+    """a * b for series of one ramification, to the tightest provable
+    truncation: on ``_Fixed`` where its reader takes the operands, else by
+    exact term arithmetic.  With ``conj`` it is the twisted product of
+    C[[x, rho]] (``skewpoly.ConjSeriesRing.mul``): b_j is conjugated for
+    odd i, by term arithmetic."""
+    ta = INF if a.trunc is None else a.trunc
+    tb = INF if b.trunc is None else b.trunc
+    t = min(ta + b.ord_k(), tb + a.ord_k())
+    if a.terms and b.terms and not conj:
+        # only the terms that meet a partner below t are read; times
+        # reads orders after the zero test, so its truncation is >= t
+        ops = _Fixed(a.L)
+        xy = ops.reads([[a.truncate(t - min(b.terms)), b.truncate(t - min(a.terms))]])
+        if xy:
+            return ops.out(ops.times(*xy[0])).truncate(t)
+    terms = {}
+    for i, ci in a.terms.items():
+        for j, cj in b.terms.items():
+            k = i + j
+            if k < t:
+                w = scalar.conj_scalar(cj) if conj and i % 2 else cj
+                terms[k] = terms.get(k, 0) + ci * w
+    return PuiseuxSeries(a.L, terms, None if t == INF else int(t))
 
 
 def _convolve(xr: list, xi: list, yr: list, yi: list, n: int):
@@ -344,19 +353,20 @@ class _Fixed:
     trunc).
 
     The contract.  Operands are read exactly, by one reader (``reads``) for
-    ``PuiseuxSeries.__mul__`` and the skew tables alike, which also decides
-    between this arithmetic and exact term arithmetic and sets ``real``.
-    Products (``_convolve``) and sums are exact, with the truncation rules
-    of ``PuiseuxSeries.__mul__`` and ``__add__`` on the orders after the
-    zero test (``__mul__`` cuts its product back to its own rule, on
-    ``ord_k``).  What a computation carries
+    series products (``_times``) and the skew tables alike, which also
+    decides between this arithmetic and exact term arithmetic and sets
+    ``real``.  Products (``_convolve``) and sums (``sum`` folds
+    ``scalar._fixed_add`` over its parts, each zero-padded to the least k0)
+    are exact, with the truncation rules of ``PuiseuxSeries.__mul__`` and
+    ``__add__`` on the orders after the zero test (``_times`` cuts its
+    product back to its own rule, on ``ord_k``).  What a computation carries
     on exactly, the rows t^i b of a skew table after each t-shift and the
     multipliers of a division, is rounded GUARD_BITS above the working
     precision (``carry``).  Each output coefficient is rounded once, to
     nearest at the working precision, and zero-tested once, as a
     ``PuiseuxSeries`` is normalized (``out``).  Exact rationals, inf, nan
     and int-only operands keep exact term arithmetic: the term loop of
-    ``PuiseuxSeries.__mul__`` and the coefficient path of the skew tables
+    ``_times`` and the coefficient path of the skew tables
     (``skewpoly._Coeffs``).  ``real`` makes ``out`` give mpf coefficients.
     """
 
@@ -441,17 +451,12 @@ class _Fixed:
             return _zero(t)
         if len(live) == 1 and live[0][4] == t:
             return live[0]
-        e = min(p[3] for p in live)
         k0 = min(p[0] for p in live)
-        n = max(p[0] + len(p[1]) for p in live) - k0
-        re, im = [0] * n, [0] * n
-        for k, pr, pi, pe, _, _ in live:
-            i, j, s = k - k0, k - k0 + len(pr), pe - e
-            if s:
-                pr, pi = [u << s for u in pr], [v << s for v in pi]
-            re[i:j] = map(add, re[i:j], pr)
-            im[i:j] = map(add, im[i:j], pi)
-        return self._make(k0, re, im, e, t)
+        acc = None
+        for k, re, im, e, _, _ in live:
+            s = k - k0
+            acc = _fixed_add(acc, ([0] * s + re, [0] * s + im, e) if s else (re, im, e))
+        return self._make(k0, *acc, t)
 
     def add(self, x, y):
         return self.sum([x, y])

@@ -25,44 +25,48 @@ from .errors import RootFindingError, UsageError
 from .scalar import INF, Alpha, conj_scalar, to_mpc
 
 
-def _trim_dust(coeffs):
-    """Degree honesty: pop leading coefficients with |c| < zero_eps * M,
-    M = max |c_i| over the given (nonzero-led) list.
+def _collapser(values, tol):
+    """The one collapse rule of the residue layer (degree honesty), which
+    ResiduePoly's trim and each step of _divmod apply: the function that
+    pops the top coefficients c of a list while |c| < tol * S, S = max |s|
+    over ``values``.
 
-    With T the largest binary exponent of the parts (scalar.mag_exp), the
-    rounded M lies in [2^(T-1), 2^(T+1)), so the threshold lies between the
-    powers of two lo = zero_eps * 2^(T-1) and hi = zero_eps * 2^(T+1).  The
-    exponent zero test against them settles every coefficient outside that
-    band; M itself is computed only for one inside it.
+    For tol = 2^t binary exponents decide: with T the largest mag_exp
+    (scalar) over ``values``, the rounded S lies in [2^(T-1), 2^(T+1)), so
+    a c with mag_exp above t + T + 1 stays and one below t + T - 1 goes.
+    S and abs(c) are computed only for a c inside that band (or inf and
+    nan), so every decision is the one abs(c) < tol * S gives.
     """
-    tops = [scalar.mag_exp(c) for c in coeffs]
-    if None in tops:  # inf or nan
-        eps = scalar.zero_eps() * max(abs(c) for c in coeffs)
-        while coeffs and abs(coeffs[-1]) < eps:
-            coeffs.pop()
-        return
-    z = scalar.pow2_exp(scalar.zero_eps()) + max(tops)
-    lo, hi = mp.ldexp(1, z - 1), mp.ldexp(1, z + 1)
-    body = tuple(coeffs)
-    eps = None
-    while coeffs:
-        c = coeffs[-1]
-        if not scalar.is_negligible(c, hi):
-            break
-        if not scalar.is_negligible(c, lo):
-            if eps is None:
-                eps = scalar.zero_eps() * max(abs(x) for x in body)
-            if not abs(c) < eps:
+    t = scalar.pow2_exp(tol)
+    tops = [scalar.mag_exp(c) for c in values]
+    if t is None or None in tops:  # tol not a power of two; inf or nan
+        z_lo, z_hi = -INF, INF
+    else:
+        z_lo, z_hi = t + max(tops) - 1, t + max(tops) + 1
+    thr = None
+
+    def collapse(r):
+        nonlocal thr
+        while r:
+            top = scalar.mag_exp(r[-1])
+            if top is not None and top > z_hi:
                 break
-        coeffs.pop()
+            if top is None or top >= z_lo:
+                if thr is None:
+                    thr = tol * scalar.max_abs(values)
+                if not abs(r[-1]) < thr:
+                    break
+            r.pop()
+    return collapse
 
 
 def _trim(coeffs):
-    """Pop exact zeros, then leading dust, off a coefficient list."""
+    """Pop exact zeros, then leading dust (_collapser at zero_eps()), off a
+    coefficient list."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if coeffs:
-        _trim_dust(coeffs)
+        _collapser(tuple(coeffs), scalar.zero_eps())(coeffs)
     return coeffs
 
 
@@ -86,24 +90,10 @@ def _sub(a, b):
 
 
 def _divmod(a, b, tol):
-    """Long division of coefficient lists (ResiduePoly.divmod).
-
-    After each step the remainder's top coefficient c is collapsed while
-    |c| < tol * S, S = max(1, max |a_i|, max |b_j|).  For tol = 2^t the
-    decision comes from binary exponents, as in _trim_dust: with T the
-    largest scalar.mag_exp over a and b, S lies in [2^lo, 2^hi] for
-    lo = max(T - 1, 0), hi = max(T + 1, 0), so a c with mag_exp above
-    t + hi stays and one below t + lo goes.  S itself, and abs(c), are
-    computed only for a c inside that band (or inf and nan), so every
-    decision is the one abs(c) < tol * S gives.
-    """
-    t = scalar.pow2_exp(tol)
-    tops = [scalar.mag_exp(c) for c in a] + [scalar.mag_exp(c) for c in b]
-    if t is None or None in tops:  # tol not a power of two; inf or nan
-        z_lo, z_hi = -INF, INF
-    else:
-        z_lo, z_hi = t + max(max(tops) - 1, 0), t + max(max(tops) + 1, 0)
-    thr = None
+    """Long division of coefficient lists (ResiduePoly.divmod); after each
+    step the remainder collapses at tol, S = max(1, max |a_i|, max |b_j|)
+    (_collapser)."""
+    collapse = _collapser(a + b + [mp.mpf(1)], tol)
     r = list(a)
     db = len(b) - 1
     q = [mp.mpc(0)] * max(0, len(r) - db)
@@ -114,16 +104,7 @@ def _divmod(a, b, tol):
         c = q[k] = r.pop() * inv
         for j in range(db):
             r[k + j] -= c * b[j]
-        while r:
-            top = scalar.mag_exp(r[-1])
-            if top is not None and top > z_hi:
-                break
-            if top is None or top >= z_lo:
-                if thr is None:
-                    thr = tol * max(scalar.max_abs(a), scalar.max_abs(b), mp.mpf(1))
-                if not abs(r[-1]) < thr:
-                    break
-            r.pop()
+        collapse(r)
     return q, r
 
 
@@ -202,7 +183,7 @@ class ResiduePoly:
     def divmod(self, other, tol=None):
         """Long division; trailing coefficients of the remainder below
         tol * max(1, |self|, |other|) are collapsed so degrees drop
-        honestly (decided from binary exponents, see _divmod)."""
+        honestly (_collapser)."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if tol is None:
@@ -224,14 +205,9 @@ class ResiduePoly:
     __hash__ = None
 
     def __str__(self):
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0 and parts:
-                continue
-            var = "" if i == 0 else "t" if i == 1 else f"t^{i}"
-            parts.append(scalar.fmt_term(scalar.fmt_scalar(c), var, first=not parts))
-        return " ".join(parts) or "0"
+        return scalar.fmt_sum((scalar.fmt_scalar(c), scalar.fmt_tpow(i))
+                              for i, c in reversed(list(enumerate(self.coeffs)))
+                              if c != 0 or i == self.degree)
 
     def __repr__(self):
         return f"<ResiduePoly {self}>"
@@ -567,17 +543,20 @@ def refine_factor_pair(p: ResiduePoly, u: ResiduePoly, v: ResiduePoly):
 
     Root-based factor reconstruction is limited by the sqrt-of-epsilon
     accuracy floor at multiple roots; this correction converges
-    quadratically to the full working precision instead.  It leaves
-    components below the rounding unit: they are dust (_drop_dust).
+    quadratically to the full working precision instead.  The Bezout pair
+    is formed only when a step runs.  It leaves components below the
+    rounding unit: they are dust (_drop_dust).
     """
-    g, a, b = ext_gcd(u, v)
-    if g.degree != 0:
-        return u, v
     floor = scalar.floor_tol(8)
+    a = None
     for _ in range(2):
         e = p - u * v
         if e.is_zero or e.max_abs() < floor:
             break
+        if a is None:
+            g, a, b = ext_gcd(u, v)
+            if g.degree != 0:
+                return u, v
         q, du = (b * e).divmod(u, tol=floor)
         dv = a * e + q * v
         if du.degree >= max(u.degree, 1):

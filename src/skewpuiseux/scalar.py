@@ -7,9 +7,10 @@ coefficients (Fraction / GaussianRational) are used by the ring-law unit
 tests only and never mix with numeric ones inside a single series.
 
 The exact kernel: ``fixed_point`` reads numeric coefficients exactly as
-Gaussian-integer mantissas, ``from_fixed_point`` rounds once, ``carry_row``
-rounds a carried row and ``first_at_least`` is the zero test on mantissas;
-the rounding contract is stated once, at ``puiseux._Fixed``.
+Gaussian-integer mantissas, ``_fixed_add`` is the one adder of exact rows
+(series sums and Hensel rows), ``from_fixed_point`` rounds once,
+``carry_row`` rounds a carried row and ``first_at_least`` is the zero test
+on mantissas; the rounding contract is stated once, at ``puiseux._Fixed``.
 
 Tolerance policy: only this module turns the working precision P into a
 threshold; every other module reads these levels by name.
@@ -524,6 +525,18 @@ def fmt_term(cs: str, var: str, first: bool) -> str:
     if first:
         return f"-{body}" if neg else body
     return f"- {body}" if neg else f"+ {body}"
+
+
+def fmt_sum(terms) -> str:
+    """The printed sum of (coefficient text, variable) pairs in order, each
+    term signed for its place (fmt_term); "0" for no terms.  Series,
+    residue and skew polynomials print through it."""
+    return " ".join(fmt_term(cs, var, first=not i) for i, (cs, var) in enumerate(terms)) or "0"
+
+
+def fmt_tpow(i: int) -> str:
+    """The variable of t^i in a printed sum ("" for i = 0)."""
+    return "" if i == 0 else "t" if i == 1 else f"t^{i}"
 
 
 def fmt_exponent(q: Fraction) -> str:

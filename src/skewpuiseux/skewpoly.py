@@ -29,7 +29,7 @@ from math import gcd
 from . import residue as residue_mod
 from . import scalar
 from .errors import ContextMismatch, NotMonicError, UsageError
-from .puiseux import PuiseuxSeries, _Fixed, _zero
+from .puiseux import PuiseuxSeries, _Fixed, _times, _zero
 from .scalar import INF, Alpha, _fixed_twist, conj_scalar, is_negligible, to_mpc
 
 
@@ -39,7 +39,8 @@ class BaseRing:
     The maximal ideal is generated by a uniformizer; orders (``ord_k``) are
     measured in integer units of it.  The defaults for the arithmetic and
     the zero and one tests are those of series-valued elements; a ring
-    overrides what differs.
+    overrides what differs.  Equality by kind, ``unify``, ``repr`` and the
+    absent hash have one body here; ``PuiseuxRing`` overrides them for its data.
     """
 
     def zero(self):
@@ -110,6 +111,14 @@ class BaseRing:
         if self is other or self == other:
             return self
         raise ContextMismatch(f"incompatible rings {self!r} and {other!r}")
+
+    def __eq__(self, other):
+        return type(self) is type(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
 
 
 class PuiseuxRing(BaseRing):
@@ -216,8 +225,6 @@ class PuiseuxRing(BaseRing):
         L = self.L * (other.L // gcd(self.L, other.L))
         return self.alpha == other.alpha and self.a.at_ram(L) == other.a.at_ram(L)
 
-    __hash__ = None
-
     def __repr__(self):
         return f"PuiseuxRing(alpha={self.alpha!r}, L={self.L}, a={self.a})"
 
@@ -241,18 +248,7 @@ class ConjSeriesRing(BaseRing):
 
     def mul(self, a, b):
         """(sum u_i x^i)(sum v_j x^j) collects u_i * rho^i(v_j) at x^(i+j)."""
-        ta = INF if a.trunc is None else a.trunc
-        tb = INF if b.trunc is None else b.trunc
-        t = min(ta + b.ord_k(), tb + a.ord_k())
-        terms: dict = {}
-        for i, u in a.terms.items():
-            for j, v in b.terms.items():
-                k = i + j
-                if k >= t:
-                    continue
-                w = v if i % 2 == 0 else conj_scalar(v)
-                terms[k] = terms.get(k, 0) + u * w
-        return PuiseuxSeries(1, terms, None if t == INF else int(t))
+        return _times(a, b, conj=True)
 
     def sigma(self, a):
         return a
@@ -289,19 +285,6 @@ class ConjSeriesRing(BaseRing):
             raise UsageError("C[[x,rho]] has no negative powers")
         return a
 
-    def unify(self, other):
-        if isinstance(other, ConjSeriesRing):
-            return self
-        raise ContextMismatch("cannot mix C[[x,rho]] with other coefficient rings")
-
-    def __eq__(self, other):
-        return isinstance(other, ConjSeriesRing)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "ConjSeriesRing()"
-
 
 class ComplexConjRing(BaseRing):
     """C[t, rho]: plain complex coefficients, sigma = complex conjugation.
@@ -335,19 +318,6 @@ class ComplexConjRing(BaseRing):
         if isinstance(a, PuiseuxSeries):
             raise UsageError("C[t,rho] coefficients are complex numbers, not series")
         return to_mpc(a)
-
-    def unify(self, other):
-        if isinstance(other, ComplexConjRing):
-            return self
-        raise ContextMismatch("cannot mix C[t,rho] with other coefficient rings")
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexConjRing)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "ComplexConjRing()"
 
 
 class SkewPoly:

@@ -467,3 +467,47 @@ def test_residue_defect_between_the_zero_test_and_dust_is_a_skew_error():
     f = SkewPoly(R, [PS.constant(3 + mp.mpf(2) ** -40), PS.constant(-4), PS.one()])
     with pytest.raises(SkewError, match="order 0"):
         hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 3", R), 4)
+
+
+def _lift_cubic_inputs(seed: int, n: int):
+    """The cubics of the benchmark's lift_cubic workload: three random
+    linear factors at alpha 2 and 3/2 in turn, zeros of three terms of
+    exponent in [-1, 2] with coefficients of modulus at least 1/4."""
+    import random
+    rnd = random.Random(seed)
+
+    def coeff():
+        while True:
+            c = mp.mpc(rnd.uniform(-2, 2), rnd.uniform(-2, 2))
+            if abs(c) >= 0.25:
+                return c
+
+    out = []
+    for i in range(n):
+        R = puiseux_ring((Fraction(2), Fraction(3, 2))[i % 2])
+        zeros = [PS(1, {k: coeff() for k in rnd.sample(range(-1, 3), 3)}) for _ in range(3)]
+        f = SkewPoly.one(R)
+        for z in zeros:
+            f = f * SkewPoly.t_minus(R, z)
+        out.append(f)
+    return out
+
+
+def test_lift_reads_its_residues_once(monkeypatch):
+    # hensel_lift hands its own res g and res h to the twist check, which
+    # reduced both again: 270 residue reads on these 24 cases, 5 per lift
+    from skewpuiseux import FactorConfig, factorizer, newton_puiseux_factor
+    calls = {"residue": 0, "lift": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(SkewPoly, "reduce_residue", counting("residue", SkewPoly.reduce_residue))
+    monkeypatch.setattr(factorizer, "hensel_lift", counting("lift", factorizer.hensel_lift))
+    with bits(160):
+        for f in _lift_cubic_inputs(7, 24):
+            newton_puiseux_factor(f, FactorConfig(target_order=15, bits=160))
+    assert calls == {"residue": 162, "lift": 54}

@@ -659,3 +659,19 @@ def test_quartic_roots_take_few_working_precision_evaluations(monkeypatch):
             del calls[:]
             assert len(roots(p)) == 4
             assert len(calls) <= 24
+
+
+def test_refine_factor_pair_forms_no_bezout_pair_for_an_exact_split(monkeypatch):
+    # the residual p - u v is read first: an exact pair needs no step, and
+    # so no ext_gcd; a pair short of the floor takes one ext_gcd for both steps
+    calls = []
+    real = residue_mod.ext_gcd
+    monkeypatch.setattr(residue_mod, "ext_gcd", lambda *a: calls.append(a) or real(*a))
+    u, v = ResiduePoly([-1, 1]), ResiduePoly([2, 0, 1])
+    p = u * v
+    assert refine_factor_pair(p, u, v) == (u, v) and calls == []
+    c = mp.mpc("1.25", "-0.5")
+    p = ResiduePoly.from_roots([(c, 2), (-2 * c, 1)])
+    u2, v2 = refine_factor_pair(p, ResiduePoly.from_roots([(c * (1 + mp.mpf(2) ** -60), 2)]),
+                                ResiduePoly.from_roots([(-2 * c, 1)]))
+    assert len(calls) == 1 and (p - u2 * v2).max_abs() < mp.mpf(2) ** -110

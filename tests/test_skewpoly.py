@@ -203,6 +203,21 @@ def test_context_mismatch():
         f * g
 
 
+def test_plain_rings_compare_by_kind():
+    # BaseRing gives both rings their equality, hashing, repr and unify
+    conj, cplx = ConjSeriesRing(), ComplexConjRing()
+    assert conj == ConjSeriesRing() and cplx == ComplexConjRing()
+    assert conj != cplx and cplx != conj
+    for ring in (conj, cplx):
+        with pytest.raises(TypeError):
+            hash(ring)
+    assert (repr(conj), repr(cplx)) == ("ConjSeriesRing()", "ComplexConjRing()")
+    assert conj.unify(ConjSeriesRing()) is conj
+    for a, b in ((conj, cplx), (cplx, conj)):
+        with pytest.raises(ContextMismatch):
+            a.unify(b)
+
+
 def test_conj_series_product_rule():
     # x a = rho(a) x inside C[[x, rho]]
     u = PuiseuxSeries(1, {1: 1})
