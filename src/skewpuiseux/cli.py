@@ -37,7 +37,7 @@ EXIT_VERIFY_FAILED = 3
 EXIT_NUMERICAL = 4
 
 
-def _add_common(sp, alpha_required=True, base_choice=False):
+def _add_common(sp, base_choice=False):
     sp.add_argument("--alpha", help="twist multiplier (rational or complex literal)",
                     required=False)
     sp.add_argument("--prec", default="16",
@@ -150,9 +150,14 @@ def _ord_str(o) -> str:
     return "inf" if o == INF else fmt_exponent(Fraction(o)).strip("()")
 
 
-def _emit(args, payload: dict, text_lines) -> None:
+def _emit(args, payload: dict, text_lines=None) -> None:
+    """Print payload as JSON with --json, else text_lines, by default one
+    ``key: value`` line per field (a bool in lower case)."""
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
+    elif text_lines is None:
+        for k, v in payload.items():
+            print(f"{k}: {str(v).lower() if isinstance(v, bool) else v}")
     else:
         for line in text_lines:
             print(line)
@@ -168,7 +173,6 @@ def _factor_payload(fac: Factorization) -> dict:
         "residual": mp.nstr(mp.mpf(fac.residual), 8),
         "order": _ord_str(fac.achieved_order),
         "ramification": fac.ramification,
-        "warnings": list(fac.warnings),
     }
     if fac.unit is not None:
         payload["unit"] = series_to_str(fac.unit)
@@ -195,7 +199,6 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         lines += [f"factor: {s}" for s in payload["factors"]]
         lines.append(f"residual: {payload['residual']}  order: {payload['order']}"
                      f"  ramification: {payload['ramification']}")
-        lines += [f"warning: {w}" for w in payload["warnings"]]
         _emit(args, payload, lines)
         return EXIT_OK
 
@@ -212,8 +215,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         if ev.trunc is not None:
             check = min(check, Fraction(ev.trunc, ev.L))
         payload = {"zero": series_to_str(z), "check_ord": _ord_str(check)}
-        _emit(args, payload, [f"zero: {payload['zero']}",
-                              f"check_ord: {payload['check_ord']}"])
+        _emit(args, payload)
         return EXIT_OK
 
     if cmd == "eval":
@@ -238,8 +240,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         p = parse_poly(_read_arg(args.divisor), ring)
         q, r = f.left_divmod(p)
         payload = {"quotient": poly_to_str(q), "remainder": poly_to_str(r)}
-        _emit(args, payload, [f"quotient: {payload['quotient']}",
-                              f"remainder: {payload['remainder']}"])
+        _emit(args, payload)
         return EXIT_OK
 
     if cmd == "hensel":
@@ -255,9 +256,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
             "h_hat": poly_to_str(hh),
             "achieved_order": _ord_str(Fraction(achieved, L)),
         }
-        _emit(args, payload, [f"g_hat: {payload['g_hat']}",
-                              f"h_hat: {payload['h_hat']}",
-                              f"achieved_order: {payload['achieved_order']}"])
+        _emit(args, payload)
         return EXIT_OK
 
     if cmd == "verify":
@@ -272,9 +271,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
             "eval_ord": _ord_str(report["eval_ord"]),
             "ok": bool(report["ok"]),
         }
-        _emit(args, payload, [f"residual: {payload['residual']}",
-                              f"eval_ord: {payload['eval_ord']}",
-                              f"ok: {str(payload['ok']).lower()}"])
+        _emit(args, payload)
         return EXIT_OK if payload["ok"] else EXIT_VERIFY_FAILED
 
     raise UsageError(f"unknown command {cmd!r}")

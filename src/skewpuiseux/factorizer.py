@@ -34,7 +34,7 @@ exactly the lifting precondition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -72,14 +72,14 @@ class FactorConfig:
 
 @dataclass
 class Factorization:
-    """f = unit * (t - zeros[0]) * (t - zeros[1]) * ... * (t - zeros[-1])."""
+    """f = unit * (t - zeros[0]) * (t - zeros[1]) * ... * (t - zeros[-1]),
+    with the residual and achieved order of verify_factorization."""
 
     zeros: list
     unit: PuiseuxSeries | None
     residual: object
     achieved_order: object
     ramification: int
-    warnings: list = field(default_factory=list)
 
 
 def _is_t_power(f: SkewPoly) -> bool:
@@ -97,7 +97,6 @@ class _Engine:
     def __init__(self, alpha, cfg: FactorConfig):
         self.alpha = alpha
         self.cfg = cfg
-        self.warnings: list = []
 
     # -- helpers -------------------------------------------------------------
 
@@ -109,22 +108,6 @@ class _Engine:
         if n < 1:
             raise PrecisionExhausted("no series precision left for lifting")
         return n
-
-    def _budget_zeros(self, f: SkewPoly, why: str):
-        """Partial result: zeros known only as O(x^T), where T comes from
-        the Newton data (every zero order is >= -r); the shift and
-        scale_back_zeros of the levels above then reattach the expansion
-        accumulated so far."""
-        self.warnings.append(why)
-        L = f.ring.L
-        t = 0
-        try:
-            r = scaling_exponent(f)
-            if r is not None and r < 0:
-                t = int(math.ceil(-r * L))
-        except PrecisionExhausted:
-            pass
-        return [PuiseuxSeries.zero(L, t) for _ in range(f.degree)]
 
     def _candidates(self, rts, tmap, b0=0):
         """Residue roots in trial order, scored in the coordinates of the
@@ -218,7 +201,9 @@ class _Engine:
         zeros back to f's once (scale_back_zeros).  The series b and the
         shifted polynomial are formed only in the single-root branch of
         alpha = 1 or of an exact level, where they are read: the t-power
-        test and the classical round.
+        test and the classical round.  A level past MAX_CLASSICAL_ITERATIONS
+        nested classical rounds or MAX_RAMIFICATION raises PrecisionExhausted
+        naming that budget, before it lifts anything.
         """
         ring = f.ring
         d = f.degree
@@ -229,12 +214,12 @@ class _Engine:
         if _is_t_power(f):
             return [_t_power_zero(f) for _ in range(d)]
         if depth > MAX_CLASSICAL_ITERATIONS:
-            return self._budget_zeros(f, f"classical iteration budget {MAX_CLASSICAL_ITERATIONS} exhausted")
+            raise PrecisionExhausted(f"classical iteration budget {MAX_CLASSICAL_ITERATIONS} exhausted")
 
         r = scaling_exponent(f)
         total = slope + r
         if total.denominator * ring.L > MAX_RAMIFICATION:
-            return self._budget_zeros(f, f"ramification budget {MAX_RAMIFICATION} exhausted")
+            raise PrecisionExhausted(f"ramification budget {MAX_RAMIFICATION} exhausted")
         F1 = normalize_scaled(f, r)
         ring1 = F1.ring
         avail = min((INF if c.trunc is None else c.trunc for c in F1.coeffs), default=INF)
@@ -333,9 +318,8 @@ def newton_puiseux_factor(f: SkewPoly, cfg: FactorConfig | None = None) -> Facto
     with scalar.bits(cfg.bits):
         bound = scalar.zero_eps() * max(1, f.max_abs())
     if not fac.residual <= bound:
-        why = "; ".join([f"factorization residual {mp.nstr(fac.residual, 5)} above "
-                         f"{mp.nstr(bound, 5)}"] + fac.warnings)
-        raise PrecisionExhausted(why)
+        raise PrecisionExhausted(f"factorization residual {mp.nstr(fac.residual, 5)} above "
+                                 f"{mp.nstr(bound, 5)}")
     return fac
 
 
@@ -358,18 +342,9 @@ def _factor_once(f: SkewPoly, cfg: FactorConfig) -> Factorization:
         fm = SkewPoly(fm.ring, coeffs, trim=False)
         unit = lead
     zeros = engine.factor_monic(fm, 0)
-    fac = Factorization(
-        zeros=zeros,
-        unit=unit,
-        residual=mp.mpf(0),
-        achieved_order=cfg.target_order,
-        ramification=max([z.L for z in zeros] + [ring.L]),
-        warnings=engine.warnings,
-    )
     report = verify_factorization(f, zeros, unit, order=cfg.target_order)
-    fac.residual = report["residual"]
-    fac.achieved_order = report["achieved_order"]
-    return fac
+    return Factorization(zeros, unit, report["residual"], report["achieved_order"],
+                         max([z.L for z in zeros] + [ring.L]))
 
 
 def _unit_target_k(lead: PuiseuxSeries, cfg: FactorConfig) -> int:

@@ -10,8 +10,8 @@ solved in C[t]/(res g) (_solve_step).
 Slices.  f, g, h are held as x-slices: row k (k < target_k) lists the x^k
 coefficients over t-degree, each left of its t^i, as exact mantissas
 (re, im, e) (scalar.fixed_point).  Each slice is read once, with one
-fixed_point call, and so are the residue rows res g, res h and conj(res h),
-once per lift.  Step n forms only slice n of the defect,
+fixed_point call; the residue rows res g and res h are slice 0, and conj(res
+h) is formed from it once per lift.  Step n forms only slice n of the defect,
 D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van der Hoeven, "Relax, but
 don't be too lazy", JSC 2002).  The t^(i+j) entry of G_a * H_b is
 g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and g_(i,a) rho^a(h_(j,b)) in
@@ -90,11 +90,16 @@ def _solve_step(n: int, gres, g, kn, fn, inverses: dict, scale):
     return p, carry_row(q), b
 
 
-def twist_precheck(g: SkewPoly, h: SkewPoly, *, roots=None):
+def twist_precheck(g: SkewPoly, h: SkewPoly):
     """Raise TwistCoprimeFailure if res(g) is not coprime to the n-twisted
-    res(h) for some n >= 1.  ``roots``, the (root, multiplicity) lists of
-    res g and res h, spares the base ring its own root search."""
-    fail = g.ring.twist_coprime(g.reduce_residue(), h.reduce_residue(), roots=roots)
+    res(h) for some n >= 1."""
+    _twist_check(g.ring, g.reduce_residue(), h.reduce_residue())
+
+
+def _twist_check(ring, gres, hres, roots=None):
+    """twist_precheck on residues; ``roots``, their (root, multiplicity)
+    lists, spares the ring its own root search."""
+    fail = ring.twist_coprime(gres, hres, roots=roots)
     if fail is not None:
         raise TwistCoprimeFailure(*fail)
 
@@ -153,14 +158,12 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     d0 = minus(F[0], [(0, 0)])
     if not _small(d0, scalar.pow2_exp(scalar.dust_tol())):
         raise UsageError(f"res(f) != res(g)res(h) (deviation {scalar.max_abs(_rounded(d0, d))})")
-    gres, hres = g.reduce_residue(), h.reduce_residue()
-    fail = ring.twist_coprime(gres, hres, roots=roots)  # twist_precheck on these residues
-    if fail is not None:
-        raise TwistCoprimeFailure(*fail)
+    gres = g.reduce_residue()
+    _twist_check(ring, gres, h.reduce_residue(), roots)
     if not _small(d0, zero):
         raise SkewError("hensel invariant violated: defect has order 0")
-    gfix = _fixed(gres.coeffs[:m]) or ([0] * m, [0] * m, 0)
-    hfix = _fixed(hres.coeffs)
+    (gr, gi, ge), hfix = G[0], H[0]  # res g below its lead, and res h
+    gfix = (gr[:m], gi[:m], ge)
     hbar = (hfix[0], [-v for v in hfix[1]], hfix[2])  # conj(res h)
 
     # corrections can grow with n (the true factors may grow geometrically);

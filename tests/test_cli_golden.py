@@ -20,25 +20,32 @@ GOLDEN = [
      0, 'f = t^2 - 2*t + 1\nfactor: t - 1\nfactor: t - 1\nresidual: 0.0  order: 40  ramification: 1\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "40", "t^2 - 2*t + 1", "--json"],
-     0, '{"factors": ["t - 1", "t - 1"], "order": "40", "ramification": 1, "residual": "0.0", "warnings": []}\n',
+     0, '{"factors": ["t - 1", "t - 1"], "order": "40", "ramification": 1, "residual": "0.0"}\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "5", "t^2 - 3*t + 2"],
      0, 'f = t^2 - 3*t + 2\nfactor: t + (-1 + O(x^9))\nfactor: t + (-2 + O(x^9))\nresidual: 0.0  order: 5  ramification: 1\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "5", "t^2 - 3*t + 2", "--json"],
-     0, '{"factors": ["t + (-1 + O(x^9))", "t + (-2 + O(x^9))"], "order": "5", "ramification": 1, "residual": "0.0", "warnings": []}\n',
+     0, '{"factors": ["t + (-1 + O(x^9))", "t + (-2 + O(x^9))"], "order": "5", "ramification": 1, "residual": "0.0"}\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "6", "t^2 - (1+x)*t"],
      0, 'f = t^2 + (-1 - x)*t\nfactor: t + (O(x^10))\nfactor: t + (-1 - 0.5*x + O(x^10))\nresidual: 0.0  order: 6  ramification: 1\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "6", "t^2 - (1+x)*t", "--json"],
-     0, '{"factors": ["t + (O(x^10))", "t + (-1 - 0.5*x + O(x^10))"], "order": "6", "ramification": 1, "residual": "0.0", "warnings": []}\n',
+     0, '{"factors": ["t + (O(x^10))", "t + (-1 - 0.5*x + O(x^10))"], "order": "6", "ramification": 1, "residual": "0.0"}\n',
      ''),
     (["factor", "--alpha", "1", "--prec", "6", "t^2 - x"],
      0, 'f = t^2 + (-x)\nfactor: t + (x^(1/2) + O(x^(23/2)))\nfactor: t + (-x^(1/2) + O(x^(23/2)))\nresidual: 0.0  order: 6  ramification: 2\n',
      ''),
     (["factor", "--alpha", "1", "--prec", "6", "t^2 - x", "--json"],
-     0, '{"factors": ["t + (x^(1/2) + O(x^(23/2)))", "t + (-x^(1/2) + O(x^(23/2)))"], "order": "6", "ramification": 2, "residual": "0.0", "warnings": []}\n',
+     0, '{"factors": ["t + (x^(1/2) + O(x^(23/2)))", "t + (-x^(1/2) + O(x^(23/2)))"], "order": "6", "ramification": 2, "residual": "0.0"}\n',
+     ''),
+    # non-monic: the lead is split off as a left unit
+    (["factor", "--alpha", "2", "--prec", "4", "2*t^2 - 2"],
+     0, 'f = 2*t^2 - 2\nunit: 2\nfactor: t + (1 + O(x^8))\nfactor: t + (-1 + O(x^8))\nresidual: 0.0  order: 4  ramification: 1\n',
+     ''),
+    (["factor", "--alpha", "2", "--prec", "4", "2*t^2 - 2", "--json"],
+     0, '{"factors": ["t + (1 + O(x^8))", "t + (-1 + O(x^8))"], "order": "4", "ramification": 1, "residual": "0.0", "unit": "2"}\n',
      ''),
     (["sigma-zero", "--alpha", "2", "--prec", "4", "t^2 - (1+x)*t"],
      0, 'zero: 1 + 0.5*x + O(x^8)\ncheck_ord: 8\n',
@@ -105,6 +112,13 @@ GOLDEN = [
      'error: factorization residual 4.8655e-15 above 5.9631e-19\n'),
     (["factor", "--alpha", "2", "--prec", "15", CUBIC, "--json"],
      4, '{"error": "numerical", "kind": "PrecisionExhausted", "message": "factorization residual 4.8655e-15 above 5.9631e-19"}\n',
+     ''),
+    # ramification 257 trips the budget at the top level, before any lift
+    (["factor", "--alpha", "2", "--prec", "4", "t^257 - x"],
+     4, '',
+     'error: ramification budget 256 exhausted\n'),
+    (["factor", "--alpha", "2", "--prec", "4", "t^257 - x", "--json"],
+     4, '{"error": "numerical", "kind": "PrecisionExhausted", "message": "ramification budget 256 exhausted"}\n',
      ''),
 ]
 

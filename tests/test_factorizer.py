@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (Alpha, FactorConfig, PuiseuxSeries, SkewPoly, bits,
+from skewpuiseux import (Alpha, ConjSeriesRing, FactorConfig, PuiseuxSeries, SkewPoly, bits,
                          newton_puiseux_factor, parse_poly, poly_to_str,
                          puiseux_ring, sigma_zero, sigma_zero_quadratic,
                          verify_factorization)
@@ -278,6 +278,23 @@ def test_int_led_quadratics_factor(prec):
         assert fac.residual < mp.mpf(2) ** -(prec - 16)
 
 
+def test_factorizer_usage_errors():
+    R = puiseux_ring(2)
+    derived = puiseux_ring(2, 1, PS.one())
+    for f, message in ((SkewPoly(R, []), "cannot factor the zero polynomial"),
+                       (parse_poly("t^2 - 1", ConjSeriesRing()), "over Puiseux coefficients"),
+                       (parse_poly("t^2 - 1", derived), "the underived ring")):
+        with pytest.raises(UsageError, match=message):
+            newton_puiseux_factor(f)
+    for f, message in ((parse_poly("t^2 - 1", ConjSeriesRing()), "F\\[t, sigma\\] coefficients"),
+                       (parse_poly("t^2 - 1", derived), "F\\[t, sigma\\] coefficients"),
+                       (parse_poly("t^3 - 1", R), "a monic quadratic"),
+                       (parse_poly("2*t^2 - 1", R), "a monic quadratic"),
+                       (parse_poly("t^2 - x^-1", R), "integral coefficients")):
+        with pytest.raises(UsageError, match=message):
+            sigma_zero_quadratic(f)
+
+
 def test_complex_alpha_rejected_by_factorizer():
     Ri = puiseux_ring(Alpha(mp.mpc(0, 1), allow_complex=True))
     f = parse_poly("t^2 - (1+x^2)", Ri)
@@ -285,23 +302,16 @@ def test_complex_alpha_rejected_by_factorizer():
         newton_puiseux_factor(f, FactorConfig(target_order=8))
 
 
-def test_budget_guard_emits_partial(monkeypatch):
-    # two zeros with the same constant term but different tails: one
-    # classical round pins the shared prefix before the budget trips
+def test_budget_guard_raises_at_the_trip(monkeypatch):
+    # two zeros with the same constant term but different tails: the
+    # classical round that would separate them is past the budget
     monkeypatch.setattr(factorizer, "MAX_CLASSICAL_ITERATIONS", 0)
     R = puiseux_ring(1)
     z1 = PS.from_terms([(0, 1), (1, 1)])
     z2 = PS.from_terms([(0, 1), (1, 2)])
     f = SkewPoly.t_minus(R, z1) * SkewPoly.t_minus(R, z2)
-    cfg = FactorConfig(target_order=10)
-    fac = newton_puiseux_factor(f, cfg)
-    assert fac.warnings
-    for zz in fac.zeros:
-        assert zz.trunc is not None
-        t = zz.trunc
-        assert t >= 1  # the shared constant term was recovered
-        assert (zz.truncate(t) - z1.truncate(Fraction(t, zz.L) * z1.L)).max_abs() \
-            < mp.mpf(2) ** -90
+    with pytest.raises(PrecisionExhausted, match="^classical iteration budget 0 exhausted$"):
+        newton_puiseux_factor(f, FactorConfig(target_order=10))
 
 
 def test_end_to_end_small():
@@ -381,13 +391,18 @@ def _close_branch_quartic():
     return f
 
 
-def test_a_tripped_budget_is_named_in_the_residual_error(monkeypatch):
-    # t^2 - x needs ramification 2; with a budget of 1 the zeros come back
-    # as O(x^T) only, and the residual error used to say nothing of why
+def test_a_tripped_budget_raises_before_any_verification(monkeypatch):
+    # t^2 - x needs ramification 2; with a budget of 1 the top level
+    # raises before any zero is formed or verified
     monkeypatch.setattr(factorizer, "MAX_RAMIFICATION", 1)
+    calls = []
+    verify = factorizer.verify_factorization
+    monkeypatch.setattr(factorizer, "verify_factorization",
+                        lambda *a, **k: calls.append(1) or verify(*a, **k))
     f = parse_poly("t^2 - x", puiseux_ring(2))
-    with pytest.raises(PrecisionExhausted, match="residual .*ramification budget 1 exhausted"):
+    with pytest.raises(PrecisionExhausted, match="^ramification budget 1 exhausted$"):
         newton_puiseux_factor(f, FactorConfig(target_order=6))
+    assert calls == []
 
 
 def test_a_residual_above_the_ok_bound_raises():

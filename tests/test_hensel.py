@@ -109,6 +109,18 @@ def test_monic_inputs_required():
         hensel_lift(f, g, g, 4)
 
 
+def test_lift_inputs_need_integral_finite_coefficients():
+    R = puiseux_ring(2)
+    g = parse_poly("t - 1", R)
+    with pytest.raises(UsageError, match="integral coefficients"):
+        hensel_lift(parse_poly("t^2 - (2+x^-1)*t + 1", R), g, g, 4)
+    f = parse_poly("t^2 - 2*t + 1", R)
+    for bad in (mp.inf, mp.nan):
+        h = SkewPoly(R, [PS(1, {0: bad}), PS.one()])
+        with pytest.raises(UsageError, match="finite coefficients"):
+            hensel_lift(f, g, h, 4)
+
+
 def test_degree_mismatch_rejected():
     R = puiseux_ring(2)
     f = parse_poly("t^3 - 1", R)

@@ -126,6 +126,20 @@ def test_position_annotated_errors():
         parse_scalar("1 + ")
 
 
+@pytest.mark.parametrize("parse, text, message, pos", [
+    (parse_scalar, "1 $ 2", "unexpected character '$'", 2),
+    (parse_scalar, "1 2", "trailing input after scalar", 2),
+    (parse_series, "O(x) 2", "trailing input after series", 5),
+    (parse_series, "1 + x 2", "expected '+', '-' or end of series", 6),
+    (parse_poly, "t^2 x", "expected '+', '-' or end of polynomial", 4),
+    (parse_poly, "t + (x O(x^2))", "expected '+', '-' or end of series", 7),
+])
+def test_parse_errors_name_the_fault_and_its_position(parse, text, message, pos):
+    with pytest.raises(ParseError) as exc:
+        parse(text) if parse is not parse_poly else parse(text, puiseux_ring(2))
+    assert (exc.value.msg, exc.value.pos) == (message, pos)
+
+
 def test_whitespace_insensitive():
     R = puiseux_ring(2)
     assert parse_poly("t^2-2*t+1", R) == parse_poly(" t^2  - 2*t +  1 ", R)

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (Alpha, PuiseuxSeries, SkewPoly, bits, parse_poly,
+from skewpuiseux import (Alpha, ConjSeriesRing, PuiseuxSeries, SkewPoly, bits, parse_poly,
                          puiseux_ring, normalize_scaled, scaling_exponent,
                          shift_iso, trace_solve)
-from skewpuiseux.errors import Obstruction, PrecisionExhausted, UsageError
+from skewpuiseux.errors import NotMonicError, Obstruction, PrecisionExhausted, UsageError
 from skewpuiseux.scalar import to_mpc
 from skewpuiseux.structure import scale_back_zeros
 
@@ -141,6 +141,14 @@ def test_scaling_exponent_hidden_raises():
         scaling_exponent(f)
 
 
+def test_scaling_exponent_hidden_above_a_known_order_raises():
+    # t^2 + O(x^-4) t + 1: the known constant gives r = 0, but the unknown
+    # t coefficient could give r up to 4
+    f = SkewPoly(puiseux_ring(2), [PS.one(), PS.zero(1, -4), PS.one()], trim=False)
+    with pytest.raises(PrecisionExhausted, match="hidden below truncation"):
+        scaling_exponent(f)
+
+
 def test_normalize_post_random():
     assert check_normalize_post(60) == 60
 
@@ -242,6 +250,13 @@ def test_closed_form_scalings_need_the_underived_ring():
     f = parse_poly("t^2 + x*t + 1", R)
     with pytest.raises(UsageError):
         normalize_scaled(f, 1)
+
+
+def test_structure_maps_reject_what_they_cannot_map():
+    with pytest.raises(UsageError, match="Puiseux coefficients"):
+        shift_iso(parse_poly("t^2 + 1", ConjSeriesRing()), PS.one())
+    with pytest.raises(NotMonicError, match="monic"):
+        normalize_scaled(parse_poly("2*t^2 + x", puiseux_ring(2)), 1)
 
 
 def _term_dev(a, b, below=None):
