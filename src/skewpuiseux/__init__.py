@@ -15,8 +15,8 @@ Public API (exactly the names in ``__all__``):
   rings:        ComplexConjRing, ConjSeriesRing, PuiseuxRing, puiseux_ring
   polynomials:  SkewPoly
   residues:     OrbitPartition, ResiduePoly, TMap, delta_set_member, ext_gcd,
-                orbit_partition, refine_factor_pair, roots,
-                twist_coprime_affine, twist_coprime_periodic, twist_residue
+                orbit_partition, roots, twist_coprime_affine,
+                twist_coprime_periodic, twist_residue
   structure:    normalize_scaled, scaling_exponent, shift_iso, trace_solve
   lifting:      HenselState, hensel_lift, twist_precheck
   factoring:    FactorConfig, Factorization, newton_puiseux_factor,
@@ -39,9 +39,8 @@ from .hensel import HenselState, hensel_lift, twist_precheck
 from .parsing import parse_poly, parse_scalar, parse_series, poly_to_str, series_to_str
 from .puiseux import PuiseuxSeries
 from .residue import (OrbitPartition, ResiduePoly, TMap, delta_set_member,
-                      ext_gcd, orbit_partition, refine_factor_pair, roots,
-                      twist_coprime_affine, twist_coprime_periodic,
-                      twist_residue)
+                      ext_gcd, orbit_partition, roots, twist_coprime_affine,
+                      twist_coprime_periodic, twist_residue)
 from .scalar import Alpha, GaussianRational, bits
 from .skewpoly import ComplexConjRing, ConjSeriesRing, PuiseuxRing, SkewPoly, puiseux_ring
 from .structure import normalize_scaled, scaling_exponent, shift_iso, trace_solve
@@ -58,7 +57,7 @@ __all__ = [
     "bits", "delta_set_member", "ext_gcd", "hensel_lift",
     "newton_puiseux_factor", "normalize_scaled", "orbit_partition",
     "parse_poly", "parse_scalar", "parse_series", "poly_to_str",
-    "puiseux_ring", "refine_factor_pair", "roots", "scaling_exponent",
+    "puiseux_ring", "roots", "scaling_exponent",
     "series_to_str", "shift_iso", "sigma_zero", "sigma_zero_quadratic",
     "trace_solve", "twist_coprime_affine", "twist_coprime_periodic",
     "twist_precheck", "twist_residue", "verify_factorization",

@@ -145,11 +145,13 @@ class _Engine:
 
     # -- splitting ------------------------------------------------------------
 
-    def _lift_split(self, F: SkewPoly, ubar, vbar, roots, target_k: int):
-        """Lift the factorization ubar vbar of res F (``roots``: their root
-        lists) to F = u v; returns the pairs (u, its roots), (v, its roots)."""
+    def _lift_split(self, F: SkewPoly, roots, target_k: int):
+        """Lift res F = res u res v, each factor the product of its
+        (root, multiplicity) list in ``roots`` (ResiduePoly.from_roots), to
+        F = u v; returns the pairs (u, its roots), (v, its roots)."""
         ring = F.ring
-        u, v = (SkewPoly(ring, [ring.from_scalar(c) for c in p.coeffs]) for p in (ubar, vbar))
+        u, v = (SkewPoly(ring, [ring.from_scalar(c) for c in ResiduePoly.from_roots(rs).coeffs])
+                for rs in roots)
         return list(zip(hensel_lift(F, u, v, target_k, roots=roots)[:2], roots))
 
     def prop_split(self, F: SkewPoly, res, b0, target_k: int, pairs=None):
@@ -167,10 +169,7 @@ class _Engine:
             j = part.j
             if 1 <= j < d:
                 members = [(c, m) for c, _, m in part.members]
-                ubar = ResiduePoly.from_roots(members)
-                vbar = ResiduePoly.from_roots(part.outsiders)
-                ubar, vbar = residue_mod.refine_factor_pair(res, ubar, vbar)
-                return self._lift_split(F, ubar, vbar, (members, part.outsiders), target_k)
+                return self._lift_split(F, (members, part.outsiders), target_k)
         raise NoSplittingRoot(
             f"no residue root splits the orbit partition of {res!r}")
 
@@ -179,9 +178,7 @@ class _Engine:
         g = (t + b0)^(d-1), h = t + b0 lifts to a monic linear right factor
         of F."""
         groots = [(-b0, F.degree - 1)] if F.degree > 1 else []
-        hroots = [(-b0, 1)]
-        return self._lift_split(F, ResiduePoly.from_roots(groots), ResiduePoly.from_roots(hroots),
-                                (groots, hroots), target_k)
+        return self._lift_split(F, (groots, [(-b0, 1)]), target_k)
 
     # -- main recursion ---------------------------------------------------------
 

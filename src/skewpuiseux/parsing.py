@@ -269,16 +269,12 @@ def parse_poly(text: str, ring):
 
     ts = _Tokens(text)
     coeffs: dict = {}
-    first = True
     while True:
         sign = 1
         t = ts.peek()
         if t[0] == "op" and t[1] in "+-":
             ts.next()
             sign = -1 if t[1] == "-" else 1
-        elif not first:
-            break
-        first = False
         if ts.accept("name", "t"):
             deg = _parse_tpow(ts)
             coeff = PuiseuxSeries.constant(sign)
@@ -299,8 +295,6 @@ def parse_poly(text: str, ring):
             break
         if not (nxt[0] == "op" and nxt[1] in "+-"):
             ts.error("expected '+', '-' or end of polynomial")
-    if ts.peek()[0] != "end":
-        ts.error("trailing input after polynomial")
     d = max(coeffs) if coeffs else 0
     lst = [coeffs.get(i, PuiseuxSeries.zero()) for i in range(d + 1)]
     for c in lst:

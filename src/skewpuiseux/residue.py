@@ -7,7 +7,10 @@ conjugation by the uniformizer acts on residue roots, orbit partitions
 under T, and the all-n twisted-coprimality decision.  Root search runs
 one sweep routine in double, then at working precision from those seeds
 (D. A. Bini, G. Fiorentino, Numer. Algorithms 23, 2000); settling,
-clustering and the Newton polish stay at working precision.
+clustering and the Newton polish stay at working precision.  A cluster of
+size m is polished by plain Newton on q^(m-1), whose root is simple there,
+and the clusters must re-expand to q, or the search raises
+RootFindingError.
 """
 
 from __future__ import annotations
@@ -232,7 +235,11 @@ def roots(p: ResiduePoly) -> RootsReport:
     the others come from Durand-Kerner, in double from (0.4+0.9i)^k and
     then at working precision, which alone decides settling, clustering at
     scalar.cluster_tol() and up and the Newton steps on each cluster
-    center.  A root's component below its rounding unit is dust (_drop_dust).
+    center: on q^(m-1) for a cluster of size m (_cluster_polish).  The
+    clusters of the first radius whose product re-expands to q within
+    zero_eps() max(1, |q|) are returned; RootFindingError is raised when
+    the iteration does not settle or no radius re-expands.  A root's
+    component below its rounding unit is dust (_drop_dust).
     """
     if p.degree < 1:
         raise UsageError("root finding needs degree >= 1")
@@ -314,24 +321,22 @@ def _nonzero_roots(q: ResiduePoly) -> list:
     # clustered-and-polished roots re-expand to the input polynomial
     order = sorted(range(d), key=lambda k: (mp.re(zs[k]), mp.im(zs[k])))
     zs = [zs[k] for k in order]
-    dq = q.derivative()
+    derivs = [q]
     good = scalar.zero_eps() * max(mp.mpf(1), q.max_abs())
-    best = None
     radius = soft
     for _ in range(max(2, mp.prec // 8)):
-        pairs = _cluster_polish(q, dq, zs, radius, hard)
-        dev = (ResiduePoly.from_roots(pairs) - q).max_abs()
-        if best is None or dev < best[0]:
-            best = (dev, pairs)
-        if dev <= good:
-            break
+        pairs = _cluster_polish(derivs, zs, radius, hard)
+        if (ResiduePoly.from_roots(pairs) - q).max_abs() <= good:
+            return pairs
         radius *= 4
-    return best[1]
+    raise RootFindingError("no clustering radius re-expands the roots to q", best=zs)
 
 
-def _cluster_polish(q, dq, zs, radius, hard):
+def _cluster_polish(derivs, zs, radius, hard):
     """Single-linkage clustering at the given radius, then up to three
-    multiplicity-aware Newton steps per center, to a step <= hard max(1, |center|)."""
+    Newton steps per center on q^(m-1), whose root is simple on a cluster
+    of size m, to a step <= hard max(1, |center|).  derivs = [q, q', ...]
+    grows only when a cluster needs a higher derivative."""
     d = len(zs)
     labels = list(range(d))
     for i in range(d):
@@ -347,12 +352,15 @@ def _cluster_polish(q, dq, zs, radius, hard):
     pairs = []
     for members in clusters.values():
         mult = len(members)
+        while len(derivs) <= mult:
+            derivs.append(derivs[-1].derivative())
+        f, df = derivs[mult - 1], derivs[mult]
         center = sum(members) / mult
         for _ in range(3):
-            pd = dq.eval(center)
+            pd = df.eval(center)
             if abs(pd) < hard:
                 break
-            step = mult * q.eval(center) / pd
+            step = f.eval(center) / pd
             center -= step
             if abs(step) <= hard * max(1, abs(center)):
                 break
@@ -535,37 +543,6 @@ def twist_coprime_periodic(gres: ResiduePoly, hres: ResiduePoly, twist_fn,
         if g.degree > 0:
             return (n, g)
     return None
-
-
-def refine_factor_pair(p: ResiduePoly, u: ResiduePoly, v: ResiduePoly):
-    """Sharpen a coprime monic factorization p ~ u*v by two Newton steps on
-    the coefficients: solve u*dv + du*v = p - uv through the Bezout identity.
-
-    Root-based factor reconstruction is limited by the sqrt-of-epsilon
-    accuracy floor at multiple roots; this correction converges
-    quadratically to the full working precision instead.  The Bezout pair
-    is formed only when a step runs.  It leaves components below the
-    rounding unit: they are dust (_drop_dust).
-    """
-    floor = scalar.floor_tol(8)
-    a = None
-    for _ in range(2):
-        e = p - u * v
-        if e.is_zero or e.max_abs() < floor:
-            break
-        if a is None:
-            g, a, b = ext_gcd(u, v)
-            if g.degree != 0:
-                return u, v
-        q, du = (b * e).divmod(u, tol=floor)
-        dv = a * e + q * v
-        if du.degree >= max(u.degree, 1):
-            du = ResiduePoly(du.coeffs[:u.degree], trim=False)
-        if dv.degree >= max(v.degree, 1):
-            dv = ResiduePoly(dv.coeffs[:v.degree], trim=False)
-        u = u + du
-        v = v + dv
-    return tuple(ResiduePoly([_drop_dust(c) for c in w.coeffs]) for w in (u, v))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ threshold; every other module reads these levels by name.
                            the Delta-set test, the factorizer's root order
   dust_tol()     2^-(P/4)  res f mismatch and dust bound of hensel_lift
   floor_tol(j)   2^-(P-j)  cancellation floors: hensel_lift (j = 24), roots
-                           (j = 12), refine_factor_pair (j = 8); j = 0 is
-                           the dust rule of residue._drop_dust, which roots
-                           and refine_factor_pair share
+                           (j = 12); j = 0 is the dust rule of
+                           residue._drop_dust, which roots applies
 The levels keep this order, floor_tol(24) < zero_eps() < cluster_tol() <
 dust_tol(), from P = MIN_BITS on.
 """

@@ -296,8 +296,9 @@ def test_zeros_of_a_real_cubic_print_no_imaginary_dust(capsys):
     (("--alpha", "3", "--prec", "8", "t^3 - 2*t^2 + (1+x)*t - x^2"), 3),
 ])
 def test_refined_factor_pairs_print_no_imaginary_dust(capsys, args, count):
-    # the Newton correction of refine_factor_pair left imaginary parts of
-    # ~1e-41 and ~1e-58 on these zeros of real polynomials
+    # these real polynomials have double residue roots; the residue factor
+    # pairs, the products of the roots, must leave no imaginary parts on
+    # their zeros (a Newton correction of the pair once left ~1e-41 and ~1e-58)
     code, out, _ = run_cli(capsys, "factor", *args)
     assert code == 0 and out.count("\nfactor: ") == count
     assert re.search(r"\di", out) is None, out

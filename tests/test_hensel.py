@@ -444,6 +444,34 @@ def test_derived_lift_is_the_shifted_plain_lift(alpha, L):
             assert (want - got).max_abs() <= tol * scale
 
 
+def test_derived_lift_shifts_the_given_roots():
+    """hensel_lift lifts in s = t + a, where res g and res h have the roots
+    c + a0: the (root, multiplicity) lists a caller passes as ``roots`` are
+    shifted with them, so the twist check reads the same roots it would
+    find itself, for a coprime pair and for a pair with T(c) = c'."""
+    a = PS(1, {0: mp.mpc("0.5", "0.25"), 1: 1})
+    R = puiseux_ring(2).with_a(a)
+    a0 = a.terms[0]
+
+    def linear(c):
+        return SkewPoly.t_minus(R, PS.constant(c))
+
+    rnd = rng(53)
+    zeros = [PS(1, {0: c, 1: rand_coeff(rnd)}) for c in (mp.mpc(1, 1), mp.mpc(-2, 1))]
+    F = SkewPoly.t_minus(R, zeros[0]) * SkewPoly.t_minus(R, zeros[1])
+    g, h = linear(zeros[0].terms[0]), linear(zeros[1].terms[0])
+    roots = ([(zeros[0].terms[0], 1)], [(zeros[1].terms[0], 1)])
+    assert hensel_lift(F, g, h, 8, roots=roots) == hensel_lift(F, g, h, 8)
+    # in s the residue map is T(w) = w / 2, so res h = s - (c + a0)/2 meets it at n = 1
+    c = mp.mpc("0.75", "-1.25")
+    cp = (c + a0) / 2 - a0
+    g, h = linear(c), linear(cp)
+    for given in (None, ([(c, 1)], [(cp, 1)])):
+        with pytest.raises(TwistCoprimeFailure) as exc:
+            hensel_lift(g * h, g, h, 4, roots=given)
+        assert exc.value.n == 1
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_conj_series_cubic_lift(m):
     # C[[x, rho]]: x c = conj(c) x, so the slice product conjugates H_b

@@ -132,6 +132,11 @@ def test_position_annotated_errors():
     (parse_series, "O(x) 2", "trailing input after series", 5),
     (parse_series, "1 + x 2", "expected '+', '-' or end of series", 6),
     (parse_poly, "t^2 x", "expected '+', '-' or end of polynomial", 4),
+    (parse_poly, "t t", "expected '+', '-' or end of polynomial", 2),
+    (parse_poly, "t + 1 )", "expected '+', '-' or end of polynomial", 6),
+    (parse_poly, "(1 + x) t", "expected '+', '-' or end of polynomial", 8),
+    (parse_poly, "t + (1 + x) (2)", "expected '+', '-' or end of polynomial", 12),
+    (parse_poly, "t + 1 2", "expected '+', '-' or end of polynomial", 6),
     (parse_poly, "t + (x O(x^2))", "expected '+', '-' or end of series", 7),
 ])
 def test_parse_errors_name_the_fault_and_its_position(parse, text, message, pos):
