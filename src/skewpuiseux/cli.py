@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -22,7 +21,7 @@ from mpmath import mp
 from . import scalar
 from .errors import (MathObstruction, Obstruction, SkewError, TwistCoprimeFailure,
                      UsageError)
-from .factorizer import (FactorConfig, Factorization, newton_puiseux_factor,
+from .factorizer import (FactorConfig, Factorization, _target_k, newton_puiseux_factor,
                          sigma_zero, sigma_zero_quadratic, verify_factorization)
 from .hensel import hensel_lift
 from .parsing import (parse_poly, parse_scalar, parse_series, poly_to_str,
@@ -210,11 +209,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
             z = sigma_zero_quadratic(f, cfg)
         else:
             z = sigma_zero(f, cfg)
-        ev = f.evaluate(z)
-        check = ev.ord()
-        if ev.trunc is not None:
-            check = min(check, Fraction(ev.trunc, ev.L))
-        payload = {"zero": series_to_str(z), "check_ord": _ord_str(check)}
+        payload = {"zero": series_to_str(z), "check_ord": _ord_str(f.evaluate(z).ord())}
         _emit(args, payload)
         return EXIT_OK
 
@@ -249,8 +244,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         g = parse_poly(_read_arg(args.g), ring)
         h = parse_poly(_read_arg(args.h), ring)
         L = getattr(f.ring, "L", 1)
-        target_k = math.ceil(cfg.target_order * L)
-        gh, hh, achieved = hensel_lift(f, g, h, target_k)
+        gh, hh, achieved = hensel_lift(f, g, h, _target_k(cfg.target_order, L))
         payload = {
             "g_hat": poly_to_str(gh),
             "h_hat": poly_to_str(hh),

@@ -45,7 +45,7 @@ from . import scalar
 from .errors import (NoSplittingRoot, Obstruction, PrecisionExhausted,
                      UsageError)
 from .hensel import hensel_lift
-from .puiseux import PuiseuxSeries
+from .puiseux import PuiseuxSeries, _trunc_k
 from .residue import ResiduePoly
 from .scalar import INF, is_negligible, to_mpc
 from .skewpoly import PuiseuxRing, SkewPoly, puiseux_ring
@@ -89,8 +89,14 @@ def _is_t_power(f: SkewPoly) -> bool:
 def _t_power_zero(f: SkewPoly) -> PuiseuxSeries:
     """The zero O(x^zt) of every linear factor of a t-power f of degree d,
     zt = ceil(T/d) for the least truncation T of its lower coefficients."""
-    ts = [c.trunc for c in f.coeffs[:-1] if c.trunc is not None]
-    return PuiseuxSeries.zero(f.ring.L, max(0, -(-int(min(ts)) // f.degree)) if ts else None)
+    t = min(map(_trunc_k, f.coeffs[:-1]))
+    return PuiseuxSeries.zero(f.ring.L, None if t == INF else max(0, -(-t // f.degree)))
+
+
+def _target_k(order, L: int, avail=INF) -> int:
+    """The x-order ``order`` in 1/L units, rounded up and capped at
+    ``avail``, the order (1/L units) to which the inputs are known."""
+    return int(min(math.ceil(order * L), avail))
 
 
 class _Engine:
@@ -99,15 +105,6 @@ class _Engine:
         self.cfg = cfg
 
     # -- helpers -------------------------------------------------------------
-
-    def _level_target_k(self, L: int, r: Fraction, d: int, avail) -> int:
-        margin = Fraction(math.ceil(abs(r) * d) + ORDER_MARGIN)
-        n = int(math.ceil((self.cfg.target_order + margin) * L))
-        if avail != INF:
-            n = min(n, int(avail))
-        if n < 1:
-            raise PrecisionExhausted("no series precision left for lifting")
-        return n
 
     def _candidates(self, rts, tmap, b0=0):
         """Residue roots in trial order, scored in the coordinates of the
@@ -219,8 +216,11 @@ class _Engine:
             raise PrecisionExhausted(f"ramification budget {MAX_RAMIFICATION} exhausted")
         F1 = normalize_scaled(f, r)
         ring1 = F1.ring
-        avail = min((INF if c.trunc is None else c.trunc for c in F1.coeffs), default=INF)
-        target_k = self._level_target_k(ring1.L, total, d, avail)
+        avail = min(map(_trunc_k, F1.coeffs))
+        order = self.cfg.target_order + math.ceil(abs(total) * d) + ORDER_MARGIN
+        target_k = _target_k(order, ring1.L, avail)
+        if target_k < 1:
+            raise PrecisionExhausted("no series precision left for lifting")
 
         res = F1.reduce_residue()
         cdm1 = F1.coeffs[d - 1]
@@ -271,7 +271,7 @@ def _pinned_shift(F1: SkewPoly, b: PuiseuxSeries) -> SkewPoly:
     F2 = shift_iso(F1, b)
     coeffs = list(F2.coeffs)
     rest = coeffs[-2]
-    if not rest.is_zero and rest.max_abs() > scalar.zero_eps() * max(1, F1.max_abs()):
+    if not rest.is_zero and rest.max_abs() > scalar.noise(F1.max_abs()):
         raise PrecisionExhausted("shift failed to cancel the t^(d-1) coefficient")
     coeffs[-2] = PuiseuxSeries.zero(F2.ring.L, rest.trunc)
     return SkewPoly(F2.ring, coeffs, trim=False)
@@ -297,9 +297,9 @@ def newton_puiseux_factor(f: SkewPoly, cfg: FactorConfig | None = None) -> Facto
     recovered zeros show such growth, the computation is repeated once at
     a precision large enough that the re-multiplication dust stays below
     the nominal 2^(-bits) scale.  A residual still above the ``ok`` bound
-    of verify_factorization at the requested precision, zero_eps() *
-    max(1, |f|) at cfg.bits, raises PrecisionExhausted; the retry's own
-    precision does not tighten the bound.
+    of verify_factorization at the requested precision, noise(|f|) at
+    cfg.bits, raises PrecisionExhausted; the retry's own precision does not
+    tighten the bound.
     """
     cfg = cfg or FactorConfig()
     bits_eff = cfg.bits
@@ -313,7 +313,7 @@ def newton_puiseux_factor(f: SkewPoly, cfg: FactorConfig | None = None) -> Facto
             continue
         break
     with scalar.bits(cfg.bits):
-        bound = scalar.zero_eps() * max(1, f.max_abs())
+        bound = scalar.noise(f.max_abs())
     if not fac.residual <= bound:
         raise PrecisionExhausted(f"factorization residual {mp.nstr(fac.residual, 5)} above "
                                  f"{mp.nstr(bound, 5)}")
@@ -332,7 +332,8 @@ def _factor_once(f: SkewPoly, cfg: FactorConfig) -> Factorization:
         if lead.trunc is None and len(lead.terms) == 1:
             inv = lead.inverse()
         else:
-            inv = lead.inverse(_unit_target_k(lead, cfg))
+            avail = _trunc_k(lead) - 2 * lead.ord_k()
+            inv = lead.inverse(_target_k(cfg.target_order + ORDER_MARGIN, lead.L, avail))
         fm = f.lmul_base(inv)
         coeffs = list(fm.coeffs)
         coeffs[-1] = fm.ring.one()
@@ -341,13 +342,7 @@ def _factor_once(f: SkewPoly, cfg: FactorConfig) -> Factorization:
     zeros = engine.factor_monic(fm, 0)
     report = verify_factorization(f, zeros, unit, order=cfg.target_order)
     return Factorization(zeros, unit, report["residual"], report["achieved_order"],
-                         max([z.L for z in zeros] + [ring.L]))
-
-
-def _unit_target_k(lead: PuiseuxSeries, cfg: FactorConfig) -> int:
-    base = int(math.ceil((cfg.target_order + ORDER_MARGIN) * lead.L))
-    avail = INF if lead.trunc is None else lead.trunc - 2 * lead.ord_k()
-    return int(min(base, avail)) if avail != INF else base
+                         math.lcm(ring.L, *(z.L for z in zeros)))
 
 
 def sigma_zero(f: SkewPoly, cfg: FactorConfig | None = None) -> PuiseuxSeries:
@@ -384,10 +379,7 @@ def sigma_zero_quadratic(f: SkewPoly, cfg: FactorConfig | None = None) -> Puiseu
         roots_ = sorted([(-c1 + disc) / 2, (-c1 - disc) / 2],
                         key=lambda w: (mp.re(w), mp.im(w)))
         z0 = roots_[0]
-        K = int(math.ceil(cfg.target_order * L))
-        avail = min((INF if c.trunc is None else c.trunc for c in (f0, f1)))
-        if avail != INF:
-            K = min(K, int(avail))
+        K = _target_k(cfg.target_order, L, min(map(_trunc_k, (f0, f1))))
         z = PuiseuxSeries(L, {0: z0})
         eps = scalar.zero_eps()
         for k in range(1, K):
@@ -409,13 +401,9 @@ def verify_factorization(f: SkewPoly, zeros, unit=None, order=None) -> dict:
     F[t, sigma] and measure its deviation from f up to ``order`` (x-units;
     defaults to the shared truncation), plus the order of f at the
     rightmost zero.  ``ok`` holds when the deviation is at most
-    scalar.zero_eps() * max(1, |f|)."""
+    scalar.noise(|f|)."""
     ring = _require_plain_ring(f)
-    L = ring.L
-    for c in zeros:
-        L = L * (c.L // math.gcd(L, c.L))
-    if unit is not None:
-        L = L * (unit.L // math.gcd(L, unit.L))
+    L = math.lcm(ring.L, *(c.L for c in zeros), 1 if unit is None else unit.L)
     work = puiseux_ring(ring.alpha, L)
     prod = SkewPoly.one(work)
     for c in zeros:
@@ -423,23 +411,19 @@ def verify_factorization(f: SkewPoly, zeros, unit=None, order=None) -> dict:
     if unit is not None:
         prod = prod.lmul_base(unit)
     diff = f.in_ring(work) - prod
+    known = min(map(_trunc_k, prod.coeffs))
+    achieved = INF if known == INF else Fraction(known, L)
     if order is not None:
-        diff = diff.truncate(int(math.ceil(Fraction(order) * L)))
+        achieved = min(Fraction(order), achieved)
+        diff = diff.truncate(_target_k(Fraction(order), L))
     residual = diff.max_abs()
-    achieved = INF if order is None else Fraction(order)
-    for c in prod.coeffs:
-        if c.trunc is not None:
-            achieved = min(achieved, Fraction(c.trunc, c.L))
     eval_ord = None
     if zeros:
-        ev = f.evaluate(zeros[-1])
-        eval_ord = ev.ord()
-        if ev.trunc is not None:
-            eval_ord = min(eval_ord, Fraction(ev.trunc, ev.L))
-        achieved = min(achieved, eval_ord) if eval_ord != INF else achieved
+        eval_ord = f.evaluate(zeros[-1]).ord()
+        achieved = min(achieved, eval_ord)
     return {
         "residual": residual,
         "achieved_order": achieved,
         "eval_ord": eval_ord,
-        "ok": residual <= scalar.zero_eps() * max(1, f.max_abs()),
+        "ok": residual <= scalar.noise(f.max_abs()),
     }

@@ -49,7 +49,7 @@ from mpmath import mp
 from . import residue as residue_mod
 from . import scalar
 from .errors import PrecisionExhausted, SkewError, TwistCoprimeFailure, UsageError
-from .puiseux import PuiseuxSeries
+from .puiseux import PuiseuxSeries, _trunc_k
 from .residue import ResiduePoly
 from .scalar import INF, _fixed_add, _fixed_twist, carry_row
 from .skewpoly import PuiseuxRing, SkewPoly
@@ -123,7 +123,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         raise UsageError("degree mismatch: deg f != deg g + deg h")
     if f.ord_k() < 0 or g.ord_k() < 0 or h.ord_k() < 0:
         raise UsageError("hensel_lift needs integral coefficients")
-    avail = min([c.trunc for p in (f, g, h) for c in p.coeffs if c.trunc is not None] + [INF])
+    avail = min(_trunc_k(c) for p in (f, g, h) for c in p.coeffs)
     if avail < target_k:
         raise PrecisionExhausted(f"f, g, h are only known to order {avail} < requested {target_k}")
     # delta_a is inner: lift in s = t + a, in F[t, sigma] (module docstring)

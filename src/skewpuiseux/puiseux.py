@@ -16,7 +16,7 @@ the skew tables of ``skewpoly`` share).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 
 from mpmath import mp
@@ -25,10 +25,6 @@ from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
 from .scalar import (EXACT_TYPES, INF, Alpha, _fixed_add, fmt_exponent, fmt_scalar, fmt_sum,
                      is_negligible)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class PuiseuxSeries:
@@ -75,15 +71,9 @@ class PuiseuxSeries:
     def from_terms(cls, pairs, trunc=None) -> "PuiseuxSeries":
         """Build from (rational exponent, coefficient) pairs; trunc is a
         rational x-exponent bound or None."""
-        L = 1
-        exps = []
-        for q, _ in pairs:
-            q = Fraction(q)
-            exps.append(q)
-            L = _lcm(L, q.denominator)
-        if trunc is not None:
-            trunc = Fraction(trunc)
-            L = _lcm(L, trunc.denominator)
+        exps = [Fraction(q) for q, _ in pairs]
+        trunc = None if trunc is None else Fraction(trunc)
+        L = lcm(*(q.denominator for q in exps), 1 if trunc is None else trunc.denominator)
         terms: dict = {}
         for q, c in zip(exps, (c for _, c in pairs)):
             k = q.numerator * (L // q.denominator)
@@ -99,15 +89,13 @@ class PuiseuxSeries:
 
     def ord_k(self):
         """Order in 1/L units; the zero series reports its truncation bound."""
-        if self.terms:
-            return min(self.terms)
-        return INF if self.trunc is None else self.trunc
+        return min(self.terms) if self.terms else _trunc_k(self)
 
     def ord(self):
-        """x-adic order as an exact Fraction, or +inf for (known) zero."""
-        if not self.terms:
-            return INF
-        return Fraction(min(self.terms), self.L)
+        """``ord_k`` in x units, as an exact Fraction: a zero series known
+        to O(x^T) reports T, and only the exact zero reports +inf."""
+        k = self.ord_k()
+        return INF if k == INF else Fraction(k, self.L)
 
     def coeff(self, q) -> object:
         q = Fraction(q)
@@ -133,7 +121,7 @@ class PuiseuxSeries:
         return self.reembed(L // self.L)
 
     def unify(self, other: "PuiseuxSeries"):
-        L = _lcm(self.L, other.L)
+        L = lcm(self.L, other.L)
         return self.at_ram(L), other.at_ram(L)
 
     def truncate(self, T_k) -> "PuiseuxSeries":
@@ -141,7 +129,7 @@ class PuiseuxSeries:
         if T_k == INF:
             return self
         T_k = int(T_k)
-        t = T_k if self.trunc is None else min(self.trunc, T_k)
+        t = min(_trunc_k(self), T_k)
         return PuiseuxSeries(self.L, {k: c for k, c in self.terms.items() if k < t},
                              t, normalize=False)
 
@@ -163,11 +151,12 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             other = PuiseuxSeries.constant(other)
         a, b = self.unify(other)
-        t = _min_trunc(a.trunc, b.trunc)
-        terms = dict(a.terms)
-        for k, c in b.terms.items():
+        t = min(_trunc_k(a), _trunc_k(b))
+        x, y = _operands(a.terms, b.terms)
+        terms = dict(x)
+        for k, c in y.items():
             terms[k] = terms.get(k, 0) + c
-        return PuiseuxSeries(a.L, terms, t)
+        return PuiseuxSeries(a.L, terms, None if t == INF else t)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -212,7 +201,7 @@ class PuiseuxSeries:
         if len(self.terms) == 1 and self.trunc is None:
             inv = PuiseuxSeries(self.L, {-m: inv_c}, None, normalize=False)
             return inv if target_k is None else inv.truncate(target_k)
-        avail = INF if self.trunc is None else self.trunc - 2 * m
+        avail = _trunc_k(self) - 2 * m
         if target_k is None:
             if avail == INF:
                 raise UsageError("inverse of an exact multi-term series needs a target order")
@@ -244,7 +233,8 @@ class PuiseuxSeries:
         terms = {}
         for k, c in self.terms.items():
             if isinstance(c, EXACT_TYPES):
-                terms[k] = c * alpha.pow(Fraction(num * k, den))
+                p = alpha.pow(Fraction(num * k, den))
+                terms[k] = c * p if isinstance(p, EXACT_TYPES) else scalar.mp_operand(c) * p
             else:
                 terms[k] = c * alpha.numeric_pow(num * k, den)
         return PuiseuxSeries(self.L, terms, self.trunc)
@@ -298,12 +288,10 @@ class PuiseuxSeries:
 def _times(a: PuiseuxSeries, b: PuiseuxSeries, conj: bool = False) -> PuiseuxSeries:
     """a * b for series of one ramification, to the tightest provable
     truncation: on ``_Fixed`` where its reader takes the operands, else by
-    exact term arithmetic.  With ``conj`` it is the twisted product of
-    C[[x, rho]] (``skewpoly.ConjSeriesRing.mul``): b_j is conjugated for
-    odd i, by term arithmetic."""
-    ta = INF if a.trunc is None else a.trunc
-    tb = INF if b.trunc is None else b.trunc
-    t = min(ta + b.ord_k(), tb + a.ord_k())
+    terms as ``_operands`` reads them.  With ``conj`` it is the twisted
+    product of C[[x, rho]] (``skewpoly.ConjSeriesRing.mul``): b_j is
+    conjugated for odd i, by term arithmetic."""
+    t = min(_trunc_k(a) + b.ord_k(), _trunc_k(b) + a.ord_k())
     if a.terms and b.terms and not conj:
         # only the terms that meet a partner below t are read; times
         # reads orders after the zero test, so its truncation is >= t
@@ -312,8 +300,9 @@ def _times(a: PuiseuxSeries, b: PuiseuxSeries, conj: bool = False) -> PuiseuxSer
         if xy:
             return ops.out(ops.times(*xy[0])).truncate(t)
     terms = {}
-    for i, ci in a.terms.items():
-        for j, cj in b.terms.items():
+    x, y = _operands(a.terms, b.terms)
+    for i, ci in x.items():
+        for j, cj in y.items():
             k = i + j
             if k < t:
                 w = scalar.conj_scalar(cj) if conj and i % 2 else cj
@@ -392,7 +381,7 @@ class _Fixed:
     def _read(self, c: PuiseuxSeries, kinds: list):
         """The series c in exact form; None when a value is exact rational,
         inf or nan.  ``kinds`` collects fixed_point's kind of each reading."""
-        t = INF if c.trunc is None else c.trunc
+        t = _trunc_k(c)
         if not c.terms:
             return _zero(t)
         k0 = min(c.terms)
@@ -479,10 +468,17 @@ def _zero(t):
     return (0, [], [], 0, t, t)
 
 
-def _min_trunc(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _trunc_k(c: PuiseuxSeries):
+    """How far the series c is known, in 1/L units: INF when c is exact."""
+    return INF if c.trunc is None else c.trunc
+
+
+def _operands(x: dict, y: dict):
+    """The term maps x and y of one operation's operands; when some value
+    is an mpmath number, each Fraction is rounded to nearest first
+    (``scalar.mp_operand``), as mpmath would round it toward zero."""
+    kinds = set(map(type, x.values())).union(map(type, y.values()))
+    if Fraction in kinds and not kinds.issubset(EXACT_TYPES):
+        return ({k: scalar.mp_operand(c) for k, c in m.items()} for m in (x, y))
+    return x, y
 

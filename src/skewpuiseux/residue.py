@@ -237,7 +237,7 @@ def roots(p: ResiduePoly) -> RootsReport:
     scalar.cluster_tol() and up and the Newton steps on each cluster
     center: on q^(m-1) for a cluster of size m (_cluster_polish).  The
     clusters of the first radius whose product re-expands to q within
-    zero_eps() max(1, |q|) are returned; RootFindingError is raised when
+    noise(|q|) are returned; RootFindingError is raised when
     the iteration does not settle or no radius re-expands.  A root's
     component below its rounding unit is dust (_drop_dust).
     """
@@ -322,7 +322,7 @@ def _nonzero_roots(q: ResiduePoly) -> list:
     order = sorted(range(d), key=lambda k: (mp.re(zs[k]), mp.im(zs[k])))
     zs = [zs[k] for k in order]
     derivs = [q]
-    good = scalar.zero_eps() * max(mp.mpf(1), q.max_abs())
+    good = scalar.noise(q.max_abs())
     radius = soft
     for _ in range(max(2, mp.prec // 8)):
         pairs = _cluster_polish(derivs, zs, radius, hard)

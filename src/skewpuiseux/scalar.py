@@ -3,8 +3,10 @@ floats, and the multiplier alpha with its rational powers.
 
 Numeric coefficients are mpmath values computed at the ambient working
 precision; enter a computation through ``with bits(P):`` to fix it.  Exact
-coefficients (Fraction / GaussianRational) are used by the ring-law unit
-tests only and never mix with numeric ones inside a single series.
+coefficients (int / Fraction / GaussianRational) stay exact among
+themselves.  Where one meets an mpmath value, as when the factorizer makes
+an int-led polynomial monic by the exact inverse of its lead, a Fraction is
+first rounded to nearest (``mp_operand``).
 
 The exact kernel: ``fixed_point`` reads numeric coefficients exactly as
 Gaussian-integer mantissas, ``_fixed_add`` is the one adder of exact rows
@@ -15,8 +17,9 @@ on mantissas; the rounding contract is stated once, at ``puiseux._Fixed``.
 Tolerance policy: only this module turns the working precision P into a
 threshold; every other module reads these levels by name.
   zero_eps()     2^-(P/2)  zero tests and degree collapse (series, residue
-                           division, ext_gcd), root re-expansion, monicity
-                           and trace pins, verify_factorization's ``ok``
+                           division, ext_gcd), monicity
+  noise(s)       zero_eps() max(1, s)  rounding noise of a value of size s:
+                           root re-expansion, the trace pin, residual bounds
   cluster_tol()  2^-(P/3)  root clustering and stall test, orbit matching,
                            the Delta-set test, the factorizer's root order
   dust_tol()     2^-(P/4)  res f mismatch and dust bound of hensel_lift
@@ -58,6 +61,11 @@ def _pow2(k: int):
 def zero_eps():
     """Magnitude below which a numeric coefficient counts as noise."""
     return _pow2(-(mp.prec // 2))
+
+
+def noise(size):
+    """The rounding noise a value of modulus ``size`` may carry."""
+    return zero_eps() * max(1, size)
 
 
 def cluster_tol():

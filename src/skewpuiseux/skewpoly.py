@@ -24,7 +24,7 @@ shift_iso) runs on series in exact form, under the rounding contract of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import residue as residue_mod
 from . import scalar
@@ -136,7 +136,7 @@ class PuiseuxRing(BaseRing):
         if a is None:
             a = PuiseuxSeries.zero(L)
         else:
-            L = L * (a.L // gcd(L, a.L))
+            L = lcm(L, a.L)
             a = a.at_ram(L)
         if a.is_zero and a.trunc is not None:
             # the derivation parameter is a ring datum, not a measured
@@ -196,7 +196,7 @@ class PuiseuxRing(BaseRing):
 
     def accommodate(self, a) -> "PuiseuxRing":
         if isinstance(a, PuiseuxSeries) and self.L % a.L:
-            return self.at_ram(self.L * (a.L // gcd(self.L, a.L)))
+            return self.at_ram(lcm(self.L, a.L))
         return self
 
     def at_ram(self, L: int) -> "PuiseuxRing":
@@ -214,7 +214,7 @@ class PuiseuxRing(BaseRing):
             raise ContextMismatch("cannot mix Puiseux and non-Puiseux coefficients")
         if not self.alpha == other.alpha:
             raise ContextMismatch("rings have different alpha")
-        L = self.L * (other.L // gcd(self.L, other.L))
+        L = lcm(self.L, other.L)
         if self.a.at_ram(L).terms != other.a.at_ram(L).terms:
             raise ContextMismatch("rings have different derivation parameter")
         return self.at_ram(L)
@@ -222,7 +222,7 @@ class PuiseuxRing(BaseRing):
     def __eq__(self, other):
         if not isinstance(other, PuiseuxRing):
             return False
-        L = self.L * (other.L // gcd(self.L, other.L))
+        L = lcm(self.L, other.L)
         return self.alpha == other.alpha and self.a.at_ram(L) == other.a.at_ram(L)
 
     def __repr__(self):

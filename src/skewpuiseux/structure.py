@@ -22,10 +22,11 @@ and the beta law are test references (tests/props.py).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import scalar
 from .errors import NotMonicError, Obstruction, PrecisionExhausted, UsageError
-from .puiseux import PuiseuxSeries, _lcm
+from .puiseux import PuiseuxSeries
 from .scalar import EXACT_TYPES, INF, Alpha, to_mpc
 from .skewpoly import PuiseuxRing, SkewPoly, _horner_image, puiseux_ring
 
@@ -66,7 +67,9 @@ def trace_solve(g: PuiseuxSeries, d: int, alpha) -> PuiseuxSeries:
             den = den + acc
         if abs(to_mpc(den)) < eps:
             raise Obstruction(Fraction(k, g.L), "vanishing trace denominator")
-        terms[k] = c / den if isinstance(c, EXACT_TYPES) else c / scalar.mp_operand(den)
+        if not (isinstance(c, EXACT_TYPES) and isinstance(den, EXACT_TYPES)):
+            c, den = scalar.mp_operand(c), scalar.mp_operand(den)
+        terms[k] = c / den
     return PuiseuxSeries(g.L, terms, g.trunc)
 
 
@@ -74,28 +77,18 @@ def scaling_exponent(f: SkewPoly):
     """r = max over i < d of -ord(f_i)/(d-i); None when f = t^d.
 
     A coefficient that is zero as far as its truncation shows participates
-    with its truncation bound; if that bound would dominate, the Newton
-    data is not determined and we refuse rather than guess.
+    with its truncation bound (its ``ord``); if that bound would dominate,
+    the Newton data is not determined and we refuse rather than guess.
     """
     d = f.degree
-    best = None
-    hidden = None
-    for i in range(d):
-        c = f.coeffs[i]
-        if c.is_zero:
-            if c.trunc is not None:
-                bound = -Fraction(c.trunc, c.L) / (d - i)
-                if hidden is None or bound > hidden:
-                    hidden = bound
-            continue
+    best, hidden = None, -INF
+    for i, c in enumerate(f.coeffs[:d]):
         val = -c.ord() / (d - i)
-        if best is None or val > best:
+        if c.is_zero:
+            hidden = max(hidden, val)
+        elif best is None or val > best:
             best = val
-    if best is None:
-        if hidden is not None and hidden > -INF:
-            raise PrecisionExhausted("scaling exponent hidden below truncation")
-        return None
-    if hidden is not None and hidden > best:
+    if hidden > (-INF if best is None else best):
         raise PrecisionExhausted("scaling exponent hidden below truncation")
     return best
 
@@ -115,7 +108,7 @@ def normalize_scaled(f: SkewPoly, r):
         raise UsageError("closed-form scalings need the underived ring F[t, sigma]")
     if not f.is_monic:
         raise NotMonicError("closed-form scalings need a monic polynomial")
-    target = puiseux_ring(ring.alpha, _lcm(ring.L, r.denominator))
+    target = puiseux_ring(ring.alpha, lcm(ring.L, r.denominator))
     d, L = f.degree, target.L
     coeffs = [c.at_ram(L).scale(ring.alpha.pow(-r * Fraction(i * (i - 1) - d * (d - 1), 2)))
               .x_shift(int(r * (d - i) * L)) for i, c in enumerate(f.coeffs[:d])]
@@ -139,6 +132,6 @@ def scale_back_zeros(ws: list, r, alpha) -> list:
     d = len(ws)
     out = []
     for i, w in enumerate(ws, 1):
-        L = _lcm(w.L, r.denominator)
+        L = lcm(w.L, r.denominator)
         out.append(w.at_ram(L).scale(alpha.pow(-r * (d - i))).x_shift(int(-r * L)))
     return out

@@ -414,3 +414,12 @@ def test_a_residual_above_the_ok_bound_raises():
     with pytest.raises(PrecisionExhausted, match="residual"):
         newton_puiseux_factor(f, FactorConfig(target_order=15, bits=160))
     assert cli_main(["factor", "--alpha", "1", "--prec", "15", "--bits", "160", text]) == 4
+
+
+def test_ramification_is_the_lcm_of_the_zeros_ramifications():
+    # zeros of ramification 3, 3, 3 and 2, 2: x^(1/2) is not in C((x^(1/3)))
+    ring = puiseux_ring(1)
+    f = parse_poly("t^2 - 2*t + 1 - x", ring) * parse_poly("t^3 + 3*t^2 + 3*t + 1 - x", ring)
+    fac = newton_puiseux_factor(f, FactorConfig(target_order=3))
+    assert sorted(z.L for z in fac.zeros) == [2, 2, 3, 3, 3]
+    assert fac.ramification == 6

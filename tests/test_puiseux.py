@@ -256,3 +256,26 @@ def test_inverse_of_an_int_lead_stays_exact():
     assert inv.trunc == 4
     assert inv.terms == {k: Fraction((-1) ** k, 3 ** (k + 1)) for k in range(4)}
     assert all(type(c) is Fraction for c in inv.terms.values())
+
+
+def test_ord_of_a_truncated_zero_is_its_truncation():
+    # the zero series known to O(x^T) has order T; only the exact zero is inf
+    assert PS.zero(1, 5).ord() == 5
+    assert PS(2, {}, 7).ord() == Fraction(7, 2)
+    assert PS.zero(3).ord() == INF
+
+
+@pytest.mark.parametrize("op", ["times", "plus", "sigma_pow"])
+def test_a_fraction_meets_mpmath_rounded_to_nearest(op):
+    # mpmath would convert the Fraction itself, rounding toward zero
+    third = PS(1, {0: Fraction(1, 3)})
+    with bits(128):
+        near = to_mpf(Fraction(1, 3))
+        if op == "times":
+            assert (third * PS(1, {0: mp.mpc(1)})).terms[0].real == near
+        elif op == "plus":
+            assert (third + PS(1, {0: mp.mpc(0, 1)})).terms[0].real == near
+        else:
+            s = PS(2, {1: Fraction(1, 3)}).sigma_pow(1, Alpha(2))
+            assert s.terms[1] == near * Alpha(2).pow(Fraction(1, 2))
+

@@ -544,3 +544,10 @@ def test_each_output_coefficient_is_rounded_once(prec):
                 assert len(out.coeffs) == len(oute.coeffs)
                 for got, want, m in zip(out.coeffs, oute.coeffs, m_acc):
                     _within(got, want, m, prec)
+
+
+def test_poly_ord_agrees_with_series_ord():
+    # a truncated zero coefficient counts with its truncation
+    for s in (PS.zero(1, 5), PS(2, {}, 7)):
+        assert SkewPoly(puiseux_ring(2, s.L), [s]).ord() == s.ord()
+    assert SkewPoly(puiseux_ring(2, 2), [PS(2, {}, 7), PS(2, {3: 1})]).ord() == Fraction(3, 2)

@@ -7,7 +7,7 @@ from skewpuiseux import (Alpha, ConjSeriesRing, PuiseuxSeries, SkewPoly, bits, p
                          puiseux_ring, normalize_scaled, scaling_exponent,
                          shift_iso, trace_solve)
 from skewpuiseux.errors import NotMonicError, Obstruction, PrecisionExhausted, UsageError
-from skewpuiseux.scalar import to_mpc
+from skewpuiseux.scalar import to_mpc, to_mpf
 from skewpuiseux.structure import scale_back_zeros
 
 from conftest import count_shifts, near_coeffs, rand_poly, rand_series, rng
@@ -304,3 +304,12 @@ def _product(R, zs):
     for z in zs:
         f = f * SkewPoly.t_minus(R, z)
     return f
+
+
+def test_trace_solve_rounds_an_exact_coefficient_to_nearest():
+    # an exact term over a numeric denominator: the Fraction is rounded to
+    # nearest before mpmath divides by it
+    alpha = Alpha(2)
+    with bits(128):
+        b = trace_solve(PS(2, {1: Fraction(1, 3)}), 2, alpha)
+        assert b.terms[1] == to_mpf(Fraction(1, 3)) / (1 + alpha.pow(Fraction(1, 2)))
