@@ -205,7 +205,7 @@ def _dispatch(args, cfg: FactorConfig) -> int:
         alpha = _alpha_from(args)
         ring = puiseux_ring(alpha)
         f = parse_poly(_read_arg(args.poly), ring)
-        if alpha.allow_complex or (f.degree == 2 and not alpha.is_real_positive):
+        if alpha.allow_complex:
             z = sigma_zero_quadratic(f, cfg)
         else:
             z = sigma_zero(f, cfg)

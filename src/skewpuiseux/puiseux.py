@@ -23,8 +23,8 @@ from mpmath import mp
 
 from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
-from .scalar import (EXACT_TYPES, INF, Alpha, _fixed_add, fmt_exponent, fmt_scalar, fmt_sum,
-                     is_negligible)
+from .scalar import (EXACT_TYPES, INF, Alpha, GaussianRational, _fixed_add, fmt_exponent,
+                     fmt_scalar, fmt_sum, is_negligible)
 
 
 class PuiseuxSeries:
@@ -105,8 +105,6 @@ class PuiseuxSeries:
 
     def reembed(self, k: int) -> "PuiseuxSeries":
         """Refine the ramification from L to k*L; pure re-indexing."""
-        if k == 1:
-            return self
         if k < 1:
             raise UsageError("reembed factor must be >= 1")
         t = None if self.trunc is None else self.trunc * k
@@ -178,13 +176,15 @@ class PuiseuxSeries:
         return self.__mul__(other)
 
     def scale(self, c) -> "PuiseuxSeries":
-        """Multiply every coefficient by the scalar c; an mpmath coefficient
-        meets a Fraction c rounded to nearest (``scalar.mp_operand``), and
-        c = 1 leaves every coefficient as it is."""
+        """Multiply every coefficient by the scalar c.  Exact times exact
+        stays exact; where an mpmath value meets an exact one, the exact one
+        is read by ``scalar.mp_operand``.  c = 1 leaves every coefficient as
+        it is."""
         if c == 1:
             return PuiseuxSeries(self.L, self.terms, self.trunc)
-        cn = scalar.mp_operand(c)
-        return PuiseuxSeries(self.L, {k: v * c if isinstance(v, EXACT_TYPES) else v * cn
+        exact, cn = isinstance(c, EXACT_TYPES), scalar.mp_operand(c)
+        return PuiseuxSeries(self.L, {k: (v * c if exact else scalar.mp_operand(v) * c)
+                                      if isinstance(v, EXACT_TYPES) else v * cn
                                       for k, v in self.terms.items()}, self.trunc)
 
     def inverse(self, target_k=None) -> "PuiseuxSeries":
@@ -253,10 +253,6 @@ class PuiseuxSeries:
 
     def max_abs(self):
         return scalar.max_abs(self.terms.values())
-
-    def deviation(self, other) -> object:
-        """Max coefficient modulus of self - other up to shared truncation."""
-        return (self - other).max_abs()
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -447,9 +443,6 @@ class _Fixed:
             acc = _fixed_add(acc, ([0] * s + re, [0] * s + im, e) if s else (re, im, e))
         return self._make(k0, *acc, t)
 
-    def add(self, x, y):
-        return self.sum([x, y])
-
     def sub(self, x, y):
         k, re, im, e, t, o = y
         return self.sum([x, (k, [-u for u in re], [-v for v in im], e, t, o)])
@@ -475,10 +468,10 @@ def _trunc_k(c: PuiseuxSeries):
 
 def _operands(x: dict, y: dict):
     """The term maps x and y of one operation's operands; when some value
-    is an mpmath number, each Fraction is rounded to nearest first
-    (``scalar.mp_operand``), as mpmath would round it toward zero."""
+    is an mpmath number, each exact non-int value is read first as
+    ``scalar.mp_operand`` reads it."""
     kinds = set(map(type, x.values())).union(map(type, y.values()))
-    if Fraction in kinds and not kinds.issubset(EXACT_TYPES):
+    if (Fraction in kinds or GaussianRational in kinds) and not kinds.issubset(EXACT_TYPES):
         return ({k: scalar.mp_operand(c) for k, c in m.items()} for m in (x, y))
     return x, y
 

@@ -6,7 +6,8 @@ precision; enter a computation through ``with bits(P):`` to fix it.  Exact
 coefficients (int / Fraction / GaussianRational) stay exact among
 themselves.  Where one meets an mpmath value, as when the factorizer makes
 an int-led polynomial monic by the exact inverse of its lead, a Fraction is
-first rounded to nearest (``mp_operand``).
+first rounded to nearest and a GaussianRational is read through ``to_mpc``
+(``mp_operand``).
 
 The exact kernel: ``fixed_point`` reads numeric coefficients exactly as
 Gaussian-integer mantissas, ``_fixed_add`` is the one adder of exact rows
@@ -93,9 +94,12 @@ def to_mpf(x):
 
 def mp_operand(x):
     """x as an operand of mpmath arithmetic: a Fraction rounded to nearest
-    (to_mpf), which mpmath itself would round toward zero; any other value
-    as it is."""
-    return to_mpf(x) if isinstance(x, Fraction) else x
+    (to_mpf), which mpmath itself would round toward zero, and a
+    GaussianRational, which mpmath does not read, through to_mpc; any other
+    value as it is."""
+    if isinstance(x, Fraction):
+        return to_mpf(x)
+    return to_mpc(x) if isinstance(x, GaussianRational) else x
 
 
 def to_mpc(x):
@@ -384,11 +388,12 @@ EXACT_TYPES = (int, Fraction, GaussianRational)
 class Alpha:
     """The positive real multiplier of the twist x -> alpha*x.
 
-    Stored exactly as a Fraction whenever possible so that the alpha == 1
-    test and integer powers stay exact; rational powers materialize lazily
-    to big floats at the ambient precision.  A non-real value is accepted
-    only with ``allow_complex=True`` (diagnostic mode: the factorization
-    guarantees do not apply there).
+    The value is an int or a Fraction, stored exactly so that the
+    alpha == 1 test and integer powers stay exact, or an mpmath number
+    (mpf or mpc); rational powers materialize lazily to big floats at the
+    ambient precision.  A non-real value is accepted only with
+    ``allow_complex=True`` (diagnostic mode: the factorization guarantees do
+    not apply there).
     """
 
     __slots__ = ("exact", "numeric", "allow_complex", "_factors")
@@ -398,21 +403,8 @@ class Alpha:
         self.exact = None
         self.numeric = None
         self._factors = {}
-        if isinstance(value, Alpha):
-            self.exact = value.exact
-            self.numeric = value.numeric
-            self._factors = value._factors
-            self.allow_complex = allow_complex or value.allow_complex
-            value = None
-        elif isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)):
             self.exact = Fraction(value)
-        elif isinstance(value, str):
-            self.exact = Fraction(value)
-        elif isinstance(value, GaussianRational):
-            if value.im == 0:
-                self.exact = value.re
-            else:
-                self.numeric = to_mpc(value)
         else:
             z = mp.mpc(value)
             if z.imag == 0:

@@ -38,9 +38,10 @@ class BaseRing:
 
     The maximal ideal is generated by a uniformizer; orders (``ord_k``) are
     measured in integer units of it.  The defaults for the arithmetic and
-    the zero and one tests are those of series-valued elements; a ring
-    overrides what differs.  Equality by kind, ``unify``, ``repr`` and the
-    absent hash have one body here; ``PuiseuxRing`` overrides them for its data.
+    the one test are those of series-valued elements; a ring overrides what
+    differs, and each ring reads its own values in (``coerce``).  Equality
+    by kind, ``unify``, ``repr`` and the absent hash have one body here;
+    ``PuiseuxRing`` overrides them for its data.
     """
 
     def zero(self):
@@ -51,9 +52,6 @@ class BaseRing:
 
     def from_scalar(self, c):
         raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
 
     def is_one_value(self, a) -> bool:
         return set(a.terms) == {0} and to_mpc(a.terms[0]) == 1
@@ -99,9 +97,6 @@ class BaseRing:
         hold the (root, multiplicity) lists of gres and hres; a ring that
         decides from residue roots then need not find them again."""
         raise NotImplementedError
-
-    def coerce(self, a):
-        return a
 
     def accommodate(self, a) -> "BaseRing":
         """A ring (possibly ramification-refined) that can hold ``a``."""
@@ -299,9 +294,6 @@ class ComplexConjRing(BaseRing):
     def from_scalar(self, c):
         return to_mpc(c)
 
-    def is_zero(self, a) -> bool:
-        return is_negligible(a)
-
     def is_one_value(self, a) -> bool:
         return to_mpc(a) == 1
 
@@ -312,7 +304,7 @@ class ComplexConjRing(BaseRing):
         return self.zero()
 
     def ord_k(self, a):
-        return INF if self.is_zero(a) else 0
+        return INF if is_negligible(a) else 0
 
     def coerce(self, a):
         if isinstance(a, PuiseuxSeries):
@@ -420,7 +412,7 @@ class SkewPoly:
         if a.is_zero or b.is_zero:
             return SkewPoly.zero(ring)
         ops, (bs, cs) = _ops(ring, b.coeffs, a.coeffs)
-        return SkewPoly(ring, [ops.out(c) for c in _TRows(ops, bs).lmul(cs)])
+        return SkewPoly(ring, [ops.out(c) for c in _lmul(ops, [bs], cs)])
 
     def lmul_base(self, c) -> "SkewPoly":
         """Left multiplication by a base element (coefficient-wise)."""
@@ -433,7 +425,7 @@ class SkewPoly:
 
         The step for q_k (k from deg f - deg p down to 0) subtracts
         c * (t^k p) from the remainder, c its leading coefficient.  The rows
-        t^k p come from one table (``_TRows``), each derived from the row
+        t^k p come from one table (``_row``), each derived from the row
         below by one t-shift, so a division of degree n by degree m takes
         n - m shifts (a fresh product c t^k * p per step took
         (n-m)(n-m+1)/2).  The leading coefficient of c * (t^k p) is c, as p
@@ -448,14 +440,14 @@ class SkewPoly:
             raise NotMonicError("left division requires a monic divisor")
         dp = p.degree
         ops, (ps, r) = _ops(ring, p.coeffs, f.coeffs)
-        rows = _TRows(ops, ps)
+        rows = [ps]
         q = [ring.zero()] * max(0, len(r) - dp)
         while len(r) > dp:
             k = len(r) - 1 - dp
             c = r.pop()
             q[k] = ops.out(c)
             if ring.ord_k(q[k]) != INF:
-                c, row = ops.carry(c), rows.row(k)
+                c, row = ops.carry(c), _row(ops, rows, k)
                 for j in range(len(r)):
                     r[j] = ops.sub(r[j], ops.times(c, row[j]))
             _trim_exact_zeros(ops, r)
@@ -521,40 +513,32 @@ class SkewPoly:
             return f"<SkewPoly deg={self.degree}>"
 
 
-class _TRows:
-    """The rows t^i * b (i = 0, 1, ...) of a right operand b, as coefficient
-    lists in the form of ``ops`` (``_ops``).  Row i is derived from row
-    i - 1 by one t-shift (``ops.shifted``) the first time it is asked for, so
-    a call that reads rows 0..K pays K shifts however often it reads them
-    (rounding: ``puiseux._Fixed``).  A table lives for one call: kept on a
-    polynomial it would hold every row of every operand alive."""
+def _row(ops, rows: list, i: int) -> list:
+    """Row i of a table: t^i * b as a coefficient list in the form of
+    ``ops`` (``_ops``), where rows[0] = b, the coefficients of a nonzero
+    polynomial.  Row i is derived from row i - 1 by one t-shift
+    (``ops.shifted``) the first time it is asked for and appended to
+    ``rows``, so a call that reads rows 0..K pays K shifts however often it
+    reads them (rounding: ``puiseux._Fixed``).  A table lives for one call:
+    kept on a polynomial it would hold every row of every operand alive."""
+    while len(rows) <= i:
+        rows.append(ops.shifted(rows[-1]))
+    return rows[i]
 
-    __slots__ = ("ops", "rows")
 
-    def __init__(self, ops, b):
-        self.ops = ops
-        self.rows = [b]
-
-    def row(self, i: int) -> list:
-        rows = self.rows
-        while len(rows) <= i:
-            rows.append(self.ops.shifted(rows[-1]))
-        return rows[i]
-
-    def lmul(self, cs) -> list:
-        """sum_i cs[i] * (t^i b) as a coefficient list, cs and the result in
-        the table's form.  An exact zero cs[i] adds nothing (a zero known
-        only to O(x^k) adds its truncated products); the products that
-        reach an output coefficient are summed in order of i, and one that
-        no product reaches is zero."""
-        ops = self.ops
-        out = [[] for _ in range(len(self.rows[0]) + len(cs) - 1)]
-        for i, c in enumerate(cs):
-            if ops.ord_k(c) == INF:
-                continue
-            for j, s in enumerate(self.row(i)):
-                out[j].append(ops.times(c, s))
-        return [ops.sum(ps) for ps in out]
+def _lmul(ops, rows: list, cs) -> list:
+    """sum_i cs[i] * (t^i b) as a coefficient list, cs, the table ``rows``
+    (``_row``) and the result in the form of ``ops``.  An exact zero cs[i]
+    adds nothing (a zero known only to O(x^k) adds its truncated products);
+    the products that reach an output coefficient are summed in order of i,
+    and one that no product reaches is zero."""
+    out = [[] for _ in range(len(rows[0]) + len(cs) - 1)]
+    for i, c in enumerate(cs):
+        if ops.ord_k(c) == INF:
+            continue
+        for j, s in enumerate(_row(ops, rows, i)):
+            out[j].append(ops.times(c, s))
+    return [ops.sum(ps) for ps in out]
 
 
 def _horner_image(ring, coeffs, t_image: SkewPoly) -> SkewPoly:
@@ -562,20 +546,20 @@ def _horner_image(ring, coeffs, t_image: SkewPoly) -> SkewPoly:
     acc <- acc * t_image + coeffs[i], each step trimmed of exact zeros.
 
     Every product acc * t_image reads the rows t^j t_image from one table
-    (``_TRows``): the last step reads j < d for d = len(coeffs) - 1, so the
+    (``_lmul``): the last step reads j < d for d = len(coeffs) - 1, so the
     image takes d - 1 shifts of t_image, where a fresh product per step took
     d(d-1)/2.  The table lives for this call, and acc stays exact from step
     to step.
     """
     ops, (ts, cs) = _ops(ring, t_image.coeffs, coeffs)
-    rows = _TRows(ops, ts)
+    rows = [ts]
     acc = []
     for c in reversed(cs):
         if acc:
-            acc = rows.lmul(acc)
+            acc = _lmul(ops, rows, acc)
             _trim_exact_zeros(ops, acc)
         if acc:
-            acc[0] = ops.add(acc[0], c)
+            acc[0] = ops.sum([acc[0], c])
         else:
             acc = [c]
         _trim_exact_zeros(ops, acc)
@@ -620,9 +604,6 @@ class _Coeffs:
     def times(self, c, s):
         return self.ring.mul(c, s)
 
-    def add(self, x, y):
-        return self.ring.add(x, y)
-
     def sub(self, x, y):
         return self.ring.sub(x, y)
 
@@ -641,7 +622,7 @@ class _Coeffs:
             s, d = ring.sigma_delta(c)
             out.append(d if s_prev is None else ring.add(s_prev, d))
             s_prev = s
-        return out + [s_prev] if row else []
+        return out + [s_prev]
 
 
 class _Exact(_Fixed):
@@ -659,8 +640,6 @@ class _Exact(_Fixed):
         carried: sigma multiplies by the twist factors of
         ``Alpha.numeric_pow``, and delta_a(u) = a (sigma(u) - u) is one exact
         product."""
-        if not row:
-            return []
         live = [c for c in row if c[1]]
         twist = live and not self.alpha.is_one
         if twist:
@@ -678,7 +657,7 @@ class _Exact(_Fixed):
                 s = self._make(k0, *_fixed_twist((re, im, e), (wr[i:j], wi[i:j], ew)), t)
             # delta = 0 where a = 0, and a O(x^t) where sigma(c) = c
             d = self.times(a, _zero(t) if s is c or not a[1] else self.sub(s, c))
-            out.append(d if s_prev is None else self.add(s_prev, d))
+            out.append(d if s_prev is None else self.sum([s_prev, d]))
             s_prev = s
         out.append(s_prev)
         return [self.carry(c) for c in out]

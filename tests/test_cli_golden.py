@@ -120,6 +120,28 @@ GOLDEN = [
     (["factor", "--alpha", "2", "--prec", "4", "t^257 - x", "--json"],
      4, '{"error": "numerical", "kind": "PrecisionExhausted", "message": "ramification budget 256 exhausted"}\n',
      ''),
+    # a constant is all unit: no factor
+    (["factor", "--alpha", "2", "--prec", "4", "2"],
+     0, 'f = 2\nunit: 2\nresidual: 0.0  order: 4  ramification: 1\n',
+     ''),
+    (["factor", "--alpha", "2", "--prec", "4", "2", "--json"],
+     0, '{"factors": [], "order": "4", "ramification": 1, "residual": "0.0", "unit": "2"}\n',
+     ''),
+    # a coefficient known to O(x^0) leaves the lift no order to reach
+    (["factor", "--alpha", "2", "--prec", "4", "t^2 - 3*t + (2 + O(x^0))"],
+     4, '',
+     'error: no series precision left for lifting\n'),
+    (["factor", "--alpha", "2", "--prec", "4", "t^2 - 3*t + (2 + O(x^0))", "--json"],
+     4, '{"error": "numerical", "kind": "PrecisionExhausted", "message": "no series precision left for lifting"}\n',
+     ''),
+    # alpha = i: the quadratic oracle's pivot vanishes at even k, and so
+    # does its forcing term
+    (["sigma-zero", "--alpha", "i", "--prec", "4", "t^2 - 1"],
+     0, 'zero: -1 + O(x^4)\ncheck_ord: 4\n',
+     ''),
+    (["sigma-zero", "--alpha", "i", "--prec", "4", "t^2 - 1", "--json"],
+     0, '{"check_ord": "4", "zero": "-1 + O(x^4)"}\n',
+     ''),
 ]
 
 

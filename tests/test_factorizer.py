@@ -12,7 +12,8 @@ from skewpuiseux.cli import main as cli_main
 from mpmath.libmp import from_man_exp
 
 from skewpuiseux import factorizer
-from skewpuiseux.errors import Obstruction, PrecisionExhausted, UsageError
+from skewpuiseux import residue as residue_mod
+from skewpuiseux.errors import NoSplittingRoot, Obstruction, PrecisionExhausted, UsageError
 from skewpuiseux.factorizer import _Engine
 from skewpuiseux.residue import TMap
 from skewpuiseux.scalar import INF
@@ -423,3 +424,20 @@ def test_ramification_is_the_lcm_of_the_zeros_ramifications():
     fac = newton_puiseux_factor(f, FactorConfig(target_order=3))
     assert sorted(z.L for z in fac.zeros) == [2, 2, 3, 3, 3]
     assert fac.ramification == 6
+
+
+def test_an_orbit_split_with_no_splitting_root_raises(monkeypatch):
+    # every orbit part holds all roots or none: no split to lift
+    monkeypatch.setattr(residue_mod, "orbit_partition",
+                        lambda pairs, c1, tmap: type("Part", (), {"j": 0})())
+    f = parse_poly("t^2 - 3*t + 2", puiseux_ring(2))
+    with pytest.raises(NoSplittingRoot, match="no residue root splits"):
+        newton_puiseux_factor(f, FactorConfig(target_order=4))
+
+
+def test_a_shift_that_does_not_cancel_raises(monkeypatch):
+    # a trace solve that lost its terms leaves the t^(d-1) coefficient
+    monkeypatch.setattr(factorizer, "trace_solve", lambda g, d, alpha: PS.zero(g.L))
+    f = parse_poly("t^2 - 2*t + 1", puiseux_ring(2))
+    with pytest.raises(PrecisionExhausted, match="shift failed to cancel"):
+        newton_puiseux_factor(f, FactorConfig(target_order=4))

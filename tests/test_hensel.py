@@ -551,3 +551,37 @@ def test_lift_reads_its_residues_once(monkeypatch):
         for f in _lift_cubic_inputs(7, 24):
             newton_puiseux_factor(f, FactorConfig(target_order=15, bits=160))
     assert calls == {"residue": 162, "lift": 54}
+
+
+def test_twist_precheck_passes_a_constant_residue():
+    R = puiseux_ring(2)
+    t1 = parse_poly("t - 1", R)
+    assert twist_precheck(SkewPoly.one(R), t1) is None
+    assert twist_precheck(t1, SkewPoly.one(R)) is None
+
+
+def test_a_wrong_step_inverse_overflows_the_correction(monkeypatch):
+    # twice the inverse: its Newton step gives 0, and p kn leaves fn mod res g
+    ext_gcd_ = hensel_mod.residue_mod.ext_gcd
+
+    def doubled(p, q, tol=None):
+        g, a, b = ext_gcd_(p, q, tol)
+        return g, a, b * 2
+
+    monkeypatch.setattr(hensel_mod.residue_mod, "ext_gcd", doubled)
+    f, g = _example1(2)
+    with pytest.raises(SkewError, match="correction degree overflow"):
+        hensel_lift(f, g, g, 6)
+
+
+def test_a_wrong_correction_leaves_the_defect_order(monkeypatch):
+    solve = hensel_mod._solve_step
+
+    def doubled_q(*args):
+        p, (re, im, e), b = solve(*args)
+        return p, ([2 * u for u in re], [2 * v for v in im], e), b
+
+    monkeypatch.setattr(hensel_mod, "_solve_step", doubled_q)
+    f, g = _example1(2)
+    with pytest.raises(SkewError, match="did not raise the defect order at n=1"):
+        hensel_lift(f, g, g, 6)

@@ -5,7 +5,7 @@ from mpmath import mp
 
 from mpmath.libmp import to_rational
 
-from skewpuiseux import Alpha, GaussianRational, PuiseuxSeries, bits, puiseux_ring
+from skewpuiseux import Alpha, GaussianRational, PuiseuxSeries, SkewPoly, bits, puiseux_ring
 from skewpuiseux.errors import PrecisionExhausted, UsageError, ZeroInversion
 from skewpuiseux.scalar import INF, is_negligible, to_mpf
 
@@ -265,7 +265,7 @@ def test_ord_of_a_truncated_zero_is_its_truncation():
     assert PS.zero(3).ord() == INF
 
 
-@pytest.mark.parametrize("op", ["times", "plus", "sigma_pow"])
+@pytest.mark.parametrize("op", ["times", "plus", "sigma_pow", "scale"])
 def test_a_fraction_meets_mpmath_rounded_to_nearest(op):
     # mpmath would convert the Fraction itself, rounding toward zero
     third = PS(1, {0: Fraction(1, 3)})
@@ -275,7 +275,51 @@ def test_a_fraction_meets_mpmath_rounded_to_nearest(op):
             assert (third * PS(1, {0: mp.mpc(1)})).terms[0].real == near
         elif op == "plus":
             assert (third + PS(1, {0: mp.mpc(0, 1)})).terms[0].real == near
+        elif op == "scale":
+            assert third.scale(mp.mpf(2)).terms[0] == 2 * near
         else:
             s = PS(2, {1: Fraction(1, 3)}).sigma_pow(1, Alpha(2))
             assert s.terms[1] == near * Alpha(2).pow(Fraction(1, 2))
 
+
+@pytest.mark.parametrize("op", ["times", "plus", "sigma_pow", "scale", "skew_product"])
+def test_a_gaussian_rational_meets_mpmath_through_to_mpc(op):
+    # mpmath does not read a GaussianRational; exact times exact stays exact
+    g = GaussianRational(1, 1)
+    with bits(128):
+        if op == "times":
+            assert (PS(1, {0: g}) * PS(1, {0: mp.mpc(1)})).terms == {0: mp.mpc(1, 1)}
+            assert (PS(1, {0: g}) * PS(1, {0: g})).terms == {0: GaussianRational(0, 2)}
+        elif op == "plus":
+            assert (PS(1, {0: g}) + PS(1, {0: mp.mpc(1)})).terms == {0: mp.mpc(2, 1)}
+        elif op == "sigma_pow":
+            s = PS(2, {1: g}).sigma_pow(1, Alpha(2))
+            assert s.terms == {1: mp.mpc(1, 1) * Alpha(2).pow(Fraction(1, 2))}
+        elif op == "scale":
+            assert PS(1, {0: g}).scale(mp.mpf(2)).terms == {0: mp.mpc(2, 2)}
+            half = PS(1, {0: g}).scale(Fraction(1, 2)).terms[0]
+            assert half == GaussianRational(Fraction(1, 2), Fraction(1, 2))
+            assert type(half) is GaussianRational
+        else:
+            ring = puiseux_ring(2)
+            t = SkewPoly.t_pow(ring, 1)
+            prod = (t + SkewPoly.constant(ring, g)) * (t + SkewPoly.constant(ring, mp.mpc(1, 2)))
+            assert [c.terms for c in prod.coeffs] == [{0: mp.mpc(-1, 3)}, {0: mp.mpc(2, 3)}, {0: 1}]
+
+
+def test_ramification_bookkeeping_usage_errors():
+    with pytest.raises(UsageError, match="ramification must be a positive integer"):
+        PS(0, {})
+    f = PS.from_terms([(Fraction(1, 2), 3)])  # L = 2
+    with pytest.raises(UsageError, match="reembed factor"):
+        f.reembed(0)
+    with pytest.raises(UsageError, match="cannot re-embed ramification 2 into 3"):
+        f.at_ram(3)
+    # a coefficient off the 1/L grid is zero
+    assert f.coeff(Fraction(1, 3)) == 0 and f.coeff(Fraction(1, 2)) == 3
+
+
+def test_inverse_of_a_truncated_series_defaults_to_its_precision():
+    f = PS.from_terms([(0, 1), (1, -1)], trunc=4)  # 1 - x + O(x^4)
+    inv = f.inverse()
+    assert inv.trunc == 4 and inv.terms == {0: 1, 1: 1, 2: 1, 3: 1}

@@ -700,3 +700,22 @@ def test_quartic_roots_take_few_working_precision_evaluations(monkeypatch):
             del calls[:]
             assert len(roots(p)) == 4
             assert len(calls) <= 24
+
+
+def test_zero_polynomial_edges():
+    zero = ResiduePoly([])
+    with pytest.raises(UsageError, match="no leading coefficient"):
+        zero.lc
+    assert zero.monic().is_zero
+    with pytest.raises(ZeroDivisionError):
+        ResiduePoly([1, 1]).divmod(zero)
+    g, a, b = ext_gcd(zero, zero)
+    assert g.is_zero
+    assert residue_mod.substitute(zero, 2, 1).is_zero
+
+
+def test_periodic_twist_check_passes_a_constant_residue():
+    # a unit residue shares no factor with any twist
+    twist = lambda p, n: p.conj_coeffs()
+    assert twist_coprime_periodic(ResiduePoly([2]), ResiduePoly([1, 1]), twist, 2) is None
+    assert twist_coprime_periodic(ResiduePoly([1, 1]), ResiduePoly([3]), twist, 2) is None

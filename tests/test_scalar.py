@@ -256,3 +256,11 @@ def test_fraction_operands_reach_mpmath_rounded_to_nearest(alpha):
                                                   PuiseuxSeries(1, {0: c1}), 1])
             z = sigma_zero_quadratic(quad, FactorConfig(target_order=k + 1, bits=128))
             assert z.terms[k] == -mp.mpc(a) / (z.terms[0] * to_mpf(alpha ** k + 1) + c1)
+
+
+def test_alpha_zero_and_scalar_text_edges():
+    with pytest.raises(UsageError, match="nonzero"):
+        Alpha(mp.mpf(0))
+    assert scalar_mod.fmt_scalar(GaussianRational(Fraction(1, 2), -3)) == "1/2-3i"
+    assert scalar_mod.fmt_scalar(GaussianRational(0, Fraction(2, 3))) == "2/3i"
+    assert scalar_mod.fmt_scalar(mp.nan) == "nan"

@@ -551,3 +551,31 @@ def test_poly_ord_agrees_with_series_ord():
     for s in (PS.zero(1, 5), PS(2, {}, 7)):
         assert SkewPoly(puiseux_ring(2, s.L), [s]).ord() == s.ord()
     assert SkewPoly(puiseux_ring(2, 2), [PS(2, {}, 7), PS(2, {3: 1})]).ord() == Fraction(3, 2)
+
+
+def test_zero_polynomial_edges():
+    R = puiseux_ring(2)
+    zero = SkewPoly.zero(R)
+    with pytest.raises(UsageError, match="no leading coefficient"):
+        zero.lc
+    # the value of the zero polynomial lives in the ring that holds the point
+    value = zero.evaluate(PS.x_pow(Fraction(1, 2)))
+    assert value.is_zero and value.L == 2
+
+
+def test_rings_and_polynomials_of_different_kinds_do_not_mix():
+    R = puiseux_ring(2)
+    with pytest.raises(ContextMismatch, match="non-Puiseux"):
+        R.unify(ConjSeriesRing())
+    with pytest.raises(ContextMismatch, match="derivation parameter"):
+        R.unify(puiseux_ring(2, a=PS.x_pow(1)))
+    assert R != ConjSeriesRing() and ConjSeriesRing() != R
+    assert SkewPoly.one(R) != SkewPoly.one(puiseux_ring(3))
+    assert SkewPoly.one(R) != SkewPoly.one(ConjSeriesRing())
+
+
+def test_conj_rings_read_and_print_scalars():
+    assert ConjSeriesRing().coerce(3).terms == {0: 3}
+    C = ComplexConjRing()
+    assert str(SkewPoly(C, [mp.mpc(1, 2), 1])) == "t + (1+2i)"
+    assert str(SkewPoly(C, [mp.mpc(0, -1), 3, 1])) == "t^2 + 3*t - 1i"

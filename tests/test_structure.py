@@ -313,3 +313,8 @@ def test_trace_solve_rounds_an_exact_coefficient_to_nearest():
     with bits(128):
         b = trace_solve(PS(2, {1: Fraction(1, 3)}), 2, alpha)
         assert b.terms[1] == to_mpf(Fraction(1, 3)) / (1 + alpha.pow(Fraction(1, 2)))
+
+
+def test_trace_solve_needs_a_positive_degree():
+    with pytest.raises(UsageError, match="d >= 1"):
+        trace_solve(PS.x_pow(1), 0, 2)
