@@ -29,6 +29,29 @@ F[t, sigma] and runs the reduction pipeline:
 Splitting candidates are certified directly: a residue root is accepted as
 orbit base as soon as its orbit captures some but not all roots, which is
 exactly the lifting precondition.
+
+Order budget.  Let T be the target order, f = unit * (t - Z_1) ... (t - Z_d)
+and V(zeta) = min_k (ord f_k + k zeta), read off f's Newton polygon once.
+verify_factorization reads the product to T, so zero i is needed to
+
+  need_i = T - ord(unit) - sum_(j != i) min(0, ord Z_j)
+         = T - V(0) + min(0, ord Z_i),
+
+and it reads f(Z_d) to T, which needs Z_d to T - ord(unit) -
+sum_(j < d) min(ord Z_j, ord Z_d), at most T + zeta - V(zeta) for every
+zeta <= ord Z_d.  A level sees its zeros in F1's coordinates, where a zero
+of order o >= 0 has ord Z = o - total (total = slope + r, the scaling
+accumulated down to F1).  It lifts F1 to what its zeros are needed to,
+T - V(0) + min(total, o), or T - V(-total) when it holds Z_d, and to at
+least one order past o, plus what the scalings of the levels below lose,
+sum_(j != i) min(o_i, o_j) (_Engine._lift_k; cf. the truncation bounds of
+D. Duval, Compositio Math. 70, 1989, and A. Poteaux, M. Rybowicz, AAECC 22,
+2011).  F1's polygon gives the o, so the budget is known before the lift.
+What the polygon cannot see, the separation of zeros that share a residue
+root at alpha = 1 and the zeros O(x^(K/m)) of a t-power factor, the level
+below finds when its data fall short of its own budget: it raises
+_ShortLift to the lift above it, which lifts further, as far as its inputs
+are known, and reruns its children.
 """
 
 from __future__ import annotations
@@ -52,7 +75,6 @@ from .skewpoly import PuiseuxRing, SkewPoly, puiseux_ring
 from .structure import (normalize_scaled, scale_back_zeros, scaling_exponent,
                         shift_iso, trace_solve)
 
-ORDER_MARGIN = 4  # extra x-orders lifted beyond the target
 MAX_RAMIFICATION = 256  # largest ramification a recursion level may reach
 MAX_CLASSICAL_ITERATIONS = 64  # nested classical rounds before the budget trips
 
@@ -73,7 +95,9 @@ class FactorConfig:
 @dataclass
 class Factorization:
     """f = unit * (t - zeros[0]) * (t - zeros[1]) * ... * (t - zeros[-1]),
-    with the residual and achieved order of verify_factorization."""
+    with the residual and achieved order of verify_factorization.  Each
+    zero is known to the order at which that check reads it (need_i in the
+    module docstring), or little further."""
 
     zeros: list
     unit: PuiseuxSeries | None
@@ -99,10 +123,78 @@ def _target_k(order, L: int, avail=INF) -> int:
     return int(min(math.ceil(order * L), avail))
 
 
+class _ShortLift(Exception):
+    """A level needs its data known args[0] more x-orders than the lift
+    above it reached (module docstring); that lift catches it and lifts
+    further."""
+
+
 class _Engine:
-    def __init__(self, alpha, cfg: FactorConfig):
+    def __init__(self, alpha, cfg: FactorConfig, f: SkewPoly | None = None):
+        """``f`` is the polynomial factored, whose Newton polygon every
+        level budget reads; by default the first one factor_monic is called
+        with."""
         self.alpha = alpha
-        self.cfg = cfg
+        self.order = cfg.target_order
+        self.top = None
+        if f is not None:
+            self._read_polygon(f)
+
+    def _read_polygon(self, f: SkewPoly):
+        """The points (k, ord f_k) of f's Newton polygon, in 1/L units of
+        its ring, and base = T - V(0)."""
+        ring = f.ring
+        self.top = [(k, ring.ord_k(c)) for k, c in enumerate(f.coeffs) if not c.is_zero]
+        self.top_L = ring.L
+        self.base = self.order - self._valuation(Fraction(0))
+
+    def _valuation(self, zeta: Fraction):
+        """V(zeta) = min_k (ord f_k + k zeta) over the factored f: ord of
+        its lead plus the sum of min(ord Z_j, zeta) over its zeros."""
+        p, q = zeta.numerator, zeta.denominator
+        return Fraction(min(v * q + k * p * self.top_L for k, v in self.top), self.top_L * q)
+
+    def _need(self, total, o, last: bool):
+        """The x-order to which a zero of order o >= 0 of a level is needed,
+        in that level's coordinates (ord Z = o - total): T - V(0) +
+        min(total, o) for the re-multiplied product and, when ``last``
+        (the level holds the rightmost zero), T - V(-total) for f(z_last)."""
+        need = self.base + min(total, o)
+        if last and total > 0:
+            need = max(need, self.order - self._valuation(-total))
+        return need
+
+    def _lift_k(self, F1: SkewPoly, total, last: bool) -> int:
+        """The order, in 1/L units of its ring, to which a level lifts
+        F1 = normalize_scaled(f, r), ``total`` = slope + r: what its zeros
+        are needed to plus what the scalings below them lose.
+
+        F1's Newton polygon, read once on integers, gives the orders o >= 0
+        of its zeros: h of them lie below its first vertex (h, v), the
+        others sum to v, and the largest of those, o_max, is the slope of
+        its first edge.  A zero of order o is needed to _need(total, o) and
+        to at least one order (1/L) past o itself, and the scalings below
+        it lose sum_(j != i) min(o, o_j).  Each part grows with o, so the
+        zero of order o_max sets the budget: its need plus v + (h - 1) o_max.
+        A zero below the first vertex reads o = inf in _need.
+        """
+        ring = F1.ring
+        pts = [(i, ring.ord_k(c)) for i, c in enumerate(F1.coeffs) if not c.is_zero]
+        h, v = pts[0]
+        num, den = max(((v - w, k - h) for k, w in pts[1:]), key=lambda p: p[0] / p[1])
+        o = Fraction(num, den * ring.L)
+        need = max(self._need(total, INF if h else o, last), o + Fraction(1, ring.L))
+        return math.ceil((need + (h - 1) * o) * ring.L) + v
+
+    def _power_zero(self, F: SkewPoly, o, total, last: bool, grow: bool):
+        """_t_power_zero(F), for zeros of order o; one short of _need raises
+        _ShortLift when ``grow``, for d times the shortfall."""
+        zero = _t_power_zero(F)
+        if grow and zero.trunc is not None:
+            short = self._need(total, o, last) - Fraction(zero.trunc, zero.L)
+            if short > 0:
+                raise _ShortLift(F.degree * short)
+        return zero
 
     # -- helpers -------------------------------------------------------------
 
@@ -179,7 +271,8 @@ class _Engine:
 
     # -- main recursion ---------------------------------------------------------
 
-    def factor_monic(self, f: SkewPoly, depth: int, slope=Fraction(0), pairs=None):
+    def factor_monic(self, f: SkewPoly, depth: int, slope=Fraction(0), pairs=None,
+                     last=True, grow=False):
         """Zeros c_1..c_d with f = (t - c_1) ... (t - c_d) in F[t, sigma].
 
         Each level splits F1 = normalize_scaled(f, r) in its own
@@ -198,15 +291,25 @@ class _Engine:
         test and the classical round.  A level past MAX_CLASSICAL_ITERATIONS
         nested classical rounds or MAX_RAMIFICATION raises PrecisionExhausted
         naming that budget, before it lifts anything.
+
+        A split lifts to the level's order budget (_lift_k, module
+        docstring), not further: ``last`` says that f holds the rightmost
+        zero, whose f(z) the check reads, and ``grow`` that the lift above
+        can reach further.  Then a level whose data fall short of its
+        budget, or a t-power whose zeros fall short of their need, raises
+        _ShortLift, and the lift above raises its order by the shortfall
+        and reruns its children.
         """
         ring = f.ring
         d = f.degree
+        if self.top is None:
+            self._read_polygon(f)
         if d <= 0:
             return []
         if d == 1:
             return [-f.coeffs[0]]
         if _is_t_power(f):
-            return [_t_power_zero(f) for _ in range(d)]
+            return [self._power_zero(f, INF, slope, last, grow)] * d
         if depth > MAX_CLASSICAL_ITERATIONS:
             raise PrecisionExhausted(f"classical iteration budget {MAX_CLASSICAL_ITERATIONS} exhausted")
 
@@ -217,8 +320,10 @@ class _Engine:
         F1 = normalize_scaled(f, r)
         ring1 = F1.ring
         avail = min(map(_trunc_k, F1.coeffs))
-        order = self.cfg.target_order + math.ceil(abs(total) * d) + ORDER_MARGIN
-        target_k = _target_k(order, ring1.L, avail)
+        budget = self._lift_k(F1, total, last)
+        if grow and budget > avail:
+            raise _ShortLift(Fraction(budget - avail, ring1.L))
+        target_k = min(budget, avail)
         if target_k < 1:
             raise PrecisionExhausted("no series precision left for lifting")
 
@@ -227,7 +332,8 @@ class _Engine:
         # b0 = res b for the trace solve b of c_(d-1): its x^0 denominator is d
         b0 = to_mpc(cdm1.residue() / d) if ring1.ord_k(cdm1) == 0 else 0
         if _orbit_case(residue_mod.substitute(res, 1, -b0)):
-            parts = self.prop_split(F1, res, b0, target_k, pairs if r == 0 else None)
+            def split(k):
+                return self.prop_split(F1, res, b0, k, pairs if r == 0 else None)
         else:
             # res F1 = (t + b0)^d, and b0 != 0 as some lower coefficient of
             # F1 has order 0.  So -b0 is not the fixed point 0 of T, and a
@@ -239,20 +345,32 @@ class _Engine:
                 F2 = _pinned_shift(F1, b)
                 if _is_t_power(F2):
                     # F2 = t^d, so F1 = (t + b + O(x^zt))^d
-                    return scale_back_zeros([-(b + _t_power_zero(F2))] * d, r, self.alpha)
+                    zero = self._power_zero(F2, 0, total, last, grow)
+                    return scale_back_zeros([-(b + zero)] * d, r, self.alpha)
                 if self.alpha.is_one:
                     # every delta_a vanishes, so re-read the shifted
                     # polynomial in the underived ring and iterate the round
                     flat_ring = puiseux_ring(self.alpha, F2.ring.L)
                     flat = SkewPoly(flat_ring, list(F2.coeffs), trim=False)
-                    ws = [w - b for w in self.factor_monic(flat, depth + 1)]
-                    return scale_back_zeros(ws, r, self.alpha)
-            parts = self.t_split(F1, b0, target_k)
+                    ws = self.factor_monic(flat, depth + 1, total, None, last, grow)
+                    return scale_back_zeros([w - b for w in ws], r, self.alpha)
 
-        ws = []
-        for p, rts in parts:
-            ws += self.factor_monic(p, depth, total, rts)
-        return scale_back_zeros(ws, r, self.alpha)
+            def split(k):
+                return self.t_split(F1, b0, k)
+
+        while True:
+            try:
+                ws, parts = [], split(target_k)
+                for i, (p, rts) in enumerate(parts, 1):
+                    ws += self.factor_monic(p, depth, total, rts, last and i == len(parts),
+                                            target_k < avail)
+                return scale_back_zeros(ws, r, self.alpha)
+            except _ShortLift as short:
+                # a level below needs more than this lift reached
+                want = target_k + math.ceil(short.args[0] * ring1.L)
+                if grow and want > avail:
+                    raise _ShortLift(Fraction(want - avail, ring1.L)) from None
+                target_k = min(want, avail)
 
 
 def _orbit_case(res: ResiduePoly) -> bool:
@@ -324,25 +442,34 @@ def _factor_once(f: SkewPoly, cfg: FactorConfig) -> Factorization:
     ring = _require_plain_ring(f)
     if f.is_zero:
         raise UsageError("cannot factor the zero polynomial")
-    engine = _Engine(ring.alpha, cfg)
+    engine = _Engine(ring.alpha, cfg, f)
     unit = None
     fm = f
     if not f.is_monic:
-        lead = f.lc
-        if lead.trunc is None and len(lead.terms) == 1:
-            inv = lead.inverse()
-        else:
-            avail = _trunc_k(lead) - 2 * lead.ord_k()
-            inv = lead.inverse(_target_k(cfg.target_order + ORDER_MARGIN, lead.L, avail))
-        fm = f.lmul_base(inv)
-        coeffs = list(fm.coeffs)
-        coeffs[-1] = fm.ring.one()
-        fm = SkewPoly(fm.ring, coeffs, trim=False)
-        unit = lead
+        unit = lead = f.lc
+        m = lead.ord_k()
+        # the inverse of the lead's leading monomial gives fm its Newton
+        # polygon.  A lead that is no exact monomial is then inverted to the
+        # relative order to which the top level lifts fm's F1 (the zeros of
+        # a t-power and of a constant do not read it)
+        fm = _monic(f, PuiseuxSeries(lead.L, {m: lead.terms[m]}).inverse())
+        exact = lead.trunc is None and len(lead.terms) == 1
+        if not exact and fm.degree > 0 and not _is_t_power(fm):
+            r = scaling_exponent(fm)
+            F1 = normalize_scaled(fm, r)
+            rel = Fraction(engine._lift_k(F1, r, True), F1.ring.L)
+            avail = _trunc_k(lead) - 2 * m
+            fm = _monic(f, lead.inverse(_target_k(rel - lead.ord(), lead.L, avail)))
     zeros = engine.factor_monic(fm, 0)
     report = verify_factorization(f, zeros, unit, order=cfg.target_order)
     return Factorization(zeros, unit, report["residual"], report["achieved_order"],
                          math.lcm(ring.L, *(z.L for z in zeros)))
+
+
+def _monic(f: SkewPoly, inv: PuiseuxSeries) -> SkewPoly:
+    """inv * f with its leading coefficient set to an exact one."""
+    fm = f.lmul_base(inv)
+    return SkewPoly(fm.ring, fm.coeffs[:-1] + [fm.ring.one()], trim=False)
 
 
 def sigma_zero(f: SkewPoly, cfg: FactorConfig | None = None) -> PuiseuxSeries:

@@ -530,8 +530,10 @@ def _lmul(ops, rows: list, cs) -> list:
     """sum_i cs[i] * (t^i b) as a coefficient list, cs, the table ``rows``
     (``_row``) and the result in the form of ``ops``.  An exact zero cs[i]
     adds nothing (a zero known only to O(x^k) adds its truncated products);
-    the products that reach an output coefficient are summed in order of i,
-    and one that no product reaches is zero."""
+    the products that reach an output coefficient are summed in order of i.
+    Both callers trim exact zeros, so cs[-1] is nonzero and its row spans
+    every output coefficient: each gets at least one product, and
+    ``ops.sum`` is never handed an empty list."""
     out = [[] for _ in range(len(rows[0]) + len(cs) - 1)]
     for i, c in enumerate(cs):
         if ops.ord_k(c) == INF:
@@ -608,8 +610,6 @@ class _Coeffs:
         return self.ring.sub(x, y)
 
     def sum(self, parts):
-        if not parts:
-            return self.ring.zero()
         acc = parts[0]
         for p in parts[1:]:
             acc = self.ring.add(acc, p)

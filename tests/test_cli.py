@@ -169,8 +169,9 @@ def test_verify_command_reports_failure(capsys):
 
 def test_verify_reads_back_a_printed_zero_in_exponent_notation(capsys):
     # the sigma-zero prints its x^14 coefficient as (3.14...e-13)*x^14;
-    # verify takes it with the left zero of the same factorization
-    args = ("--alpha", "3", "--prec", "12", "--bits", "128")
+    # verify takes it with the left zero of the same factorization.  The
+    # zeros stop at O(x^16), the target order, so x^14 is computed
+    args = ("--alpha", "3", "--prec", "16", "--bits", "128")
     f = "t^2 - (1+x^2)"
     code, out, _ = run_cli(capsys, "sigma-zero", *args, f)
     assert code == 0
@@ -213,7 +214,7 @@ def test_least_precision_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "factor", "--alpha", "2", "--bits", "49",
                            "--prec", "5", "--json", "t^2 - 3*t + 2")
     assert code == 0
-    assert json.loads(out)["factors"] == ["t + (-1 + O(x^9))", "t + (-2 + O(x^9))"]
+    assert json.loads(out)["factors"] == ["t + (-1 + O(x^5))", "t + (-2 + O(x^5))"]
 
 
 @pytest.mark.parametrize("value", ["abc", "12.5", "0"])
@@ -317,10 +318,11 @@ def test_hensel_lifts_to_at_least_a_fractional_prec(capsys, prec, out):
 
 
 def test_sigma_zero_order_check_reads_the_zero_at_its_own_bits(capsys):
-    # the zero's coefficients grow to 9.7e21 at x^9 and hold 217-bit
-    # mantissas; t - z negates them exactly, so the check divides by z
-    # itself, not by its 128-bit rounding, and reaches order 10
-    code, out, _ = run_cli(capsys, "sigma-zero", "--alpha", "1/2", "--prec", "6",
+    # the zero, to O(x^10) at target order 10, has coefficients that grow
+    # to 9.7e21 at x^9 and hold 217-bit mantissas; t - z negates them
+    # exactly, so the check divides by z itself, not by its 128-bit
+    # rounding, and reaches order 10
+    code, out, _ = run_cli(capsys, "sigma-zero", "--alpha", "1/2", "--prec", "10",
                            "--bits", "128", "t^4 - 2*t^2 + x")
     assert code == 0
     assert out.splitlines()[-1] == "check_ord: 10"

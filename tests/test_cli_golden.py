@@ -23,35 +23,35 @@ GOLDEN = [
      0, '{"factors": ["t - 1", "t - 1"], "order": "40", "ramification": 1, "residual": "0.0"}\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "5", "t^2 - 3*t + 2"],
-     0, 'f = t^2 - 3*t + 2\nfactor: t + (-1 + O(x^9))\nfactor: t + (-2 + O(x^9))\nresidual: 0.0  order: 5  ramification: 1\n',
+     0, 'f = t^2 - 3*t + 2\nfactor: t + (-1 + O(x^5))\nfactor: t + (-2 + O(x^5))\nresidual: 0.0  order: 5  ramification: 1\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "5", "t^2 - 3*t + 2", "--json"],
-     0, '{"factors": ["t + (-1 + O(x^9))", "t + (-2 + O(x^9))"], "order": "5", "ramification": 1, "residual": "0.0"}\n',
+     0, '{"factors": ["t + (-1 + O(x^5))", "t + (-2 + O(x^5))"], "order": "5", "ramification": 1, "residual": "0.0"}\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "6", "t^2 - (1+x)*t"],
-     0, 'f = t^2 + (-1 - x)*t\nfactor: t + (O(x^10))\nfactor: t + (-1 - 0.5*x + O(x^10))\nresidual: 0.0  order: 6  ramification: 1\n',
+     0, 'f = t^2 + (-1 - x)*t\nfactor: t + (O(x^6))\nfactor: t + (-1 - 0.5*x + O(x^6))\nresidual: 0.0  order: 6  ramification: 1\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "6", "t^2 - (1+x)*t", "--json"],
-     0, '{"factors": ["t + (O(x^10))", "t + (-1 - 0.5*x + O(x^10))"], "order": "6", "ramification": 1, "residual": "0.0"}\n',
+     0, '{"factors": ["t + (O(x^6))", "t + (-1 - 0.5*x + O(x^6))"], "order": "6", "ramification": 1, "residual": "0.0"}\n',
      ''),
     (["factor", "--alpha", "1", "--prec", "6", "t^2 - x"],
-     0, 'f = t^2 + (-x)\nfactor: t + (x^(1/2) + O(x^(23/2)))\nfactor: t + (-x^(1/2) + O(x^(23/2)))\nresidual: 0.0  order: 6  ramification: 2\n',
+     0, 'f = t^2 + (-x)\nfactor: t + (x^(1/2) + O(x^6))\nfactor: t + (-x^(1/2) + O(x^6))\nresidual: 0.0  order: 6  ramification: 2\n',
      ''),
     (["factor", "--alpha", "1", "--prec", "6", "t^2 - x", "--json"],
-     0, '{"factors": ["t + (x^(1/2) + O(x^(23/2)))", "t + (-x^(1/2) + O(x^(23/2)))"], "order": "6", "ramification": 2, "residual": "0.0"}\n',
+     0, '{"factors": ["t + (x^(1/2) + O(x^6))", "t + (-x^(1/2) + O(x^6))"], "order": "6", "ramification": 2, "residual": "0.0"}\n',
      ''),
     # non-monic: the lead is split off as a left unit
     (["factor", "--alpha", "2", "--prec", "4", "2*t^2 - 2"],
-     0, 'f = 2*t^2 - 2\nunit: 2\nfactor: t + (1 + O(x^8))\nfactor: t + (-1 + O(x^8))\nresidual: 0.0  order: 4  ramification: 1\n',
+     0, 'f = 2*t^2 - 2\nunit: 2\nfactor: t + (1 + O(x^4))\nfactor: t + (-1 + O(x^4))\nresidual: 0.0  order: 4  ramification: 1\n',
      ''),
     (["factor", "--alpha", "2", "--prec", "4", "2*t^2 - 2", "--json"],
-     0, '{"factors": ["t + (1 + O(x^8))", "t + (-1 + O(x^8))"], "order": "4", "ramification": 1, "residual": "0.0", "unit": "2"}\n',
+     0, '{"factors": ["t + (1 + O(x^4))", "t + (-1 + O(x^4))"], "order": "4", "ramification": 1, "residual": "0.0", "unit": "2"}\n',
      ''),
     (["sigma-zero", "--alpha", "2", "--prec", "4", "t^2 - (1+x)*t"],
-     0, 'zero: 1 + 0.5*x + O(x^8)\ncheck_ord: 8\n',
+     0, 'zero: 1 + 0.5*x + O(x^4)\ncheck_ord: 4\n',
      ''),
     (["sigma-zero", "--alpha", "2", "--prec", "4", "t^2 - (1+x)*t", "--json"],
-     0, '{"check_ord": "8", "zero": "1 + 0.5*x + O(x^8)"}\n',
+     0, '{"check_ord": "4", "zero": "1 + 0.5*x + O(x^4)"}\n',
      ''),
     (["sigma-zero", "--alpha", "i", "--prec", "8", "t^2 - (1+x^2)"],
      2, '',

@@ -351,7 +351,8 @@ def test_first_split_of_the_cubic_lifts_to_its_target(monkeypatch, alpha, prec):
     # misses its residual bound
     with contextlib.suppress(PrecisionExhausted):
         newton_puiseux_factor(f, FactorConfig(target_order=15, bits=prec))
-    assert lifts and lifts[0][0] == lifts[0][1] >= 19
+    # its zeros have order 0, so the budget is the target order itself
+    assert lifts and lifts[0][0] == lifts[0][1] == 15
 
 
 # the precisions at which each alpha misses the residual bound (ROADMAP,
@@ -407,14 +408,120 @@ def test_a_tripped_budget_raises_before_any_verification(monkeypatch):
 
 
 def test_a_residual_above_the_ok_bound_raises():
+    # the Baseline cubic at alpha 3 misses its residual bound at 128 bits
+    # (the precision wall); the library raises and the CLI exits 4
+    f = parse_poly("t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)", puiseux_ring(3))
+    with pytest.raises(PrecisionExhausted, match="^factorization residual 6.1246e-13 above "):
+        newton_puiseux_factor(f, FactorConfig(target_order=12, bits=128))
+    assert cli_main(["factor", "--alpha", "3", "--prec", "12", "--bits", "128",
+                     "t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)"]) == 4
+
+
+def test_the_close_branch_quartic_states_the_order_its_retry_reaches(monkeypatch):
     # this factorization used to come back with a residual of 1e219 at
-    # order 3 and no error
+    # order 3 and no error, then raised for its residual; lifted to its
+    # order budget, its growth retry at 234 bits meets the bound and
+    # states the order it reaches
+    precs = []
+    once = factorizer._factor_once
+    monkeypatch.setattr(factorizer, "_factor_once",
+                        lambda f, cfg: precs.append(mp.prec) or once(f, cfg))
     with bits(160):
         f = _close_branch_quartic()
         text = poly_to_str(f)
-    with pytest.raises(PrecisionExhausted, match="residual"):
-        newton_puiseux_factor(f, FactorConfig(target_order=15, bits=160))
-    assert cli_main(["factor", "--alpha", "1", "--prec", "15", "--bits", "160", text]) == 4
+    fac = newton_puiseux_factor(f, FactorConfig(target_order=15, bits=160))
+    assert precs == [160, 234]
+    assert mp.nstr(fac.residual, 5) == "1.9059e-27"
+    assert fac.achieved_order == Fraction(15, 2)
+    monkeypatch.undo()
+    assert cli_main(["factor", "--alpha", "1", "--prec", "15", "--bits", "160", text]) == 0
+
+
+def _lifts(monkeypatch):
+    """The target order of every hensel_lift the factorizer runs."""
+    real = factorizer.hensel_lift
+    targets = []
+
+    def recording(f, g, h, target_k, **kwargs):
+        targets.append(target_k)
+        return real(f, g, h, target_k, **kwargs)
+
+    monkeypatch.setattr(factorizer, "hensel_lift", recording)
+    return targets
+
+
+def test_zeros_above_the_target_lift_one_order_past_themselves(monkeypatch):
+    # both zeros have order 20 and the target is 15: what the check reads
+    # of them is nothing, and the lift still goes one order past them
+    targets = _lifts(monkeypatch)
+    f = parse_poly("t^2 - 3*x^20*t + 2*x^40", puiseux_ring(2))
+    fac = newton_puiseux_factor(f, FactorConfig(target_order=15))
+    assert targets == [1]
+    assert fac.achieved_order == 15 and [z.trunc for z in fac.zeros] == [21, 21]
+    assert cli_main(["factor", "--alpha", "2", "--prec", "15", "t^2 - 3*x^20*t + 2*x^40"]) == 0
+
+
+def test_a_level_that_scales_its_zeros_apart_is_lifted_its_loss(monkeypatch):
+    # zeros of order 20, 21 and 21 (F1's orders 0, 1 and 1): the level
+    # lifts to 1 past the largest order plus the order its child, scaled
+    # by x^-1, loses
+    targets = _lifts(monkeypatch)
+    R = puiseux_ring(2)
+    f = SkewPoly.one(R)
+    for c, k in ((1, 21), (2, 21), (1, 20)):
+        f = f * SkewPoly.t_minus(R, PS.from_terms([(k, c)]))
+    fac = newton_puiseux_factor(f, FactorConfig(target_order=15))
+    assert targets[0] == 3
+    assert fac.achieved_order == 15
+
+
+@pytest.mark.parametrize("alpha, zeros", [
+    (2, [[(0, 1), (1, 2)], [(-1, 2), (0, 1)], [(-1, 1), (2, 3)]]),
+    (Fraction(3, 2), [[(-1, 1), (2, 1)], [(0, 2), (1, 1)], [(0, -1), (2, 1)]]),
+    (2, [[(-1, 1), (1, 1)], [(-1, 2)], [(-1, 3), (0, 1)]]),
+    (Fraction(3, 2), [[(0, 1)], [(1, 2)], [(2, 1), (3, 1)]]),
+], ids=["0,-1,-1", "-1,0,0", "-1,-1,-1", "0,1,2"])
+def test_each_zero_is_lifted_to_its_need_and_at_most_two_orders_more(alpha, zeros):
+    # need_i = T - sum_(j != i) min(0, ord z_j) for the product, and the
+    # rightmost zero also T - sum_(j != i) min(ord z_j, ord z_i) for f(z)
+    R = puiseux_ring(alpha)
+    f = SkewPoly.one(R)
+    for terms in zeros:
+        f = f * SkewPoly.t_minus(R, PS.from_terms(terms))
+    fac = newton_puiseux_factor(f, FactorConfig(target_order=15, bits=160))
+    assert fac.achieved_order == 15
+    ords = [z.ord() for z in fac.zeros]
+    for i, z in enumerate(fac.zeros):
+        others = ords[:i] + ords[i + 1:]
+        need = 15 - sum(min(0, o) for o in others)
+        if i == len(ords) - 1:
+            need = max(need, 15 - sum(min(o, ords[i]) for o in others))
+        assert need <= Fraction(z.trunc, z.L) <= need + 2
+
+
+def test_a_cluster_the_polygon_cannot_see_has_the_lift_go_further(monkeypatch):
+    # alpha = 1: zeros 1 + x^3 and 1 + 2x^3 share the residue root 1 and
+    # split only after a shift, which the first lift's budget cannot see;
+    # their classical round finds its data short by 3 and the lift above
+    # goes 3 orders further
+    targets = _lifts(monkeypatch)
+    R = puiseux_ring(1)
+    f = SkewPoly.one(R)
+    for terms in ([(0, 1), (3, 1)], [(0, 1), (3, 2)], [(0, 2)]):
+        f = f * SkewPoly.t_minus(R, PS.from_terms(terms))
+    fac = newton_puiseux_factor(f, FactorConfig(target_order=15))
+    assert targets == [15, 18, 12]
+    assert fac.achieved_order == 15
+
+
+def test_an_exact_repeated_zero_has_the_lift_go_further(monkeypatch):
+    # t^3 - t^2 = t^2 (t - 1): the lifted t^2 gives zeros O(x^ceil(K/2)),
+    # so the lift goes to twice the target, less one
+    targets = _lifts(monkeypatch)
+    fac = newton_puiseux_factor(parse_poly("t^3 - t^2", puiseux_ring(2)),
+                                FactorConfig(target_order=15))
+    assert targets == [15, 29]
+    assert fac.achieved_order == 15
 
 
 def test_ramification_is_the_lcm_of_the_zeros_ramifications():

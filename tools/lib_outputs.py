@@ -16,10 +16,12 @@ each case through the workload's timed operation:
 
 That is 310 results, one JSON line each.  A numeric value is written as its
 raw mpmath tuple (``_mpf_`` or ``_mpc_``), so two records are equal only
-when every bit is; an error is written as its type and message.  ``diff``
-lists every case whose record differs and exits 1 if any does.  Pointing
-``--root`` at another checkout compares two commits with one copy of this
-tool.
+when every bit is; an error is written as its type and message.  Each
+record also holds the workload's own verdict on the result, ``check``:
+[ok, accuracy_bits] from its untimed check, or null for an error.  ``run``
+exits 1 if any case raised or failed its check.  ``diff`` lists every case
+whose record differs and exits 1 if any does.  Pointing ``--root`` at
+another checkout compares two commits with one copy of this tool.
 """
 
 from __future__ import annotations
@@ -75,21 +77,28 @@ def run(path: str, root: Path) -> int:
     spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    count = 0
+    count, failed = 0, []
     with open(path, "w") as out:
         for name, seeds, n in CASES:
             wl = workloads.WORKLOADS[name]
             for seed in seeds:
                 for i, case in enumerate(wl["cases"](seed, n)):
                     try:
-                        result = _result(name, wl["run"](case))
+                        value = wl["run"](case)
+                        result = _result(name, value)
+                        ok, acc = wl["check"](case, value)
+                        check = [bool(ok), acc]
                     except Exception as e:
-                        result = {"error": [type(e).__name__, str(e)]}
+                        result, check = {"error": [type(e).__name__, str(e)]}, None
+                    if not (check and check[0]):
+                        failed.append((name, seed, i))
                     out.write(json.dumps({"workload": name, "seed": seed, "case": i,
-                                          "result": result}) + "\n")
+                                          "result": result, "check": check}) + "\n")
                     count += 1
-    print(f"{count} results")
-    return 0
+    for name, seed, i in failed:
+        print(f"fails its check: {name} seed {seed} case {i}")
+    print(f"{count} results, {len(failed)} failing their check")
+    return 1 if failed else 0
 
 
 def diff(old_path: str, new_path: str) -> int:
