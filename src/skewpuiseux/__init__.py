@@ -23,16 +23,14 @@ Public API (exactly the names in ``__all__``):
                 sigma_zero, sigma_zero_quadratic, verify_factorization
   text:         parse_poly, parse_scalar, parse_series, poly_to_str,
                 series_to_str
-  errors:       ContextMismatch, MathObstruction, NoSplittingRoot,
-                NotMonicError, Obstruction, ParseError, PrecisionExhausted,
-                RootFindingError, SkewError, TwistCoprimeFailure, UsageError,
-                ZeroInversion
+  errors:       ContextMismatch, MathObstruction, NotMonicError, Obstruction,
+                ParseError, PrecisionExhausted, RootFindingError, SkewError,
+                TwistCoprimeFailure, UsageError, ZeroInversion
 """
 
-from .errors import (ContextMismatch, MathObstruction, NoSplittingRoot,
-                     NotMonicError, Obstruction, ParseError, PrecisionExhausted,
-                     RootFindingError, SkewError, TwistCoprimeFailure,
-                     UsageError, ZeroInversion)
+from .errors import (ContextMismatch, MathObstruction, NotMonicError, Obstruction,
+                     ParseError, PrecisionExhausted, RootFindingError, SkewError,
+                     TwistCoprimeFailure, UsageError, ZeroInversion)
 from .factorizer import (FactorConfig, Factorization, newton_puiseux_factor,
                          sigma_zero, sigma_zero_quadratic, verify_factorization)
 from .hensel import HenselState, hensel_lift, twist_precheck
@@ -50,7 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Alpha", "ComplexConjRing", "ConjSeriesRing", "ContextMismatch",
     "FactorConfig", "Factorization", "GaussianRational", "HenselState",
-    "MathObstruction", "NoSplittingRoot", "NotMonicError", "Obstruction",
+    "MathObstruction", "NotMonicError", "Obstruction",
     "OrbitPartition", "ParseError", "PrecisionExhausted", "PuiseuxRing",
     "PuiseuxSeries", "ResiduePoly", "RootFindingError", "SkewError",
     "SkewPoly", "TMap", "TwistCoprimeFailure", "UsageError", "ZeroInversion",

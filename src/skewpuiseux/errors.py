@@ -57,11 +57,6 @@ class RootFindingError(SkewError):
         super().__init__(msg)
 
 
-class NoSplittingRoot(SkewError):
-    """No residue root produced a proper orbit split (internal error: the
-    theory guarantees one exists)."""
-
-
 class ParseError(UsageError):
     """Syntax error with a position annotation."""
 

@@ -10,25 +10,37 @@ F[t, sigma] and runs the reduction pipeline:
   3. read b0 = res(c_(d-1))/d off the t^(d-1) coefficient (0 when its
      order is positive): the residue of the trace solve b that the shift
      t -> t - b would use to kill that coefficient;
-  4. split, on residue data only: when res F1 is not (t + b0)^d, group
-     its roots by the orbits of the residue map T of F1's ring and lift
-     the orbit split (prop_split).  Otherwise only one residue root -b0
-     exists.  When alpha != 1 and F1 is truncated, lift the
-     ((t + b0)^(d-1), t + b0) split of F1 (t_split).  When alpha = 1 or F1
-     is exact, form b and the shifted polynomial F2 (landing in the
+  4. peel off res F1 the root (at alpha = 1, the cluster) that the rule
+     below picks; when res F1 = (t + b0)^d, that is -b0, but alpha = 1 and
+     exact levels first form b and the shifted polynomial F2 (in the
      delta_(-b) ring), and take d equal zeros when F2's lower coefficients
-     all vanish, one classical Newton-Puiseux round when alpha = 1, or
-     else t_split.  So trace_solve, _pinned_shift and its cancellation
-     guard serve only alpha = 1 and exact levels.  Every lift runs on F1
-     itself;
+     all vanish, or run one classical Newton-Puiseux round when alpha = 1:
+     so trace_solve and _pinned_shift serve only those levels.  Every lift
+     runs on F1 itself;
   5. recurse on both lifted factors u and v as they are, in F1's
      coordinates, handing each the root list of its residue, and map the
      zeros w_1..w_d of F1 back to f's once: z_i = alpha^(-r(d-i)) x^(-r) w_i
      (scale_back_zeros).
 
-Splitting candidates are certified directly: a residue root is accepted as
-orbit base as soon as its orbit captures some but not all roots, which is
-exactly the lifting precondition.
+The peel rule (_peel).  Let alpha_eff = alpha^(1/L); the residue map T of
+F1's ring is w -> w / alpha_eff.  The skew Hensel lemma lifts res F1 =
+res g res h unless a root c of res g is a twist alpha_eff^n c' (n >= 1) of
+a root c' of res h (twist_coprime_affine), so one such split is needed,
+not a search.  The left factor is (t - c)^e for the root c of least
+modulus when alpha_eff > 1, of greatest modulus when alpha_eff < 1, and
+of least real, then imaginary, part when alpha = 1; e = 1 unless T fixes
+c (alpha = 1, or c = 0), when e is c's multiplicity.  The right factor
+takes the other roots.  The choice certifies itself, with a margin:
+
+  - alpha_eff > 1, c != 0: |alpha_eff^n c' - c| >= (alpha_eff - 1)|c|;
+  - alpha_eff > 1, c = 0: the zero cluster goes left, alpha_eff^n c' != 0;
+  - alpha_eff < 1: |c - alpha_eff^n c'| >= (1 - alpha_eff)|c|, and c != 0
+    as res F1 != t^d;
+  - alpha = 1: whole clusters split, so res g and res h share no root.
+
+hensel_lift's twist check, which guards direct calls, is the only check a
+peeled split meets.  The peeled factor is the left one, so each lift step
+inverts k_n modulo a linear res g, a constant.
 
 Order budget.  Let T be the target order, f = unit * (t - Z_1) ... (t - Z_d)
 and V(zeta) = min_k (ord f_k + k zeta), read off f's Newton polygon once.
@@ -59,14 +71,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import reduce
 
 from mpmath import mp
 
 from . import residue as residue_mod
 from . import scalar
-from .errors import (NoSplittingRoot, Obstruction, PrecisionExhausted,
-                     UsageError)
+from .errors import Obstruction, PrecisionExhausted, UsageError
 from .hensel import hensel_lift
 from .puiseux import PuiseuxSeries, _trunc_k
 from .residue import ResiduePoly
@@ -196,42 +207,6 @@ class _Engine:
                 raise _ShortLift(F.degree * short)
         return zero
 
-    # -- helpers -------------------------------------------------------------
-
-    def _candidates(self, rts, tmap, b0=0):
-        """Residue roots in trial order, scored in the coordinates of the
-        shift by b0: a root c as c + b0, the fixed point of T as
-        -(tmap.a0 - b0).
-
-        Every orbit of the affine map T accumulates at its fixed point; an
-        outsider root close to the fixed point makes the twisted
-        coprimality margins decay and the Bezout cofactors blow up.  So
-        roots nearest the fixed point are tried as orbit base first,
-        keeping them on the lifted-together side.  The Delta-set
-        certificate (nonreal or wrong-signed c/a0) breaks ties, then the
-        real and imaginary parts.  Keys within cluster_tol() (relative)
-        tie, so rounding in the root search never decides the order, as it
-        would for branch pairs +-v.  An identity T has no fixed point to
-        approach; there the distance key is left out.
-        """
-        tol = scalar.cluster_tol()
-        a0 = tmap.a0 - b0
-        aeff = to_mpc(tmap.alpha_eff()).real
-        scored = []
-        for c, mult in rts:
-            cs = c + b0
-            certified = residue_mod.delta_pretest(cs, a0, aeff, tol) is False
-            scored.append((abs(cs + a0), 0 if certified else 1,
-                           mp.re(cs), mp.im(cs), (c, mult)))
-        first = 1 if tmap.is_identity else 0
-        def order(s, u):
-            for a, b in zip(s[first:4], u[first:4]):
-                if abs(a - b) > tol * max(1, abs(a), abs(b)):
-                    return -1 if a < b else 1
-            return 0
-        scored.sort(key=cmp_to_key(order))
-        return [s[4] for s in scored]
-
     # -- splitting ------------------------------------------------------------
 
     def _lift_split(self, F: SkewPoly, roots, target_k: int):
@@ -243,32 +218,6 @@ class _Engine:
                 for rs in roots)
         return list(zip(hensel_lift(F, u, v, target_k, roots=roots)[:2], roots))
 
-    def prop_split(self, F: SkewPoly, res, b0, target_k: int, pairs=None):
-        """Orbit-partition split: the roots of ``res`` = res F (``pairs``,
-        searched when not given) are grouped by the orbit of a base root
-        under the residue map T of F's ring; the orbit part lifts as the
-        left factor of F.  ``b0`` only orders the candidate bases
-        (_candidates)."""
-        d = F.degree
-        tmap = F.ring.tmap()
-        if pairs is None:
-            pairs = residue_mod.roots(res).pairs
-        for c1, _ in self._candidates(pairs, tmap, b0):
-            part = residue_mod.orbit_partition(pairs, c1, tmap)
-            j = part.j
-            if 1 <= j < d:
-                members = [(c, m) for c, _, m in part.members]
-                return self._lift_split(F, (members, part.outsiders), target_k)
-        raise NoSplittingRoot(
-            f"no residue root splits the orbit partition of {res!r}")
-
-    def t_split(self, F: SkewPoly, b0, target_k: int):
-        """Terminal branch: res F = (t + b0)^d, and sigma is nontrivial, so
-        g = (t + b0)^(d-1), h = t + b0 lifts to a monic linear right factor
-        of F."""
-        groots = [(-b0, F.degree - 1)] if F.degree > 1 else []
-        return self._lift_split(F, (groots, [(-b0, 1)]), target_k)
-
     # -- main recursion ---------------------------------------------------------
 
     def factor_monic(self, f: SkewPoly, depth: int, slope=Fraction(0), pairs=None,
@@ -276,19 +225,18 @@ class _Engine:
         """Zeros c_1..c_d with f = (t - c_1) ... (t - c_d) in F[t, sigma].
 
         Each level splits F1 = normalize_scaled(f, r) in its own
-        coordinates.  The branch is read off res F1: with b0 = res(c_(d-1))/d,
-        the residue of the trace solve b of c_(d-1), res F1 = (t + b0)^d or
-        not.  If not, its roots split by orbits (prop_split).  A split
-        lifts F1 = u v in F[t, sigma], and u and v recurse as they are, with
-        the root lists of their residues (``pairs``, read while the child's
-        r is 0, where its residue is the parent's factor) and the slope
+        coordinates.  The peel rule (module docstring) splits the roots of
+        res F1, or its one root -b0 (b0 = res(c_(d-1))/d, the residue of the
+        trace solve b of c_(d-1)) when res F1 = (t + b0)^d.  A split lifts
+        F1 = u v in F[t, sigma], and u and v recurse as they are, with the
+        root lists of their residues (``pairs``, read while the child's r is
+        0, where its residue is the parent's factor) and the slope
         accumulated down to F1 (``slope``, which sizes the child's lift).
-        A t-power shifted polynomial gives d equal zeros, and the classical
-        round the zeros of the shifted polynomial.  The level then maps its
-        zeros back to f's once (scale_back_zeros).  The series b and the
-        shifted polynomial are formed only in the single-root branch of
-        alpha = 1 or of an exact level, where they are read: the t-power
-        test and the classical round.  A level past MAX_CLASSICAL_ITERATIONS
+        The series b and the shifted polynomial are formed only in the
+        one-root branch of alpha = 1 or of an exact level: a t-power shifted
+        polynomial gives d equal zeros, and the classical round the zeros of
+        the shifted polynomial.  The level then maps its zeros back to f's
+        once (scale_back_zeros).  A level past MAX_CLASSICAL_ITERATIONS
         nested classical rounds or MAX_RAMIFICATION raises PrecisionExhausted
         naming that budget, before it lifts anything.
 
@@ -331,15 +279,13 @@ class _Engine:
         cdm1 = F1.coeffs[d - 1]
         # b0 = res b for the trace solve b of c_(d-1): its x^0 denominator is d
         b0 = to_mpc(cdm1.residue() / d) if ring1.ord_k(cdm1) == 0 else 0
-        if _orbit_case(residue_mod.substitute(res, 1, -b0)):
-            def split(k):
-                return self.prop_split(F1, res, b0, k, pairs if r == 0 else None)
+        if _several_roots(residue_mod.substitute(res, 1, -b0)):
+            res_roots = (pairs if r == 0 else None) or residue_mod.roots(res).pairs
         else:
-            # res F1 = (t + b0)^d, and b0 != 0 as some lower coefficient of
-            # F1 has order 0.  So -b0 is not the fixed point 0 of T, and a
-            # truncated skew level lifts the t-split to its truncation.  An
-            # exact level reads the shifted series first, whose t-power test
-            # finds exact zeros, and alpha = 1 runs the classical round on it
+            # res F1 = (t + b0)^d, with b0 != 0 as some lower coefficient
+            # of F1 has order 0.  An exact level reads the shifted series
+            # first, whose t-power test finds exact zeros, and alpha = 1
+            # runs the classical round on it
             if self.alpha.is_one or avail == INF:
                 b = trace_solve(cdm1, d, self.alpha)
                 F2 = _pinned_shift(F1, b)
@@ -354,13 +300,12 @@ class _Engine:
                     flat = SkewPoly(flat_ring, list(F2.coeffs), trim=False)
                     ws = self.factor_monic(flat, depth + 1, total, None, last, grow)
                     return scale_back_zeros([w - b for w in ws], r, self.alpha)
-
-            def split(k):
-                return self.t_split(F1, b0, k)
+            res_roots = [(-b0, d)]
+        sides = _peel(res_roots, ring1.tmap())
 
         while True:
             try:
-                ws, parts = [], split(target_k)
+                ws, parts = [], self._lift_split(F1, sides, target_k)
                 for i, (p, rts) in enumerate(parts, 1):
                     ws += self.factor_monic(p, depth, total, rts, last and i == len(parts),
                                             target_k < avail)
@@ -373,10 +318,32 @@ class _Engine:
                 target_k = min(want, avail)
 
 
-def _orbit_case(res: ResiduePoly) -> bool:
-    """Some coefficient of the monic res below t^(d-1) is nonzero: the
-    orbit split."""
+def _several_roots(res: ResiduePoly) -> bool:
+    """Some coefficient of the monic res below t^(d-1) is nonzero: res F1,
+    shifted so that its roots sum to zero, has more than one root."""
     return any(not is_negligible(c) for c in res.coeffs[:-2])
+
+
+def _peel(pairs, tmap):
+    """The peel rule (module docstring) on the (root, multiplicity) list
+    ``pairs``: the lists ([(c, e)], the other roots).  Keys within
+    cluster_tol() (relative) tie, and ties go to the smaller real, then
+    imaginary, part, so the last bits of the root search never decide."""
+    tol = scalar.cluster_tol()
+    sign = 0 if tmap.is_identity else (1 if to_mpc(tmap.alpha_eff()).real > 1 else -1)
+
+    keys = [(sign * abs(c), mp.re(c), mp.im(c)) for c, _ in pairs]
+
+    def before(u, w):
+        for a, b in zip(keys[u], keys[w]):
+            if abs(a - b) > tol * max(1, abs(a), abs(b)):
+                return a < b
+        return False
+
+    i = reduce(lambda u, w: w if before(w, u) else u, range(len(pairs)))
+    c, m = pairs[i]
+    e = m if tmap.is_identity or abs(c) <= tol else 1
+    return [(c, e)], pairs[:i] + pairs[i + 1:] + ([(c, m - e)] if m > e else [])
 
 
 def _pinned_shift(F1: SkewPoly, b: PuiseuxSeries) -> SkewPoly:

@@ -589,7 +589,7 @@ def delta_set_member(c, a0, alpha_eff, d: int, depth: int = 24):
 
     Returns ("member", (n_1..n_d)), ("nonmember", None) or ("unknown", None)
     when the search depth is exhausted without a decision.  Not on the
-    factorization critical path: the driver certifies splits directly.
+    factorization path: its peel rule needs no Delta-set test.
     Values match within scalar.cluster_tol().
     """
     tol = scalar.cluster_tol()

@@ -319,10 +319,10 @@ def test_hensel_lifts_to_at_least_a_fractional_prec(capsys, prec, out):
 
 def test_sigma_zero_order_check_reads_the_zero_at_its_own_bits(capsys):
     # the zero, to O(x^10) at target order 10, has coefficients that grow
-    # to 9.7e21 at x^9 and hold 217-bit mantissas; t - z negates them
+    # to 2.3e14 at x^(19/2) and hold 217-bit mantissas; t - z negates them
     # exactly, so the check divides by z itself, not by its 128-bit
-    # rounding, and reaches order 10
-    code, out, _ = run_cli(capsys, "sigma-zero", "--alpha", "1/2", "--prec", "10",
-                           "--bits", "128", "t^4 - 2*t^2 + x")
+    # rounding (which reaches order 19/2), and reaches order 10
+    code, out, _ = run_cli(capsys, "sigma-zero", "--alpha", "2", "--prec", "10",
+                           "--bits", "128", "t^4 - 100*x*t^3 - x^2 + 2*x^3")
     assert code == 0
     assert out.splitlines()[-1] == "check_ord: 10"

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from skewpuiseux import (Alpha, ConjSeriesRing, FactorConfig, PuiseuxSeries, SkewPoly, bits,
-                         newton_puiseux_factor, parse_poly, poly_to_str,
+                         newton_puiseux_factor, parse_poly, parse_series, poly_to_str,
                          puiseux_ring, sigma_zero, sigma_zero_quadratic,
                          verify_factorization)
 from skewpuiseux.cli import main as cli_main
@@ -13,10 +13,11 @@ from mpmath.libmp import from_man_exp
 
 from skewpuiseux import factorizer
 from skewpuiseux import residue as residue_mod
-from skewpuiseux.errors import NoSplittingRoot, Obstruction, PrecisionExhausted, UsageError
+from skewpuiseux.errors import Obstruction, PrecisionExhausted, UsageError
 from skewpuiseux.factorizer import _Engine
 from skewpuiseux.residue import TMap
-from skewpuiseux.scalar import INF
+from skewpuiseux import scalar
+from skewpuiseux.scalar import INF, to_mpc
 
 from conftest import rand_series, rng
 from props import check_end_to_end, check_factors_to_order, end_to_end_input
@@ -30,13 +31,13 @@ def test_factor_config_rejects_bits_below_the_least_precision(bits_):
         FactorConfig(bits=bits_)
 
 
-def test_roots_run_once_per_prop_split_lift(monkeypatch):
-    # the orbit split hands its residue roots to the lift's twist check
-    # and to the child levels that do not rescale, and the t-split knows
-    # its roots (all -b0), so none searches again; an orbit split reads
+def test_roots_run_once_per_peeled_lift(monkeypatch):
+    # a split with several residue roots hands them to the lift's twist
+    # check and to the child levels that do not rescale, and a one-root
+    # level knows its root (-b0), so none searches again; a split reads
     # residues only, so it forms no series shift
     from skewpuiseux import hensel, residue
-    calls = {"roots": 0, "prop": 0, "t": 0, "trace": 0, "shift": 0}
+    calls = {"roots": 0, "peel": 0, "trace": 0, "shift": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -45,20 +46,18 @@ def test_roots_run_once_per_prop_split_lift(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(residue, "roots", counting("roots", residue.roots))
-    monkeypatch.setattr(_Engine, "prop_split", counting("prop", _Engine.prop_split))
-    monkeypatch.setattr(_Engine, "t_split", counting("t", _Engine.t_split))
+    monkeypatch.setattr(factorizer, "_peel", counting("peel", factorizer._peel))
     monkeypatch.setattr(factorizer, "trace_solve", counting("trace", factorizer.trace_solve))
     for mod in (factorizer, hensel):
         monkeypatch.setattr(mod, "shift_iso", counting("shift", mod.shift_iso))
     cfg = FactorConfig(target_order=6)
     f = parse_poly("t^3 - (6+x)*t^2 + (11+3*x)*t - (6+2*x)", puiseux_ring(2))
     newton_puiseux_factor(f, cfg)
-    assert calls == {"roots": 1, "prop": 2, "t": 0, "trace": 0, "shift": 0}
-    calls.update(roots=0, prop=0)
+    assert calls == {"roots": 1, "peel": 2, "trace": 0, "shift": 0}
+    calls.update(roots=0, peel=0)
     f = parse_poly("t^3 - 3*t^2 + (3+x)*t - (1+x^2)", puiseux_ring(Fraction(3, 2)))
     newton_puiseux_factor(f, cfg)
-    assert calls["t"] > 0 and calls["prop"] == calls["roots"] == 0
-    assert calls["trace"] > 0
+    assert calls["peel"] > 0 and calls["roots"] == 0
 
 
 def test_remark_final_factorization():
@@ -146,9 +145,10 @@ def test_alpha_one_degenerates_to_classical():
     assert (vals[1] - PS.x_pow(Fraction(1, 2))).max_abs() < mp.mpf(2) ** -100
 
 
-def test_prop_split_orbit_split_shapes():
-    # residue roots {1, 1/2, -3/2} sum to zero; at alpha = 2 the orbit of 1
-    # captures 1/2 and leaves -3/2 outside: a 2 + 1 split
+def test_peel_split_shapes():
+    # residue roots {1, 1/2, -3/2} sum to zero; at alpha = 2 the root 1/2
+    # of least modulus is peeled off as the left factor t - 1/2, and the
+    # right factor takes 1 and -3/2
     R = puiseux_ring(2)
     f = SkewPoly.one(R)
     for c in (1, Fraction(1, 2), Fraction(-3, 2)):
@@ -156,8 +156,11 @@ def test_prop_split_orbit_split_shapes():
     f = f + SkewPoly(R, [PS.x_pow(1)])  # keep it a nontrivial lift
     assert f.coeffs[2].is_zero  # shape (i): ord(f_(d-1)) > 0, min ord = 0
     engine = _Engine(R.alpha, FactorConfig(target_order=10))
-    (uh, _), (vh, _) = engine.prop_split(f, f.reduce_residue(), 0, target_k=14)
-    assert {uh.degree, vh.degree} == {1, 2}
+    sides = factorizer._peel(residue_mod.roots(f.reduce_residue()).pairs, R.tmap())
+    assert [(c, e) for c, e in sides[0]] == [(mp.mpf(1) / 2, 1)]
+    (uh, _), (vh, _) = engine._lift_split(f, sides, target_k=14)
+    assert (uh.degree, vh.degree) == (1, 2)
+    assert abs(uh.reduce_residue().coeff(0) + mp.mpf(1) / 2) < mp.mpf(2) ** -90
     assert (f - uh * vh).truncate(14).max_abs() < mp.mpf(2) ** -90
 
 
@@ -205,39 +208,143 @@ def _nudge(x, ulps):
 
 
 def test_candidate_order_ignores_last_bit_for_identity_twist():
-    # alpha = 1: T is the identity and the branch pair +-v must come out
-    # in the same order whatever the last bits of the computed roots
-    engine = _Engine(Alpha(1), FactorConfig())
+    # alpha = 1: T is the identity, and of the branch pair +-v the peel
+    # takes the same root whatever the last bits of the computed roots
     tmap = TMap(Alpha(1), 2, 0)
     v = mp.mpc(1, 2) / 3
-    orders = set()
+    chosen = set()
     for dr in (-1, 0, 1):
         for di in (-1, 0, 1):
             plus = mp.mpc(_nudge(v.real, dr), _nudge(v.imag, di))
             minus = mp.mpc(_nudge(-v.real, -di), _nudge(-v.imag, dr))
             for rts in ([(plus, 1), (minus, 1)], [(minus, 1), (plus, 1)]):
-                order = engine._candidates(rts, tmap)
-                orders.add(tuple(mp.sign(c.real) for c, _ in order))
-    assert orders == {(-1, 1)}
+                [(c, e)], _ = factorizer._peel(rts, tmap)
+                chosen.add((mp.sign(c.real), e))
+    assert chosen == {(-1, 1)}
 
 
-@pytest.mark.parametrize("alpha, a0", [(2, 0), (2, mp.mpf(1) / 2), (Fraction(3, 2), 0)],
-                         ids=["2-0", "2-half", "3/2-0"])
-def test_candidate_order_ignores_last_bit_for_a_twist(alpha, a0):
-    # a pair -a0 +- v is equally far from the fixed point -a0 of T: the
-    # distance key ties, and the last bits of the roots must not decide
-    engine = _Engine(Alpha(alpha), FactorConfig())
-    tmap = TMap(Alpha(alpha), 1, a0)
+@pytest.mark.parametrize("alpha", [2, Fraction(3, 2)], ids=["2-0", "3/2-0"])
+def test_candidate_order_ignores_last_bit_for_a_twist(alpha):
+    # a pair +-v has one modulus: the modulus key ties, and the last bits
+    # of the roots must not decide which one is peeled
+    tmap = TMap(Alpha(alpha), 1, 0)
     v = mp.mpc(1, 2) / 3
-    orders = set()
+    chosen = set()
     for dr in (-1, 0, 1):
         for di in (-1, 0, 1):
-            plus = mp.mpc(_nudge(v.real - a0, dr), _nudge(v.imag, di))
-            minus = mp.mpc(_nudge(-v.real - a0, -di), _nudge(-v.imag, dr))
+            plus = mp.mpc(_nudge(v.real, dr), _nudge(v.imag, di))
+            minus = mp.mpc(_nudge(-v.real, -di), _nudge(-v.imag, dr))
             for rts in ([(plus, 1), (minus, 1)], [(minus, 1), (plus, 1)]):
-                order = engine._candidates(rts, tmap)
-                orders.add(tuple(mp.sign(c.imag) for c, _ in order))
-    assert len(orders) == 1
+                [(c, e)], _ = factorizer._peel(rts, tmap)
+                chosen.add((mp.sign(c.imag), e))
+    assert chosen == {(-1, 1)}
+
+
+@pytest.mark.parametrize("L", [1, 2])
+@pytest.mark.parametrize("alpha", [2, Fraction(3, 2), Fraction(1, 2), 1],
+                         ids=["2", "3/2", "1/2", "1"])
+def test_the_peeled_root_keeps_its_twist_margin(alpha, L):
+    # the split the peel picks lifts without a search: no twist
+    # alpha_eff^n c' (n >= 1) of a right root c' meets the left root c, and
+    # at alpha != 1 it misses c by at least |alpha_eff - 1| |c| (module
+    # docstring), over simple, double and zero roots and modulus ties
+    rnd = rng(27)
+    tmap = TMap(Alpha(alpha), L, 0)
+    aeff = to_mpc(tmap.alpha_eff()).real
+    tol = scalar.cluster_tol()
+    seen = set()
+    for _ in range(150):
+        pairs = [(rnd.choice([mp.mpf(1) / 2, 1, 1, 2]) * mp.expjpi(mp.mpf(rnd.randrange(8)) / 4),
+                  rnd.choice([1, 1, 2])) for _ in range(rnd.randint(1, 3))]
+        if rnd.random() < 0.3:
+            pairs.append((mp.mpc(0), rnd.choice([1, 2])))
+        rnd.shuffle(pairs)
+        if len({mp.nstr(c, 10) for c, _ in pairs}) < len(pairs):
+            continue  # one root drawn twice
+        if sum(m for _, m in pairs) < 2 or (tmap.is_identity and len(pairs) < 2):
+            continue  # no level splits these
+        left, right = factorizer._peel(pairs, tmap)
+        [(c, e)] = left
+        m = dict(pairs)[c]
+        fixed = tmap.is_identity or c == 0
+        seen.add((fixed, m))
+        assert e == (m if fixed else 1)
+        assert sum(k for _, k in right) == sum(k for _, k in pairs) - e
+        assert residue_mod.twist_coprime_affine(left, right, tmap) is None
+        if tmap.is_identity:
+            assert all(abs(cp - c) > tol for cp, _ in right)
+        elif c == 0:
+            assert aeff > 1 and all(cp != 0 for cp, _ in right)
+        else:
+            margin = abs(aeff - 1) * abs(c) * (1 - mp.mpf(2) ** -30)
+            for cp, _ in right:
+                assert all(abs(aeff ** n * cp - c) >= margin for n in range(1, 65))
+    # the draws reach double roots and, at alpha > 1, the zero cluster
+    assert any(m == 2 for _, m in seen) and (aeff <= 1 or (True, 2) in seen)
+
+
+# ROADMAP item 13, reproducer B: four zeros at alpha 1/2, L = 1
+_REPRODUCER_B = [
+    "(-1.63+0.2*i)*x^(-1) + (0.2-1.28*i)*x^(0) + (1.22+0.54*i)*x^(1)",
+    "(-1.94+1.02*i)*x^(-1) + (-1.67-1.93*i)*x^(1) + (-1.0-1.56*i)*x^(2)",
+    "(-1.72-1.36*i)*x^(0) + (-0.91+0.85*i)*x^(1) + (0.11-1.33*i)*x^(2)",
+    "(1.18-0.97*i)*x^(0) + (-0.75-0.63*i)*x^(1) + (-0.01-1.54*i)*x^(2)",
+]
+
+# inputs of tools/fuzz_factor.py (seed, number), all at alpha 1/2, L = 2
+_FUZZ = {
+    "4-88": [
+        "(-0.8447529886527803+0.16967060400952683*i)*x^(-1) + (0.006708058852670451-0.32292465211024846*i)*x^(1/2) + (-0.04072138113252333-0.13481400395162924*i)*x^(2)",
+        "(-0.1264519384744225-1.8406264590498123*i)*x^(0) + (-0.32543167572560616+0.6777249163429144*i)*x^(1/2) + (-1.511599839301907+1.9585885849378522*i)*x^(1)",
+        "(0.7156534982404783-0.3296375054170033*i)*x^(-1/2) + (-1.2703256105179679+0.3740922763536463*i)*x^(1) + (-0.6375407227333953-1.5191151542826238*i)*x^(3/2)",
+        "(-0.6129008187941896-0.3222753396927245*i)*x^(-1/2) + (0.7804737503661898+0.9307934956028578*i)*x^(0) + (-0.8092423456504751-0.6809452168759904*i)*x^(1/2)",
+    ],
+    "6-61": [
+        "(0.0918071910773765+0.09624975963061973*i)*x^(-1/2) + (0.00697117944428769+0.07636462370511102*i)*x^(1) + (-0.017536859771021478-0.002911345573784039*i)*x^(3/2)",
+        "(0.3327343493700927+0.8258267347816064*i)*x^(0) + (0.014709422642816938+0.05432494344367718*i)*x^(1) + (0.013110371707687607+0.04409681896346305*i)*x^(3/2)",
+        "(-0.00046839474423351126+0.0042620203511099675*i)*x^(-1) + (-0.16301980522802495-1.2279436125475174*i)*x^(-1/2) + (1.1132882376612194+1.8154014329848889*i)*x^(2)",
+    ],
+    "6-108": [
+        "(-0.5110364972276544-0.4353467105526141*i)*x^(-1) + (1.1720982864039757-0.6591571409614789*i)*x^(0) + (-1.4016805190443233+0.6678120098317035*i)*x^(3/2)",
+        "(1.7226864160795512-0.32901926521031477*i)*x^(0) + (0.6651373460013907-1.039691696649148*i)*x^(1) + (-0.2614370297246511-0.7228558576025281*i)*x^(3/2)",
+        "(1.0430060222363942-1.9092928315229685*i)*x^(-1) + (-0.832956884048357+0.11853729272500324*i)*x^(3/2) + (-1.4574390368680983+0.13414082161287366*i)*x^(2)",
+        "(-1.4281765476943344+0.337026794911798*i)*x^(1/2) + (-0.4521794182324954+0.38102618033573377*i)*x^(3/2) + (0.4617668781941169+0.7935785335653085*i)*x^(2)",
+    ],
+}
+
+
+def _product(alpha, L, zeros, bits_):
+    """(t - z_1) ... (t - z_d) in F[t, sigma], formed at bits_."""
+    with bits(bits_):
+        ring = puiseux_ring(alpha, L)
+        f = SkewPoly.one(ring)
+        for z in zeros:
+            f = f * SkewPoly.t_minus(ring, parse_series(z))
+    return f
+
+
+def test_reproducer_b_reaches_its_target_order():
+    # the orbit search put the root of least modulus on the left at alpha
+    # 1/2, where the twists of the right roots shrink toward it, and
+    # stated order 14; the peel takes the root of greatest modulus
+    f = _product(Fraction(1, 2), 1, _REPRODUCER_B, 128)
+    assert newton_puiseux_factor(f, FactorConfig(target_order=15, bits=128)).achieved_order == 15
+
+
+@pytest.mark.parametrize("case, order", [("4-88", 15), ("6-61", 12), ("6-108", 15)])
+def test_fuzz_inputs_that_raised_a_twist_failure_factor(case, order, monkeypatch):
+    # each raised TwistCoprimeFailure at 128 bits under the orbit search;
+    # 6-61 states order 12 after its growth retry at 388 bits, where f(z)
+    # keeps dust at x^12 (CHANGES.md, ROADMAP item 6)
+    precs = []
+    once = factorizer._factor_once
+    monkeypatch.setattr(factorizer, "_factor_once",
+                        lambda f, cfg: precs.append(mp.prec) or once(f, cfg))
+    f = _product(Fraction(1, 2), 2, _FUZZ[case], 128)
+    fac = newton_puiseux_factor(f, FactorConfig(target_order=15, bits=128))
+    assert fac.achieved_order == order
+    if case == "6-61":
+        assert precs == [128, 388]
 
 
 def test_verify_detects_wrong_order():
@@ -531,15 +638,6 @@ def test_ramification_is_the_lcm_of_the_zeros_ramifications():
     fac = newton_puiseux_factor(f, FactorConfig(target_order=3))
     assert sorted(z.L for z in fac.zeros) == [2, 2, 3, 3, 3]
     assert fac.ramification == 6
-
-
-def test_an_orbit_split_with_no_splitting_root_raises(monkeypatch):
-    # every orbit part holds all roots or none: no split to lift
-    monkeypatch.setattr(residue_mod, "orbit_partition",
-                        lambda pairs, c1, tmap: type("Part", (), {"j": 0})())
-    f = parse_poly("t^2 - 3*t + 2", puiseux_ring(2))
-    with pytest.raises(NoSplittingRoot, match="no residue root splits"):
-        newton_puiseux_factor(f, FactorConfig(target_order=4))
 
 
 def test_a_shift_that_does_not_cancel_raises(monkeypatch):
