@@ -58,6 +58,7 @@ def test_roots_run_once_per_peeled_lift(monkeypatch):
     f = parse_poly("t^3 - 3*t^2 + (3+x)*t - (1+x^2)", puiseux_ring(Fraction(3, 2)))
     newton_puiseux_factor(f, cfg)
     assert calls["peel"] > 0 and calls["roots"] == 0
+    assert calls["trace"] > 0
 
 
 def test_remark_final_factorization():
@@ -208,8 +209,9 @@ def _nudge(x, ulps):
 
 
 def test_candidate_order_ignores_last_bit_for_identity_twist():
-    # alpha = 1: T is the identity, and of the branch pair +-v the peel
-    # takes the same root whatever the last bits of the computed roots
+    # alpha = 1: T is the identity, and the peel ranks the candidate roots
+    # by real, then imaginary, part; of the branch pair +-v it takes the
+    # same root whatever the last bits of the computed roots
     tmap = TMap(Alpha(1), 2, 0)
     v = mp.mpc(1, 2) / 3
     chosen = set()
@@ -225,8 +227,9 @@ def test_candidate_order_ignores_last_bit_for_identity_twist():
 
 @pytest.mark.parametrize("alpha", [2, Fraction(3, 2)], ids=["2-0", "3/2-0"])
 def test_candidate_order_ignores_last_bit_for_a_twist(alpha):
-    # a pair +-v has one modulus: the modulus key ties, and the last bits
-    # of the roots must not decide which one is peeled
+    # the peel ranks the candidate roots by modulus first; a pair +-v has
+    # one modulus, so that key ties, and the last bits of the roots must
+    # not decide which one is peeled
     tmap = TMap(Alpha(alpha), 1, 0)
     v = mp.mpc(1, 2) / 3
     chosen = set()
