@@ -500,8 +500,10 @@ def verify_factorization(f: SkewPoly, zeros, unit=None, order=None) -> dict:
     L = math.lcm(ring.L, *(c.L for c in zeros), 1 if unit is None else unit.L)
     work = puiseux_ring(ring.alpha, L)
     prod = SkewPoly.one(work)
-    for c in zeros:
-        prod = prod * SkewPoly.t_minus(work, c.at_ram(L))
+    for i, c in enumerate(zeros):
+        # the product starts at t - z_1 itself, not at the product 1 * (t - z_1)
+        lin = SkewPoly.t_minus(work, c.at_ram(L))
+        prod = prod * lin if i else lin
     if unit is not None:
         prod = prod.lmul_base(unit)
     diff = f.in_ring(work) - prod

@@ -9,9 +9,15 @@ solved in C[t]/(res g) (_solve_step).
 
 Slices.  f, g, h are held as x-slices: row k (k < target_k) lists the x^k
 coefficients over t-degree, each left of its t^i, as exact mantissas
-(re, im, e) (scalar.fixed_point).  Each slice is read once, with one
-fixed_point call; the residue rows res g and res h are slice 0, and conj(res
-h) is formed from it once per lift.  Step n forms only slice n of the defect,
+(re, im, e) (scalar.fixed_point).  Each coefficient is read once, by the
+exact kernel's reader (puiseux._Fixed.read): a series that kernel wrote
+gives the exact form it holds, other numeric values are read exactly, and
+an exact rational value is first rounded to nearest (scalar.mp_operand).
+The residue rows res g and res h are slice 0, and conj(res h) is formed
+from it once per lift.  The factors are written by the kernel's writer
+(puiseux._Fixed.out): each coefficient is rounded once, to nearest at the
+working precision, and zero-tested as a series is, and each factor
+coefficient holds its exact form.  Step n forms only slice n of the defect,
 D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van der Hoeven, "Relax, but
 don't be too lazy", JSC 2002).  The t^(i+j) entry of G_a * H_b is
 g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and g_(i,a) rho^a(h_(j,b)) in
@@ -49,7 +55,7 @@ from mpmath import mp
 from . import residue as residue_mod
 from . import scalar
 from .errors import PrecisionExhausted, SkewError, TwistCoprimeFailure, UsageError
-from .puiseux import PuiseuxSeries, _trunc_k
+from .puiseux import PuiseuxSeries, _Fixed, _trunc_k
 from .residue import ResiduePoly
 from .scalar import INF, _fixed_add, _fixed_twist, carry_row
 from .skewpoly import PuiseuxRing, SkewPoly
@@ -196,21 +202,29 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
 
 
 def _slices(coeffs, target_k: int) -> list:
-    """Row k < target_k: the x^k coefficients over t-degree, as exact rows."""
-    rows = [[] for _ in range(target_k)]
+    """Row k < target_k: the x^k coefficients over t-degree, as exact rows,
+    None where all are zero.  Each coefficient is read once by the kernel's
+    reader (module docstring); an exact rational value is read rounded to
+    nearest (scalar.mp_operand), and inf or nan is refused."""
+    ops, rows = _Fixed(coeffs[0].L), [None] * target_k
     for i, c in enumerate(coeffs):
-        for k, v in c.terms.items():
-            if k < target_k:
-                rows[k] += [0] * (i - len(rows[k])) + [v]
-    return [_fixed(r) if r else None for r in rows]
+        x = ops.read(c, []) or ops.read(PuiseuxSeries(
+            c.L, {k: scalar.mp_operand(v) for k, v in c.terms.items()}, c.trunc,
+            normalize=False), [])
+        if x is None:
+            raise UsageError("hensel_lift needs finite coefficients")
+        k0, re, im, e, _, _ = x
+        for j in range(min(len(re), target_k - k0)):
+            if re[j] or im[j]:
+                rows[k0 + j] = _fixed_add(rows[k0 + j], ([0] * i + [re[j]], [0] * i + [im[j]], e))
+    return rows
 
 
 def _fixed(row):
-    """A row of scalars as exact mantissas (re, im, e), None when zero."""
-    fx = scalar.fixed_point(row) or scalar.fixed_point([scalar.to_mpc(c) for c in row])
-    if fx is None:  # inf or nan
-        raise UsageError("hensel_lift needs finite coefficients")
-    return fx[:3] if any(fx[0]) or any(fx[1]) else None
+    """A row of finite mpmath numbers as exact mantissas (re, im, e), None
+    when zero."""
+    re, im, e, _ = scalar.fixed_point(row)
+    return (re, im, e) if any(re) or any(im) else None
 
 
 def _minus_product(x, y, w=None, conj=False, d=INF):
@@ -281,8 +295,13 @@ def _rounded(x, d: int) -> list:
 
 
 def _poly(ring, rows, n: int, target_k: int, lead=None) -> SkewPoly:
-    """sum_(i<n) c_i t^i (+ lead t^n), c_i + O(x^target_k) with slices rows."""
-    L = getattr(ring, "L", 1)
-    rows = [(k, _rounded(r, n)) for k, r in enumerate(rows) if r is not None]
-    coeffs = [PuiseuxSeries(L, {k: r[i] for k, r in rows}, target_k) for i in range(n)]
+    """sum_(i<n) c_i t^i (+ lead t^n), c_i + O(x^target_k) with slices rows,
+    each c_i written as an mpc series by the kernel's writer (_Fixed.out)."""
+    ops = _Fixed(getattr(ring, "L", 1))
+    e = min([r[2] for r in rows if r], default=0)
+    coeffs = []
+    for i in range(n):
+        re, im = ([r[p][i] << (r[2] - e) if r and i < len(r[p]) else 0 for r in rows]
+                  for p in (0, 1))
+        coeffs.append(ops.out((0, re, im, e, target_k, None)))
     return SkewPoly(ring, coeffs + ([] if lead is None else [lead]), trim=False)

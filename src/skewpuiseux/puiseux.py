@@ -8,9 +8,18 @@ Operations compute the tightest provable truncation and never pad with
 fabricated zeros.  This module holds only series: the ring data
 (alpha, L, a) of F[t, sigma, delta_a] belongs to ``skewpoly.PuiseuxRing``.
 
+Where a value lives.  A series built from terms holds them in ``terms``.
+A numeric series that the exact kernel ``_Fixed`` writes (a product, a
+skew-table output, a Hensel factor) holds its exact form instead: the
+Gaussian-integer mantissas of its coefficients at one binary exponent, and
+whether they are mpf or mpc.  The next kernel operation reads that form as
+it is, and ``terms`` is formed from it, exactly, only when something reads
+it.  Order, zero test, truncation, shifts, re-embedding, negation and the
+residue read the exact form and form no terms.
+
 Rounding contract: negation is exact; sums, differences and products of
 numeric series round each coefficient once (products on ``_Fixed``, which
-the skew tables of ``skewpoly`` share).
+the skew tables of ``skewpoly`` share), where the kernel writes them out.
 """
 
 from __future__ import annotations
@@ -28,13 +37,25 @@ from .scalar import (EXACT_TYPES, INF, Alpha, GaussianRational, _fixed_add, fmt_
 
 
 class PuiseuxSeries:
-    __slots__ = ("L", "terms", "trunc")
+    """A truncated Puiseux series sum c_k x^(k/L) + O(x^(trunc/L)).
+
+    Its value lives in ``terms`` (k -> coefficient) or, for a series the
+    kernel wrote (``_held``), in ``_fx``: the exact form of ``_Fixed``,
+    already rounded to the working precision and zero-tested, with its mpf
+    flag and the zero-test exponent its order was read at.  Such a series
+    forms ``terms`` from ``_fx`` on each read, exactly, whatever the
+    reader's precision, and keeps no second copy; ``_fx`` is None for a
+    series built from terms.
+    """
+
+    __slots__ = ("L", "terms", "trunc", "_fx")
 
     def __init__(self, L: int, terms: dict, trunc=None, *, normalize: bool = True):
         if L < 1:
             raise UsageError("ramification must be a positive integer")
         self.L = L
         self.trunc = trunc
+        self._fx = None
         if normalize:
             eps = scalar.zero_eps()
             kept = {}
@@ -46,6 +67,39 @@ class PuiseuxSeries:
             self.terms = kept
         else:
             self.terms = dict(terms)
+
+    @classmethod
+    def _held(cls, L: int, x, real: bool, eps: int) -> "PuiseuxSeries":
+        """The series of the exact form x (``_Fixed``), its coefficients mpf
+        when ``real``, its order read at the zero test 2^eps; the zero series
+        when x has no term.  ``__init__`` is not run and ``terms`` is left
+        unset (``__getattr__``)."""
+        t = x[4]
+        if not x[1]:
+            return cls.zero(L, None if t == INF else t)
+        s = object.__new__(cls)
+        s.L, s.trunc, s._fx = L, None if t == INF else t, (x, real, eps)
+        return s
+
+    def __getattr__(self, name):
+        """``terms`` of a held series, formed from its exact form on each
+        read, which stays its one stored value: each coefficient exactly, as
+        ``_Fixed.out`` rounded it (``_value``); ``terms`` is the one slot
+        left unset."""
+        if name != "terms":
+            raise AttributeError(name)
+        (k0, re, im, _, _, _), _, _ = self._fx
+        return {k0 + i: self._value(i) for i, (u, v) in enumerate(zip(re, im)) if u or v}
+
+    def _value(self, i: int):
+        """Coefficient i of a held series' exact form, exactly: an mpf when
+        the kernel wrote it real, else an mpc (``scalar.fixed_value``)."""
+        (_, re, im, e, _, _), real, _ = self._fx
+        return scalar.fixed_value(re[i], None if real else im[i], e)
+
+    def _with(self, L: int, x) -> "PuiseuxSeries":
+        """A series held as this one is, with the exact form x at L."""
+        return PuiseuxSeries._held(L, x, *self._fx[1:])
 
     # -- constructors -------------------------------------------------------
 
@@ -85,10 +139,12 @@ class PuiseuxSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self._fx is None and not self.terms
 
     def ord_k(self):
         """Order in 1/L units; the zero series reports its truncation bound."""
+        if self._fx is not None:
+            return self._fx[0][0]
         return min(self.terms) if self.terms else _trunc_k(self)
 
     def ord(self):
@@ -107,6 +163,10 @@ class PuiseuxSeries:
         """Refine the ramification from L to k*L; pure re-indexing."""
         if k < 1:
             raise UsageError("reembed factor must be >= 1")
+        if self._fx is not None:
+            k0, re, im, e, t, o = self._fx[0]
+            return self._with(self.L * k, (k0 * k, _spread(re, k), _spread(im, k), e,
+                                           t * k, o * k))
         t = None if self.trunc is None else self.trunc * k
         return PuiseuxSeries(self.L * k, {j * k: c for j, c in self.terms.items()},
                              t, normalize=False)
@@ -127,12 +187,18 @@ class PuiseuxSeries:
         if T_k == INF:
             return self
         T_k = int(T_k)
+        if self._fx is not None:
+            x = _cut(self._fx[0], T_k)
+            return self if x is self._fx[0] else self._with(self.L, x)
         t = min(_trunc_k(self), T_k)
         return PuiseuxSeries(self.L, {k: c for k, c in self.terms.items() if k < t},
                              t, normalize=False)
 
     def x_shift(self, j: int) -> "PuiseuxSeries":
         """Multiply by y^j where y = x^(1/L); exact exponent shift."""
+        if self._fx is not None:
+            k0, re, im, e, t, o = self._fx[0]
+            return self._with(self.L, (k0 + j, re, im, e, t + j, o + j))
         t = None if self.trunc is None else self.trunc + j
         return PuiseuxSeries(self.L, {k + j: c for k, c in self.terms.items()},
                              t, normalize=False)
@@ -141,6 +207,9 @@ class PuiseuxSeries:
 
     def __neg__(self):
         """-self; an mpmath coefficient is negated exactly, not rounded."""
+        if self._fx is not None:
+            k0, re, im, e, t, o = self._fx[0]
+            return self._with(self.L, (k0, [-u for u in re], [-v for v in im], e, t, o))
         terms = {k: -c if isinstance(c, EXACT_TYPES) else mp.fneg(c, exact=True)
                  for k, c in self.terms.items()}
         return PuiseuxSeries(self.L, terms, self.trunc, normalize=False)
@@ -245,6 +314,11 @@ class PuiseuxSeries:
 
     def residue(self):
         """Constant-term image in the residue field; requires ord >= 0."""
+        if self._fx is not None:
+            k0, re, im = self._fx[0][:3]
+            if k0 < 0:
+                raise UsageError("residue of a series with negative order")
+            return self._value(0) if k0 == 0 else 0
         if self.terms and min(self.terms) < 0:
             raise UsageError("residue of a series with negative order")
         return self.terms.get(0, 0)
@@ -288,11 +362,11 @@ def _times(a: PuiseuxSeries, b: PuiseuxSeries, conj: bool = False) -> PuiseuxSer
     product of C[[x, rho]] (``skewpoly.ConjSeriesRing.mul``): b_j is
     conjugated for odd i, by term arithmetic."""
     t = min(_trunc_k(a) + b.ord_k(), _trunc_k(b) + a.ord_k())
-    if a.terms and b.terms and not conj:
+    if not (conj or a.is_zero or b.is_zero):
         # only the terms that meet a partner below t are read; times
         # reads orders after the zero test, so its truncation is >= t
         ops = _Fixed(a.L)
-        xy = ops.reads([[a.truncate(t - min(b.terms)), b.truncate(t - min(a.terms))]])
+        xy = ops.reads([[a.truncate(t - b.ord_k()), b.truncate(t - a.ord_k())]])
         if xy:
             return ops.out(ops.times(*xy[0])).truncate(t)
     terms = {}
@@ -340,7 +414,10 @@ class _Fixed:
     The contract.  Operands are read exactly, by one reader (``reads``) for
     series products (``_times``) and the skew tables alike, which also
     decides between this arithmetic and exact term arithmetic and sets
-    ``real``.  Products (``_convolve``) and sums (``sum`` folds
+    ``real``; its per-series ``read`` also reads the slices of
+    ``hensel_lift``, and takes a series the writer made as the exact form
+    it holds (``PuiseuxSeries._held``).  Products (``_convolve``, or one
+    pass over a row when an operand has one term) and sums (``sum`` folds
     ``scalar._fixed_add`` over its parts, each zero-padded to the least k0)
     are exact, with the truncation rules of ``PuiseuxSeries.__mul__`` and
     ``__add__`` on the orders after the zero test (``_times`` cuts its
@@ -349,10 +426,13 @@ class _Fixed:
     multipliers of a division, is rounded GUARD_BITS above the working
     precision (``carry``).  Each output coefficient is rounded once, to
     nearest at the working precision, and zero-tested once, as a
-    ``PuiseuxSeries`` is normalized (``out``).  Exact rationals, inf, nan
-    and int-only operands keep exact term arithmetic: the term loop of
+    ``PuiseuxSeries`` is normalized, on its mantissas (``out``, by
+    ``scalar.round_row``); the series it returns holds that rounded exact
+    form, and no mpmath number is formed.  Exact rationals, inf, nan and
+    int-only operands keep exact term arithmetic: the term loop of
     ``_times`` and the coefficient path of the skew tables
-    (``skewpoly._Coeffs``).  ``real`` makes ``out`` give mpf coefficients.
+    (``skewpoly._Coeffs``).  ``real`` makes ``out`` give mpf coefficients;
+    until ``reads`` sets it they are mpc.
     """
 
     __slots__ = ("L", "eps", "real")
@@ -360,6 +440,7 @@ class _Fixed:
     def __init__(self, L: int):
         self.L = L
         self.eps = scalar.pow2_exp(scalar.zero_eps())
+        self.real = False
 
     def reads(self, lists, real: bool = True):
         """The one reader of a call's operands, and its two decisions: the
@@ -368,15 +449,21 @@ class _Fixed:
         exact term arithmetic (a value is exact rational, inf or nan, or
         every value is an int)."""
         kinds = []
-        read = [[self._read(c, kinds) for c in cs] for cs in lists]
+        read = [[self.read(c, kinds) for c in cs] for cs in lists]
         if not max(kinds, default=0) or any(None in cs for cs in read):
             return None
         self.real = real and max(kinds) < 2
         return read
 
-    def _read(self, c: PuiseuxSeries, kinds: list):
+    def read(self, c: PuiseuxSeries, kinds: list):
         """The series c in exact form; None when a value is exact rational,
-        inf or nan.  ``kinds`` collects fixed_point's kind of each reading."""
+        inf or nan.  ``kinds`` collects fixed_point's kind of each reading.
+        A held series gives its exact form as it is, its order read again
+        only if it was read at another zero test."""
+        if c._fx is not None:
+            x, real, eps = c._fx
+            kinds.append(1 if real else 2)
+            return x if eps == self.eps else self._make(*x[:5])
         t = _trunc_k(c)
         if not c.terms:
             return _zero(t)
@@ -391,13 +478,12 @@ class _Fixed:
         return self._make(k0, fx[0], fx[1], fx[2], t)
 
     def out(self, x) -> PuiseuxSeries:
+        """The series of x, each coefficient rounded once and zero-tested
+        (``scalar.round_row``), holding its exact form."""
         k0, re, im, e, t, _ = x
-        num = scalar.from_fixed_point
-        if self.real:
-            terms = {k0 + i: num(u, None, e) for i, u in enumerate(re) if u}
-        else:
-            terms = {k0 + i: num(u, v, e) for i, (u, v) in enumerate(zip(re, im)) if u or v}
-        return PuiseuxSeries(self.L, terms, None if t == INF else t)
+        row = re and scalar.round_row(re, im, e)
+        y = self._make(k0, *row, t) if row else _zero(t)
+        return PuiseuxSeries._held(self.L, y, self.real, self.eps)
 
     def ord_k(self, x):
         return x[5]
@@ -426,7 +512,18 @@ class _Fixed:
         n = len(xr) + len(yr) - 1 if t == INF else min(len(xr) + len(yr) - 1, t - kx - ky)
         if not (xr and yr) or n <= 0:
             return _zero(t)
-        re, im = _convolve(xr, xi, yr, yi, n)
+        if len(xr) > 1 < len(yr):
+            re, im = _convolve(xr, xi, yr, yi, n)
+        else:
+            # a one-term operand scales the other row in one pass; a
+            # mantissa 1 (a power of two) leaves its mantissas as they are
+            (u,), (v,), re, im = (xr, xi, yr, yi) if len(xr) == 1 else (yr, yi, xr, xi)
+            re, im = re[:n], im[:n]
+            if v:
+                re, im = ([u * a - v * b for a, b in zip(re, im)],
+                          [u * b + v * a for a, b in zip(re, im)])
+            elif u != 1:
+                re, im = [u * a for a in re], [u * b for b in im]
         return self._make(kx + ky, re, im, ex + ey, t)
 
     def sum(self, parts):
@@ -459,6 +556,28 @@ class _Fixed:
 def _zero(t):
     """The exact series zero, known to O(x^(t/L)) (t INF: exact)."""
     return (0, [], [], 0, t, t)
+
+
+def _cut(x, t):
+    """The exact form x known only to O(x^(t/L)): its terms below t, without
+    trailing zero terms; x itself when it is known no further."""
+    k0, re, im, e, tx, o = x
+    if t >= tx:
+        return x
+    n = min(len(re), t - k0)
+    while n > 0 and not (re[n - 1] or im[n - 1]):
+        n -= 1
+    if n <= 0:
+        return _zero(t)
+    return (k0, re[:n], im[:n], e, t, o if o < t else t)
+
+
+def _spread(parts: list, k: int) -> list:
+    """The mantissas of consecutive terms at every k-th place, zeros between
+    (re-embedding into k times the ramification)."""
+    out = [0] * (k * len(parts) - k + 1)
+    out[::k] = parts
+    return out
 
 
 def _trunc_k(c: PuiseuxSeries):

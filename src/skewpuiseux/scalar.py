@@ -11,9 +11,11 @@ first rounded to nearest and a GaussianRational is read through ``to_mpc``
 
 The exact kernel: ``fixed_point`` reads numeric coefficients exactly as
 Gaussian-integer mantissas, ``_fixed_add`` is the one adder of exact rows
-(series sums and Hensel rows), ``from_fixed_point`` rounds once,
-``carry_row`` rounds a carried row and ``first_at_least`` is the zero test
-on mantissas; the rounding contract is stated once, at ``puiseux._Fixed``.
+(series sums and Hensel rows), ``round_row`` rounds a row once and
+zero-tests it as ``is_negligible`` does, ``fixed_value`` forms a value
+exactly, ``from_fixed_point`` rounds one value once, ``carry_row`` rounds a
+carried row and ``first_at_least`` is the exact zero test on mantissas; the
+rounding contract is stated once, at ``puiseux._Fixed``.
 
 Tolerance policy: only this module turns the working precision P into a
 threshold; every other module reads these levels by name.
@@ -148,41 +150,74 @@ def fixed_point(values):
             [jm << (jx - e) if jm else 0 for _, _, jm, jx in parts], e, kind)
 
 
-def from_fixed_point(re: int, im, e: int):
-    """The value (re + im*1j) * 2^e rounded once, to nearest at the working
-    precision: an mpf when im is None, else an mpc."""
-    prec = mp.prec
-    r = mpmath.libmp.from_man_exp(re, e, prec, mpmath.libmp.round_nearest)
-    if im is None:
-        return mp.make_mpf(r)
-    return mp.make_mpc((r, mpmath.libmp.from_man_exp(im, e, prec, mpmath.libmp.round_nearest)))
+def from_fixed_point(re: int, im: int, e: int):
+    """The mpc (re + im*1j) * 2^e, each part rounded once, to nearest at the
+    working precision."""
+    prec, rnd = mp.prec, mpmath.libmp.round_nearest
+    return mp.make_mpc((mpmath.libmp.from_man_exp(re, e, prec, rnd),
+                        mpmath.libmp.from_man_exp(im, e, prec, rnd)))
+
+
+def _nearest(m: int, prec: int) -> int:
+    """The mantissa m rounded to prec significant bits, to nearest and ties
+    to even as from_fixed_point rounds, at m's own scale."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m
+    a = -m if m < 0 else m
+    half = 1 << (n - 1)
+    q, low = a >> n, a & ((half << 1) - 1)
+    if low > half or low == half and q & 1:
+        q += 1
+    return q << n if m > 0 else -(q << n)
+
+
+def _normal(parts: list, n: int, e: int):
+    """The row whose re parts are parts[:n] and im parts parts[n:], at
+    exponent e, in fixed_point's form (e the least exponent of a nonzero
+    part); None when every part is zero."""
+    z = min([(m & -m).bit_length() - 1 for m in parts if m], default=None)
+    if z is None:
+        return None
+    return [m >> z for m in parts[:n]], [m >> z for m in parts[n:]], e + z
 
 
 def carry_row(x):
     """The exact row x = (re, im, e) with each part rounded once, GUARD_BITS
-    above the working precision, to nearest and ties to even as
-    from_fixed_point rounds, in fixed_point's form (e the least exponent of
-    a nonzero part); None when x is None or zero.  No mpmath number is
-    formed."""
+    above the working precision (_nearest), in fixed_point's form; None
+    when x is None or zero.  No mpmath number is formed."""
     if not x:
         return None
     prec = mp.prec + GUARD_BITS
-
-    def nearest(m):
-        a, n = abs(m), abs(m).bit_length() - prec
-        if n <= 0:
-            return m
-        half = 1 << (n - 1)
-        a, low = a >> n, a & (2 * half - 1)
-        a = (a + (low > half or low == half and a & 1)) << n
-        return a if m > 0 else -a
-
     re, im, e = x
-    parts = [nearest(m) for m in re + im]
-    z = min([(m & -m).bit_length() - 1 for m in parts if m], default=None)
-    if z is None:
-        return None
-    return [m >> z for m in parts[:len(re)]], [m >> z for m in parts[len(re):]], e + z
+    return _normal([_nearest(m, prec) for m in re + im], len(re), e)
+
+
+def round_row(re, im, e: int):
+    """The exact row (re + im*1j) * 2^e as its entries leave from_fixed_point
+    and the zero test of a series: each part rounded once, to nearest at the
+    working precision (_nearest), and each entry that is_negligible finds
+    below zero_eps() set to zero, in fixed_point's form; None when no entry
+    is left.  Bit lengths decide as they decide in is_negligible; only in
+    its band is is_negligible asked, on the exact value, and no other
+    mpmath number is formed."""
+    prec, band = mp.prec, pow2_exp(zero_eps()) - e
+    parts = [_nearest(m, prec) for m in re + im]
+    n = len(re)
+    for i, (u, v) in enumerate(zip(parts[:n], parts[n:])):
+        top = max(abs(u), abs(v)).bit_length()
+        if top and (top < band or top == band and is_negligible(fixed_value(u, v, e))):
+            parts[i] = parts[n + i] = 0
+    return _normal(parts, n, e)
+
+
+def fixed_value(re: int, im, e: int):
+    """The value (re + im*1j) * 2^e exactly, at any working precision: an
+    mpf when im is None, else an mpc."""
+    r = mpmath.libmp.from_man_exp(re, e)
+    if im is None:
+        return mp.make_mpf(r)
+    return mp.make_mpc((r, mpmath.libmp.from_man_exp(im, e)))
 
 
 def first_at_least(re, im, e: int, t: int):

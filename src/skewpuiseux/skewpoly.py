@@ -18,7 +18,8 @@ twisted product x*u = rho(u)*x is ``ConjSeriesRing.mul``, which is what
 On a ``PuiseuxRing`` with numeric coefficients the table arithmetic
 (products, left division and so evaluation, and the Horner images behind
 shift_iso) runs on series in exact form, under the rounding contract of
-``puiseux._Fixed``.
+``puiseux._Fixed``, and its output coefficients hold that form for the
+next operation to read.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class BaseRing:
         raise NotImplementedError
 
     def is_one_value(self, a) -> bool:
-        return set(a.terms) == {0} and to_mpc(a.terms[0]) == 1
+        terms = a.terms
+        return set(terms) == {0} and to_mpc(terms[0]) == 1
 
     def add(self, a, b):
         return a + b
@@ -276,7 +278,7 @@ class ConjSeriesRing(BaseRing):
                 raise UsageError("C[[x,rho]] coefficients need integer exponents")
             a = PuiseuxSeries(1, {k // a.L: c for k, c in a.terms.items()},
                               None if a.trunc is None else a.trunc // a.L)
-        if a.terms and min(a.terms) < 0:
+        if not a.is_zero and a.ord_k() < 0:
             raise UsageError("C[[x,rho]] has no negative powers")
         return a
 

@@ -363,6 +363,19 @@ def test_verify_detects_wrong_order():
     assert good["ok"] and not bad["ok"]
 
 
+def test_verify_reads_the_first_zero_as_it_is():
+    # the product starts at t - z_1: a zero of 256-bit coefficients checked
+    # at 128 bits is not rounded by a product 1 * (t - z_1) first, which
+    # left a residual of 5.8e-19 here, above the zero test
+    R = puiseux_ring(2)
+    with bits(256):
+        z = PS(1, {0: mp.mpf(2) ** 70 / 3, 1: mp.mpc(2, 1) / 7})
+    f = SkewPoly.t_minus(R, z)
+    report = verify_factorization(f, [z])
+    assert report["residual"] == 0 and report["ok"]
+    assert report["achieved_order"] == report["eval_ord"] == INF
+
+
 def test_non_monic_unit_extraction():
     R = puiseux_ring(2)
     z = PS.from_terms([(0, 1), (1, 1)])

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
-from skewpuiseux import (Alpha, ConjSeriesRing, PuiseuxSeries, ResiduePoly, SkewPoly,
-                         TMap, bits, ext_gcd, hensel_lift, parse_poly,
+from skewpuiseux import (Alpha, ConjSeriesRing, GaussianRational, PuiseuxSeries, ResiduePoly,
+                         SkewPoly, TMap, bits, ext_gcd, hensel_lift, parse_poly,
                          puiseux_ring, shift_iso, twist_precheck, twist_residue)
 from skewpuiseux import hensel as hensel_mod
 from skewpuiseux import scalar
@@ -551,6 +552,55 @@ def test_lift_reads_its_residues_once(monkeypatch):
         for f in _lift_cubic_inputs(7, 24):
             newton_puiseux_factor(f, FactorConfig(target_order=15, bits=160))
     assert calls == {"residue": 162, "lift": 54}
+
+
+def _row_values(row):
+    """An exact row's entries as exact complex values (re, im) * 2^e."""
+    if row is None:
+        return None
+    scale = Fraction(2) ** row[2]
+    return [(u * scale, v * scale) for u, v in zip(row[0], row[1])]
+
+
+def test_slices_and_factors_pass_through_the_kernel():
+    # a lift_cubic input is a product, so its coefficients hold the kernel's
+    # exact form: the slices read it as the same series built from terms
+    # read, and the factors are written rounded once and zero-tested, as
+    # from_fixed_point and a normalized series would leave them
+    for f in _lift_cubic_inputs(11, 4):
+        with bits(160):
+            copy = SkewPoly(f.ring, [PS(c.L, dict(c.terms), c.trunc) for c in f.coeffs])
+            got = hensel_mod._slices(f.coeffs, 6)
+            want = hensel_mod._slices(copy.coeffs, 6)
+            assert [_row_values(r) for r in got] == [_row_values(r) for r in want]
+            assert any(r is not None for r in got)
+    # an exact rational value is read rounded to nearest, as mp_operand reads it
+    R = puiseux_ring(2)
+    f = SkewPoly(R, [PS(1, {0: Fraction(3, 2), 2: Fraction(1, 7)}),
+                     PS(1, {0: -4, 1: GaussianRational(Fraction(1, 3), -1)}), PS.one()])
+    near = [PS(1, {k: scalar.mp_operand(v) for k, v in c.terms.items()}) for c in f.coeffs]
+    got, want = hensel_mod._slices(f.coeffs, 4), hensel_mod._slices(near, 4)
+    assert [_row_values(r) for r in got] == [_row_values(r) for r in want]
+    assert _row_values(got[2]) == [(Fraction(*to_rational(scalar.to_mpf(Fraction(1, 7))._mpf_)),
+                                    0)]
+    rnd = rng(12)
+    for prec in (128, 160):
+        with bits(prec):
+            z = scalar.pow2_exp(scalar.zero_eps())
+            for _ in range(30):
+                rows = [None if rnd.random() < 0.2 else
+                        ([rnd.choice([0, rnd.getrandbits(prec + 20)]) for _ in range(3)],
+                         [rnd.getrandbits(prec + 20) * rnd.choice((-1, 1)) for _ in range(3)],
+                         rnd.randint(z - 2 * prec - 22, -prec - 20))
+                        for _ in range(6)]
+                L = rnd.choice([1, 2])
+                out = hensel_mod._poly(puiseux_ring(2, L), rows, 3, 5)
+                for i, c in enumerate(out.coeffs):
+                    want = PS(L, {k: scalar.from_fixed_point(r[0][i], r[1][i], r[2])
+                                  for k, r in enumerate(rows) if r is not None}, 5)
+                    assert c.trunc == 5 and c.ord_k() == want.ord_k()
+                    assert {k: v._mpc_ for k, v in c.terms.items()} == {
+                        k: v._mpc_ for k, v in want.terms.items()}
 
 
 def test_twist_precheck_passes_a_constant_residue():

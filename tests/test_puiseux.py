@@ -7,6 +7,7 @@ from mpmath.libmp import to_rational
 
 from skewpuiseux import Alpha, GaussianRational, PuiseuxSeries, SkewPoly, bits, puiseux_ring
 from skewpuiseux.errors import PrecisionExhausted, UsageError, ZeroInversion
+from skewpuiseux.puiseux import _Fixed
 from skewpuiseux.scalar import INF, is_negligible, to_mpf
 
 from conftest import rand_series, rng
@@ -323,3 +324,131 @@ def test_inverse_of_a_truncated_series_defaults_to_its_precision():
     f = PS.from_terms([(0, 1), (1, -1)], trunc=4)  # 1 - x + O(x^4)
     inv = f.inverse()
     assert inv.trunc == 4 and inv.terms == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
+# -- series the exact kernel writes ----------------------------------------------
+
+
+def _raw(c):
+    """A coefficient's type and bits."""
+    return type(c), getattr(c, "_mpc_", getattr(c, "_mpf_", c))
+
+
+def _raw_terms(s):
+    return {k: _raw(c) for k, c in s.terms.items()}
+
+
+def _holds_terms(s) -> bool:
+    try:
+        PS.terms.__get__(s)
+    except AttributeError:
+        return False
+    return True
+
+
+def _copy(s):
+    """The same series built from its terms."""
+    return PS(s.L, dict(s.terms), s.trunc, normalize=False)
+
+
+def test_a_written_series_keeps_its_bits_at_a_lower_precision():
+    # produced at 256 bits, its coefficients are formed exactly when read
+    # at 53, and an mpf product stays an mpf
+    rnd = rng(51)
+    with bits(256):
+        a = PS(1, {k: mp.mpf(rnd.uniform(-2, 2)) / 3 for k in range(4)})
+        b = PS(1, {k: mp.mpf(rnd.uniform(-2, 2)) / 7 for k in range(3)})
+        z = PS(1, {0: mp.mpc(1, 2) / 3, 1: mp.mpc(-1, 1) / 5})
+        p, q = a * b, a * z
+        ref_p, ref_q = _raw_terms(a * b), _raw_terms(a * z)
+    assert not _holds_terms(p) and not _holds_terms(q)
+    with bits(53):
+        assert _raw_terms(p) == ref_p and _raw_terms(q) == ref_q
+    assert all(type(c) is mp.mpf for c in p.terms.values())
+    assert all(type(c) is mp.mpc for c in q.terms.values())
+    assert max(c._mpf_[3] for c in p.terms.values()) > 200
+    # only the terms slot is formed on a read; other names stay unknown
+    assert not hasattr(q, "coeffs") and not hasattr(q, "_terms")
+    # read again by a product at 128 bits, it gives what its terms give
+    with bits(128):
+        assert _raw_terms(p * q) == _raw_terms(_copy(p) * _copy(q))
+
+
+def _written(rnd, L):
+    """A product the kernel wrote, with a truncation, interior zero terms
+    and, now and then, terms that its zero test drops."""
+    def operand():
+        ks = rnd.sample(range(-2, 8), rnd.randint(1, 5))
+        return PS(L, {k: rnd.choice([mp.mpf(rnd.uniform(-1, 1)),
+                                     mp.mpc(rnd.uniform(-1, 1), rnd.uniform(-1, 1)),
+                                     mp.mpf(2) ** -rnd.randint(60, 70)]) for k in ks},
+                  rnd.choice([None, 6, 9, 14]))
+    return operand() * operand()
+
+
+def test_a_written_series_reads_its_exact_form_for_structure():
+    # order, zero test, truncation, shifts, re-embedding, negation and the
+    # residue of a series the kernel wrote build no terms and agree with the
+    # same series built from its terms, bit for bit
+    rnd = rng(52)
+    seen = 0
+    for _ in range(200):
+        L = rnd.choice([1, 2])
+        s = _written(rnd, L)
+        if s.is_zero:
+            continue
+        seen += 1
+        o = s.ord_k()
+        ops = ([("truncate", T) for T in (o - 1, o, o + 1, o + 3, 30, INF)]
+               + [("x_shift", j) for j in (-3, 0, 5)] + [("reembed", k) for k in (1, 2, 3)]
+               + [("at_ram", 2 * L), ("__neg__",), ("ord_k",)])
+        gots = [getattr(s, op)(*args) for op, *args in ops]
+        assert not _holds_terms(s)
+        assert all(g.is_zero or not _holds_terms(g) for g in gots[:-2])
+        t = _copy(s)
+        outs = list(zip(gots, [getattr(t, op)(*args) for op, *args in ops]))
+        assert outs.pop() == (o, min(t.terms))
+        if o < 0:
+            with pytest.raises(UsageError, match="negative order"):
+                s.residue()
+        else:
+            assert _raw(s.residue()) == _raw(t.residue())
+        outs.append((s, t))
+        for got, want in outs:
+            assert got.ord_k() == want.ord_k() and got.is_zero == want.is_zero
+            assert (got.L, got.trunc) == (want.L, want.trunc)
+            assert _raw_terms(got) == _raw_terms(want)
+        # the reader takes each result as its terms would read
+        ops = _Fixed(s.L)
+        for got, _ in outs[:-1]:
+            if got.L == s.L:
+                x, y = ops.reads([[got]]), ops.reads([[_copy(got)]])
+                assert (x is None) == (y is None)
+                if x:
+                    (k0, re, im, e, t, o), (k1, re1, im1, e1, t1, o1) = x[0][0], y[0][0]
+                    assert (k0, t, o) == (k1, t1, o1)
+                    assert ([(u << e - min(e, e1), v << e - min(e, e1)) for u, v in zip(re, im)]
+                            == [(u << e1 - min(e, e1), v << e1 - min(e, e1))
+                                for u, v in zip(re1, im1)])
+    assert seen > 150
+
+
+def test_a_one_term_operand_scales_the_other_row():
+    # x^k, a power of two and a complex monomial times a dense series:
+    # the result is the exact product rounded once, as the convolution gives
+    rnd = rng(53)
+    s = PS(2, {k: mp.mpc(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) for k in range(9)}, 11)
+    r = PS(2, {k: mp.mpf(rnd.uniform(-1, 1)) for k in range(9)})
+    for m in (PS(2, {3: 1}), PS(2, {0: mp.mpf(2) ** -5}), PS(2, {1: mp.mpc(0.75, -1.5)}),
+              PS(2, {-1: mp.mpf(3)}, 4)):
+        for x in (s, r):
+            got = m * x
+            want = PS(2, {k: _exact(c) for k, c in m.terms.items()}, m.trunc) * PS(
+                2, {k: _exact(c) for k, c in x.terms.items()}, x.trunc)
+            assert got.trunc == want.trunc
+            assert _raw_terms(got) == _raw_terms(x * m)
+            assert {k: _raw(mp.mpc(c)) for k, c in got.terms.items()} == {
+                k: _raw(mp.mpc(to_mpf(g.re), to_mpf(g.im))) for k, g in want.terms.items()}
+    # an exact 1 leaves the terms as they are, cut to the product's truncation
+    one = PS(2, {0: 1}, 5) * s
+    assert one.trunc == 5 and _raw_terms(one) == _raw_terms(s.truncate(5))

@@ -229,6 +229,55 @@ def test_mantissa_zero_test_matches_the_modulus():
     assert scalar_mod.first_at_least([0], [0], 5, 0) is None
 
 
+def _writer_keeps(u, v, e):
+    """round_row's verdict on one entry, checked against from_fixed_point
+    and is_negligible, the write-out and zero test it stands for."""
+    c = scalar_mod.from_fixed_point(u, v, e)
+    row = scalar_mod.round_row([u], [v], e)
+    assert (row is None) == is_negligible(c), (u, v, e)
+    if row:
+        (x,), (y,), f = row
+        assert scalar_mod.fixed_value(x, y, f)._mpc_ == c._mpc_
+    return row is not None
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256])
+def test_the_writer_zero_test_decides_as_is_negligible(prec):
+    # entries of modulus just below, at and just above zero_eps() = 2^z: the
+    # row writer must keep exactly what from_fixed_point and is_negligible keep
+    isqrt = __import__("math").isqrt
+    with bits(prec):
+        z = scalar_mod.pow2_exp(zero_eps())
+        e = z - prec  # mantissas below 2^prec hold prec bits: rounding leaves them
+        top = 1 << prec
+        rnd = rng(62 + prec)
+        # |u + iv| < 2^z exactly, but the modulus rounds to 2^z: kept
+        while True:
+            u = rnd.randint(top // 2, top * 4 // 5)
+            v = isqrt(top * top - 1 - u * u)
+            if top * top - (top >> 6) < u * u + v * v:
+                break
+        assert _writer_keeps(u, v, e) and _writer_keeps(-v, u, e)
+        assert scalar_mod.first_at_least([u], [v], e, z) is None
+        # further below, the rounded modulus is below 2^z too: dropped
+        v = isqrt(top * top - (top * top >> (prec - 8)) - u * u)
+        assert not _writer_keeps(u, v, e)
+        # at 2^z, one part or two, and just above it: kept
+        assert _writer_keeps(top, 0, e) and _writer_keeps(0, -top, e)
+        assert _writer_keeps(u, isqrt(top * top - u * u) + 1, e)
+        # one part just below 2^z, and one that rounds up to it: as is_negligible
+        assert not _writer_keeps(top - 1, 0, e)
+        assert _writer_keeps((top << 9) - 1, 0, e - 9)
+        assert not _writer_keeps(0, 0, e)
+        # random mantissas around the band, with more bits than prec
+        for _ in range(300):
+            s = rnd.randint(0, 40)
+            w = rnd.randint(top * 7 // 10, top) << s
+            u = rnd.randint(0, w)
+            v = isqrt(max(0, w * w - u * u)) + rnd.randint(-3, 3)
+            _writer_keeps(u * rnd.choice((1, -1)), v, e - s)
+
+
 @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(2, 3)])
 def test_fraction_operands_reach_mpmath_rounded_to_nearest(alpha):
     # mpmath rounds a Fraction operand toward zero: mpc(1) * Fraction(2, 3)

@@ -7,6 +7,7 @@ from mpmath.libmp import to_rational
 from skewpuiseux import (Alpha, ComplexConjRing, ConjSeriesRing,
                          GaussianRational, PuiseuxSeries, SkewPoly, bits,
                          parse_poly, puiseux_ring)
+from skewpuiseux import scalar
 from skewpuiseux.errors import ContextMismatch, NotMonicError, UsageError
 from skewpuiseux.scalar import GUARD_BITS, INF, to_mpc, zero_eps
 from skewpuiseux.skewpoly import _ops
@@ -338,6 +339,48 @@ def test_division_takes_one_shift_per_quotient_degree(monkeypatch):
         del calls[:]
         f * rand_poly(R, rnd, 2)
         assert len(calls) == n
+
+
+def _bits_of(c):
+    return getattr(c, "_mpc_", getattr(c, "_mpf_", c))
+
+
+@pytest.mark.parametrize("alpha,L", [(2, 1), (Fraction(3, 2), 2), (Fraction(1, 2), 1)])
+def test_kernel_results_are_not_written_out_and_read_back(monkeypatch, alpha, L):
+    # p = f*g, p.left_divmod(g) and f.evaluate(v) in a derived ring: no value
+    # is rounded to an mpmath number (from_fixed_point), and fixed_point
+    # reads the inputs and the ring's twist factors, never a result
+    rnd = rng(99 + L)
+    with bits(256):
+        R = puiseux_ring(alpha, L, rand_series(rnd, L, 0, 3, 8))
+        f = SkewPoly(R, [rand_series(rnd, L, 0, 3, 8) for _ in range(5)])
+        g = rand_poly(R, rnd, 2, nterms=8)
+        v = rand_series(rnd, L, 0, 3, 8)
+        inputs = {0}
+        for c in [R.a, v, *f.coeffs, *g.coeffs]:
+            for w in c.terms.values():
+                inputs |= {_bits_of(w), _bits_of(-w)}
+        inputs |= {_bits_of(R.alpha.numeric_pow(k, L)) for k in range(-40, 40)}
+        written, read = [], []
+
+        def counting(name, record):
+            fn = getattr(scalar, name)
+
+            def wrapper(*args):
+                record.append(args)
+                return fn(*args)
+            monkeypatch.setattr(scalar, name, wrapper)
+
+        counting("from_fixed_point", written)
+        counting("fixed_point", read)
+        p = f * g
+        q, r = p.left_divmod(g)
+        ev = f.evaluate(v)
+        assert written == [] and read
+        assert all(_bits_of(c) in inputs for (values,) in read for c in values)
+        # the results are the product, the quotient f, and f(v)
+        assert q.deviation(f) < mp.mpf(2) ** -200 and r.max_abs() < mp.mpf(2) ** -200
+        assert not ev.is_zero
 
 
 def test_t_shift_matches_its_definition():
