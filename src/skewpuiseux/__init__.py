@@ -14,9 +14,8 @@ Public API (exactly the names in ``__all__``):
   series:       PuiseuxSeries
   rings:        ComplexConjRing, ConjSeriesRing, PuiseuxRing, puiseux_ring
   polynomials:  SkewPoly
-  residues:     OrbitPartition, ResiduePoly, TMap, delta_set_member, ext_gcd,
-                orbit_partition, roots, twist_coprime_affine,
-                twist_coprime_periodic, twist_residue
+  residues:     ResiduePoly, TMap, delta_set_member, ext_gcd, roots,
+                twist_coprime_affine, twist_coprime_periodic, twist_residue
   structure:    normalize_scaled, scaling_exponent, shift_iso, trace_solve
   lifting:      HenselState, hensel_lift, twist_precheck
   factoring:    FactorConfig, Factorization, newton_puiseux_factor,
@@ -36,9 +35,8 @@ from .factorizer import (FactorConfig, Factorization, newton_puiseux_factor,
 from .hensel import HenselState, hensel_lift, twist_precheck
 from .parsing import parse_poly, parse_scalar, parse_series, poly_to_str, series_to_str
 from .puiseux import PuiseuxSeries
-from .residue import (OrbitPartition, ResiduePoly, TMap, delta_set_member,
-                      ext_gcd, orbit_partition, roots, twist_coprime_affine,
-                      twist_coprime_periodic, twist_residue)
+from .residue import (ResiduePoly, TMap, delta_set_member, ext_gcd, roots,
+                      twist_coprime_affine, twist_coprime_periodic, twist_residue)
 from .scalar import Alpha, GaussianRational, bits
 from .skewpoly import ComplexConjRing, ConjSeriesRing, PuiseuxRing, SkewPoly, puiseux_ring
 from .structure import normalize_scaled, scaling_exponent, shift_iso, trace_solve
@@ -49,11 +47,11 @@ __all__ = [
     "Alpha", "ComplexConjRing", "ConjSeriesRing", "ContextMismatch",
     "FactorConfig", "Factorization", "GaussianRational", "HenselState",
     "MathObstruction", "NotMonicError", "Obstruction",
-    "OrbitPartition", "ParseError", "PrecisionExhausted", "PuiseuxRing",
+    "ParseError", "PrecisionExhausted", "PuiseuxRing",
     "PuiseuxSeries", "ResiduePoly", "RootFindingError", "SkewError",
     "SkewPoly", "TMap", "TwistCoprimeFailure", "UsageError", "ZeroInversion",
     "bits", "delta_set_member", "ext_gcd", "hensel_lift",
-    "newton_puiseux_factor", "normalize_scaled", "orbit_partition",
+    "newton_puiseux_factor", "normalize_scaled",
     "parse_poly", "parse_scalar", "parse_series", "poly_to_str",
     "puiseux_ring", "roots", "scaling_exponent",
     "series_to_str", "shift_iso", "sigma_zero", "sigma_zero_quadratic",

@@ -39,8 +39,10 @@ takes the other roots.  The choice certifies itself, with a margin:
   - alpha = 1: whole clusters split, so res g and res h share no root.
 
 hensel_lift's twist check, which guards direct calls, is the only check a
-peeled split meets.  The peeled factor is the left one, so each lift step
-inverts k_n modulo a linear res g, a constant.
+peeled split meets.  The peeled factor is the left one, so a lift step
+inverts k_n modulo res g = (t - c)^e: a constant when e = 1, and a
+polynomial of degree e when the peel takes a zero root or an alpha = 1
+cluster whole.
 
 Order budget.  Let T be the target order, f = unit * (t - Z_1) ... (t - Z_d)
 and V(zeta) = min_k (ord f_k + k zeta), read off f's Newton polygon once.
@@ -141,19 +143,12 @@ class _ShortLift(Exception):
 
 
 class _Engine:
-    def __init__(self, alpha, cfg: FactorConfig, f: SkewPoly | None = None):
+    def __init__(self, alpha, cfg: FactorConfig, f: SkewPoly):
         """``f`` is the polynomial factored, whose Newton polygon every
-        level budget reads; by default the first one factor_monic is called
-        with."""
+        level budget reads: its points (k, ord f_k), in 1/L units of its
+        ring, and base = T - V(0)."""
         self.alpha = alpha
         self.order = cfg.target_order
-        self.top = None
-        if f is not None:
-            self._read_polygon(f)
-
-    def _read_polygon(self, f: SkewPoly):
-        """The points (k, ord f_k) of f's Newton polygon, in 1/L units of
-        its ring, and base = T - V(0)."""
         ring = f.ring
         self.top = [(k, ring.ord_k(c)) for k, c in enumerate(f.coeffs) if not c.is_zero]
         self.top_L = ring.L
@@ -250,8 +245,6 @@ class _Engine:
         """
         ring = f.ring
         d = f.degree
-        if self.top is None:
-            self._read_polygon(f)
         if d <= 0:
             return []
         if d == 1:

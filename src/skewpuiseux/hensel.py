@@ -43,7 +43,10 @@ dust_tol().
 
 Derived rings.  delta_a = a(sigma - id) is inner, so s = t + a obeys
 s u = sigma(u) s: shift_iso(., a) carries f, g, h to F[t, sigma], where the
-lift runs, and shift_iso(., -a) carries the factors back.
+lift runs, and shift_iso(., -a) carries the factors back.  The twist check
+runs in the caller's ring, on the caller's residues and roots: the ring
+moves the roots to s itself (PuiseuxRing.twist_coprime), and a witness
+is reported in t.
 """
 
 from __future__ import annotations
@@ -138,9 +141,8 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     def back(p):
         return p if shift is None else shift_iso(p, -shift)
 
+    gres, hres, caller = g.reduce_residue(), h.reduce_residue(), ring
     if shift is not None:
-        a0 = scalar.to_mpc(shift.residue())
-        roots = roots and tuple([(c + a0, k) for c, k in rs] for rs in roots)
         f, g, h = (shift_iso(p, shift) for p in (f, g, h))
         ring = f.ring
     K = max(1, target_k)  # slice 0 holds the residues
@@ -164,8 +166,9 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     d0 = minus(F[0], [(0, 0)])
     if not _small(d0, scalar.pow2_exp(scalar.dust_tol())):
         raise UsageError(f"res(f) != res(g)res(h) (deviation {scalar.max_abs(_rounded(d0, d))})")
-    gres = g.reduce_residue()
-    _twist_check(ring, gres, h.reduce_residue(), roots)
+    _twist_check(caller, gres, hres, roots)
+    if shift is not None:
+        gres = g.reduce_residue()  # res g in s
     if not _small(d0, zero):
         raise SkewError("hensel invariant violated: defect has order 0")
     (gr, gi, ge), hfix = G[0], H[0]  # res g below its lead, and res h

@@ -2,14 +2,14 @@
 
 This is the residue level of the local theory: polynomial arithmetic,
 a deterministic Durand-Kerner root finder with clustering, extended gcd
-with tolerance-aware degree collapse, the affine map T governing how
-conjugation by the uniformizer acts on residue roots, orbit partitions
-under T, and the all-n twisted-coprimality decision.  Root search runs
-one sweep routine in double, then at working precision from those seeds
-(D. A. Bini, G. Fiorentino, Numer. Algorithms 23, 2000); settling,
-clustering and the Newton polish stay at working precision.  A cluster of
-size m is polished by plain Newton on q^(m-1), whose root is simple there,
-and the clusters must re-expand to q, or the search raises
+with tolerance-aware degree collapse, the scaling T by which conjugation
+by the uniformizer moves residue roots in F[t, sigma], the exponent n of
+a root in another's T-orbit, and the all-n twisted-coprimality decision.
+Root search runs one sweep routine in double, then at working precision
+from those seeds (D. A. Bini, G. Fiorentino, Numer. Algorithms 23, 2000);
+settling, clustering and the Newton polish stay at working precision.  A
+cluster of size m is polished by plain Newton on q^(m-1), whose root is
+simple there, and the clusters must re-expand to q, or the search raises
 RootFindingError.
 """
 
@@ -402,17 +402,15 @@ def ext_gcd(p: ResiduePoly, q: ResiduePoly, tol=None):
 
 
 class TMap:
-    """The affine map T(w) = alpha_eff^(-1) w + a0 (alpha_eff^(-1) - 1) on
-    residue roots, where alpha_eff = alpha^(1/L) is the multiplier of sigma
-    on the working uniformizer.  T^n uses alpha_eff^(-n) in the same shape.
-    """
+    """The scaling T(w) = alpha_eff^(-1) w on residue roots, where alpha_eff
+    = alpha^(1/L) is the multiplier of sigma on the working uniformizer;
+    T^n multiplies by alpha_eff^(-n)."""
 
-    __slots__ = ("alpha", "L", "a0")
+    __slots__ = ("alpha", "L")
 
-    def __init__(self, alpha, L: int = 1, a0=0):
+    def __init__(self, alpha, L: int = 1):
         self.alpha = alpha if isinstance(alpha, Alpha) else Alpha(alpha)
         self.L = L
-        self.a0 = to_mpc(a0)
 
     @property
     def is_identity(self) -> bool:
@@ -428,15 +426,14 @@ class TMap:
     def apply(self, w, n: int = 1):
         if self.is_identity:
             return to_mpc(w)
-        s = self.mult(n)
-        return scalar.mp_operand(s) * w + self.a0 * scalar.mp_operand(s - 1)
+        return scalar.mp_operand(self.mult(n)) * w
 
     def __repr__(self):
-        return f"TMap(alpha={self.alpha!r}, L={self.L}, a0={self.a0})"
+        return f"TMap(alpha={self.alpha!r}, L={self.L})"
 
 
 def twist_residue(p: ResiduePoly, n: int, tmap: TMap) -> ResiduePoly:
-    """Residue image of phi^n: substitute t -> alpha_eff^(-n) t + a0(alpha_eff^(-n)-1).
+    """Residue image of phi^n: substitute t -> alpha_eff^(-n) t.
 
     A value c is a root of the result iff T^n(c) is a root of p.  The
     result keeps the degree of p: its leading coefficient is lc(p) * s^deg
@@ -444,8 +441,7 @@ def twist_residue(p: ResiduePoly, n: int, tmap: TMap) -> ResiduePoly:
     """
     if n == 0 or tmap.is_identity:
         return p
-    s = to_mpc(tmap.mult(n))
-    return substitute(p, s, tmap.a0 * (s - 1))
+    return substitute(p, to_mpc(tmap.mult(n)), 0)
 
 
 def substitute(p: ResiduePoly, s, c0) -> ResiduePoly:
@@ -462,71 +458,45 @@ def substitute(p: ResiduePoly, s, c0) -> ResiduePoly:
     return ResiduePoly(acc, trim=False)
 
 
-def orbit_exponent(tmap: TMap, c1, c, least: int = 0):
-    """The n >= least with T^n(c1) = c, or None.  Decided in closed form:
-    membership means (c + a0) = alpha_eff^(-n) (c1 + a0).  When T fixes c1
-    (T is the identity, or c1 is its fixed point -a0) the orbit is {c1}
-    and every n qualifies, so the answer is ``least``.  Roots match within
+def orbit_exponent(tmap: TMap, c1, c):
+    """The n >= 1 with T^n(c1) = c, or None.  Decided in closed form:
+    membership means c = alpha_eff^(-n) c1.  When T fixes c1 (T is the
+    identity, or c1 is its fixed point 0) the orbit is {c1} and every n
+    qualifies, so the answer is 1.  Roots match within
     scalar.cluster_tol()."""
     tol = scalar.cluster_tol()
     c1 = to_mpc(c1)
     c = to_mpc(c)
     scale_bound = 1 + abs(c1) + abs(c)
-    z1 = c1 + tmap.a0
-    if tmap.is_identity or abs(z1) <= tol:
-        return least if abs(c - c1) <= tol * scale_bound else None
-    ratio = (c + tmap.a0) / z1
+    if tmap.is_identity or abs(c1) <= tol:
+        return 1 if abs(c - c1) <= tol * scale_bound else None
+    ratio = c / c1
     # the ratio must be (tiny-or-not) real positive: relative imaginary test
     if abs(ratio) == 0 or mp.re(ratio) <= 0 or abs(mp.im(ratio)) > 16 * tol * abs(ratio):
         return None
     ln_alpha_eff = mp.log(to_mpc(tmap.alpha_eff()).real)
     nf = -mp.log(mp.re(ratio)) / ln_alpha_eff
     n = int(mp.nint(nf))
-    if n < least or abs(nf - n) > mp.mpf("0.25") or n > 10 ** 6:
+    if n < 1 or abs(nf - n) > mp.mpf("0.25") or n > 10 ** 6:
         return None
     if abs(tmap.apply(c1, n) - c) <= 16 * tol * scale_bound:
         return n
     return None
 
 
-@dataclass
-class OrbitPartition:
-    """Residue roots split into the T-orbit of a base root and the rest."""
-
-    base_root: object
-    members: list    # (root, exponent n with root = T^n(base), multiplicity)
-    outsiders: list  # (root, multiplicity)
-
-    @property
-    def j(self) -> int:
-        return sum(m for _, _, m in self.members)
-
-
-def orbit_partition(root_pairs, c1, tmap: TMap) -> OrbitPartition:
-    members = []
-    outsiders = []
-    for root, mult in root_pairs:
-        n = orbit_exponent(tmap, c1, root)
-        if n is None:
-            outsiders.append((root, mult))
-        else:
-            members.append((root, n, mult))
-    return OrbitPartition(to_mpc(c1), members, outsiders)
-
-
 def twist_coprime_affine(groots, hroots, tmap: TMap):
     """Decide for all n >= 1 at once whether res g, with the (root,
     multiplicity) pairs ``groots``, is coprime to the n-twisted res h,
     with the pairs ``hroots``.  Fails iff some root c of res g and root c'
-    of res h have T^n(c) = c' for an integer n >= 1 (orbit_exponent with
-    least=1: at most one candidate n per pair unless T fixes c).
+    of res h have T^n(c) = c' for an integer n >= 1 (orbit_exponent: at
+    most one candidate n per pair unless T fixes c).
 
     Returns None when coprime for all n, else (n, t - c) for the least n.
     """
     best = None
     for c, _ in groots:
         for cp, _ in hroots:
-            n = orbit_exponent(tmap, c, cp, least=1)
+            n = orbit_exponent(tmap, c, cp)
             if n is not None and (best is None or n < best[0]):
                 best = (n, ResiduePoly([-c, 1], trim=False))
     return best

@@ -23,8 +23,9 @@ threshold; every other module reads these levels by name.
                            division, ext_gcd), monicity
   noise(s)       zero_eps() max(1, s)  rounding noise of a value of size s:
                            root re-expansion, the trace pin, residual bounds
-  cluster_tol()  2^-(P/3)  root clustering and stall test, orbit matching,
-                           the Delta-set test, the factorizer's root order
+  cluster_tol()  2^-(P/3)  root clustering and stall test, the twist
+                           matching of residue.orbit_exponent, the Delta-set
+                           test, the tie rule of the factorizer's peel
   dust_tol()     2^-(P/4)  res f mismatch and dust bound of hensel_lift
   floor_tol(j)   2^-(P-j)  cancellation floors: hensel_lift (j = 24), roots
                            (j = 12); j = 0 is the dust rule of

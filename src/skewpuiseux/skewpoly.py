@@ -170,8 +170,10 @@ class PuiseuxRing(BaseRing):
         return to_mpc(a.residue())
 
     def tmap(self) -> residue_mod.TMap:
-        """The residue map T of this ring."""
-        return residue_mod.TMap(self.alpha, self.L, self.a.residue())
+        """The residue map T of this ring, the scaling w -> w / alpha_eff;
+        with a != 0 it acts on the residue roots of s = t + a
+        (twist_coprime)."""
+        return residue_mod.TMap(self.alpha, self.L)
 
     def slice_twist(self, k: int, count: int):
         # t^i y^k = alpha_eff^(ik) y^k t^i; scalars commute with y
@@ -184,7 +186,18 @@ class PuiseuxRing(BaseRing):
             if gres.degree < 1 or hres.degree < 1:
                 return None
             roots = (residue_mod.roots(gres), residue_mod.roots(hres))
-        return residue_mod.twist_coprime_affine(*roots, self.tmap())
+        if self.a.is_zero:
+            return residue_mod.twist_coprime_affine(*roots, self.tmap())
+        # delta_a is inner: T scales the roots c + res a of s = t + a, and
+        # the witness t - c is given back in t
+        a0 = to_mpc(self.a.residue())
+        groots, hroots = ([(c + a0, m) for c, m in rs] for rs in roots)
+        fail = residue_mod.twist_coprime_affine(groots, hroots, self.tmap())
+        if fail is None:
+            return None
+        n, witness = fail
+        c = next(c for (c, _), (z, _) in zip(roots[0], groots) if witness.coeffs[0] == -z)
+        return n, residue_mod.ResiduePoly([-c, 1], trim=False)
 
     def coerce(self, a):
         if not isinstance(a, PuiseuxSeries):

@@ -156,7 +156,7 @@ def test_peel_split_shapes():
         f = f * SkewPoly.t_minus(R, PS.constant(c))
     f = f + SkewPoly(R, [PS.x_pow(1)])  # keep it a nontrivial lift
     assert f.coeffs[2].is_zero  # shape (i): ord(f_(d-1)) > 0, min ord = 0
-    engine = _Engine(R.alpha, FactorConfig(target_order=10))
+    engine = _Engine(R.alpha, FactorConfig(target_order=10), f)
     sides = factorizer._peel(residue_mod.roots(f.reduce_residue()).pairs, R.tmap())
     assert [(c, e) for c, e in sides[0]] == [(mp.mpf(1) / 2, 1)]
     (uh, _), (vh, _) = engine._lift_split(f, sides, target_k=14)
@@ -188,7 +188,7 @@ def test_t_power_split_reads_the_left_factor_without_division(alpha, d, trunc, m
 
     monkeypatch.setattr(SkewPoly, "left_divmod", counted)
     with bits(cfg.bits):
-        zeros = _Engine(R.alpha, cfg).factor_monic(f, 0)
+        zeros = _Engine(R.alpha, cfg, f).factor_monic(f, 0)
     assert divisions == []
     monkeypatch.undo()
     fac = newton_puiseux_factor(f, cfg)
@@ -212,7 +212,7 @@ def test_candidate_order_ignores_last_bit_for_identity_twist():
     # alpha = 1: T is the identity, and the peel ranks the candidate roots
     # by real, then imaginary, part; of the branch pair +-v it takes the
     # same root whatever the last bits of the computed roots
-    tmap = TMap(Alpha(1), 2, 0)
+    tmap = TMap(Alpha(1), 2)
     v = mp.mpc(1, 2) / 3
     chosen = set()
     for dr in (-1, 0, 1):
@@ -230,7 +230,7 @@ def test_candidate_order_ignores_last_bit_for_a_twist(alpha):
     # the peel ranks the candidate roots by modulus first; a pair +-v has
     # one modulus, so that key ties, and the last bits of the roots must
     # not decide which one is peeled
-    tmap = TMap(Alpha(alpha), 1, 0)
+    tmap = TMap(Alpha(alpha), 1)
     v = mp.mpc(1, 2) / 3
     chosen = set()
     for dr in (-1, 0, 1):
@@ -252,7 +252,7 @@ def test_the_peeled_root_keeps_its_twist_margin(alpha, L):
     # at alpha != 1 it misses c by at least |alpha_eff - 1| |c| (module
     # docstring), over simple, double and zero roots and modulus ties
     rnd = rng(27)
-    tmap = TMap(Alpha(alpha), L, 0)
+    tmap = TMap(Alpha(alpha), L)
     aeff = to_mpc(tmap.alpha_eff()).real
     tol = scalar.cluster_tol()
     seen = set()

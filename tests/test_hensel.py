@@ -253,8 +253,7 @@ def test_step_in_quotient_algebra_matches_bezout_route(prec):
         for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2)):
             for m in (1, 2, 3):
                 for dh in (1, 2):
-                    tm = TMap(alpha, 1, rand_coeff(rnd))
-                    assert tm.a0 != 0
+                    tm = TMap(alpha)
                     gres = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(m)])
                     hres = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(dh)])
                     inverses = {}
@@ -282,7 +281,7 @@ def test_step_in_quotient_algebra_matches_bezout_route(prec):
 def test_step_raises_on_a_shared_twisted_root():
     # res(h) has the root T^3(c) for a root c of res(g), so phi^3(res h)
     # vanishes at c: the reduced kn collapses and the gcd is the witness
-    tm = TMap(2, 1, mp.mpc("0.25", "0.5"))
+    tm = TMap(2)
     c = mp.mpc("0.75", "-1.25")
     for others in ([], [(mp.mpc(-1, 1), 1)]):
         gres = ResiduePoly.from_roots([(c, 1)] + others)
@@ -447,9 +446,10 @@ def test_derived_lift_is_the_shifted_plain_lift(alpha, L):
 
 def test_derived_lift_shifts_the_given_roots():
     """hensel_lift lifts in s = t + a, where res g and res h have the roots
-    c + a0: the (root, multiplicity) lists a caller passes as ``roots`` are
-    shifted with them, so the twist check reads the same roots it would
-    find itself, for a coprime pair and for a pair with T(c) = c'."""
+    c + a0: its twist check runs in the caller's ring, which shifts the
+    (root, multiplicity) lists a caller passes as ``roots`` to s, so it
+    reads the same roots it would find itself, for a coprime pair and for
+    a pair with T(c + a0) = c' + a0."""
     a = PS(1, {0: mp.mpc("0.5", "0.25"), 1: 1})
     R = puiseux_ring(2).with_a(a)
     a0 = a.terms[0]
@@ -471,6 +471,22 @@ def test_derived_lift_shifts_the_given_roots():
         with pytest.raises(TwistCoprimeFailure) as exc:
             hensel_lift(g * h, g, h, 4, roots=given)
         assert exc.value.n == 1
+        # the witness t - c is in the caller's t, not in s
+        w = exc.value.witness
+        assert w.degree == 1 and abs(w.coeff(0) + c) < mp.mpf(2) ** -100
+
+
+def test_derived_twist_failure_reads_alike_in_precheck_and_lift():
+    # a = 1/2 + x: in s = t + a the roots 3/2 and 1/2 of res g and res h
+    # move to 2 and 1 = T(2), so both checks fail at n = 1 with the witness
+    # t - 3/2 in the caller's t
+    R = puiseux_ring(2).with_a(PS(1, {0: Fraction(1, 2), 1: 1}))
+    g, h = parse_poly("t - 3/2", R), parse_poly("t - 1/2", R)
+    for check in (lambda: twist_precheck(g, h), lambda: hensel_lift(g * h, g, h, 6)):
+        with pytest.raises(TwistCoprimeFailure) as exc:
+            check()
+        assert exc.value.n == 1
+        assert str(exc.value.witness) == "t - 1.5"
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from skewpuiseux import (Alpha, ConjSeriesRing, ResiduePoly, TMap, bits,
-                         delta_set_member, ext_gcd, orbit_partition, roots,
+from skewpuiseux import (Alpha, ConjSeriesRing, PuiseuxSeries, ResiduePoly, TMap, bits,
+                         delta_set_member, ext_gcd, puiseux_ring, roots,
                          twist_coprime_affine, twist_coprime_periodic,
                          twist_residue)
 from skewpuiseux import residue as residue_mod
+from skewpuiseux import scalar as scalar_mod
 from skewpuiseux.errors import RootFindingError, UsageError
-from skewpuiseux.residue import delta_pretest, gamma_elements
+from skewpuiseux.residue import delta_pretest, gamma_elements, orbit_exponent
 from skewpuiseux.scalar import to_mpc, zero_eps
 
 from conftest import rand_coeff, rng
@@ -78,7 +79,7 @@ def test_ext_gcd_equal_inputs():
 
 
 def test_twist_residue_examples():
-    tm = TMap(Alpha(2), 1, 0)
+    tm = TMap(Alpha(2))
     p = ResiduePoly([-1, 1])  # t - 1
     assert twist_residue(p, 0, tm) is p
     q = twist_residue(p, 1, tm)  # (1/2) t - 1, root 2
@@ -91,71 +92,86 @@ def test_twist_residue_examples():
 
 def test_twist_residue_composition():
     rnd = rng(52)
-    tm = TMap(Alpha(Fraction(3, 2)), 2, rand_coeff(rnd))
+    tm = TMap(Alpha(Fraction(3, 2)), 2)
     p = ResiduePoly([rand_coeff(rnd), rand_coeff(rnd), 1])
     lhs = twist_residue(twist_residue(p, 2, tm), 3, tm)
     rhs = twist_residue(p, 5, tm)
     assert (lhs - rhs).max_abs() < mp.mpf(2) ** -100
 
 
-def test_orbit_partition_examples():
-    tm = TMap(Alpha(2), 1, 0)
-    rts = [(mp.mpc(1), 1), (mp.mpc(0.5), 1), (mp.mpc(3), 1)]
-    part = orbit_partition(rts, mp.mpc(1), tm)
-    assert part.j == 2
-    exps = sorted(n for _, n, _ in part.members)
-    assert exps == [0, 1]
-    assert len(part.outsiders) == 1 and abs(part.outsiders[0][0] - 3) == 0
+def test_orbit_exponent_examples():
+    tm = TMap(Alpha(2))
+    assert orbit_exponent(tm, 1, mp.mpf(0.5)) == 1
+    assert orbit_exponent(tm, 1, mp.mpf(0.125)) == 3
+    assert orbit_exponent(tm, 1, 1) is None  # n >= 1, and T moves 1
+    assert orbit_exponent(tm, 1, 2) is None  # T^(-1)(1)
+    assert orbit_exponent(tm, 1, 3) is None
+    assert orbit_exponent(tm, 0, 0) == 1  # T fixes 0
 
 
 def test_orbit_identity_map():
-    tm = TMap(Alpha(1), 1, 0)
-    rts = [(mp.mpc(1), 1), (mp.mpc(0.5), 1)]
-    part = orbit_partition(rts, mp.mpc(1), tm)
-    assert part.j == 1
+    tm = TMap(Alpha(1))
+    assert orbit_exponent(tm, 1, 1) == 1
+    assert orbit_exponent(tm, 1, mp.mpf(0.5)) is None
 
 
-def test_orbit_double_root_covers_all():
-    tm = TMap(Alpha(2), 1, 0)
-    rr = roots(ResiduePoly([1, -2, 1]))
-    part = orbit_partition(rr.pairs, rr.pairs[0][0], tm)
-    assert part.j == 2  # j = d: both copies sit at T^0(c1)
+def _affine_apply(tmap: TMap, a0, w, n):
+    """T^n(w) in t for a ring with res a = a0, the affine map
+    s w + a0 (s - 1), s = alpha_eff^(-n): the scaling T of s = t + a."""
+    if tmap.is_identity:
+        return to_mpc(w)
+    s = tmap.mult(n)
+    return scalar_mod.mp_operand(s) * w + a0 * scalar_mod.mp_operand(s - 1)
+
+
+def _ring_twist(R, c, cp, mult=1):
+    """R's twist check of res g = t - c against res h = (t - cp)^mult."""
+    groots, hroots = [(c, 1)], [(cp, mult)]
+    return R.twist_coprime(ResiduePoly.from_roots(groots), ResiduePoly.from_roots(hroots),
+                           roots=(groots, hroots))
+
+
+def _derived(alpha, a0):
+    """puiseux_ring(alpha) with a = a0, a constant (a0 = 0: the plain ring)."""
+    return puiseux_ring(alpha).with_a(PuiseuxSeries.constant(a0))
 
 
 def test_orbit_closed_form_vs_bruteforce():
+    # in a ring with res a = a0 the twist check matches roots under the
+    # affine T of t; with a0 = 0 it is the scaling itself
     rnd = rng(53)
     for a0 in (0, 1):
-        tm = TMap(Alpha(2), 1, a0)
+        R = _derived(2, a0)
+        tm = R.tmap()
         for _ in range(100):
             c1 = rand_coeff(rnd)
             if rnd.random() < 0.5:
-                n_true = rnd.randint(0, 64)
-                c = tm.apply(c1, n_true)
+                c = _affine_apply(tm, a0, c1, rnd.randint(1, 64))
             else:
                 c = rand_coeff(rnd)
-            part = orbit_partition([(c, 1)], c1, tm)
-            member_closed = bool(part.members)
-            member_brute = any(abs(tm.apply(c1, n) - c) < mp.mpf(2) ** -40
-                               for n in range(65))
+            member_closed = _ring_twist(R, c1, c) is not None
+            member_brute = any(abs(_affine_apply(tm, a0, c1, n) - c) < mp.mpf(2) ** -40
+                               for n in range(1, 65))
             assert member_closed == member_brute
 
 
 def test_twist_coprime_affine_examples():
     p = ResiduePoly([-1, 1])
-    assert twist_coprime_affine(roots(p), roots(p), TMap(Alpha(2), 1, 0)) is None
-    fail = twist_coprime_affine(roots(p), roots(p), TMap(Alpha(1), 1, 0))
+    assert twist_coprime_affine(roots(p), roots(p), TMap(Alpha(2))) is None
+    fail = twist_coprime_affine(roots(p), roots(p), TMap(Alpha(1)))
     assert fail is not None and fail[0] == 1
 
 
-def _twist_hit(tmap: TMap, c, cprime, tol):
-    """Smallest n >= 1 with T^n(c) = cprime, or None."""
+def _twist_hit(tmap: TMap, a0, c, cprime, tol):
+    """Smallest n >= 1 with T^n(c) = cprime in a ring with res a = a0, or
+    None."""
     c = to_mpc(c)
     cprime = to_mpc(cprime)
     scale_bound = 1 + abs(c) + abs(cprime)
     if tmap.is_identity:
         return 1 if abs(c - cprime) <= tol * scale_bound else None
-    z = c + tmap.a0
-    zp = cprime + tmap.a0
+    z = c + a0
+    zp = cprime + a0
     if abs(z) <= tol:
         return 1 if abs(zp) <= tol else None
     ratio = zp / z
@@ -165,26 +181,29 @@ def _twist_hit(tmap: TMap, c, cprime, tol):
     n = int(mp.nint(nf))
     if n < 1 or abs(nf - n) > mp.mpf("0.25") or n > 10 ** 6:
         return None
-    if abs(tmap.apply(c, n) - cprime) <= 16 * tol * scale_bound:
+    if abs(_affine_apply(tmap, a0, c, n) - cprime) <= 16 * tol * scale_bound:
         return n
     return None
 
 
 def test_twist_coprime_affine_matches_reference():
-    # _twist_hit above is the twist check's former closed form, kept as a
-    # reference; the pairs stay well away from the tolerance boundary
+    # _twist_hit above is the twist check's former closed form, affine in
+    # t, kept as a reference for the ring's check, which scales the roots
+    # shifted to s = t + a; the pairs stay well away from the tolerance
+    # boundary, and a witness is t - c in t
     rnd = rng(2311)
     tol = mp.mpf(2) ** -(mp.prec // 3)
     for alpha in (1, 2, Fraction(3, 2), Fraction(1, 2)):
         for a0 in (0, 1, mp.mpc(1, 1)):
-            tm = TMap(Alpha(alpha), 1, a0)
-            pairs = [(-tm.a0, -tm.a0), (-tm.a0, rand_coeff(rnd))]
+            R = _derived(alpha, a0)
+            tm, a0 = R.tmap(), to_mpc(a0)
+            pairs = [(-a0, -a0), (-a0, rand_coeff(rnd))]
             for n in range(1, 41):
                 c = rand_coeff(rnd)
-                pairs += [(c, tm.apply(c, n)), (c, c), (c, rand_coeff(rnd))]
+                pairs += [(c, _affine_apply(tm, a0, c, n)), (c, c), (c, rand_coeff(rnd))]
             for c, cp in pairs:
-                got = twist_coprime_affine([(c, 1)], [(cp, 2)], tm)
-                want = _twist_hit(tm, c, cp, tol)
+                got = _ring_twist(R, c, cp, 2)
+                want = _twist_hit(tm, a0, c, cp, tol)
                 assert (got and got[0]) == want, (alpha, a0, c, cp)
                 if want is not None:
                     assert got[1] == ResiduePoly([-c, 1])
@@ -431,7 +450,7 @@ def test_ext_gcd_stops_at_a_constant_divisor(prec, monkeypatch):
 def test_twist_keeps_its_degree():
     # phi^40 with alpha 2 scales t^3 by 2^-120: below the dust threshold
     # 2^-64 max|c| at 128 bits, yet the leading coefficient is lc * s^3 != 0
-    tm = TMap(2, 1, mp.mpc("0.3", "-0.2"))
+    tm = TMap(2)
     p = ResiduePoly.from_roots([(1, 1), (mp.mpc(0, 2), 1), (-3, 1)]) * mp.mpc(2, 1)
     q = twist_residue(p, 40, tm)
     assert q.degree == 3
