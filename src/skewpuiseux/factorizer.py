@@ -40,9 +40,11 @@ takes the other roots.  The choice certifies itself, with a margin:
 
 hensel_lift's twist check, which guards direct calls, is the only check a
 peeled split meets.  The peeled factor is the left one, so a lift step
-inverts k_n modulo res g = (t - c)^e: a constant when e = 1, and a
-polynomial of degree e when the peel takes a zero root or an alpha = 1
-cluster whole.
+inverts k_n modulo res g = (t - c)^e.  When alpha != 1, e = 1 makes that
+the reciprocal of the exact constant k_n(c), with no Euclid, and a zero
+root peeled whole (e > 1) takes one Euclid per step; at alpha = 1, k_n
+does not change with n, so the lift runs one Euclid (hensel module
+docstring).
 
 Order budget.  Let T be the target order, f = unit * (t - Z_1) ... (t - Z_d)
 and V(zeta) = min_k (ord f_k + k zeta), read off f's Newton polygon once.
@@ -383,13 +385,17 @@ def newton_puiseux_factor(f: SkewPoly, cfg: FactorConfig | None = None) -> Facto
     bits_eff = cfg.bits
     for attempt in range(2):
         with scalar.bits(bits_eff):
-            fac = _factor_once(f, cfg)
-        big = max([z.max_abs() for z in fac.zeros] + [mp.mpf(1)])
+            zeros, unit = _factor_once(f, cfg)
+        big = max([z.max_abs() for z in zeros] + [mp.mpf(1)])
         growth_bits = int(mp.ceil(mp.log(big, 2))) if big > 1 else 0
         if attempt == 0 and growth_bits > cfg.bits // 8:
             bits_eff = cfg.bits + growth_bits + 16
             continue
         break
+    with scalar.bits(bits_eff):
+        report = verify_factorization(f, zeros, unit, order=cfg.target_order)
+    fac = Factorization(zeros, unit, report["residual"], report["achieved_order"],
+                        math.lcm(f.ring.L, *(z.L for z in zeros)))
     with scalar.bits(cfg.bits):
         bound = scalar.noise(f.max_abs())
     if not fac.residual <= bound:
@@ -398,7 +404,8 @@ def newton_puiseux_factor(f: SkewPoly, cfg: FactorConfig | None = None) -> Facto
     return fac
 
 
-def _factor_once(f: SkewPoly, cfg: FactorConfig) -> Factorization:
+def _factor_once(f: SkewPoly, cfg: FactorConfig):
+    """(zeros, unit) of f at the working precision, not yet verified."""
     ring = _require_plain_ring(f)
     if f.is_zero:
         raise UsageError("cannot factor the zero polynomial")
@@ -420,10 +427,7 @@ def _factor_once(f: SkewPoly, cfg: FactorConfig) -> Factorization:
             rel = Fraction(engine._lift_k(F1, r, True), F1.ring.L)
             avail = _trunc_k(lead) - 2 * m
             fm = _monic(f, lead.inverse(_target_k(rel - lead.ord(), lead.L, avail)))
-    zeros = engine.factor_monic(fm, 0)
-    report = verify_factorization(f, zeros, unit, order=cfg.target_order)
-    return Factorization(zeros, unit, report["residual"], report["achieved_order"],
-                         math.lcm(ring.L, *(z.L for z in zeros)))
+    return engine.factor_monic(fm, 0), unit
 
 
 def _monic(f: SkewPoly, inv: PuiseuxSeries) -> SkewPoly:

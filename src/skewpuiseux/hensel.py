@@ -29,11 +29,18 @@ f_n mod res g and q_n = (f_n - p_n k_n) / res g.  1/w, b, p_n and q_n are
 rounded once each, scalar.GUARD_BITS above the working precision, all but
 1/w on their mantissas (scalar.carry_row): the lift carries a step's
 error into every later order, where it grows.  b = k_n^(-1) mod res g is
-ext_gcd on k_n mod res g (a constant, inverted with no division, for a
-linear res g), rounded and collapsed at zero_eps(), then one exact Newton
-step; it stays Euclid while the benchmark counts the lift's steps as its
-ext_gcd calls.  p_n collapses at floor_tol(24) as divmod does.  Sizes
-are read off bit lengths.  D_0 = res f - res g res h is the residue check,
+read off r = k_n mod res g, collapsed at zero_eps() (_inverse).  A twisted
+lift (some slice twist w is not None: alpha != 1) meets a new k_n at every
+step, so it memoizes nothing; with res g = t - c, r = k_n(c) is an exact
+constant and b its reciprocal, two integer divisions and one rounding
+(_reciprocal), with no ext_gcd.  Otherwise b is ext_gcd on r rounded, then
+one exact Newton step, memoized per k_n: an untwisted lift meets one k_n
+(two in C[[x, rho]]), so it runs Euclid once per lift, at a linear res g
+too while the benchmark counts the lift's steps as its ext_gcd calls.  At
+a linear res g both routes give the same b, bit for bit, unless the exact
+reciprocal lies within about 2^-2P, relatively, of a rounding point.  p_n
+collapses at floor_tol(24) as divmod does.  Sizes are read off bit
+lengths.  D_0 = res f - res g res h is the residue check,
 exact: from dust_tol() up the inputs are no residue factorization
 (UsageError), and from zero_eps() up they break the order-0 invariant
 (SkewError).  A D_n below zero_eps() is skipped; with 2^scale <= max(1, |c|)
@@ -75,28 +82,64 @@ class HenselState:
     defect: SkewPoly
 
 
-def _solve_step(n: int, gres, g, kn, fn, inverses: dict, scale):
+def _solve_step(n: int, gres, g, kn, fn, inverses, scale):
     """Solve p kn + gres q = fn, deg p < deg gres, in C[t]/(gres) (von zur
     Gathen & Gerhard, Modern Computer Algebra, 15.4) on exact rows, g being
-    gres's lower coefficients; b, memoized per kn, is the step's one
-    ext_gcd call, and b, p and q round on mantissas (module docstring)."""
-    key, m = (tuple(kn[0]), tuple(kn[1]), kn[2]), gres.degree
-    inv = inverses.get(key)
-    if inv is None:
-        _, r = _divmod_monic(kn, g, scalar.zero_eps())
-        one, _, b = residue_mod.ext_gcd(gres, ResiduePoly(_rounded(r, len(r[0])), trim=False))
-        b = _fixed(b.coeffs)
-        if b and one.degree == 0:  # one Newton step: b (2 - b kn) mod gres
-            b = carry_row(_mulmod(b, _fixed_add(([2], [0], 0), _minus_product(b, kn)), g))
-        inv = inverses[key] = (one, b)
-    one, b = inv
-    if one.degree != 0:
-        raise TwistCoprimeFailure(n, one)
+    gres's lower coefficients, through b = kn^(-1) mod gres (_inverse): the
+    reciprocal of a constant when ``inverses`` is None and gres is linear,
+    else Euclid, memoized per kn in ``inverses`` unless it is None; b, p
+    and q round on mantissas (module docstring)."""
+    m = gres.degree
+    if inverses is None:
+        b = _inverse(n, gres, g, kn, m == 1)
+    else:
+        key = (tuple(kn[0]), tuple(kn[1]), kn[2])
+        if key not in inverses:
+            inverses[key] = _inverse(n, gres, g, kn, False)
+        b = inverses[key]
     p = carry_row(_mulmod(b, fn, g, scalar.floor_tol(24)))
     q, r = _divmod_monic(_fixed_add(fn, p and _minus_product(p, kn)), g)
     if not _small(r, max(scale, _top(fn) - 1) + scalar.pow2_exp(scalar.dust_tol())):
         raise SkewError(f"hensel correction degree overflow ({scalar.max_abs(_rounded(r, m))})")
     return p, carry_row(q), b
+
+
+def _inverse(n: int, gres, g, kn, reciprocal: bool):
+    """b = kn^(-1) mod gres on exact rows, its parts rounded once each
+    (carry_row), from r = kn mod gres: with ``reciprocal`` (gres linear, r
+    a constant) b = 1/r (_reciprocal), else ext_gcd on r rounded, then one
+    exact Newton step.  A collapsed r, or one that shares a factor with
+    gres, raises TwistCoprimeFailure with Euclid's gcd as the witness."""
+    _, r = _divmod_monic(kn, g, scalar.zero_eps())
+    if reciprocal:
+        if not r[0]:
+            raise TwistCoprimeFailure(n, gres.monic())
+        return _reciprocal(r)
+    one, _, b = residue_mod.ext_gcd(gres, ResiduePoly(_rounded(r, len(r[0])), trim=False))
+    if one.degree != 0:
+        raise TwistCoprimeFailure(n, one)
+    b = _fixed(b.coeffs)
+    # one Newton step: b (2 - b kn) mod gres
+    return b and carry_row(_mulmod(b, _fixed_add(([2], [0], 0), _minus_product(b, kn)), g))
+
+
+def _reciprocal(r):
+    """1/r for an exact nonzero constant r = (a + ic) 2^e, each part
+    rounded once, GUARD_BITS above the working precision (carry_row), as
+    ext_gcd and its Newton step give it.  The parts are the quotients of a
+    and -c by a^2 + c^2, shifted to keep 4 bits below that rounding at the
+    smaller part's own scale, with a sticky bit for each remainder: the
+    quotient then lies strictly between the same two rounding points as
+    the exact part, so nothing rounds twice."""
+    (a,), (c,), e = r
+    norm = a * a + c * c
+    s = (mp.prec + scalar.GUARD_BITS + 4 + norm.bit_length()
+         - min(abs(v).bit_length() for v in (a, c) if v))
+    parts = []
+    for v in (a, -c):
+        q, rem = divmod(v << s, norm)
+        parts.append(q << 1 | bool(rem))
+    return carry_row(([parts[0]], [parts[1]], -s - 1 - e))
 
 
 def twist_precheck(g: SkewPoly, h: SkewPoly):
@@ -178,7 +221,9 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     # corrections can grow with n (the true factors may grow geometrically);
     # cancellation dust is judged against 2^scale <= max(1, |c|)
     scale = max([0] + [_top(r) - 1 for r in F])
-    inverses = {}  # one per distinct k_n: per lift at alpha = 1
+    # an untwisted lift meets one k_n (two, alternating, under a conj twist):
+    # their inverses are memoized
+    inverses = None if any(w is not None for w, _ in twists) else {}
     for n in range(1, target_k):
         inner = minus(F[n], [(a, n - a) for a in range(1, n)])
         dn = minus(inner, {(n, 0), (0, n)})

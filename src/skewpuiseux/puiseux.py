@@ -326,7 +326,14 @@ class PuiseuxSeries:
     # -- measurement and comparison ----------------------------------------
 
     def max_abs(self):
-        return scalar.max_abs(self.terms.values())
+        """max |c| over the coefficients (scalar.max_abs).  A held series
+        takes one modulus, of an entry with the largest u^2 + v^2 on its
+        mantissas: a rounded modulus is monotone in u^2 + v^2."""
+        if self._fx is None:
+            return scalar.max_abs(self.terms.values())
+        _, re, im, _, _, _ = self._fx[0]
+        top = max(range(len(re)), key=lambda i: re[i] * re[i] + im[i] * im[i])
+        return abs(scalar.to_mpc(self._value(top))) if re[top] or im[top] else mp.mpf(0)
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):

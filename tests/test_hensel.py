@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
 from skewpuiseux import (Alpha, ConjSeriesRing, GaussianRational, PuiseuxSeries, ResiduePoly,
                          SkewPoly, TMap, bits, ext_gcd, hensel_lift, parse_poly,
@@ -240,42 +240,97 @@ def step(n, gres, kn, fn, inverses):
     return [ResiduePoly(_rounded(x, len(x[0])) if x else [], trim=False) for x in out]
 
 
+def _step_cases(prec):
+    """The step cases, (m, deg h, res g, [(n, kn, fn), ...]), for alpha in
+    {2, 3/2, 1/2}, m = deg g in {1, 2, 3}, deg h in {1, 2} and n <= 40.
+    kn = phi^n(res h) spreads its coefficients over alpha^(n deg h); past
+    P/8 bits of spread both routes lose accuracy in the Euclid on a
+    tiny-led kn, so n stops there."""
+    rnd = rng(prec + 11)
+    for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2)):
+        for m in (1, 2, 3):
+            for dh in (1, 2):
+                tm = TMap(alpha)
+                gres = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(m)])
+                hres = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(dh)])
+                steps = []
+                for n in range(1, 41):
+                    if n * dh * abs(mp.log(alpha.numerator / alpha.denominator, 2)) > prec / 8:
+                        break
+                    steps.append((n, twist_residue(hres, n, tm),
+                                  ResiduePoly([rand_coeff(rnd) for _ in range(m + dh)])))
+                yield m, dh, gres, steps
+
+
+def _check_step(n, gres, kn, fn, inverses, tol):
+    """p kn + res(g) q = fn to tol, and p, q as the Bezout route gives them."""
+    m, dh = gres.degree, kn.degree
+    p, q, b = step(n, gres, kn, fn, inverses)
+    assert p.degree < m and q.degree < dh
+    assert (b * kn).divmod(gres)[1].degree == 0
+    scale = max(1, fn.max_abs(), p.max_abs() * kn.max_abs(), q.max_abs() * gres.max_abs())
+    assert (p * kn + gres * q - fn).max_abs() <= tol * scale
+    p_ref, q_ref = bezout_step(gres, kn, fn, m + dh)
+    assert (p - p_ref).max_abs() <= tol * max(1, p.max_abs())
+    assert (q - q_ref).max_abs() <= tol * max(1, q.max_abs())
+
+
 @pytest.mark.parametrize("prec", [128, 256])
 def test_step_in_quotient_algebra_matches_bezout_route(prec):
     """p kn + res(g) q = fn to 2^-(P-16), and p, q as the Bezout route gives
-    them, for m = deg g in {1, 2, 3} and n <= 40.  kn = phi^n(res h) spreads
-    its coefficients over alpha^(n deg h); past P/8 bits of spread both
-    routes lose accuracy in the Euclid on a tiny-led kn, so n stops there."""
-    rnd = rng(prec + 11)
+    them, over the step cases (_step_cases), through Euclid's inverse."""
     with bits(prec):
         tol = mp.mpf(2) ** -(prec - 16)
         largest_n = 0
-        for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2)):
-            for m in (1, 2, 3):
-                for dh in (1, 2):
-                    tm = TMap(alpha)
-                    gres = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(m)])
-                    hres = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(dh)])
-                    inverses = {}
-                    steps = 0
-                    for n in range(1, 41):
-                        if n * dh * abs(mp.log(alpha.numerator / alpha.denominator, 2)) > prec / 8:
-                            break
-                        largest_n = max(largest_n, n)
-                        steps += 1
-                        kn = twist_residue(hres, n, tm)
-                        fn = ResiduePoly([rand_coeff(rnd) for _ in range(m + dh)])
-                        p, q, b = step(n, gres, kn, fn, inverses)
-                        assert p.degree < m and q.degree < dh
-                        assert (b * kn).divmod(gres)[1].degree == 0
-                        scale = max(1, fn.max_abs(), p.max_abs() * kn.max_abs(),
-                                    q.max_abs() * gres.max_abs())
-                        assert (p * kn + gres * q - fn).max_abs() <= tol * scale
-                        p_ref, q_ref = bezout_step(gres, kn, fn, m + dh)
-                        assert (p - p_ref).max_abs() <= tol * max(1, p.max_abs())
-                        assert (q - q_ref).max_abs() <= tol * max(1, q.max_abs())
-                    assert len(inverses) == steps  # one inverse per distinct kn
+        for m, dh, gres, steps in _step_cases(prec):
+            inverses = {}
+            for n, kn, fn in steps:
+                _check_step(n, gres, kn, fn, inverses, tol)
+                largest_n = max(largest_n, n)
+            assert len(inverses) == len(steps)  # one inverse per distinct kn
         assert largest_n == {128: 27, 256: 40}[prec]  # alpha 3/2, deg h 1
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_twisted_step_at_a_linear_residue_matches_bezout_route(prec):
+    # the m = 1 step cases through a twisted lift's route: no memo, and b
+    # the reciprocal of the constant kn mod res g
+    with bits(prec):
+        tol = mp.mpf(2) ** -(prec - 16)
+        steps = [(gres, s) for m, _, gres, s in _step_cases(prec) if m == 1]
+        assert sum(len(s) for _, s in steps) == {128: 88, 256: 163}[prec]
+        for gres, s in steps:
+            for n, kn, fn in s:
+                _check_step(n, gres, kn, fn, None, tol)
+
+
+@pytest.mark.parametrize("prec", [128, 160, 256, 320])
+def test_reciprocal_is_the_euclid_newton_inverse_bit_for_bit(prec):
+    """The reciprocal of a constant r = (a + ic) 2^e is the b that ext_gcd
+    and its Newton step carry, bit for bit: parts of equal and of unequal
+    sizes, a zero real or imaginary part, and e from -400 to 100."""
+    rnd = rng(prec + 3)
+    with bits(prec):
+        gres = ResiduePoly([mp.mpc("0.375", "-1.25"), 1], trim=False)
+        g = _fixed(gres.coeffs[:-1])
+        for i in range(400):
+            la, lc = rnd.randint(1, prec + 64), rnd.randint(1, prec + 64)
+            if i % 4 == 0:
+                la = lc  # parts of one size
+            a, c = (rnd.getrandbits(k) * rnd.choice((1, -1)) or 1 for k in (la, lc))
+            if i % 10 == 1:
+                a = 0
+            elif i % 10 == 2:
+                c = 0
+            r = ([a], [c], rnd.randint(-400, 100))
+            b = hensel_mod._inverse(1, gres, g, r, True)
+            assert b == hensel_mod._inverse(1, gres, g, r, False)
+            # each part the exact one, rounded to nearest GUARD_BITS above P
+            norm, e = a * a + c * c, r[2]
+            for part, num in zip(b[:2], (a, -c)):
+                want = from_rational(num << max(0, -e), norm << max(0, e),
+                                     prec + scalar.GUARD_BITS, round_nearest)
+                assert from_man_exp(part[0], b[2]) == want
 
 
 def test_step_raises_on_a_shared_twisted_root():
@@ -295,6 +350,26 @@ def test_step_raises_on_a_shared_twisted_root():
         assert w.degree == 1 and abs(w.coeff(0) + c) < mp.mpf(2) ** -(mp.prec // 3)
         # the twist at n = 2 shares no root: the same pair solves there
         step(2, gres, twist_residue(hres, 2, tm), fn, {})
+
+
+def test_twisted_step_raises_on_a_shared_twisted_root_with_euclids_witness():
+    # at a linear res g the reciprocal route finds the collapsed kn mod res g
+    # and reports the witness Euclid gives
+    tm = TMap(2)
+    c = mp.mpc("0.75", "-1.25")
+    gres = ResiduePoly.from_roots([(c, 1)])
+    hres = ResiduePoly.from_roots([(tm.apply(c, 3), 1), (mp.mpc(2, 3), 1)])
+    kn, fn = twist_residue(hres, 3, tm), ResiduePoly([1, 2, 3])
+    failures = []
+    for inverses in ({}, None):
+        with pytest.raises(TwistCoprimeFailure) as exc:
+            step(3, gres, kn, fn, inverses)
+        failures.append(exc.value)
+    euclid, reciprocal = failures
+    assert euclid.n == reciprocal.n == 3
+    assert [w._mpc_ for w in reciprocal.witness.coeffs] == [
+        w._mpc_ for w in euclid.witness.coeffs]
+    step(2, gres, twist_residue(hres, 2, tm), fn, None)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -382,23 +457,32 @@ def test_to_prec_forms_no_mpmath_number(monkeypatch):
 
 
 def test_one_inverse_per_distinct_twist(monkeypatch):
-    calls = []
-    real = hensel_mod.residue_mod.ext_gcd
+    # alpha 1 meets one k_n: one memoized Euclid call per lift.  At alpha 2
+    # res g is linear: one reciprocal per step, no ext_gcd call and no memo
+    calls, memos = [], []
+    for mod, name in ((hensel_mod.residue_mod, "ext_gcd"), (hensel_mod, "_reciprocal")):
+        def counting(*args, _real=getattr(mod, name), _name=name, **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
 
-    def counting(*args, **kw):
-        calls.append(1)
-        return real(*args, **kw)
-
-    monkeypatch.setattr(hensel_mod.residue_mod, "ext_gcd", counting)
-    for alpha, per_lift in ((1, 1), (2, None)):
+        monkeypatch.setattr(mod, name, counting)
+    solve = hensel_mod._solve_step
+    monkeypatch.setattr(hensel_mod, "_solve_step",
+                        lambda *args: memos.append(args[5]) or solve(*args))
+    for alpha in (1, 2):
         R = puiseux_ring(alpha)
         f = parse_poly("t^2 - (4+x+x^3)*t + (3+2*x)", R)
         states = []
-        del calls[:]
+        del calls[:], memos[:]
         hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 3", R), 12,
                     on_state=states.append)
         assert len(states) > 1
-        assert len(calls) == (per_lift or len(states))
+        if alpha == 1:
+            assert calls == ["ext_gcd"]
+            assert len(memos[0]) == 1 and all(m is memos[0] for m in memos)
+        else:
+            assert calls == ["_reciprocal"] * len(states)
+            assert memos == [None] * len(states)
 
 
 def test_truncated_factor_input_is_precision_exhausted():
@@ -627,17 +711,27 @@ def test_twist_precheck_passes_a_constant_residue():
 
 
 def test_a_wrong_step_inverse_overflows_the_correction(monkeypatch):
-    # twice the inverse: its Newton step gives 0, and p kn leaves fn mod res g
-    ext_gcd_ = hensel_mod.residue_mod.ext_gcd
+    # twice the inverse leaves fn mod res g in p kn: at alpha 2 the doubled
+    # reciprocal, at alpha 1 a doubled ext_gcd, whose Newton step gives 0
+    ext_gcd_, reciprocal = hensel_mod.residue_mod.ext_gcd, hensel_mod._reciprocal
 
     def doubled(p, q, tol=None):
         g, a, b = ext_gcd_(p, q, tol)
         return g, a, b * 2
 
+    def doubled_reciprocal(r):
+        re, im, e = reciprocal(r)
+        return re, im, e + 1
+
     monkeypatch.setattr(hensel_mod.residue_mod, "ext_gcd", doubled)
+    monkeypatch.setattr(hensel_mod, "_reciprocal", doubled_reciprocal)
     f, g = _example1(2)
-    with pytest.raises(SkewError, match="correction degree overflow"):
-        hensel_lift(f, g, g, 6)
+    R = puiseux_ring(1)
+    cases = [(f, g, g), (parse_poly("t^2 - (4+x+x^3)*t + (3+2*x)", R),
+                         parse_poly("t - 1", R), parse_poly("t - 3", R))]
+    for f, g, h in cases:
+        with pytest.raises(SkewError, match="correction degree overflow"):
+            hensel_lift(f, g, h, 6)
 
 
 def test_a_wrong_correction_leaves_the_defect_order(monkeypatch):

@@ -8,7 +8,7 @@ from mpmath.libmp import to_rational
 from skewpuiseux import Alpha, GaussianRational, PuiseuxSeries, SkewPoly, bits, puiseux_ring
 from skewpuiseux.errors import PrecisionExhausted, UsageError, ZeroInversion
 from skewpuiseux.puiseux import _Fixed
-from skewpuiseux.scalar import INF, is_negligible, to_mpf
+from skewpuiseux.scalar import INF, is_negligible, max_abs, to_mpf
 
 from conftest import rand_series, rng
 from props import check_leibniz, trace_apply
@@ -452,3 +452,24 @@ def test_a_one_term_operand_scales_the_other_row():
     # an exact 1 leaves the terms as they are, cut to the product's truncation
     one = PS(2, {0: 1}, 5) * s
     assert one.trunc == 5 and _raw_terms(one) == _raw_terms(s.truncate(5))
+
+
+def test_max_abs_of_a_held_series_is_the_plain_max():
+    # a kernel-written series reads max_abs off its mantissas: bit for bit
+    # the max over its terms, real or complex, read at its own precision or
+    # at a lower one
+    rnd = rng(41)
+    for real in (False, True):
+        for _ in range(20):
+            with bits(256):
+                a, b = (rand_series(rnd, L=2, hi=4, nterms=6) for _ in range(2))
+                if real:
+                    a, b = (PS(2, {k: mp.re(c) for k, c in s.terms.items()}) for s in (a, b))
+                prod = a * b
+            assert prod._fx is not None and prod._fx[1] == real
+            for prec in (256, 128):
+                with bits(prec):
+                    assert prod.max_abs()._mpf_ == max_abs(prod.terms.values())._mpf_
+    with bits(128):
+        held = PS(1, {0: mp.mpc(0, 3), 1: mp.mpc(2, 0)}) * PS(1, {0: mp.mpc(1, 0)})
+        assert held._fx is not None and held.max_abs() == 3
