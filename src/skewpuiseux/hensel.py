@@ -21,32 +21,33 @@ coefficient holds its exact form.  Step n forms only slice n of the defect,
 D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van der Hoeven, "Relax, but
 don't be too lazy", JSC 2002).  The t^(i+j) entry of G_a * H_b is
 g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and g_(i,a) rho^a(h_(j,b)) in
-C[[x, rho]]; the ring supplies only this twist w (slice_twist).
+C[[x, rho]]; the ring supplies only this twist w and 1/w (slice_twist).
 
 Rounding and step rule.  D_n is exact, and so are f_n and k_n, its and res
 h's products with the inverse twist 1/w, and, res g being monic, k_n and b
 f_n mod res g and q_n = (f_n - p_n k_n) / res g.  1/w, b, p_n and q_n are
-rounded once each, scalar.GUARD_BITS above the working precision, all but
-1/w on their mantissas (scalar.carry_row): the lift carries a step's
-error into every later order, where it grows.  b = k_n^(-1) mod res g is
-read off r = k_n mod res g, collapsed at zero_eps() (_inverse).  A twisted
-lift (some slice twist w is not None: alpha != 1) meets a new k_n at every
-step, so it memoizes nothing; with res g = t - c, r = k_n(c) is an exact
-constant and b its reciprocal, two integer divisions and one rounding
-(_reciprocal), with no ext_gcd.  Otherwise b is ext_gcd on r rounded, then
-one exact Newton step, memoized per k_n: an untwisted lift meets one k_n
-(two in C[[x, rho]]), so it runs Euclid once per lift, at a linear res g
-too while the benchmark counts the lift's steps as its ext_gcd calls.  At
-a linear res g both routes give the same b, bit for bit, unless the exact
-reciprocal lies within about 2^-2P, relatively, of a rounding point.  p_n
-collapses at floor_tol(24) as divmod does.  Sizes are read off bit
-lengths.  D_0 = res f - res g res h is the residue check,
-exact: from dust_tol() up the inputs are no residue factorization
-(UsageError), and from zero_eps() up they break the order-0 invariant
-(SkewError).  A D_n below zero_eps() is skipped; with 2^scale <= max(1, |c|)
-over the c met so far, D_n formed again must lie below max(zero_eps(),
-2^scale floor_tol(24)), and q_n's remainder is dust below 2^scale
-dust_tol().
+rounded once each, scalar.GUARD_BITS above the working precision, b, p_n
+and q_n on their mantissas (scalar.carry_row), and 1/w with w once per
+alpha, L and precision, in the memo of alpha's powers (Alpha.power_row):
+the lift carries a step's error into every later order, where it grows.
+b = k_n^(-1) mod res g is read off r = k_n mod res g, collapsed at
+zero_eps() (_inverse).  A twisted lift (some slice twist w is not None:
+alpha != 1) meets a new k_n at every step, so it memoizes nothing; with
+res g = t - c, r = k_n(c) is an exact constant and b its reciprocal, two
+integer divisions and one rounding (_reciprocal), with no ext_gcd.
+Otherwise b is ext_gcd on r rounded, then one exact Newton step, memoized
+per k_n: an untwisted lift meets one k_n (two in C[[x, rho]]), so it runs
+Euclid once per lift, at a linear res g too while the benchmark counts the
+lift's steps as its ext_gcd calls.  At a linear res g both routes give the
+same b, bit for bit, unless the exact reciprocal lies within about 2^-2P,
+relatively, of a rounding point.  p_n collapses at floor_tol(24) as divmod
+does.  Sizes are read off bit lengths.  D_0 = res f - res g res h is the
+residue check, exact: from dust_tol() up the inputs are no residue
+factorization (UsageError), and from zero_eps() up they break the order-0
+invariant (SkewError).  A D_n below zero_eps() is skipped; with 2^scale <=
+max(1, |c|) over the c met so far, D_n formed again must lie below
+max(zero_eps(), 2^scale floor_tol(24)), and q_n's remainder is dust below
+2^scale dust_tol().
 
 Derived rings.  delta_a = a(sigma - id) is inner, so s = t + a obeys
 s u = sigma(u) s: shift_iso(., a) carries f, g, h to F[t, sigma], where the
@@ -191,13 +192,12 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     K = max(1, target_k)  # slice 0 holds the residues
     F, G, H = (_slices(p.coeffs[:n], K) for p, n in ((f, d), (g, m + 1), (h, d - m + 1)))
     twists = [ring.slice_twist(k, d + 1) for k in range(K)]
-    wfix = [w and _fixed(w) for w, _ in twists]
 
     def minus(acc, pairs):
         """acc - sum of G_a * H_b over the (a, b) in pairs, exactly."""
         for a, b in pairs:
             if G[a] and H[b]:
-                acc = _fixed_add(acc, _minus_product(G[a], H[b], wfix[b], twists[a][1], d))
+                acc = _fixed_add(acc, _minus_product(G[a], H[b], twists[b][0], twists[a][2], d))
         return acc
 
     def factors():
@@ -223,22 +223,20 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     scale = max([0] + [_top(r) - 1 for r in F])
     # an untwisted lift meets one k_n (two, alternating, under a conj twist):
     # their inverses are memoized
-    inverses = None if any(w is not None for w, _ in twists) else {}
+    inverses = None if any(w is not None for w, _, _ in twists) else {}
     for n in range(1, target_k):
         inner = minus(F[n], [(a, n - a) for a in range(1, n)])
         dn = minus(inner, {(n, 0), (0, n)})
         if _small(dn, zero):
             continue
         # move x^n right of the slice: f_n, and k_n = phi^n(res h)
-        w, conj = twists[n]
-        with mp.workprec(mp.prec + scalar.GUARD_BITS):
-            winv = w and _fixed([1 / c for c in w])
+        w, winv, conj = twists[n]
         fn = _fixed_twist(dn, winv)
         kn = _fixed_twist(hbar if conj else hfix, winv)
         p, q, b = _solve_step(n, gres, gfix, kn, fn, inverses, scale)
         # the corrections p x^n, q x^n in left form: t^i x^n = w_i x^n t^i
-        G[n] = _fixed_add(G[n], _fixed_twist(p, wfix[n]))
-        H[n] = _fixed_add(H[n], _fixed_twist(q, wfix[n]))
+        G[n] = _fixed_add(G[n], _fixed_twist(p, w))
+        H[n] = _fixed_add(H[n], _fixed_twist(q, w))
         scale = max(scale, *(_top(x) - 1 for x in (fn, p, q, b)))
         if not _small(minus(inner, {(n, 0), (0, n)}), max(zero, scale + floor)):
             raise SkewError(f"hensel step did not raise the defect order at n={n}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import prod
 
@@ -417,16 +416,14 @@ class TMap:
         return self.alpha.is_one
 
     def mult(self, n: int):
-        """alpha_eff^(-n)."""
-        return self.alpha.pow(Fraction(-n, self.L))
+        """alpha_eff^(-n) (Alpha.numeric_pow)."""
+        return self.alpha.numeric_pow(-n, self.L)
 
     def alpha_eff(self):
-        return self.alpha.pow(Fraction(1, self.L))
+        return self.alpha.numeric_pow(1, self.L)
 
     def apply(self, w, n: int = 1):
-        if self.is_identity:
-            return to_mpc(w)
-        return scalar.mp_operand(self.mult(n)) * w
+        return self.mult(n) * w
 
     def __repr__(self):
         return f"TMap(alpha={self.alpha!r}, L={self.L})"
@@ -474,8 +471,7 @@ def orbit_exponent(tmap: TMap, c1, c):
     # the ratio must be (tiny-or-not) real positive: relative imaginary test
     if abs(ratio) == 0 or mp.re(ratio) <= 0 or abs(mp.im(ratio)) > 16 * tol * abs(ratio):
         return None
-    ln_alpha_eff = mp.log(to_mpc(tmap.alpha_eff()).real)
-    nf = -mp.log(mp.re(ratio)) / ln_alpha_eff
+    nf = -mp.log(mp.re(ratio)) / tmap.alpha.log_eff(tmap.L)
     n = int(mp.nint(nf))
     if n < 1 or abs(nf - n) > mp.mpf("0.25") or n > 10 ** 6:
         return None

@@ -88,9 +88,11 @@ class BaseRing:
         raise NotImplementedError
 
     def slice_twist(self, k: int, count: int):
-        """The monomial twist of hensel_lift's slice product: (w, conj) with
-        t^i u^k = w[i] u^k t^i for i < count (w None when all are 1) and
-        u^k c = c' u^k, c' = conj(c) if conj else c, u the uniformizer."""
+        """The monomial twist of hensel_lift's slice product: (w, winv, conj)
+        with t^i u^k = w[i] u^k t^i for i < count and u^k c = c' u^k, c' =
+        conj(c) if conj else c, u the uniformizer.  w and winv (1/w[i], each
+        rounded GUARD_BITS above the working precision) are exact rows
+        (scalar.fixed_point) of count entries or more, None when w is 1."""
         raise NotImplementedError
 
     def twist_coprime(self, gres, hres, *, roots=None):
@@ -178,8 +180,8 @@ class PuiseuxRing(BaseRing):
     def slice_twist(self, k: int, count: int):
         # t^i y^k = alpha_eff^(ik) y^k t^i; scalars commute with y
         if k == 0 or self.alpha.is_one:
-            return None, False
-        return [self.alpha.numeric_pow(i * k, self.L) for i in range(count)], False
+            return None, None, False
+        return (*(self.alpha.power_row(self.L, k, 0, count, inv) for inv in (False, True)), False)
 
     def twist_coprime(self, gres, hres, *, roots=None):
         if roots is None:
@@ -277,7 +279,7 @@ class ConjSeriesRing(BaseRing):
 
     def slice_twist(self, k: int, count: int):
         # t is central; x^k c = rho^k(c) x^k
-        return None, k % 2 == 1
+        return None, None, k % 2 == 1
 
     def twist_coprime(self, gres, hres, *, roots=None):
         # phi has period 2 on residues: the ext_gcd check needs no roots
@@ -652,16 +654,15 @@ class _Exact(_Fixed):
 
     def shifted(self, row):
         """t * row exactly, each new coefficient sigma(c_(j-1)) + delta(c_j)
-        carried: sigma multiplies by the twist factors of
-        ``Alpha.numeric_pow``, and delta_a(u) = a (sigma(u) - u) is one exact
-        product."""
+        carried: sigma multiplies by a row of twist factors alpha_eff^k read
+        from the memo of alpha's powers (``Alpha.power_row``), and
+        delta_a(u) = a (sigma(u) - u) is one exact product."""
         live = [c for c in row if c[1]]
         twist = live and not self.alpha.is_one
         if twist:
             k_lo = min(c[0] for c in live)
             k_hi = max(c[0] + len(c[1]) for c in live)
-            pw = self.alpha.numeric_pow
-            wr, wi, ew, _ = scalar.fixed_point([pw(k, self.L) for k in range(k_lo, k_hi)])
+            wr, wi, ew = self.alpha.power_row(self.L, 1, k_lo, k_hi)
         a = self.a
         out, s_prev = [], None
         for c in row:

@@ -662,3 +662,69 @@ def test_a_shift_that_does_not_cancel_raises(monkeypatch):
     f = parse_poly("t^2 - 2*t + 1", puiseux_ring(2))
     with pytest.raises(PrecisionExhausted, match="shift failed to cancel"):
         newton_puiseux_factor(f, FactorConfig(target_order=4))
+
+
+def _raw(v):
+    """Every bit of a series, polynomial or number."""
+    if isinstance(v, PuiseuxSeries):
+        return v.L, v.trunc, sorted((k, _raw(c)) for k, c in v.terms.items())
+    if isinstance(v, (SkewPoly, list, tuple)):
+        return [_raw(c) for c in getattr(v, "coeffs", v)]
+    return getattr(v, "_mpc_", None) or getattr(v, "_mpf_", v)
+
+
+def _cubic(alpha):
+    """The product of three linear factors with fixed zeros of L = 1."""
+    f = SkewPoly.one(puiseux_ring(alpha))
+    for terms in ({-1: mp.mpc(1, 0.5), 0: mp.mpc(-0.7, 0.3), 2: 0.9},
+                  {0: mp.mpc(0.4, -1.2), 1: mp.mpc(0.6, 0.6)},
+                  {-1: -0.8, 1: mp.mpc(0.3, 0.9), 2: mp.mpc(-1, 0.4)}):
+        f = f * SkewPoly.t_minus(f.ring, PS(1, terms))
+    return f
+
+
+def _memo_cases(alpha=Fraction(3, 2), prec=160):
+    """Every bit of a cubic's factorization at alpha and prec bits, and of
+    a derived-ring product and left division at alpha, L = 2 and prec + 96
+    bits."""
+    with bits(prec):
+        fac = newton_puiseux_factor(_cubic(alpha), FactorConfig(target_order=12, bits=prec))
+    with bits(prec + 96):
+        rnd = rng(31)
+        R = puiseux_ring(alpha, 2, rand_series(rnd, 2, 0, 2, 4))
+        f, g = (SkewPoly(R, [rand_series(rnd, 2, 0, 3, 5) for _ in range(d)] + [R.one()])
+                for d in (4, 2))
+        p = f * g
+        q, r = p.left_divmod(g)
+    return _raw([fac.zeros, fac.residual, p, q, r])
+
+
+def test_results_do_not_depend_on_the_memo_of_alpha_powers(monkeypatch):
+    # emptied, warm, and warm from another alpha and precision only
+    monkeypatch.setattr(scalar, "_POWERS", {})
+    cold = _memo_cases()
+    assert cold == _memo_cases()
+    scalar._POWERS.clear()
+    _memo_cases(Fraction(2), 192)
+    assert {key[1:] for key in scalar._POWERS} == {(1, 192), (2, 288)}
+    assert cold == _memo_cases()
+
+
+def test_a_repeated_factorization_builds_no_twist_row(monkeypatch):
+    # the twist rows and their inverses are built once per alpha, L and
+    # precision: a second factorization of the same input reads them all
+    built, twists = [], []
+    power_row, slice_twist = scalar._power_row, factorizer.PuiseuxRing.slice_twist
+    monkeypatch.setattr(scalar, "_power_row",
+                        lambda *args: built.append(args[-1]) or power_row(*args))
+    monkeypatch.setattr(factorizer.PuiseuxRing, "slice_twist",
+                        lambda *args: twists.append(args[1:]) or slice_twist(*args))
+    monkeypatch.setattr(scalar, "_POWERS", {})
+    with bits(160):
+        f = _cubic(Fraction(3, 2))
+        first = newton_puiseux_factor(f, FactorConfig(target_order=12, bits=160))
+        assert True in built and False in built
+        built.clear(), twists.clear()
+        second = newton_puiseux_factor(f, FactorConfig(target_order=12, bits=160))
+    assert twists and built == []
+    assert _raw(first.zeros) == _raw(second.zeros)
