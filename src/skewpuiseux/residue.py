@@ -423,6 +423,8 @@ class TMap:
         return self.alpha.numeric_pow(1, self.L)
 
     def apply(self, w, n: int = 1):
+        if self.is_identity:
+            return to_mpc(w)
         return self.mult(n) * w
 
     def __repr__(self):

@@ -1,6 +1,5 @@
 """Scalar layer: exact rationals, exact Gaussian rationals, big complex
-floats, and the multiplier alpha with its rational powers, which Alpha
-alone computes and keeps, in one bounded memo filled on demand.
+floats, and the multiplier alpha, sole owner of its powers (Alpha).
 
 Numeric coefficients are mpmath values computed at the ambient working
 precision; enter a computation through ``with bits(P):`` to fix it.  Exact
@@ -51,7 +50,6 @@ INF = float("inf")
 # the least working precision: floor_tol(24) < zero_eps() needs P - 24 > P // 2
 MIN_BITS = 2 * 24 + 1
 GUARD_BITS = 32
-_POWERS: dict = {}  # Alpha's memo, its least recently used key first
 
 
 def bits(prec: int):
@@ -434,12 +432,12 @@ class Alpha:
     not apply there).
 
     Alpha owns its powers: numeric_pow, power_row and log_eff fill one
-    process-wide memo lazily (_powers, an LRU of 64 keys), keyed by L, the
-    working precision and alpha's kind and value (Alpha(2) == Alpha(mpf(2)),
-    yet their powers round apart), never at import.
+    process-wide memo lazily (_powers, an lru_cache of 64 keys), keyed by L,
+    the working precision and alpha's kind and value, exact and numeric
+    apart: Alpha(2) == Alpha(mpf(2)), yet their powers round apart.
     """
 
-    __slots__ = ("exact", "numeric", "allow_complex", "_key")
+    __slots__ = ("exact", "numeric", "allow_complex")
 
     def __init__(self, value, allow_complex: bool = False):
         self.allow_complex = allow_complex
@@ -449,10 +447,10 @@ class Alpha:
             self.exact = Fraction(value)
         else:
             z = mp.mpc(value)
-            self.numeric = z.real if z.imag == 0 else z
-        v = self.numeric  # the memo's key: kind and value (class docstring)
-        self._key = type(v), (self.exact.as_integer_ratio() if v is None
-                              else getattr(v, "_mpc_", None) or v._mpf_)
+            if z.imag == 0:
+                self.numeric = z.real
+            else:
+                self.numeric = z
         if self.exact is not None and self.exact <= 0:
             raise UsageError("alpha must be a positive real (or complex with allow_complex)")
         if self.numeric is not None and isinstance(self.numeric, mp.mpc) and not allow_complex:
@@ -466,8 +464,9 @@ class Alpha:
 
     @property
     def is_real_positive(self) -> bool:
-        # an exact alpha is positive (__init__)
-        return self.exact is not None or not isinstance(self.numeric, mp.mpc) and self.numeric > 0
+        if self.exact is not None:
+            return self.exact > 0
+        return not isinstance(self.numeric, mp.mpc) and self.numeric > 0
 
     def real_value(self):
         if self.exact is not None:
@@ -478,9 +477,12 @@ class Alpha:
         """alpha**q for rational q; exact Fraction result when possible."""
         q = Fraction(q)
         if self.exact is not None:
-            if q.denominator == 1 or self.exact == 1:
+            if self.exact == 1 or q == 0:
+                return Fraction(1)
+            if q.denominator == 1:
                 return self.exact ** q.numerator
-            return mp.power(to_mpf(self.exact), to_mpf(q))
+            base = to_mpf(self.exact)
+            return mp.power(base, to_mpf(q))
         if not isinstance(self.numeric, mp.mpc):
             return mp.power(self.numeric, to_mpf(q))
         # polar convention: (r e^{i theta})^q = r^q e^{i theta q}, theta in (-pi, pi]
@@ -492,24 +494,24 @@ class Alpha:
         """alpha**(num/den) as an mpmath number, from the memo at L = den
         (class docstring), keyed by num unreduced; an exact Fraction power is
         rounded to nearest (to_mpf), not toward zero as mpmath would."""
-        memo = _powers(self, den)
+        memo = _powers(self.exact, self.numeric, den, mp.prec)
         v = memo.get(num)
         if v is None:
             v = self.pow(Fraction(num, den))
             v = memo[num] = to_mpf(v) if isinstance(v, Fraction) else mp.convert(v)
         return v
 
-    def power_row(self, L: int, k: int, lo: int, hi: int, inverse: bool = False):
+    def power_row(self, L: int, k: int, count: int, inverse: bool = False):
         """_power_row from the memo; a held row that is longer comes whole."""
-        memo = _powers(self, L)
-        row = memo.get((k, lo, inverse))
-        if row is None or len(row[0]) < hi - lo:
-            row = memo[k, lo, inverse] = _power_row(self, L, k, lo, hi, inverse)
+        memo = _powers(self.exact, self.numeric, L, mp.prec)
+        row = memo.get((k, inverse))
+        if row is None or len(row[0]) < count:
+            row = memo[k, inverse] = _power_row(self, L, k, count, inverse)
         return row
 
     def log_eff(self, L: int):
         """log Re alpha^(1/L) from the memo."""
-        memo = _powers(self, L)
+        memo = _powers(self.exact, self.numeric, L, mp.prec)
         if "log" not in memo:
             memo["log"] = mp.log(mp.re(self.numeric_pow(1, L)))
         return memo["log"]
@@ -527,20 +529,16 @@ class Alpha:
         return f"Alpha({self.numeric})"
 
 
-def _powers(alpha: Alpha, L: int) -> dict:
-    """The memo entry of alpha's powers at L and the working precision
-    (Alpha), made the most recently used; past 64 keys the least goes."""
-    key = (alpha._key, L, mp.prec)
-    memo = _POWERS[key] = _POWERS.pop(key, {})
-    if len(_POWERS) > 64:
-        del _POWERS[next(iter(_POWERS))]
-    return memo
+@lru_cache(maxsize=64)
+def _powers(exact, numeric, L: int, prec: int) -> dict:
+    """The memo entry of alpha's powers at L and prec bits (Alpha)."""
+    return {}
 
 
-def _power_row(alpha: Alpha, L: int, k: int, lo: int, hi: int, inverse: bool):
-    """The exact row (fixed_point) of alpha_eff^(ik), lo <= i < hi, or of
-    their inverses, each 1/c of the P-rounded c rounded GUARD_BITS above P."""
-    row = [alpha.numeric_pow(i * k, L) for i in range(lo, hi)]
+def _power_row(alpha: Alpha, L: int, k: int, count: int, inverse: bool):
+    """The exact row (fixed_point) of alpha_eff^(ik), i < count, or of their
+    inverses, each 1/c of the P-rounded c rounded GUARD_BITS above P."""
+    row = [alpha.numeric_pow(i * k, L) for i in range(count)]
     if inverse:
         with mp.workprec(mp.prec + GUARD_BITS):
             row = [1 / c for c in row]

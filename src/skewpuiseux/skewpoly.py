@@ -88,11 +88,10 @@ class BaseRing:
         raise NotImplementedError
 
     def slice_twist(self, k: int, count: int):
-        """The monomial twist of hensel_lift's slice product: (w, winv, conj)
-        with t^i u^k = w[i] u^k t^i for i < count and u^k c = c' u^k, c' =
-        conj(c) if conj else c, u the uniformizer.  w and winv (1/w[i], each
-        rounded GUARD_BITS above the working precision) are exact rows
-        (scalar.fixed_point) of count entries or more, None when w is 1."""
+        """The monomial twist of hensel_lift's slice product: (w, winv, conj),
+        t^i u^k = w[i] u^k t^i for i < count and u^k c = c' u^k, c' = conj(c)
+        if conj else c, u the uniformizer; w and winv = 1/w (rounded GUARD_BITS
+        above P) are exact rows of count or more entries, None when w is 1."""
         raise NotImplementedError
 
     def twist_coprime(self, gres, hres, *, roots=None):
@@ -181,7 +180,7 @@ class PuiseuxRing(BaseRing):
         # t^i y^k = alpha_eff^(ik) y^k t^i; scalars commute with y
         if k == 0 or self.alpha.is_one:
             return None, None, False
-        return (*(self.alpha.power_row(self.L, k, 0, count, inv) for inv in (False, True)), False)
+        return (*(self.alpha.power_row(self.L, k, count, inv) for inv in (False, True)), False)
 
     def twist_coprime(self, gres, hres, *, roots=None):
         if roots is None:
@@ -654,15 +653,16 @@ class _Exact(_Fixed):
 
     def shifted(self, row):
         """t * row exactly, each new coefficient sigma(c_(j-1)) + delta(c_j)
-        carried: sigma multiplies by a row of twist factors alpha_eff^k read
-        from the memo of alpha's powers (``Alpha.power_row``), and
+        carried: sigma multiplies by the twist factors alpha_eff^k of
+        ``Alpha.numeric_pow``, read from the memo of alpha's powers, and
         delta_a(u) = a (sigma(u) - u) is one exact product."""
         live = [c for c in row if c[1]]
         twist = live and not self.alpha.is_one
         if twist:
             k_lo = min(c[0] for c in live)
             k_hi = max(c[0] + len(c[1]) for c in live)
-            wr, wi, ew = self.alpha.power_row(self.L, 1, k_lo, k_hi)
+            pw = self.alpha.numeric_pow
+            wr, wi, ew, _ = scalar.fixed_point([pw(k, self.L) for k in range(k_lo, k_hi)])
         a = self.a
         out, s_prev = [], None
         for c in row:

@@ -699,14 +699,14 @@ def _memo_cases(alpha=Fraction(3, 2), prec=160):
     return _raw([fac.zeros, fac.residual, p, q, r])
 
 
-def test_results_do_not_depend_on_the_memo_of_alpha_powers(monkeypatch):
+def test_results_do_not_depend_on_the_memo_of_alpha_powers():
     # emptied, warm, and warm from another alpha and precision only
-    monkeypatch.setattr(scalar, "_POWERS", {})
+    scalar._powers.cache_clear()
     cold = _memo_cases()
     assert cold == _memo_cases()
-    scalar._POWERS.clear()
+    scalar._powers.cache_clear()
     _memo_cases(Fraction(2), 192)
-    assert {key[1:] for key in scalar._POWERS} == {(1, 192), (2, 288)}
+    assert scalar._powers.cache_info().currsize == 2  # L = 1 at 192, L = 2 at 288 bits
     assert cold == _memo_cases()
 
 
@@ -719,7 +719,7 @@ def test_a_repeated_factorization_builds_no_twist_row(monkeypatch):
                         lambda *args: built.append(args[-1]) or power_row(*args))
     monkeypatch.setattr(factorizer.PuiseuxRing, "slice_twist",
                         lambda *args: twists.append(args[1:]) or slice_twist(*args))
-    monkeypatch.setattr(scalar, "_POWERS", {})
+    scalar._powers.cache_clear()
     with bits(160):
         f = _cubic(Fraction(3, 2))
         first = newton_puiseux_factor(f, FactorConfig(target_order=12, bits=160))

@@ -345,7 +345,7 @@ def test_memo_rows_equal_a_fresh_computation_bit_for_bit(monkeypatch):
     power_row = scalar_mod._power_row
     monkeypatch.setattr(scalar_mod, "_power_row",
                         lambda *args: built.append(args[1:]) or power_row(*args))
-    monkeypatch.setattr(scalar_mod, "_POWERS", {})
+    scalar_mod._powers.cache_clear()
     alphas = [Alpha(2), Alpha(Fraction(3, 2)), Alpha(Fraction(1, 2)), Alpha(mp.mpf("1.7")),
               Alpha(mp.mpc("1.5", "0.5"), allow_complex=True)]
     for prec, count, K in ((128, 3, 4), (256, 5, 6), (128, 3, 7), (128, 5, 7)):
@@ -354,7 +354,7 @@ def test_memo_rows_equal_a_fresh_computation_bit_for_bit(monkeypatch):
                 for L in (1, 2, 3):
                     for k in range(K):
                         for inverse in (False, True):
-                            row = alpha.power_row(L, k, 0, count, inverse)
+                            row = alpha.power_row(L, k, count, inverse)
                             assert _entries(row, count) == _fresh(alpha, L, k, count, inverse)
     # 128 bits, count 3, K 4 builds each row; 256 bits builds its own; back
     # at 128 bits only k = 4..6 are new, and count 5 grows every row once
@@ -362,38 +362,41 @@ def test_memo_rows_equal_a_fresh_computation_bit_for_bit(monkeypatch):
     assert len(built) == per * (4 + 6 + 3 + 7)
     # the held row serves a smaller count, by value across Alpha instances
     with bits(128):
-        assert Alpha(2).power_row(2, 3, 0, 3) is Alpha(2).power_row(2, 3, 0, 5)
+        assert Alpha(2).power_row(2, 3, 3) is Alpha(2).power_row(2, 3, 5)
         assert len(built) == per * 20
 
 
-def test_memo_is_keyed_by_kind_and_value_not_alpha_equality(monkeypatch):
-    monkeypatch.setattr(scalar_mod, "_POWERS", {})
+def test_memo_is_keyed_by_kind_and_value_not_alpha_equality():
+    scalar_mod._powers.cache_clear()
     exact, numeric = Alpha(2), Alpha(mp.mpf(2))
     assert exact == numeric
     with bits(128):
         for L in (1, 2, 3):
             for inverse in (False, True):
                 for k in (1, 2, 5):
-                    a = exact.power_row(L, k, 0, 4, inverse)
-                    b = numeric.power_row(L, k, 0, 4, inverse)
+                    a = exact.power_row(L, k, 4, inverse)
+                    b = numeric.power_row(L, k, 4, inverse)
                     assert a is not b
-                    assert a is Alpha(Fraction(2)).power_row(L, k, 0, 4, inverse)
+                    assert a is Alpha(Fraction(2)).power_row(L, k, 4, inverse)
+                    assert b is Alpha(mp.mpf(2)).power_row(L, k, 4, inverse)
         assert exact.numeric_pow(1, 2) is not numeric.numeric_pow(1, 2)
-    assert {key[0] for key in scalar_mod._POWERS} == {exact._key, numeric._key}
+    # one entry per kind and L
+    assert scalar_mod._powers.cache_info().currsize == 6
 
 
-def test_memo_evicts_the_least_recently_used_of_64_keys(monkeypatch):
-    monkeypatch.setattr(scalar_mod, "_POWERS", {})
+def test_memo_evicts_the_least_recently_used_of_64_keys():
+    scalar_mod._powers.cache_clear()
     alpha = Alpha(Fraction(3, 2))
     with bits(128):
-        first = alpha.numeric_pow(1, 1)
-        for L in range(2, 65):
+        first, second = alpha.numeric_pow(1, 1), alpha.numeric_pow(1, 2)
+        for L in range(3, 65):
             alpha.numeric_pow(1, L)
-        assert len(scalar_mod._POWERS) == 64
+        assert scalar_mod._powers.cache_info().currsize == 64
         assert alpha.numeric_pow(1, 1) is first  # L = 1 is now the most recent
         alpha.numeric_pow(1, 65)
-        assert len(scalar_mod._POWERS) == 64
-        keys = {L for _, L, _ in scalar_mod._POWERS}
-        assert 1 in keys and 2 not in keys
+        assert scalar_mod._powers.cache_info().currsize == 64
         assert alpha.numeric_pow(1, 1) is first
+        # L = 2 went: its power is built again, equal but a new value
+        again = alpha.numeric_pow(1, 2)
+        assert again is not second and again == second
         assert alpha.log_eff(1) == mp.log(first)

@@ -10,7 +10,9 @@ It is unused when no line of ``src/``, ``tests/``, ``tools/`` or
 Dunder names are left out: Python calls them.  A parameter is unused when
 no line of its function's body reads it.  Methods that another class under
 ``src/`` also defines are left out, since a contract default or an override
-may ignore a parameter.  Prints one line per unused name or parameter and
+may ignore a parameter, and so are the parameters of a function memoized by
+``functools.lru_cache`` or ``functools.cache``, which the memo reads as its
+key.  Prints one line per unused name or parameter and
 exits 1 if there is any, else exits 0.
 """
 
@@ -42,12 +44,14 @@ def definitions(path: Path):
 
 def unread_parameters(path: Path, shared):
     """(function.parameter, line) of each parameter that no line of its
-    function's body reads, but for ``self``, ``cls`` and methods named in
-    ``shared``."""
+    function's body reads, but for ``self``, ``cls``, methods named in
+    ``shared`` and memoized functions."""
     def walk(node, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    in_class and child.name in shared):
+                    in_class and child.name in shared) and not any(
+                    ast.unparse(d).split("(")[0].rsplit(".", 1)[-1] in ("lru_cache", "cache")
+                    for d in child.decorator_list):
                 a = child.args
                 params = a.posonlyargs + a.args + a.kwonlyargs + [
                     p for p in (a.vararg, a.kwarg) if p is not None]
