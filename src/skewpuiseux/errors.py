@@ -18,7 +18,10 @@ class ContextMismatch(UsageError):
 
 
 class PrecisionExhausted(SkewError):
-    """An operation was requested beyond the available truncation order."""
+    """The available precision does not suffice: an operation was requested
+    beyond the truncation order, or the working precision is too small for
+    the result to be trusted (a Hensel step whose defect or correction is
+    not small enough, for instance)."""
 
 
 class ZeroInversion(SkewError):

@@ -22,10 +22,20 @@ D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van der Hoeven, "Relax, but
 don't be too lazy", JSC 2002).  The t^(i+j) entry of G_a * H_b is
 g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and g_(i,a) rho^a(h_(j,b)) in
 C[[x, rho]]; the ring supplies only this twist w and 1/w (slice_twist).
+D_n is one exact sum (_minus_sum): every product, its twist and conj
+applied inline, goes into one accumulator at the least exponent, and a
+pair with an empty slice is skipped.  So a step forms three sums whatever
+n: over the pairs 0 < a < n, which its corrections leave alone, then D_n
+from that, and D_n again once corrected.
 
 Rounding and step rule.  D_n is exact, and so are f_n and k_n, its and res
 h's products with the inverse twist 1/w, and, res g being monic, k_n and b
-f_n mod res g and q_n = (f_n - p_n k_n) / res g.  1/w, b, p_n and q_n are
+f_n mod res g and q_n = (f_n - p_n k_n) / res g.  When res g = t - c is
+linear, twisted lift or not, these three are Horner's rule at c on exact
+integers (_divmod_linear): k_n(c), (b f_n)(c), and the synthetic division
+whose partial sums are q_n and whose last is the remainder, with the
+collapses and the remainder check of the division they replace
+(_divmod_monic, which serves deg res g >= 2).  1/w, b, p_n and q_n are
 rounded once each, scalar.GUARD_BITS above the working precision, b, p_n
 and q_n on their mantissas (scalar.carry_row), and 1/w with w once per
 alpha, L and precision, in the memo of alpha's powers (Alpha.power_row):
@@ -44,10 +54,11 @@ relatively, of a rounding point.  p_n collapses at floor_tol(24) as divmod
 does.  Sizes are read off bit lengths.  D_0 = res f - res g res h is the
 residue check, exact: from dust_tol() up the inputs are no residue
 factorization (UsageError), and from zero_eps() up they break the order-0
-invariant (SkewError).  A D_n below zero_eps() is skipped; with 2^scale <=
-max(1, |c|) over the c met so far, D_n formed again must lie below
-max(zero_eps(), 2^scale floor_tol(24)), and q_n's remainder is dust below
-2^scale dust_tol().
+invariant.  A D_n below zero_eps() is skipped; with 2^scale <= max(1, |c|)
+over the c met so far, D_n formed again must lie below max(zero_eps(),
+2^scale floor_tol(24)), and q_n's remainder is dust below 2^scale
+dust_tol().  A broken invariant, a D_n that stays and a remainder above
+its dust are precision failures (PrecisionExhausted).
 
 Derived rings.  delta_a = a(sigma - id) is inner, so s = t + a obeys
 s u = sigma(u) s: shift_iso(., a) carries f, g, h to F[t, sigma], where the
@@ -65,7 +76,7 @@ from mpmath import mp
 
 from . import residue as residue_mod
 from . import scalar
-from .errors import PrecisionExhausted, SkewError, TwistCoprimeFailure, UsageError
+from .errors import PrecisionExhausted, TwistCoprimeFailure, UsageError
 from .puiseux import PuiseuxSeries, _Fixed, _trunc_k
 from .residue import ResiduePoly
 from .scalar import INF, _fixed_add, _fixed_twist, carry_row
@@ -89,7 +100,9 @@ def _solve_step(n: int, gres, g, kn, fn, inverses, scale):
     gres's lower coefficients, through b = kn^(-1) mod gres (_inverse): the
     reciprocal of a constant when ``inverses`` is None and gres is linear,
     else Euclid, memoized per kn in ``inverses`` unless it is None; b, p
-    and q round on mantissas (module docstring)."""
+    and q round on mantissas (module docstring).  Each reduction modulo a
+    linear gres = t - c is an evaluation at c (_divmod): kn(c), (b fn)(c),
+    and q with its remainder by synthetic division."""
     m = gres.degree
     if inverses is None:
         b = _inverse(n, gres, g, kn, m == 1)
@@ -99,9 +112,10 @@ def _solve_step(n: int, gres, g, kn, fn, inverses, scale):
             inverses[key] = _inverse(n, gres, g, kn, False)
         b = inverses[key]
     p = carry_row(_mulmod(b, fn, g, scalar.floor_tol(24)))
-    q, r = _divmod_monic(_fixed_add(fn, p and _minus_product(p, kn)), g)
+    q, r = _divmod(_fixed_add(fn, p and _minus_product(p, kn)), g)
     if not _small(r, max(scale, _top(fn) - 1) + scalar.pow2_exp(scalar.dust_tol())):
-        raise SkewError(f"hensel correction degree overflow ({scalar.max_abs(_rounded(r, m))})")
+        raise PrecisionExhausted(
+            f"hensel correction degree overflow ({scalar.max_abs(_rounded(r, m))})")
     return p, carry_row(q), b
 
 
@@ -111,7 +125,7 @@ def _inverse(n: int, gres, g, kn, reciprocal: bool):
     a constant) b = 1/r (_reciprocal), else ext_gcd on r rounded, then one
     exact Newton step.  A collapsed r, or one that shares a factor with
     gres, raises TwistCoprimeFailure with Euclid's gcd as the witness."""
-    _, r = _divmod_monic(kn, g, scalar.zero_eps())
+    _, r = _divmod(kn, g, scalar.zero_eps())
     if reciprocal:
         if not r[0]:
             raise TwistCoprimeFailure(n, gres.monic())
@@ -194,11 +208,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     twists = [ring.slice_twist(k, d + 1) for k in range(K)]
 
     def minus(acc, pairs):
-        """acc - sum of G_a * H_b over the (a, b) in pairs, exactly."""
-        for a, b in pairs:
-            if G[a] and H[b]:
-                acc = _fixed_add(acc, _minus_product(G[a], H[b], twists[b][0], twists[a][2], d))
-        return acc
+        return _minus_sum(acc, G, H, pairs, twists, d)
 
     def factors():
         return (back(_poly(ring, G, m, target_k, g.coeffs[-1])),
@@ -213,7 +223,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     if shift is not None:
         gres = g.reduce_residue()  # res g in s
     if not _small(d0, zero):
-        raise SkewError("hensel invariant violated: defect has order 0")
+        raise PrecisionExhausted("hensel invariant violated: defect has order 0")
     (gr, gi, ge), hfix = G[0], H[0]  # res g below its lead, and res h
     gfix = (gr[:m], gi[:m], ge)
     hbar = (hfix[0], [-v for v in hfix[1]], hfix[2])  # conj(res h)
@@ -239,7 +249,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         H[n] = _fixed_add(H[n], _fixed_twist(q, w))
         scale = max(scale, *(_top(x) - 1 for x in (fn, p, q, b)))
         if not _small(minus(inner, {(n, 0), (0, n)}), max(zero, scale + floor)):
-            raise SkewError(f"hensel step did not raise the defect order at n={n}")
+            raise PrecisionExhausted(f"hensel step did not raise the defect order at n={n}")
         if on_state is not None:
             rest = [None] * (n + 1) + [minus(F[k], [(a, k - a) for a in range(k + 1)])
                                        for k in range(n + 1, target_k)]
@@ -273,15 +283,50 @@ def _fixed(row):
     return (re, im, e) if any(re) or any(im) else None
 
 
-def _minus_product(x, y, w=None, conj=False, d=INF):
-    """-(x * y) for exact rows x and y, its entries below t^d: w, an exact
-    row or None, twists x's entries (alpha^(ib/L)), and conj conjugates y."""
-    (xr, xi, ex), (yr, yi, ey) = _fixed_twist(x, w), y
-    yi = [-v for v in yi] if conj else yi
-    d = min(d, len(xr) + len(yr) - 1)
+def _minus_sum(acc, G, H, pairs, twists, d):
+    """acc - sum of G_a * H_b over the (a, b) in pairs, exactly, its entries
+    below t^d: one sum in one accumulator, at the least exponent of acc and
+    the terms.  Entry i of G_a is twisted by w = twists[b][0] (alpha^(ib/L))
+    and H_b conjugated when twists[a][2] says so; a pair with an empty slice
+    adds nothing, and acc comes back as it is when no pair is left."""
+    terms, e, n = [], INF, 0
+    for a, b in pairs:
+        x, y = G[a], H[b]
+        if x and y:
+            w = twists[b][0]
+            s = x[2] + y[2] + (w[2] if w else 0)
+            terms.append((x, y, w, twists[a][2], s))
+            e, n = min(e, s), max(n, len(x[0]) + len(y[0]) - 1)
+    if not terms:
+        return acc
+    n = min(n, d)
+    if acc:
+        e, n = min(e, acc[2]), max(n, len(acc[0]))
+        s = acc[2] - e
+        re, im = ([v << s for v in acc[i]] + [0] * (n - len(acc[i])) for i in (0, 1))
+    else:
+        re, im = [0] * n, [0] * n
+    for (xr, xi, _), (yr, yi, _), w, conj, s in terms:
+        s -= e
+        yi = [-v for v in yi] if conj else yi
+        for i, (u, v) in enumerate(zip(xr, xi)):
+            if u or v:
+                if w:
+                    u, v = u * w[0][i] - v * w[1][i], u * w[1][i] + v * w[0][i]
+                u, v = u << s, v << s
+                for j in range(min(len(yr), d - i)):
+                    re[i + j] -= u * yr[j] - v * yi[j]
+                    im[i + j] -= u * yi[j] + v * yr[j]
+    return re, im, e
+
+
+def _minus_product(x, y):
+    """-(x * y) for exact rows x and y."""
+    (xr, xi, ex), (yr, yi, ey) = x, y
+    d = len(xr) + len(yr) - 1
     re, im = [0] * d, [0] * d
     for i, (u, v) in enumerate(zip(xr, xi)):
-        for j in range(min(len(yr), d - i)) if u or v else ():
+        for j in range(len(yr)) if u or v else ():
             re[i + j] -= u * yr[j] - v * yi[j]
             im[i + j] -= u * yi[j] + v * yr[j]
     return re, im, ex + ey
@@ -301,8 +346,8 @@ def _small(x, t) -> bool:
 def _divmod_monic(a, g, tol=None):
     """(quo, rem), exact rows with a = quo (t^m + g) + rem, deg rem < m, for
     exact rows a and g: each step lowers the exponent by g's, so nothing
-    rounds.  With tol, if a step ran, the top coefficients c of rem collapse
-    while |c| < tol max(1, |a|, |g|), as in residue._divmod, but exactly."""
+    rounds.  With tol, if a step ran, rem's top coefficients collapse
+    (_collapse)."""
     (rr, ri, e), (gr, gi, eg) = (list(a[0]), list(a[1]), a[2]), g
     m, s = len(gr), max(0, -eg)
     gr, gi = [v << (eg + s) for v in gr], [v << (eg + s) for v in gi]
@@ -316,20 +361,51 @@ def _divmod_monic(a, g, tol=None):
             rr[k + j] -= cr * gr[j] - ci * gi[j]
             ri[k + j] -= cr * gi[j] + ci * gr[j]
     if tol is not None and len(a[0]) > m:
-        # in squares, c = (u + iv) 2^e: u^2 + v^2 < max ceil(|x|^2 tol^2 4^-e)
-        k = scalar.pow2_exp(tol) - e
-        sq = [(max((u * u + v * v for u, v in zip(*x[:2])), default=0), k + x[2])
-              for x in (([1], [0], 0), a, g)]
-        top = max(n << 2 * j if j >= 0 else -(-n >> -2 * j) for n, j in sq)
-        while rr and rr[-1] ** 2 + ri[-1] ** 2 < top:
-            rr.pop(), ri.pop()
+        _collapse(rr, ri, e, tol, a, g)
     return (qr[::-1], qi[::-1], e), (rr, ri, e)
 
 
+def _divmod_linear(a, g, tol=None):
+    """_divmod_monic for a linear t + g_0: Horner's rule at c = -g_0, whose
+    partial sums are the quotient (synthetic division), on exact integers."""
+    (ar, ai, e), ((gr,), (gi,), eg) = a, g
+    k = len(ar) - 1
+    if k < 1:
+        return ([], [], e), (list(ar), list(ai), e)
+    s = max(0, -eg)  # c = (cr + i ci) 2^-s, so each step lowers the exponent by s
+    cr, ci = -gr << (eg + s), -gi << (eg + s)
+    ur, ui, qr, qi = ar[k], ai[k], [], []
+    for j in range(k - 1, -1, -1):
+        qr.append(ur << s * j), qi.append(ui << s * j)
+        ur, ui = (ur * cr - ui * ci + (ar[j] << s * (k - j)),
+                  ur * ci + ui * cr + (ai[j] << s * (k - j)))
+    rr, ri, e = [ur], [ui], e - s * k
+    if tol is not None:
+        _collapse(rr, ri, e, tol, a, g)
+    return (qr[::-1], qi[::-1], e + s), (rr, ri, e)
+
+
+def _divmod(a, g, tol=None):
+    """_divmod_linear when t^m + g is linear, else _divmod_monic."""
+    return (_divmod_linear if len(g[0]) == 1 else _divmod_monic)(a, g, tol)
+
+
+def _collapse(rr, ri, e, tol, a, g):
+    """Pop the top entries c = (u + iv) 2^e of a remainder while |c| < tol
+    max(1, |a|, |g|), as in residue._divmod, but exactly: in squares, while
+    u^2 + v^2 < max ceil(|x|^2 tol^2 4^-e) over x in 1, a, g."""
+    k = scalar.pow2_exp(tol) - e
+    sq = [(max((u * u + v * v for u, v in zip(*x[:2])), default=0), k + x[2])
+          for x in (([1], [0], 0), a, g)]
+    top = max(n << 2 * j if j >= 0 else -(-n >> -2 * j) for n, j in sq)
+    while rr and rr[-1] ** 2 + ri[-1] ** 2 < top:
+        rr.pop(), ri.pop()
+
+
 def _mulmod(x, y, g, tol=None):
-    """x y mod (t^m + g) for exact rows, None when zero (tol: _divmod_monic)."""
+    """x y mod (t^m + g) for exact rows, None when zero (tol: _collapse)."""
     if x and y:
-        r = _divmod_monic(_minus_product(x, y), g, tol)[1]
+        r = _divmod(_minus_product(x, y), g, tol)[1]
         return [-v for v in r[0]], [-v for v in r[1]], r[2]
 
 

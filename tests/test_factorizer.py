@@ -334,6 +334,24 @@ def test_reproducer_b_reaches_its_target_order():
     assert newton_puiseux_factor(f, FactorConfig(target_order=15, bits=128)).achieved_order == 15
 
 
+# reproducer A: three zeros at alpha 3, L = 2, order 15; it factors from
+# 384 bits
+_REPRODUCER_A = [
+    "(-0.72-0.95*i)*x^(-1/2) + (0.31-0.69*i)*x^(0) + (-0.29+1.29*i)*x^(2)",
+    "(0.02-0.09*i)*x^(-1) + (-1.73+1.71*i)*x^(-1/2) + (0.08-0.03*i)*x^(2)",
+    "(-1.0-0.94*i)*x^(-1/2) + (-0.0+0.01*i)*x^(1/2) + (-1.55+1.29*i)*x^(2)",
+]
+
+
+@pytest.mark.parametrize("bits_", [128, 192])
+def test_reproducer_a_is_a_precision_failure(bits_):
+    # a Hensel step whose correction leaves the defect order at this
+    # precision is a numerical failure, not a bare SkewError
+    f = _product(3, 2, _REPRODUCER_A, bits_)
+    with pytest.raises(PrecisionExhausted, match="did not raise the defect order"):
+        newton_puiseux_factor(f, FactorConfig(target_order=15, bits=bits_))
+
+
 @pytest.mark.parametrize("case, order", [("4-88", 15), ("6-61", 12), ("6-108", 15)])
 def test_fuzz_inputs_that_raised_a_twist_failure_factor(case, order, monkeypatch):
     # each raised TwistCoprimeFailure at 128 bits under the orbit search;

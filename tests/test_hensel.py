@@ -12,7 +12,7 @@ from skewpuiseux import scalar
 from skewpuiseux.errors import (PrecisionExhausted, SkewError, TwistCoprimeFailure,
                                 UsageError)
 from skewpuiseux.hensel import _divmod_monic, _fixed, _rounded, _solve_step
-from skewpuiseux.scalar import INF, _fixed_add, carry_row as _to_prec
+from skewpuiseux.scalar import INF, _fixed_add, _fixed_twist, carry_row as _to_prec
 
 from conftest import rand_coeff, rng
 from props import check_hensel_invariant, random_liftable
@@ -376,7 +376,8 @@ def test_twisted_step_raises_on_a_shared_twisted_root_with_euclids_witness():
 def test_monic_division_is_exact(seed):
     """quo (t^m + g) + rem == a in integers, deg rem < m, for monic divisors
     of degree 1..3, real and complex, whose coefficients spread over 2^-90
-    .. 2^90, and a of degree <= 6."""
+    .. 2^90, and a of degree <= 6; at m = 1 the synthetic division gives
+    the same values, with and without a collapse tolerance."""
     rnd = rng(seed + 70)
 
     def scalar_(real):
@@ -391,10 +392,13 @@ def test_monic_division_is_exact(seed):
         assert len(rem[0]) <= m and len(quo[0]) == max(0, len(a[0]) - m)
         monic = (g[0] + [1 << -g[2]], g[1] + [0], g[2]) if g[2] < 0 else \
             ([v << g[2] for v in g[0]] + [1], [v << g[2] for v in g[1]] + [0], 0)
-        prod = hensel_mod._minus_product(quo, monic, None, False, len(a[0])) if quo[0] else None
+        prod = hensel_mod._minus_product(quo, monic) if quo[0] else None
         minus_rem = ([-v for v in rem[0]], [-v for v in rem[1]], rem[2])
         back = _fixed_add(_fixed_add(a, prod), minus_rem)
         assert not any(back[0]) and not any(back[1])
+        for tol in (None, scalar.zero_eps(), mp.mpf(2) ** 200) if m == 1 else ():
+            got, want = hensel_mod._divmod_linear(a, g, tol), _divmod_monic(a, g, tol)
+            assert [_row_values(x) for x in got] == [_row_values(x) for x in want]
 
 
 def ref_to_prec(x):
@@ -606,7 +610,7 @@ def test_residue_defect_between_the_zero_test_and_dust_is_a_skew_error():
     assert scalar.zero_eps() <= mp.mpf(2) ** -40 < scalar.dust_tol()
     R = puiseux_ring(2)
     f = SkewPoly(R, [PS.constant(3 + mp.mpf(2) ** -40), PS.constant(-4), PS.one()])
-    with pytest.raises(SkewError, match="order 0"):
+    with pytest.raises(PrecisionExhausted, match="order 0"):
         hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 3", R), 4)
 
 
@@ -730,7 +734,7 @@ def test_a_wrong_step_inverse_overflows_the_correction(monkeypatch):
     cases = [(f, g, g), (parse_poly("t^2 - (4+x+x^3)*t + (3+2*x)", R),
                          parse_poly("t - 1", R), parse_poly("t - 3", R))]
     for f, g, h in cases:
-        with pytest.raises(SkewError, match="correction degree overflow"):
+        with pytest.raises(PrecisionExhausted, match="correction degree overflow"):
             hensel_lift(f, g, h, 6)
 
 
@@ -743,5 +747,207 @@ def test_a_wrong_correction_leaves_the_defect_order(monkeypatch):
 
     monkeypatch.setattr(hensel_mod, "_solve_step", doubled_q)
     f, g = _example1(2)
-    with pytest.raises(SkewError, match="did not raise the defect order at n=1"):
+    with pytest.raises(PrecisionExhausted, match="did not raise the defect order at n=1"):
         hensel_lift(f, g, g, 6)
+
+
+# -- one exact sum per defect slice, and evaluation at c ------------------------------
+
+
+def _per_pair_product(x, y, w=None, conj=False, d=INF):
+    """-(x * y), entries below t^d, w twisting x and conj conjugating y: one
+    term of the defect as hensel_lift once formed it, pair by pair."""
+    (xr, xi, ex), (yr, yi, ey) = _fixed_twist(x, w), y
+    yi = [-v for v in yi] if conj else yi
+    d = min(d, len(xr) + len(yr) - 1)
+    re, im = [0] * d, [0] * d
+    for i, (u, v) in enumerate(zip(xr, xi)):
+        for j in range(min(len(yr), d - i)) if u or v else ():
+            re[i + j] -= u * yr[j] - v * yi[j]
+            im[i + j] -= u * yi[j] + v * yr[j]
+    return re, im, ex + ey
+
+
+def _per_pair_minus(acc, G, H, pairs, twists, d):
+    """The reference for _minus_sum: one product and one addition per pair."""
+    for a, b in pairs:
+        if G[a] and H[b]:
+            acc = _fixed_add(acc, _per_pair_product(G[a], H[b], twists[b][0], twists[a][2], d))
+    return acc
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_one_sum_per_slice_is_the_per_pair_sum_bit_for_bit(prec):
+    """_minus_sum equals the per-pair sum, value and length, over random
+    exact rows: m in {1, 2, 3}, deg h in {1, 2}, alpha 2, 3/2, 1/2 and 1 at
+    L 1 and 2, and C[[x, rho]]'s conj twist; a third of the slices empty,
+    zero entries inside rows, and row exponents that jump by 100 to 300
+    bits up and down from one slice to the next."""
+    rnd = rng(prec + 29)
+    rings = [puiseux_ring(alpha, L) for alpha in (Fraction(2), Fraction(3, 2),
+                                                  Fraction(1, 2), 1) for L in (1, 2)]
+    rings.append(ConjSeriesRing())
+    jumps = skipped = 0
+
+    def row(length):
+        if rnd.random() < 0.3:
+            return None
+        parts = [[rnd.choice([0, rnd.getrandbits(prec + 20) * rnd.choice((1, -1))])
+                  for _ in range(length)] for _ in (0, 1)]
+        e = -prec - 20 + rnd.choice((-300, -150, 0, 100, 250))
+        return (parts[0], parts[1], e) if any(parts[0] + parts[1]) else None
+
+    with bits(prec):
+        for ring in rings:
+            for m in (1, 2, 3):
+                for dh in (1, 2):
+                    d, K = m + dh, 10
+                    twists = [ring.slice_twist(k, d + 1) for k in range(K)]
+                    G = [row(m + 1) or row(m + 1)] + [row(m) for _ in range(K - 1)]
+                    H = [row(dh + 1) or row(dh + 1)] + [row(dh) for _ in range(K - 1)]
+                    F = [row(d) for _ in range(K)]
+                    for n in range(K):
+                        for acc, pairs in ((F[n], [(a, n - a) for a in range(1, n)]),
+                                           (F[n], [(a, n - a) for a in range(n + 1)]),
+                                           (None, [(a, n - a) for a in range(n + 1)]),
+                                           (row(d), {(n, 0), (0, n)})):
+                            got = hensel_mod._minus_sum(acc, G, H, pairs, twists, d)
+                            want = _per_pair_minus(acc, G, H, pairs, twists, d)
+                            assert _row_values(got) == _row_values(want)
+                            live = [G[a][2] + H[b][2] for a, b in pairs if G[a] and H[b]]
+                            skipped += len(live) < len(pairs)
+                            jumps += any(abs(x - y) > 100 for x, y in zip(live, live[1:]))
+    assert skipped > 100 and jumps > 100
+
+
+def _exact_factors(lift):
+    """The factors of a hensel_lift result, every coefficient bit for bit."""
+    gh, hh, k = lift
+    return k, [(c.trunc, {e: getattr(v, "_mpc_", v) for e, v in c.terms.items()})
+               for p in (gh, hh) for c in p.coeffs]
+
+
+def test_a_lift_reads_alike_with_and_without_on_state():
+    # on_state forms every later defect slice for its snapshot; the lift
+    # itself must not see that
+    R, R2 = puiseux_ring(2), puiseux_ring(Fraction(3, 2), 2)
+    cases = [(parse_poly("t^2 - (4+x+x^2-x^3)*t + (3+2*x)", R), "t - 1", "t - 3", R, 12),
+             (parse_poly("t^2 - (4+x^(1/2)+x^2)*t + (3+2*x^(3/2))", R2), "t - 1", "t - 3", R2, 10),
+             (parse_poly("t^2 - (3+x+2*x^2)*t + (2+i*x)", ConjSeriesRing()), "t - 1", "t - 2",
+              ConjSeriesRing(), 8)]
+    for f, g, h, ring, k in cases:
+        g, h = parse_poly(g, ring), parse_poly(h, ring)
+        states = []
+        watched = hensel_lift(f, g, h, k, on_state=states.append)
+        assert len(states) > 1
+        assert _exact_factors(watched) == _exact_factors(hensel_lift(f, g, h, k))
+
+
+def _routes(monkeypatch, n, gres, g, kn, fn, inverses, scale):
+    """_solve_step at a linear res g through the evaluation at c and through
+    _divmod_monic: each route's exact (p, q, b), or its error's type,
+    message, n and witness.  Each route gets its own copy of the memo."""
+    out, evaluations = [], []
+    linear = hensel_mod._divmod_linear
+
+    def counting(*args):
+        evaluations.append(1)
+        return linear(*args)
+
+    for route in (counting, hensel_mod._divmod_monic):
+        monkeypatch.setattr(hensel_mod, "_divmod_linear", route)
+        memo = None if inverses is None else dict(inverses)
+        try:
+            out.append(_solve_step(n, gres, g, kn, fn, memo, scale))
+        except SkewError as e:
+            w = getattr(e, "witness", None)
+            out.append((type(e), str(e), getattr(e, "n", None),
+                        w and [c._mpc_ for c in w.coeffs]))
+    monkeypatch.setattr(hensel_mod, "_divmod_linear", linear)
+    assert evaluations
+    return out
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_a_linear_residue_step_evaluates_at_c_bit_for_bit(prec, monkeypatch):
+    """At deg res g = 1 the evaluation at c gives p, q and b as
+    _divmod_monic does, bit for bit, on both routes of b: the m = 1 step
+    cases, and exact rows on both sides of each collapse and of the
+    remainder check."""
+    with bits(prec):
+        count = 0
+        for m, _, gres, steps in _step_cases(prec):
+            if m == 1:
+                g = _fixed(gres.coeffs[:-1])
+                for n, kn, fn in steps:
+                    for memo in (None, {}):
+                        ours, theirs = _routes(monkeypatch, n, gres, g, _fixed(kn.coeffs),
+                                               _fixed(fn.coeffs), memo, INF)
+                        assert ours == theirs
+                        count += 1
+        assert count == {128: 176, 256: 326}[prec]
+        # res g = t - c, c = (3 - 5i)/8, and rows at exponent E
+        gres = ResiduePoly([mp.mpc("-0.375", "0.625"), 1], trim=False)
+        g = ([-3], [5], -3)
+        z = scalar.pow2_exp(scalar.zero_eps())
+        fl = scalar.pow2_exp(scalar.floor_tol(24))
+        dust = scalar.pow2_exp(scalar.dust_tol())
+        E = fl - 8
+
+        def at_c_is(j):
+            """t - c + 2^j, whose value at c is 2^j."""
+            return [(1 << (j - E)) - (3 << (-3 - E)), 1 << -E], [5 << (-3 - E), 0], E
+
+        one = at_c_is(0)
+        outcomes = {}
+        # k_n(c) = 2^j collapses below zero_eps() (max(1, |k_n|, |g|) = 1)
+        for j in (z - 1, z, z + 1):
+            for memo in (None, {}):
+                ours, theirs = _routes(monkeypatch, 3, gres, g, at_c_is(j), one, memo, INF)
+                assert ours == theirs
+                outcomes[j, memo is None] = ours[0] is TwistCoprimeFailure
+        assert outcomes == {(z - 1, True): True, (z - 1, False): True, (z, True): False,
+                            (z, False): False, (z + 1, True): False, (z + 1, False): False}
+        # b = 1 and f_n(c) = 2^j: b f_n(c) collapses below floor_tol(24), p = None
+        for j in (fl - 1, fl, fl + 1):
+            for memo in (None, {}):
+                ours, theirs = _routes(monkeypatch, 2, gres, g, one, at_c_is(j), memo, INF)
+                assert ours == theirs
+                assert (ours[0] is None) == (j == fl - 1) and ours[2] == ([1], [0], 0)
+        # a memoized b = 1 + 2^j leaves f_n(c) - p k_n(c) = -2^j: the
+        # correction overflows from 2^(max(0, top f_n - 1) + dust) up
+        key = (tuple(one[0]), tuple(one[1]), one[2])
+        for j in (dust - 1, dust):
+            ours, theirs = _routes(monkeypatch, 2, gres, g, one, one,
+                                   {key: ([1 << -j | 1], [0], j)}, 0)
+            assert ours == theirs
+            assert (ours[0] is PrecisionExhausted) == (j == dust)
+            if j == dust:
+                assert "correction degree overflow" in ours[1]
+
+
+def test_a_step_makes_a_fixed_number_of_row_products(monkeypatch):
+    # the defect slice D_n once took n - 1 products, one per pair; now step
+    # n forms three sums (the pairs that do not change, D_n and the check)
+    # and, at a linear res g, two row products, whatever n is
+    calls, now = {}, [0]
+    for name in ("_minus_product", "_minus_sum"):
+        def counting(*args, _real=getattr(hensel_mod, name, None)):
+            calls[now[0]] = calls.get(now[0], 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(hensel_mod, name, counting, raising=False)
+    solve = hensel_mod._solve_step
+
+    def marking(n, *args):
+        now[0] = n
+        return solve(n, *args)
+
+    monkeypatch.setattr(hensel_mod, "_solve_step", marking)
+    R = puiseux_ring(2)
+    f = parse_poly("t^2 - (4+x+x^2-x^3+2*x^5)*t + (3+2*x-x^2+x^4)", R)
+    hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 3", R), 30)
+    assert sorted(calls) == list(range(30))  # every step solved
+    # between _solve_step(n) and _solve_step(n + 1): the step's two
+    # products, its check, and the two sums of step n + 1
+    assert {calls[n] for n in range(1, 29)} == {5}
