@@ -11,12 +11,12 @@ Slices.  f, g, h are held as x-slices: row k (k < target_k) lists the x^k
 coefficients over t-degree, each left of its t^i, as exact mantissas
 (re, im, e) (scalar.fixed_point).  Each coefficient is read once, by the
 exact kernel's reader (puiseux._Fixed.read): a series that kernel wrote
-gives the exact form it holds, other numeric values are read exactly, and
-an exact rational value is first rounded to nearest (scalar.mp_operand).
-The residue rows res g and res h are slice 0, and conj(res h) is formed
-from it once per lift.  The factors are written by the kernel's writer
-(puiseux._Fixed.out): each coefficient is rounded once, to nearest at the
-working precision, and zero-tested as a series is, and each factor
+gives the exact form it holds, other numeric values are read exactly, an
+exact rational one rounded to nearest (scalar.mp_operand), and inf or nan
+is refused.  The residue rows res g and res h are slice 0, and conj(res h)
+is formed from it once per lift.  The factors are written by the kernel's
+writer (puiseux._Fixed.out): each coefficient is rounded once, to nearest
+at the working precision, and zero-tested as a series is, and each factor
 coefficient holds its exact form.  Step n forms only slice n of the defect,
 D_n = F_n - sum_(a+b=n) G_a * H_b, online (J. van der Hoeven, "Relax, but
 don't be too lazy", JSC 2002).  The t^(i+j) entry of G_a * H_b is
@@ -77,7 +77,7 @@ from mpmath import mp
 from . import residue as residue_mod
 from . import scalar
 from .errors import PrecisionExhausted, TwistCoprimeFailure, UsageError
-from .puiseux import PuiseuxSeries, _Fixed, _trunc_k
+from .puiseux import _Fixed, _trunc_k
 from .residue import ResiduePoly
 from .scalar import INF, _fixed_add, _fixed_twist, carry_row
 from .skewpoly import PuiseuxRing, SkewPoly
@@ -259,17 +259,11 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
 
 def _slices(coeffs, target_k: int) -> list:
     """Row k < target_k: the x^k coefficients over t-degree, as exact rows,
-    None where all are zero.  Each coefficient is read once by the kernel's
-    reader (module docstring); an exact rational value is read rounded to
-    nearest (scalar.mp_operand), and inf or nan is refused."""
+    None where all are zero.  Each coefficient is read once, by the kernel's
+    reader (module docstring)."""
     ops, rows = _Fixed(coeffs[0].L), [None] * target_k
     for i, c in enumerate(coeffs):
-        x = ops.read(c, []) or ops.read(PuiseuxSeries(
-            c.L, {k: scalar.mp_operand(v) for k, v in c.terms.items()}, c.trunc,
-            normalize=False), [])
-        if x is None:
-            raise UsageError("hensel_lift needs finite coefficients")
-        k0, re, im, e, _, _ = x
+        k0, re, im, e, _, _ = ops.read(c, [])
         for j in range(min(len(re), target_k - k0)):
             if re[j] or im[j]:
                 rows[k0 + j] = _fixed_add(rows[k0 + j], ([0] * i + [re[j]], [0] * i + [im[j]], e))

@@ -9,17 +9,18 @@ fabricated zeros.  This module holds only series: the ring data
 (alpha, L, a) of F[t, sigma, delta_a] belongs to ``skewpoly.PuiseuxRing``.
 
 Where a value lives.  A series built from terms holds them in ``terms``.
-A numeric series that the exact kernel ``_Fixed`` writes (a product, a
-skew-table output, a Hensel factor) holds its exact form instead: the
-Gaussian-integer mantissas of its coefficients at one binary exponent, and
-whether they are mpf or mpc.  The next kernel operation reads that form as
-it is, and ``terms`` is formed from it, exactly, only when something reads
-it.  Order, zero test, truncation, shifts, re-embedding, negation and the
-residue read the exact form and form no terms.
+A numeric series that the exact kernel ``_Fixed`` writes (a sum, product,
+scaling or twist, a skew-table output, a Hensel factor) holds its exact
+form instead: the Gaussian-integer mantissas of its coefficients at one
+binary exponent, and whether they are mpf or mpc.  The next kernel
+operation reads that form as it is, and ``terms`` is formed from it,
+exactly, only when something reads it.  Order, zero test, truncation,
+shifts, re-embedding, negation, conjugation and the residue read the exact
+form and form no terms.
 
-Rounding contract: negation is exact; sums, differences and products of
-numeric series round each coefficient once (products on ``_Fixed``, which
-the skew tables of ``skewpoly`` share), where the kernel writes them out.
+Rounding contract: negation and conjugation are exact; every other
+operation with an mpmath operand runs on ``_Fixed`` and rounds each output
+coefficient once.  Only operands that are all exact keep exact terms.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from mpmath import mp
 
 from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
-from .scalar import (EXACT_TYPES, INF, Alpha, GaussianRational, _fixed_add, fmt_exponent,
+from .scalar import (EXACT_TYPES, INF, Alpha, _fixed_add, _fixed_twist, fmt_exponent,
                      fmt_scalar, fmt_sum, is_negligible)
 
 
@@ -218,10 +219,13 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             other = PuiseuxSeries.constant(other)
         a, b = self.unify(other)
+        ops = _Fixed(a.L)
+        xy = ops.reads([[a, b]])
+        if xy:
+            return ops.out(ops.sum(xy[0]))
         t = min(_trunc_k(a), _trunc_k(b))
-        x, y = _operands(a.terms, b.terms)
-        terms = dict(x)
-        for k, c in y.items():
+        terms = dict(a.terms)
+        for k, c in b.terms.items():
             terms[k] = terms.get(k, 0) + c
         return PuiseuxSeries(a.L, terms, None if t == INF else t)
 
@@ -245,16 +249,8 @@ class PuiseuxSeries:
         return self.__mul__(other)
 
     def scale(self, c) -> "PuiseuxSeries":
-        """Multiply every coefficient by the scalar c.  Exact times exact
-        stays exact; where an mpmath value meets an exact one, the exact one
-        is read by ``scalar.mp_operand``.  c = 1 leaves every coefficient as
-        it is."""
-        if c == 1:
-            return PuiseuxSeries(self.L, self.terms, self.trunc)
-        exact, cn = isinstance(c, EXACT_TYPES), scalar.mp_operand(c)
-        return PuiseuxSeries(self.L, {k: (v * c if exact else scalar.mp_operand(v) * c)
-                                      if isinstance(v, EXACT_TYPES) else v * cn
-                                      for k, v in self.terms.items()}, self.trunc)
+        """Multiply every coefficient by the scalar c: a product (``_times``)."""
+        return _times(self, PuiseuxSeries(self.L, {0: c}, normalize=False))
 
     def inverse(self, target_k=None) -> "PuiseuxSeries":
         """Multiplicative inverse by geometric-series iteration.
@@ -293,22 +289,30 @@ class PuiseuxSeries:
     # -- twist action -------------------------------------------------------
 
     def sigma_pow(self, q, alpha: Alpha) -> "PuiseuxSeries":
-        """Apply sigma^q: each term c*x^(k/L) picks up the factor alpha^(q*k/L),
-        taken for numeric coefficients from the memo of ``alpha.numeric_pow``."""
+        """Apply sigma^q: each term c*x^(k/L) picks up the factor alpha^(q*k/L).
+        Exact terms stay exact where every ``alpha.pow`` factor is exact; else
+        the row of ``alpha.numeric_pow`` factors (``_twist_row``) multiplies
+        the series on ``_Fixed``, mpf when its values and the factors are."""
         q = Fraction(q)
         if q == 0 or alpha.is_one:
             return self
         num, den = q.numerator, q.denominator * self.L
-        terms = {}
-        for k, c in self.terms.items():
-            if isinstance(c, EXACT_TYPES):
-                p = alpha.pow(Fraction(num * k, den))
-                terms[k] = c * p if isinstance(p, EXACT_TYPES) else scalar.mp_operand(c) * p
-            else:
-                terms[k] = c * alpha.numeric_pow(num * k, den)
-        return PuiseuxSeries(self.L, terms, self.trunc)
+        if not _numeric(self):
+            pw = {k: alpha.pow(Fraction(num * k, den)) for k in self.terms}
+            if all(isinstance(p, EXACT_TYPES) for p in pw.values()):
+                return PuiseuxSeries(self.L, {k: c * pw[k] for k, c in self.terms.items()},
+                                     self.trunc)
+        ops, kinds = _Fixed(self.L), []
+        k0, re, im, e, t, _ = ops.read(self, kinds)
+        wr, wi, ew, kind = _twist_row(alpha, num, den, k0, len(re))
+        ops.real = max(kinds) < 2 and kind < 2
+        return ops.out((k0, *_fixed_twist((re, im, e), (wr, wi, ew)), t, None))
 
     def conjugate(self) -> "PuiseuxSeries":
+        """The conjugate series, exactly: a held one negates its im mantissas."""
+        if self._fx is not None:
+            k0, re, im, e, t, o = self._fx[0]
+            return self._with(self.L, (k0, re, [-v for v in im], e, t, o))
         return PuiseuxSeries(self.L, {k: scalar.conj_scalar(c) for k, c in self.terms.items()},
                              self.trunc, normalize=False)
 
@@ -362,14 +366,12 @@ class PuiseuxSeries:
         return f"<PuiseuxSeries {self}>"
 
 
-def _times(a: PuiseuxSeries, b: PuiseuxSeries, conj: bool = False) -> PuiseuxSeries:
+def _times(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     """a * b for series of one ramification, to the tightest provable
-    truncation: on ``_Fixed`` where its reader takes the operands, else by
-    terms as ``_operands`` reads them.  With ``conj`` it is the twisted
-    product of C[[x, rho]] (``skewpoly.ConjSeriesRing.mul``): b_j is
-    conjugated for odd i, by term arithmetic."""
+    truncation: on ``_Fixed`` where an operand holds an mpmath value
+    (``_Fixed.reads``), else by exact terms."""
     t = min(_trunc_k(a) + b.ord_k(), _trunc_k(b) + a.ord_k())
-    if not (conj or a.is_zero or b.is_zero):
+    if not (a.is_zero or b.is_zero):
         # only the terms that meet a partner below t are read; times
         # reads orders after the zero test, so its truncation is >= t
         ops = _Fixed(a.L)
@@ -377,13 +379,11 @@ def _times(a: PuiseuxSeries, b: PuiseuxSeries, conj: bool = False) -> PuiseuxSer
         if xy:
             return ops.out(ops.times(*xy[0])).truncate(t)
     terms = {}
-    x, y = _operands(a.terms, b.terms)
-    for i, ci in x.items():
-        for j, cj in y.items():
+    for i, ci in a.terms.items():
+        for j, cj in b.terms.items():
             k = i + j
             if k < t:
-                w = scalar.conj_scalar(cj) if conj and i % 2 else cj
-                terms[k] = terms.get(k, 0) + ci * w
+                terms[k] = terms.get(k, 0) + ci * cj
     return PuiseuxSeries(a.L, terms, None if t == INF else int(t))
 
 
@@ -409,7 +409,7 @@ def _convolve(xr: list, xi: list, yr: list, yi: list, n: int):
 
 class _Fixed:
     """Exact arithmetic of numeric series, and the rounding contract of
-    every series product and skew-table operation.
+    every numeric series operation and skew-table operation.
 
     A series in exact form is a tuple (k0, re, im, e, trunc, ord): the terms
     (re[i] + im[i]*1j) * 2^e * x^((k0 + i)/L), Gaussian-integer mantissas
@@ -419,27 +419,28 @@ class _Fixed:
     trunc).
 
     The contract.  Operands are read exactly, by one reader (``reads``) for
-    series products (``_times``) and the skew tables alike, which also
-    decides between this arithmetic and exact term arithmetic and sets
-    ``real``; its per-series ``read`` also reads the slices of
-    ``hensel_lift``, and takes a series the writer made as the exact form
-    it holds (``PuiseuxSeries._held``).  Products (``_convolve``, or one
-    pass over a row when an operand has one term) and sums (``sum`` folds
-    ``scalar._fixed_add`` over its parts, each zero-padded to the least k0)
-    are exact, with the truncation rules of ``PuiseuxSeries.__mul__`` and
-    ``__add__`` on the orders after the zero test (``_times`` cuts its
-    product back to its own rule, on ``ord_k``).  What a computation carries
-    on exactly, the rows t^i b of a skew table after each t-shift and the
-    multipliers of a division, is rounded GUARD_BITS above the working
-    precision (``carry``).  Each output coefficient is rounded once, to
-    nearest at the working precision, and zero-tested once, as a
-    ``PuiseuxSeries`` is normalized, on its mantissas (``out``, by
-    ``scalar.round_row``); the series it returns holds that rounded exact
-    form, and no mpmath number is formed.  Exact rationals, inf, nan and
-    int-only operands keep exact term arithmetic: the term loop of
-    ``_times`` and the coefficient path of the skew tables
-    (``skewpoly._Coeffs``).  ``real`` makes ``out`` give mpf coefficients;
-    until ``reads`` sets it they are mpc.
+    series sums and products and the skew tables alike, which also decides
+    between this arithmetic and exact term arithmetic and sets ``real``;
+    its per-series ``read`` also reads the series of ``sigma_pow`` and the
+    slices of ``hensel_lift``, and takes a series the writer made as the
+    exact form it holds (``PuiseuxSeries._held``).  Only operands that are
+    all exact keep exact term arithmetic (the term loops of
+    ``PuiseuxSeries``, ``skewpoly._Coeffs``); otherwise an exact rational
+    is read rounded to nearest (``scalar.mp_operand``), and inf and nan are
+    refused.  Products (``_convolve``, or one pass over a row when an
+    operand has one term) and sums (``sum`` folds ``scalar._fixed_add`` over
+    its parts, each zero-padded to the least k0) are exact, with the
+    truncation rules of ``PuiseuxSeries.__mul__`` and ``__add__`` on the
+    orders after the zero test (``_times`` cuts its product back to its own
+    rule, on ``ord_k``).  What a computation carries on exactly, the rows
+    t^i b of a skew table after each t-shift and the multipliers of a
+    division, is rounded GUARD_BITS above the working precision
+    (``carry``).  Each output coefficient is rounded once, to nearest at the
+    working precision, and zero-tested once, as a ``PuiseuxSeries`` is
+    normalized, on its mantissas (``out``, by ``scalar.round_row``); the
+    series it returns holds that rounded exact form, and no mpmath number is
+    formed.  ``real`` makes ``out`` give mpf coefficients; until ``reads``
+    sets it they are mpc.
     """
 
     __slots__ = ("L", "eps", "real")
@@ -452,21 +453,21 @@ class _Fixed:
     def reads(self, lists, real: bool = True):
         """The one reader of a call's operands, and its two decisions: the
         lists of series ``lists`` in exact form, with ``real`` set when no
-        value is an mpc and ``real`` holds, or None when the call keeps
-        exact term arithmetic (a value is exact rational, inf or nan, or
-        every value is an int)."""
+        value is read as an mpc and ``real`` holds, or None when no value is
+        an mpmath number (``_numeric``): exact operands keep exact terms."""
+        if not any(_numeric(c) for cs in lists for c in cs):
+            return None
         kinds = []
         read = [[self.read(c, kinds) for c in cs] for cs in lists]
-        if not max(kinds, default=0) or any(None in cs for cs in read):
-            return None
         self.real = real and max(kinds) < 2
         return read
 
     def read(self, c: PuiseuxSeries, kinds: list):
-        """The series c in exact form; None when a value is exact rational,
-        inf or nan.  ``kinds`` collects fixed_point's kind of each reading.
-        A held series gives its exact form as it is, its order read again
-        only if it was read at another zero test."""
+        """The series c in exact form, ``kinds`` collecting fixed_point's kind
+        of each reading.  A Fraction or GaussianRational value is read as
+        ``scalar.mp_operand`` rounds it, and inf and nan are refused
+        (UsageError).  A held series gives its exact form as it is, its order
+        read again only if it was read at another zero test."""
         if c._fx is not None:
             x, real, eps = c._fx
             kinds.append(1 if real else 2)
@@ -478,9 +479,9 @@ class _Fixed:
         values = [0] * (max(c.terms) - k0 + 1)
         for k, v in c.terms.items():
             values[k - k0] = v
-        fx = scalar.fixed_point(values)
+        fx = scalar.fixed_point(values) or scalar.fixed_point(list(map(scalar.mp_operand, values)))
         if fx is None:
-            return None
+            raise UsageError("series arithmetic needs finite coefficients, exact or mpmath")
         kinds.append(fx[3])
         return self._make(k0, fx[0], fx[1], fx[2], t)
 
@@ -592,12 +593,12 @@ def _trunc_k(c: PuiseuxSeries):
     return INF if c.trunc is None else c.trunc
 
 
-def _operands(x: dict, y: dict):
-    """The term maps x and y of one operation's operands; when some value
-    is an mpmath number, each exact non-int value is read first as
-    ``scalar.mp_operand`` reads it."""
-    kinds = set(map(type, x.values())).union(map(type, y.values()))
-    if (Fraction in kinds or GaussianRational in kinds) and not kinds.issubset(EXACT_TYPES):
-        return ({k: scalar.mp_operand(c) for k, c in m.items()} for m in (x, y))
-    return x, y
+def _numeric(c: PuiseuxSeries) -> bool:
+    """Whether c holds a value that is not int, Fraction or GaussianRational."""
+    return c._fx is not None or not all(isinstance(v, EXACT_TYPES) for v in c.terms.values())
 
+
+def _twist_row(alpha: Alpha, num: int, den: int, k0: int, n: int):
+    """alpha.numeric_pow(num * k, den), k0 <= k < k0 + n, in fixed_point's
+    form: the twist factors of ``PuiseuxSeries.sigma_pow`` and a t-shift."""
+    return scalar.fixed_point([alpha.numeric_pow(num * k, den) for k in range(k0, k0 + n)])

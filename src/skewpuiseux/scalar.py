@@ -4,10 +4,10 @@ floats, and the multiplier alpha, sole owner of its powers (Alpha).
 Numeric coefficients are mpmath values computed at the ambient working
 precision; enter a computation through ``with bits(P):`` to fix it.  Exact
 coefficients (int / Fraction / GaussianRational) stay exact among
-themselves.  Where one meets an mpmath value, as when the factorizer makes
-an int-led polynomial monic by the exact inverse of its lead, a Fraction is
-first rounded to nearest and a GaussianRational is read through ``to_mpc``
-(``mp_operand``).
+themselves.  Where one meets an mpmath value in series arithmetic, as when
+the factorizer makes an int-led polynomial monic by the exact inverse of its
+lead, the kernel's reader (``puiseux._Fixed.read``) rounds a Fraction to
+nearest and reads a GaussianRational through ``to_mpc`` (``mp_operand``).
 
 The exact kernel: ``fixed_point`` reads numeric coefficients exactly as
 Gaussian-integer mantissas, ``_fixed_add`` is the one adder of exact rows

@@ -30,7 +30,7 @@ from math import lcm
 from . import residue as residue_mod
 from . import scalar
 from .errors import ContextMismatch, NotMonicError, UsageError
-from .puiseux import PuiseuxSeries, _Fixed, _times, _zero
+from .puiseux import PuiseuxSeries, _Fixed, _twist_row, _zero
 from .scalar import INF, Alpha, _fixed_twist, conj_scalar, is_negligible, to_mpc
 
 
@@ -258,8 +258,12 @@ class ConjSeriesRing(BaseRing):
         return PuiseuxSeries.constant(c)
 
     def mul(self, a, b):
-        """(sum u_i x^i)(sum v_j x^j) collects u_i * rho^i(v_j) at x^(i+j)."""
-        return _times(a, b, conj=True)
+        """(sum u_i x^i)(sum v_j x^j) collects u_i * rho^i(v_j) at x^(i+j):
+        the even terms of a times b plus the odd terms times conj(b), by the
+        series' own ``*`` and ``+``."""
+        even, odd = (PuiseuxSeries(1, {k: c for k, c in a.terms.items() if k % 2 == r},
+                                   a.trunc, normalize=False) for r in (0, 1))
+        return even * b + odd * b.conjugate()
 
     def sigma(self, a):
         return a
@@ -602,7 +606,7 @@ def _ops(ring, *lists):
 class _Coeffs:
     """Table arithmetic on the ring's own coefficients: every product and
     every partial sum is a rounded, normalized coefficient.  It serves
-    exact rationals, int-only operands (which stay exact), inf and nan,
+    ``PuiseuxRing`` operands that are all exact (they stay exact),
     ``ConjSeriesRing`` and ``ComplexConjRing``."""
 
     __slots__ = ("ring",)
@@ -661,8 +665,7 @@ class _Exact(_Fixed):
         if twist:
             k_lo = min(c[0] for c in live)
             k_hi = max(c[0] + len(c[1]) for c in live)
-            pw = self.alpha.numeric_pow
-            wr, wi, ew, _ = scalar.fixed_point([pw(k, self.L) for k in range(k_lo, k_hi)])
+            wr, wi, ew, _ = _twist_row(self.alpha, 1, self.L, k_lo, k_hi - k_lo)
         a = self.a
         out, s_prev = [], None
         for c in row:

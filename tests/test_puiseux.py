@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from mpmath.libmp import to_rational
+from mpmath.libmp import mpf_neg, to_rational
 
-from skewpuiseux import Alpha, GaussianRational, PuiseuxSeries, SkewPoly, bits, puiseux_ring
+from skewpuiseux import (Alpha, ConjSeriesRing, GaussianRational, PuiseuxSeries, SkewPoly, bits,
+                         puiseux_ring)
+from skewpuiseux import scalar as scalar_mod
 from skewpuiseux.errors import PrecisionExhausted, UsageError, ZeroInversion
 from skewpuiseux.puiseux import _Fixed
-from skewpuiseux.scalar import INF, is_negligible, max_abs, to_mpf
+from skewpuiseux.scalar import EXACT_TYPES, INF, is_negligible, max_abs, mp_operand, to_mpf
 
 from conftest import rand_series, rng
 from props import check_leibniz, trace_apply
@@ -242,12 +244,15 @@ def test_sigma_pow_factors_match_alpha_pow_bit_for_bit():
                     f = PS(L, terms, normalize=False)
                     for q in (1, -1, Fraction(5, 3), 7):
                         out = f.sigma_pow(q, alpha)
-                        for k, c in out.terms.items():
+                        refs = {}
+                        for k, c in terms.items():
                             w = alpha.pow(Fraction(q) * Fraction(k, L))
-                            ref = terms[k] * (to_mpf(w) if isinstance(w, Fraction) else w)
-                            assert type(c) is type(ref)
-                            assert getattr(c, "_mpc_", None) == getattr(ref, "_mpc_", None)
-                            assert getattr(c, "_mpf_", None) == getattr(ref, "_mpf_", None)
+                            refs[k] = c * (to_mpf(w) if isinstance(w, Fraction) else w)
+                        # one numeric series: mpf exactly when every value is
+                        real = all(isinstance(r, mp.mpf) for r in refs.values())
+                        for k, c in out.terms.items():
+                            assert isinstance(c, mp.mpf if real else mp.mpc)
+                            assert mp.mpc(c)._mpc_ == mp.mpc(refs[k])._mpc_
 
 
 def test_inverse_of_an_int_lead_stays_exact():
@@ -473,3 +478,283 @@ def test_max_abs_of_a_held_series_is_the_plain_max():
     with bits(128):
         held = PS(1, {0: mp.mpc(0, 3), 1: mp.mpc(2, 0)}) * PS(1, {0: mp.mpc(1, 0)})
         assert held._fx is not None and held.max_abs() == 3
+
+
+# -- the rule of one numeric arithmetic ------------------------------------
+#
+# The term arithmetic that +, scale and sigma_pow ran before they ran on the
+# kernel, kept as the reference: on operands at the working precision that
+# are all mpf or all mpc, the kernel must give its values bit for bit.
+
+
+def _ref_operands(x: dict, y: dict):
+    kinds = set(map(type, x.values())).union(map(type, y.values()))
+    if (Fraction in kinds or GaussianRational in kinds) and not kinds.issubset(EXACT_TYPES):
+        return ({k: mp_operand(c) for k, c in m.items()} for m in (x, y))
+    return x, y
+
+
+def _ref_add(a, b):
+    a, b = a.unify(b)
+    t = min(INF if a.trunc is None else a.trunc, INF if b.trunc is None else b.trunc)
+    x, y = _ref_operands(a.terms, b.terms)
+    terms = dict(x)
+    for k, c in y.items():
+        terms[k] = terms.get(k, 0) + c
+    return PS(a.L, terms, None if t == INF else t)
+
+
+def _ref_scale(f, c):
+    if c == 1:
+        return PS(f.L, f.terms, f.trunc)
+    exact, cn = isinstance(c, EXACT_TYPES), mp_operand(c)
+    return PS(f.L, {k: (v * c if exact else mp_operand(v) * c)
+                    if isinstance(v, EXACT_TYPES) else v * cn
+                    for k, v in f.terms.items()}, f.trunc)
+
+
+def _ref_sigma_pow(f, q, alpha):
+    q = Fraction(q)
+    if q == 0 or alpha.is_one:
+        return f
+    num, den = q.numerator, q.denominator * f.L
+    terms = {}
+    for k, c in f.terms.items():
+        if isinstance(c, EXACT_TYPES):
+            p = alpha.pow(Fraction(num * k, den))
+            terms[k] = c * p if isinstance(p, EXACT_TYPES) else mp_operand(c) * p
+        else:
+            terms[k] = c * alpha.numeric_pow(num * k, den)
+    return PS(f.L, terms, f.trunc)
+
+
+def _parts(f):
+    """A numeric series' bits, each value compared as mpc parts."""
+    return f.L, f.trunc, {k: mp.mpc(c)._mpc_ for k, c in f.terms.items()}
+
+
+def _typed(f):
+    """An exact series' values with their types."""
+    return f.L, f.trunc, {k: (type(c), c) for k, c in f.terms.items()}
+
+
+def _draw(rnd, L, kind):
+    """A series at the working precision whose values are all mpf, all mpc
+    or all exact (int, Fraction, GaussianRational)."""
+    def value():
+        if kind == "mpf":
+            return mp.mpf(rnd.uniform(-2, 2)) / 3
+        if kind == "mpc":
+            return mp.mpc(rnd.uniform(-2, 2), rnd.uniform(-2, 2)) / 3
+        return rnd.choice([rnd.randint(-9, 9) or 1, Fraction(rnd.randint(1, 9), rnd.randint(2, 9)),
+                           GaussianRational(Fraction(rnd.randint(-9, 9), 7), rnd.randint(1, 5))])
+    ks = rnd.sample(range(-4, 8), rnd.randint(1, 7))
+    return PS(L, {k: value() for k in ks}, rnd.choice([None, 8, 12]))
+
+
+SCALARS = (1, 3, Fraction(-2, 3), GaussianRational(Fraction(1, 3), -2))
+TWISTS = (1, -1, Fraction(5, 3), 7)
+
+
+def _alphas():
+    return (Alpha(2), Alpha(Fraction(3, 2)), Alpha(Fraction(1, 2)),
+            Alpha(mp.mpc("1.5", "0.5"), allow_complex=True))
+
+
+def test_numeric_sums_scalings_and_twists_match_the_term_reference_bit_for_bit():
+    rnd = rng(61)
+    for prec in (128, 256):
+        with bits(prec):
+            scalars = SCALARS + (mp.mpf(5) / 7, mp.mpc(-1, 2) / 3)
+            for alpha in _alphas():
+                for L in (1, 2, 3):
+                    for kind in ("mpf", "mpc"):
+                        a, b, e = _draw(rnd, L, kind), _draw(rnd, L, kind), _draw(rnd, L, "exact")
+                        # as drawn, and as the kernel wrote them
+                        for x, y in ((a, b), (a.scale(1), b.scale(1))):
+                            assert _parts(x) == _parts(a)
+                            for got, ref in ((x + y, _ref_add(x, y)), (x - y, _ref_add(x, -y)),
+                                             (x + e, _ref_add(x, e)), (x - e, _ref_add(x, -e)),
+                                             (e - x, _ref_add(e, -x))):
+                                assert _parts(got) == _parts(ref)
+                            for c in scalars:
+                                assert _parts(x.scale(c)) == _parts(_ref_scale(x, c))
+                            for q in TWISTS:
+                                got = x.sigma_pow(q, alpha)
+                                assert _parts(got) == _parts(_ref_sigma_pow(x, q, alpha))
+                            bar = x.conjugate()
+                            assert bar.trunc == x.trunc and set(bar.terms) == set(x.terms)
+                            for k, c in x.terms.items():
+                                re, im = mp.mpc(c)._mpc_
+                                assert type(bar.terms[k]) is type(c)
+                                assert mp.mpc(bar.terms[k])._mpc_ == (re, mpf_neg(im))
+
+
+def test_exact_operands_keep_the_exact_values_of_the_term_reference():
+    rnd = rng(62)
+    for L in (1, 2, 3):
+        for _ in range(8):
+            a, b = _draw(rnd, L, "exact"), _draw(rnd, L, "exact")
+            assert _typed(a + b) == _typed(_ref_add(a, b))
+            assert _typed(a - b) == _typed(_ref_add(a, -b))
+            for c in SCALARS:
+                assert _typed(a.scale(c)) == _typed(_ref_scale(a, c))
+            # every power is exact where q k / L is an integer
+            for alpha in (Alpha(2), Alpha(Fraction(3, 2)), Alpha(Fraction(1, 2))):
+                for q in (L, -L, 3 * L):
+                    assert _typed(a.sigma_pow(q, alpha)) == _typed(_ref_sigma_pow(a, q, alpha))
+            want = {}
+            for i, u in a.terms.items():
+                for j, v in b.terms.items():
+                    want[i + j] = want.get(i + j, 0) + u * v
+            prod = a * b
+            assert _typed(prod)[2] == {k: (type(c), c) for k, c in want.items()
+                                       if k < (INF if prod.trunc is None else prod.trunc) and c}
+            assert all(isinstance(c, EXACT_TYPES) for c in prod.terms.values())
+
+
+def _mixed(rnd, L, kinds):
+    """A series whose values are drawn from ``kinds``, mpmath and exact,
+    with a term below its truncation."""
+    def value(kind):
+        if kind == "mpc":
+            return mp.mpc(rnd.uniform(-2, 2), rnd.uniform(-2, 2)) / 3
+        if kind == "mpf":
+            return mp.mpf(rnd.uniform(-2, 2)) / 7
+        if kind == "fraction":
+            return Fraction(rnd.randint(-50, 50) or 1, rnd.randint(2, 30))
+        if kind == "gaussian":
+            return GaussianRational(Fraction(rnd.randint(-9, 9), 11),
+                                    Fraction(1, rnd.randint(2, 9)))
+        return rnd.randint(-99, 99) or 1
+    ks = rnd.sample(range(-3, 7), rnd.randint(1, 6))
+    return PS(L, {k: value(rnd.choice(kinds)) for k in ks}, rnd.choice([None, 7, 12]))
+
+
+def _read(f):
+    """f with each exact value read as the kernel reads it."""
+    return PS(f.L, {k: mp_operand(c) for k, c in f.terms.items()}, f.trunc, normalize=False)
+
+
+def test_a_mixed_product_is_the_exact_sum_of_read_products_rounded_once():
+    rnd = rng(63)
+    for prec in (128, 256):
+        with bits(prec):
+            for _ in range(60):
+                L = rnd.choice([1, 2, 3])
+                a = _mixed(rnd, L, rnd.choice([["mpf", "int"], ["mpc", "mpf", "int"]]))
+                a = a + PS(L, {rnd.randint(-3, 6): mp.mpf(2) / 3})  # some value is an mpf
+                b = _mixed(rnd, L, rnd.choice([["fraction", "int"], ["fraction", "gaussian"]]))
+                # only the terms that meet a partner below the product's
+                # truncation are read, and they decide mpf or mpc
+                t = min(INF if a.trunc is None else a.trunc + b.ord_k(),
+                        INF if b.trunc is None else b.trunc + a.ord_k())
+                real = not any(isinstance(c, (mp.mpc, GaussianRational))
+                               for s, o in ((a, b), (b, a))
+                               for c in s.truncate(t - o.ord_k()).terms.values())
+                ref = (PS(L, {k: _exact(mp_operand(c)) for k, c in a.terms.items()}, a.trunc)
+                       * PS(L, {k: _exact(mp_operand(c)) for k, c in b.terms.items()}, b.trunc))
+                want = {}
+                for k, g in ref.terms.items():
+                    re, im = to_mpf(g.re), to_mpf(g.im)
+                    if not is_negligible(mp.mpc(re, im)):
+                        want[k] = (re._mpf_, im._mpf_)
+                for prod in (a * b, b * a):
+                    assert prod.trunc == ref.trunc and set(prod.terms) == set(want)
+                    for k, c in prod.terms.items():
+                        assert isinstance(c, mp.mpf if real else mp.mpc)
+                        c = mp.mpc(c)
+                        assert (c.real._mpf_, c.imag._mpf_) == want[k]
+
+
+def test_mixed_skew_operations_read_exact_values_as_mp_operand():
+    rnd = rng(64)
+    kinds = ["mpc", "mpf", "fraction", "gaussian", "int"]
+    for alpha in (2, Fraction(3, 2)):
+        for L, a in ((1, None), (2, None), (2, PS(2, {1: Fraction(1, 2)}))):
+            ring = puiseux_ring(alpha, L, a)
+            for _ in range(3):
+                cs = [_mixed(rnd, L, kinds) for _ in range(3)]
+                cs[0] = cs[0] + PS(L, {0: mp.mpc(1, -1) / 3})  # some value is an mpc
+                f = SkewPoly(ring, cs + [1])
+                g = SkewPoly(ring, [_mixed(rnd, L, kinds), 1])
+                z = _mixed(rnd, L, kinds)
+                rf, rg = (SkewPoly(ring, [_read(c) for c in p.coeffs]) for p in (f, g))
+                assert _poly_bits(f * g) == _poly_bits(rf * rg)
+                assert _poly_bits(g * f) == _poly_bits(rg * rf)
+                q, r = f.left_divmod(g)
+                rq, rr = rf.left_divmod(rg)
+                assert _poly_bits(q) == _poly_bits(rq) and _poly_bits(r) == _poly_bits(rr)
+                v, rv = f.evaluate(z), rf.evaluate(_read(z))
+                assert (v.trunc, _raw_terms(v)) == (rv.trunc, _raw_terms(rv))
+
+
+def _poly_bits(p):
+    return [(c.trunc, _raw_terms(c)) for c in p.coeffs]
+
+
+def _gaussian(c):
+    """A value, exact or mpmath, as the GaussianRational it equals."""
+    if isinstance(c, GaussianRational):
+        return c
+    return GaussianRational(c) if isinstance(c, Fraction) else _exact(c)
+
+
+def test_a_conj_series_product_lies_within_its_rounding_bound():
+    rnd = rng(65)
+    ring = ConjSeriesRing()
+    for prec in (128, 256):
+        with bits(prec):
+            for _ in range(40):
+                a, b = (_mixed(rnd, 1, ["mpc", "mpf", "fraction", "int"]) for _ in range(2))
+                a, b = (PS(1, {k + 3: c for k, c in s.terms.items()},
+                           None if s.trunc is None else s.trunc + 3) for s in (a, b))
+                a = a + PS(1, {1: mp.mpc(2, 1) / 3})  # numeric, with an odd term
+                p = ring.mul(a, b)
+                ta, tb = (INF if s.trunc is None else s.trunc for s in (a, b))
+                t = min(ta + b.ord_k(), tb + a.ord_k())
+                assert p.trunc == (None if t == INF else t)
+                want = {}
+                for i, u in a.terms.items():
+                    for j, v in b.terms.items():
+                        w = _gaussian(v)
+                        if i % 2:
+                            w = GaussianRational(w.re, -w.im)
+                        if i + j < t:
+                            want[i + j] = want.get(i + j, 0) + _gaussian(u) * w
+                top = max(g.re ** 2 + g.im ** 2 for g in want.values())
+                for k in set(want) | set(p.terms):
+                    d = _gaussian(p.terms.get(k, 0)) - want.get(k, 0)
+                    assert (d.re ** 2 + d.im ** 2) * 4 ** (prec - 4) <= top
+
+
+def test_kernel_written_series_form_no_values_in_sums_scalings_and_twists(monkeypatch):
+    rnd = rng(66)
+    alpha = Alpha(Fraction(3, 2))
+    for L in (1, 2):
+        x = (rand_series(rnd, L, lo=-1, hi=4, nterms=6) * rand_series(rnd, L)).truncate(5 * L)
+        y = _draw(rnd, L, "mpf") * _draw(rnd, L, "mpf")
+        assert x._fx is not None and y._fx is not None
+        calls = []
+        fixed_value = scalar_mod.fixed_value
+        monkeypatch.setattr(scalar_mod, "fixed_value",
+                            lambda *args: calls.append(args) or fixed_value(*args))
+        outs = [x + y, x - y, x + 1, 2 - x, x + PS(L, {1: Fraction(1, 3)}), x.conjugate()]
+        outs += [x.scale(c) for c in SCALARS + (mp.mpf(3), mp.mpc(1, 2))]
+        outs += [x.sigma_pow(q, alpha) for q in TWISTS]
+        monkeypatch.undo()
+        assert calls == []
+        assert all(s._fx is not None for s in outs if not s.is_zero)
+
+
+@pytest.mark.parametrize("bad", [mp.inf, mp.nan])
+def test_arithmetic_refuses_non_finite_coefficients(bad):
+    s = PS(1, {0: bad, 1: mp.mpf(1)})
+    other = PS(1, {0: mp.mpc(1, 2), 2: Fraction(1, 3)})
+    ring = puiseux_ring(2)
+    ops = [lambda: s + other, lambda: other - s, lambda: s * other, lambda: other * s,
+           lambda: s.scale(3), lambda: s.scale(mp.mpf(2)), lambda: s.sigma_pow(1, Alpha(2)),
+           lambda: SkewPoly(ring, [s, 1]) * SkewPoly(ring, [other, 1])]
+    for op in ops:
+        with pytest.raises(UsageError, match="finite coefficients"):
+            op()
