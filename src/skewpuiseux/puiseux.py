@@ -291,7 +291,7 @@ class PuiseuxSeries:
     def sigma_pow(self, q, alpha: Alpha) -> "PuiseuxSeries":
         """Apply sigma^q: each term c*x^(k/L) picks up the factor alpha^(q*k/L).
         Exact terms stay exact where every ``alpha.pow`` factor is exact; else
-        the row of ``alpha.numeric_pow`` factors (``_twist_row``) multiplies
+        the row of ``alpha.numeric_pow`` factors (``Alpha.twist_row``) multiplies
         the series on ``_Fixed``, mpf when its values and the factors are."""
         q = Fraction(q)
         if q == 0 or alpha.is_one:
@@ -304,7 +304,7 @@ class PuiseuxSeries:
                                      self.trunc)
         ops, kinds = _Fixed(self.L), []
         k0, re, im, e, t, _ = ops.read(self, kinds)
-        wr, wi, ew, kind = _twist_row(alpha, num, den, k0, len(re))
+        wr, wi, ew, kind = alpha.twist_row(num, den, k0, len(re))
         ops.real = max(kinds) < 2 and kind < 2
         return ops.out((k0, *_fixed_twist((re, im, e), (wr, wi, ew)), t, None))
 
@@ -596,9 +596,3 @@ def _trunc_k(c: PuiseuxSeries):
 def _numeric(c: PuiseuxSeries) -> bool:
     """Whether c holds a value that is not int, Fraction or GaussianRational."""
     return c._fx is not None or not all(isinstance(v, EXACT_TYPES) for v in c.terms.values())
-
-
-def _twist_row(alpha: Alpha, num: int, den: int, k0: int, n: int):
-    """alpha.numeric_pow(num * k, den), k0 <= k < k0 + n, in fixed_point's
-    form: the twist factors of ``PuiseuxSeries.sigma_pow`` and a t-shift."""
-    return scalar.fixed_point([alpha.numeric_pow(num * k, den) for k in range(k0, k0 + n)])

@@ -431,10 +431,10 @@ class Alpha:
     ``allow_complex=True`` (diagnostic mode: the factorization guarantees do
     not apply there).
 
-    Alpha owns its powers: numeric_pow, power_row and log_eff fill one
-    process-wide memo lazily (_powers, an lru_cache of 64 keys), keyed by L,
-    the working precision and alpha's kind and value, exact and numeric
-    apart: Alpha(2) == Alpha(mpf(2)), yet their powers round apart.
+    Alpha owns its powers: numeric_pow, power_row, twist_row and log_eff
+    fill one process-wide memo lazily (_powers, an lru_cache of 64 keys),
+    keyed by L, the working precision and alpha's kind and value, exact and
+    numeric apart: Alpha(2) == Alpha(mpf(2)), yet their powers round apart.
     """
 
     __slots__ = ("exact", "numeric", "allow_complex")
@@ -508,6 +508,23 @@ class Alpha:
         if row is None or len(row[0]) < count:
             row = memo[k, inverse] = _power_row(self, L, k, count, inverse)
         return row
+
+    def twist_row(self, num: int, den: int, k0: int, n: int):
+        """numeric_pow(num * k, den), k0 <= k < k0 + n, in fixed_point's form
+        (re, im, e, kind): the twist factors of sigma_pow and a t-shift.  It
+        is a slice of the memo's one row per num, grown to span every k asked
+        for, so its mantissas sit at that row's exponent: the values, and the
+        kind, of fixed_point on the slice."""
+        memo = _powers(self.exact, self.numeric, den, mp.prec)
+        lo, kinds, (re, im, e) = memo.get(("twist", num), (k0, [], ([], [], 0)))
+        if n and (k0 < lo or k0 + n > lo + len(re)):
+            lo, hi = min(lo, k0), max(lo + len(re), k0 + n)
+            values = [self.numeric_pow(num * k, den) for k in range(lo, hi)]
+            kinds = [fixed_point([v])[3] for v in values]
+            re, im, e, _ = fixed_point(values)
+            memo["twist", num] = lo, kinds, (re, im, e)
+        i = k0 - lo
+        return re[i:i + n], im[i:i + n], e, max(kinds[i:i + n], default=0)
 
     def log_eff(self, L: int):
         """log Re alpha^(1/L) from the memo."""

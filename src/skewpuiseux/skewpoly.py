@@ -19,18 +19,23 @@ On a ``PuiseuxRing`` with numeric coefficients the table arithmetic
 (products, left division and so evaluation, and the Horner images behind
 shift_iso) runs on series in exact form, under the rounding contract of
 ``puiseux._Fixed``, and its output coefficients hold that form for the
-next operation to read.
+next operation to read.  Each of these operations is a sum over the rows
+t^i b of one polynomial b, its table (``_row``).  A row depends only on
+the ring and on b, so a table there is a value with one owner, a small
+process-wide memo (``_tables``) keyed by the exact reads: a division by
+the g a product has just multiplied by reads the rows that product built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from . import residue as residue_mod
 from . import scalar
 from .errors import ContextMismatch, NotMonicError, UsageError
-from .puiseux import PuiseuxSeries, _Fixed, _twist_row, _zero
+from .puiseux import PuiseuxSeries, _Fixed, _zero
 from .scalar import INF, Alpha, _fixed_twist, conj_scalar, is_negligible, to_mpc
 
 
@@ -55,8 +60,14 @@ class BaseRing:
         raise NotImplementedError
 
     def is_one_value(self, a) -> bool:
-        terms = a.terms
-        return set(terms) == {0} and to_mpc(terms[0]) == 1
+        """Whether the series a is the one term 1 at k = 0; a held series
+        is decided on its mantissas, and no term is formed."""
+        if a._fx is None:
+            terms = a.terms
+            return set(terms) == {0} and to_mpc(terms[0]) == 1
+        (k0, re, im, e, _, _), _, _ = a._fx
+        live = [(k0 + i, u, v) for i, (u, v) in enumerate(zip(re, im)) if u or v]
+        return e <= 0 and live == [(0, 1 << -e, 0)]
 
     def add(self, a, b):
         return a + b
@@ -432,7 +443,7 @@ class SkewPoly:
         if a.is_zero or b.is_zero:
             return SkewPoly.zero(ring)
         ops, (bs, cs) = _ops(ring, b.coeffs, a.coeffs)
-        return SkewPoly(ring, [ops.out(c) for c in _lmul(ops, [bs], cs)])
+        return SkewPoly(ring, [ops.out(c) for c in _lmul(ops, ops.table(bs), cs)])
 
     def lmul_base(self, c) -> "SkewPoly":
         """Left multiplication by a base element (coefficient-wise)."""
@@ -451,16 +462,18 @@ class SkewPoly:
         (n-m)(n-m+1)/2).  The leading coefficient of c * (t^k p) is c, as p
         is monic: it cancels exactly and is not formed.  An exact zero c
         subtracts nothing; a zero known only to O(x^k) subtracts its O(x^k)
-        multiple of the row.  The table lives for this call.  Each q_k is
-        an output when it leaves the remainder, and its value rounded by
-        ``carry`` multiplies the rows (``puiseux._Fixed``).
+        multiple of the row.  The table of p is ``ops.table``'s: after a
+        product by an equal p it comes with its rows built, and the
+        division takes no shift.  Each q_k is an output when it leaves the
+        remainder, and its value rounded by ``carry`` multiplies the rows
+        (``puiseux._Fixed``).
         """
         ring, f, p = self._common(p)
         if not p.is_monic:
             raise NotMonicError("left division requires a monic divisor")
         dp = p.degree
         ops, (ps, r) = _ops(ring, p.coeffs, f.coeffs)
-        rows = [ps]
+        rows = ops.table(ps)
         q = [ring.zero()] * max(0, len(r) - dp)
         while len(r) > dp:
             k = len(r) - 1 - dp
@@ -478,7 +491,9 @@ class SkewPoly:
         by t - a.  f(a) = 0 iff t - a divides f on the right.
 
         The division reads the rows t^k (t - a), k < deg f, from one table:
-        deg f - 1 shifts of t - a.
+        deg f - 1 shifts of t - a, or none when a product by t - a has
+        built them (``left_divmod``), as the last product of
+        ``verify_factorization`` does for its last zero.
         """
         ring = self.ring.accommodate(a)
         a = ring.coerce(a)
@@ -538,9 +553,11 @@ def _row(ops, rows: list, i: int) -> list:
     ``ops`` (``_ops``), where rows[0] = b, the coefficients of a nonzero
     polynomial.  Row i is derived from row i - 1 by one t-shift
     (``ops.shifted``) the first time it is asked for and appended to
-    ``rows``, so a call that reads rows 0..K pays K shifts however often it
-    reads them (rounding: ``puiseux._Fixed``).  A table lives for one call:
-    kept on a polynomial it would hold every row of every operand alive."""
+    ``rows``, so a table pays K shifts for rows 0..K however often they are
+    read (rounding: ``puiseux._Fixed``).  ``ops.table`` gives the table: on
+    ``_Exact`` the memo's, shared by every call with equal reads of the
+    ring and of b, which only read its rows and only here extend it; on
+    ``_Coeffs`` one of this call."""
     while len(rows) <= i:
         rows.append(ops.shifted(rows[-1]))
     return rows[i]
@@ -548,12 +565,13 @@ def _row(ops, rows: list, i: int) -> list:
 
 def _lmul(ops, rows: list, cs) -> list:
     """sum_i cs[i] * (t^i b) as a coefficient list, cs, the table ``rows``
-    (``_row``) and the result in the form of ``ops``.  An exact zero cs[i]
-    adds nothing (a zero known only to O(x^k) adds its truncated products);
-    the products that reach an output coefficient are summed in order of i.
-    Both callers trim exact zeros, so cs[-1] is nonzero and its row spans
-    every output coefficient: each gets at least one product, and
-    ``ops.sum`` is never handed an empty list."""
+    of b (``_row``, from ``ops.table``) and the result in the form of
+    ``ops``.  An exact zero cs[i] adds nothing (a zero known only to O(x^k)
+    adds its truncated products); the products that reach an output
+    coefficient are summed in order of i.  Both callers trim exact zeros,
+    so cs[-1] is nonzero and its row spans every output coefficient: each
+    gets at least one product, and ``ops.sum`` is never handed an empty
+    list."""
     out = [[] for _ in range(len(rows[0]) + len(cs) - 1)]
     for i, c in enumerate(cs):
         if ops.ord_k(c) == INF:
@@ -569,12 +587,13 @@ def _horner_image(ring, coeffs, t_image: SkewPoly) -> SkewPoly:
 
     Every product acc * t_image reads the rows t^j t_image from one table
     (``_lmul``): the last step reads j < d for d = len(coeffs) - 1, so the
-    image takes d - 1 shifts of t_image, where a fresh product per step took
-    d(d-1)/2.  The table lives for this call, and acc stays exact from step
-    to step.
+    image takes at most d - 1 shifts of t_image, where a fresh product per
+    step took d(d-1)/2; the table is ``ops.table``'s, so an image by an
+    equal t_image reads the rows an earlier one built.  acc stays exact
+    from step to step.
     """
     ops, (ts, cs) = _ops(ring, t_image.coeffs, coeffs)
-    rows = [ts]
+    rows = ops.table(ts)
     acc = []
     for c in reversed(cs):
         if acc:
@@ -613,6 +632,10 @@ class _Coeffs:
 
     def __init__(self, ring):
         self.ring = ring
+
+    def table(self, row):
+        """A table (``_row``) of this call whose row 0 is ``row``."""
+        return [row]
 
     def out(self, c):
         return c
@@ -655,6 +678,17 @@ class _Exact(_Fixed):
         super().__init__(ring.L)
         self.alpha = ring.alpha
 
+    def table(self, row):
+        """The table (``_row``) whose row 0 is ``row``, from the memo of skew
+        tables (``_tables``): a table already built for equal reads of the
+        ring and of row 0 comes with the rows it holds."""
+        alpha = self.alpha
+        rows = _tables(alpha.exact, alpha.numeric, self.L, scalar.mp.prec,
+                       _key([self.a]), _key(row))
+        if not rows:
+            rows.append(row)
+        return rows
+
     def shifted(self, row):
         """t * row exactly, each new coefficient sigma(c_(j-1)) + delta(c_j)
         carried: sigma multiplies by the twist factors alpha_eff^k of
@@ -665,7 +699,7 @@ class _Exact(_Fixed):
         if twist:
             k_lo = min(c[0] for c in live)
             k_hi = max(c[0] + len(c[1]) for c in live)
-            wr, wi, ew, _ = _twist_row(self.alpha, 1, self.L, k_lo, k_hi - k_lo)
+            wr, wi, ew, _ = self.alpha.twist_row(1, self.L, k_lo, k_hi - k_lo)
         a = self.a
         out, s_prev = [], None
         for c in row:
@@ -680,6 +714,25 @@ class _Exact(_Fixed):
             s_prev = s
         out.append(s_prev)
         return [self.carry(c) for c in out]
+
+
+@lru_cache(maxsize=4)
+def _tables(exact, numeric, L: int, prec: int, a: tuple, b: tuple) -> list:
+    """The memo of skew tables on ``_Exact``, process-wide: the rows of the
+    polynomial b in the ring of alpha's kind and value (exact and numeric
+    apart, as ``scalar._powers`` keys them), L and a at prec bits, a and b
+    as ``_key`` gives their exact reads.  A row depends on nothing else, so
+    a table is a value of its key.  The 4 most recently used keys are kept;
+    the list is empty until ``_Exact.table`` puts b in as row 0, and only
+    ``_row`` appends to it.  Like mpmath's working precision, the memo
+    serves one thread at a time."""
+    return []
+
+
+def _key(xs) -> tuple:
+    """The exact reads xs (``puiseux._Fixed``) as a key, each without its
+    order, which the zero test at the key's precision reads from the rest."""
+    return tuple((k0, tuple(re), tuple(im), e, t) for k0, re, im, e, t, _ in xs)
 
 
 def _trim_exact_zeros(ring, coeffs: list):

@@ -386,6 +386,40 @@ def test_memo_is_keyed_by_kind_and_value_not_alpha_equality():
     assert scalar_mod._powers.cache_info().currsize == 6
 
 
+def test_twist_rows_are_slices_of_one_memo_row_per_num(monkeypatch):
+    # windows below, inside, across and above the held row, with negative
+    # k, and empty ones outside it: each slice holds the values and the kind
+    # fixed_point gives the window, and one row per num grows to span the
+    # nonempty ones, built once per growth
+    read = []
+    fixed_point = scalar_mod.fixed_point
+    monkeypatch.setattr(scalar_mod, "fixed_point",
+                        lambda values: read.append(len(values)) or fixed_point(values))
+    scalar_mod._powers.cache_clear()
+    windows = [(0, 4), (1, 2), (-3, 2), (-3, 10), (5, 3), (-1, 0), (2, 1), (-9, 0), (20, 0)]
+    alphas = [Alpha(2), Alpha(Fraction(3, 2)), Alpha(mp.mpf("1.7")),
+              Alpha(mp.mpc("1.5", "0.5"), allow_complex=True)]
+    for prec in (128, 256):
+        with bits(prec):
+            for alpha in alphas:
+                for num, den in ((1, 1), (1, 2), (-2, 3), (3, 2)):
+                    for k0, n in windows:
+                        re, im, e, kind = alpha.twist_row(num, den, k0, n)
+                        values = [alpha.numeric_pow(num * k, den) for k in range(k0, k0 + n)]
+                        fp = fixed_point(values)
+                        assert kind == fp[3] and len(re) == len(im) == n
+                        assert [scalar_mod.fixed_value(u, v, e) for u, v in zip(re, im)] == [
+                            scalar_mod.fixed_value(u, v, fp[2]) for u, v in zip(*fp[:2])]
+                    memo = scalar_mod._powers(alpha.exact, alpha.numeric, den, prec)
+                    lo, kinds, (re, _, _) = memo["twist", num]
+                    assert (lo, len(re), len(kinds)) == (-3, 11, 11)
+    # the windows grow the row at (0, 4), (-3, 2), (-3, 10) and (5, 3) to 4,
+    # 7, 10 and 11 entries (the others are held), each growth reading the
+    # row once and the kind of each of its values
+    assert [n for n in read if n > 1] == [4, 7, 10, 11] * (2 * 4 * 4)
+    assert read.count(1) == (4 + 7 + 10 + 11) * (2 * 4 * 4)
+
+
 def test_memo_evicts_the_least_recently_used_of_64_keys():
     scalar_mod._powers.cache_clear()
     alpha = Alpha(Fraction(3, 2))

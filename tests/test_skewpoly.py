@@ -7,7 +7,7 @@ from mpmath.libmp import to_rational
 from skewpuiseux import (Alpha, ComplexConjRing, ConjSeriesRing,
                          GaussianRational, PuiseuxSeries, SkewPoly, bits,
                          parse_poly, puiseux_ring)
-from skewpuiseux import scalar
+from skewpuiseux import scalar, skewpoly
 from skewpuiseux.errors import ContextMismatch, NotMonicError, UsageError
 from skewpuiseux.scalar import GUARD_BITS, INF, to_mpc, zero_eps
 from skewpuiseux.skewpoly import _ops
@@ -622,3 +622,146 @@ def test_conj_rings_read_and_print_scalars():
     C = ComplexConjRing()
     assert str(SkewPoly(C, [mp.mpc(1, 2), 1])) == "t + (1+2i)"
     assert str(SkewPoly(C, [mp.mpc(0, -1), 3, 1])) == "t^2 + 3*t - 1i"
+
+
+# -- the memo of skew tables ------------------------------------------------------
+
+def _raw_coeffs(cs):
+    """Every bit of a list of series: L, trunc and each term's raw mpmath
+    tuple, mpf and mpc apart."""
+    return [(c.L, c.trunc, sorted((k, _bits_of(v)) for k, v in c.terms.items())) for c in cs]
+
+
+def _table_ops(f, g, v, b):
+    """A product, the division of it by its right factor, an evaluation and
+    a shift image, every output as raw bits."""
+    p = f * g
+    q, r = p.left_divmod(g)
+    return [_raw_coeffs(x.coeffs) for x in (p, q, r, shift_iso(f, b))] + [
+        _raw_coeffs([f.evaluate(v)])]
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_tables_from_an_empty_and_a_warm_memo_agree_bit_for_bit(prec):
+    # each case three ways: every operation from an empty memo, the set from
+    # one empty memo (the division reads the product's table), and again warm
+    rnd = rng(61 + prec)
+    tables = skewpoly._tables
+    with bits(prec):
+        for alpha in (2, Fraction(3, 2), Fraction(1, 2), 1, mp.mpf(1.5)):
+            for L in (1, 2):
+                for a in (None, rand_series(rnd, L, 0, 2, 3)):
+                    R = puiseux_ring(alpha, L, a)
+                    f = SkewPoly(R, [rand_series(rnd, L, 0, 3, 4) for _ in range(5)])
+                    g = rand_poly(R, rnd, 2, nterms=4)
+                    v, b = (rand_series(rnd, L, 0, 2, 3) for _ in range(2))
+                    cold = []
+                    for op in (lambda: f * g, lambda: (f * g).left_divmod(g),
+                               lambda: f.evaluate(v), lambda: shift_iso(f, b)):
+                        tables.cache_clear()
+                        cold.append(op())
+                    p, (q, r), ev, img = cold
+                    want = [_raw_coeffs(x.coeffs) for x in (p, q, r, img)] + [_raw_coeffs([ev])]
+                    tables.cache_clear()
+                    assert _table_ops(f, g, v, b) == want
+                    hits = tables.cache_info().hits
+                    assert _table_ops(f, g, v, b) == want
+                    assert tables.cache_info().hits > hits
+
+
+def test_a_division_by_the_last_multiplier_makes_no_shift(monkeypatch):
+    # p.left_divmod(g) reads the rows t^i g that p = f * g built, and
+    # f.evaluate(v) those of the product by t - v, though both build the
+    # divisor afresh: the memo is keyed by value
+    rnd = rng(67)
+    with bits(256):
+        R = puiseux_ring(Fraction(3, 2), 2, rand_series(rnd, 2, 0, 2, 3))
+        f = SkewPoly(R, [rand_series(rnd, 2, 0, 3, 4) for _ in range(5)])
+        g = rand_poly(R, rnd, 2, nterms=4)
+        v = rand_series(rnd, 2, 0, 2, 3)
+        calls = count_shifts(monkeypatch)
+        p = f * g
+        assert len(calls) == 4
+        del calls[:]
+        q, r = p.left_divmod(SkewPoly(R, list(g.coeffs)))
+        assert calls == [] and q.deviation(f) < mp.mpf(2) ** -200
+        f * SkewPoly.t_minus(R, v)
+        del calls[:]
+        f.evaluate(v)
+        assert calls == []
+
+
+def test_a_table_is_keyed_by_precision_ring_a_and_alpha_kind():
+    # the same b at two precisions, in two rings that differ only in a, and
+    # under Alpha(2) and Alpha(mpf(2)), which compare equal: a table each,
+    # and each one's rows those of an empty memo
+    rnd = rng(71)
+    tables = skewpoly._tables
+    a = rand_series(rnd, 1, 0, 2, 3)
+    f = [rand_series(rnd, 1, 0, 3, 4) for _ in range(3)]
+    g = rand_poly(puiseux_ring(2, 1, a), rnd, 2, nterms=4).coeffs
+    cases = [(128, puiseux_ring(2, 1, a)), (256, puiseux_ring(2, 1, a)),
+             (256, puiseux_ring(2, 1, a + PS.x_pow(1))), (256, puiseux_ring(mp.mpf(2), 1, a))]
+    tables.cache_clear()
+    warm = []
+    for n, (prec, R) in enumerate(cases, 1):
+        with bits(prec):
+            warm.append(_raw_coeffs((SkewPoly(R, f) * SkewPoly(R, g)).coeffs))
+        assert tables.cache_info().currsize == n
+    for (prec, R), got in zip(cases, warm):
+        tables.cache_clear()
+        with bits(prec):
+            assert _raw_coeffs((SkewPoly(R, f) * SkewPoly(R, g)).coeffs) == got
+
+
+def test_the_memo_holds_at_most_four_tables_and_drops_the_least_recent(monkeypatch):
+    rnd = rng(73)
+    tables = skewpoly._tables
+    R = puiseux_ring(2, 1, rand_series(rnd, 1, 0, 2, 3))
+    f = rand_poly(R, rnd, 2)
+    gs = [rand_poly(R, rnd, 1) for _ in range(6)]
+    calls = count_shifts(monkeypatch)
+    tables.cache_clear()
+    for g in gs[:4]:
+        f * g
+    assert tables.cache_info().currsize == 4
+    # g0 is read again, so g1 is the least recently used when g4 comes in
+    del calls[:]
+    f * gs[0]
+    assert calls == []
+    f * gs[4]
+    f * gs[5]
+    assert tables.cache_info().currsize == 4 == tables.cache_info().maxsize
+    del calls[:]
+    f * gs[0]
+    assert calls == []
+    f * gs[1]
+    assert len(calls) == 2
+
+
+def test_a_held_lead_is_tested_for_one_without_forming_terms(monkeypatch):
+    # monic products hold their lead 1 in exact form; is_monic decides on
+    # the mantissas, as the terms would decide
+    rnd = rng(79)
+    R = puiseux_ring(Fraction(3, 2), 1, rand_series(rnd, 1, 0, 2, 3))
+    p = rand_poly(R, rnd, 2) * rand_poly(R, rnd, 1)
+    eps = scalar.pow2_exp(zero_eps())
+    forms = [(0, [1], [0], 0), (0, [4], [0], -2), (0, [1], [0], 1), (0, [1], [1], 0),
+             (1, [1], [0], 0), (0, [1, 0, 3], [0, 0, 0], 0), (-1, [3, 0], [0, 0], -1),
+             (0, [-1], [0], 0), (0, [1], [0], -1)]
+    leads = [p.lc] + [PS._held(1, (k0, re, im, e, INF, k0), not any(im), eps)
+                      for k0, re, im, e in forms]
+    assert leads[0]._fx is not None
+    formed = []
+    getattr_ = PS.__getattr__
+
+    def counting(self, name):
+        formed.append(name)
+        return getattr_(self, name)
+
+    monkeypatch.setattr(PS, "__getattr__", counting)
+    got = [R.is_one_value(c) for c in leads]
+    assert p.is_monic and formed == []
+    monkeypatch.undo()
+    assert got == [set(c.terms) == {0} and to_mpc(c.terms[0]) == 1 for c in leads]
+    assert got == [True, True, True, False, False, False, False, False, False, False]

@@ -19,7 +19,10 @@ raw mpmath tuple (``_mpf_`` or ``_mpc_``), so two records are equal only
 when every bit is; an error is written as its type and message.  Each
 record also holds the workload's own verdict on the result, ``check``:
 [ok, accuracy_bits] from its untimed check, or null for an error.  ``run``
-exits 1 if any case raised or failed its check.  ``diff`` lists every case
+then runs every case a second time in the same process, on the warm
+process-wide memos (alpha's powers, skew tables) the first pass left, and
+compares the records.  It exits 1 if any case raised or failed its check,
+or if a second-pass record differs from the first.  ``diff`` lists every case
 whose record differs and exits 1 if any does.  Pointing ``--root`` at
 another checkout compares two commits with one copy of this tool.
 """
@@ -72,33 +75,45 @@ def _result(name: str, out):
             "achieved_order": _raw(out.achieved_order), "ramification": out.ramification}
 
 
+def _records(workloads) -> list:
+    """One record per case, in the order of CASES."""
+    records = []
+    for name, seeds, n in CASES:
+        wl = workloads.WORKLOADS[name]
+        for seed in seeds:
+            for i, case in enumerate(wl["cases"](seed, n)):
+                try:
+                    value = wl["run"](case)
+                    result = _result(name, value)
+                    ok, acc = wl["check"](case, value)
+                    check = [bool(ok), acc]
+                except Exception as e:
+                    result, check = {"error": [type(e).__name__, str(e)]}, None
+                records.append({"workload": name, "seed": seed, "case": i,
+                                "result": result, "check": check})
+    return records
+
+
 def run(path: str, root: Path) -> int:
     sys.path.insert(0, str(root / "src"))
     spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    count, failed = 0, []
+    records = _records(workloads)
+    lines = [json.dumps(r) for r in records]
     with open(path, "w") as out:
-        for name, seeds, n in CASES:
-            wl = workloads.WORKLOADS[name]
-            for seed in seeds:
-                for i, case in enumerate(wl["cases"](seed, n)):
-                    try:
-                        value = wl["run"](case)
-                        result = _result(name, value)
-                        ok, acc = wl["check"](case, value)
-                        check = [bool(ok), acc]
-                    except Exception as e:
-                        result, check = {"error": [type(e).__name__, str(e)]}, None
-                    if not (check and check[0]):
-                        failed.append((name, seed, i))
-                    out.write(json.dumps({"workload": name, "seed": seed, "case": i,
-                                          "result": result, "check": check}) + "\n")
-                    count += 1
-    for name, seed, i in failed:
-        print(f"fails its check: {name} seed {seed} case {i}")
-    print(f"{count} results, {len(failed)} failing their check")
-    return 1 if failed else 0
+        out.writelines(line + "\n" for line in lines)
+    failed = [r for r in records if not (r["check"] and r["check"][0])]
+    for r in failed:
+        print(f"fails its check: {r['workload']} seed {r['seed']} case {r['case']}")
+    print(f"{len(records)} results, {len(failed)} failing their check")
+    # the same cases again in this process, on the memos the first pass left
+    again = [r for r, line, b in zip(records, lines, _records(workloads))
+             if line != json.dumps(b)]
+    for r in again:
+        print(f"differs on the second pass: {r['workload']} seed {r['seed']} case {r['case']}")
+    print(f"second pass: {len(records) - len(again)} of {len(records)} identical")
+    return 1 if failed or again else 0
 
 
 def diff(old_path: str, new_path: str) -> int:
