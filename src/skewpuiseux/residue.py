@@ -5,12 +5,16 @@ a deterministic Durand-Kerner root finder with clustering, extended gcd
 with tolerance-aware degree collapse, the scaling T by which conjugation
 by the uniformizer moves residue roots in F[t, sigma], the exponent n of
 a root in another's T-orbit, and the all-n twisted-coprimality decision.
-Root search runs one sweep routine in double, then at working precision
-from those seeds (D. A. Bini, G. Fiorentino, Numer. Algorithms 23, 2000);
-settling, clustering and the Newton polish stay at working precision.  A
-cluster of size m is polished by plain Newton on q^(m-1), whose root is
-simple there, and the clusters must re-expand to q, or the search raises
-RootFindingError.
+Root search runs Durand-Kerner in double, then on exact Gaussian integers
+from those seeds (D. A. Bini, G. Fiorentino, Numer. Algorithms 23, 2000):
+q is read exactly, scaled by a power of two to roots of O(1) and made
+monic on the grid 2^-(P+8), to which each iterate, value and step is
+rounded once.  Settling, clustering, the Newton polish and the
+re-expansion check compare exact squares, and each root is rounded once
+to an mpc.  A cluster of size m is polished by plain Newton on q^(m-1),
+whose root is simple there, and the clusters must re-expand to q, or the
+search raises RootFindingError.  from_roots is the exact product of its
+linear factors, rounded once per coefficient.
 """
 
 from __future__ import annotations
@@ -124,12 +128,13 @@ class ResiduePoly:
 
     @classmethod
     def from_roots(cls, pairs) -> "ResiduePoly":
-        """Monic product of (t - c)^mult over (root, mult) pairs."""
-        p = cls([1], trim=False)
-        for c, mult in pairs:
-            for _ in range(mult):
-                p = p * cls([-to_mpc(c), 1], trim=False)
-        return p
+        """Monic product of (t - c)^mult over (root, mult) pairs: the roots
+        read exactly (scalar.fixed_point), their product formed exactly
+        (_expand) and each coefficient rounded once."""
+        cs = [c for c, mult in pairs for _ in range(mult)]
+        re, im, e, _ = scalar.fixed_point(cs) or scalar.fixed_point([to_mpc(c) for c in cs])
+        return cls([scalar.from_fixed_point(a, b, e * (len(cs) - j))
+                    for j, (a, b) in enumerate(_expand(zip(re, im)))], trim=False)
 
     @property
     def degree(self) -> int:
@@ -161,9 +166,6 @@ class ResiduePoly:
         for c in reversed(self.coeffs):
             acc = acc * w + c
         return acc
-
-    def derivative(self) -> "ResiduePoly":
-        return ResiduePoly([i * c for i, c in enumerate(self.coeffs)][1:], trim=False)
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -231,40 +233,42 @@ def roots(p: ResiduePoly) -> RootsReport:
     """All complex roots with multiplicities.
 
     k exactly-zero low coefficients give the root 0 with multiplicity k;
-    the others come from Durand-Kerner, in double from (0.4+0.9i)^k and
-    then at working precision, which alone decides settling, clustering at
-    scalar.cluster_tol() and up and the Newton steps on each cluster
-    center: on q^(m-1) for a cluster of size m (_cluster_polish).  The
-    clusters of the first radius whose product re-expands to q within
-    noise(|q|) are returned; RootFindingError is raised when
-    the iteration does not settle or no radius re-expands.  A root's
-    component below its rounding unit is dust (_drop_dust).
+    the others come from the Durand-Kerner search on exact Gaussian
+    integers of _nonzero_roots, which raises RootFindingError when the
+    iteration does not settle or no clustering radius re-expands.  The
+    residual is max |p(r)| over the returned roots r, each p(r) formed
+    exactly and the largest rounded once (_residual).
     """
     if p.degree < 1:
         raise UsageError("root finding needs degree >= 1")
-    q = p.monic()
-    k = next(i for i, c in enumerate(q.coeffs) if c != 0)
+    k = next(i for i, c in enumerate(p.coeffs) if c != 0)
     pairs = [(mp.mpc(0), k)] if k else []
-    if q.degree > k:
-        pairs += _nonzero_roots(ResiduePoly(q.coeffs[k:], trim=False))
-    pairs = [(_drop_dust(c), m) for c, m in pairs]
+    if p.degree > k:
+        pairs += _nonzero_roots(ResiduePoly(p.coeffs[k:], trim=False))
     pairs.sort(key=lambda rm: (mp.re(rm[0]), mp.im(rm[0])))
-    return RootsReport(pairs, max(abs(p.eval(r)) for r, _ in pairs))
+    return RootsReport(pairs, _residual(p, pairs))
 
 
-def _drop_dust(c):
-    """c with a component below its rounding unit floor_tol(0) |c| set to 0."""
-    unit = scalar.floor_tol(0) * abs(c)
-    return mp.mpc(*[0 if abs(x) < unit else x for x in (c.real, c.imag)])
+def _residual(p: ResiduePoly, pairs):
+    """max |p(r)| over the roots r of ``pairs``: p and each r read exactly
+    (scalar.fixed_point), p(r) by _horner with no rounding, and only the
+    largest formed as a number."""
+    re, im, e, _ = scalar.fixed_point(p.coeffs)
+    zr, zi, ez, _ = scalar.fixed_point([r for r, _ in pairs])
+    ez, k, n = min(ez, 0), max(ez, 0), len(re) - 1  # the roots (zr + i zi) 2^(k + ez)
+    cs = [(a << -ez * (n - i), b << -ez * (n - i)) for i, (a, b) in enumerate(zip(re, im))]
+    # each p(r) 2^-(e + ez n), exactly
+    vr, vi = max((_horner(cs, a << k, b << k, 0) for a, b in zip(zr, zi)),
+                 key=lambda v: v[0] * v[0] + v[1] * v[1])
+    return abs(scalar.from_fixed_point(vr, vi, e + ez * n))
 
 
-def _sweep(ev, zs, tiny):
-    """One Durand-Kerner sweep over zs (mpc or complex) in place; returns the
-    largest step.  A zero denominator becomes tiny (tiny = 0 raises)."""
+def _sweep(ev, zs):
+    """One Durand-Kerner sweep over the complex zs in place; returns the
+    largest step.  A zero denominator raises ZeroDivisionError."""
     maxstep = 0
     for k, z in enumerate(zs):
-        denom = prod(z - w for j, w in enumerate(zs) if j != k)
-        step = ev(z) / (denom if denom != 0 else tiny)
+        step = ev(z) / prod(z - w for j, w in enumerate(zs) if j != k)
         zs[k] = z - step
         maxstep = max(maxstep, abs(step))
     return maxstep
@@ -280,7 +284,7 @@ def _double_seeds(coeffs):
     zs, prev = [complex(0.4, 0.9) ** (k + 1) for k in range(len(cs) - 1)], INF
     try:
         for _ in range(64):
-            step = _sweep(lambda w: reduce(lambda acc, c: acc * w + c, cs), zs, 0)
+            step = _sweep(lambda w: reduce(lambda acc, c: acc * w + c, cs), zs)
             if step < 2.0 ** -40 or prev / 2 < step < 2.0 ** -17:
                 break
             prev = step
@@ -290,57 +294,87 @@ def _double_seeds(coeffs):
 
 
 def _nonzero_roots(q: ResiduePoly) -> list:
-    """The (root, multiplicity) pairs of a monic q with q(0) != 0."""
-    d = q.degree
-    if d == 1:
-        return [(-q.coeff(0), 1)]
+    """The (root, multiplicity) pairs of q with q(0) != 0, from Durand-Kerner
+    on exact Gaussian integers.
 
-    base = mp.mpc("0.4", "0.9")
-    zs = [mp.mpc(z) for z in _double_seeds(q.coeffs) or (base ** (k + 1) for k in range(d))]
-    hard = scalar.floor_tol(12)
-    soft = scalar.cluster_tol()
-    prev = mp.inf
-    settled = False
+    Scale.  q is read once, exactly (scalar.fixed_point).  With t = 2^s u,
+    s the power of two that brings its roots to O(1) (_scale), the monic
+    q(2^s u) 2^(-s deg q) is formed on the grid 2^-F, F = P + 8 (the level
+    floor_tol(-8)), each coefficient rounded once (_gdiv).  An iterate is
+    a Gaussian integer U, the root U 2^(s-F), and each value and step the
+    search forms is rounded once to that grid (_horner, _gdiv).  That
+    rounding is the iteration's noise floor, on which the multiplicities
+    rest, so F is a rule: a grid much finer than 2^-P resolves the split
+    roots of a rounded multiple root and returns them apart.
+
+    Search.  Durand-Kerner runs in double from _double_seeds on the scaled
+    q, or else from (0.4+0.9i)^k, then on the grid (_grid_sweep), which
+    alone decides settling: a largest step below floor_tol(12), or one
+    below cluster_tol() and above half the one before.  Clustering, the
+    Newton polish and the re-expansion check follow (_cluster_polish,
+    _reexpands); the first radius, from cluster_tol() up by factors of 4,
+    whose clusters re-expand to q within noise(|q|) gives the pairs, each
+    root rounded once (_rounded).  Every decision compares exact squares:
+    the rounding floors of settling and the polish against their level in
+    u, as a rounding unit scales with the roots, and the clustering radius
+    and the re-expansion against theirs in t.
+    """
+    re, im, _, _ = scalar.fixed_point(q.coeffs)
+    F = -scalar.pow2_exp(scalar.floor_tol(-8))
+    s = _scale(re, im)
+    g, n = s - F, len(re) - 1
+    qs = [_gdiv(a, b, re[n], im[n], F - s * (n - i)) for i, (a, b) in enumerate(zip(re, im))]
+    zs = (_double_seeds([complex(a / (1 << F), b / (1 << F)) for a, b in qs])
+          or [complex(0.4, 0.9) ** (k + 1) for k in range(n)])
+    zs = [tuple(_rdiv(a << F, b) for a, b in map(float.as_integer_ratio, (z.real, z.imag)))
+          for z in zs]
+    # log2 of floor_tol(12) and cluster_tol(): in u, 2^(F + level) grid units
+    hard = scalar.pow2_exp(scalar.floor_tol(12))
+    soft = scalar.pow2_exp(scalar.cluster_tol())
+    prev = INF
     for _ in range(512):
-        maxstep = _sweep(q.eval, zs, mp.mpc(hard))
-        if maxstep < hard:
-            settled = True
-            break
+        # a zero denominator is floor_tol(12): the value times 2^-hard
+        step = _grid_sweep(qs, zs, F, -hard)
         # multiple roots stall around the sqrt-precision floor
-        if maxstep < soft and maxstep > prev / 2:
-            settled = True
+        if step < 1 << 2 * (F + hard) or prev < 4 * step < 4 << 2 * (F + soft):
             break
-        prev = maxstep
-    if not settled:
+        prev = step
+    else:
         raise RootFindingError("root iteration did not settle in 512 steps",
-                               best=zs)
+                               best=[scalar.from_fixed_point(*z, g) for z in zs])
 
     # iterates around an m-fold root stall at radius ~eps^(1/m), so the
     # right clustering radius is not known a priori: escalate it until the
     # clustered-and-polished roots re-expand to the input polynomial
-    order = sorted(range(d), key=lambda k: (mp.re(zs[k]), mp.im(zs[k])))
-    zs = [zs[k] for k in order]
-    derivs = [q]
-    good = scalar.noise(q.max_abs())
+    zs.sort()
+    derivs = [qs]
     radius = soft
     for _ in range(max(2, mp.prec // 8)):
-        pairs = _cluster_polish(derivs, zs, radius, hard)
-        if (ResiduePoly.from_roots(pairs) - q).max_abs() <= good:
-            return pairs
-        radius *= 4
-    raise RootFindingError("no clustering radius re-expands the roots to q", best=zs)
+        pairs = _cluster_polish(derivs, zs, radius, g)
+        if _reexpands(pairs, re, im, g):
+            return _rounded(pairs, g)
+        radius += 2
+    raise RootFindingError("no clustering radius re-expands the roots to q",
+                           best=[scalar.from_fixed_point(*z, g) for z in zs])
 
 
-def _cluster_polish(derivs, zs, radius, hard):
-    """Single-linkage clustering at the given radius, then up to three
-    Newton steps per center on q^(m-1), whose root is simple on a cluster
-    of size m, to a step <= hard max(1, |center|).  derivs = [q, q', ...]
-    grows only when a cluster needs a higher derivative."""
+def _cluster_polish(derivs, zs, radius: int, g: int):
+    """Single-linkage clustering of the sorted grid iterates zs, each the
+    root U 2^g, at the radius 2^radius in t, then up to three Newton steps
+    per center on q^(m-1), whose root is simple on a cluster of size m, to
+    a step <= floor_tol(12) max(1, |center|) in u; a value of q^(m) below
+    floor_tol(12) stops them.  derivs = [q, q', ...], on the grid of
+    _nonzero_roots, grows only when a cluster needs a higher derivative.
+    Returns the (center, m) pairs, centers on the grid, sorted."""
+    F = -scalar.pow2_exp(scalar.floor_tol(-8))
+    hard = scalar.pow2_exp(scalar.floor_tol(12))
+    floor = 1 << 2 * (F + hard)
     d = len(zs)
     labels = list(range(d))
     for i in range(d):
         for j in range(i + 1, d):
-            if abs(zs[i] - zs[j]) <= radius:
+            ur, ui = zs[i][0] - zs[j][0], zs[i][1] - zs[j][1]
+            if _cmp(ur * ur + ui * ui, g, 1, radius) <= 0:
                 old, new = labels[j], labels[i]
                 for k in range(d):
                     if labels[k] == old:
@@ -352,20 +386,122 @@ def _cluster_polish(derivs, zs, radius, hard):
     for members in clusters.values():
         mult = len(members)
         while len(derivs) <= mult:
-            derivs.append(derivs[-1].derivative())
-        f, df = derivs[mult - 1], derivs[mult]
-        center = sum(members) / mult
+            derivs.append([(i * a, i * b) for i, (a, b) in enumerate(derivs[-1])][1:])
+        cr, ci = (_rdiv(sum(z[x] for z in members), mult) for x in (0, 1))
         for _ in range(3):
-            pd = df.eval(center)
-            if abs(pd) < hard:
+            pr, pi = _horner(derivs[mult], cr, ci, F)
+            if pr * pr + pi * pi < floor:
                 break
-            step = f.eval(center) / pd
-            center -= step
-            if abs(step) <= hard * max(1, abs(center)):
+            sr, si = _gdiv(*_horner(derivs[mult - 1], cr, ci, F), pr, pi, F)
+            cr, ci = cr - sr, ci - si
+            step = sr * sr + si * si
+            if step <= floor or step << -2 * hard <= cr * cr + ci * ci:
                 break
-        pairs.append((center, mult))
-    pairs.sort(key=lambda rm: (mp.re(rm[0]), mp.im(rm[0])))
+        pairs.append(((cr, ci), mult))
+    pairs.sort()
     return pairs
+
+
+def _reexpands(pairs, re, im, g: int) -> bool:
+    """The product of (t - c)^m over the grid ``pairs``, each c the root
+    U 2^g (_expand, exact), lies within noise(|q|) of the monic q whose
+    exact coefficients (re, im) _nonzero_roots read, coefficient by
+    coefficient in exact squares: |E_j lc(q) 2^(g(n-j)) - q_j| <=
+    zero_eps() max_i |q_i| over the coefficients q_j of the unscaled q,
+    before it is made monic."""
+    eps = scalar.pow2_exp(scalar.zero_eps())
+    n = len(re) - 1
+    top = max(a * a + b * b for a, b in zip(re, im))
+    for j, (er, ei) in enumerate(_expand([c for c, m in pairs for _ in range(m)])[:n]):
+        k = g * (n - j)  # E_j lc(q) 2^k - q_j, at the exponent min(k, 0)
+        xr, xi = er * re[n] - ei * im[n], er * im[n] + ei * re[n]
+        dr, di = ((x << max(k, 0)) - (y << max(-k, 0)) for x, y in ((xr, re[j]), (xi, im[j])))
+        if _cmp(dr * dr + di * di, min(k, 0) - eps, top, 0) > 0:
+            return False
+    return True
+
+
+def _scale(re, im) -> int:
+    """The least s with |q_i| < 2^(s(n-i) + 3/2) for the monic q of the
+    exact coefficients re + i im, n its degree, read off bit lengths; the
+    roots of q(2^s u) then lie below 2^(5/2) (Fujiwara's bound)."""
+    tops = [max(abs(a), abs(b)).bit_length() for a, b in zip(re, im)]
+    return max(-((tops[-1] - t) // (len(tops) - 1 - i)) for i, t in enumerate(tops[:-1]) if t)
+
+
+def _grid_sweep(qs, zs, F: int, tiny: int) -> int:
+    """One Durand-Kerner sweep over the grid iterates zs in place: the step
+    of u_k is q(u_k) / prod_(j != k) (u_k - u_j), the value by _horner,
+    the product exact and the quotient rounded once to the grid (_gdiv); a
+    zero product takes the value times 2^tiny, tiny >= 0.  Returns the
+    largest squared step, in grid units."""
+    sh = F * (len(zs) - 1)
+    top = 0
+    for k, (zr, zi) in enumerate(zs):
+        dr, di = 1, 0
+        for j, (wr, wi) in enumerate(zs):
+            if j != k:
+                dr, di = dr * (zr - wr) - di * (zi - wi), dr * (zi - wi) + di * (zr - wr)
+        vr, vi = _horner(qs, zr, zi, F)
+        sr, si = _gdiv(vr, vi, dr, di, sh) if dr or di else (vr << tiny, vi << tiny)
+        zs[k] = zr - sr, zi - si
+        top = max(top, sr * sr + si * si)
+    return top
+
+
+def _horner(cs, zr, zi, f: int):
+    """Horner's rule for the Gaussian-integer coefficients cs, (re, im)
+    pairs low degree first, at z = (zr + i zi) 2^-f, each product rounded
+    to the nearest integer after the shift by f (exact at f = 0)."""
+    ar, ai = cs[-1]
+    h = 1 << f >> 1
+    for br, bi in cs[-2::-1]:
+        ar, ai = ((ar * zr - ai * zi + h) >> f) + br, ((ar * zi + ai * zr + h) >> f) + bi
+    return ar, ai
+
+
+def _gdiv(vr, vi, dr, di, sh: int):
+    """(vr + i vi) 2^sh / (dr + i di), each part rounded to the nearest
+    integer."""
+    norm = (dr * dr + di * di) << max(-sh, 0)
+    sh = max(sh, 0)
+    return _rdiv((vr * dr + vi * di) << sh, norm), _rdiv((vi * dr - vr * di) << sh, norm)
+
+
+def _rdiv(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, for b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _cmp(x2, ex, y2, ey) -> int:
+    """The sign of x2 4^ex - y2 4^ey for ints x2, y2 >= 0: two squared
+    moduli, each at its own power of two, compared exactly."""
+    m = min(ex, ey)
+    x2, y2 = x2 << 2 * (ex - m), y2 << 2 * (ey - m)
+    return (x2 > y2) - (x2 < y2)
+
+
+def _expand(zs) -> list:
+    """The coefficients (re, im), low degree first, of the product of v - z
+    over the Gaussian integers z = (re, im) in zs, exactly."""
+    cs = [(1, 0)]
+    for zr, zi in zs:
+        cs = [(a - zr * c + zi * d, b - zr * d - zi * c)
+              for (a, b), (c, d) in zip([(0, 0)] + cs, cs + [(0, 0)])]
+    return cs
+
+
+def _rounded(pairs, g: int):
+    """The (root, mult) pairs with each grid root U rounded once to the
+    root U 2^g (scalar.from_fixed_point), a part below its rounding unit
+    floor_tol(0) |root| set to zero first: that part is dust."""
+    unit = -2 * scalar.pow2_exp(scalar.floor_tol(0))
+    out = []
+    for (ur, ui), m in pairs:
+        n2 = ur * ur + ui * ui
+        ur, ui = (0 if x * x << unit < n2 else x for x in (ur, ui))
+        out.append((scalar.from_fixed_point(ur, ui, g), m))
+    return out
 
 
 def ext_gcd(p: ResiduePoly, q: ResiduePoly, tol=None):

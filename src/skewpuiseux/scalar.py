@@ -28,8 +28,9 @@ threshold; every other module reads these levels by name.
                            test, the tie rule of the factorizer's peel
   dust_tol()     2^-(P/4)  res f mismatch and dust bound of hensel_lift
   floor_tol(j)   2^-(P-j)  cancellation floors: hensel_lift (j = 24), roots
-                           (j = 12); j = 0 is the dust rule of
-                           residue._drop_dust, which roots applies
+                           (j = 12); j = 0 is the dust rule of roots
+                           (residue._rounded), j = -8 the grid its search
+                           runs on
 The levels keep this order, floor_tol(24) < zero_eps() < cluster_tol() <
 dust_tol(), from P = MIN_BITS on.
 """
@@ -427,9 +428,9 @@ class Alpha:
     The value is an int or a Fraction, stored exactly so that the
     alpha == 1 test and integer powers stay exact, or an mpmath number
     (mpf or mpc); rational powers materialize lazily to big floats at the
-    ambient precision.  A non-real value is accepted only with
-    ``allow_complex=True`` (diagnostic mode: the factorization guarantees do
-    not apply there).
+    ambient precision.  A non-real value, or a negative numeric one, is
+    accepted only with ``allow_complex=True`` (diagnostic mode: the
+    factorization guarantees do not apply there) and held as an mpc.
 
     Alpha owns its powers: numeric_pow, power_row, twist_row and log_eff
     fill one process-wide memo lazily (_powers, an lru_cache of 64 keys),
@@ -443,20 +444,22 @@ class Alpha:
         self.allow_complex = allow_complex
         self.exact = None
         self.numeric = None
+        positive = "alpha must be a positive real (or complex with allow_complex)"
         if isinstance(value, (int, Fraction)):
             self.exact = Fraction(value)
-        else:
-            z = mp.mpc(value)
-            if z.imag == 0:
-                self.numeric = z.real
-            else:
-                self.numeric = z
-        if self.exact is not None and self.exact <= 0:
-            raise UsageError("alpha must be a positive real (or complex with allow_complex)")
-        if self.numeric is not None and isinstance(self.numeric, mp.mpc) and not allow_complex:
-            raise UsageError("complex alpha requires allow_complex=True")
-        if self.numeric is not None and self.numeric == 0:
+            if self.exact <= 0:
+                raise UsageError(positive)
+            return
+        z = mp.mpc(value)
+        if z == 0:
             raise UsageError("alpha must be nonzero")
+        if z.imag == 0 and z.real > 0:
+            self.numeric = z.real
+        elif allow_complex:
+            # a negative real too is held as an mpc, so its powers have one kind
+            self.numeric = z
+        else:
+            raise UsageError("complex alpha requires allow_complex=True" if z.imag else positive)
 
     @property
     def is_one(self) -> bool:
@@ -466,7 +469,7 @@ class Alpha:
     def is_real_positive(self) -> bool:
         if self.exact is not None:
             return self.exact > 0
-        return not isinstance(self.numeric, mp.mpc) and self.numeric > 0
+        return not isinstance(self.numeric, mp.mpc)
 
     def real_value(self):
         if self.exact is not None:

@@ -51,6 +51,23 @@ def test_alpha_complex_requires_flag():
         Alpha(mp.mpc(1, 1))
 
 
+def test_a_negative_numeric_alpha_is_refused_as_an_exact_one_is():
+    # whatever its type, a real alpha must be positive without allow_complex
+    for value in (-2, Fraction(-3, 2), mp.mpf(-2), mp.mpc(-2, 0), -2.0):
+        with pytest.raises(UsageError, match="alpha must be a positive real"):
+            Alpha(value)
+
+
+def test_a_negative_real_alpha_with_allow_complex_is_an_mpc():
+    # its powers are all mpc, so one twist row has one kind
+    a = Alpha(mp.mpf(-2), allow_complex=True)
+    assert isinstance(a.numeric, mp.mpc) and not a.is_real_positive
+    with bits(128):
+        assert abs(a.numeric_pow(1, 2) - mp.mpc(0, mp.sqrt(2))) < mp.mpf(2) ** -120
+        assert {a.twist_row(1, 2, 0, 5)[3], a.twist_row(2, 2, 0, 5)[3]} == {2}
+        assert isinstance(a.numeric_pow(2, 2), mp.mpc)
+
+
 def test_alpha_integer_powers_exact():
     a = Alpha(Fraction(3, 2))
     assert a.pow(Fraction(3)) == Fraction(27, 8)

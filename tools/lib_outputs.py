@@ -22,9 +22,14 @@ record also holds the workload's own verdict on the result, ``check``:
 then runs every case a second time in the same process, on the warm
 process-wide memos (alpha's powers, skew tables) the first pass left, and
 compares the records.  It exits 1 if any case raised or failed its check,
-or if a second-pass record differs from the first.  ``diff`` lists every case
-whose record differs and exits 1 if any does.  Pointing ``--root`` at
-another checkout compares two commits with one copy of this tool.
+or if a second-pass record differs from the first.  Each record holds the
+working precision P of its workload, ``bits``.  ``diff`` lists every case
+whose record differs and exits 1 if any does.  Where two records differ only
+in the values of numbers, it gives the largest relative change, each number
+measured against the largest modulus of the terms of its series (a number
+in no series, such as the residual, against its own modulus), as a power
+of two, against the bound 2^-(P-24).  Pointing ``--root`` at another
+checkout compares two commits with one copy of this tool.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ def _records(workloads) -> list:
     records = []
     for name, seeds, n in CASES:
         wl = workloads.WORKLOADS[name]
+        p = workloads.ARITH_BITS if name == "dense_arith" else workloads.FACTOR_BITS
         for seed in seeds:
             for i, case in enumerate(wl["cases"](seed, n)):
                 try:
@@ -89,7 +95,7 @@ def _records(workloads) -> list:
                     check = [bool(ok), acc]
                 except Exception as e:
                     result, check = {"error": [type(e).__name__, str(e)]}, None
-                records.append({"workload": name, "seed": seed, "case": i,
+                records.append({"workload": name, "seed": seed, "case": i, "bits": p,
                                 "result": result, "check": check})
     return records
 
@@ -116,18 +122,72 @@ def run(path: str, root: Path) -> int:
     return 1 if failed or again else 0
 
 
+def _number(v):
+    """The mpmath number a raw value holds (_raw), None for another value."""
+    from mpmath import mp
+
+    if not isinstance(v, dict) or not ({"_mpf_", "_mpc_"} & v.keys()):
+        return None
+    parts = [tuple(p) for p in v.get("_mpc_") or v["_mpf_"]]
+    return mp.make_mpc(tuple(parts)) if len(parts) == 2 else mp.make_mpf(parts[0])
+
+
+def _changes(old, new, size=None):
+    """The relative changes of the numbers in which two raw values differ,
+    each against ``size``, the largest modulus of the terms of its series
+    in ``old`` (a number in no series: against its own modulus); None when
+    they differ in more than the values of numbers."""
+    a, b = _number(old), _number(new)
+    if a is not None and b is not None:
+        return [] if a == b else [abs(a - b) / (size or max(abs(a), abs(b)))]
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        if "terms" in old:
+            size = max((abs(_number(c)) for _, c in old["terms"]), default=None)
+        pairs = [(old[k], new[k]) for k in old]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = list(zip(old, new))
+    else:
+        return [] if old == new else None
+    out = []
+    for x, y in pairs:
+        c = _changes(x, y, size)
+        if c is None:
+            return None
+        out += c
+    return out
+
+
 def diff(old_path: str, new_path: str) -> int:
+    from mpmath import mp
+
     olds = [json.loads(line) for line in open(old_path)]
     news = [json.loads(line) for line in open(new_path)]
     cases = [(r["workload"], r["seed"], r["case"]) for r in news]
     if [(r["workload"], r["seed"], r["case"]) for r in olds] != cases:
         print("the two records hold different cases")
         return 2
-    changed = [case for case, old, new in zip(cases, olds, news) if old != new]
-    for name, seed, i in changed:
-        print(f"differs: {name} seed {seed} case {i}")
-    print(f"{len(news)} results: {len(news) - len(changed)} identical, {len(changed)} differ")
-    return 1 if changed else 0
+    same = digits = other = over = 0
+    for (name, seed, i), old, new in zip(cases, olds, news):
+        if old == new:
+            same += 1
+            continue
+        p = new["bits"]
+        with mp.workprec(4 * p):
+            changes = None
+            if {**old, "result": None} == {**new, "result": None}:
+                changes = _changes(old["result"], new["result"])
+            worst = max(map(float, (mp.log(c, 2) for c in changes or [])), default=None)
+        if worst is None:
+            other += 1
+            print(f"differs: {name} seed {seed} case {i}")
+        else:
+            digits += 1
+            over += worst > -(p - 24)
+            print(f"values: {name} seed {seed} case {i}: relative change 2^{worst:.1f} "
+                  f"({'above' if worst > -(p - 24) else 'within'} 2^-{p - 24})")
+    print(f"{len(news)} results: {same} identical, {digits} differ in values only "
+          f"({over} above 2^-(P-24)), {other} differ otherwise")
+    return 1 if digits or other else 0
 
 
 if __name__ == "__main__":
