@@ -20,7 +20,12 @@ form and form no terms.
 
 Rounding contract: negation and conjugation are exact; every other
 operation with an mpmath operand runs on ``_Fixed`` and rounds each output
-coefficient once.  Only operands that are all exact keep exact terms.
+coefficient once.  Only operands that are all exact keep exact terms.  The
+products before that rounding are exact integer convolutions
+(``_convolve``) on one of two branches: packed rows (Kronecker
+substitution) when one operand's largest mantissa has at most half the
+bits of the other's, else dot products.  Both give the same integers, so
+the branch never moves an output bit.
 """
 
 from __future__ import annotations
@@ -389,8 +394,21 @@ def _times(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
 
 def _convolve(xr: list, xi: list, yr: list, yi: list, n: int):
     """The first n coefficients of the product of the Gaussian-integer
-    sequences xr + i*xi and yr + i*yi, exactly, as (re, im) lists.  Three
+    sequences xr + i*xi and yr + i*yi, exactly, as (re, im) lists.
+
+    Two branches with equal outputs, chosen by width: the bit length of an
+    operand's largest mantissa part (re or im).  When the narrower
+    operand's width is at most half the wider one's, the product is packed
+    (``_packed``): each narrow entry then costs three C-level multiplies of
+    a whole packed row, where dot products of short narrow-by-wide terms
+    spend their time in the interpreter.  Otherwise, for balanced and equal
+    widths, where packing would multiply wide numbers by wide rows, three
     dot products per coefficient: re = p1 - p2, im = p3 - p1 - p2."""
+    bx, by = max(map(int.bit_length, xr + xi)), max(map(int.bit_length, yr + yi))
+    if 2 * bx <= by:
+        return _packed(xr, xi, yr, yi, n, bx + by)
+    if 2 * by <= bx:
+        return _packed(yr, yi, xr, xi, n, bx + by)
     nx, ny = len(xr), len(yr)
     xs = [a + b for a, b in zip(xr, xi)]
     yr, yi = yr[::-1], yi[::-1]  # reversed: each dot product reads both slices forward
@@ -405,6 +423,46 @@ def _convolve(xr: list, xi: list, yr: list, yi: list, n: int):
         re.append(p1 - p2)
         im.append(sum(map(mul, xs[lo:hi], ys[j + lo:j + hi])) - p1 - p2)
     return re, im
+
+
+def _packed(ur: list, ui: list, wr: list, wi: list, n: int, width: int):
+    """``_convolve`` of the narrow row ur + i*ui by the wide row wr + i*wi,
+    width the sum of their widths, by Kronecker substitution.
+
+    Both rows are cut to n entries.  An integer packs a row when its slot j
+    of s bits holds entry j; s is a whole number of bytes.  Each part of an
+    output entry is a sum of at most m (the shorter length) terms, each of
+    two products below 2^width (u*wr - v*wi, say), so its modulus is below
+    2^(width + bitlen(m) + 1) and a slot of s >= width + bitlen(m) + 2 bits
+    holds it signed.  The wide row's re and im parts are packed into Yr and
+    Yi, and each narrow entry u + iv adds one shifted u*Yr, v*Yi and
+    (u + v)*(Yr + Yi) to three accumulators (Gauss's three products).  The
+    packed re and im rows, p1 - p2 and p3 - p1 - p2, are read back from
+    their bytes with a bias of 2^(s-1) in every slot of the full product
+    length, so that no slot borrows from the next, and their first n slots
+    are decoded.  The byte conversions name their length and byte order,
+    as Python 3.10 needs."""
+    ur, ui, wr, wi = ur[:n], ui[:n], wr[:n], wi[:n]
+    full = len(ur) + len(wr) - 1
+    size = (width + min(len(ur), len(wr)).bit_length() + 9) // 8
+    s = 8 * size
+    bias = 1 << s - 1
+    biases = int.from_bytes(bias.to_bytes(size, "little") * full, "little")
+    wide = biases >> (len(ur) - 1) * s  # the biases of the wide row's slots
+    yr, yi = (int.from_bytes(b"".join([(w + bias).to_bytes(size, "little") for w in part]),
+                             "little") - wide for part in (wr, wi))
+    ys = yr + yi
+    p1 = p2 = p3 = 0
+    for k, (u, v) in enumerate(zip(ur, ui)):
+        p1 += (u * yr) << k * s
+        p2 += (v * yi) << k * s
+        p3 += ((u + v) * ys) << k * s
+    rows = []
+    for p in (p1 - p2, p3 - p1 - p2):
+        b = (p + biases).to_bytes(full * size, "little")
+        rows.append([int.from_bytes(b[i:i + size], "little") - bias
+                     for i in range(0, n * size, size)])
+    return rows[0], rows[1]
 
 
 class _Fixed:
@@ -427,12 +485,14 @@ class _Fixed:
     all exact keep exact term arithmetic (the term loops of
     ``PuiseuxSeries``, ``skewpoly._Coeffs``); otherwise an exact rational
     is read rounded to nearest (``scalar.mp_operand``), and inf and nan are
-    refused.  Products (``_convolve``, or one pass over a row when an
-    operand has one term) and sums (``sum`` folds ``scalar._fixed_add`` over
-    its parts, each zero-padded to the least k0) are exact, with the
-    truncation rules of ``PuiseuxSeries.__mul__`` and ``__add__`` on the
-    orders after the zero test (``_times`` cuts its product back to its own
-    rule, on ``ord_k``).  What a computation carries on exactly, the rows
+    refused.  Products (``_convolve``: packed rows when one operand's
+    largest mantissa has at most half the bits of the other's, else dot
+    products; or one pass over a row when an operand has one term) and
+    sums (``sum`` folds ``scalar._fixed_add`` over its parts, each
+    zero-padded to the least k0) are exact, with the truncation rules of
+    ``PuiseuxSeries.__mul__`` and ``__add__`` on the orders after the zero
+    test (``_times`` cuts its product back to its own rule, on
+    ``ord_k``).  What a computation carries on exactly, the rows
     t^i b of a skew table after each t-shift and the multipliers of a
     division, is rounded GUARD_BITS above the working precision
     (``carry``).  Each output coefficient is rounded once, to nearest at the

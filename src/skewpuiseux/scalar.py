@@ -517,17 +517,18 @@ class Alpha:
         (re, im, e, kind): the twist factors of sigma_pow and a t-shift.  It
         is a slice of the memo's one row per num, grown to span every k asked
         for, so its mantissas sit at that row's exponent: the values, and the
-        kind, of fixed_point on the slice."""
+        kind, of fixed_point on the slice.  All powers of one alpha have one
+        kind (mpf when it is real, mpc else), so the row's kind, read once
+        per growth, is the slice's; an empty slice has kind 0."""
         memo = _powers(self.exact, self.numeric, den, mp.prec)
-        lo, kinds, (re, im, e) = memo.get(("twist", num), (k0, [], ([], [], 0)))
+        lo, kind, (re, im, e) = memo.get(("twist", num), (k0, 0, ([], [], 0)))
         if n and (k0 < lo or k0 + n > lo + len(re)):
             lo, hi = min(lo, k0), max(lo + len(re), k0 + n)
-            values = [self.numeric_pow(num * k, den) for k in range(lo, hi)]
-            kinds = [fixed_point([v])[3] for v in values]
-            re, im, e, _ = fixed_point(values)
-            memo["twist", num] = lo, kinds, (re, im, e)
+            re, im, e, kind = fixed_point([self.numeric_pow(num * k, den)
+                                           for k in range(lo, hi)])
+            memo["twist", num] = lo, kind, (re, im, e)
         i = k0 - lo
-        return re[i:i + n], im[i:i + n], e, max(kinds[i:i + n], default=0)
+        return re[i:i + n], im[i:i + n], e, kind if n else 0
 
     def log_eff(self, L: int):
         """log Re alpha^(1/L) from the memo."""

@@ -7,6 +7,7 @@ from mpmath.libmp import mpf_neg, to_rational
 
 from skewpuiseux import (Alpha, ConjSeriesRing, GaussianRational, PuiseuxSeries, SkewPoly, bits,
                          puiseux_ring)
+from skewpuiseux import puiseux as puiseux_mod
 from skewpuiseux import scalar as scalar_mod
 from skewpuiseux.errors import PrecisionExhausted, UsageError, ZeroInversion
 from skewpuiseux.puiseux import _Fixed
@@ -457,6 +458,76 @@ def test_a_one_term_operand_scales_the_other_row():
     # an exact 1 leaves the terms as they are, cut to the product's truncation
     one = PS(2, {0: 1}, 5) * s
     assert one.trunc == 5 and _raw_terms(one) == _raw_terms(s.truncate(5))
+
+
+def _convolution(xr, xi, yr, yi, n):
+    """The first n coefficients of (xr + i xi)(yr + i yi), by definition."""
+    re, im = [0] * n, [0] * n
+    for i, (a, b) in enumerate(zip(xr, xi)):
+        for j, (c, d) in enumerate(zip(yr, yi)):
+            if i + j < n:
+                re[i + j] += a * c - b * d
+                im[i + j] += a * d + b * c
+    return re, im
+
+
+def _gaussian_row(rnd, size: int, width: int, shape: str):
+    """A Gaussian-integer row of `size` entries whose largest part has
+    `width` bits: random signed parts; every re and every im part of the
+    largest modulus, each with one sign ("extreme": one part of each
+    product of two such rows is then as large as it can be); all-zero im
+    ("real"); or zero entries at both ends and inside ("holes")."""
+    top = (1 << width) - 1
+    if shape == "extreme":
+        re, im = [rnd.choice((top, -top))] * size, [rnd.choice((top, -top))] * size
+    else:
+        re = [rnd.randint(-top, top) for _ in range(size)]
+        im = [0] * size if shape == "real" else [rnd.randint(-top, top) for _ in range(size)]
+    if shape == "holes":
+        for i in {0, size - 1, rnd.randrange(size)}:
+            re[i] = im[i] = 0
+    re[rnd.randrange(size)] = rnd.choice((top, -top))  # the row is `width` bits wide
+    return re, im
+
+
+def test_convolve_is_the_convolution_by_definition():
+    # both branches of _convolve, in both argument orders, bit for bit the
+    # convolution by definition, to every n up to the full length
+    rnd = rng(36)
+    shapes = ("random", "extreme", "real", "holes")
+    for _ in range(400):
+        nx, ny = rnd.randint(1, 40), rnd.randint(1, 40)
+        sx = rnd.choice(shapes)
+        x = _gaussian_row(rnd, nx, rnd.randint(1, 700), sx)
+        y = _gaussian_row(rnd, ny, rnd.randint(1, 700), rnd.choice((sx, rnd.choice(shapes))))
+        n = rnd.choice((nx + ny - 1, rnd.randint(1, nx + ny - 1)))
+        want = _convolution(*x, *y, n)
+        assert puiseux_mod._convolve(*x, *y, n) == want
+        assert puiseux_mod._convolve(*y, *x, n) == want
+
+
+def test_convolve_packs_only_when_one_operand_is_narrow(monkeypatch):
+    # the narrow operand's largest part has at most half the bits of the
+    # wide one's: packed, with the narrow row first, in either order;
+    # balanced and equal widths stay on the dot products
+    calls = []
+    packed = puiseux_mod._packed
+    monkeypatch.setattr(puiseux_mod, "_packed",
+                        lambda ur, ui, wr, wi, n, width: calls.append(ur) or packed(
+                            ur, ui, wr, wi, n, width))
+    rnd = rng(37)
+    for nx, ny, bx, by, narrow in ((10, 36, 52, 300, True), (10, 18, 52, 104, True),
+                                   (7, 7, 60, 600, True), (18, 37, 150, 300, True),
+                                   (10, 36, 53, 104, False), (19, 27, 300, 340, False),
+                                   (10, 10, 52, 52, False), (36, 36, 300, 300, False)):
+        for shape in ("random", "extreme", "holes"):
+            x = _gaussian_row(rnd, nx, bx, shape)
+            y = _gaussian_row(rnd, ny, by, shape)
+            for a, b in ((x, y), (y, x)):
+                calls.clear()
+                assert puiseux_mod._convolve(*a, *b, nx + ny - 1) == _convolution(
+                    *a, *b, nx + ny - 1)
+                assert calls == ([x[0]] if narrow else [])
 
 
 def test_max_abs_of_a_held_series_is_the_plain_max():
