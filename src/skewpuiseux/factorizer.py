@@ -40,12 +40,12 @@ takes the other roots.  The choice certifies itself, with a margin:
 
 hensel_lift's twist check, which guards direct calls, is the only check a
 peeled split meets.  The peeled factor is the left one, so a lift step
-inverts k_n modulo res g = (t - c)^e.  At e = 1 each reduction modulo
-res g is an evaluation at c, and when alpha != 1 the inverse is the
-reciprocal of the exact constant k_n(c), with no Euclid.  A zero root
-peeled whole (e > 1) takes one Euclid per step; at alpha = 1, k_n does
-not change with n, so the lift runs one Euclid (hensel module
-docstring).
+inverts k_n modulo res g = (t - c)^e.  At e = 1 a step is one pass of
+evaluations at c, Horner's rule on k_n and on f_n, and when alpha != 1
+the inverse is the reciprocal of the exact constant k_n(c), with no
+Euclid.  A zero root peeled whole (e > 1) takes one Euclid per step; at
+alpha = 1, k_n does not change with n, so the lift runs one Euclid
+(hensel module docstring).
 
 Order budget.  Let T be the target order, f = unit * (t - Z_1) ... (t - Z_d)
 and V(zeta) = min_k (ord f_k + k zeta), read off f's Newton polygon once.

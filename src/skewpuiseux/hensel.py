@@ -23,42 +23,47 @@ don't be too lazy", JSC 2002).  The t^(i+j) entry of G_a * H_b is
 g_(i,a) h_(j,b) alpha^(ib/L) in F[t, sigma] and g_(i,a) rho^a(h_(j,b)) in
 C[[x, rho]]; the ring supplies only this twist w and 1/w (slice_twist).
 D_n is one exact sum (_minus_sum): every product, its twist and conj
-applied inline, goes into one accumulator at the least exponent, and a
-pair with an empty slice is skipped.  So a step forms three sums whatever
-n: over the pairs 0 < a < n, which its corrections leave alone, then D_n
-from that, and D_n again once corrected.
+applied inline (w_0 = alpha^0 = 1 as a shift), goes into one accumulator
+at the least exponent, and a pair with an empty slice is skipped.  So a
+step forms two sums whatever n: D_n over all its pairs, and the check, D_n
+less the two products of the step's own corrections (p_n x^n times res h
+and res g times q_n x^n), which is D_n formed again with G_n and H_n
+lifted.
 
 Rounding and step rule.  D_n is exact, and so are f_n and k_n, its and res
 h's products with the inverse twist 1/w, and, res g being monic, k_n and b
 f_n mod res g and q_n = (f_n - p_n k_n) / res g.  When res g = t - c is
-linear, twisted lift or not, these three are Horner's rule at c on exact
-integers (_divmod_linear): k_n(c), (b f_n)(c), and the synthetic division
-whose partial sums are q_n and whose last is the remainder, with the
-collapses and the remainder check of the division they replace
-(_divmod_monic, which serves deg res g >= 2).  1/w, b, p_n and q_n are
-rounded once each, scalar.GUARD_BITS above the working precision, b, p_n
-and q_n on their mantissas (scalar.carry_row), and 1/w with w once per
-alpha, L and precision, in the memo of alpha's powers (Alpha.power_row):
-the lift carries a step's error into every later order, where it grows.
-b = k_n^(-1) mod res g is read off r = k_n mod res g, collapsed at
-zero_eps() (_inverse).  A twisted lift (some slice twist w is not None:
-alpha != 1) meets a new k_n at every step, so it memoizes nothing; with
-res g = t - c, r = k_n(c) is an exact constant and b its reciprocal, two
-integer divisions and one rounding (_reciprocal), with no ext_gcd.
-Otherwise b is ext_gcd on r rounded, then one exact Newton step, memoized
-per k_n: an untwisted lift meets one k_n (two in C[[x, rho]]), so it runs
-Euclid once per lift, at a linear res g too while the benchmark counts the
-lift's steps as its ext_gcd calls.  At a linear res g both routes give the
-same b, bit for bit, unless the exact reciprocal lies within about 2^-2P,
-relatively, of a rounding point.  p_n collapses at floor_tol(24) as divmod
-does.  Sizes are read off bit lengths.  D_0 = res f - res g res h is the
-residue check, exact: from dust_tol() up the inputs are no residue
-factorization (UsageError), and from zero_eps() up they break the order-0
-invariant.  A D_n below zero_eps() is skipped; with 2^scale <= max(1, |c|)
-over the c met so far, D_n formed again must lie below max(zero_eps(),
-2^scale floor_tol(24)), and q_n's remainder is dust below 2^scale
-dust_tol().  A broken invariant, a D_n that stays and a remainder above
-its dust are precision failures (PrecisionExhausted).
+linear, twisted lift or not, the step is one pass on exact integers:
+Horner's rule at c, once per row (_divmod_linear), gives k_n(c) and f_n(c)
+and their synthetic quotients; p_n = b f_n(c), and, p_n being a constant,
+q_n = quo(f_n) - p_n quo(k_n) with the remainder f_n(c) - p_n k_n(c).  The
+collapses and the remainder check are those of the division this replaces
+(_divmod_monic, which serves deg res g >= 2), decided from bit lengths
+where those settle them (_stays).  1/w, b, p_n and q_n are rounded once
+each, scalar.GUARD_BITS above the working precision, b, p_n and q_n on
+their mantissas (scalar.carry_row), and 1/w with w once per alpha, L and
+precision, in the memo of alpha's powers (Alpha.power_row): the lift
+carries a step's error into every later order, where it grows.  b =
+k_n^(-1) mod res g is read off r = k_n mod res g, collapsed at zero_eps().
+A twisted lift (some slice twist w is not None: alpha != 1) meets a new
+k_n at every step, so it memoizes nothing; with res g = t - c, r = k_n(c)
+is an exact constant and b its reciprocal, two integer divisions and one
+rounding (_reciprocal), with no ext_gcd.  Otherwise b is ext_gcd on r
+rounded, then one exact Newton step (_inverse), memoized per k_n with, at
+a linear res g, k_n's pass at c: an untwisted lift meets one k_n (two in
+C[[x, rho]]), so it runs Euclid once per lift, at a linear res g too while
+the benchmark counts the lift's steps as its ext_gcd calls.  At a linear
+res g both routes give the same b, bit for bit, unless the exact
+reciprocal lies within about 2^-2P, relatively, of a rounding point.  p_n
+collapses at floor_tol(24) as divmod does.  Sizes are read off bit
+lengths.  D_0 = res f - res g res h is the residue check, exact: from
+dust_tol() up the inputs are no residue factorization (UsageError), and
+from zero_eps() up they break the order-0 invariant.  A D_n below
+zero_eps() is skipped; with 2^scale <= max(1, |c|) over the c met so far,
+D_n formed again must lie below max(zero_eps(), 2^scale floor_tol(24)),
+and q_n's remainder is dust below 2^scale dust_tol().  A broken
+invariant, a D_n that stays and a remainder above its dust are precision
+failures (PrecisionExhausted).
 
 Derived rings.  delta_a = a(sigma - id) is inner, so s = t + a obeys
 s u = sigma(u) s: shift_iso(., a) carries f, g, h to F[t, sigma], where the
@@ -97,39 +102,56 @@ class HenselState:
 def _solve_step(n: int, gres, g, kn, fn, inverses, scale):
     """Solve p kn + gres q = fn, deg p < deg gres, in C[t]/(gres) (von zur
     Gathen & Gerhard, Modern Computer Algebra, 15.4) on exact rows, g being
-    gres's lower coefficients, through b = kn^(-1) mod gres (_inverse): the
-    reciprocal of a constant when ``inverses`` is None and gres is linear,
-    else Euclid, memoized per kn in ``inverses`` unless it is None; b, p
-    and q round on mantissas (module docstring).  Each reduction modulo a
-    linear gres = t - c is an evaluation at c (_divmod): kn(c), (b fn)(c),
-    and q with its remainder by synthetic division."""
-    m = gres.degree
-    if inverses is None:
-        b = _inverse(n, gres, g, kn, m == 1)
-    else:
+    gres's lower coefficients, through b = kn^(-1) mod gres; b, p and q
+    round on mantissas (module docstring).  ``inverses``, unless it is
+    None, memoizes per kn Euclid's b (_inverse) with, at a linear gres,
+    kn's pass at c; when it is None b is Euclid's, or 1/kn(c) at a linear
+    gres (_reciprocal).  At a linear gres = t - c the step is one pass:
+    Horner's rule at c, once per row (_divmod_linear), gives kn(c), fn(c)
+    and their synthetic quotients, p = b fn(c), and by linearity q =
+    quo(fn) - p quo(kn) with the remainder fn(c) - p kn(c).  Otherwise p =
+    b fn mod gres and q is the quotient of fn - p kn (_divmod_monic)."""
+    m, tol, tf = gres.degree, scalar.floor_tol(24), _top(fn)
+    if inverses is not None:
         key = (tuple(kn[0]), tuple(kn[1]), kn[2])
         if key not in inverses:
-            inverses[key] = _inverse(n, gres, g, kn, False)
-        b = inverses[key]
-    p = carry_row(_mulmod(b, fn, g, scalar.floor_tol(24)))
-    q, r = _divmod(_fixed_add(fn, p and _minus_product(p, kn)), g)
-    if not _small(r, max(scale, _top(fn) - 1) + scalar.pow2_exp(scalar.dust_tol())):
+            inverses[key] = _inverse(n, gres, g, kn), m == 1 and _divmod_linear(kn, g)
+        b, kdiv = inverses[key]
+    elif m == 1:
+        # kn(c), collapsed at zero_eps() as kn mod gres is in _inverse
+        kdiv = _divmod_linear(kn, g, scalar.zero_eps())
+        if not kdiv[1][0]:
+            raise TwistCoprimeFailure(n, gres.monic())
+        b = _reciprocal(kdiv[1])
+    else:
+        b = _inverse(n, gres, g, kn)
+    if m != 1:
+        p = carry_row(_mulmod(b, fn, g, tol))
+        q, r = _divmod_monic(_fixed_add(fn, p and _minus_product(p, kn)), g)
+    else:
+        (kq, kc), (q, r) = kdiv, _divmod_linear(fn, g)
+        # p = b fn(c), collapsed as b fn mod gres is in _mulmod; |b fn| lies
+        # below 2^(top b + top fn + 1), which mostly decides it
+        p = b and _axpy(None, b, r)
+        if p and len(fn[0]) > 1 and not _stays(p, tol, _top(b) + tf + 1, g):
+            _collapse(*p, tol, _axpy(None, b, fn), g)
+        p = carry_row(p)
+        if p:
+            minus_p = ([-p[0][0]], [-p[1][0]], p[2])
+            q, r = _axpy(q, minus_p, kq), _axpy(r, minus_p, kc)
+    if not _small(r, max(scale, tf - 1) + scalar.pow2_exp(scalar.dust_tol())):
         raise PrecisionExhausted(
             f"hensel correction degree overflow ({scalar.max_abs(_rounded(r, m))})")
     return p, carry_row(q), b
 
 
-def _inverse(n: int, gres, g, kn, reciprocal: bool):
+def _inverse(n: int, gres, g, kn):
     """b = kn^(-1) mod gres on exact rows, its parts rounded once each
-    (carry_row), from r = kn mod gres: with ``reciprocal`` (gres linear, r
-    a constant) b = 1/r (_reciprocal), else ext_gcd on r rounded, then one
-    exact Newton step.  A collapsed r, or one that shares a factor with
-    gres, raises TwistCoprimeFailure with Euclid's gcd as the witness."""
+    (carry_row): ext_gcd on r = kn mod gres, collapsed at zero_eps() and
+    rounded, then one exact Newton step.  An r that shares a factor with
+    gres, a collapsed one included, raises TwistCoprimeFailure with
+    Euclid's gcd as the witness."""
     _, r = _divmod(kn, g, scalar.zero_eps())
-    if reciprocal:
-        if not r[0]:
-            raise TwistCoprimeFailure(n, gres.monic())
-        return _reciprocal(r)
     one, _, b = residue_mod.ext_gcd(gres, ResiduePoly(_rounded(r, len(r[0])), trim=False))
     if one.degree != 0:
         raise TwistCoprimeFailure(n, one)
@@ -207,8 +229,9 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     F, G, H = (_slices(p.coeffs[:n], K) for p, n in ((f, d), (g, m + 1), (h, d - m + 1)))
     twists = [ring.slice_twist(k, d + 1) for k in range(K)]
 
-    def minus(acc, pairs):
-        return _minus_sum(acc, G, H, pairs, twists, d)
+    def defect(k):
+        """D_k = F_k - sum_(a+b=k) G_a * H_b, one exact sum (_minus_sum)."""
+        return _minus_sum(F[k], G, H, [(a, k - a) for a in range(k + 1)], twists, d)
 
     def factors():
         return (back(_poly(ring, G, m, target_k, g.coeffs[-1])),
@@ -216,7 +239,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
 
     # D_0 = res f - res g res h, exactly
     zero, floor = scalar.pow2_exp(scalar.zero_eps()), scalar.pow2_exp(scalar.floor_tol(24))
-    d0 = minus(F[0], [(0, 0)])
+    d0 = defect(0)
     if not _small(d0, scalar.pow2_exp(scalar.dust_tol())):
         raise UsageError(f"res(f) != res(g)res(h) (deviation {scalar.max_abs(_rounded(d0, d))})")
     _twist_check(caller, gres, hres, roots)
@@ -235,8 +258,7 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
     # their inverses are memoized
     inverses = None if any(w is not None for w, _, _ in twists) else {}
     for n in range(1, target_k):
-        inner = minus(F[n], [(a, n - a) for a in range(1, n)])
-        dn = minus(inner, {(n, 0), (0, n)})
+        dn = defect(n)
         if _small(dn, zero):
             continue
         # move x^n right of the slice: f_n, and k_n = phi^n(res h)
@@ -245,14 +267,15 @@ def hensel_lift(f: SkewPoly, g: SkewPoly, h: SkewPoly, target_k: int,
         kn = _fixed_twist(hbar if conj else hfix, winv)
         p, q, b = _solve_step(n, gres, gfix, kn, fn, inverses, scale)
         # the corrections p x^n, q x^n in left form: t^i x^n = w_i x^n t^i
-        G[n] = _fixed_add(G[n], _fixed_twist(p, w))
-        H[n] = _fixed_add(H[n], _fixed_twist(q, w))
+        dg, dh = _fixed_twist(p, w), _fixed_twist(q, w)
+        G[n], H[n] = _fixed_add(G[n], dg), _fixed_add(H[n], dh)
         scale = max(scale, *(_top(x) - 1 for x in (fn, p, q, b)))
-        if not _small(minus(inner, {(n, 0), (0, n)}), max(zero, scale + floor)):
+        # D_n less the products of the corrections: D_n with G_n, H_n lifted
+        check = _minus_sum(dn, [G[0], dg], [H[0], dh], [(1, 0), (0, 1)], [twists[0], twists[n]], d)
+        if not _small(check, max(zero, scale + floor)):
             raise PrecisionExhausted(f"hensel step did not raise the defect order at n={n}")
         if on_state is not None:
-            rest = [None] * (n + 1) + [minus(F[k], [(a, k - a) for a in range(k + 1)])
-                                       for k in range(n + 1, target_k)]
+            rest = [None] * (n + 1) + [defect(k) for k in range(n + 1, target_k)]
             on_state(HenselState(n, *factors(), back(_poly(ring, rest, d, target_k))))
     return (*factors(), target_k)
 
@@ -288,9 +311,10 @@ def _minus_sum(acc, G, H, pairs, twists, d):
         x, y = G[a], H[b]
         if x and y:
             w = twists[b][0]
-            s = x[2] + y[2] + (w[2] if w else 0)
+            s = x[2] + y[2] + w[2] if w else x[2] + y[2]
             terms.append((x, y, w, twists[a][2], s))
-            e, n = min(e, s), max(n, len(x[0]) + len(y[0]) - 1)
+            k = len(x[0]) + len(y[0]) - 1
+            e, n = s if s < e else e, k if k > n else n
     if not terms:
         return acc
     n = min(n, d)
@@ -305,13 +329,23 @@ def _minus_sum(acc, G, H, pairs, twists, d):
         yi = [-v for v in yi] if conj else yi
         for i, (u, v) in enumerate(zip(xr, xi)):
             if u or v:
-                if w:
+                if w and i:
                     u, v = u * w[0][i] - v * w[1][i], u * w[1][i] + v * w[0][i]
-                u, v = u << s, v << s
+                # w_0 = alpha^0 = 1 is 2^-w[2] at its row's exponent: a shift
+                t = s - w[2] if w and not i else s
+                u, v = u << t, v << t
                 for j in range(min(len(yr), d - i)):
                     re[i + j] -= u * yr[j] - v * yi[j]
                     im[i + j] -= u * yi[j] + v * yr[j]
     return re, im, e
+
+
+def _axpy(x, c, y):
+    """x + c y, exactly, for exact rows x (None: zero) and y and an exact
+    constant c (a row of one entry)."""
+    ((cr,), (ci,), ce), (yr, yi, ey) = c, y
+    return _fixed_add(x, ([cr * u - ci * v for u, v in zip(yr, yi)],
+                          [cr * v + ci * u for u, v in zip(yr, yi)], ce + ey))
 
 
 def _minus_product(x, y):
@@ -387,13 +421,30 @@ def _divmod(a, g, tol=None):
 def _collapse(rr, ri, e, tol, a, g):
     """Pop the top entries c = (u + iv) 2^e of a remainder while |c| < tol
     max(1, |a|, |g|), as in residue._divmod, but exactly: in squares, while
-    u^2 + v^2 < max ceil(|x|^2 tol^2 4^-e) over x in 1, a, g."""
-    k = scalar.pow2_exp(tol) - e
-    sq = [(max((u * u + v * v for u, v in zip(*x[:2])), default=0), k + x[2])
-          for x in (([1], [0], 0), a, g)]
-    top = max(n << 2 * j if j >= 0 else -(-n >> -2 * j) for n, j in sq)
-    while rr and rr[-1] ** 2 + ri[-1] ** 2 < top:
+    u^2 + v^2 < max ceil(|x|^2 tol^2 4^-e) over x in 1, a, g.  Bit lengths
+    decide first: a top entry that _stays stays, and one below tol pops."""
+    if rr and _stays((rr, ri, e), tol, _top(a), g):
+        return
+    k, top = scalar.pow2_exp(tol) - e, None
+    while rr:
+        if max(abs(rr[-1]), abs(ri[-1])).bit_length() >= k:
+            if top is None:
+                top = max(n << 2 * j if j >= 0 else -(-n >> -2 * j) for n, j in (
+                    (max((u * u + v * v for u, v in zip(*x[:2])), default=0), k + x[2])
+                    for x in (([1], [0], 0), a, g)))
+            if rr[-1] ** 2 + ri[-1] ** 2 >= top:
+                return
         rr.pop(), ri.pop()
+
+
+def _stays(x, tol, top, g) -> bool:
+    """Whether _collapse at tol keeps the top entry c of the exact row x
+    against g and a row a whose parts lie below 2^top, from bit lengths
+    alone: when c's larger part lies in [2^(C-1), 2^C) with C > log2 tol +
+    max(1, top, top g) + 1, |c|^2 >= 4^(C-1) is above every ceil it is
+    compared with, each at most 2 4^(C-2)."""
+    c = max(abs(x[0][-1]), abs(x[1][-1])).bit_length()
+    return c > 0 and c + x[2] > scalar.pow2_exp(tol) + max(1, top, _top(g)) + 1
 
 
 def _mulmod(x, y, g, tol=None):

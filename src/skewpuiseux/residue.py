@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import reduce
 from math import prod
 
 from mpmath import mp
@@ -263,12 +262,16 @@ def _residual(p: ResiduePoly, pairs):
     return abs(scalar.from_fixed_point(vr, vi, e + ez * n))
 
 
-def _sweep(ev, zs):
-    """One Durand-Kerner sweep over the complex zs in place; returns the
+def _sweep(cs, zs):
+    """One Durand-Kerner sweep over the complex zs in place, the value at
+    each point by Horner's rule on cs (highest degree first); returns the
     largest step.  A zero denominator raises ZeroDivisionError."""
-    maxstep = 0
+    maxstep, top, rest = 0, cs[0], cs[1:]
     for k, z in enumerate(zs):
-        step = ev(z) / prod(z - w for j, w in enumerate(zs) if j != k)
+        v = top
+        for c in rest:
+            v = v * z + c
+        step = v / prod(z - w for j, w in enumerate(zs) if j != k)
         zs[k] = z - step
         maxstep = max(maxstep, abs(step))
     return maxstep
@@ -284,7 +287,7 @@ def _double_seeds(coeffs):
     zs, prev = [complex(0.4, 0.9) ** (k + 1) for k in range(len(cs) - 1)], INF
     try:
         for _ in range(64):
-            step = _sweep(lambda w: reduce(lambda acc, c: acc * w + c, cs), zs)
+            step = _sweep(cs, zs)
             if step < 2.0 ** -40 or prev / 2 < step < 2.0 ** -17:
                 break
             prev = step

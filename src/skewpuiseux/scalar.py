@@ -38,8 +38,9 @@ dust_tol(), from P = MIN_BITS on.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
+from operator import or_
 
 import mpmath
 from mpmath import mp
@@ -178,9 +179,10 @@ def _normal(parts: list, n: int, e: int):
     """The row whose re parts are parts[:n] and im parts parts[n:], at
     exponent e, in fixed_point's form (e the least exponent of a nonzero
     part); None when every part is zero."""
-    z = min([(m & -m).bit_length() - 1 for m in parts if m], default=None)
-    if z is None:
+    z = reduce(or_, parts, 0)  # its lowest set bit is the parts' least
+    if not z:
         return None
+    z = (z & -z).bit_length() - 1
     return [m >> z for m in parts[:n]], [m >> z for m in parts[n:]], e + z
 
 
@@ -247,10 +249,10 @@ def _fixed_add(x, y):
     """x + y for exact rows (re, im, e), at the lesser exponent."""
     if not (x and y):
         return x or y
-    x, y = (x, y) if x[2] <= y[2] else (y, x)
-    s = y[2] - x[2]
-    return tuple([u + (v << s) for u, v in zip_longest(x[i], y[i], fillvalue=0)]
-                 for i in (0, 1)) + (x[2],)
+    (xr, xi, e), (yr, yi, s) = (x, y) if x[2] <= y[2] else (y, x)
+    s -= e
+    return ([u + (v << s) for u, v in zip_longest(xr, yr, fillvalue=0)],
+            [u + (v << s) for u, v in zip_longest(xi, yi, fillvalue=0)], e)
 
 
 def mag_exp(c):

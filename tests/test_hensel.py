@@ -14,7 +14,8 @@ from skewpuiseux.errors import (PrecisionExhausted, SkewError, TwistCoprimeFailu
 from skewpuiseux.hensel import _divmod_monic, _fixed, _rounded, _solve_step
 from skewpuiseux.scalar import INF, _fixed_add, _fixed_twist, carry_row as _to_prec
 
-from conftest import rand_coeff, rng
+import hensel_reference as reference
+from conftest import rand_coeff, rand_series, rng
 from props import check_hensel_invariant, random_liftable
 
 PS = PuiseuxSeries
@@ -323,8 +324,8 @@ def test_reciprocal_is_the_euclid_newton_inverse_bit_for_bit(prec):
             elif i % 10 == 2:
                 c = 0
             r = ([a], [c], rnd.randint(-400, 100))
-            b = hensel_mod._inverse(1, gres, g, r, True)
-            assert b == hensel_mod._inverse(1, gres, g, r, False)
+            b = hensel_mod._reciprocal(r)
+            assert b == hensel_mod._inverse(1, gres, g, r)
             # each part the exact one, rounded to nearest GUARD_BITS above P
             norm, e = a * a + c * c, r[2]
             for part, num in zip(b[:2], (a, -c)):
@@ -754,28 +755,6 @@ def test_a_wrong_correction_leaves_the_defect_order(monkeypatch):
 # -- one exact sum per defect slice, and evaluation at c ------------------------------
 
 
-def _per_pair_product(x, y, w=None, conj=False, d=INF):
-    """-(x * y), entries below t^d, w twisting x and conj conjugating y: one
-    term of the defect as hensel_lift once formed it, pair by pair."""
-    (xr, xi, ex), (yr, yi, ey) = _fixed_twist(x, w), y
-    yi = [-v for v in yi] if conj else yi
-    d = min(d, len(xr) + len(yr) - 1)
-    re, im = [0] * d, [0] * d
-    for i, (u, v) in enumerate(zip(xr, xi)):
-        for j in range(min(len(yr), d - i)) if u or v else ():
-            re[i + j] -= u * yr[j] - v * yi[j]
-            im[i + j] -= u * yi[j] + v * yr[j]
-    return re, im, ex + ey
-
-
-def _per_pair_minus(acc, G, H, pairs, twists, d):
-    """The reference for _minus_sum: one product and one addition per pair."""
-    for a, b in pairs:
-        if G[a] and H[b]:
-            acc = _fixed_add(acc, _per_pair_product(G[a], H[b], twists[b][0], twists[a][2], d))
-    return acc
-
-
 @pytest.mark.parametrize("prec", [128, 256])
 def test_one_sum_per_slice_is_the_per_pair_sum_bit_for_bit(prec):
     """_minus_sum equals the per-pair sum, value and length, over random
@@ -812,7 +791,7 @@ def test_one_sum_per_slice_is_the_per_pair_sum_bit_for_bit(prec):
                                            (None, [(a, n - a) for a in range(n + 1)]),
                                            (row(d), {(n, 0), (0, n)})):
                             got = hensel_mod._minus_sum(acc, G, H, pairs, twists, d)
-                            want = _per_pair_minus(acc, G, H, pairs, twists, d)
+                            want = reference.per_pair_minus(acc, G, H, pairs, twists, d)
                             assert _row_values(got) == _row_values(want)
                             live = [G[a][2] + H[b][2] for a, b in pairs if G[a] and H[b]]
                             skipped += len(live) < len(pairs)
@@ -825,6 +804,113 @@ def _exact_factors(lift):
     gh, hh, k = lift
     return k, [(c.trunc, {e: getattr(v, "_mpc_", v) for e, v in c.terms.items()})
                for p in (gh, hh) for c in p.coeffs]
+
+
+def _exact_poly(p):
+    return [(c.trunc, {e: getattr(v, "_mpc_", v) for e, v in c.terms.items()}) for c in p.coeffs]
+
+
+def _lift_outcome(lift, f, g, h, k, watch):
+    """A lift's factors and, when watched, its states, every coefficient bit
+    for bit; or its error's type, message, n and witness."""
+    states = []
+    try:
+        out = lift(f, g, h, k, on_state=states.append if watch else None)
+    except SkewError as e:
+        w = getattr(e, "witness", None)
+        return type(e), str(e), getattr(e, "n", None), w and [c._mpc_ for c in w.coeffs]
+    return _exact_factors(out), [(st.n, *map(_exact_poly, (st.g_cur, st.h_cur, st.defect)))
+                                 for st in states]
+
+
+def _reference_cases(rnd):
+    """(f, g, h, target_k) over m in {1, 2, 3}, alpha 2, 3/2, 1/2 and 1 at L
+    1 and 2, a derived ring (a != 0) and C[[x, rho]]: f a product of monic
+    factors with higher slices plus a tail, and g, h its residue factors
+    or those factors cut below x^2.  At alpha 1 every other pair of
+    factors is exact (f = g h), where the corrections of g vanish."""
+    rings = [puiseux_ring(alpha, L) for alpha in (Fraction(2), Fraction(3, 2), Fraction(1, 2), 1)
+             for L in (1, 2)]
+    rings += [puiseux_ring(Fraction(3, 2)).with_a(PS(1, {0: mp.mpc("0.25", "0.5"), 1: 1})),
+              ConjSeriesRing()]
+    for ring in rings:
+        L = getattr(ring, "L", 1)
+        for m in (1, 2, 3):
+            dh = rnd.randint(1, 2)
+
+            def factor(deg):
+                res = ResiduePoly.from_roots([(rand_coeff(rnd), 1) for _ in range(deg)]).coeffs
+                return SkewPoly(ring, [ring.from_scalar(c) + rand_series(rnd, L, 1, 3, 2)
+                                       for c in res[:-1]] + [ring.one()])
+
+            gt, ht = factor(m), factor(dh)
+            f = gt * ht
+            if not (ring == puiseux_ring(1, L) and m % 2):
+                f = f + SkewPoly(ring, [rand_series(rnd, L, 1, 4, 2) for _ in range(m + dh)])
+            cut = [SkewPoly(ring, [PS(L, {e: v for e, v in c.terms.items() if e < 2 * L})
+                                   for c in p.coeffs]) for p in (gt, ht)]
+            res = [SkewPoly(ring, [ring.from_scalar(c) for c in p.reduce_residue().coeffs])
+                   for p in (gt, ht)]
+            for g, h in (res, cut):
+                yield f, g, h, 8 * L
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_lift_is_the_per_pair_reference_bit_for_bit(prec):
+    """hensel_lift and the lift it replaced (hensel_reference), which sums
+    every defect slice pair by pair and solves each step by division, give
+    the same factors, states and errors, bit for bit, with and without
+    on_state, over the reference cases (_reference_cases) and inputs that
+    fail: a twist that meets at n = 1, a truncated f and a residue
+    mismatch."""
+    rnd = rng(prec + 41)
+    with bits(prec):
+        cases = list(_reference_cases(rnd))
+        R1, R2 = puiseux_ring(1), puiseux_ring(2)
+        f, g = _example1(1)
+        cases += [(f, g, g, 8),
+                  (parse_poly("t^2 - (2+x)*t + (1+2*x+O(x^4))", R2), parse_poly("t - 1", R2),
+                   parse_poly("t - 1", R2), 10),
+                  (parse_poly("t^2 - 2*t + 1", R2), parse_poly("t - 1", R2),
+                   parse_poly("t - 3", R2), 4),
+                  (parse_poly("t^2 + (1+x)", ConjSeriesRing()), parse_poly("t + i", ConjSeriesRing()),
+                   parse_poly("t - i", ConjSeriesRing()), 8),
+                  (parse_poly("t^2 - (4+x+x^3)*t + (3+2*x)", R1), parse_poly("t - 1", R1),
+                   parse_poly("t - 3", R1), 12)]
+        kinds = set()
+        for f, g, h, k in cases:
+            for watch in (False, True):
+                ours = _lift_outcome(hensel_lift, f, g, h, k, watch)
+                assert ours == _lift_outcome(reference.hensel_lift, f, g, h, k, watch)
+                kinds.add(ours[0] if isinstance(ours[0], type) else "lifted")
+        assert {"lifted", TwistCoprimeFailure, PrecisionExhausted, UsageError} <= kinds
+
+
+def test_a_wrong_inverse_errs_as_the_reference_does(monkeypatch):
+    # a doubled reciprocal (alpha 2) and a doubled Euclid inverse, whose
+    # Newton step cancels to b = None (alpha 1), leave f_n mod res g in the
+    # step: both lifts stop with the same correction overflow
+    ext_gcd_, reciprocal = hensel_mod.residue_mod.ext_gcd, hensel_mod._reciprocal
+
+    def doubled(p, q, tol=None):
+        g, a, b = ext_gcd_(p, q, tol)
+        return g, a, b * 2
+
+    def doubled_reciprocal(r):
+        re, im, e = reciprocal(r)
+        return re, im, e + 1
+
+    monkeypatch.setattr(hensel_mod.residue_mod, "ext_gcd", doubled)
+    for mod in (hensel_mod, reference):
+        monkeypatch.setattr(mod, "_reciprocal", doubled_reciprocal)
+    for alpha in (2, 1):
+        R = puiseux_ring(alpha)
+        f = parse_poly("t^2 - (4+x+x^3)*t + (3+2*x)", R)
+        ours = _lift_outcome(hensel_lift, f, parse_poly("t - 1", R), parse_poly("t - 3", R), 6,
+                             False)
+        assert ours[0] is PrecisionExhausted and "correction degree overflow (" in ours[1]
+        assert ours == _lift_outcome(reference.hensel_lift, f, parse_poly("t - 1", R),
+                                     parse_poly("t - 3", R), 6, False)
 
 
 def test_a_lift_reads_alike_with_and_without_on_state():
@@ -843,10 +929,13 @@ def test_a_lift_reads_alike_with_and_without_on_state():
         assert _exact_factors(watched) == _exact_factors(hensel_lift(f, g, h, k))
 
 
-def _routes(monkeypatch, n, gres, g, kn, fn, inverses, scale):
-    """_solve_step at a linear res g through the evaluation at c and through
-    _divmod_monic: each route's exact (p, q, b), or its error's type,
-    message, n and witness.  Each route gets its own copy of the memo."""
+def _routes(monkeypatch, n, gres, g, kn, fn, b, scale):
+    """A step at a linear res g through the one pass (_solve_step) and
+    through the division of the reference (hensel_reference.solve_step)
+    by _divmod_monic: each route's exact (p, q, b), or its error's type,
+    message, n and witness.  b is the memoized inverse of kn, "none" for no
+    memo (a twisted step) and "empty" for an empty one; each route holds
+    it in its own memo form."""
     out, evaluations = [], []
     linear = hensel_mod._divmod_linear
 
@@ -854,33 +943,39 @@ def _routes(monkeypatch, n, gres, g, kn, fn, inverses, scale):
         evaluations.append(1)
         return linear(*args)
 
-    for route in (counting, hensel_mod._divmod_monic):
-        monkeypatch.setattr(hensel_mod, "_divmod_linear", route)
-        memo = None if inverses is None else dict(inverses)
+    key = (tuple(kn[0]), tuple(kn[1]), kn[2])
+    for solve, memo in ((_solve_step, {key: (b, linear(kn, g))}), (reference.solve_step, {key: b})):
+        monkeypatch.setattr(hensel_mod, "_divmod_linear", counting)
+        if solve is reference.solve_step:
+            monkeypatch.setattr(hensel_mod, "_divmod", _divmod_monic)
+        memo = {"none": None, "empty": {}}.get(b, memo) if isinstance(b, str) else memo
         try:
-            out.append(_solve_step(n, gres, g, kn, fn, memo, scale))
+            out.append(solve(n, gres, g, kn, fn, memo, scale))
         except SkewError as e:
             w = getattr(e, "witness", None)
             out.append((type(e), str(e), getattr(e, "n", None),
                         w and [c._mpc_ for c in w.coeffs]))
-    monkeypatch.setattr(hensel_mod, "_divmod_linear", linear)
-    assert evaluations
+        monkeypatch.undo()
+        if solve is _solve_step:
+            assert evaluations
+            del evaluations[:]
+    assert not evaluations  # the reference divides by _divmod_monic alone
     return out
 
 
 @pytest.mark.parametrize("prec", [128, 256])
 def test_a_linear_residue_step_evaluates_at_c_bit_for_bit(prec, monkeypatch):
-    """At deg res g = 1 the evaluation at c gives p, q and b as
-    _divmod_monic does, bit for bit, on both routes of b: the m = 1 step
-    cases, and exact rows on both sides of each collapse and of the
-    remainder check."""
+    """At deg res g = 1 the one pass gives p, q and b as the reference's
+    division by _divmod_monic does, bit for bit, on both routes of b: the
+    m = 1 step cases, and exact rows on both sides of each collapse and of
+    the remainder check."""
     with bits(prec):
         count = 0
         for m, _, gres, steps in _step_cases(prec):
             if m == 1:
                 g = _fixed(gres.coeffs[:-1])
                 for n, kn, fn in steps:
-                    for memo in (None, {}):
+                    for memo in ("none", "empty"):
                         ours, theirs = _routes(monkeypatch, n, gres, g, _fixed(kn.coeffs),
                                                _fixed(fn.coeffs), memo, INF)
                         assert ours == theirs
@@ -902,36 +997,46 @@ def test_a_linear_residue_step_evaluates_at_c_bit_for_bit(prec, monkeypatch):
         outcomes = {}
         # k_n(c) = 2^j collapses below zero_eps() (max(1, |k_n|, |g|) = 1)
         for j in (z - 1, z, z + 1):
-            for memo in (None, {}):
+            for memo in ("none", "empty"):
                 ours, theirs = _routes(monkeypatch, 3, gres, g, at_c_is(j), one, memo, INF)
                 assert ours == theirs
-                outcomes[j, memo is None] = ours[0] is TwistCoprimeFailure
-        assert outcomes == {(z - 1, True): True, (z - 1, False): True, (z, True): False,
-                            (z, False): False, (z + 1, True): False, (z + 1, False): False}
+                outcomes[j, memo] = ours[0] is TwistCoprimeFailure
+        assert outcomes == {(z - 1, "none"): True, (z - 1, "empty"): True, (z, "none"): False,
+                            (z, "empty"): False, (z + 1, "none"): False, (z + 1, "empty"): False}
         # b = 1 and f_n(c) = 2^j: b f_n(c) collapses below floor_tol(24), p = None
         for j in (fl - 1, fl, fl + 1):
-            for memo in (None, {}):
+            for memo in ("none", "empty"):
                 ours, theirs = _routes(monkeypatch, 2, gres, g, one, at_c_is(j), memo, INF)
                 assert ours == theirs
                 assert (ours[0] is None) == (j == fl - 1) and ours[2] == ([1], [0], 0)
         # a memoized b = 1 + 2^j leaves f_n(c) - p k_n(c) = -2^j: the
         # correction overflows from 2^(max(0, top f_n - 1) + dust) up
-        key = (tuple(one[0]), tuple(one[1]), one[2])
         for j in (dust - 1, dust):
-            ours, theirs = _routes(monkeypatch, 2, gres, g, one, one,
-                                   {key: ([1 << -j | 1], [0], j)}, 0)
+            ours, theirs = _routes(monkeypatch, 2, gres, g, one, one, ([1 << -j | 1], [0], j), 0)
             assert ours == theirs
             assert (ours[0] is PrecisionExhausted) == (j == dust)
             if j == dust:
                 assert "correction degree overflow" in ours[1]
+        # a memoized inverse whose Newton step cancelled to zero: b is None,
+        # so p is too, and f_n(c) = 2^j overflows from the same bound
+        for j in (dust - 1, dust):
+            ours, theirs = _routes(monkeypatch, 2, gres, g, one, at_c_is(j), None, 0)
+            assert ours == theirs
+            assert (ours[0] is PrecisionExhausted) == (j == dust)
+            if j == dust:
+                assert ours[1] == ("hensel correction degree overflow "
+                                   f"({scalar.max_abs([mp.ldexp(1, dust)])})")
+            else:
+                assert ours[0] is None and ours[2] is None
 
 
 def test_a_step_makes_a_fixed_number_of_row_products(monkeypatch):
     # the defect slice D_n once took n - 1 products, one per pair; now step
-    # n forms three sums (the pairs that do not change, D_n and the check)
-    # and, at a linear res g, two row products, whatever n is
+    # n forms two sums (D_n, and D_n less its corrections' products) and,
+    # at a linear res g, three products of a row by a constant (p, q and
+    # the remainder), whatever n is
     calls, now = {}, [0]
-    for name in ("_minus_product", "_minus_sum"):
+    for name in ("_minus_product", "_minus_sum", "_axpy"):
         def counting(*args, _real=getattr(hensel_mod, name, None)):
             calls[now[0]] = calls.get(now[0], 0) + 1
             return _real(*args)
@@ -948,6 +1053,6 @@ def test_a_step_makes_a_fixed_number_of_row_products(monkeypatch):
     f = parse_poly("t^2 - (4+x+x^2-x^3+2*x^5)*t + (3+2*x-x^2+x^4)", R)
     hensel_lift(f, parse_poly("t - 1", R), parse_poly("t - 3", R), 30)
     assert sorted(calls) == list(range(30))  # every step solved
-    # between _solve_step(n) and _solve_step(n + 1): the step's two
-    # products, its check, and the two sums of step n + 1
+    # between _solve_step(n) and _solve_step(n + 1): the step's three
+    # products, its check, and the defect of step n + 1
     assert {calls[n] for n in range(1, 29)} == {5}

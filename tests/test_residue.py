@@ -809,3 +809,52 @@ def test_periodic_twist_check_passes_a_constant_residue():
     twist = lambda p, n: p.conj_coeffs()
     assert twist_coprime_periodic(ResiduePoly([2]), ResiduePoly([1, 1]), twist, 2) is None
     assert twist_coprime_periodic(ResiduePoly([1, 1]), ResiduePoly([3]), twist, 2) is None
+
+
+def _sweep_by_reduce(cs, zs):
+    """The Durand-Kerner sweep as it evaluated each point, through
+    functools.reduce over a lambda: the reference for residue._sweep."""
+    from functools import reduce
+    from math import prod
+    ev = lambda w: reduce(lambda acc, c: acc * w + c, cs)  # noqa: E731
+    maxstep = 0
+    for k, z in enumerate(zs):
+        step = ev(z) / prod(z - w for j, w in enumerate(zs) if j != k)
+        zs[k] = z - step
+        maxstep = max(maxstep, abs(step))
+    return maxstep
+
+
+def test_double_sweep_is_the_reduce_sweep_bit_for_bit(monkeypatch):
+    """residue._sweep's Horner loop keeps the floating-point operations of
+    the reduce form, so each sweep, and _double_seeds, give the same doubles
+    on seeded polynomials of degree 1 to 8: simple, clustered and repeated
+    roots, roots of very different sizes, and a zero denominator."""
+    rnd = rng(83)
+    polys = []
+    for d in range(1, 9):
+        for _ in range(6):
+            rts = [complex(rnd.uniform(-3, 3), rnd.uniform(-3, 3)) * 10 ** rnd.randint(-3, 3)
+                   for _ in range(d)]
+            if d > 1 and rnd.random() < 0.3:
+                rts[1] = rts[0] + complex(rnd.uniform(-1, 1), rnd.uniform(-1, 1)) * 1e-9
+            polys.append(_poly([mp.mpc(r) for r in rts]).coeffs)
+    polys.append(ResiduePoly([mp.mpc(1), mp.mpc(-2), mp.mpc(1)]).coeffs)  # (t - 1)^2
+    sweeps = 0
+    for coeffs in polys:
+        cs = [complex(c) for c in reversed(coeffs)]
+        ours = [complex(0.4, 0.9) ** (k + 1) for k in range(len(cs) - 1)]
+        theirs = list(ours)
+        for _ in range(5):
+            assert residue_mod._sweep(cs, ours) == _sweep_by_reduce(cs, theirs)
+            assert ours == theirs
+            sweeps += 1
+        seeds = residue_mod._double_seeds(coeffs)
+        monkeypatch.setattr(residue_mod, "_sweep", _sweep_by_reduce)
+        assert residue_mod._double_seeds(coeffs) == seeds
+        monkeypatch.undo()
+    assert sweeps == 5 * len(polys)
+    # two equal points make a zero denominator in both forms
+    for sweep in (residue_mod._sweep, _sweep_by_reduce):
+        with pytest.raises(ZeroDivisionError):
+            sweep([1, 0, -1], [0.5, 0.5])
