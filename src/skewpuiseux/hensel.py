@@ -37,33 +37,32 @@ linear, twisted lift or not, the step is one pass on exact integers:
 Horner's rule at c, once per row (_divmod_linear), gives k_n(c) and f_n(c)
 and their synthetic quotients; p_n = b f_n(c), and, p_n being a constant,
 q_n = quo(f_n) - p_n quo(k_n) with the remainder f_n(c) - p_n k_n(c).  The
-collapses and the remainder check are those of the division this replaces
-(_divmod_monic, which serves deg res g >= 2), decided from bit lengths
-where those settle them (_stays).  1/w, b, p_n and q_n are rounded once
-each, scalar.GUARD_BITS above the working precision, b, p_n and q_n on
-their mantissas (scalar.carry_row), and 1/w with w once per alpha, L and
+collapses are those of the division this replaces (_divmod_monic, which
+serves deg res g >= 2), and they and every size test take the one noise
+rule (scalar._below).  1/w, b, p_n and q_n are rounded once each,
+scalar.GUARD_BITS above the working precision, b, p_n and q_n on their
+mantissas (scalar.carry_row), and 1/w with w once per alpha, L and
 precision, in the memo of alpha's powers (Alpha.power_row): the lift
 carries a step's error into every later order, where it grows.  b =
 k_n^(-1) mod res g is read off r = k_n mod res g, collapsed at zero_eps().
-A twisted lift (some slice twist w is not None: alpha != 1) meets a new
-k_n at every step, so it memoizes nothing; with res g = t - c, r = k_n(c)
-is an exact constant and b its reciprocal, two integer divisions and one
-rounding (_reciprocal), with no ext_gcd.  Otherwise b is ext_gcd on r
-rounded, then one exact Newton step (_inverse), memoized per k_n with, at
-a linear res g, k_n's pass at c: an untwisted lift meets one k_n (two in
-C[[x, rho]]), so it runs Euclid once per lift, at a linear res g too while
-the benchmark counts the lift's steps as its ext_gcd calls.  At a linear
-res g both routes give the same b, bit for bit, unless the exact
-reciprocal lies within about 2^-2P, relatively, of a rounding point.  p_n
-collapses at floor_tol(24) as divmod does.  Sizes are read off bit
-lengths.  D_0 = res f - res g res h is the residue check, exact: from
-dust_tol() up the inputs are no residue factorization (UsageError), and
-from zero_eps() up they break the order-0 invariant.  A D_n below
-zero_eps() is skipped; with 2^scale <= max(1, |c|) over the c met so far,
-D_n formed again must lie below max(zero_eps(), 2^scale floor_tol(24)),
-and q_n's remainder is dust below 2^scale dust_tol().  A broken
-invariant, a D_n that stays and a remainder above its dust are precision
-failures (PrecisionExhausted).
+A twisted lift (some slice twist w is not None: alpha != 1) meets a new k_n
+at every step, so it memoizes nothing; with res g = t - c, r = k_n(c) is an
+exact constant and b its reciprocal, two integer divisions and one rounding
+(_reciprocal), with no ext_gcd.  Otherwise b is ext_gcd on r rounded, then
+one exact Newton step (_inverse), memoized per k_n with, at a linear res g,
+k_n's pass at c: an untwisted lift meets one k_n (two in C[[x, rho]]), so
+it runs Euclid once per lift, at a linear res g too while the benchmark
+counts the lift's steps as its ext_gcd calls.  At a linear res g both
+routes give the same b, bit for bit, unless the exact reciprocal lies
+within about 2^-2P, relatively, of a rounding point.  p_n collapses at
+floor_tol(24) as divmod does.  D_0 = res f - res g res h is the residue
+check, exact: from dust_tol() up the inputs are no residue factorization
+(UsageError), and from zero_eps() up they break the order-0 invariant.  A
+D_n below zero_eps() is skipped; with 2^scale <= max(1, |c|) over the c met
+so far, D_n formed again must lie below max(zero_eps(), 2^scale
+floor_tol(24)), and q_n's remainder is dust below 2^scale dust_tol().  A
+broken invariant, a D_n that stays and a remainder above its dust are
+precision failures (PrecisionExhausted).
 
 Derived rings.  delta_a = a(sigma - id) is inner, so s = t + a obeys
 s u = sigma(u) s: shift_iso(., a) carries f, g, h to F[t, sigma], where the
@@ -76,6 +75,7 @@ is reported in t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 from mpmath import mp
 
@@ -84,9 +84,12 @@ from . import scalar
 from .errors import PrecisionExhausted, TwistCoprimeFailure, UsageError
 from .puiseux import _Fixed, _trunc_k
 from .residue import ResiduePoly
-from .scalar import INF, _fixed_add, _fixed_twist, carry_row
+from .scalar import INF, _below, _fixed_add, _fixed_twist, _top, carry_row
 from .skewpoly import PuiseuxRing, SkewPoly
 from .structure import shift_iso
+
+
+_ONE = ([1], [0], 0)  # the exact row of the constant 1
 
 
 @dataclass
@@ -108,9 +111,10 @@ def _solve_step(n: int, gres, g, kn, fn, inverses, scale):
     kn's pass at c; when it is None b is Euclid's, or 1/kn(c) at a linear
     gres (_reciprocal).  At a linear gres = t - c the step is one pass:
     Horner's rule at c, once per row (_divmod_linear), gives kn(c), fn(c)
-    and their synthetic quotients, p = b fn(c), and by linearity q =
-    quo(fn) - p quo(kn) with the remainder fn(c) - p kn(c).  Otherwise p =
-    b fn mod gres and q is the quotient of fn - p kn (_divmod_monic)."""
+    and their synthetic quotients, p = b fn(c), collapsed as b fn mod gres
+    is, and by linearity q = quo(fn) - p quo(kn) with the remainder fn(c) -
+    p kn(c).  Otherwise p = b fn mod gres (_mulmod) and q is the quotient
+    of fn - p kn (_divmod_monic)."""
     m, tol, tf = gres.degree, scalar.floor_tol(24), _top(fn)
     if inverses is not None:
         key = (tuple(kn[0]), tuple(kn[1]), kn[2])
@@ -119,7 +123,7 @@ def _solve_step(n: int, gres, g, kn, fn, inverses, scale):
         b, kdiv = inverses[key]
     elif m == 1:
         # kn(c), collapsed at zero_eps() as kn mod gres is in _inverse
-        kdiv = _divmod_linear(kn, g, scalar.zero_eps())
+        kdiv = _divmod(kn, g, scalar.zero_eps())
         if not kdiv[1][0]:
             raise TwistCoprimeFailure(n, gres.monic())
         b = _reciprocal(kdiv[1])
@@ -130,11 +134,12 @@ def _solve_step(n: int, gres, g, kn, fn, inverses, scale):
         q, r = _divmod_monic(_fixed_add(fn, p and _minus_product(p, kn)), g)
     else:
         (kq, kc), (q, r) = kdiv, _divmod_linear(fn, g)
-        # p = b fn(c), collapsed as b fn mod gres is in _mulmod; |b fn| lies
-        # below 2^(top b + top fn + 1), which mostly decides it
+        # p = b fn(c), collapsed as b fn mod gres is in _mulmod: |p| < tol
+        # max(1, |b fn|, |g|), where |p| < tol |b fn| is |fn(c)| < tol |fn|
         p = b and _axpy(None, b, r)
-        if p and len(fn[0]) > 1 and not _stays(p, tol, _top(b) + tf + 1, g):
-            _collapse(*p, tol, _axpy(None, b, fn), g)
+        if p and len(fn[0]) > 1 and (next(_below(*p, tol, [_ONE, g]))
+                                     or next(_below(*r, tol, [fn]))):
+            p = None
         p = carry_row(p)
         if p:
             minus_p = ([-p[0][0]], [-p[1][0]], p[2])
@@ -360,22 +365,16 @@ def _minus_product(x, y):
     return re, im, ex + ey
 
 
-def _top(x):
-    """The least T with |Re c|, |Im c| < 2^T over an exact row's entries c."""
-    b = max(map(abs, x[0] + x[1]), default=0).bit_length() if x else 0
-    return b + x[2] if b else -INF
-
-
 def _small(x, t) -> bool:
-    """|c| < 2^t for every entry c of an exact row (scalar.first_at_least)."""
-    return not x or scalar.first_at_least(*x, t) is None
+    """|c| < 2^t for every entry c of an exact row (scalar.first_at_least),
+    t = INF included."""
+    return not x or t == INF or scalar.first_at_least(*x, t) is None
 
 
-def _divmod_monic(a, g, tol=None):
+def _divmod_monic(a, g):
     """(quo, rem), exact rows with a = quo (t^m + g) + rem, deg rem < m, for
     exact rows a and g: each step lowers the exponent by g's, so nothing
-    rounds.  With tol, if a step ran, rem's top coefficients collapse
-    (_collapse)."""
+    rounds."""
     (rr, ri, e), (gr, gi, eg) = (list(a[0]), list(a[1]), a[2]), g
     m, s = len(gr), max(0, -eg)
     gr, gi = [v << (eg + s) for v in gr], [v << (eg + s) for v in gi]
@@ -388,12 +387,10 @@ def _divmod_monic(a, g, tol=None):
         for j in range(m):
             rr[k + j] -= cr * gr[j] - ci * gi[j]
             ri[k + j] -= cr * gi[j] + ci * gr[j]
-    if tol is not None and len(a[0]) > m:
-        _collapse(rr, ri, e, tol, a, g)
     return (qr[::-1], qi[::-1], e), (rr, ri, e)
 
 
-def _divmod_linear(a, g, tol=None):
+def _divmod_linear(a, g):
     """_divmod_monic for a linear t + g_0: Horner's rule at c = -g_0, whose
     partial sums are the quotient (synthetic division), on exact integers."""
     (ar, ai, e), ((gr,), (gi,), eg) = a, g
@@ -407,48 +404,22 @@ def _divmod_linear(a, g, tol=None):
         qr.append(ur << s * j), qi.append(ui << s * j)
         ur, ui = (ur * cr - ui * ci + (ar[j] << s * (k - j)),
                   ur * ci + ui * cr + (ai[j] << s * (k - j)))
-    rr, ri, e = [ur], [ui], e - s * k
-    if tol is not None:
-        _collapse(rr, ri, e, tol, a, g)
-    return (qr[::-1], qi[::-1], e + s), (rr, ri, e)
+    return (qr[::-1], qi[::-1], e - s * (k - 1)), ([ur], [ui], e - s * k)
 
 
 def _divmod(a, g, tol=None):
-    """_divmod_linear when t^m + g is linear, else _divmod_monic."""
-    return (_divmod_linear if len(g[0]) == 1 else _divmod_monic)(a, g, tol)
-
-
-def _collapse(rr, ri, e, tol, a, g):
-    """Pop the top entries c = (u + iv) 2^e of a remainder while |c| < tol
-    max(1, |a|, |g|), as in residue._divmod, but exactly: in squares, while
-    u^2 + v^2 < max ceil(|x|^2 tol^2 4^-e) over x in 1, a, g.  Bit lengths
-    decide first: a top entry that _stays stays, and one below tol pops."""
-    if rr and _stays((rr, ri, e), tol, _top(a), g):
-        return
-    k, top = scalar.pow2_exp(tol) - e, None
-    while rr:
-        if max(abs(rr[-1]), abs(ri[-1])).bit_length() >= k:
-            if top is None:
-                top = max(n << 2 * j if j >= 0 else -(-n >> -2 * j) for n, j in (
-                    (max((u * u + v * v for u, v in zip(*x[:2])), default=0), k + x[2])
-                    for x in (([1], [0], 0), a, g)))
-            if rr[-1] ** 2 + ri[-1] ** 2 >= top:
-                return
-        rr.pop(), ri.pop()
-
-
-def _stays(x, tol, top, g) -> bool:
-    """Whether _collapse at tol keeps the top entry c of the exact row x
-    against g and a row a whose parts lie below 2^top, from bit lengths
-    alone: when c's larger part lies in [2^(C-1), 2^C) with C > log2 tol +
-    max(1, top, top g) + 1, |c|^2 >= 4^(C-1) is above every ceil it is
-    compared with, each at most 2 4^(C-2)."""
-    c = max(abs(x[0][-1]), abs(x[1][-1])).bit_length()
-    return c > 0 and c + x[2] > scalar.pow2_exp(tol) + max(1, top, _top(g)) + 1
+    """_divmod_linear when t^m + g is linear, else _divmod_monic.  With tol,
+    if a step ran, rem's top entries c pop while |c| < tol max(1, |a|, |g|)
+    (scalar._below), as in residue._divmod."""
+    q, (rr, ri, e) = (_divmod_linear if len(g[0]) == 1 else _divmod_monic)(a, g)
+    if tol is not None and len(a[0]) > len(g[0]):
+        k = len(rr) - sum(takewhile(bool, _below(rr[::-1], ri[::-1], e, tol, [_ONE, a, g])))
+        rr, ri = rr[:k], ri[:k]
+    return q, (rr, ri, e)
 
 
 def _mulmod(x, y, g, tol=None):
-    """x y mod (t^m + g) for exact rows, None when zero (tol: _collapse)."""
+    """x y mod (t^m + g) for exact rows, None when zero (tol: _divmod)."""
     if x and y:
         r = _divmod(_minus_product(x, y), g, tol)[1]
         return [-v for v in r[0]], [-v for v in r[1]], r[2]
@@ -463,12 +434,13 @@ def _rounded(x, d: int) -> list:
 
 def _poly(ring, rows, n: int, target_k: int, lead=None) -> SkewPoly:
     """sum_(i<n) c_i t^i (+ lead t^n), c_i + O(x^target_k) with slices rows,
-    each c_i written as an mpc series by the kernel's writer (_Fixed.out)."""
-    ops = _Fixed(getattr(ring, "L", 1))
-    e = min([r[2] for r in rows if r], default=0)
-    coeffs = []
+    each c_i written as an mpc series by the kernel's writer (_Fixed.out)
+    from the slices where its entry is nonzero, at their least exponent."""
+    ops, coeffs = _Fixed(getattr(ring, "L", 1)), []
     for i in range(n):
-        re, im = ([r[p][i] << (r[2] - e) if r and i < len(r[p]) else 0 for r in rows]
-                  for p in (0, 1))
-        coeffs.append(ops.out((0, re, im, e, target_k, None)))
+        live = {k: r for k, r in enumerate(rows) if r and i < len(r[0]) and (r[0][i] or r[1][i])}
+        k0, e = min(live, default=0), min([r[2] for r in live.values()], default=0)
+        re, im = ([live[k][p][i] << (live[k][2] - e) if k in live else 0
+                   for k in range(k0, max(live, default=-1) + 1)] for p in (0, 1))
+        coeffs.append(ops.out((k0, re, im, e, target_k, None)))
     return SkewPoly(ring, coeffs + ([] if lead is None else [lead]), trim=False)

@@ -20,7 +20,9 @@ form and form no terms.
 
 Rounding contract: negation and conjugation are exact; every other
 operation with an mpmath operand runs on ``_Fixed`` and rounds each output
-coefficient once.  Only operands that are all exact keep exact terms.  The
+coefficient once, then zero-tests it by the one noise rule
+(``scalar._below``) that normalizes a series built from terms and reads the
+order of both.  Only operands that are all exact keep exact terms.  The
 products before that rounding are exact integer convolutions
 (``_convolve``) on one of two branches: packed rows (Kronecker
 substitution) when one operand's largest mantissa has at most half the
@@ -63,14 +65,13 @@ class PuiseuxSeries:
         self.trunc = trunc
         self._fx = None
         if normalize:
-            eps = scalar.zero_eps()
-            kept = {}
-            for k, c in terms.items():
-                if trunc is not None and k >= trunc:
-                    continue
-                if not is_negligible(c, eps):
-                    kept[k] = c
-            self.terms = kept
+            # is_negligible of each term, on one exact read of them all when
+            # fixed_point reads them
+            terms = {k: c for k, c in terms.items() if trunc is None or k < trunc}
+            x = scalar.fixed_point(list(terms.values()))
+            small = (scalar._below(*x[:3], scalar.zero_eps()) if x
+                     else map(is_negligible, terms.values()))
+            self.terms = {k: c for (k, c), s in zip(terms.items(), small) if not s}
         else:
             self.terms = dict(terms)
 
@@ -496,10 +497,10 @@ class _Fixed:
     t^i b of a skew table after each t-shift and the multipliers of a
     division, is rounded GUARD_BITS above the working precision
     (``carry``).  Each output coefficient is rounded once, to nearest at the
-    working precision, and zero-tested once, as a ``PuiseuxSeries`` is
-    normalized, on its mantissas (``out``, by ``scalar.round_row``); the
-    series it returns holds that rounded exact form, and no mpmath number is
-    formed.  ``real`` makes ``out`` give mpf coefficients; until ``reads``
+    working precision, and zero-tested once on its mantissas (``out``, by
+    ``scalar.round_row``) as ``_make`` reads orders; the series it returns
+    holds that rounded exact form, and no mpmath number is formed.
+    ``real`` makes ``out`` give mpf coefficients; until ``reads``
     sets it they are mpc.
     """
 

@@ -21,57 +21,33 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import takewhile
 from math import prod
 
 from mpmath import mp
 
 from . import scalar
 from .errors import RootFindingError, UsageError
-from .scalar import INF, Alpha, conj_scalar, to_mpc
+from .scalar import INF, Alpha, _below, conj_scalar, to_mpc
 
 
-def _collapser(values, tol):
-    """The one collapse rule of the residue layer (degree honesty), which
-    ResiduePoly's trim and each step of _divmod apply: the function that
-    pops the top coefficients c of a list while |c| < tol * S, S = max |s|
-    over ``values``.
-
-    For tol = 2^t binary exponents decide: with T the largest mag_exp
-    (scalar) over ``values``, the rounded S lies in [2^(T-1), 2^(T+1)), so
-    a c with mag_exp above t + T + 1 stays and one below t + T - 1 goes.
-    S and abs(c) are computed only for a c inside that band (or inf and
-    nan), so every decision is the one abs(c) < tol * S gives.
-    """
-    t = scalar.pow2_exp(tol)
-    tops = [scalar.mag_exp(c) for c in values]
-    if t is None or None in tops:  # tol not a power of two; inf or nan
-        z_lo, z_hi = -INF, INF
-    else:
-        z_lo, z_hi = t + max(tops) - 1, t + max(tops) + 1
-    thr = None
-
-    def collapse(r):
-        nonlocal thr
-        while r:
-            top = scalar.mag_exp(r[-1])
-            if top is not None and top > z_hi:
-                break
-            if top is None or top >= z_lo:
-                if thr is None:
-                    thr = tol * scalar.max_abs(values)
-                if not abs(r[-1]) < thr:
-                    break
-            r.pop()
-    return collapse
+def _collapse(r, x, tol, size):
+    """Pop the top coefficients c of r, read exactly as x (scalar.fixed_point),
+    while |c| < tol S (scalar._below), S = max |s| over the exact row
+    ``size``: the one collapse of the residue layer (degree honesty),
+    ResiduePoly's trim and each step of _divmod.  Nothing pops when x or
+    ``size`` holds inf or nan (is None)."""
+    if r and x and size:
+        del r[len(r) - sum(takewhile(bool, _below(x[0][::-1], x[1][::-1], x[2], tol, [size]))):]
 
 
 def _trim(coeffs):
-    """Pop exact zeros, then leading dust (_collapser at zero_eps()), off a
-    coefficient list."""
-    while coeffs and coeffs[-1] == 0:
+    """Pop exact zeros, then leading dust (_collapse at zero_eps(), S over
+    the list), off a coefficient list."""
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
-    if coeffs:
-        _collapser(tuple(coeffs), scalar.zero_eps())(coeffs)
+    x = scalar.fixed_point(coeffs)
+    _collapse(coeffs, x, scalar.zero_eps(), x)
     return coeffs
 
 
@@ -97,8 +73,8 @@ def _sub(a, b):
 def _divmod(a, b, tol):
     """Long division of coefficient lists (ResiduePoly.divmod); after each
     step the remainder collapses at tol, S = max(1, max |a_i|, max |b_j|)
-    (_collapser)."""
-    collapse = _collapser(a + b + [mp.mpf(1)], tol)
+    (_collapse)."""
+    size, tol = scalar.fixed_point(a + b + [1]), mp.mpf(tol)
     r = list(a)
     db = len(b) - 1
     q = [mp.mpc(0)] * max(0, len(r) - db)
@@ -109,7 +85,7 @@ def _divmod(a, b, tol):
         c = q[k] = r.pop() * inv
         for j in range(db):
             r[k + j] -= c * b[j]
-        collapse(r)
+        _collapse(r, scalar.fixed_point(r), tol, size)
     return q, r
 
 
@@ -185,8 +161,8 @@ class ResiduePoly:
 
     def divmod(self, other, tol=None):
         """Long division; trailing coefficients of the remainder below
-        tol * max(1, |self|, |other|) are collapsed so degrees drop
-        honestly (_collapser)."""
+        tol * max(1, |self|, |other|), in exact moduli, are collapsed so
+        degrees drop honestly (_collapse); tol defaults to zero_eps()."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if tol is None:
@@ -231,13 +207,16 @@ class RootsReport:
 def roots(p: ResiduePoly) -> RootsReport:
     """All complex roots with multiplicities.
 
-    k exactly-zero low coefficients give the root 0 with multiplicity k;
-    the others come from the Durand-Kerner search on exact Gaussian
-    integers of _nonzero_roots, which raises RootFindingError when the
-    iteration does not settle or no clustering radius re-expands.  The
-    residual is max |p(r)| over the returned roots r, each p(r) formed
-    exactly and the largest rounded once (_residual).
+    The degree is read past exact-zero top coefficients.  k exactly-zero
+    low ones give the root 0 with multiplicity k; the others come from the
+    Durand-Kerner search on exact Gaussian integers of _nonzero_roots,
+    which raises RootFindingError when the iteration does not settle or no
+    clustering radius re-expands.  The residual is max |p(r)| over the
+    returned roots r, each p(r) formed exactly and the largest rounded once
+    (_residual).
     """
+    n = max((i + 1 for i, c in enumerate(p.coeffs) if c != 0), default=0)  # past zero tops
+    p = ResiduePoly(p.coeffs[:n], trim=False)
     if p.degree < 1:
         raise UsageError("root finding needs degree >= 1")
     k = next(i for i, c in enumerate(p.coeffs) if c != 0)
@@ -511,7 +490,8 @@ def ext_gcd(p: ResiduePoly, q: ResiduePoly, tol=None):
     """Extended Euclid: returns (g, a, b) with a*p + b*q = g.
 
     If p, q are coprime, g is normalized to the constant 1.  The loop runs
-    on coefficient lists, with the trims of ResiduePoly arithmetic, and
+    on coefficient lists, with the trims of ResiduePoly arithmetic and the
+    collapse of its divisions at tol (_collapse, default zero_eps()), and
     stops before the cofactor update of the step whose remainder is zero,
     which would be discarded; a nonzero constant divisor ends it with no
     division (a nonzero q reduced modulo a linear p is one).

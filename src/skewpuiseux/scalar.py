@@ -12,10 +12,10 @@ nearest and reads a GaussianRational through ``to_mpc`` (``mp_operand``).
 The exact kernel: ``fixed_point`` reads numeric coefficients exactly as
 Gaussian-integer mantissas, ``_fixed_add`` is the one adder of exact rows
 (series sums and Hensel rows), ``round_row`` rounds a row once and
-zero-tests it as ``is_negligible`` does, ``fixed_value`` forms a value
-exactly, ``from_fixed_point`` rounds one value once, ``carry_row`` rounds a
-carried row and ``first_at_least`` is the exact zero test on mantissas; the
-rounding contract is stated once, at ``puiseux._Fixed``.
+zero-tests it, ``fixed_value`` forms a value exactly, ``from_fixed_point``
+rounds one value once, ``carry_row`` rounds a carried row and
+``first_at_least`` reads an order; the rounding contract is stated once, at
+``puiseux._Fixed``.
 
 Tolerance policy: only this module turns the working precision P into a
 threshold; every other module reads these levels by name.
@@ -32,14 +32,15 @@ threshold; every other module reads these levels by name.
                            (residue._rounded), j = -8 the grid its search
                            runs on
 The levels keep this order, floor_tol(24) < zero_eps() < cluster_tol() <
-dust_tol(), from P = MIN_BITS on.
+dust_tol(), from P = MIN_BITS on.  Every zero test and collapse, |c| < tol
+or |c| < tol S, is one rule with one body, ``_below``: exact, on mantissas.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import zip_longest
+from itertools import compress, count, zip_longest
 from operator import or_
 
 import mpmath
@@ -59,7 +60,7 @@ def bits(prec: int):
     return mp.workprec(prec)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)  # the tolerance levels and every bound first_at_least reads
 def _pow2(k: int):
     return mp.mpf(2) ** k  # exact at any precision
 
@@ -128,8 +129,7 @@ def fixed_point(values):
     2 when some value is an mpc.  Returns None when a value is exact
     rational (Fraction, GaussianRational), inf or nan.
     """
-    kind = 0
-    parts = []
+    kind, parts, e = 0, [], INF
     for c in values:
         z = getattr(c, "_mpc_", None)
         if z is None:
@@ -138,6 +138,7 @@ def fixed_point(values):
                 if not isinstance(c, int):
                     return None
                 parts.append((c, 0, 0, 0))
+                e = 0 if c and e > 0 else e
                 continue
             z = (f, _FZERO)
             kind = kind or 1
@@ -146,9 +147,12 @@ def fixed_point(values):
         (rs, rm, rx, _), (js, jm, jx, _) = z
         if (not rm and rx) or (not jm and jx):  # inf and nan
             return None
+        if rm and rx < e:
+            e = rx
+        if jm and jx < e:
+            e = jx
         parts.append((-rm if rs else rm, rx, -jm if js else jm, jx))
-    e = min([rx for rm, rx, _, _ in parts if rm] + [jx for _, _, jm, jx in parts if jm],
-            default=0)
+    e = 0 if e == INF else e
     return ([rm << (rx - e) if rm else 0 for rm, rx, _, _ in parts],
             [jm << (jx - e) if jm else 0 for _, _, jm, jx in parts], e, kind)
 
@@ -200,18 +204,13 @@ def carry_row(x):
 def round_row(re, im, e: int):
     """The exact row (re + im*1j) * 2^e as its entries leave from_fixed_point
     and the zero test of a series: each part rounded once, to nearest at the
-    working precision (_nearest), and each entry that is_negligible finds
-    below zero_eps() set to zero, in fixed_point's form; None when no entry
-    is left.  Bit lengths decide as they decide in is_negligible; only in
-    its band is is_negligible asked, on the exact value, and no other
+    working precision (_nearest), and each entry below zero_eps() (_below)
+    set to zero, in fixed_point's form; None when no entry is left.  No
     mpmath number is formed."""
-    prec, band = mp.prec, pow2_exp(zero_eps()) - e
+    prec, n = mp.prec, len(re)
     parts = [_nearest(m, prec) for m in re + im]
-    n = len(re)
-    for i, (u, v) in enumerate(zip(parts[:n], parts[n:])):
-        top = max(abs(u), abs(v)).bit_length()
-        if top and (top < band or top == band and is_negligible(fixed_value(u, v, e))):
-            parts[i] = parts[n + i] = 0
+    for i in compress(count(), _below(parts[:n], parts[n:], e, zero_eps())):
+        parts[i] = parts[n + i] = 0
     return _normal(parts, n, e)
 
 
@@ -225,14 +224,53 @@ def fixed_value(re: int, im, e: int):
 
 
 def first_at_least(re, im, e: int, t: int):
-    """The zero test on mantissas: the index of the first entry of the exact
-    row (re + im*1j) * 2^e whose modulus is at least 2^t, None when every
-    one lies below.  Bit lengths decide, and exact squares in the band."""
-    for i, (u, v) in enumerate(zip(re, im)):
-        top = max(abs(u), abs(v)).bit_length() + e
-        if (top > t or top == t and u * u + v * v >= 1 << 2 * (t - e)) and (u or v):
+    """The order read on mantissas: the index of the first entry of the exact
+    row (re + im*1j) * 2^e whose modulus is at least 2^t (_below), None
+    when every one lies below."""
+    for i, small in enumerate(_below(re, im, e, _pow2(t))):
+        if not small:
             return i
     return None
+
+
+def _top(x):
+    """The least T with |Re c|, |Im c| < 2^T over an exact row's entries c."""
+    b = max(map(abs, x[0] + x[1]), default=0).bit_length() if x else 0
+    return b + x[2] if b else -INF
+
+
+def _below(re, im, e: int, tol, size=None):
+    """The noise rule, the one body of every zero test and collapse: for
+    each entry c = (u + iv) 2^e of an exact row, in order, whether |c| <
+    tol S, decided exactly as |c|^2 < tol^2 S^2.  tol is a positive mpf,
+    read exactly; S = 1, or S^2 = max |s|^2 over the entries s of the
+    exact rows ``size``, one of them nonzero.  Bit lengths decide outside a
+    band of a few binary orders about tol S, integer squares inside it, and
+    the bound tol^2 S^2 is formed only there."""
+    _, m, x, bc = tol._mpf_  # tol = m 2^x, m odd: 1, or in (2^(bc-1), 2^bc)
+    # with t the bit length of |u| | |v|, 2^(t-1) <= |c| 2^-e < 2^(t+1/2):
+    # t <= lo puts c below tol S, t >= hi at or above it; a zero entry is below
+    lo, hi = x + bc - 2 - e, x + bc + 1 - e - (m == 1)
+    if size:  # 2^(T-1) <= S < 2^(T+1/2)
+        T = max(map(_top, size))
+        lo, hi = lo + T - 1, hi + T + 1
+    hi, n = max(hi, 1), None
+    for u, v in zip(re, im):
+        t = (abs(u) | abs(v)).bit_length()
+        if t >= hi:
+            yield False
+        elif t <= lo:
+            yield True
+        else:
+            if n is None:  # the bound tol^2 S^2 = n 2^k, exactly
+                n, k = m * m, 2 * x
+                if size:
+                    sq = [(max(a * a + b * b for a, b in zip(r[0], r[1])), 2 * r[2]) for r in size]
+                    j = min(i for _, i in sq)
+                    n, k = n * max(s << (i - j) for s, i in sq), k + j
+                d = 2 * e - k  # |c|^2 < n 2^k if and only if (u^2 + v^2) 2^d < n
+                n, d = (n << -d, 0) if d < 0 else (n, d)
+            yield (u * u + v * v) << d < n
 
 
 def _fixed_twist(x, w):
@@ -304,31 +342,13 @@ def pow2_exp(eps):
     return exp if man == 1 and not sign else None
 
 
-def is_negligible(c, eps=None) -> bool:
-    """Zero test: exact scalars exactly, numeric ones by |c| < eps.
-
-    For a power-of-two eps = 2^e the binary exponents decide: a part with
-    exp+bc > e has modulus >= eps, and parts all below e give
-    |c| < sqrt(2)*2^(e-1) < eps.  Only in the band between (the largest
-    part in [2^(e-1), 2^e)), or for inf and nan, is abs(c) computed, so
-    every decision is the one abs(c) < eps gives.
-    """
-    top = mag_exp(c)
-    if top is None:
-        if isinstance(c, (int, Fraction)):
-            return c == 0
-        if isinstance(c, GaussianRational):
-            return c.re == 0 and c.im == 0
-    if eps is None:
-        eps = zero_eps()
-    if top is not None:
-        e = pow2_exp(eps)
-        if e is not None:
-            if top > e:
-                return False
-            if top < e:
-                return True
-    return abs(c) < eps
+def is_negligible(c) -> bool:
+    """Zero test: exact scalars exactly, numeric ones by |c| < zero_eps()
+    (_below); inf and nan are never negligible."""
+    if isinstance(c, (Fraction, GaussianRational)):
+        return not c
+    x = fixed_point([c]) or fixed_point([mp.mpc(c)])
+    return x is not None and next(_below(*x[:3], zero_eps()))
 
 
 def conj_scalar(c):

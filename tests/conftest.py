@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_int, fzero
 
 from skewpuiseux import PuiseuxSeries, SkewPoly, bits, puiseux_ring, skewpoly
 from skewpuiseux.scalar import to_mpc
@@ -18,6 +19,23 @@ def working_precision():
 
 def rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def exact_sq(c):
+    """|c|^2 exactly, a Fraction of integer squares, for an int, mpf or mpc c
+    read without rounding; None for inf and nan."""
+    parts = getattr(c, "_mpc_", None) or (getattr(c, "_mpf_", None) or from_int(c), fzero)
+    if any(not m and e for _, m, e, _ in parts):
+        return None
+    a, b = (Fraction(-m if s else m) * Fraction(2) ** e for s, m, e, _ in parts)
+    return a * a + b * b
+
+
+def exact_below(c, tol, size_sq=1):
+    """|c| < tol S, S^2 = size_sq, on exact squares (exact_sq): the noise
+    rule's reference; inf and nan are never below."""
+    sq = exact_sq(c)
+    return sq is not None and sq < exact_sq(tol) * size_sq
 
 
 def rand_coeff(rnd, scale=2.0):

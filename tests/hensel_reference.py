@@ -6,8 +6,9 @@ Every defect slice is a sum of one product and one addition per pair
 lifted, and each step reduces modulo res g by division (hensel._divmod,
 read at each call, which at a linear res g is the synthetic division of
 hensel._divmod_linear): k_n mod res g for b, b f_n mod res g for p, and
-the quotient of f_n - p k_n for q.  Inputs, checks, roundings and errors
-are the lift's own.
+the quotient of f_n - p k_n for q.  Each factor coefficient is written
+from every slice (poly).  Inputs, checks, roundings and errors are the
+lift's own.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from skewpuiseux import hensel as hensel_mod
 from skewpuiseux import residue as residue_mod
 from skewpuiseux import scalar
 from skewpuiseux.errors import PrecisionExhausted, TwistCoprimeFailure, UsageError
-from skewpuiseux.hensel import (HenselState, _fixed, _minus_product, _poly, _reciprocal,
-                                _rounded, _slices, _small, _top, _twist_check)
-from skewpuiseux.puiseux import _trunc_k
+from skewpuiseux.hensel import (HenselState, _fixed, _minus_product, _reciprocal, _rounded,
+                                _slices, _small, _twist_check)
+from skewpuiseux.puiseux import _Fixed, _trunc_k
 from skewpuiseux.residue import ResiduePoly
-from skewpuiseux.scalar import INF, _fixed_add, _fixed_twist, carry_row
-from skewpuiseux.skewpoly import PuiseuxRing
+from skewpuiseux.scalar import INF, _fixed_add, _fixed_twist, _top, carry_row
+from skewpuiseux.skewpoly import PuiseuxRing, SkewPoly
 from skewpuiseux.structure import shift_iso
 
 
@@ -84,6 +85,19 @@ def solve_step(n, gres, g, kn, fn, inverses, scale):
     return p, carry_row(q), b
 
 
+def poly(ring, rows, n, target_k, lead=None):
+    """hensel._poly as it was: each c_i written from all target_k slices,
+    empty ones included, at the least exponent over every slice."""
+    ops = _Fixed(getattr(ring, "L", 1))
+    e = min([r[2] for r in rows if r], default=0)
+    coeffs = []
+    for i in range(n):
+        re, im = ([r[p][i] << (r[2] - e) if r and i < len(r[p]) else 0 for r in rows]
+                  for p in (0, 1))
+        coeffs.append(ops.out((0, re, im, e, target_k, None)))
+    return SkewPoly(ring, coeffs + ([] if lead is None else [lead]), trim=False)
+
+
 def hensel_lift(f, g, h, target_k, on_state=None, *, roots=None):
     """hensel.hensel_lift, each defect slice summed pair by pair and each
     step solved by solve_step."""
@@ -116,8 +130,8 @@ def hensel_lift(f, g, h, target_k, on_state=None, *, roots=None):
         return per_pair_minus(acc, G, H, pairs, twists, d)
 
     def factors():
-        return (back(_poly(ring, G, m, target_k, g.coeffs[-1])),
-                back(_poly(ring, H, d - m, target_k, h.coeffs[-1])))
+        return (back(poly(ring, G, m, target_k, g.coeffs[-1])),
+                back(poly(ring, H, d - m, target_k, h.coeffs[-1])))
 
     zero, floor = scalar.pow2_exp(scalar.zero_eps()), scalar.pow2_exp(scalar.floor_tol(24))
     d0 = minus(F[0], [(0, 0)])
@@ -150,5 +164,5 @@ def hensel_lift(f, g, h, target_k, on_state=None, *, roots=None):
         if on_state is not None:
             rest = [None] * (n + 1) + [minus(F[k], [(a, k - a) for a in range(k + 1)])
                                        for k in range(n + 1, target_k)]
-            on_state(HenselState(n, *factors(), back(_poly(ring, rest, d, target_k))))
+            on_state(HenselState(n, *factors(), back(poly(ring, rest, d, target_k))))
     return (*factors(), target_k)

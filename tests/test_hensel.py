@@ -374,11 +374,12 @@ def test_twisted_step_raises_on_a_shared_twisted_root_with_euclids_witness():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_monic_division_is_exact(seed):
+def test_monic_division_is_exact(seed, monkeypatch):
     """quo (t^m + g) + rem == a in integers, deg rem < m, for monic divisors
     of degree 1..3, real and complex, whose coefficients spread over 2^-90
     .. 2^90, and a of degree <= 6; at m = 1 the synthetic division gives
-    the same values, with and without a collapse tolerance."""
+    the same values, with and without a collapse tolerance (_divmod routed
+    to each)."""
     rnd = rng(seed + 70)
 
     def scalar_(real):
@@ -398,7 +399,10 @@ def test_monic_division_is_exact(seed):
         back = _fixed_add(_fixed_add(a, prod), minus_rem)
         assert not any(back[0]) and not any(back[1])
         for tol in (None, scalar.zero_eps(), mp.mpf(2) ** 200) if m == 1 else ():
-            got, want = hensel_mod._divmod_linear(a, g, tol), _divmod_monic(a, g, tol)
+            got = hensel_mod._divmod(a, g, tol)
+            with monkeypatch.context() as patch:
+                patch.setattr(hensel_mod, "_divmod_linear", _divmod_monic)
+                want = hensel_mod._divmod(a, g, tol)
             assert [_row_values(x) for x in got] == [_row_values(x) for x in want]
 
 
@@ -947,7 +951,7 @@ def _routes(monkeypatch, n, gres, g, kn, fn, b, scale):
     for solve, memo in ((_solve_step, {key: (b, linear(kn, g))}), (reference.solve_step, {key: b})):
         monkeypatch.setattr(hensel_mod, "_divmod_linear", counting)
         if solve is reference.solve_step:
-            monkeypatch.setattr(hensel_mod, "_divmod", _divmod_monic)
+            monkeypatch.setattr(hensel_mod, "_divmod_linear", _divmod_monic)
         memo = {"none": None, "empty": {}}.get(b, memo) if isinstance(b, str) else memo
         try:
             out.append(solve(n, gres, g, kn, fn, memo, scale))
@@ -1056,3 +1060,36 @@ def test_a_step_makes_a_fixed_number_of_row_products(monkeypatch):
     # between _solve_step(n) and _solve_step(n + 1): the step's three
     # products, its check, and the defect of step n + 1
     assert {calls[n] for n in range(1, 29)} == {5}
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_the_factor_writer_is_the_every_slice_writer_bit_for_bit(prec):
+    """_poly writes each coefficient from the slices where its entry is
+    nonzero, at their least exponent, and gives the factors that the writer
+    reading every slice at the least exponent over all gave
+    (hensel_reference.poly), held form for held form: empty slices, zero
+    entries, rows longer than n, exponents far apart, entries about
+    zero_eps() and target_k below, at and above the number of slices."""
+    rnd = rng(prec + 29)
+    with bits(prec):
+        z = scalar.pow2_exp(scalar.zero_eps())
+
+        def part(e):
+            near = (1 << (z - e)) + rnd.randint(-2, 2) if z - e > 2 else 1
+            return rnd.choice([0, near, rnd.getrandbits(rnd.randint(1, prec + 20))]) \
+                * rnd.choice((1, -1))
+
+        for _ in range(150):
+            ring = puiseux_ring(rnd.choice([2, Fraction(3, 2)]), rnd.choice([1, 2]))
+            K, n = rnd.randint(1, 10), rnd.randint(1, 4)
+            rows = []
+            for _ in range(K):
+                e, w = rnd.randint(z - prec - 20, 20), rnd.randint(1, n + 1)
+                rows.append(None if rnd.random() < 0.4 else
+                            ([part(e) for _ in range(w)], [part(e) for _ in range(w)], e))
+            target_k = max(0, K + rnd.choice([-2, 0, 3]))
+            lead = rnd.choice([None, PuiseuxSeries.one(ring.L)])
+            got = hensel_mod._poly(ring, rows, n, target_k, lead)
+            want = reference.poly(ring, rows, n, target_k, lead)
+            assert [(c.trunc, c._fx) for c in got.coeffs] == \
+                [(c.trunc, c._fx) for c in want.coeffs]

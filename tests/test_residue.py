@@ -14,7 +14,7 @@ from skewpuiseux.errors import RootFindingError, UsageError
 from skewpuiseux.residue import delta_pretest, gamma_elements, orbit_exponent
 from skewpuiseux.scalar import GaussianRational, to_mpc, zero_eps
 
-from conftest import rand_coeff, rng
+from conftest import exact_below, exact_sq, rand_coeff, rng
 
 
 def test_roots_double():
@@ -279,13 +279,14 @@ def test_zero_sum_on_balanced_roots():
 
 
 def _dust_degree(coeffs):
-    """Degree after the leading-dust trim, computed from the moduli."""
+    """Degree after the leading-dust trim, computed from the exact moduli
+    (exact_below); a list with inf or nan keeps its top."""
     coeffs = [mp.mpc(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    if coeffs:
-        eps = zero_eps() * max(abs(c) for c in coeffs)
-        while coeffs and abs(coeffs[-1]) < eps:
+    sqs = [exact_sq(c) for c in coeffs]
+    if coeffs and None not in sqs:
+        while coeffs and exact_below(coeffs[-1], zero_eps(), max(sqs)):
             coeffs.pop()
     return len(coeffs) - 1
 
@@ -313,8 +314,9 @@ def test_leading_dust_trim_matches_moduli():
 
 
 def ref_divmod(a, b, tol):
-    """ResiduePoly.divmod as it was: the collapse decided by abs(c)."""
-    scale_bound = max(a.max_abs(), b.max_abs(), mp.mpf(1))
+    """ResiduePoly.divmod as it was, its collapse decided on the exact
+    moduli (exact_below), S^2 = max(1, |a_i|^2, |b_j|^2)."""
+    size = max(exact_sq(c) for c in a.coeffs + b.coeffs + [mp.mpf(1)])
     r = list(a.coeffs)
     q = [mp.mpc(0)] * max(0, len(r) - b.degree)
     inv = 1 / b.lc
@@ -325,7 +327,7 @@ def ref_divmod(a, b, tol):
         for j, y in enumerate(b.coeffs):
             r[k + j] -= c * y
         r.pop()
-        while r and abs(r[-1]) < tol * scale_bound:
+        while r and exact_below(r[-1], tol, size):
             r.pop()
     return ResiduePoly(q, trim=False), ResiduePoly(r, trim=False)
 
@@ -459,6 +461,20 @@ def test_twist_keeps_its_degree():
     assert twist_residue(q, -40, tm).degree == 3
     dev = (twist_residue(q, -40, tm) - p).max_abs()
     assert dev < mp.mpf(2) ** -(mp.prec - 16) * p.max_abs()
+
+
+def test_roots_reads_the_degree_past_exact_zero_tops():
+    # an untrimmed ResiduePoly may end in exact zeros: [0, 0] once raised a
+    # bare StopIteration and [1, 0] a ZeroDivisionError
+    for coeffs in ([0, 0], [1, 0], [0, 0, 0], [2, 0, 0]):
+        with pytest.raises(UsageError, match="root finding needs degree >= 1"):
+            roots(ResiduePoly(coeffs, trim=False))
+    c0, c1 = mp.mpc("0.75", "-1.5"), mp.mpc(2, 1)
+    got = roots(ResiduePoly([c0, c1, 0], trim=False))
+    assert got.pairs == roots(ResiduePoly([c0, c1], trim=False)).pairs
+    (r, mult), = got.pairs
+    assert mult == 1 and abs(c0 + c1 * r) < mp.mpf(2) ** -(mp.prec - 4)
+    assert roots(ResiduePoly([0, 0, 1, 0], trim=False)).pairs == [(0, 2)]
 
 
 @pytest.mark.parametrize("prec", [128, 160, 256])

@@ -6,11 +6,14 @@ from mpmath import mp
 from skewpuiseux import (Alpha, FactorConfig, GaussianRational, PuiseuxSeries, SkewPoly, TMap,
                          bits, puiseux_ring, sigma_zero_quadratic, trace_solve)
 from skewpuiseux.errors import UsageError
+from skewpuiseux import hensel as hensel_mod
+from skewpuiseux import residue as residue_mod
 from skewpuiseux import scalar as scalar_mod
-from skewpuiseux.scalar import (MIN_BITS, cluster_tol, dust_tol, floor_tol,
+from skewpuiseux.puiseux import _Fixed
+from skewpuiseux.scalar import (INF, MIN_BITS, cluster_tol, dust_tol, floor_tol,
                                 is_negligible, max_abs, to_mpc, zero_eps)
 
-from conftest import rng
+from conftest import exact_below, exact_sq, rand_coeff, rng
 
 
 def test_alpha_one_power_exact():
@@ -136,6 +139,8 @@ def _near_pow2(rnd, E):
 
 
 def test_zero_test_matches_modulus_threshold():
+    # the noise rule on c read exactly, at each tol, and is_negligible at
+    # zero_eps(), against the exact modulus (exact_below)
     rnd = rng(45)
     for prec in (53, 128, 160):
         with bits(prec):
@@ -143,8 +148,11 @@ def test_zero_test_matches_modulus_threshold():
                 eps = mp.ldexp(1, -E)
                 other = [eps * 3 / 4, eps * mp.mpf("1.1"), mp.mpf(1) / 3]
                 for c in _near_pow2(rnd, E):
+                    x = scalar_mod.fixed_point([c])
                     for e in [eps] + other:
-                        assert is_negligible(c, e) == (abs(c) < e), (prec, E, c, e)
+                        got = x is not None and next(scalar_mod._below(*x[:3], e))
+                        assert got == exact_below(c, e), (prec, E, c, e)
+                    assert is_negligible(c) == exact_below(c, zero_eps()), (prec, c)
     assert is_negligible(0) and is_negligible(Fraction(0))
     assert not is_negligible(Fraction(1, 10**40))
     assert is_negligible(GaussianRational(0, 0))
@@ -247,11 +255,15 @@ def test_mantissa_zero_test_matches_the_modulus():
 
 
 def _writer_keeps(u, v, e):
-    """round_row's verdict on one entry, checked against from_fixed_point
-    and is_negligible, the write-out and zero test it stands for."""
+    """round_row's verdict on one entry, checked against from_fixed_point,
+    the write-out it stands for, and the exact modulus of the value it
+    writes (exact_below), as is_negligible and first_at_least read it."""
     c = scalar_mod.from_fixed_point(u, v, e)
     row = scalar_mod.round_row([u], [v], e)
-    assert (row is None) == is_negligible(c), (u, v, e)
+    below = exact_below(c, zero_eps())
+    assert (row is None) == below == is_negligible(c), (u, v, e)
+    x, z = scalar_mod.fixed_point([c]), scalar_mod.pow2_exp(zero_eps())
+    assert (scalar_mod.first_at_least(*x[:3], z) is None) == below, (u, v, e)
     if row:
         (x,), (y,), f = row
         assert scalar_mod.fixed_value(x, y, f)._mpc_ == c._mpc_
@@ -261,20 +273,21 @@ def _writer_keeps(u, v, e):
 @pytest.mark.parametrize("prec", [53, 128, 256])
 def test_the_writer_zero_test_decides_as_is_negligible(prec):
     # entries of modulus just below, at and just above zero_eps() = 2^z: the
-    # row writer must keep exactly what from_fixed_point and is_negligible keep
+    # row writer must keep exactly what from_fixed_point writes at or above
+    # 2^z, in exact modulus, as is_negligible and first_at_least read it
     isqrt = __import__("math").isqrt
     with bits(prec):
         z = scalar_mod.pow2_exp(zero_eps())
         e = z - prec  # mantissas below 2^prec hold prec bits: rounding leaves them
         top = 1 << prec
         rnd = rng(62 + prec)
-        # |u + iv| < 2^z exactly, but the modulus rounds to 2^z: kept
+        # |u + iv| < 2^z exactly, though the modulus rounds to 2^z: dropped
         while True:
             u = rnd.randint(top // 2, top * 4 // 5)
             v = isqrt(top * top - 1 - u * u)
             if top * top - (top >> 6) < u * u + v * v:
                 break
-        assert _writer_keeps(u, v, e) and _writer_keeps(-v, u, e)
+        assert not _writer_keeps(u, v, e) and not _writer_keeps(-v, u, e)
         assert scalar_mod.first_at_least([u], [v], e, z) is None
         # further below, the rounded modulus is below 2^z too: dropped
         v = isqrt(top * top - (top * top >> (prec - 8)) - u * u)
@@ -282,7 +295,7 @@ def test_the_writer_zero_test_decides_as_is_negligible(prec):
         # at 2^z, one part or two, and just above it: kept
         assert _writer_keeps(top, 0, e) and _writer_keeps(0, -top, e)
         assert _writer_keeps(u, isqrt(top * top - u * u) + 1, e)
-        # one part just below 2^z, and one that rounds up to it: as is_negligible
+        # one part just below 2^z, and one that rounds up to it
         assert not _writer_keeps(top - 1, 0, e)
         assert _writer_keeps((top << 9) - 1, 0, e - 9)
         assert not _writer_keeps(0, 0, e)
@@ -293,6 +306,100 @@ def test_the_writer_zero_test_decides_as_is_negligible(prec):
             u = rnd.randint(0, w)
             v = isqrt(max(0, w * w - u * u)) + rnd.randint(-3, 3)
             _writer_keeps(u * rnd.choice((1, -1)), v, e - s)
+
+
+def test_the_writer_drops_what_the_order_read_finds_below():
+    # (2^87 - 1) + (2^44 - 1)i at 2^-151: its modulus lies below zero_eps() =
+    # 2^-64 at 128 bits but rounds to it; written as a term, its series read
+    # ord_k() 0 while the kernel read its order as INF
+    with bits(128):
+        s = _Fixed(1).out((0, [2 ** 87 - 1], [2 ** 44 - 1], -151, INF, None))
+        assert s._fx is None or s._fx[0][5] == s.ord_k()
+
+
+def _near(rnd, m, e):
+    """(u, v) with |u + iv| 2^e within a few units of the modulus m (an mpf),
+    at a random angle, on an axis or on a diagonal."""
+    with bits(mp.prec + 64):
+        w = m * mp.ldexp(1, -e) * mp.expjpi(rnd.choice([mp.mpf(rnd.uniform(-1, 1)), 0, 0.5, 0.25]))
+        return (int(mp.nint(w.real)) + rnd.randint(-2, 2) * rnd.randint(0, 1),
+                int(mp.nint(w.imag)) + rnd.randint(-2, 2) * rnd.randint(0, 1))
+
+
+def _row_values(row):
+    """An exact row's entries as exact values (re, im) * 2^e."""
+    return [(Fraction(u) * Fraction(2) ** row[2], Fraction(v) * Fraction(2) ** row[2])
+            for u, v in zip(row[0], row[1])]
+
+
+def _sq(row):
+    """max |s|^2 over the entries of an exact row, a Fraction."""
+    return max(Fraction(u * u + v * v) * Fraction(4) ** row[2] for u, v in zip(row[0], row[1]))
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256])
+def test_every_zero_test_and_collapse_is_the_exact_modulus(prec):
+    """Entries seeded about their threshold: round_row (on the value it
+    writes), first_at_least and is_negligible at zero_eps(), the residue
+    collapse (residue._collapse) and the Hensel one (hensel._divmod), each
+    at several tol, decide as |c|^2 < tol^2 S^2 on integer squares does
+    (exact_below)."""
+    rnd = rng(prec + 83)
+    seen = set()
+    with bits(prec):
+        eps, z = zero_eps(), scalar_mod.pow2_exp(zero_eps())
+        tols = [eps, floor_tol(24), mp.mpf("1e-20"), eps * 3 / 4]
+        for _ in range(300):
+            # absolute: mantissas of prec to prec + 30 bits, about 2^z
+            e = z - prec - rnd.randint(-2, 30)
+            u, v = _near(rnd, eps, e)
+            written = scalar_mod.from_fixed_point(u, v, e)
+            below = exact_below(written, eps)
+            assert (scalar_mod.round_row([u], [v], e) is None) == below
+            exact = scalar_mod.fixed_value(u, v, e)
+            below = exact_below(exact, eps)
+            assert (scalar_mod.first_at_least([0, u], [0, v], e, z) is None) == below
+            assert is_negligible(exact) == below
+            seen.add(("absolute", below))
+            # relative, residue: the top of a list about tol * max |s|
+            tol = rnd.choice(tols)
+            values = [rand_coeff(rnd, rnd.choice([1e-3, 1, 1e5])) for _ in range(rnd.randint(1, 3))]
+            size = scalar_mod.fixed_point(values)
+            m = tol * mp.sqrt(mp.mpf(_sq(size[:3]).numerator) / _sq(size[:3]).denominator)
+            e = scalar_mod.mag_exp(m) - prec - rnd.randint(0, 8)
+            tops = [scalar_mod.fixed_value(*_near(rnd, m, e), e) for _ in range(2)]
+            r = values[:1] + tops
+            want = list(r)
+            while want and exact_below(want[-1], tol, _sq(size[:3])):
+                want.pop()
+            residue_mod._collapse(r, scalar_mod.fixed_point(r), tol, size)
+            assert r == want
+            seen.add(("residue", len(r)))
+            # relative, Hensel: a = q (t^m + g) + rem, rem's top about tol * S
+            n = rnd.randint(1, 3)
+            g = ([rnd.randint(-9, 9) for _ in range(n)], [rnd.randint(-9, 9) for _ in range(n)], 0)
+            q = [complex(rnd.randint(-9, 9), rnd.randint(-9, 9)) for _ in range(rnd.randint(1, 3))]
+            monic = [complex(a, b) for a, b in zip(g[0], g[1])] + [1]
+            a0 = [0j] * (len(q) + n)
+            for i, x in enumerate(q):
+                for j, y in enumerate(monic):
+                    a0[i + j] += x * y
+            s0 = max([1] + [abs(x) for x in a0] + [abs(complex(a, b)) for a, b in zip(g[0], g[1])])
+            m = tol * mp.mpf(s0)
+            f = scalar_mod.mag_exp(m) - prec - rnd.randint(0, 8)
+            rem = [_near(rnd, m * rnd.choice([1, 2 ** -40]), f) for _ in range(n)]
+            rem[-1] = _near(rnd, m, f)
+            a = ([(int(x.real) << -f) + (rem[i][0] if i < n else 0) for i, x in enumerate(a0)],
+                 [(int(x.imag) << -f) + (rem[i][1] if i < n else 0) for i, x in enumerate(a0)], f)
+            big = max(Fraction(1), _sq(a), _sq(g))
+            want = list(rem)
+            while want and _sq(([want[-1][0]], [want[-1][1]], f)) < exact_sq(tol) * big:
+                want.pop()
+            _, got = hensel_mod._divmod(a, g, tol)
+            assert _row_values(got) == _row_values(([u for u, _ in want], [v for _, v in want], f))
+            seen.add(("hensel", len(want) == n))
+    assert {("absolute", True), ("absolute", False), ("hensel", True), ("hensel", False)} <= seen
+    assert {("residue", k) for k in (1, 2, 3)} <= seen
 
 
 @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(2, 3)])
