@@ -10,10 +10,10 @@ solved in C[t]/(res g) (_solve_step).
 Slices.  f, g, h are held as x-slices: row k (k < target_k) lists the x^k
 coefficients over t-degree, each left of its t^i, as exact mantissas
 (re, im, e) (scalar.fixed_point).  Each coefficient is read once, by the
-exact kernel's reader (puiseux._Fixed.read): a series that kernel wrote
-gives the exact form it holds, other numeric values are read exactly, an
-exact rational one rounded to nearest (scalar.mp_operand), and inf or nan
-is refused.  The residue rows res g and res h are slice 0, and conj(res h)
+exact kernel's reader (puiseux._Fixed.read): a numeric series gives the
+row it holds, and an exact one its values rounded to nearest
+(scalar.mp_operand); inf and nan are refused where a series is built.
+The residue rows res g and res h are slice 0, and conj(res h)
 is formed from it once per lift.  The factors are written by the kernel's
 writer (puiseux._Fixed.out): each coefficient is rounded once, to nearest
 at the working precision, and zero-tested as a series is, and each factor
@@ -291,7 +291,7 @@ def _slices(coeffs, target_k: int) -> list:
     reader (module docstring)."""
     ops, rows = _Fixed(coeffs[0].L), [None] * target_k
     for i, c in enumerate(coeffs):
-        k0, re, im, e, _, _ = ops.read(c, [])
+        k0, re, im, e, _, _ = ops.read(c)
         for j in range(min(len(re), target_k - k0)):
             if re[j] or im[j]:
                 rows[k0 + j] = _fixed_add(rows[k0 + j], ([0] * i + [re[j]], [0] * i + [im[j]], e))

@@ -8,104 +8,119 @@ Operations compute the tightest provable truncation and never pad with
 fabricated zeros.  This module holds only series: the ring data
 (alpha, L, a) of F[t, sigma, delta_a] belongs to ``skewpoly.PuiseuxRing``.
 
-Where a value lives.  A series built from terms holds them in ``terms``.
-A numeric series that the exact kernel ``_Fixed`` writes (a sum, product,
-scaling or twist, a skew-table output, a Hensel factor) holds its exact
-form instead: the Gaussian-integer mantissas of its coefficients at one
-binary exponent, and whether they are mpf or mpc.  The next kernel
-operation reads that form as it is, and ``terms`` is formed from it,
-exactly, only when something reads it.  Order, zero test, truncation,
-shifts, re-embedding, negation, conjugation and the residue read the exact
-form and form no terms.
+Where a value lives.  Every series holds one form, its exact row
+(``_fx``, the form of ``_Fixed``): the coefficients as Gaussian mantissas at
+one binary exponent, with whether they are real and the zero test its order
+was read at.  ``__init__`` reads the terms it is given into that form once,
+the kernel writes it, and ``terms`` is formed from it, exactly, only when
+something reads it.  A numeric row holds Gaussian-integer mantissas; an
+exact row (its zero test None) holds the int or Fraction re and im parts of
+int, Fraction and GaussianRational values at exponent 0.
 
-Rounding contract: negation and conjugation are exact; every other
-operation with an mpmath operand runs on ``_Fixed`` and rounds each output
-coefficient once, then zero-tests it by the one noise rule
-(``scalar._below``) that normalizes a series built from terms and reads the
-order of both.  Only operands that are all exact keep exact terms.  The
-products before that rounding are exact integer convolutions
-(``_convolve``) on one of two branches: packed rows (Kronecker
-substitution) when one operand's largest mantissa has at most half the
-bits of the other's, else dot products.  Both give the same integers, so
-the branch never moves an output bit.
+Rounding contract: negation, conjugation, truncation, shifts and
+re-embedding are exact.  Every sum, product, scaling and twist runs on
+``_Fixed``, exactly when every operand is exact and every twist factor it
+applies is an exact rational (``Alpha.pow``), else rounding each output
+coefficient once and zero-testing it by the one noise rule
+(``scalar._below``) that normalizes a numeric series built from terms and
+reads the order of both.  The products before that rounding are exact
+convolutions of packed rows (``_convolve``, Kronecker substitution), exact
+rows with Fraction parts over their common denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import lcm
-from operator import mul
+from operator import not_
 
 from mpmath import mp
 
 from . import scalar
 from .errors import PrecisionExhausted, UsageError, ZeroInversion
-from .scalar import (EXACT_TYPES, INF, Alpha, _fixed_add, _fixed_twist, fmt_exponent,
-                     fmt_scalar, fmt_sum, is_negligible)
+# is_negligible is not called here but stays bound: bench/tracer.py wraps it here too
+from .scalar import (EXACT_TYPES, INF, Alpha, GaussianRational, _fixed_add, _fixed_twist,
+                     fmt_exponent, fmt_scalar, fmt_sum, is_negligible, mp_operand)
 
 
 class PuiseuxSeries:
     """A truncated Puiseux series sum c_k x^(k/L) + O(x^(trunc/L)).
 
-    Its value lives in ``terms`` (k -> coefficient) or, for a series the
-    kernel wrote (``_held``), in ``_fx``: the exact form of ``_Fixed``,
-    already rounded to the working precision and zero-tested, with its mpf
-    flag and the zero-test exponent its order was read at.  Such a series
-    forms ``terms`` from ``_fx`` on each read, exactly, whatever the
-    reader's precision, and keeps no second copy; ``_fx`` is None for a
-    series built from terms.
+    Its value is ``_fx`` = (x, real, eps): x its row (``_Fixed``), real
+    whether its values are, and eps the zero-test exponent its order was
+    read at, None for an exact row.  ``__init__`` reads its terms into x
+    once: all exact, as they are, else as ``scalar.fixed_point`` reads them
+    (``scalar.mp_operand``: a Fraction or GaussianRational rounded to
+    nearest); inf, nan and other values are refused.  ``normalize`` drops
+    the terms its zero test finds; without it they stay, and the order is
+    the least key given.  ``terms`` is formed from x on each read (``_value``).
     """
 
-    __slots__ = ("L", "terms", "trunc", "_fx")
+    __slots__ = ("L", "trunc", "_fx")
 
     def __init__(self, L: int, terms: dict, trunc=None, *, normalize: bool = True):
         if L < 1:
             raise UsageError("ramification must be a positive integer")
-        self.L = L
-        self.trunc = trunc
-        self._fx = None
-        if normalize:
-            # is_negligible of each term, on one exact read of them all when
-            # fixed_point reads them
-            terms = {k: c for k, c in terms.items() if trunc is None or k < trunc}
-            x = scalar.fixed_point(list(terms.values()))
-            small = (scalar._below(*x[:3], scalar.zero_eps()) if x
-                     else map(is_negligible, terms.values()))
-            self.terms = {k: c for (k, c), s in zip(terms.items(), small) if not s}
+        self.L, self.trunc = L, trunc
+        t = INF if trunc is None else trunc
+        terms = {k: c for k, c in terms.items() if k < t}
+        k0 = min(terms, default=0)
+        values = [0] * (max(terms, default=-1) - k0 + 1)
+        for k, c in terms.items():
+            values[k - k0] = c
+        if all(isinstance(c, EXACT_TYPES) for c in values):
+            real, eps = not any(isinstance(c, GaussianRational) for c in values), None
+            re, im = ([c.re if isinstance(c, GaussianRational) else c for c in values],
+                      [c.im if isinstance(c, GaussianRational) else 0 for c in values])
+            small, e = [not c for c in values], 0
         else:
-            self.terms = dict(terms)
+            fx = scalar.fixed_point(values) or scalar.fixed_point(list(map(mp_operand, values)))
+            if fx is None:
+                raise UsageError("series arithmetic needs finite coefficients, exact or mpmath")
+            re, im, e, kind = fx
+            real, eps = kind < 2, scalar.pow2_exp(scalar.zero_eps())
+            small = list(scalar._below(re, im, e, scalar.zero_eps()))
+        if normalize:
+            for i in compress(count(), small):
+                re[i] = im[i] = 0
+            x = _strip(k0, re, im, e, t)
+        else:
+            x = (k0, re, im, e, t, next(compress(count(k0), map(not_, small)), t))
+        self._fx = (x, real, eps) if x[1] else (x, True, None)
 
     @classmethod
-    def _held(cls, L: int, x, real: bool, eps: int) -> "PuiseuxSeries":
-        """The series of the exact form x (``_Fixed``), its coefficients mpf
-        when ``real``, its order read at the zero test 2^eps; the zero series
-        when x has no term.  ``__init__`` is not run and ``terms`` is left
-        unset (``__getattr__``)."""
-        t = x[4]
-        if not x[1]:
-            return cls.zero(L, None if t == INF else t)
+    def _held(cls, L: int, x, real: bool, eps) -> "PuiseuxSeries":
+        """The series of the exact row x (``_Fixed``), its values real when
+        ``real``, its order read at the zero test 2^eps (None: exact); an
+        empty row is the exact zero.  ``__init__`` is not run."""
         s = object.__new__(cls)
-        s.L, s.trunc, s._fx = L, None if t == INF else t, (x, real, eps)
+        s.L, s.trunc = L, None if x[4] == INF else x[4]
+        s._fx = (x, real, eps) if x[1] else (x, True, None)
         return s
 
     def __getattr__(self, name):
-        """``terms`` of a held series, formed from its exact form on each
-        read, which stays its one stored value: each coefficient exactly, as
-        ``_Fixed.out`` rounded it (``_value``); ``terms`` is the one slot
-        left unset."""
+        """``terms``, formed from the exact row on each read, which stays
+        its one stored value (``_value``); it is the one name formed."""
         if name != "terms":
             raise AttributeError(name)
         (k0, re, im, _, _, _), _, _ = self._fx
         return {k0 + i: self._value(i) for i, (u, v) in enumerate(zip(re, im)) if u or v}
 
     def _value(self, i: int):
-        """Coefficient i of a held series' exact form, exactly: an mpf when
-        the kernel wrote it real, else an mpc (``scalar.fixed_value``)."""
-        (_, re, im, e, _, _), real, _ = self._fx
-        return scalar.fixed_value(re[i], None if real else im[i], e)
+        """Coefficient i of the row, exactly: an mpf or mpc of a numeric row
+        (``scalar.fixed_value``); of an exact one an int (an integral
+        Fraction too) or Fraction, a GaussianRational if complex."""
+        (_, re, im, e, _, _), real, eps = self._fx
+        if eps is not None:
+            return scalar.fixed_value(re[i], None if real else im[i], e)
+        if not real:
+            return GaussianRational(re[i], im[i])
+        u = re[i]
+        return u.numerator if isinstance(u, Fraction) and u.denominator == 1 else u
 
     def _with(self, L: int, x) -> "PuiseuxSeries":
-        """A series held as this one is, with the exact form x at L."""
+        """A series held as this one is, with the exact row x at L."""
         return PuiseuxSeries._held(L, x, *self._fx[1:])
 
     # -- constructors -------------------------------------------------------
@@ -146,13 +161,12 @@ class PuiseuxSeries:
 
     @property
     def is_zero(self) -> bool:
-        return self._fx is None and not self.terms
+        return not self._fx[0][1]
 
     def ord_k(self):
         """Order in 1/L units; the zero series reports its truncation bound."""
-        if self._fx is not None:
-            return self._fx[0][0]
-        return min(self.terms) if self.terms else _trunc_k(self)
+        x = self._fx[0]
+        return x[0] if x[1] else x[4]
 
     def ord(self):
         """``ord_k`` in x units, as an exact Fraction: a zero series known
@@ -170,13 +184,8 @@ class PuiseuxSeries:
         """Refine the ramification from L to k*L; pure re-indexing."""
         if k < 1:
             raise UsageError("reembed factor must be >= 1")
-        if self._fx is not None:
-            k0, re, im, e, t, o = self._fx[0]
-            return self._with(self.L * k, (k0 * k, _spread(re, k), _spread(im, k), e,
-                                           t * k, o * k))
-        t = None if self.trunc is None else self.trunc * k
-        return PuiseuxSeries(self.L * k, {j * k: c for j, c in self.terms.items()},
-                             t, normalize=False)
+        k0, re, im, e, t, o = self._fx[0]
+        return self._with(self.L * k, (k0 * k, _spread(re, k), _spread(im, k), e, t * k, o * k))
 
     def at_ram(self, L: int) -> "PuiseuxSeries":
         if L == self.L:
@@ -193,47 +202,27 @@ class PuiseuxSeries:
         """Restrict knowledge to exponents < T_k (1/L units)."""
         if T_k == INF:
             return self
-        T_k = int(T_k)
-        if self._fx is not None:
-            x = _cut(self._fx[0], T_k)
-            return self if x is self._fx[0] else self._with(self.L, x)
-        t = min(_trunc_k(self), T_k)
-        return PuiseuxSeries(self.L, {k: c for k, c in self.terms.items() if k < t},
-                             t, normalize=False)
+        x = _cut(self._fx[0], int(T_k))
+        return self if x is self._fx[0] else self._with(self.L, x)
 
     def x_shift(self, j: int) -> "PuiseuxSeries":
         """Multiply by y^j where y = x^(1/L); exact exponent shift."""
-        if self._fx is not None:
-            k0, re, im, e, t, o = self._fx[0]
-            return self._with(self.L, (k0 + j, re, im, e, t + j, o + j))
-        t = None if self.trunc is None else self.trunc + j
-        return PuiseuxSeries(self.L, {k + j: c for k, c in self.terms.items()},
-                             t, normalize=False)
+        k0, re, im, e, t, o = self._fx[0]
+        return self._with(self.L, (k0 + j, re, im, e, t + j, o + j))
 
     # -- field operations ---------------------------------------------------
 
     def __neg__(self):
-        """-self; an mpmath coefficient is negated exactly, not rounded."""
-        if self._fx is not None:
-            k0, re, im, e, t, o = self._fx[0]
-            return self._with(self.L, (k0, [-u for u in re], [-v for v in im], e, t, o))
-        terms = {k: -c if isinstance(c, EXACT_TYPES) else mp.fneg(c, exact=True)
-                 for k, c in self.terms.items()}
-        return PuiseuxSeries(self.L, terms, self.trunc, normalize=False)
+        """-self, exactly: the mantissas negated, not rounded."""
+        k0, re, im, e, t, o = self._fx[0]
+        return self._with(self.L, (k0, [-u for u in re], [-v for v in im], e, t, o))
 
     def __add__(self, other):
         if not isinstance(other, PuiseuxSeries):
             other = PuiseuxSeries.constant(other)
         a, b = self.unify(other)
         ops = _Fixed(a.L)
-        xy = ops.reads([[a, b]])
-        if xy:
-            return ops.out(ops.sum(xy[0]))
-        t = min(_trunc_k(a), _trunc_k(b))
-        terms = dict(a.terms)
-        for k, c in b.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return PuiseuxSeries(a.L, terms, None if t == INF else t)
+        return ops.out(ops.sum(ops.reads([[a, b]])[0]))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -266,10 +255,10 @@ class PuiseuxSeries:
         """
         if self.is_zero:
             raise ZeroInversion("inversion of a (numerically) zero series")
-        m = min(self.terms)
-        c = self.terms[m]
+        (m, re, _, _, _, _), _, _ = self._fx
+        c = self._value(0)
         inv_c = Fraction(1, c) if isinstance(c, int) else 1 / c  # an int lead stays exact
-        if len(self.terms) == 1 and self.trunc is None:
+        if len(re) == 1 and self.trunc is None:
             inv = PuiseuxSeries(self.L, {-m: inv_c}, None, normalize=False)
             return inv if target_k is None else inv.truncate(target_k)
         avail = _trunc_k(self) - 2 * m
@@ -296,54 +285,44 @@ class PuiseuxSeries:
 
     def sigma_pow(self, q, alpha: Alpha) -> "PuiseuxSeries":
         """Apply sigma^q: each term c*x^(k/L) picks up the factor alpha^(q*k/L).
-        Exact terms stay exact where every ``alpha.pow`` factor is exact; else
-        the row of ``alpha.numeric_pow`` factors (``Alpha.twist_row``) multiplies
-        the series on ``_Fixed``, mpf when its values and the factors are."""
+        An exact series stays exact where every factor ``alpha.pow`` gives
+        its terms is an exact rational (``_exact_powers``); else the row of
+        ``alpha.numeric_pow`` factors (``Alpha.twist_row``) multiplies the
+        series on ``_Fixed``, mpf when its values and the factors are."""
         q = Fraction(q)
-        if q == 0 or alpha.is_one:
+        if q == 0 or alpha.is_one or self.is_zero:
             return self
         num, den = q.numerator, q.denominator * self.L
-        if not _numeric(self):
-            pw = {k: alpha.pow(Fraction(num * k, den)) for k in self.terms}
-            if all(isinstance(p, EXACT_TYPES) for p in pw.values()):
-                return PuiseuxSeries(self.L, {k: c * pw[k] for k, c in self.terms.items()},
-                                     self.trunc)
-        ops, kinds = _Fixed(self.L), []
-        k0, re, im, e, t, _ = ops.read(self, kinds)
-        wr, wi, ew, kind = alpha.twist_row(num, den, k0, len(re))
-        ops.real = max(kinds) < 2 and kind < 2
-        return ops.out((k0, *_fixed_twist((re, im, e), (wr, wi, ew)), t, None))
+        x, _, eps = self._fx
+        w = eps is None and _exact_powers(alpha, num, den, x[0], x[0] + len(x[1]), [x])
+        ops = _Fixed(self.L)
+        k0, re, im, e, t, _ = ops.reads([[self]], exact=bool(w))[0][0]
+        if not w:
+            *w, kind = alpha.twist_row(num, den, k0, len(re))
+            ops.real = ops.real and kind < 2
+        return ops.out((k0, *_fixed_twist((re, im, e), w), t, None))
 
     def conjugate(self) -> "PuiseuxSeries":
-        """The conjugate series, exactly: a held one negates its im mantissas."""
-        if self._fx is not None:
-            k0, re, im, e, t, o = self._fx[0]
-            return self._with(self.L, (k0, re, [-v for v in im], e, t, o))
-        return PuiseuxSeries(self.L, {k: scalar.conj_scalar(c) for k, c in self.terms.items()},
-                             self.trunc, normalize=False)
+        """The conjugate series, exactly: the im mantissas negated."""
+        k0, re, im, e, t, o = self._fx[0]
+        return self._with(self.L, (k0, re, [-v for v in im], e, t, o))
 
     def residue(self):
         """Constant-term image in the residue field; requires ord >= 0."""
-        if self._fx is not None:
-            k0, re, im = self._fx[0][:3]
-            if k0 < 0:
-                raise UsageError("residue of a series with negative order")
-            return self._value(0) if k0 == 0 else 0
-        if self.terms and min(self.terms) < 0:
+        k0, re = self._fx[0][:2]
+        if k0 < 0 and re:
             raise UsageError("residue of a series with negative order")
-        return self.terms.get(0, 0)
+        return self._value(0) if k0 == 0 and re else 0
 
     # -- measurement and comparison ----------------------------------------
 
     def max_abs(self):
-        """max |c| over the coefficients (scalar.max_abs).  A held series
-        takes one modulus, of an entry with the largest u^2 + v^2 on its
-        mantissas: a rounded modulus is monotone in u^2 + v^2."""
-        if self._fx is None:
-            return scalar.max_abs(self.terms.values())
+        """max |c| over the coefficients, as ``scalar.max_abs`` takes it:
+        one modulus, of an entry with the largest u^2 + v^2 on its
+        mantissas, since a rounded modulus is monotone in u^2 + v^2."""
         _, re, im, _, _, _ = self._fx[0]
-        top = max(range(len(re)), key=lambda i: re[i] * re[i] + im[i] * im[i])
-        return abs(scalar.to_mpc(self._value(top))) if re[top] or im[top] else mp.mpf(0)
+        top = max(range(len(re)), key=lambda i: re[i] * re[i] + im[i] * im[i], default=0)
+        return abs(scalar.to_mpc(self._value(top))) if re and (re[top] or im[top]) else mp.mpf(0)
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -373,57 +352,37 @@ class PuiseuxSeries:
 
 
 def _times(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
-    """a * b for series of one ramification, to the tightest provable
-    truncation: on ``_Fixed`` where an operand holds an mpmath value
-    (``_Fixed.reads``), else by exact terms."""
+    """a * b for series of one ramification, on ``_Fixed``, to the tightest
+    provable truncation."""
     t = min(_trunc_k(a) + b.ord_k(), _trunc_k(b) + a.ord_k())
-    if not (a.is_zero or b.is_zero):
-        # only the terms that meet a partner below t are read; times
-        # reads orders after the zero test, so its truncation is >= t
-        ops = _Fixed(a.L)
-        xy = ops.reads([[a.truncate(t - b.ord_k()), b.truncate(t - a.ord_k())]])
-        if xy:
-            return ops.out(ops.times(*xy[0])).truncate(t)
-    terms = {}
-    for i, ci in a.terms.items():
-        for j, cj in b.terms.items():
-            k = i + j
-            if k < t:
-                terms[k] = terms.get(k, 0) + ci * cj
-    return PuiseuxSeries(a.L, terms, None if t == INF else int(t))
+    if a.is_zero or b.is_zero:
+        return PuiseuxSeries.zero(a.L, None if t == INF else int(t))
+    # only the terms that meet a partner below t are read; times reads
+    # orders after the zero test, so its truncation is >= t
+    ops = _Fixed(a.L)
+    x, y = ops.reads([[a.truncate(t - b.ord_k()), b.truncate(t - a.ord_k())]])[0]
+    return ops.out(ops.times(x, y)).truncate(t)
 
 
 def _convolve(xr: list, xi: list, yr: list, yi: list, n: int):
-    """The first n coefficients of the product of the Gaussian-integer
-    sequences xr + i*xi and yr + i*yi, exactly, as (re, im) lists.
+    """The first n coefficients of the product of the sequences xr + i*xi
+    and yr + i*yi, exactly, as (re, im) lists.
 
-    Two branches with equal outputs, chosen by width: the bit length of an
-    operand's largest mantissa part (re or im).  When the narrower
-    operand's width is at most half the wider one's, the product is packed
-    (``_packed``): each narrow entry then costs three C-level multiplies of
-    a whole packed row, where dot products of short narrow-by-wide terms
-    spend their time in the interpreter.  Otherwise, for balanced and equal
-    widths, where packing would multiply wide numbers by wide rows, three
-    dot products per coefficient: re = p1 - p2, im = p3 - p1 - p2."""
-    bx, by = max(map(int.bit_length, xr + xi)), max(map(int.bit_length, yr + yi))
-    if 2 * bx <= by:
+    Integer rows are packed (``_packed``), the narrower one, by the bit
+    length of its largest part, as the loop: each of its entries costs
+    three C-level multiplies of the whole packed row.  Rows with Fraction
+    parts (exact rows) are multiplied as the integer rows d x and d' y,
+    over the lcm d of x's denominators and d' of y's, and divided by d d'."""
+    try:
+        bx, by = max(map(int.bit_length, xr + xi)), max(map(int.bit_length, yr + yi))
+    except TypeError:  # Fraction parts: integer rows over common denominators
+        dx, dy = (lcm(*(v.denominator for v in row)) for row in (xr + xi, yr + yi))
+        ints = [[v.numerator * (d // v.denominator) for v in row]
+                for row, d in ((xr, dx), (xi, dx), (yr, dy), (yi, dy))]
+        return tuple([Fraction(v, dx * dy) for v in row] for row in _convolve(*ints, n))
+    if bx <= by:
         return _packed(xr, xi, yr, yi, n, bx + by)
-    if 2 * by <= bx:
-        return _packed(yr, yi, xr, xi, n, bx + by)
-    nx, ny = len(xr), len(yr)
-    xs = [a + b for a, b in zip(xr, xi)]
-    yr, yi = yr[::-1], yi[::-1]  # reversed: each dot product reads both slices forward
-    ys = [a + b for a, b in zip(yr, yi)]
-    re, im = [], []
-    for s in range(n):
-        lo = s - ny + 1 if s >= ny else 0
-        hi = s + 1 if s < nx else nx
-        j = ny - 1 - s
-        p1 = sum(map(mul, xr[lo:hi], yr[j + lo:j + hi]))
-        p2 = sum(map(mul, xi[lo:hi], yi[j + lo:j + hi]))
-        re.append(p1 - p2)
-        im.append(sum(map(mul, xs[lo:hi], ys[j + lo:j + hi])) - p1 - p2)
-    return re, im
+    return _packed(yr, yi, xr, xi, n, bx + by)
 
 
 def _packed(ur: list, ui: list, wr: list, wi: list, n: int, width: int):
@@ -467,41 +426,37 @@ def _packed(ur: list, ui: list, wr: list, wi: list, n: int, width: int):
 
 
 class _Fixed:
-    """Exact arithmetic of numeric series, and the rounding contract of
-    every numeric series operation and skew-table operation.
+    """The arithmetic of every series operation and skew-table operation,
+    and its rounding contract.
 
-    A series in exact form is a tuple (k0, re, im, e, trunc, ord): the terms
-    (re[i] + im[i]*1j) * 2^e * x^((k0 + i)/L), Gaussian-integer mantissas
-    at a shared binary exponent as ``scalar.fixed_point`` reads them, known
-    to O(x^(trunc/L)) (trunc INF: exact), with ord its order read after the
-    zero test (the least key of a term of modulus >= zero_eps(), else
-    trunc).
+    A row is a tuple (k0, re, im, e, trunc, ord): the terms (re[i] +
+    im[i]*1j) * 2^e * x^((k0 + i)/L), known to O(x^(trunc/L)) (trunc INF:
+    exact), with ord its order after the zero test (the least key of a term
+    of modulus >= zero_eps(), else trunc).  A numeric row holds
+    Gaussian-integer mantissas at a shared binary exponent as
+    ``scalar.fixed_point`` reads them; an exact row int or Fraction parts
+    at e = 0, and its zero test is exact.
 
-    The contract.  Operands are read exactly, by one reader (``reads``) for
-    series sums and products and the skew tables alike, which also decides
-    between this arithmetic and exact term arithmetic and sets ``real``;
-    its per-series ``read`` also reads the series of ``sigma_pow`` and the
-    slices of ``hensel_lift``, and takes a series the writer made as the
-    exact form it holds (``PuiseuxSeries._held``).  Only operands that are
-    all exact keep exact term arithmetic (the term loops of
-    ``PuiseuxSeries``, ``skewpoly._Coeffs``); otherwise an exact rational
-    is read rounded to nearest (``scalar.mp_operand``), and inf and nan are
-    refused.  Products (``_convolve``: packed rows when one operand's
-    largest mantissa has at most half the bits of the other's, else dot
-    products; or one pass over a row when an operand has one term) and
-    sums (``sum`` folds ``scalar._fixed_add`` over its parts, each
+    The contract.  One reader (``reads``) reads a call's operands and
+    decides its rule and ``real``.  A call runs exactly (``eps`` None: no
+    rounding) when every operand is exact and every twist factor it
+    applies is an exact rational (``Alpha.pow``, ``_exact_powers``; a
+    skew-table call that meets another runs again rounded,
+    ``skewpoly._table_call``).  Else it is rounded: a numeric row is read
+    as it is, its order read again only if read at another zero test, and
+    an exact one as ``scalar.mp_operand`` rounds each value.  Products
+    (``_convolve``, or one pass over a row when an operand has one term)
+    and sums (``sum`` folds ``scalar._fixed_add`` over its parts, each
     zero-padded to the least k0) are exact, with the truncation rules of
     ``PuiseuxSeries.__mul__`` and ``__add__`` on the orders after the zero
-    test (``_times`` cuts its product back to its own rule, on
-    ``ord_k``).  What a computation carries on exactly, the rows
-    t^i b of a skew table after each t-shift and the multipliers of a
+    test (``_times`` cuts its product back to its own rule, on ``ord_k``).
+    In a rounded call, what a computation carries on exactly, the rows t^i
+    b of a skew table after each t-shift and the multipliers of a
     division, is rounded GUARD_BITS above the working precision
-    (``carry``).  Each output coefficient is rounded once, to nearest at the
-    working precision, and zero-tested once on its mantissas (``out``, by
-    ``scalar.round_row``) as ``_make`` reads orders; the series it returns
-    holds that rounded exact form, and no mpmath number is formed.
-    ``real`` makes ``out`` give mpf coefficients; until ``reads``
-    sets it they are mpc.
+    (``carry``), and each output coefficient is cut to its truncation,
+    rounded once, to nearest at the working precision, and zero-tested once
+    on its mantissas (``out``, by ``scalar.round_row``), which reads its
+    order.  An output holds its row, real values when ``real``.
     """
 
     __slots__ = ("L", "eps", "real")
@@ -511,68 +466,48 @@ class _Fixed:
         self.eps = scalar.pow2_exp(scalar.zero_eps())
         self.real = False
 
-    def reads(self, lists, real: bool = True):
-        """The one reader of a call's operands, and its two decisions: the
-        lists of series ``lists`` in exact form, with ``real`` set when no
-        value is read as an mpc and ``real`` holds, or None when no value is
-        an mpmath number (``_numeric``): exact operands keep exact terms."""
-        if not any(_numeric(c) for cs in lists for c in cs):
-            return None
-        kinds = []
-        read = [[self.read(c, kinds) for c in cs] for cs in lists]
-        self.real = real and max(kinds) < 2
-        return read
+    def reads(self, lists, real: bool = True, exact: bool = True):
+        """The one reader of a call's operands: the lists of series
+        ``lists`` as rows, exactly when ``exact`` holds and every series is
+        exact, and ``real`` set when it holds and every value is real."""
+        fxs = [c._fx for cs in lists for c in cs]
+        self.real = real and all(f[1] for f in fxs)
+        self.eps = (None if exact and all(f[2] is None for f in fxs)
+                    else scalar.pow2_exp(scalar.zero_eps()))
+        return [[self.read(c) for c in cs] for cs in lists]
 
-    def read(self, c: PuiseuxSeries, kinds: list):
-        """The series c in exact form, ``kinds`` collecting fixed_point's kind
-        of each reading.  A Fraction or GaussianRational value is read as
-        ``scalar.mp_operand`` rounds it, and inf and nan are refused
-        (UsageError).  A held series gives its exact form as it is, its order
-        read again only if it was read at another zero test."""
-        if c._fx is not None:
-            x, real, eps = c._fx
-            kinds.append(1 if real else 2)
-            return x if eps == self.eps else self._make(*x[:5])
-        t = _trunc_k(c)
-        if not c.terms:
-            return _zero(t)
-        k0 = min(c.terms)
-        values = [0] * (max(c.terms) - k0 + 1)
-        for k, v in c.terms.items():
-            values[k - k0] = v
-        fx = scalar.fixed_point(values) or scalar.fixed_point(list(map(scalar.mp_operand, values)))
-        if fx is None:
-            raise UsageError("series arithmetic needs finite coefficients, exact or mpmath")
-        kinds.append(fx[3])
-        return self._make(k0, fx[0], fx[1], fx[2], t)
+    def read(self, c: PuiseuxSeries):
+        """The row of the series c under this call's rule (class
+        docstring)."""
+        x, _, eps = c._fx
+        if eps == self.eps or not x[1]:
+            return x
+        if eps is None:  # each value as mp_operand rounds it
+            values = [mp_operand(c._value(i)) for i in range(len(x[1]))]
+            x = (x[0], *scalar.fixed_point(values)[:3], x[4])
+        return self._make(*x[:5])
 
     def out(self, x) -> PuiseuxSeries:
-        """The series of x, each coefficient rounded once and zero-tested
-        (``scalar.round_row``), holding its exact form."""
+        """The series of x, each coefficient below its truncation rounded
+        once and zero-tested (``scalar.round_row``) in a rounded call, its
+        order the first one left."""
         k0, re, im, e, t, _ = x
-        row = re and scalar.round_row(re, im, e)
-        y = self._make(k0, *row, t) if row else _zero(t)
-        return PuiseuxSeries._held(self.L, y, self.real, self.eps)
+        if self.eps is not None:
+            n = len(re) if t == INF else max(0, t - k0)
+            re, im, e = scalar.round_row(re[:n], im[:n], e) or ([], [], 0)
+        return PuiseuxSeries._held(self.L, _strip(k0, re, im, e, t), self.real, self.eps)
 
     def ord_k(self, x):
         return x[5]
 
     def _make(self, k0, re, im, e, t):
-        """The tuple of the terms k0 + i, those below t, without leading or
-        trailing zero terms, and with its ord."""
-        n = len(re) if t == INF else min(len(re), t - k0)
-        lo = 0
-        while lo < n and not (re[lo] or im[lo]):
-            lo += 1
-        if lo >= n:
-            return _zero(t)
-        while not (re[n - 1] or im[n - 1]):
-            n -= 1
-        if lo or n < len(re):
-            re, im = re[lo:n], im[lo:n]
-        k0 += lo
-        i = scalar.first_at_least(re, im, e, self.eps)
-        return (k0, re, im, e, t, t if i is None else k0 + i)
+        """The row of the terms k0 + i below t (``_strip``), with its order
+        read at this call's zero test."""
+        x = _strip(k0, re, im, e, t)
+        if self.eps is None or not x[1]:
+            return x
+        i = scalar.first_at_least(x[1], x[2], e, self.eps)
+        return x[:5] + (t if i is None else x[0] + i,)
 
     def times(self, x, y):
         kx, xr, xi, ex, tx, ox = x
@@ -615,11 +550,10 @@ class _Fixed:
 
     def carry(self, x):
         """x with each part rounded once, GUARD_BITS above the working
-        precision (``scalar.carry_row``)."""
-        k0, re, im, e, t, o = x
-        if not re:
+        precision (``scalar.carry_row``); an exact row as it is."""
+        if not x[1] or self.eps is None:
             return x
-        return (k0, *scalar.carry_row((re, im, e)), t, o)
+        return (x[0], *scalar.carry_row(x[1:4]), *x[4:])
 
 
 def _zero(t):
@@ -627,18 +561,43 @@ def _zero(t):
     return (0, [], [], 0, t, t)
 
 
-def _cut(x, t):
-    """The exact form x known only to O(x^(t/L)): its terms below t, without
-    trailing zero terms; x itself when it is known no further."""
-    k0, re, im, e, tx, o = x
-    if t >= tx:
-        return x
-    n = min(len(re), t - k0)
-    while n > 0 and not (re[n - 1] or im[n - 1]):
-        n -= 1
-    if n <= 0:
+def _strip(k0, re, im, e, t):
+    """The row of the terms k0 + i below t, without leading or trailing zero
+    terms, its order the first term left."""
+    n = len(re) if t == INF else min(len(re), t - k0)
+    lo = 0
+    while lo < n and not (re[lo] or im[lo]):
+        lo += 1
+    if lo >= n:
         return _zero(t)
-    return (k0, re[:n], im[:n], e, t, o if o < t else t)
+    while not (re[n - 1] or im[n - 1]):
+        n -= 1
+    if lo or n < len(re):
+        re, im = re[lo:n], im[lo:n]
+    return (k0 + lo, re, im, e, t, k0 + lo)
+
+
+def _cut(x, t):
+    """The row x known only to O(x^(t/L)): its terms below t (``_strip``),
+    its order kept below t; x itself when it is known no further."""
+    if t >= x[4]:
+        return x
+    y = _strip(*x[:4], t)
+    return y[:5] + (min(x[5], t),) if y[1] else y
+
+
+def _exact_powers(alpha: Alpha, num: int, den: int, lo: int, hi: int, rows):
+    """The exact twist row (re, im, 0) of alpha.pow(num k / den) at each
+    key lo <= k < hi of a nonzero entry of the rows ``rows`` (0 at the
+    others); None when one such factor is not an exact rational."""
+    w = [0] * (hi - lo)
+    for k0, re, im, *_ in rows:
+        for i, (u, v) in enumerate(zip(re, im)):
+            if (u or v) and not w[k0 + i - lo]:
+                w[k0 + i - lo] = p = alpha.pow(Fraction(num * (k0 + i), den))
+                if not isinstance(p, EXACT_TYPES):
+                    return None
+    return w, [0] * len(w), 0
 
 
 def _spread(parts: list, k: int) -> list:
@@ -652,8 +611,3 @@ def _spread(parts: list, k: int) -> list:
 def _trunc_k(c: PuiseuxSeries):
     """How far the series c is known, in 1/L units: INF when c is exact."""
     return INF if c.trunc is None else c.trunc
-
-
-def _numeric(c: PuiseuxSeries) -> bool:
-    """Whether c holds a value that is not int, Fraction or GaussianRational."""
-    return c._fx is not None or not all(isinstance(v, EXACT_TYPES) for v in c.terms.values())

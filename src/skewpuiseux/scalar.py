@@ -3,11 +3,11 @@ floats, and the multiplier alpha, sole owner of its powers (Alpha).
 
 Numeric coefficients are mpmath values computed at the ambient working
 precision; enter a computation through ``with bits(P):`` to fix it.  Exact
-coefficients (int / Fraction / GaussianRational) stay exact among
-themselves.  Where one meets an mpmath value in series arithmetic, as when
-the factorizer makes an int-led polynomial monic by the exact inverse of its
-lead, the kernel's reader (``puiseux._Fixed.read``) rounds a Fraction to
-nearest and reads a GaussianRational through ``to_mpc`` (``mp_operand``).
+coefficients (int / Fraction / GaussianRational) sit in exact series rows
+as their re and im parts, and stay exact among themselves.  Where one
+meets an mpmath value, in one series or in series arithmetic (an int-led
+polynomial made monic by the exact inverse of its lead), it is read as
+``mp_operand`` rounds it (``puiseux._Fixed``).
 
 The exact kernel: ``fixed_point`` reads numeric coefficients exactly as
 Gaussian-integer mantissas, ``_fixed_add`` is the one adder of exact rows
@@ -284,11 +284,15 @@ def _fixed_twist(x, w):
 
 
 def _fixed_add(x, y):
-    """x + y for exact rows (re, im, e), at the lesser exponent."""
+    """x + y for exact rows (re, im, e), at the lesser exponent; rows at one
+    exponent, exact rows with Fraction parts among them, add as they are."""
     if not (x and y):
         return x or y
     (xr, xi, e), (yr, yi, s) = (x, y) if x[2] <= y[2] else (y, x)
     s -= e
+    if not s:
+        return ([u + v for u, v in zip_longest(xr, yr, fillvalue=0)],
+                [u + v for u, v in zip_longest(xi, yi, fillvalue=0)], e)
     return ([u + (v << s) for u, v in zip_longest(xr, yr, fillvalue=0)],
             [u + (v << s) for u, v in zip_longest(xi, yi, fillvalue=0)], e)
 

@@ -15,15 +15,16 @@ C[t, rho] is an mpc.  Their own ``*`` is the commutative product; the
 twisted product x*u = rho(u)*x is ``ConjSeriesRing.mul``, which is what
 ``SkewPoly`` multiplies through.
 
-On a ``PuiseuxRing`` with numeric coefficients the table arithmetic
-(products, left division and so evaluation, and the Horner images behind
-shift_iso) runs on series in exact form, under the rounding contract of
-``puiseux._Fixed``, and its output coefficients hold that form for the
-next operation to read.  Each of these operations is a sum over the rows
-t^i b of one polynomial b, its table (``_row``).  A row depends only on
-the ring and on b, so a table there is a value with one owner, a small
-process-wide memo (``_tables``) keyed by the exact reads: a division by
-the g a product has just multiplied by reads the rows that product built.
+On a ``PuiseuxRing`` the table arithmetic (products, left division and so
+evaluation, and the Horner images behind shift_iso) runs on series rows
+under the rule of ``puiseux._Fixed``, exact or rounded per call, and its
+outputs hold their rows for the next operation to read; the conj rings
+run it on their own coefficients (``_Coeffs``).  Each of these operations
+is a sum over the rows t^i b of one polynomial b, its table (``_row``).  A
+row depends only on the ring and on b, so a table there is a value with
+one owner, a small process-wide memo (``_tables``) keyed by the exact
+reads: a division by the g a product has just multiplied by reads the rows
+that product built.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from math import lcm
 from . import residue as residue_mod
 from . import scalar
 from .errors import ContextMismatch, NotMonicError, UsageError
-from .puiseux import PuiseuxSeries, _Fixed, _zero
+from .puiseux import PuiseuxSeries, _exact_powers, _Fixed, _zero
 from .scalar import INF, Alpha, _fixed_twist, conj_scalar, is_negligible, to_mpc
 
 
@@ -60,11 +61,8 @@ class BaseRing:
         raise NotImplementedError
 
     def is_one_value(self, a) -> bool:
-        """Whether the series a is the one term 1 at k = 0; a held series
-        is decided on its mantissas, and no term is formed."""
-        if a._fx is None:
-            terms = a.terms
-            return set(terms) == {0} and to_mpc(terms[0]) == 1
+        """Whether the series a is the one term 1 at k = 0, decided on the
+        parts of its exact row; no term is formed."""
         (k0, re, im, e, _, _), _, _ = a._fx
         live = [(k0 + i, u, v) for i, (u, v) in enumerate(zip(re, im)) if u or v]
         return e <= 0 and live == [(0, 1 << -e, 0)]
@@ -236,10 +234,9 @@ class PuiseuxRing(BaseRing):
             raise ContextMismatch("cannot mix Puiseux and non-Puiseux coefficients")
         if not self.alpha == other.alpha:
             raise ContextMismatch("rings have different alpha")
-        L = lcm(self.L, other.L)
-        if self.a.at_ram(L).terms != other.a.at_ram(L).terms:
+        if self != other:
             raise ContextMismatch("rings have different derivation parameter")
-        return self.at_ram(L)
+        return self.at_ram(lcm(self.L, other.L))
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxRing):
@@ -442,8 +439,9 @@ class SkewPoly:
         ring, a, b = self._common(other)
         if a.is_zero or b.is_zero:
             return SkewPoly.zero(ring)
-        ops, (bs, cs) = _ops(ring, b.coeffs, a.coeffs)
-        return SkewPoly(ring, [ops.out(c) for c in _lmul(ops, ops.table(bs), cs)])
+        return SkewPoly(ring, _table_call(
+            ring, lambda ops, bs, cs: [ops.out(c) for c in _lmul(ops, ops.table(bs), cs)],
+            b.coeffs, a.coeffs))
 
     def lmul_base(self, c) -> "SkewPoly":
         """Left multiplication by a base element (coefficient-wise)."""
@@ -472,19 +470,21 @@ class SkewPoly:
         if not p.is_monic:
             raise NotMonicError("left division requires a monic divisor")
         dp = p.degree
-        ops, (ps, r) = _ops(ring, p.coeffs, f.coeffs)
-        rows = ops.table(ps)
-        q = [ring.zero()] * max(0, len(r) - dp)
-        while len(r) > dp:
-            k = len(r) - 1 - dp
-            c = r.pop()
-            q[k] = ops.out(c)
-            if ring.ord_k(q[k]) != INF:
-                c, row = ops.carry(c), _row(ops, rows, k)
-                for j in range(len(r)):
-                    r[j] = ops.sub(r[j], ops.times(c, row[j]))
-            _trim_exact_zeros(ops, r)
-        return SkewPoly(ring, q), SkewPoly(ring, [ops.out(c) for c in r])
+
+        def divide(ops, ps, r):
+            rows = ops.table(ps)
+            q = [ring.zero()] * max(0, len(r) - dp)
+            while len(r) > dp:
+                k = len(r) - 1 - dp
+                c = r.pop()
+                q[k] = ops.out(c)
+                if ring.ord_k(q[k]) != INF:
+                    c, row = ops.carry(c), _row(ops, rows, k)
+                    for j in range(len(r)):
+                        r[j] = ops.sub(r[j], ops.times(c, row[j]))
+                _trim_exact_zeros(ops, r)
+            return SkewPoly(ring, q), SkewPoly(ring, [ops.out(c) for c in r])
+        return _table_call(ring, divide, p.coeffs, f.coeffs)
 
     def evaluate(self, a):
         """(sigma, delta)-substitution of a: the remainder of left division
@@ -592,41 +592,56 @@ def _horner_image(ring, coeffs, t_image: SkewPoly) -> SkewPoly:
     equal t_image reads the rows an earlier one built.  acc stays exact
     from step to step.
     """
-    ops, (ts, cs) = _ops(ring, t_image.coeffs, coeffs)
-    rows = ops.table(ts)
-    acc = []
-    for c in reversed(cs):
-        if acc:
-            acc = _lmul(ops, rows, acc)
+    def image(ops, ts, cs):
+        rows = ops.table(ts)
+        acc = []
+        for c in reversed(cs):
+            if acc:
+                acc = _lmul(ops, rows, acc)
+                _trim_exact_zeros(ops, acc)
+            if acc:
+                acc[0] = ops.sum([acc[0], c])
+            else:
+                acc = [c]
             _trim_exact_zeros(ops, acc)
-        if acc:
-            acc[0] = ops.sum([acc[0], c])
-        else:
-            acc = [c]
-        _trim_exact_zeros(ops, acc)
-    return SkewPoly(ring, [ops.out(c) for c in acc])
+        return SkewPoly(ring, [ops.out(c) for c in acc])
+    return _table_call(ring, image, t_image.coeffs, coeffs)
 
 
-def _ops(ring, *lists):
+def _ops(ring, *lists, exact: bool = True):
     """The arithmetic of a table call and copies of its operand coefficient
-    lists in that arithmetic's form: ``_Exact`` under the rule of
-    ``PuiseuxSeries.__mul__`` (``puiseux._Fixed``), else ``_Coeffs``."""
-    if isinstance(ring, PuiseuxRing):
-        ops = _Exact(ring)
-        read = ops.reads([[ring.a], *lists],
-                         not isinstance(ring.alpha.numeric, scalar.mp.mpc))
-        if read:
-            (ops.a,), *read = read
-            return ops, read
-    ops = _Coeffs(ring)
-    return ops, [list(cs) for cs in lists]
+    lists in that arithmetic's form: on a ``PuiseuxRing`` ``_Exact`` under
+    the rule of ``puiseux._Fixed``, exact where ``exact`` holds and every
+    operand is exact; on the conj rings ``_Coeffs``."""
+    if not isinstance(ring, PuiseuxRing):
+        return _Coeffs(ring), [list(cs) for cs in lists]
+    ops = _Exact(ring)
+    (ops.a,), *read = ops.reads([[ring.a], *lists],
+                                not isinstance(ring.alpha.numeric, scalar.mp.mpc), exact)
+    return ops, read
+
+
+def _table_call(ring, body, *lists):
+    """body(ops, *copies) on ``_ops``; a call run exactly runs again rounded
+    when a t-shift meets a twist factor that is not an exact rational
+    (``_Irrational``), so the rule holds per call."""
+    ops, read = _ops(ring, *lists)
+    try:
+        return body(ops, *read)
+    except _Irrational:
+        ops, read = _ops(ring, *lists, exact=False)
+        return body(ops, *read)
+
+
+class _Irrational(Exception):
+    """An exact table call met a twist factor that is not an exact
+    rational (``_Exact.shifted``)."""
 
 
 class _Coeffs:
-    """Table arithmetic on the ring's own coefficients: every product and
-    every partial sum is a rounded, normalized coefficient.  It serves
-    ``PuiseuxRing`` operands that are all exact (they stay exact),
-    ``ConjSeriesRing`` and ``ComplexConjRing``."""
+    """Table arithmetic on the ring's own coefficients, for
+    ``ConjSeriesRing`` and ``ComplexConjRing``: every product and every
+    partial sum is a rounded, normalized coefficient."""
 
     __slots__ = ("ring",)
 
@@ -681,25 +696,31 @@ class _Exact(_Fixed):
     def table(self, row):
         """The table (``_row``) whose row 0 is ``row``, from the memo of skew
         tables (``_tables``): a table already built for equal reads of the
-        ring and of row 0 comes with the rows it holds."""
+        ring and of row 0 under the same rule comes with the rows it holds."""
         alpha = self.alpha
-        rows = _tables(alpha.exact, alpha.numeric, self.L, scalar.mp.prec,
-                       _key([self.a]), _key(row))
+        rows = _tables(alpha.exact, alpha.numeric, self.L,
+                       None if self.eps is None else scalar.mp.prec, _key([self.a]), _key(row))
         if not rows:
             rows.append(row)
         return rows
 
     def shifted(self, row):
         """t * row exactly, each new coefficient sigma(c_(j-1)) + delta(c_j)
-        carried: sigma multiplies by the twist factors alpha_eff^k of
-        ``Alpha.numeric_pow``, read from the memo of alpha's powers, and
-        delta_a(u) = a (sigma(u) - u) is one exact product."""
+        carried: sigma multiplies by the twist factors alpha_eff^k, in an
+        exact call the exact rationals of ``puiseux._exact_powers`` (else
+        ``_Irrational``), else those of ``Alpha.numeric_pow`` from the memo of
+        alpha's powers, and delta_a(u) = a (sigma(u) - u) is one exact
+        product."""
         live = [c for c in row if c[1]]
         twist = live and not self.alpha.is_one
         if twist:
             k_lo = min(c[0] for c in live)
             k_hi = max(c[0] + len(c[1]) for c in live)
-            wr, wi, ew, _ = self.alpha.twist_row(1, self.L, k_lo, k_hi - k_lo)
+            w = (_exact_powers(self.alpha, 1, self.L, k_lo, k_hi, live) if self.eps is None
+                 else self.alpha.twist_row(1, self.L, k_lo, k_hi - k_lo)[:3])
+            if w is None:
+                raise _Irrational
+            wr, wi, ew = w
         a = self.a
         out, s_prev = [], None
         for c in row:
@@ -720,12 +741,12 @@ class _Exact(_Fixed):
 def _tables(exact, numeric, L: int, prec: int, a: tuple, b: tuple) -> list:
     """The memo of skew tables on ``_Exact``, process-wide: the rows of the
     polynomial b in the ring of alpha's kind and value (exact and numeric
-    apart, as ``scalar._powers`` keys them), L and a at prec bits, a and b
-    as ``_key`` gives their exact reads.  A row depends on nothing else, so
-    a table is a value of its key.  The 4 most recently used keys are kept;
-    the list is empty until ``_Exact.table`` puts b in as row 0, and only
-    ``_row`` appends to it.  Like mpmath's working precision, the memo
-    serves one thread at a time."""
+    apart, as ``scalar._powers`` keys them), L and a at prec bits (None in
+    an exact call), a and b as ``_key`` gives their reads.  A row depends on
+    nothing else, so a table is a value of its key.  The 4 most recently
+    used keys are kept; the list is empty until ``_Exact.table`` puts b in
+    as row 0, and only ``_row`` appends to it.  Like mpmath's working
+    precision, the memo serves one thread at a time."""
     return []
 
 

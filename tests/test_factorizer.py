@@ -694,9 +694,9 @@ def _raw(v):
 def _cubic(alpha):
     """The product of three linear factors with fixed zeros of L = 1."""
     f = SkewPoly.one(puiseux_ring(alpha))
-    for terms in ({-1: mp.mpc(1, 0.5), 0: mp.mpc(-0.7, 0.3), 2: 0.9},
+    for terms in ({-1: mp.mpc(1, 0.5), 0: mp.mpc(-0.7, 0.3), 2: mp.mpf(0.9)},
                   {0: mp.mpc(0.4, -1.2), 1: mp.mpc(0.6, 0.6)},
-                  {-1: -0.8, 1: mp.mpc(0.3, 0.9), 2: mp.mpc(-1, 0.4)}):
+                  {-1: mp.mpf(-0.8), 1: mp.mpc(0.3, 0.9), 2: mp.mpc(-1, 0.4)}):
         f = f * SkewPoly.t_minus(f.ring, PS(1, terms))
     return f
 

@@ -118,8 +118,8 @@ def test_lift_inputs_need_integral_finite_coefficients():
         hensel_lift(parse_poly("t^2 - (2+x^-1)*t + 1", R), g, g, 4)
     f = parse_poly("t^2 - 2*t + 1", R)
     for bad in (mp.inf, mp.nan):
-        h = SkewPoly(R, [PS(1, {0: bad}), PS.one()])
         with pytest.raises(UsageError, match="finite coefficients"):
+            h = SkewPoly(R, [PS(1, {0: bad}), PS.one()])
             hensel_lift(f, g, h, 4)
 
 

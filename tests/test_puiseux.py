@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from mpmath.libmp import mpf_neg, to_rational
+from mpmath.libmp import fzero, mpf_neg, to_rational
 
 from skewpuiseux import (Alpha, ConjSeriesRing, GaussianRational, PuiseuxSeries, SkewPoly, bits,
                          puiseux_ring)
@@ -28,10 +28,15 @@ def test_negation_is_exact():
     s = PS(1, {0: c, 1: z, 2: 3, 3: Fraction(-2, 3)}, 5)
     neg = -s
     _, man, exp, bc = c._mpf_
-    assert neg.terms[0]._mpf_ == (1, man, exp, bc)
+    # a series that mixes mpf and mpc values reads back mpc, and a Fraction
+    # among mpmath values is read once, rounded to nearest (mp_operand)
+    assert neg.terms[0]._mpc_ == ((1, man, exp, bc), fzero)
     assert neg.terms[1]._mpc_ == ((1, man, exp, bc), (0, man, exp, bc))
-    assert neg.terms[2] == -3 and neg.terms[3] == Fraction(2, 3) and neg.trunc == 5
+    assert neg.terms[2] == -3 and neg.terms[3] == -to_mpf(Fraction(-2, 3)) and neg.trunc == 5
     assert (-neg).terms == s.terms
+    # exact values stay exact, each of its own type
+    e = -PS(1, {2: 3, 3: Fraction(-2, 3)}, 5)
+    assert e.terms == {2: -3, 3: Fraction(2, 3)} and type(e.terms[2]) is int
 
 
 def test_ord_examples():
@@ -491,43 +496,86 @@ def _gaussian_row(rnd, size: int, width: int, shape: str):
 
 
 def test_convolve_is_the_convolution_by_definition():
-    # both branches of _convolve, in both argument orders, bit for bit the
-    # convolution by definition, to every n up to the full length
+    # _convolve, in both argument orders, bit for bit the convolution by
+    # definition, to every n up to the full length: integer rows of random
+    # sizes and widths, and rows with Fraction parts (exact rows), packed
+    # over their common denominators
     rnd = rng(36)
     shapes = ("random", "extreme", "real", "holes")
+    cases = []
     for _ in range(400):
         nx, ny = rnd.randint(1, 40), rnd.randint(1, 40)
         sx = rnd.choice(shapes)
         x = _gaussian_row(rnd, nx, rnd.randint(1, 700), sx)
         y = _gaussian_row(rnd, ny, rnd.randint(1, 700), rnd.choice((sx, rnd.choice(shapes))))
-        n = rnd.choice((nx + ny - 1, rnd.randint(1, nx + ny - 1)))
+        cases.append((x, y, rnd.choice((nx + ny - 1, rnd.randint(1, nx + ny - 1)))))
+    rnd = rng(38)
+    for _ in range(40):
+        nx, ny = rnd.randint(1, 9), rnd.randint(1, 9)
+        x, y = ([[rnd.choice((0, rnd.randint(-9, 9), Fraction(rnd.randint(-9, 9), 7)))
+                  for _ in range(m)] for _ in range(2)] for m in (nx, ny))
+        cases.append((x, y, rnd.randint(1, nx + ny - 1)))
+    for x, y, n in cases:
         want = _convolution(*x, *y, n)
         assert puiseux_mod._convolve(*x, *y, n) == want
         assert puiseux_mod._convolve(*y, *x, n) == want
 
 
 def test_convolve_packs_only_when_one_operand_is_narrow(monkeypatch):
-    # the narrow operand's largest part has at most half the bits of the
-    # wide one's: packed, with the narrow row first, in either order;
-    # balanced and equal widths stay on the dot products
+    # every integer pair packs now, narrow-by-wide, balanced and equal
+    # widths alike: once, with the narrower row (by the bit length of its
+    # largest part; the first on a tie) as the loop, in either order
     calls = []
     packed = puiseux_mod._packed
     monkeypatch.setattr(puiseux_mod, "_packed",
                         lambda ur, ui, wr, wi, n, width: calls.append(ur) or packed(
                             ur, ui, wr, wi, n, width))
     rnd = rng(37)
-    for nx, ny, bx, by, narrow in ((10, 36, 52, 300, True), (10, 18, 52, 104, True),
-                                   (7, 7, 60, 600, True), (18, 37, 150, 300, True),
-                                   (10, 36, 53, 104, False), (19, 27, 300, 340, False),
-                                   (10, 10, 52, 52, False), (36, 36, 300, 300, False)):
+    for nx, ny, bx, by in ((10, 36, 52, 300), (10, 18, 52, 104), (7, 7, 60, 600),
+                           (18, 37, 150, 300), (10, 36, 53, 104), (19, 27, 300, 340),
+                           (10, 10, 52, 52), (36, 36, 300, 300)):
         for shape in ("random", "extreme", "holes"):
             x = _gaussian_row(rnd, nx, bx, shape)
             y = _gaussian_row(rnd, ny, by, shape)
-            for a, b in ((x, y), (y, x)):
+            for (a, wa), (b, wb) in (((x, bx), (y, by)), ((y, by), (x, bx))):
                 calls.clear()
                 assert puiseux_mod._convolve(*a, *b, nx + ny - 1) == _convolution(
                     *a, *b, nx + ny - 1)
-                assert calls == ([x[0]] if narrow else [])
+                assert calls == [a[0] if wa <= wb else b[0]]
+
+
+def test_every_series_holds_its_exact_row():
+    # one held form: exact, numeric, mixed, zero, truncated and
+    # normalize=False series all hold a row, exact ones at e = 0 with no
+    # zero test, and none holds a terms dict
+    g = GaussianRational(1, 2)
+    series = {
+        "int and Fraction": (PS(1, {0: 3, 2: Fraction(1, 3)}), True, True),
+        "GaussianRational": (PS(1, {0: 1, 1: g}), True, False),
+        "mpf and mpc": (PS(2, {0: mp.mpf(1) / 3, 3: mp.mpc(1, 2)}), False, False),
+        "mpf and Fraction": (PS(1, {0: mp.mpf(2), 1: Fraction(1, 3)}), False, True),
+        "zero": (PS.zero(), True, True),
+        "zero to O(x^5)": (PS.zero(1, 5), True, True),
+        "truncated": (PS(1, {0: 1, 4: mp.mpf(2)}, 3), True, True),
+        "noise dropped": (PS(1, {0: mp.mpf(2) ** -100}), True, True),
+        "noise kept": (PS(1, {0: mp.mpf(2) ** -100, 1: mp.mpf(1)}, normalize=False), False, True),
+        "exact zero kept": (PS(1, {-1: 0, 1: 5}, 4, normalize=False), True, True),
+    }
+    for name, (s, exact, real) in series.items():
+        x, r, eps = s._fx
+        assert len(x) == 6 and r == real and (eps is None) == exact, name
+        assert not _holds_terms(s), name
+        if exact:
+            assert x[3] == 0 and all(isinstance(u, (int, Fraction)) for u in x[1] + x[2]), name
+    assert series["GaussianRational"][0].terms == {0: GaussianRational(1), 1: g}
+    assert series["mpf and Fraction"][0].terms[1] == to_mpf(Fraction(1, 3))
+    assert series["truncated"][0].terms == {0: 1} and series["noise dropped"][0].is_zero
+    # normalize=False: the order is the least key given; a kernel read
+    # reads it again at its own zero test
+    for name, k, o in (("noise kept", 0, 1), ("exact zero kept", -1, 1)):
+        s = series[name][0]
+        assert s.ord_k() == k and not s.is_zero
+        assert _Fixed(1).reads([[s]])[0][0][5] == o
 
 
 def test_max_abs_of_a_held_series_is_the_plain_max():
@@ -679,6 +727,9 @@ def test_exact_operands_keep_the_exact_values_of_the_term_reference():
                 for j, v in b.terms.items():
                     want[i + j] = want.get(i + j, 0) + u * v
             prod = a * b
+            # an integral Fraction reads back as an int
+            want = {k: c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+                    for k, c in want.items()}
             assert _typed(prod)[2] == {k: (type(c), c) for k, c in want.items()
                                        if k < (INF if prod.trunc is None else prod.trunc) and c}
             assert all(isinstance(c, EXACT_TYPES) for c in prod.terms.values())
@@ -820,12 +871,13 @@ def test_kernel_written_series_form_no_values_in_sums_scalings_and_twists(monkey
 
 @pytest.mark.parametrize("bad", [mp.inf, mp.nan])
 def test_arithmetic_refuses_non_finite_coefficients(bad):
-    s = PS(1, {0: bad, 1: mp.mpf(1)})
+    # refused where the series is built, by each way of building one
     other = PS(1, {0: mp.mpc(1, 2), 2: Fraction(1, 3)})
     ring = puiseux_ring(2)
-    ops = [lambda: s + other, lambda: other - s, lambda: s * other, lambda: other * s,
-           lambda: s.scale(3), lambda: s.scale(mp.mpf(2)), lambda: s.sigma_pow(1, Alpha(2)),
-           lambda: SkewPoly(ring, [s, 1]) * SkewPoly(ring, [other, 1])]
-    for op in ops:
+    builds = [lambda: PS(1, {0: bad, 1: mp.mpf(1)}), lambda: PS(1, {0: bad, 2: Fraction(1, 3)}),
+              lambda: PS(1, {0: mp.mpc(1, bad)}, normalize=False),
+              lambda: PS.from_terms([(0, bad)]), lambda: other.scale(bad),
+              lambda: other + bad, lambda: SkewPoly(ring, [bad, 1])]
+    for build in builds:
         with pytest.raises(UsageError, match="finite coefficients"):
-            op()
+            build()

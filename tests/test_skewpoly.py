@@ -204,6 +204,22 @@ def test_context_mismatch():
         f * g
 
 
+def test_unify_reads_the_truncation_of_a_as_equality_does():
+    # a = 1 + 2x known to O(x^5) and to O(x^3): unequal rings, which unify
+    # in neither order, so f * g and g * f cannot land in different rings
+    r5 = puiseux_ring(2, 1, PS(1, {0: 1, 1: 2}, 5))
+    r3 = puiseux_ring(2, 1, PS(1, {0: 1, 1: 2}, 3))
+    assert r5 != r3
+    for a, b in ((r5, r3), (r3, r5)):
+        with pytest.raises(ContextMismatch, match="derivation parameter"):
+            a.unify(b)
+        with pytest.raises(ContextMismatch):
+            SkewPoly.t_pow(a, 1) * SkewPoly.t_pow(b, 1)
+    # the same a at two ramifications is one ring
+    r2 = puiseux_ring(2, 2, PS(1, {0: 1, 1: 2}, 5))
+    assert r5.unify(r2) == r2.unify(r5) == r2 and r5.unify(r5) is r5
+
+
 def test_plain_rings_compare_by_kind():
     # BaseRing gives both rings their equality, hashing, repr and unify
     conj, cplx = ConjSeriesRing(), ComplexConjRing()
@@ -765,3 +781,40 @@ def test_a_held_lead_is_tested_for_one_without_forming_terms(monkeypatch):
     monkeypatch.undo()
     assert got == [set(c.terms) == {0} and to_mpc(c.terms[0]) == 1 for c in leads]
     assert got == [True, True, True, False, False, False, False, False, False, False]
+
+
+def _kinds(p):
+    return {type(c).__name__ for s in p.coeffs for c in s.terms.values()}
+
+
+def test_an_exact_table_call_is_exact_or_rounded_as_a_whole():
+    # exact operands stay exact in a call that applies no irrational twist
+    # factor; one that does rounds every output, exact ones included, once
+    r2 = puiseux_ring(Fraction(3, 2), 2)
+    x, y = PS.x_pow(1), PS.x_pow(Fraction(1, 2))
+    p, q = SkewPoly(r2, [x, 1]), SkewPoly(r2, [y, 1])
+    assert _kinds(q * p) <= {"int", "Fraction"}
+    twisted = p * q
+    assert _kinds(twisted) == {"mpf"}
+    assert twisted.coeffs[0].terms == {3: 1} and twisted.coeffs[2].terms == {0: 1}
+    # a numeric alpha applies no exact factor, so only a call without a
+    # t-shift stays exact: a constant left factor reads row 0 alone
+    rm = puiseux_ring(mp.mpf(2))
+    f, g = (SkewPoly(rm, [PS(1, {0: Fraction(1, 3), 1: 2}), 1]) for _ in range(2))
+    assert _kinds(SkewPoly(rm, [Fraction(1, 2)]) * g) == {"Fraction", "int"}
+    assert _kinds(f * g) == {"mpf"}
+
+
+def test_an_exact_table_is_not_read_by_a_rounded_call():
+    # the exact rows of t + 1 (alpha = 3/2 powers, Fractions) and the rows a
+    # rounded call builds from the same read of t + 1 are two tables
+    R = puiseux_ring(Fraction(3, 2))
+    g = SkewPoly(R, [PS(1, {0: 1, 1: 1}), 1])
+    f = SkewPoly(R, [PS(1, {0: mp.mpf(1) / 3, 2: 1}), 0, 0, 1])
+    skewpoly._tables.cache_clear()
+    cold = _raw_coeffs((f * g).coeffs)
+    skewpoly._tables.cache_clear()
+    exact = SkewPoly(R, [0, 0, 0, 1]) * g
+    assert _kinds(exact) <= {"int", "Fraction"}
+    assert _raw_coeffs((f * g).coeffs) == cold
+    assert skewpoly._tables.cache_info().currsize == 2

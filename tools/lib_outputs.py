@@ -16,7 +16,8 @@ each case through the workload's timed operation:
 
 That is 310 results, one JSON line each.  A numeric value is written as its
 raw mpmath tuple (``_mpf_`` or ``_mpc_``), so two records are equal only
-when every bit is; an error is written as its type and message.  Each
+when every bit is, and an exact one with its kind (``int``, ``Fraction``,
+``GaussianRational``); an error is written as its type and message.  Each
 record also holds the workload's own verdict on the result, ``check``:
 [ok, accuracy_bits] from its untimed check, or null for an error.  ``run``
 then runs every case a second time in the same process, on the warm
@@ -52,7 +53,7 @@ CASES = [
 
 def _raw(v):
     """v as JSON data that keeps every bit of each number."""
-    from skewpuiseux import PuiseuxSeries, SkewPoly
+    from skewpuiseux import GaussianRational, PuiseuxSeries, SkewPoly
 
     if isinstance(v, PuiseuxSeries):
         terms = [[k, _raw(c)] for k, c in sorted(v.terms.items())]
@@ -66,8 +67,10 @@ def _raw(v):
         if t is not None:
             parts = t if attr == "_mpc_" else (t,)
             return {attr: [[int(x) for x in p] for p in parts]}
-    if isinstance(v, Fraction):
-        return str(v)
+    if isinstance(v, GaussianRational):
+        return {"GaussianRational": [str(v.re), str(v.im)]}
+    if isinstance(v, (int, Fraction)):
+        return {type(v).__name__: str(v)}
     if isinstance(v, float):
         return repr(v)
     return v
@@ -123,10 +126,16 @@ def run(path: str, root: Path) -> int:
 
 
 def _number(v):
-    """The mpmath number a raw value holds (_raw), None for another value."""
+    """The number a raw value holds (_raw), as an mpmath number (an exact
+    one rounded at the working precision), None for another value."""
     from mpmath import mp
 
-    if not isinstance(v, dict) or not ({"_mpf_", "_mpc_"} & v.keys()):
+    if not isinstance(v, dict):
+        return None
+    exact = v.get("GaussianRational") or [v[k] for k in ("int", "Fraction") if k in v]
+    if exact:
+        return mp.mpc(*(mp.mpf(Fraction(p).numerator) / Fraction(p).denominator for p in exact))
+    if not ({"_mpf_", "_mpc_"} & v.keys()):
         return None
     parts = [tuple(p) for p in v.get("_mpc_") or v["_mpf_"]]
     return mp.make_mpc(tuple(parts)) if len(parts) == 2 else mp.make_mpf(parts[0])
